@@ -1,34 +1,31 @@
 //! Round-engine micro-benchmarks: sequential reference driver vs the
-//! batched parallel engine on the same pinned scenario, plus the
-//! CSR-vs-dynamic trust build underneath them.
+//! sharded and incremental engines on the same pinned scenario, plus
+//! the sharded-CSR-vs-dynamic trust build underneath them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dg_gossip::EngineKind;
 use dg_graph::NodeId;
 use dg_sim::rounds::{AggregationScope, RoundsConfig, RoundsSimulator};
 use dg_sim::scenario::{Scenario, ScenarioConfig};
-use dg_trust::{TrustMatrix, TrustValue};
+use dg_trust::{ShardSpec, TrustMatrix, TrustValue};
+use std::sync::Arc;
 
-fn scenario(nodes: usize, engine: EngineKind) -> Scenario {
-    Scenario::build(ScenarioConfig {
+fn scenario(nodes: usize, engine: EngineKind) -> Arc<Scenario> {
+    let built = Scenario::build(ScenarioConfig {
         nodes,
         seed: 42,
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
         engine,
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds")
+    });
+    Arc::new(built.expect("scenario builds"))
 }
 
 fn bench_round_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("rounds/engine");
     group.sample_size(3);
-    for engine in [
-        EngineKind::Sequential,
-        EngineKind::Parallel,
-        EngineKind::Sharded,
-    ] {
+    for engine in EngineKind::ALL {
         let s = scenario(1000, engine);
         group.bench_with_input(
             BenchmarkId::new("lifecycle_1000x3", engine.label()),
@@ -36,7 +33,7 @@ fn bench_round_engines(c: &mut Criterion) {
             |b, s| {
                 b.iter(|| {
                     let mut sim = RoundsSimulator::new(
-                        s,
+                        Arc::clone(s),
                         RoundsConfig {
                             rounds: 3,
                             requests_per_edge: 20,
@@ -75,11 +72,11 @@ fn bench_trust_build(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::from_parameter("csr"), &entries, |b, e| {
         b.iter(|| {
-            let mut builder = TrustMatrix::builder(n);
+            let mut builder = TrustMatrix::sharded_builder(ShardSpec::new(n, 1));
             for &(i, j, t) in e {
                 builder.set(i, j, t).expect("in range");
             }
-            TrustMatrix::from_csr(builder.build())
+            TrustMatrix::from_sharded(builder.build())
         })
     });
     group.finish();

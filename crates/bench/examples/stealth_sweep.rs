@@ -13,6 +13,7 @@ use dg_gossip::AdversaryMix;
 use dg_graph::NodeId;
 use dg_sim::rounds::{DefensePolicy, RoundsConfig, RoundsSimulator};
 use dg_sim::scenario::{Scenario, ScenarioConfig};
+use std::sync::Arc;
 
 const NODES: usize = 250;
 
@@ -32,9 +33,9 @@ fn run(m: usize, mix: AdversaryMix, rounds: usize) -> Run {
         ..ScenarioConfig::default()
     }
     .with_adversary(mix);
-    let scenario = Scenario::build(config).unwrap();
+    let scenario = Arc::new(Scenario::build(config).unwrap());
     let mut sim = RoundsSimulator::new(
-        &scenario,
+        Arc::clone(&scenario),
         RoundsConfig {
             rounds,
             ..RoundsConfig::default()

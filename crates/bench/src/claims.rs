@@ -29,6 +29,7 @@ use dg_sim::rounds::{DefensePolicy, RoundStats, RoundsConfig, RoundsSimulator};
 use dg_sim::scenario::{Scenario, ScenarioConfig};
 use dg_trust::audit::AuditPolicy;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Network size of the lifecycle matrix runs.
 pub const MATRIX_NODES: usize = 250;
@@ -350,9 +351,9 @@ fn run_lifecycle(
     rounds: usize,
     audit: AuditPolicy,
 ) -> Result<LifecycleRun, Box<dyn std::error::Error>> {
-    let scenario = Scenario::build(config)?;
+    let scenario = Arc::new(Scenario::build(config)?);
     let mut sim = RoundsSimulator::new(
-        &scenario,
+        Arc::clone(&scenario),
         RoundsConfig {
             rounds,
             ..RoundsConfig::default()

@@ -24,7 +24,7 @@
 //!   file so they cannot shadow a pinned config's gate,
 //! * `--seed <u64>` — override the scenario seed (default 42),
 //! * `--json` — emit JSON lines instead of a formatted table,
-//! * `--engine <sequential|parallel|sharded|incremental>` — restrict a
+//! * `--engine <sequential|sharded|incremental>` — restrict a
 //!   *round-loop driving* binary (`perf_suite`, which otherwise
 //!   measures all engines) to one execution engine. The figure/table
 //!   binaries measure the gossip layer itself, which is
@@ -61,6 +61,8 @@
 //!   vs cores) into `BENCH_threads.json`; composes with `--engine`
 //!   (default: the sharded engine, the work-stealing scheduler's
 //!   target configuration).
+
+#![forbid(unsafe_code)]
 
 use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile};
 
@@ -199,10 +201,7 @@ impl Cli {
                         .as_deref()
                         .and_then(EngineKind::parse)
                         .unwrap_or_else(|| {
-                            usage(
-                                "--engine needs `sequential`, `parallel`, `sharded` or \
-                                 `incremental`",
-                            )
+                            usage("--engine needs `sequential`, `sharded` or `incremental`")
                         });
                     cli.engine = Some(v);
                 }
@@ -308,7 +307,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "{msg}\nusage: <bin> [--full] [--scale] [--skewed] [--nodes <usize>] \
          [--activity <f64>] [--zipf <f64>] [--seed <u64>] [--json] \
-         [--engine <sequential|parallel|sharded|incremental>] [--shards <usize>] \
+         [--engine <sequential|sharded|incremental>] [--shards <usize>] \
          [--profile <lossless|lossy|partitioned|churning>] \
          [--adversary <none|sybil|collusion|slander|whitewash|stealth>] [--out <path>] \
          [--out-dir <dir>] [--checkpoint-every <rounds>] [--resume <dir>] \

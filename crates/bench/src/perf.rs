@@ -13,6 +13,7 @@ use dg_sim::rounds::{AggregationScope, RoundsConfig, RoundsSimulator};
 use dg_sim::scenario::{Scenario, ScenarioConfig};
 use dg_sim::{CheckpointKind, RunConfig, RunSession, TrafficModel};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Throughput may drop to this fraction of the baseline before the gate
@@ -27,7 +28,7 @@ pub const RESIDUAL_FLOOR: f64 = 0.01;
 /// One engine's measurement within a report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineResult {
-    /// Engine label (`sequential` / `parallel` / `sharded`).
+    /// Engine label (`sequential` / `sharded` / `incremental`).
     pub engine: String,
     /// Wall time of the whole round loop, milliseconds.
     pub wall_ms: f64,
@@ -85,15 +86,6 @@ pub struct PerfReport {
     pub adversary: String,
     /// Per-engine measurements.
     pub engines: Vec<EngineResult>,
-    /// `parallel` throughput over `sequential` throughput; `None` when
-    /// the suite was restricted to a single engine (`--engine`).
-    pub speedup_parallel_over_sequential: Option<f64>,
-    /// `incremental` throughput over `parallel` (batched) throughput —
-    /// the delta-engine's headline gain, ≥ 3x on the skewed config by
-    /// the committed `BENCH_baseline_skewed.json`. `None` when either
-    /// engine was not measured (and absent in pre-incremental reports).
-    #[serde(default)]
-    pub speedup_incremental_over_parallel: Option<f64>,
 }
 
 impl PerfReport {
@@ -245,13 +237,13 @@ fn measure_engine(
     // is profile-independent — always measured lossless for
     // baseline-comparability.
     let rss_before = peak_rss_bytes();
-    let scenario = Scenario::build(scenario_config(
+    let scenario = Arc::new(Scenario::build(scenario_config(
         perf,
         seed,
         engine,
         NetworkProfile::lossless(),
         adversary,
-    ))?;
+    ))?);
     let config = RoundsConfig {
         rounds: perf.rounds,
         requests_per_edge: perf.requests_per_edge,
@@ -261,7 +253,7 @@ fn measure_engine(
     .with_engine(engine)
     .with_shards(perf.shards)
     .with_traffic(perf.traffic);
-    let mut sim = RoundsSimulator::new(&scenario, config);
+    let mut sim = RoundsSimulator::new(Arc::clone(&scenario), config);
     let mut rng = scenario.gossip_rng(1);
     let start = Instant::now();
     let stats = sim.run(&mut rng)?;
@@ -314,19 +306,6 @@ pub fn run_suite_with_adversary(
             engines.push(measure_engine(perf, seed, engine, adversary)?);
         }
     }
-    let find = |label: &str| engines.iter().find(|e| e.engine == label);
-    let speedup = match (only, find("sequential"), find("parallel")) {
-        (None, Some(sequential), Some(parallel)) => {
-            Some(parallel.node_rounds_per_sec / sequential.node_rounds_per_sec.max(1e-9))
-        }
-        _ => None,
-    };
-    let speedup_incremental = match (find("incremental"), find("parallel")) {
-        (Some(incremental), Some(parallel)) => {
-            Some(incremental.node_rounds_per_sec / parallel.node_rounds_per_sec.max(1e-9))
-        }
-        _ => None,
-    };
 
     // Convergence metric: scalar differential-gossip averaging on the
     // same overlay, steps to protocol quiescence, under the requested
@@ -360,8 +339,6 @@ pub fn run_suite_with_adversary(
         residual_error,
         adversary: adversary.label().to_owned(),
         engines,
-        speedup_parallel_over_sequential: speedup,
-        speedup_incremental_over_parallel: speedup_incremental,
     })
 }
 
@@ -633,12 +610,6 @@ pub fn suite_main() -> Result<(), Box<dyn std::error::Error>> {
             engine.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         );
     }
-    if let Some(speedup) = report.speedup_parallel_over_sequential {
-        eprintln!("  speedup parallel/sequential: {speedup:.2}x");
-    }
-    if let Some(speedup) = report.speedup_incremental_over_parallel {
-        eprintln!("  speedup incremental/parallel: {speedup:.2}x");
-    }
     eprintln!(
         "  {} gossip steps to convergence under `{}` (residual error {:.2e})",
         report.rounds_to_convergence, report.profile, report.residual_error
@@ -716,7 +687,7 @@ pub(crate) fn select_config(cli: &crate::Cli) -> PerfConfig {
 fn session_run_config(perf: &PerfConfig, cli: &crate::Cli) -> RunConfig {
     RunConfig::with_nodes(perf.nodes)
         .with_seed(cli.seed)
-        .with_engine(cli.engine.unwrap_or(EngineKind::Parallel))
+        .with_engine(cli.engine.unwrap_or(EngineKind::Sharded))
         .with_shards(perf.shards)
         .with_free_riders(0.25)
         .with_quality_range(0.4, 1.0)
@@ -963,15 +934,13 @@ mod tests {
                     peak_rss_bytes: 0,
                 },
                 EngineResult {
-                    engine: "parallel".into(),
+                    engine: "sharded".into(),
                     wall_ms: 1.0,
                     node_rounds_per_sec: par,
                     final_free_rider_service_rate: 0.1,
                     peak_rss_bytes: 0,
                 },
             ],
-            speedup_parallel_over_sequential: Some(par / seq),
-            speedup_incremental_over_parallel: None,
         }
     }
 
@@ -981,7 +950,7 @@ mod tests {
         let s = serde_json::to_string_pretty(&r).unwrap();
         let back: PerfReport = serde_json::from_str(&s).unwrap();
         assert_eq!(r, back);
-        assert_eq!(back.engine("parallel").unwrap().node_rounds_per_sec, 200.0);
+        assert_eq!(back.engine("sharded").unwrap().node_rounds_per_sec, 200.0);
     }
 
     #[test]
@@ -989,10 +958,10 @@ mod tests {
         let baseline = report(1000.0, 2000.0);
         // Mild slowdown: inside the 2x budget.
         assert!(find_regressions(&baseline, &report(600.0, 1100.0), 2.0).is_empty());
-        // Parallel engine collapsed by >2x.
+        // Sharded engine collapsed by >2x.
         let bad = find_regressions(&baseline, &report(990.0, 900.0), 2.0);
         assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].engine, "parallel");
+        assert_eq!(bad[0].engine, "sharded");
         assert!(bad[0].factor > 2.0);
     }
 
@@ -1017,20 +986,18 @@ mod tests {
             scope: AggregationScope::Neighbourhood,
         };
         let r = run_suite(&tiny, 7, None, NetworkProfile::lossless()).unwrap();
-        assert_eq!(r.engines.len(), 4);
+        assert_eq!(r.engines.len(), 3);
         assert!(r.rounds_to_convergence > 0);
         assert_eq!(r.profile, "lossless");
         // Identical lifecycle outcomes under every engine.
         let seq = r.engine("sequential").unwrap();
-        for label in ["parallel", "sharded", "incremental"] {
+        for label in ["sharded", "incremental"] {
             assert_eq!(
                 seq.final_free_rider_service_rate,
                 r.engine(label).unwrap().final_free_rider_service_rate,
                 "{label}"
             );
         }
-        assert!(r.speedup_parallel_over_sequential.unwrap() > 0.0);
-        assert!(r.speedup_incremental_over_parallel.unwrap() > 0.0);
         // peak_rss_bytes attribution is probed separately
         // (`peak_rss_sampling_works`): asserting on per-engine values
         // here would race other tests in this process raising the
@@ -1047,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_restriction_measures_one_engine_and_omits_speedup() {
+    fn engine_restriction_measures_one_engine() {
         let tiny = PerfConfig {
             name: "tiny",
             nodes: 60,
@@ -1057,11 +1024,10 @@ mod tests {
             traffic: TrafficModel::full(),
             scope: AggregationScope::Neighbourhood,
         };
-        for engine in [EngineKind::Parallel, EngineKind::Sharded] {
+        for engine in [EngineKind::Sharded, EngineKind::Incremental] {
             let r = run_suite(&tiny, 7, Some(engine), NetworkProfile::lossless()).unwrap();
             assert_eq!(r.engines.len(), 1);
             assert_eq!(r.engines[0].engine, engine.label());
-            assert_eq!(r.speedup_parallel_over_sequential, None);
         }
     }
 
@@ -1103,16 +1069,12 @@ mod tests {
         assert_eq!(report.profile, "");
         assert_eq!(report.residual_error, 0.0);
         assert_eq!(report.adversary, "");
-        assert_eq!(report.speedup_incremental_over_parallel, None);
     }
 
     #[test]
     fn skewed_tiny_suite_reports_incremental_gain() {
         // A downscaled SKEWED: the incremental engine must be measured,
-        // agree with the others on the lifecycle outcome, and report
-        // its speedup-over-batched headline. The ≥ 3x bar itself is
-        // pinned by the full-size committed baseline, not here — at
-        // 150 nodes the constant factors dominate.
+        // and agree with the others on the lifecycle outcome.
         let tiny = PerfConfig {
             name: "tiny-skewed",
             nodes: 150,
@@ -1123,13 +1085,12 @@ mod tests {
             scope: SKEWED.scope,
         };
         let r = run_suite(&tiny, 7, None, NetworkProfile::lossless()).unwrap();
-        let par = r.engine("parallel").unwrap();
+        let sharded = r.engine("sharded").unwrap();
         let inc = r.engine("incremental").unwrap();
         assert_eq!(
-            par.final_free_rider_service_rate,
+            sharded.final_free_rider_service_rate,
             inc.final_free_rider_service_rate
         );
-        assert!(r.speedup_incremental_over_parallel.unwrap() > 0.0);
     }
 
     #[test]

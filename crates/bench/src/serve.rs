@@ -232,7 +232,7 @@ pub fn serve_main(cli: &crate::Cli) -> Result<(), Box<dyn std::error::Error>> {
         // realistic serving deployment is loaded.
         perf.traffic = TrafficModel::full().with_activity(0.01).with_zipf(1.0);
     }
-    let engine = cli.engine.unwrap_or(EngineKind::Parallel);
+    let engine = cli.engine.unwrap_or(EngineKind::Sharded);
     eprintln!(
         "perf_suite --serve: {} ({} nodes, seed {}, engine {}, {} clients x {} pipelined)",
         perf.name,
@@ -314,7 +314,7 @@ mod tests {
             name: "smoke".into(),
             nodes: 100,
             seed: 42,
-            engine: "parallel".into(),
+            engine: "sharded".into(),
             clients: CLIENTS,
             pipeline: PIPELINE,
             wall_ms: 2000.0,

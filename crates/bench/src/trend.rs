@@ -30,16 +30,12 @@ pub struct TrendRow {
     pub sha: String,
     /// Sequential engine throughput, node-rounds/s.
     pub sequential: f64,
-    /// Parallel engine throughput, node-rounds/s.
-    pub parallel: f64,
     /// Sharded engine throughput, node-rounds/s.
     pub sharded: f64,
     /// Incremental engine throughput on the smoke (full-traffic)
     /// workload, node-rounds/s — its skewed-workload headline lives in
     /// `BENCH_baseline_skewed.json`.
     pub incremental: f64,
-    /// parallel / sequential.
-    pub speedup: f64,
     /// Sharded-engine parallel efficiency at 2 threads (from a
     /// `--threads 1,2` sweep of the same config). 1.0 is perfect linear
     /// scaling; on a single-core runner the 2-thread point is
@@ -57,15 +53,12 @@ impl TrendRow {
     /// The markdown table row.
     pub fn markdown(&self) -> String {
         format!(
-            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.2} | {} | {} | {} | {} | \
-             {:.2e} |",
+            "| {} | {} | {:.0} | {:.0} | {:.0} | {:.2} | {} | {} | {} | {} | {:.2e} |",
             self.date,
             self.sha,
             self.sequential,
-            self.parallel,
             self.sharded,
             self.incremental,
-            self.speedup,
             self.efficiency_2t,
             self.convergence[0],
             self.convergence[1],
@@ -89,8 +82,8 @@ profile. Throughput is engine node-rounds/s measured lossless;
 profile; the residual is the estimate error left under the churning
 profile. Hardware varies between runners — read trends, not absolutes.
 
-| date | commit | seq n-r/s | par n-r/s | shd n-r/s | inc n-r/s | speedup | eff 2t | conv lossless | conv lossy | conv partitioned | conv churning | churn residual |
-|------|--------|-----------|-----------|-----------|-----------|---------|--------|---------------|------------|------------------|---------------|----------------|
+| date | commit | seq n-r/s | shd n-r/s | inc n-r/s | eff 2t | conv lossless | conv lossy | conv partitioned | conv churning | churn residual |
+|------|--------|-----------|-----------|-----------|--------|---------------|------------|------------------|---------------|----------------|
 ";
 
 /// Run the suite across all profiles and assemble the row.
@@ -105,10 +98,6 @@ pub fn run_trend(
     let sequential = lossless
         .engine("sequential")
         .ok_or("missing sequential result")?
-        .node_rounds_per_sec;
-    let parallel = lossless
-        .engine("parallel")
-        .ok_or("missing parallel result")?
         .node_rounds_per_sec;
     let sharded = lossless
         .engine("sharded")
@@ -151,10 +140,8 @@ pub fn run_trend(
         date,
         sha,
         sequential,
-        parallel,
         sharded,
         incremental,
-        speedup: parallel / sequential.max(1e-9),
         efficiency_2t,
         convergence,
         churning_residual,
@@ -227,12 +214,12 @@ mod tests {
     #[test]
     fn tiny_trend_runs_and_rows_are_well_formed() {
         let row = run_trend(&TINY, 7, "2026-01-01".into(), "abc1234".into()).unwrap();
-        assert!(row.sequential > 0.0 && row.parallel > 0.0 && row.sharded > 0.0);
+        assert!(row.sequential > 0.0 && row.sharded > 0.0);
         assert!(row.incremental > 0.0);
         assert!(row.convergence.iter().all(|&c| c > 0));
         assert!(row.efficiency_2t > 0.0);
         let md = row.markdown();
-        assert_eq!(md.matches('|').count(), 14, "13 cells: {md}");
+        assert_eq!(md.matches('|').count(), 12, "11 cells: {md}");
         assert!(md.contains("abc1234"));
     }
 
@@ -247,10 +234,8 @@ mod tests {
             date: "2026-01-01".into(),
             sha: "deadbee".into(),
             sequential: 1000.0,
-            parallel: 2000.0,
             sharded: 1500.0,
             incremental: 1800.0,
-            speedup: 2.0,
             efficiency_2t: 0.9,
             convergence: [10, 20, 30, 40],
             churning_residual: 1e-3,

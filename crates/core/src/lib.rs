@@ -28,6 +28,8 @@
 //! * [`whitewash`] — the whitewashing attack, the zero-prior defence and
 //!   the dynamically adjusted newcomer prior the paper sketches.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod algorithms;
 pub mod behavior;

@@ -11,23 +11,23 @@ use serde::{Deserialize, Serialize};
 /// The gossip *protocol* semantics are identical under every engine —
 /// per-node RNG streams derived with [`node_stream_seed`] make results
 /// bit-for-bit equal regardless of thread count (and, for `Sharded`,
-/// regardless of shard count). `Parallel` selects the batched data path
-/// (flat CSR trust storage, phase fan-out over nodes with rayon);
-/// `Sharded` partitions nodes into contiguous shards, each with its own
-/// CSR and bounded scratch, fanning *shards* out over the pool — the
-/// million-node configuration; `Incremental` keeps the sharded substrate
-/// persistent across rounds and re-derives only the rows and aggregates
-/// the round actually touched — the skewed-traffic configuration;
-/// `Sequential` keeps the reference map-based driver.
+/// regardless of shard count). `Sharded` partitions nodes into
+/// contiguous shards, each with its own CSR and bounded scratch, fanning
+/// *shards* out over the pool — the dense and million-node
+/// configuration; `Incremental` keeps the sharded substrate persistent
+/// across rounds and re-derives only the rows and aggregates the round
+/// actually touched — the skewed-traffic configuration; `Sequential`
+/// keeps the reference map-based driver every suite compares against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum EngineKind {
     /// Reference single-stream driver over map-based state.
     #[default]
     Sequential,
-    /// Batched phase engine: CSR state, rayon fan-out over nodes.
-    Parallel,
     /// Sharded phase engine: per-shard CSR state and bounded scratch,
     /// rayon fan-out over shards (shard count on the round config).
+    /// Configs and snapshot headers written while the batched
+    /// `Parallel` engine existed deserialize here.
+    #[serde(alias = "Parallel")]
     Sharded,
     /// Incremental delta engine: persistent sharded CSR state, dirty-set
     /// tracking and cached per-subject aggregates, so rounds cost
@@ -35,59 +35,39 @@ pub enum EngineKind {
     Incremental,
 }
 
-/// The trust-matrix substrate a round engine runs on. Returned by
-/// [`EngineKind::substrate`] so the scenario layer prepares storage with
-/// one match instead of re-enumerating engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSubstrate {
-    /// Map-per-row dynamic storage (the sequential reference driver).
-    Dynamic,
-    /// One flat CSR arena (the batched parallel engine).
-    FlatCsr,
-    /// Contiguous row shards, one CSR each (sharded and incremental
-    /// engines).
-    Sharded,
-}
-
 impl EngineKind {
     /// Every engine, in the canonical reporting order. Bench suites and
     /// trend trackers iterate this so a new engine shows up everywhere
     /// by construction.
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Sequential,
-        EngineKind::Parallel,
         EngineKind::Sharded,
         EngineKind::Incremental,
     ];
+
+    /// Compatibility name of the removed batched engine: callers that
+    /// still select `Parallel` get the sharded engine.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Parallel: EngineKind = EngineKind::Sharded;
 
     /// Stable label for CLI flags and JSON reports.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Sequential => "sequential",
-            EngineKind::Parallel => "parallel",
             EngineKind::Sharded => "sharded",
             EngineKind::Incremental => "incremental",
         }
     }
 
-    /// Parse a CLI label.
+    /// Parse a CLI label (`parallel` / `par` are kept as spellings of
+    /// the sharded engine).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "sequential" | "seq" => Some(EngineKind::Sequential),
-            "parallel" | "par" => Some(EngineKind::Parallel),
-            "sharded" | "shard" => Some(EngineKind::Sharded),
+            "sharded" | "shard" | "parallel" | "par" => Some(EngineKind::Sharded),
             "incremental" | "inc" => Some(EngineKind::Incremental),
             _ => None,
-        }
-    }
-
-    /// The trust-storage substrate this engine expects its scenario to
-    /// prepare.
-    pub fn substrate(self) -> EngineSubstrate {
-        match self {
-            EngineKind::Sequential => EngineSubstrate::Dynamic,
-            EngineKind::Parallel => EngineSubstrate::FlatCsr,
-            EngineKind::Sharded | EngineKind::Incremental => EngineSubstrate::Sharded,
         }
     }
 }
@@ -287,22 +267,12 @@ mod tests {
         for kind in EngineKind::ALL {
             assert_eq!(EngineKind::parse(kind.label()), Some(kind));
         }
-        assert_eq!(EngineKind::parse("par"), Some(EngineKind::Parallel));
+        assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Sharded));
+        assert_eq!(EngineKind::parse("par"), Some(EngineKind::Sharded));
         assert_eq!(EngineKind::parse("shard"), Some(EngineKind::Sharded));
         assert_eq!(EngineKind::parse("inc"), Some(EngineKind::Incremental));
         assert_eq!(EngineKind::parse("nope"), None);
         assert_eq!(EngineKind::default(), EngineKind::Sequential);
-    }
-
-    #[test]
-    fn engine_substrates_cover_all_engines() {
-        assert_eq!(EngineKind::Sequential.substrate(), EngineSubstrate::Dynamic);
-        assert_eq!(EngineKind::Parallel.substrate(), EngineSubstrate::FlatCsr);
-        assert_eq!(EngineKind::Sharded.substrate(), EngineSubstrate::Sharded);
-        assert_eq!(
-            EngineKind::Incremental.substrate(),
-            EngineSubstrate::Sharded
-        );
     }
 
     #[test]

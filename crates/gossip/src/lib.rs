@@ -40,6 +40,7 @@
 //! from — and surfaces the exact deficit through a per-run mass ledger
 //! instead of hiding it.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
@@ -56,7 +57,7 @@ pub mod spread;
 pub mod vector;
 
 pub use adversary::AdversaryMix;
-pub use config::{node_stream_seed, EngineKind, EngineSubstrate, GossipConfig};
+pub use config::{node_stream_seed, EngineKind, GossipConfig};
 pub use error::GossipError;
 pub use fanout::FanoutPolicy;
 pub use pair::{GossipPair, RATIO_SENTINEL};

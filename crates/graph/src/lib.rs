@@ -20,6 +20,8 @@
 //! All generators are deterministic given an explicit RNG, which keeps every
 //! experiment in the repository reproducible bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod degree;
 pub mod error;

@@ -40,6 +40,8 @@
 //! with the conservation invariant intact (see that module's docs for
 //! what is exact versus statistical about the continuation).
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod peer;
 pub mod runner;

@@ -1,7 +1,7 @@
 //! `dg_serve` — run the reputation service against a live simulation.
 //!
 //! ```text
-//! dg_serve [--nodes N] [--seed S] [--engine sequential|parallel|sharded|incremental]
+//! dg_serve [--nodes N] [--seed S] [--engine sequential|sharded|incremental]
 //!          [--rounds R] [--addr HOST:PORT] [--ingest-capacity C]
 //!          [--round-interval-ms MS] [--traffic uniform|skewed]
 //! ```
@@ -53,13 +53,11 @@ fn main() {
             "--ingest-capacity" => opts.ingest_capacity = parse("--ingest-capacity", args.next()),
             "--round-interval-ms" => interval_ms = parse("--round-interval-ms", args.next()),
             "--engine" => {
-                config.engine = match args.next().as_deref() {
-                    Some("sequential") => EngineKind::Sequential,
-                    Some("parallel") => EngineKind::Parallel,
-                    Some("sharded") => EngineKind::Sharded,
-                    Some("incremental") => EngineKind::Incremental,
-                    _ => usage(),
-                }
+                config.engine = args
+                    .next()
+                    .as_deref()
+                    .and_then(EngineKind::parse)
+                    .unwrap_or_else(|| usage())
             }
             "--traffic" => {
                 config.traffic = match args.next().as_deref() {

@@ -29,6 +29,7 @@
 //! the consistency model, and `tests/serve.rs` (workspace root) for
 //! the torn-read and replay-determinism suites.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;

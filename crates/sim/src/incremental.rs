@@ -1,7 +1,7 @@
 //! The incremental delta-driven round engine — the skewed-traffic
 //! configuration.
 //!
-//! The batched and sharded engines rebuild the full trust matrix and
+//! The sequential and sharded engines rebuild the full trust matrix and
 //! recompute every observer's aggregated row every round — the right
 //! shape when every node transacts every round. Under realistic skewed
 //! traffic ([`crate::workload::TrafficModel`]) most rows don't change:
@@ -48,21 +48,17 @@
 //! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
-    aggregation_rng, closed_form_neighbourhood_row_cached, closed_form_row, convicted_of, emit_row,
-    finish_round, honest_residual_error, lookup_run, merge_pending, run_audit_phase, runs_totals,
-    transact_requester, NodeState, ServiceDelta, SubjectAggregates, TransactionRecord,
+    closed_form_neighbourhood_row_cached, closed_form_row, merge_pending, EngineCore, ServiceDelta,
+    SubjectAggregates, TransactionRecord,
 };
-use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats, RoundsConfig};
-use crate::scenario::Scenario;
-use crate::session::{checkpoint_nodes, restore_nodes, EngineCheckpoint, RestoreError};
-use crate::workload::ActivityPlan;
-use dg_core::algorithms::alg4;
+use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
+use crate::session::{EngineCheckpoint, RestoreError};
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_graph::NodeId;
-use dg_trust::prelude::ReputationTable;
 use dg_trust::{ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// One requester's non-empty transaction batch, keyed by requester id.
 type RecordBatch = (NodeId, Vec<TransactionRecord>);
@@ -72,11 +68,8 @@ type RecordBatch = (NodeId, Vec<TransactionRecord>);
 type EvalJob<'a> = (usize, (&'a mut Vec<(NodeId, f64)>, &'a mut Vec<f64>));
 
 /// The incremental delta-driven round engine (see the module docs).
-pub struct IncrementalRoundEngine<'s> {
-    scenario: &'s Scenario,
-    config: RoundsConfig,
-    plan: ActivityPlan,
-    nodes: Vec<NodeState>,
+pub struct IncrementalRoundEngine {
+    core: EngineCore,
     /// The persistent trust matrix (sharded CSR backend); rows are
     /// replaced in place each round via [`TrustMatrix::replace_rows`].
     trust: TrustMatrix,
@@ -103,12 +96,6 @@ pub struct IncrementalRoundEngine<'s> {
     /// inversion: cleared through the same adjacency walk that filled
     /// them (capacity retained), so no round reallocates `N` vecs.
     upd: Vec<Vec<NodeId>>,
-    /// `aggregated[observer]` — sorted `(subject, reputation)` run.
-    aggregated: Vec<Vec<(NodeId, f64)>>,
-    observer_mean: Vec<Option<f64>>,
-    /// Ingested report batches for the next round (see
-    /// [`RoundEngine::queue_reports`]): ascending by requester.
-    pending_ingest: Vec<RecordBatch>,
     /// Rows the end-of-round whitewash purge invalidated: they must be
     /// re-emitted next round even if their owner folds no records.
     pending_dirty: Vec<NodeId>,
@@ -119,7 +106,6 @@ pub struct IncrementalRoundEngine<'s> {
     /// their report column is bitwise unchanged) and forced-full
     /// observers (their cleared runs are not a patch baseline).
     washed_last: Vec<NodeId>,
-    round: usize,
 }
 
 /// Ascending union of two sorted `NodeId` lists.
@@ -224,7 +210,7 @@ fn diff_changed_entries(
 /// (`changed`, sorted `(subject, reporter)` pairs from the row diffs)
 /// or the slot is still unknown. A clean observer's weights are
 /// unchanged by definition, so an untouched cached `ŷ` is bitwise
-/// equal to the resum the batched engines perform — most updates
+/// equal to the resum the rebuild-everything engines perform — most updates
 /// collapse to the `O(1)` Eq. (6) tail instead of an `O(deg)` sweep.
 #[allow(clippy::too_many_arguments)]
 fn apply_updates_in_place(
@@ -335,18 +321,14 @@ fn patch_row(
     out
 }
 
-impl<'s> IncrementalRoundEngine<'s> {
-    /// Fresh engine over a scenario. `config.shard_count == 0` selects
+impl IncrementalRoundEngine {
+    /// Engine over fresh core state. `config.shard_count == 0` selects
     /// the deterministic auto partition for the persistent matrix.
-    pub fn new(scenario: &'s Scenario, config: RoundsConfig) -> Self {
+    pub(crate) fn new(core: EngineCore) -> Self {
+        let (scenario, config) = (&core.scenario, &core.config);
         let n = scenario.graph.node_count();
-        let spec = if config.shard_count == 0 {
-            ShardSpec::auto(n)
-        } else {
-            ShardSpec::new(n, config.shard_count)
-        };
         let mut trust = TrustMatrix::new(n);
-        trust.shard(spec);
+        trust.shard(ShardSpec::configured(n, config.shard_count));
         // The ŷ cache mirrors the adjacency; prime it (and the update
         // lists) up front for the configuration that uses them so no
         // round pays the allocation.
@@ -365,64 +347,58 @@ impl<'s> IncrementalRoundEngine<'s> {
             Vec::new()
         };
         Self {
-            scenario,
-            plan: ActivityPlan::new(config.traffic, n),
-            config,
-            nodes: (0..n).map(|_| NodeState::new()).collect(),
             trust,
             cache: SubjectAggregateCache::new(n),
             weights: vec![None; n],
             weights_ready: false,
             y_cache,
             upd,
-            aggregated: vec![Vec::new(); n],
-            observer_mean: vec![None; n],
-            pending_ingest: Vec::new(),
             pending_dirty: Vec::new(),
             washed_last: Vec::new(),
-            round: 0,
+            core,
         }
     }
+}
 
-    /// Rounds completed so far.
-    pub fn round(&self) -> usize {
-        self.round
+impl RoundEngine for IncrementalRoundEngine {
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    /// The reputation table of one node.
-    pub fn table(&self, node: NodeId) -> &ReputationTable {
-        &self.nodes[node.index()].table
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
     }
 
-    /// The aggregated reputation of `subject` at `observer`, if any
-    /// aggregation round has run (and the subject is in scope).
-    pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        lookup_run(&self.aggregated, observer, subject)
+    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
+        // Rebuild from scratch, then mark *every* node dirty and
+        // *every* node as freshly washed: the persistent trust matrix,
+        // aggregate cache and ŷ cache are derived state that the
+        // checkpoint deliberately omits, so the first resumed round
+        // refolds all rows and recomputes every observer's run from
+        // the restored estimators — after which the incremental paths
+        // take over again. Queued ingest batches survive the restore,
+        // like the other engines' pending lists do.
+        let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
+        core.restore(checkpoint)?;
+        core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
+        let n = core.nodes.len() as u32;
+        *self = Self::new(core);
+        self.pending_dirty = (0..n).map(NodeId).collect();
+        self.washed_last = (0..n).map(NodeId).collect();
+        Ok(())
     }
 
-    /// Run one full round from the given seed; returns its statistics.
-    pub fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let n = self.scenario.graph.node_count();
-        let round = self.round as u64;
-        let scenario = self.scenario;
-        let seed = scenario.config.seed;
+    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
+        let core = &mut self.core;
+        let scenario = Arc::clone(&core.scenario);
+        let n = scenario.graph.node_count();
 
-        // Phase 1: transact — the same pure fan-out as the batched
-        // engine (inactive requesters cost one activity draw).
-        let aggregated = &self.aggregated;
-        let observer_mean = &self.observer_mean;
-        let config = &self.config;
-        let plan = &self.plan;
-        let lookup =
-            |provider: NodeId, requester: NodeId| lookup_run(aggregated, provider, requester);
-        let banned: Vec<bool> = self
-            .nodes
-            .iter()
-            .map(|s| s.convicted_at.is_some())
-            .collect();
-        let banned_ref = &banned;
+        // Phase 1: transact — a pure fan-out over requesters (inactive
+        // requesters cost one activity draw).
+        let banned = core.banned();
+        let shared = &*core;
         // Index-block fan-out over the same pure per-requester kernel
-        // the batched engines use (identical RNG streams): at skewed
+        // every engine uses (identical RNG streams): at skewed
         // activity fractions almost every requester returns an empty
         // batch, so only the non-empty ones are materialised. Block-
         // merging the service deltas is exact — integer counters.
@@ -434,17 +410,7 @@ impl<'s> IncrementalRoundEngine<'s> {
                 let mut batches = Vec::new();
                 let lo = b * BLOCK;
                 for i in lo..(lo + BLOCK).min(n) {
-                    let (records, d) = transact_requester(
-                        scenario,
-                        config,
-                        plan,
-                        NodeId(i as u32),
-                        round,
-                        round_seed,
-                        &lookup,
-                        observer_mean,
-                        banned_ref,
-                    );
+                    let (records, d) = shared.transact(NodeId(i as u32), round_seed, &banned);
                     delta.merge(d);
                     if !records.is_empty() {
                         batches.push((NodeId(i as u32), records));
@@ -466,7 +432,7 @@ impl<'s> IncrementalRoundEngine<'s> {
         // records becomes a new batch — and thereby a dirty row.
         merge_pending(
             &mut record_batches,
-            std::mem::take(&mut self.pending_ingest),
+            std::mem::take(&mut core.pending_ingest),
         );
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
@@ -486,6 +452,7 @@ impl<'s> IncrementalRoundEngine<'s> {
         // `dirty` is a sorted superset of the batch owners, so one
         // merge walk hands each batch to its row fold.
         let mut batches = record_batches.into_iter().peekable();
+        let mut nodes = std::mem::take(&mut core.nodes);
         for &i in &dirty {
             let records = if batches.peek().is_some_and(|&(j, _)| j == i) {
                 batches.next().expect("peeked").1
@@ -497,14 +464,7 @@ impl<'s> IncrementalRoundEngine<'s> {
             // identical content, which `ReportLog::record` makes a
             // no-op — so skipping clean rows leaves the exact log state
             // the rebuild-everything engines hold.
-            let row = emit_row(
-                scenario,
-                config,
-                &mut self.nodes[i.index()],
-                i,
-                records,
-                round,
-            );
+            let row = core.emit_row(&mut nodes[i.index()], i, records);
             let old: Vec<(NodeId, TrustValue)> = self.trust.row(i).collect();
             if rows_identical(&old, &row) {
                 continue;
@@ -513,12 +473,13 @@ impl<'s> IncrementalRoundEngine<'s> {
             self.cache.apply_row_diff(i, &old, &row);
             replacements.push((i, row));
         }
+        core.nodes = nodes;
         self.trust
             .replace_rows(&replacements)
             .expect("folded rows are sorted and in range");
         // Subjects whose report column moved, ascending — the only
         // subjects any clean observer needs to re-evaluate.
-        let refreshed = self.cache.refresh(&self.config.defense.robust);
+        let refreshed = self.cache.refresh(&core.config.defense.robust);
         let replaced: Vec<NodeId> = replacements.iter().map(|&(i, _)| i).collect();
 
         let trust = std::mem::replace(&mut self.trust, TrustMatrix::new(0));
@@ -530,7 +491,7 @@ impl<'s> IncrementalRoundEngine<'s> {
         let washed_last = std::mem::take(&mut self.washed_last);
 
         // Phase 3: aggregate.
-        match self.config.aggregation {
+        match core.config.aggregation {
             AggregationMode::ClosedForm => {
                 // Refresh cached excess weights where the observer's own
                 // row changed; the first closed-form round initialises
@@ -558,7 +519,7 @@ impl<'s> IncrementalRoundEngine<'s> {
                     self.cache.sums().to_vec(),
                     self.cache.counts().to_vec(),
                 );
-                let scope = self.config.scope;
+                let scope = core.config.scope;
                 let weights = &self.weights;
                 let agg_ref = &agg;
                 let replaced_ref = &replaced;
@@ -571,9 +532,9 @@ impl<'s> IncrementalRoundEngine<'s> {
                         // updates) is already `O(S + U)` per observer —
                         // in-place surgery would pay the same memmoves
                         // through `Vec::insert`/`remove`.
-                        let prev = &self.aggregated;
+                        let prev = &core.aggregated;
                         let updates_ref = &updates_all;
-                        self.aggregated = (0..n as u32)
+                        core.aggregated = (0..n as u32)
                             .into_par_iter()
                             .map(|i| {
                                 let o = NodeId(i);
@@ -649,7 +610,7 @@ impl<'s> IncrementalRoundEngine<'s> {
                         }
                         let upd_ref = &*upd;
                         let full_ref = &full;
-                        let jobs: Vec<EvalJob> = self
+                        let jobs: Vec<EvalJob> = core
                             .aggregated
                             .iter_mut()
                             .zip(self.y_cache.iter_mut())
@@ -695,137 +656,34 @@ impl<'s> IncrementalRoundEngine<'s> {
                     }
                 }
             }
-            AggregationMode::Gossip => {
-                // Gossip epidemics have no per-subject sparsity to
-                // exploit; the trust matrix is still maintained
-                // incrementally, the gossip runs whole.
-                let out = alg4::run(&system, self.config.gossip.validated()?, &mut {
-                    aggregation_rng(round_seed)
-                })?;
-                self.aggregated = out
-                    .estimates
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
-                    .collect();
-            }
+            // The trust matrix is still maintained incrementally; the
+            // gossip itself runs whole.
+            AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
         }
         self.trust = system.into_trust();
         let report_entries = self.trust.entry_count() as u64;
 
-        // Audit phase: deterministic seeded spot-checks of the logged
-        // reports, feeding convictions into the purge below.
-        let audit = run_audit_phase(&self.config.audit, seed, round, &mut self.nodes);
-
-        // Shared round epilogue: summary, whitewash + conviction purge,
-        // admission scales, stats. Every row the purge touches is
-        // recorded so the next round re-emits it — the persistent
-        // matrix still holds the pre-purge entries until then, exactly
-        // like the rebuild-everything engines' estimator state.
-        let nodes = &mut self.nodes;
+        // Audit phase + shared round epilogue: summary, whitewash +
+        // conviction purge, admission scales, stats. Every row the purge
+        // touches is recorded so the next round re-emits it — the
+        // persistent matrix still holds the pre-purge entries until
+        // then, exactly like the rebuild-everything engines' estimator
+        // state.
         let pending = &mut self.pending_dirty;
         let washed_store = &mut self.washed_last;
-        let stats = finish_round(
-            self.scenario,
-            self.round,
-            delta,
-            audit,
-            report_entries,
-            &mut self.aggregated,
-            &mut self.observer_mean,
-            |purged| {
-                *washed_store = purged.to_vec();
-                for (i, state) in nodes.iter_mut().enumerate() {
-                    let before = state.estimators.len();
-                    state.forget(purged);
-                    if state.estimators.len() != before {
-                        pending.push(NodeId(i as u32));
-                    }
+        Ok(core.finish_round(delta, report_entries, |nodes, purged| {
+            *washed_store = purged.to_vec();
+            for (i, state) in nodes.iter_mut().enumerate() {
+                let before = state.estimators.len();
+                state.forget(purged);
+                if state.estimators.len() != before {
+                    pending.push(NodeId(i as u32));
                 }
-                for &w in purged {
-                    nodes[w.index()].reset_identity();
-                    pending.push(w);
-                }
-            },
-        );
-        self.round += 1;
-        Ok(stats)
-    }
-
-    /// Mean absolute error between honest subjects' network-wide mean
-    /// reputation and their latent quality (see
-    /// `honest_residual_error` in [`crate::kernel`]).
-    pub fn honest_residual(&self) -> Option<f64> {
-        let (sums, cnts) = self.totals();
-        honest_residual_error(self.scenario, &sums, &cnts)
-    }
-
-    pub(crate) fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        runs_totals(self.scenario.graph.node_count(), &self.aggregated)
-    }
-}
-
-impl RoundEngine for IncrementalRoundEngine<'_> {
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        IncrementalRoundEngine::run_round(self, round_seed)
-    }
-
-    fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<TransactionRecord>)>) {
-        merge_pending(&mut self.pending_ingest, batches);
-    }
-
-    fn table(&self, node: NodeId) -> &ReputationTable {
-        IncrementalRoundEngine::table(self, node)
-    }
-
-    fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        IncrementalRoundEngine::aggregated(self, observer, subject)
-    }
-
-    fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        IncrementalRoundEngine::totals(self)
-    }
-
-    fn honest_residual(&self) -> Option<f64> {
-        IncrementalRoundEngine::honest_residual(self)
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn convicted(&self) -> Vec<(NodeId, u64)> {
-        convicted_of(self.nodes.iter())
-    }
-
-    fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            round: self.round,
-            nodes: checkpoint_nodes(&self.nodes),
-            aggregated: self.aggregated.clone(),
-            observer_mean: self.observer_mean.clone(),
-        }
-    }
-
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
-        let n = self.scenario.graph.node_count();
-        checkpoint.validate(n)?;
-        // Rebuild from scratch, then mark *every* node dirty and
-        // *every* node as freshly washed: the persistent trust matrix,
-        // aggregate cache and ŷ cache are derived state that the
-        // checkpoint deliberately omits, so the first resumed round
-        // refolds all rows and recomputes every observer's run from
-        // the restored estimators — after which the incremental paths
-        // take over again. Queued ingest batches survive the restore,
-        // like the other engines' pending lists do.
-        let pending_ingest = std::mem::take(&mut self.pending_ingest);
-        *self = Self::new(self.scenario, self.config);
-        self.pending_ingest = pending_ingest;
-        self.nodes = restore_nodes(checkpoint.nodes);
-        self.aggregated = checkpoint.aggregated;
-        self.observer_mean = checkpoint.observer_mean;
-        self.round = checkpoint.round;
-        self.pending_dirty = (0..n as u32).map(NodeId).collect();
-        self.washed_last = (0..n as u32).map(NodeId).collect();
-        Ok(())
+            }
+            for &w in purged {
+                nodes[w.index()].reset_identity();
+                pending.push(w);
+            }
+        }))
     }
 }

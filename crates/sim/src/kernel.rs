@@ -1,18 +1,23 @@
-//! The shared phase kernel every round engine drives.
+//! The shared phase kernel every round engine drives, and the one
+//! statement of what an engine *is*.
 //!
 //! The paper's lifecycle loop — transact, estimate, gossip-aggregate,
 //! whitewash — is implemented **once**, here, as engine-agnostic phase
-//! primitives. The engines ([`crate::rounds`]' sequential reference
-//! driver, [`crate::engine::BatchedRoundEngine`],
+//! primitives over one [`EngineCore`]: the cross-round state (scenario,
+//! config, per-node estimators and tables, aggregated runs, admission
+//! scales, queued ingest, round counter) together with everything that
+//! is a pure function of it — checkpoint / restore, ingest queueing,
+//! lookups, totals, the audit phase and the round epilogue. An engine
+//! ([`crate::rounds`]' sequential reference driver,
 //! [`crate::sharded::ShardedRoundEngine`] and
-//! [`crate::incremental::IncrementalRoundEngine`]) are thin drivers:
-//! they choose storage layout, parallel granularity and recompute
-//! strategy, but every observable number flows through the functions in
-//! this module. That is what makes the engines **bit-for-bit identical
-//! by construction** at any thread count, shard count, and traffic
-//! shape (pinned by `tests/engine_equivalence.rs`):
+//! [`crate::incremental::IncrementalRoundEngine`]) is a `run_round`
+//! strategy over an `EngineCore`: it chooses storage layout, parallel
+//! granularity and recompute strategy, but every observable number flows
+//! through the functions in this module. That is what makes the engines
+//! **bit-for-bit identical by construction** at any thread count, shard
+//! count, and traffic shape (pinned by `tests/engine_equivalence.rs`):
 //!
-//! * `transact_requester` — phase 1 for one requester: the traffic
+//! * `EngineCore::transact` — phase 1 for one requester: the traffic
 //!   activity gate, admission control against the previous round's
 //!   aggregated view, and the per-node ChaCha8 stream
 //!   ([`node_stream_seed`]) its quality draws consume;
@@ -22,25 +27,29 @@
 //! * `SubjectAggregates` + `closed_form_row` — phase 3 in closed
 //!   form: per-subject report sums under the robust policy and the
 //!   weighted Eq. (6) row of one observer;
-//! * `emit_row` — the report phase for one node: fold, the adversary
-//!   strategy's distortion, and (under auditing) the [`ReportLog`]
-//!   evidence record — one implementation so the engines' rows *and*
-//!   audit evidence are identical by construction;
+//!   `EngineCore::aggregate_by_gossip` is phase 3 by real gossip;
+//! * `EngineCore::emit_row` — the report phase for one node: fold, the
+//!   adversary strategy's distortion, and (under auditing) the
+//!   [`ReportLog`] evidence record — one implementation so the engines'
+//!   rows *and* audit evidence are identical by construction;
 //! * `run_audit_phase` / `audit_node` — the wash-phase-adjacent audit
 //!   phase: deterministic seeded target selection, log
 //!   re-verification, k-strikes conviction;
-//! * `finish_round` — the round epilogue: round summary, the
-//!   whitewash + conviction purge, admission-scale refresh, and the
-//!   [`RoundStats`] assembly.
+//! * `EngineCore::finish_round` — the audit phase plus the round
+//!   epilogue: round summary, the whitewash + conviction purge,
+//!   admission-scale refresh, and the [`RoundStats`] assembly.
 //!
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
 
 use crate::rounds::{AggregationScope, NewcomerPolicy, RoundStats, RoundsConfig};
 use crate::scenario::Scenario;
+use crate::session::{checkpoint_node, restore_nodes, EngineCheckpoint, RestoreError};
 use crate::workload::ActivityPlan;
+use dg_core::algorithms::alg4;
 use dg_core::behavior::Behavior;
 use dg_core::reputation::ReputationSystem;
+use dg_core::CoreError;
 use dg_gossip::node_stream_seed;
 use dg_graph::NodeId;
 use dg_trust::audit::{audit_targets, AuditPolicy, ReportLog};
@@ -49,6 +58,7 @@ use dg_trust::{RobustAggregation, TrustMatrix, TrustValue};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One transaction as seen by the requester: which provider it hit and
 /// what came back.
@@ -116,97 +126,6 @@ impl ServiceDelta {
         };
         *slot += 1;
     }
-}
-
-/// Phase 1 for a single requester: run its transactions against every
-/// neighbour, consuming the requester's own ChaCha8 stream for the
-/// round. `lookup_rep(provider, requester)` reads the *previous* round's
-/// aggregated reputation at the provider; `observer_mean[provider]` is
-/// the provider's admission scale. `plan` gates whether this requester
-/// is active at all this round (inactive requesters still *serve* —
-/// only their requester side goes quiet).
-///
-/// Shared by every engine so their math and RNG consumption are
-/// identical by construction. The activity draw happens **before** the
-/// requester's transact stream is created, so under the full traffic
-/// model nothing changes, and under a thinned model active nodes still
-/// consume exactly their legacy streams.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn transact_requester(
-    scenario: &Scenario,
-    config: &RoundsConfig,
-    plan: &ActivityPlan,
-    requester: NodeId,
-    round: u64,
-    round_seed: u64,
-    lookup_rep: &impl Fn(NodeId, NodeId) -> Option<f64>,
-    observer_mean: &[Option<f64>],
-    banned: &[bool],
-) -> (Vec<TransactionRecord>, ServiceDelta) {
-    let mut records = Vec::new();
-    let mut delta = ServiceDelta::default();
-    // Convicted identities are expelled: they neither request nor
-    // serve (checked before any randomness is consumed, so the ban is
-    // engine- and thread-count-independent).
-    if banned[requester.index()] {
-        return (records, delta);
-    }
-    // Dormant sybil identities have not joined the network yet: they
-    // neither request nor serve.
-    if !scenario.adversaries.participates(requester, round) {
-        return (records, delta);
-    }
-    // Traffic gate: inactive requesters sit the round out.
-    if !plan.is_active(requester, round, round_seed) {
-        return (records, delta);
-    }
-    delta.active_requesters = 1;
-    let population = &scenario.population;
-    let class = if scenario.adversaries.is_adversary(requester) {
-        RequesterClass::Adversary
-    } else if matches!(population.behavior(requester), Behavior::FreeRider { .. }) {
-        RequesterClass::FreeRider
-    } else {
-        RequesterClass::Honest
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(round_seed, requester.0));
-
-    for &provider in scenario.graph.neighbours(requester) {
-        let provider = NodeId(provider);
-        if banned[provider.index()] || !scenario.adversaries.participates(provider, round) {
-            continue;
-        }
-        for _ in 0..config.requests_per_edge {
-            // Admission control at the provider, against last round's
-            // aggregated view.
-            let rep = lookup_rep(provider, requester);
-            let admitted = match (rep, observer_mean[provider.index()]) {
-                (Some(r), Some(mean)) => r >= config.admission_threshold * mean,
-                // The provider aggregates opinions but holds none about
-                // this requester: a stranger. The paper's anti-whitewash
-                // zero prior refuses strangers; the optimistic default
-                // serves them (the honeymoon whitewashers farm).
-                (None, Some(_)) => config.defense.newcomer == NewcomerPolicy::Optimistic,
-                // No aggregation yet at this provider: serve everyone.
-                _ => true,
-            };
-            delta.count(class, admitted);
-            if admitted {
-                // Requester observes the provider's behaviour.
-                let quality = population.behavior(provider).sample_quality(&mut rng);
-                let outcome = if quality == 0.0 {
-                    TransactionOutcome::Refused
-                } else {
-                    TransactionOutcome::Served { quality }
-                };
-                records.push(TransactionRecord { provider, outcome });
-            }
-        }
-    }
-    if !records.is_empty() {
-        delta.dirty_rows = 1;
-    }
-    (records, delta)
 }
 
 /// Per-subject `(Σᵢ t_ij, N_d)` plus the ascending list of subjects
@@ -331,28 +250,9 @@ pub(crate) fn closed_form_neighbourhood_row_cached(
         .collect()
 }
 
-/// Per-subject `(Σ rep, #observers)` over the stored aggregated rows.
-/// Row-major accumulation keeps the f64 addition order fixed (ascending
-/// observer, then subject), so the result is engine- and
-/// thread-count-independent.
-pub(crate) fn subject_totals(
-    n: usize,
-    rows: impl Iterator<Item = impl Iterator<Item = (NodeId, f64)>>,
-) -> (Vec<f64>, Vec<usize>) {
-    let mut sums = vec![0.0f64; n];
-    let mut cnts = vec![0usize; n];
-    for row in rows {
-        for (subject, rep) in row {
-            sums[subject.index()] += rep;
-            cnts[subject.index()] += 1;
-        }
-    }
-    (sums, cnts)
-}
-
 /// Per-subject mean reputation (over the observers holding a view) from
 /// accumulated totals.
-pub(crate) fn subject_means(sums: &[f64], cnts: &[usize]) -> Vec<Option<f64>> {
+fn subject_means(sums: &[f64], cnts: &[usize]) -> Vec<Option<f64>> {
     sums.iter()
         .zip(cnts)
         .map(|(&s, &c)| (c > 0).then(|| s / c as f64))
@@ -360,7 +260,7 @@ pub(crate) fn subject_means(sums: &[f64], cnts: &[usize]) -> Vec<Option<f64>> {
 }
 
 /// Mean of the per-subject means, per behaviour class.
-pub(crate) struct ClassMeans {
+struct ClassMeans {
     /// Honest (non-adversarial, non-free-riding) subjects.
     pub honest: f64,
     /// Plain free riders.
@@ -372,11 +272,7 @@ pub(crate) struct ClassMeans {
 /// Population-level reputation summary from per-subject totals: the mean
 /// of the per-subject means per class. Adversaries form their own class
 /// regardless of service behaviour.
-pub(crate) fn class_reputation_means(
-    scenario: &Scenario,
-    sums: &[f64],
-    cnts: &[usize],
-) -> ClassMeans {
+fn class_reputation_means(scenario: &Scenario, sums: &[f64], cnts: &[usize]) -> ClassMeans {
     let (mut rep_h, mut cnt_h) = (0.0, 0usize);
     let (mut rep_f, mut cnt_f) = (0.0, 0usize);
     let (mut rep_a, mut cnt_a) = (0.0, 0usize);
@@ -410,11 +306,7 @@ pub(crate) fn class_reputation_means(
 /// Mean absolute error between honest subjects' network-wide mean
 /// reputation and their latent quality — the residual the attack matrix
 /// gates on (`None` until any honest subject has been aggregated).
-pub(crate) fn honest_residual_error(
-    scenario: &Scenario,
-    sums: &[f64],
-    cnts: &[usize],
-) -> Option<f64> {
+fn honest_residual_error(scenario: &Scenario, sums: &[f64], cnts: &[usize]) -> Option<f64> {
     let qualities = scenario.population.latent_qualities();
     let (mut err, mut count) = (0.0, 0usize);
     for subject in scenario.graph.nodes() {
@@ -436,7 +328,7 @@ pub(crate) fn honest_residual_error(
 
 /// Mean of one observer's aggregated row (its admission scale), `None`
 /// for an empty row.
-pub(crate) fn row_mean(values: impl ExactSizeIterator<Item = f64>) -> Option<f64> {
+fn row_mean(values: impl ExactSizeIterator<Item = f64>) -> Option<f64> {
     let len = values.len();
     if len == 0 {
         return None;
@@ -444,121 +336,17 @@ pub(crate) fn row_mean(values: impl ExactSizeIterator<Item = f64>) -> Option<f64
     Some(values.sum::<f64>() / len as f64)
 }
 
-/// Binary-search lookup in sorted per-observer aggregated runs — the
-/// admission-control read the run-based engines serve during transact,
-/// and the body of their public `aggregated()` accessors. `None` for
-/// out-of-range observers and unaggregated pairs alike.
-pub(crate) fn lookup_run(
-    runs: &[Vec<(NodeId, f64)>],
-    observer: NodeId,
-    subject: NodeId,
-) -> Option<f64> {
-    let run = runs.get(observer.index())?;
-    run.binary_search_by_key(&subject, |&(j, _)| j)
-        .ok()
-        .map(|idx| run[idx].1)
-}
-
-/// [`subject_totals`] over sorted per-observer runs.
-pub(crate) fn runs_totals(n: usize, runs: &[Vec<(NodeId, f64)>]) -> (Vec<f64>, Vec<usize>) {
-    subject_totals(n, runs.iter().map(|run| run.iter().map(|&(j, r)| (j, r))))
-}
-
-/// The shared round epilogue of every engine: summarise the round, run
-/// the whitewash phase (washers whose mean reputation collapsed discard
-/// their identity) merged with the audit phase's convictions into one
-/// purge — `purge` clears the engine's per-node estimator/table state
-/// for the listed ids; the aggregated runs are scrubbed here — then
-/// refresh the observers' admission scales (post-purge, so the next
-/// round treats a fresh identity as a stranger), and assemble the
-/// [`RoundStats`]. One implementation so the engines cannot drift apart
-/// — like the phase kernels above, this keeps them identical by
-/// construction.
-///
-/// `report_entries` is the round's report traffic (trust-matrix entry
-/// count after the report phase) — the denominator of the
-/// audit-overhead claim.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_round(
-    scenario: &Scenario,
-    round: usize,
-    delta: ServiceDelta,
-    audit: AuditOutcome,
-    report_entries: u64,
-    aggregated: &mut [Vec<(NodeId, f64)>],
-    observer_mean: &mut [Option<f64>],
-    purge: impl FnOnce(&[NodeId]),
-) -> RoundStats {
-    let n = aggregated.len();
-    let (sums, cnts) = runs_totals(n, aggregated);
-    let means = class_reputation_means(scenario, &sums, &cnts);
-    // Sorted, so every membership test below (and in the engines'
-    // purge closures) is a binary search — the purge stays
-    // `O(entries × log washed)` when a large mix washes thousands of
-    // identities at million-node scale. Removals are set operations,
-    // so ordering cannot change the result.
-    let mut washed = scenario.adversaries.washes(&subject_means(&sums, &cnts));
-    washed.sort_unstable();
-    // One purge list: washed identities plus this round's convictions
-    // (disjoint roles in practice, merged defensively).
-    let mut purged = washed.clone();
-    purged.extend(audit.convicted.iter().copied());
-    purged.sort_unstable();
-    purged.dedup();
-    if !purged.is_empty() {
-        purge(&purged);
-        for run in aggregated.iter_mut() {
-            run.retain(|(j, _)| purged.binary_search(j).is_err());
-        }
-        for &w in &purged {
-            aggregated[w.index()].clear();
-        }
-    }
-    for (i, run) in aggregated.iter().enumerate() {
-        observer_mean[i] = row_mean(run.iter().map(|&(_, r)| r));
-    }
-    RoundStats {
-        round,
-        served_honest: delta.served_honest,
-        refused_honest: delta.refused_honest,
-        served_free_riders: delta.served_free_riders,
-        refused_free_riders: delta.refused_free_riders,
-        served_adversaries: delta.served_adversaries,
-        refused_adversaries: delta.refused_adversaries,
-        mean_rep_honest: means.honest,
-        mean_rep_free_riders: means.free_riders,
-        mean_rep_adversaries: means.adversaries,
-        washes: washed.len() as u64,
-        active_nodes: delta.active_requesters,
-        dirty_fraction: if n == 0 {
-            0.0
-        } else {
-            delta.dirty_rows as f64 / n as f64
-        },
-        audits: audit.audits,
-        audit_strikes: audit.strikes,
-        convictions: audit.convicted.len() as u64,
-        audit_entries: audit.entries,
-        report_entries,
-        // Stamped by the serve layer (`ServeSession`) after the round;
-        // the engines themselves only fold the ingested records.
-        ingested_reports: 0,
-        ingest_shed: 0,
-    }
-}
-
 /// The RNG stream of the aggregation phase (distinct from every node
 /// stream: node ids are `< N ≤ u32::MAX`).
-pub(crate) fn aggregation_rng(round_seed: u64) -> ChaCha8Rng {
+fn aggregation_rng(round_seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(node_stream_seed(round_seed, u32::MAX))
 }
 
-/// Merge newly-queued ingest batches into an engine's pending list —
-/// the shared half of [`RoundEngine::queue_reports`](crate::rounds::RoundEngine::queue_reports).
-/// Both sides are ascending by requester with no empty batches; records
-/// for an already-pending requester append after the earlier ones, so
-/// two `queue_reports` calls before a round equal one concatenated
-/// call.
+/// Merge newly-queued ingest batches into a pending list — the body of
+/// [`EngineCore::queue_reports`]. Both sides are ascending by requester
+/// with no empty batches; records for an already-pending requester
+/// append after the earlier ones, so two `queue_reports` calls before a
+/// round equal one concatenated call.
 pub(crate) fn merge_pending(
     pending: &mut Vec<(NodeId, Vec<TransactionRecord>)>,
     batches: Vec<(NodeId, Vec<TransactionRecord>)>,
@@ -663,70 +451,9 @@ impl NodeState {
     }
 }
 
-/// The report phase for one node: fold the round's records, pass the
-/// row through the node's adversary strategy, and — when auditing is
-/// enabled — record every emitted report in the node's [`ReportLog`]
-/// alongside the estimator-implied value at emit time (`None` = the
-/// report has no backing estimator, i.e. it was fabricated). Honest
-/// rows come straight from the estimators, so their reported and
-/// implied values are bit-equal — the structural guarantee behind the
-/// zero-false-positive claim.
-///
-/// Convicted nodes are banned: they emit nothing (their stale matrix
-/// row was scrubbed by the conviction purge) and their recorded
-/// evidence stays frozen.
-///
-/// One implementation shared by every engine, so the emitted rows AND
-/// the audit evidence are identical by construction. The log record is
-/// content-conditional ([`ReportLog::record`]), which is what lets the
-/// incremental engine skip bitwise-unchanged rows entirely and still
-/// agree with the engines that re-emit everything each round.
-pub(crate) fn emit_row(
-    scenario: &Scenario,
-    config: &RoundsConfig,
-    state: &mut NodeState,
-    node: NodeId,
-    records: Vec<TransactionRecord>,
-    round: u64,
-) -> Vec<(NodeId, TrustValue)> {
-    if state.convicted_at.is_some() {
-        return Vec::new();
-    }
-    let mut row = state.fold_records(records, config.ewma_rate, round);
-    scenario
-        .adversaries
-        .distort_row(node, round, scenario.config.seed, &mut row);
-    if config.audit.enabled() {
-        for &(subject, reported) in &row {
-            let implied = state
-                .estimators
-                .get(&subject)
-                .map(|est| est.estimate().get());
-            state.log.record(
-                subject,
-                round,
-                reported.get(),
-                implied,
-                config.audit.log_capacity,
-            );
-        }
-    }
-    row
-}
-
-/// Convicted nodes (with their conviction rounds) from an iterator of
-/// node states in ascending node order — the body of every engine's
-/// `RoundEngine::convicted`.
-pub(crate) fn convicted_of<'a>(states: impl Iterator<Item = &'a NodeState>) -> Vec<(NodeId, u64)> {
-    states
-        .enumerate()
-        .filter_map(|(i, s)| s.convicted_at.map(|r| (NodeId(i as u32), r)))
-        .collect()
-}
-
 /// Outcome of one round's audit phase.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct AuditOutcome {
+struct AuditOutcome {
     /// Audits actually performed (already-convicted targets are skipped
     /// and cost no bandwidth).
     pub audits: u64,
@@ -739,37 +466,11 @@ pub(crate) struct AuditOutcome {
     pub convicted: Vec<NodeId>,
 }
 
-/// Audit one selected target: re-verify its most recent log entries
-/// against their implied values, accumulate strikes, convict at the
-/// policy's k-strikes threshold.
-pub(crate) fn audit_node(
-    policy: &AuditPolicy,
-    state: &mut NodeState,
-    round: u64,
-    target: NodeId,
-    out: &mut AuditOutcome,
-) {
-    if state.convicted_at.is_some() {
-        return;
-    }
-    let checked = state.log.recent(policy.checks_per_audit);
-    out.audits += 1;
-    out.entries += checked.len() as u64 + 1;
-    let strikes = checked.iter().filter(|e| policy.entry_fails(e)).count() as u32;
-    state.strikes += strikes;
-    out.strikes += strikes as u64;
-    if state.strikes >= policy.strikes_to_convict {
-        state.convicted_at = Some(round);
-        out.convicted.push(target);
-    }
-}
-
-/// The audit phase over a flat node-state slice: the deterministic
-/// target set of `(seed, round)` re-verified via [`audit_node`]. The
-/// sharded engine locates its shard-local states itself and calls
-/// `audit_node` per target; the selection function is shared either
-/// way, so every engine audits the identical targets.
-pub(crate) fn run_audit_phase(
+/// The audit phase over the node states: each target of the
+/// deterministic `(seed, round)` selection has its most recent log
+/// entries re-verified against their implied values, accumulates
+/// strikes, and is convicted at the policy's k-strikes threshold.
+fn run_audit_phase(
     policy: &AuditPolicy,
     seed: u64,
     round: u64,
@@ -780,7 +481,428 @@ pub(crate) fn run_audit_phase(
         return out;
     }
     for target in audit_targets(seed, round, states.len(), policy.audit_rate) {
-        audit_node(policy, &mut states[target.index()], round, target, &mut out);
+        let state = &mut states[target.index()];
+        if state.convicted_at.is_some() {
+            continue;
+        }
+        let checked = state.log.recent(policy.checks_per_audit);
+        out.audits += 1;
+        out.entries += checked.len() as u64 + 1;
+        let strikes = checked.iter().filter(|e| policy.entry_fails(e)).count() as u32;
+        state.strikes += strikes;
+        out.strikes += strikes as u64;
+        if state.strikes >= policy.strikes_to_convict {
+            state.convicted_at = Some(round);
+            out.convicted.push(target);
+        }
     }
     out
+}
+
+/// The default purge hook of [`EngineCore::finish_round`]: every node
+/// forgets the purged identities, and the purged identities themselves
+/// start over. `purged` arrives sorted, so membership is a binary
+/// search and each state is swept once.
+pub(crate) fn purge_identities(nodes: &mut [NodeState], purged: &[NodeId]) {
+    for state in nodes.iter_mut() {
+        state.forget(purged);
+    }
+    for &w in purged {
+        nodes[w.index()].reset_identity();
+    }
+}
+
+/// What a round engine is: the cross-round state of a run plus
+/// everything that is a pure function of it. An engine
+/// ([`RoundEngine`](crate::rounds::RoundEngine)) owns one `EngineCore`
+/// and adds only its `run_round` strategy (and whatever acceleration
+/// state that strategy derives — never anything a checkpoint needs).
+pub struct EngineCore {
+    pub(crate) scenario: Arc<Scenario>,
+    pub(crate) config: RoundsConfig,
+    pub(crate) plan: ActivityPlan,
+    /// Per-node estimators, tables and audit state, indexed by node id.
+    pub(crate) nodes: Vec<NodeState>,
+    /// `aggregated[observer]` — sorted `(subject, reputation)` run.
+    pub(crate) aggregated: Vec<Vec<(NodeId, f64)>>,
+    /// Mean aggregated reputation per observer (admission scale).
+    pub(crate) observer_mean: Vec<Option<f64>>,
+    /// Ingested report batches for the next round (see
+    /// [`Self::queue_reports`]): ascending by requester.
+    pub(crate) pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
+    pub(crate) round: usize,
+}
+
+impl EngineCore {
+    /// Fresh state over a scenario, at round 0.
+    pub(crate) fn new(scenario: Arc<Scenario>, config: RoundsConfig) -> Self {
+        let n = scenario.graph.node_count();
+        Self {
+            scenario,
+            plan: ActivityPlan::new(config.traffic, n),
+            config,
+            nodes: (0..n).map(|_| NodeState::new()).collect(),
+            aggregated: vec![Vec::new(); n],
+            observer_mean: vec![None; n],
+            pending_ingest: Vec::new(),
+            round: 0,
+        }
+    }
+
+    /// Queue externally-ingested transaction reports for the *next*
+    /// round: `batches` maps each reporting requester to the records it
+    /// submitted, sorted ascending by requester with no empty batches
+    /// (the serve layer normalises submissions into this shape). During
+    /// the next `run_round`, each batch is appended after the
+    /// requester's generated records — in exactly this order on every
+    /// engine, so ingest-carrying rounds stay bit-identical across
+    /// engines and across replays of the same log. Ingested records
+    /// fold into estimators and reports; the service-delta stats
+    /// (served/refused counts, active nodes, dirty fraction) remain
+    /// transact-phase-only.
+    pub fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<TransactionRecord>)>) {
+        merge_pending(&mut self.pending_ingest, batches);
+    }
+
+    /// The index of the next round to run (0 before the first round).
+    pub fn round(&self) -> usize {
+        self.round
+    }
+
+    /// The reputation table of one node.
+    pub fn table(&self, node: NodeId) -> &ReputationTable {
+        &self.nodes[node.index()].table
+    }
+
+    /// The aggregated reputation of `subject` at `observer`, if any
+    /// aggregation round has run (and the pair is in scope) — a binary
+    /// search in the observer's sorted run; also the admission-control
+    /// read of the transact phase.
+    pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
+        let run = self.aggregated.get(observer.index())?;
+        run.binary_search_by_key(&subject, |&(j, _)| j)
+            .ok()
+            .map(|idx| run[idx].1)
+    }
+
+    /// Per-subject `(Σ rep, #observers)` over the stored aggregated rows.
+    /// Row-major accumulation keeps the f64 addition order fixed
+    /// (ascending observer, then subject), so the result is engine- and
+    /// thread-count-independent.
+    pub fn totals(&self) -> (Vec<f64>, Vec<usize>) {
+        let n = self.aggregated.len();
+        let (mut sums, mut cnts) = (vec![0.0f64; n], vec![0usize; n]);
+        for &(subject, rep) in self.aggregated.iter().flatten() {
+            sums[subject.index()] += rep;
+            cnts[subject.index()] += 1;
+        }
+        (sums, cnts)
+    }
+
+    /// Each subject's mean aggregated reputation over the observers
+    /// currently holding a view (`None` for unaggregated subjects).
+    pub fn subject_mean_reputations(&self) -> Vec<Option<f64>> {
+        let (sums, cnts) = self.totals();
+        subject_means(&sums, &cnts)
+    }
+
+    /// Honest-subject residual error (the claims-gate metric).
+    pub fn honest_residual(&self) -> Option<f64> {
+        let (sums, cnts) = self.totals();
+        honest_residual_error(&self.scenario, &sums, &cnts)
+    }
+
+    /// Nodes convicted by the audit subsystem so far, with their
+    /// conviction rounds, ascending by node (empty while auditing is
+    /// off).
+    pub fn convicted(&self) -> Vec<(NodeId, u64)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.convicted_at.map(|r| (NodeId(i as u32), r)))
+            .collect()
+    }
+
+    /// Freeze the cross-round state.
+    pub fn checkpoint(&self) -> EngineCheckpoint {
+        EngineCheckpoint {
+            round: self.round,
+            nodes: self.nodes.iter().map(checkpoint_node).collect(),
+            aggregated: self.aggregated.clone(),
+            observer_mean: self.observer_mean.clone(),
+        }
+    }
+
+    /// Replace the cross-round state with a checkpoint. Queued ingest
+    /// batches survive. Engines with derived state go through
+    /// [`RoundEngine::restore`](crate::rounds::RoundEngine::restore),
+    /// which also resets it.
+    pub(crate) fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
+        checkpoint.validate(self.nodes.len())?;
+        self.nodes = restore_nodes(checkpoint.nodes);
+        self.aggregated = checkpoint.aggregated;
+        self.observer_mean = checkpoint.observer_mean;
+        self.round = checkpoint.round;
+        Ok(())
+    }
+
+    /// Which nodes are expelled (convicted) as this round starts.
+    pub(crate) fn banned(&self) -> Vec<bool> {
+        self.nodes
+            .iter()
+            .map(|state| state.convicted_at.is_some())
+            .collect()
+    }
+
+    /// Phase 1 for a single requester: run its transactions against every
+    /// neighbour, consuming the requester's own ChaCha8 stream for the
+    /// round. Admission reads the *previous* round's aggregated reputation
+    /// at the provider against `observer_mean[provider]`, the provider's
+    /// admission scale. The traffic plan gates whether this requester is
+    /// active at all this round (inactive requesters still *serve* — only
+    /// their requester side goes quiet). `banned` is [`Self::banned`],
+    /// computed once per round.
+    ///
+    /// Shared by every engine so their math and RNG consumption are
+    /// identical by construction. The activity draw happens **before** the
+    /// requester's transact stream is created, so under the full traffic
+    /// model nothing changes, and under a thinned model active nodes still
+    /// consume exactly their legacy streams.
+    pub(crate) fn transact(
+        &self,
+        requester: NodeId,
+        round_seed: u64,
+        banned: &[bool],
+    ) -> (Vec<TransactionRecord>, ServiceDelta) {
+        let (scenario, config, round) = (&*self.scenario, &self.config, self.round as u64);
+        let mut records = Vec::new();
+        let mut delta = ServiceDelta::default();
+        // Convicted identities are expelled: they neither request nor
+        // serve (checked before any randomness is consumed, so the ban is
+        // engine- and thread-count-independent).
+        if banned[requester.index()] {
+            return (records, delta);
+        }
+        // Dormant sybil identities have not joined the network yet: they
+        // neither request nor serve.
+        if !scenario.adversaries.participates(requester, round) {
+            return (records, delta);
+        }
+        // Traffic gate: inactive requesters sit the round out.
+        if !self.plan.is_active(requester, round, round_seed) {
+            return (records, delta);
+        }
+        delta.active_requesters = 1;
+        let population = &scenario.population;
+        let class = if scenario.adversaries.is_adversary(requester) {
+            RequesterClass::Adversary
+        } else if matches!(population.behavior(requester), Behavior::FreeRider { .. }) {
+            RequesterClass::FreeRider
+        } else {
+            RequesterClass::Honest
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(round_seed, requester.0));
+
+        for &provider in scenario.graph.neighbours(requester) {
+            let provider = NodeId(provider);
+            if banned[provider.index()] || !scenario.adversaries.participates(provider, round) {
+                continue;
+            }
+            for _ in 0..config.requests_per_edge {
+                // Admission control at the provider, against last round's
+                // aggregated view.
+                let rep = self.aggregated(provider, requester);
+                let admitted = match (rep, self.observer_mean[provider.index()]) {
+                    (Some(r), Some(mean)) => r >= config.admission_threshold * mean,
+                    // The provider aggregates opinions but holds none about
+                    // this requester: a stranger. The paper's anti-whitewash
+                    // zero prior refuses strangers; the optimistic default
+                    // serves them (the honeymoon whitewashers farm).
+                    (None, Some(_)) => config.defense.newcomer == NewcomerPolicy::Optimistic,
+                    // No aggregation yet at this provider: serve everyone.
+                    _ => true,
+                };
+                delta.count(class, admitted);
+                if admitted {
+                    // Requester observes the provider's behaviour.
+                    let quality = population.behavior(provider).sample_quality(&mut rng);
+                    let outcome = if quality == 0.0 {
+                        TransactionOutcome::Refused
+                    } else {
+                        TransactionOutcome::Served { quality }
+                    };
+                    records.push(TransactionRecord { provider, outcome });
+                }
+            }
+        }
+        if !records.is_empty() {
+            delta.dirty_rows = 1;
+        }
+        (records, delta)
+    }
+
+    /// The report phase for one node: fold the round's records, pass the
+    /// row through the node's adversary strategy, and — when auditing is
+    /// enabled — record every emitted report in the node's [`ReportLog`]
+    /// alongside the estimator-implied value at emit time (`None` = the
+    /// report has no backing estimator, i.e. it was fabricated). Honest
+    /// rows come straight from the estimators, so their reported and
+    /// implied values are bit-equal — the structural guarantee behind the
+    /// zero-false-positive claim.
+    ///
+    /// Convicted nodes are banned: they emit nothing (their stale matrix
+    /// row was scrubbed by the conviction purge) and their recorded
+    /// evidence stays frozen.
+    ///
+    /// One implementation shared by every engine, so the emitted rows AND
+    /// the audit evidence are identical by construction. The log record is
+    /// content-conditional ([`ReportLog::record`]), which is what lets the
+    /// incremental engine skip bitwise-unchanged rows entirely and still
+    /// agree with the engines that re-emit everything each round.
+    ///
+    /// `state` is `node`'s entry of [`Self::nodes`], which the engine
+    /// holds mutably while the rest of the core is read.
+    pub(crate) fn emit_row(
+        &self,
+        state: &mut NodeState,
+        node: NodeId,
+        records: Vec<TransactionRecord>,
+    ) -> Vec<(NodeId, TrustValue)> {
+        if state.convicted_at.is_some() {
+            return Vec::new();
+        }
+        let (config, round) = (&self.config, self.round as u64);
+        let mut row = state.fold_records(records, config.ewma_rate, round);
+        self.scenario
+            .adversaries
+            .distort_row(node, round, self.scenario.config.seed, &mut row);
+        if config.audit.enabled() {
+            for &(subject, reported) in &row {
+                let implied = state
+                    .estimators
+                    .get(&subject)
+                    .map(|est| est.estimate().get());
+                state.log.record(
+                    subject,
+                    round,
+                    reported.get(),
+                    implied,
+                    config.audit.log_capacity,
+                );
+            }
+        }
+        row
+    }
+
+    /// Phase 3 by real Variation-4 gossip over this round's trust
+    /// matrix (whole, on every engine — gossip epidemics have no
+    /// per-subject sparsity to exploit).
+    pub(crate) fn aggregate_by_gossip(
+        &mut self,
+        system: &ReputationSystem<'_>,
+        round_seed: u64,
+    ) -> Result<(), CoreError> {
+        let out = alg4::run(
+            system,
+            self.config.gossip.validated()?,
+            &mut aggregation_rng(round_seed),
+        )?;
+        self.aggregated = out
+            .estimates
+            .into_iter()
+            .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
+            .collect();
+        Ok(())
+    }
+
+    /// The audit phase and the shared round epilogue of every engine:
+    /// re-verify the deterministic audit targets of `(seed, round)`,
+    /// summarise the round, run the whitewash phase (washers whose mean
+    /// reputation collapsed discard their identity) merged with the
+    /// audit phase's convictions into one purge — `purge` clears the
+    /// per-node estimator/table state for the listed ids
+    /// ([`purge_identities`] unless the engine must also record what
+    /// the purge touched); the aggregated runs are scrubbed here — then
+    /// refresh the observers' admission scales (post-purge, so the next
+    /// round treats a fresh identity as a stranger), assemble the
+    /// [`RoundStats`] and advance the round counter. One implementation
+    /// so the engines cannot drift apart — like the phase kernels above,
+    /// this keeps them identical by construction.
+    ///
+    /// `report_entries` is the round's report traffic (trust-matrix entry
+    /// count after the report phase) — the denominator of the
+    /// audit-overhead claim.
+    pub(crate) fn finish_round(
+        &mut self,
+        delta: ServiceDelta,
+        report_entries: u64,
+        purge: impl FnOnce(&mut [NodeState], &[NodeId]),
+    ) -> RoundStats {
+        let scenario = &*self.scenario;
+        let audit = run_audit_phase(
+            &self.config.audit,
+            scenario.config.seed,
+            self.round as u64,
+            &mut self.nodes,
+        );
+        let (sums, cnts) = self.totals();
+        let aggregated = &mut self.aggregated;
+        let n = aggregated.len();
+        let means = class_reputation_means(scenario, &sums, &cnts);
+        // Sorted, so every membership test below (and in the purge
+        // hooks) is a binary search — the purge stays
+        // `O(entries × log washed)` when a large mix washes thousands of
+        // identities at million-node scale. Removals are set operations,
+        // so ordering cannot change the result.
+        let mut washed = scenario.adversaries.washes(&subject_means(&sums, &cnts));
+        washed.sort_unstable();
+        // One purge list: washed identities plus this round's convictions
+        // (disjoint roles in practice, merged defensively).
+        let mut purged = washed.clone();
+        purged.extend(audit.convicted.iter().copied());
+        purged.sort_unstable();
+        purged.dedup();
+        if !purged.is_empty() {
+            purge(&mut self.nodes, &purged);
+            for run in aggregated.iter_mut() {
+                run.retain(|(j, _)| purged.binary_search(j).is_err());
+            }
+            for &w in &purged {
+                aggregated[w.index()].clear();
+            }
+        }
+        for (i, run) in aggregated.iter().enumerate() {
+            self.observer_mean[i] = row_mean(run.iter().map(|&(_, r)| r));
+        }
+        let round = self.round;
+        self.round += 1;
+        RoundStats {
+            round,
+            served_honest: delta.served_honest,
+            refused_honest: delta.refused_honest,
+            served_free_riders: delta.served_free_riders,
+            refused_free_riders: delta.refused_free_riders,
+            served_adversaries: delta.served_adversaries,
+            refused_adversaries: delta.refused_adversaries,
+            mean_rep_honest: means.honest,
+            mean_rep_free_riders: means.free_riders,
+            mean_rep_adversaries: means.adversaries,
+            washes: washed.len() as u64,
+            active_nodes: delta.active_requesters,
+            dirty_fraction: if n == 0 {
+                0.0
+            } else {
+                delta.dirty_rows as f64 / n as f64
+            },
+            audits: audit.audits,
+            audit_strikes: audit.strikes,
+            convictions: audit.convicted.len() as u64,
+            audit_entries: audit.entries,
+            report_entries,
+            // Stamped by the serve layer (`ServeSession`) after the round;
+            // the engines themselves only fold the ingested records.
+            ingested_reports: 0,
+            ingest_shed: 0,
+        }
+    }
 }

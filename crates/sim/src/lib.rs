@@ -16,23 +16,23 @@
 //! * [`rounds`] — the full reputation lifecycle loop (transactions →
 //!   estimation → aggregation → admission control) behind the free-riding
 //!   examples, dispatching through one engine factory to the sequential
-//!   reference driver or any of the parallel engines;
+//!   reference driver or one of the two production engines;
 //! * [`session`] — the consolidated front door: one serializable
 //!   [`RunConfig`] for every knob, and a
 //!   [`RunSession`] that runs rounds on a
 //!   deterministic seed schedule and checkpoints / resumes through the
 //!   `dg-store` durability layer, bit-for-bit;
-//! * [`kernel`] — the shared phase kernel: the transact → estimate →
-//!   aggregate → wash contracts every engine drives, so all observable
-//!   math (per-node RNG streams, robust subject sums, Eq. (6) rows, the
-//!   round epilogue) has exactly one implementation;
-//! * [`engine`] — the batched parallel round engine: the kernel phases
-//!   fanned out over nodes with rayon on per-node ChaCha8 streams, over
-//!   flat CSR trust storage;
-//! * [`sharded`] — the sharded round engine: the same phases fanned
-//!   out over contiguous *node shards*, each building its own CSR
-//!   block with bounded scratch — the million-node configuration,
-//!   bit-identical to the other engines at any shard count;
+//! * [`kernel`] — the shared phase kernel and the one `EngineCore`
+//!   every engine is a `run_round` strategy over: the cross-round state
+//!   plus the transact → estimate → aggregate → wash contracts, so all
+//!   observable math (per-node RNG streams, robust subject sums, Eq. (6)
+//!   rows, the round epilogue) and all bookkeeping (checkpoint, restore,
+//!   ingest queueing) has exactly one implementation;
+//! * [`sharded`] — the sharded round engine: the kernel phases fanned
+//!   out over contiguous *node shards* on per-node ChaCha8 streams,
+//!   each shard building its own CSR block with bounded scratch — the
+//!   dense and million-node configuration, bit-identical to the other
+//!   engines at any shard count;
 //! * [`incremental`] — the incremental delta-driven engine: persistent
 //!   sharded trust matrix, dirty-row replacement, delta-maintained
 //!   subject aggregates and patched Eq. (6) rows — the skewed-traffic
@@ -52,11 +52,11 @@
 //!   publication of immutable reputation snapshots for concurrent
 //!   readers (`dg-serve` builds its network endpoints on this).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
 pub mod baselines;
-pub mod engine;
 pub mod experiments;
 pub mod incremental;
 pub mod kernel;

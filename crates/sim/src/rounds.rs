@@ -14,18 +14,18 @@
 //! each node's [`ReputationTable`]) and **aggregate** (Variation-4
 //! differential gossip, in closed form or by real gossip).
 //!
-//! Four execution engines are available through
-//! [`GossipConfig::engine`](dg_gossip::GossipConfig):
+//! Three execution engines are available through
+//! [`GossipConfig::engine`](dg_gossip::GossipConfig), each a `run_round`
+//! strategy over one shared [`EngineCore`]:
 //!
 //! * [`EngineKind::Sequential`] — the reference driver in this module:
-//!   one inline pass over nodes;
-//! * [`EngineKind::Parallel`] — [`BatchedRoundEngine`]: CSR trust
-//!   storage, sorted aggregated runs, rayon fan-out over nodes;
+//!   one inline pass over nodes, the oracle every suite compares
+//!   against;
 //! * [`EngineKind::Sharded`] —
 //!   [`ShardedRoundEngine`](crate::sharded::ShardedRoundEngine): nodes
 //!   partitioned into contiguous shards ([`RoundsConfig::shard_count`]),
 //!   each with its own CSR block and bounded scratch, rayon fan-out
-//!   over shards — the million-node configuration;
+//!   over shards — the dense and million-node configuration;
 //! * [`EngineKind::Incremental`] —
 //!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine):
 //!   persistent sharded trust state, dirty-row tracking and
@@ -37,16 +37,12 @@
 //! thread count, any shard count, and any traffic shape** (pinned by
 //! `tests/engine_equivalence.rs`).
 
-use crate::engine::BatchedRoundEngine;
 use crate::kernel::{
-    aggregation_rng, closed_form_row, convicted_of, emit_row, finish_round, honest_residual_error,
-    lookup_run, merge_pending, run_audit_phase, runs_totals, subject_means, transact_requester,
-    NodeState, ServiceDelta, SubjectAggregates, TransactionRecord,
+    closed_form_row, purge_identities, EngineCore, ServiceDelta, SubjectAggregates,
 };
 use crate::scenario::Scenario;
-use crate::session::{checkpoint_nodes, restore_nodes, EngineCheckpoint, RestoreError};
-use crate::workload::{ActivityPlan, TrafficModel};
-use dg_core::algorithms::alg4;
+use crate::session::{EngineCheckpoint, RestoreError};
+use crate::workload::TrafficModel;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_gossip::{EngineKind, GossipConfig};
@@ -56,6 +52,7 @@ use dg_trust::prelude::ReputationTable;
 use dg_trust::{RobustAggregation, TrustMatrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How reputations are refreshed each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -357,75 +354,49 @@ fn rate(served: u64, refused: u64) -> f64 {
     served as f64 / total as f64
 }
 
-/// The uniform surface a round engine exposes to [`RoundsSimulator`]
-/// and [`RunSession`](crate::session::RunSession): step, checkpoint,
-/// restore and stats, against one interface instead of the historical
-/// enum-only dispatch.
+/// A round engine: a `run_round` strategy over one [`EngineCore`].
 ///
-/// Engines implement this by delegating to their inherent methods;
-/// adding an engine is one `impl` plus one arm in
-/// [`build_engine`](crate::session::build_engine) — the single dispatch
-/// point every layer (simulator, session, bench CLI, perf suite) routes
-/// through.
+/// The core holds the cross-round state every engine shares
+/// (estimators, tables, aggregated runs, observer means, queued ingest,
+/// round index) and everything that is a pure function of it —
+/// [`EngineCore::checkpoint`], [`EngineCore::queue_reports`], lookups,
+/// totals — so [`RoundsSimulator`] and
+/// [`RunSession`](crate::session::RunSession) read those straight off
+/// [`core`](Self::core). Adding an engine is one `impl` (the two
+/// accessors plus `run_round`) and one arm in `make_engine` — the single
+/// dispatch point every layer (simulator, session, bench CLI, perf
+/// suite) routes through.
 ///
-/// `checkpoint` / `restore` speak the engine-agnostic
-/// [`EngineCheckpoint`]: the cross-round state every engine shares
-/// (estimators, tables, aggregated runs, observer means, round index).
+/// Checkpoints speak the engine-agnostic [`EngineCheckpoint`].
 /// Engine-internal acceleration state — CSR matrices, aggregate caches,
 /// cached weights — is deliberately *not* part of a checkpoint: it is
 /// deterministically reconstructible, so any engine can restore any
 /// engine's checkpoint and the resumed trajectory stays bit-identical
 /// (pinned by `tests/crash_recovery.rs`).
 pub trait RoundEngine {
+    /// The shared cross-round state.
+    fn core(&self) -> &EngineCore;
+    /// Mutable access to the shared cross-round state.
+    fn core_mut(&mut self) -> &mut EngineCore;
     /// Run one full round from the given seed.
     fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError>;
-    /// Queue externally-ingested transaction reports for the *next*
-    /// round: `batches` maps each reporting requester to the records it
-    /// submitted, sorted ascending by requester with no empty batches
-    /// (the serve layer normalises submissions into this shape). During
-    /// the next `run_round`, each batch is appended after the
-    /// requester's generated records — in exactly this order on every
-    /// engine, so ingest-carrying rounds stay bit-identical across
-    /// engines and across replays of the same log. Ingested records
-    /// fold into estimators and reports; the service-delta stats
-    /// (served/refused counts, active nodes, dirty fraction) remain
-    /// transact-phase-only.
-    fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<TransactionRecord>)>);
-    /// The index of the next round to run (0 before the first round).
-    fn round(&self) -> usize;
-    /// The reputation table of one node.
-    fn table(&self, node: NodeId) -> &ReputationTable;
-    /// The aggregated reputation of `subject` at `observer`.
-    fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64>;
-    /// Per-subject `(Σ rep, #observers)` over the stored aggregated rows.
-    fn totals(&self) -> (Vec<f64>, Vec<usize>);
-    /// Honest-subject residual error (the claims-gate metric).
-    fn honest_residual(&self) -> Option<f64>;
-    /// Nodes convicted by the audit subsystem so far, with their
-    /// conviction rounds, ascending by node (empty while auditing is
-    /// off).
-    fn convicted(&self) -> Vec<(NodeId, u64)>;
-    /// Freeze the engine's cross-round state.
-    fn checkpoint(&self) -> EngineCheckpoint;
     /// Replace the engine's cross-round state with a checkpoint (made by
     /// this engine or any other). Fails if the checkpoint's node count
-    /// does not match the scenario.
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError>;
+    /// does not match the scenario. Engines that keep derived state
+    /// across rounds override this to reset it.
+    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
+        self.core_mut().restore(checkpoint)
+    }
 }
 
 /// The single engine factory: every layer that turns an [`EngineKind`]
 /// into a running engine goes through here.
-pub(crate) fn make_engine<'s>(
-    scenario: &'s Scenario,
-    config: RoundsConfig,
-) -> Box<dyn RoundEngine + 's> {
+pub(crate) fn make_engine(scenario: Arc<Scenario>, config: RoundsConfig) -> Box<dyn RoundEngine> {
+    let core = EngineCore::new(scenario, config);
     match config.engine() {
-        EngineKind::Sequential => Box::new(SequentialRounds::new(scenario, config)),
-        EngineKind::Parallel => Box::new(BatchedRoundEngine::new(scenario, config)),
-        EngineKind::Sharded => Box::new(crate::sharded::ShardedRoundEngine::new(scenario, config)),
-        EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(
-            scenario, config,
-        )),
+        EngineKind::Sequential => Box::new(SequentialRounds::new(core)),
+        EngineKind::Sharded => Box::new(crate::sharded::ShardedRoundEngine::new(core)),
+        EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(core)),
     }
 }
 
@@ -433,229 +404,104 @@ pub(crate) fn make_engine<'s>(
 /// phase, dynamic map-backed trust storage — deliberately the simplest
 /// possible composition of the kernel phases, the yardstick the
 /// optimised engines are pinned against.
-struct SequentialRounds<'s> {
-    scenario: &'s Scenario,
-    config: RoundsConfig,
-    plan: ActivityPlan,
-    nodes: Vec<NodeState>,
-    /// `aggregated[observer]` — sorted `(subject, reputation)` run.
-    aggregated: Vec<Vec<(NodeId, f64)>>,
-    /// Mean aggregated reputation per observer (admission scale).
-    observer_mean: Vec<Option<f64>>,
-    /// Ingested report batches for the next round (see
-    /// [`RoundEngine::queue_reports`]): ascending by requester.
-    pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
-    round: usize,
+struct SequentialRounds {
+    core: EngineCore,
+    /// The tiled subject-sum sweep inside dg-trust fans out on the
+    /// ambient pool; this one-worker pool pins the driver so
+    /// "sequential" stays an honest single-thread yardstick in every
+    /// benchmark (results are bit-identical either way).
+    single: rayon::ThreadPool,
 }
 
-impl<'s> SequentialRounds<'s> {
-    fn new(scenario: &'s Scenario, config: RoundsConfig) -> Self {
-        let n = scenario.graph.node_count();
+impl SequentialRounds {
+    fn new(core: EngineCore) -> Self {
         Self {
-            scenario,
-            plan: ActivityPlan::new(config.traffic, n),
-            config,
-            nodes: (0..n).map(|_| NodeState::new()).collect(),
-            aggregated: vec![Vec::new(); n],
-            observer_mean: vec![None; n],
-            pending_ingest: Vec::new(),
-            round: 0,
+            core,
+            single: rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("single-thread pool"),
         }
-    }
-
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        // The tiled subject-sum sweep inside dg-trust fans out on the
-        // ambient pool; pin this driver to one worker so "sequential"
-        // stays an honest single-thread yardstick in every benchmark
-        // (results are bit-identical either way).
-        let single = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("single-thread pool");
-        single.install(|| self.run_round_multiphase(round_seed))
-    }
-
-    fn run_round_multiphase(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let graph = &self.scenario.graph;
-        let n = graph.node_count();
-        let round = self.round as u64;
-        let seed = self.scenario.config.seed;
-
-        // Phases 1 + 2: transact, then fold each requester's records
-        // into its estimators and table — inline, one node at a time,
-        // but on the same per-node streams and kernel phases as the
-        // parallel engines. Rows go into the dynamic map backend, one
-        // point insertion per entry.
-        let mut delta = ServiceDelta::default();
-        let aggregated = std::mem::take(&mut self.aggregated);
-        let lookup =
-            |provider: NodeId, requester: NodeId| lookup_run(&aggregated, provider, requester);
-        let banned: Vec<bool> = self
-            .nodes
-            .iter()
-            .map(|state| state.convicted_at.is_some())
-            .collect();
-        let mut trust = TrustMatrix::new(n);
-        let mut pending = std::mem::take(&mut self.pending_ingest)
-            .into_iter()
-            .peekable();
-        for requester in graph.nodes() {
-            let (mut records, d) = transact_requester(
-                self.scenario,
-                &self.config,
-                &self.plan,
-                requester,
-                round,
-                round_seed,
-                &lookup,
-                &self.observer_mean,
-                &banned,
-            );
-            delta.merge(d);
-            // Ingested records fold after the generated ones — the one
-            // ordering every engine reproduces.
-            if pending.peek().is_some_and(|(r, _)| *r == requester) {
-                records.extend(pending.next().expect("peeked").1);
-            }
-            let row = emit_row(
-                self.scenario,
-                &self.config,
-                &mut self.nodes[requester.index()],
-                requester,
-                records,
-                round,
-            );
-            for (j, report) in row {
-                trust
-                    .set(requester, j, report)
-                    .expect("estimator keys are in range");
-            }
-        }
-        self.aggregated = aggregated;
-        let report_entries = trust.entry_count() as u64;
-        let system = ReputationSystem::new(graph, trust, self.scenario.weights)?;
-
-        // Phase 3: aggregate.
-        match self.config.aggregation {
-            AggregationMode::ClosedForm => {
-                let agg = SubjectAggregates::compute(system.trust(), &self.config.defense.robust);
-                self.aggregated = (0..n as u32)
-                    .map(|i| closed_form_row(&system, NodeId(i), self.config.scope, &agg))
-                    .collect();
-            }
-            AggregationMode::Gossip => {
-                let out = alg4::run(&system, self.config.gossip.validated()?, &mut {
-                    aggregation_rng(round_seed)
-                })?;
-                self.aggregated = out
-                    .estimates
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
-                    .collect();
-            }
-        }
-
-        // Audit phase (wash-adjacent, before the epilogue): the
-        // deterministic target set of (seed, round) re-verified against
-        // each target's recorded evidence.
-        let audit = run_audit_phase(&self.config.audit, seed, round, &mut self.nodes);
-
-        // Shared round epilogue: summary, whitewash + conviction purge,
-        // admission scales, stats.
-        let nodes = &mut self.nodes;
-        let stats = finish_round(
-            self.scenario,
-            self.round,
-            delta,
-            audit,
-            report_entries,
-            &mut self.aggregated,
-            &mut self.observer_mean,
-            |purged| {
-                for state in nodes.iter_mut() {
-                    state.forget(purged);
-                }
-                for &w in purged {
-                    nodes[w.index()].reset_identity();
-                }
-            },
-        );
-        self.round += 1;
-        Ok(stats)
-    }
-
-    fn honest_residual(&self) -> Option<f64> {
-        let (sums, cnts) = self.totals();
-        honest_residual_error(self.scenario, &sums, &cnts)
-    }
-
-    fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        runs_totals(self.scenario.graph.node_count(), &self.aggregated)
     }
 }
 
-impl RoundEngine for SequentialRounds<'_> {
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        SequentialRounds::run_round(self, round_seed)
-    }
+fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundStats, CoreError> {
+    let scenario = Arc::clone(&core.scenario);
+    let n = scenario.graph.node_count();
 
-    fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<TransactionRecord>)>) {
-        merge_pending(&mut self.pending_ingest, batches);
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn table(&self, node: NodeId) -> &ReputationTable {
-        &self.nodes[node.index()].table
-    }
-
-    fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        lookup_run(&self.aggregated, observer, subject)
-    }
-
-    fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        SequentialRounds::totals(self)
-    }
-
-    fn honest_residual(&self) -> Option<f64> {
-        SequentialRounds::honest_residual(self)
-    }
-
-    fn convicted(&self) -> Vec<(NodeId, u64)> {
-        convicted_of(self.nodes.iter())
-    }
-
-    fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            round: self.round,
-            nodes: checkpoint_nodes(&self.nodes),
-            aggregated: self.aggregated.clone(),
-            observer_mean: self.observer_mean.clone(),
+    // Phases 1 + 2: transact, then fold each requester's records
+    // into its estimators and table — inline, one node at a time,
+    // but on the same per-node streams and kernel phases as the
+    // parallel engines. Rows go into the dynamic map backend, one
+    // point insertion per entry.
+    let mut delta = ServiceDelta::default();
+    let banned = core.banned();
+    let mut nodes = std::mem::take(&mut core.nodes);
+    let mut trust = TrustMatrix::new(n);
+    let mut pending = std::mem::take(&mut core.pending_ingest)
+        .into_iter()
+        .peekable();
+    for requester in scenario.graph.nodes() {
+        let (mut records, d) = core.transact(requester, round_seed, &banned);
+        delta.merge(d);
+        // Ingested records fold after the generated ones — the one
+        // ordering every engine reproduces.
+        if pending.peek().is_some_and(|(r, _)| *r == requester) {
+            records.extend(pending.next().expect("peeked").1);
+        }
+        let row = core.emit_row(&mut nodes[requester.index()], requester, records);
+        for (j, report) in row {
+            trust
+                .set(requester, j, report)
+                .expect("estimator keys are in range");
         }
     }
+    core.nodes = nodes;
+    let report_entries = trust.entry_count() as u64;
+    let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
-        checkpoint.validate(self.scenario.graph.node_count())?;
-        self.nodes = restore_nodes(checkpoint.nodes);
-        self.aggregated = checkpoint.aggregated;
-        self.observer_mean = checkpoint.observer_mean;
-        self.round = checkpoint.round;
-        Ok(())
+    // Phase 3: aggregate.
+    match core.config.aggregation {
+        AggregationMode::ClosedForm => {
+            let agg = SubjectAggregates::compute(system.trust(), &core.config.defense.robust);
+            core.aggregated = (0..n as u32)
+                .map(|i| closed_form_row(&system, NodeId(i), core.config.scope, &agg))
+                .collect();
+        }
+        AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
+    }
+
+    // Audit phase + shared round epilogue: summary, whitewash +
+    // conviction purge, admission scales, stats.
+    Ok(core.finish_round(delta, report_entries, purge_identities))
+}
+
+impl RoundEngine for SequentialRounds {
+    fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
+        let core = &mut self.core;
+        self.single
+            .install(|| run_sequential_round(core, round_seed))
     }
 }
 
 /// The round-loop simulator, dispatching to the configured engine.
-pub struct RoundsSimulator<'s> {
+pub struct RoundsSimulator {
     config: RoundsConfig,
-    backend: Box<dyn RoundEngine + 's>,
+    backend: Box<dyn RoundEngine>,
 }
 
-impl<'s> RoundsSimulator<'s> {
-    /// Create a simulator over a scenario, using the engine selected by
-    /// `config.gossip.engine`.
-    pub fn new(scenario: &'s Scenario, config: RoundsConfig) -> Self {
+impl RoundsSimulator {
+    /// Create a simulator over a (shared) scenario, using the engine
+    /// selected by `config.gossip.engine`.
+    pub fn new(scenario: Arc<Scenario>, config: RoundsConfig) -> Self {
         Self {
             config,
             backend: make_engine(scenario, config),
@@ -669,13 +515,13 @@ impl<'s> RoundsSimulator<'s> {
 
     /// The reputation table of one node.
     pub fn table(&self, node: NodeId) -> &ReputationTable {
-        self.backend.table(node)
+        self.backend.core().table(node)
     }
 
     /// The aggregated reputation of `subject` at `observer`, if any
     /// aggregation round has run (and the pair is in scope).
     pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        self.backend.aggregated(observer, subject)
+        self.backend.core().aggregated(observer, subject)
     }
 
     /// Mean absolute error between honest subjects' network-wide mean
@@ -685,21 +531,20 @@ impl<'s> RoundsSimulator<'s> {
     /// each other ([`Self::subject_mean_reputations`]) to isolate what
     /// an attack moved. `None` before the first aggregation round.
     pub fn honest_residual_error(&self) -> Option<f64> {
-        self.backend.honest_residual()
+        self.backend.core().honest_residual()
     }
 
     /// Each subject's mean aggregated reputation over the observers
     /// currently holding a view (`None` for unaggregated subjects) —
     /// the per-node quantity attack/reference comparisons difference.
     pub fn subject_mean_reputations(&self) -> Vec<Option<f64>> {
-        let (sums, cnts) = self.backend.totals();
-        subject_means(&sums, &cnts)
+        self.backend.core().subject_mean_reputations()
     }
 
     /// Nodes convicted by the audit subsystem so far, with their
     /// conviction rounds, ascending (empty while auditing is off).
     pub fn convicted(&self) -> Vec<(NodeId, u64)> {
-        self.backend.convicted()
+        self.backend.core().convicted()
     }
 
     /// Run one full round, drawing the round seed from `rng`; returns
@@ -733,9 +578,9 @@ mod tests {
             quality_range: (0.4, 1.0),
             ..ScenarioConfig::default()
         };
-        let scenario = Scenario::build(cfg).unwrap();
+        let scenario = Arc::new(Scenario::build(cfg).unwrap());
         let mut sim = RoundsSimulator::new(
-            &scenario,
+            Arc::clone(&scenario),
             RoundsConfig {
                 rounds: 6,
                 ..RoundsConfig::default()
@@ -775,10 +620,10 @@ mod tests {
             seed: 11,
             ..ScenarioConfig::default()
         };
-        let scenario = Scenario::build(cfg).unwrap();
+        let scenario = Arc::new(Scenario::build(cfg).unwrap());
         let mut rng = scenario.gossip_rng(3);
         let mut sim = RoundsSimulator::new(
-            &scenario,
+            Arc::clone(&scenario),
             RoundsConfig {
                 rounds: 4,
                 aggregation: AggregationMode::Gossip,
@@ -798,8 +643,8 @@ mod tests {
             seed: 5,
             ..ScenarioConfig::default()
         };
-        let scenario = Scenario::build(cfg).unwrap();
-        let mut sim = RoundsSimulator::new(&scenario, RoundsConfig::default());
+        let scenario = Arc::new(Scenario::build(cfg).unwrap());
+        let mut sim = RoundsSimulator::new(Arc::clone(&scenario), RoundsConfig::default());
         assert_eq!(sim.aggregated(NodeId(0), NodeId(1)), None);
         let mut rng = scenario.gossip_rng(4);
         sim.run_round(&mut rng).unwrap();
@@ -817,9 +662,9 @@ mod tests {
             quality_range: (0.4, 1.0),
             ..ScenarioConfig::default()
         };
-        let scenario = Scenario::build(cfg).unwrap();
+        let scenario = Arc::new(Scenario::build(cfg).unwrap());
         let mut sim = RoundsSimulator::new(
-            &scenario,
+            Arc::clone(&scenario),
             RoundsConfig {
                 rounds: 6,
                 scope: AggregationScope::Neighbourhood,
@@ -848,9 +693,9 @@ mod tests {
             seed: 19,
             ..ScenarioConfig::default()
         };
-        let scenario = Scenario::build(cfg).unwrap();
+        let scenario = Arc::new(Scenario::build(cfg).unwrap());
         let mut sim = RoundsSimulator::new(
-            &scenario,
+            Arc::clone(&scenario),
             RoundsConfig {
                 rounds: 3,
                 ..RoundsConfig::default()

@@ -11,7 +11,7 @@ use dg_core::behavior::{Behavior, Population};
 use dg_core::reputation::{trust_from_qualities, ReputationSystem};
 use dg_core::CoreError;
 use dg_gossip::profile::NetworkProfile;
-use dg_gossip::{AdversaryMix, EngineKind, EngineSubstrate, GossipConfig, GossipError};
+use dg_gossip::{AdversaryMix, EngineKind, GossipConfig, GossipError};
 use dg_graph::{pa, Graph};
 use dg_trust::{TrustMatrix, WeightParams};
 use rand::Rng;
@@ -71,10 +71,10 @@ pub struct ScenarioConfig {
     /// matrix the way the paper's Section 5.2 analysis assumes.
     pub far_partners: usize,
     /// Execution engine for round loops driven over this scenario (see
-    /// [`EngineKind`]). With [`EngineKind::Parallel`] the built trust
-    /// matrix is frozen into the flat CSR backend; with
-    /// [`EngineKind::Sharded`] it is partitioned into the sharded
-    /// backend ([`ShardSpec::auto`](dg_trust::ShardSpec::auto)), so no
+    /// [`EngineKind`]). With [`EngineKind::Sharded`] or
+    /// [`EngineKind::Incremental`] the built trust matrix is partitioned
+    /// into the sharded backend
+    /// ([`ShardSpec::auto`](dg_trust::ShardSpec::auto)), so no
     /// monolithic arena survives scenario construction. Does **not**
     /// affect the generated topology, population or trust values.
     pub engine: EngineKind,
@@ -247,18 +247,15 @@ impl Scenario {
             );
         }
 
-        // Prepare the substrate for the engine's storage backend — the
-        // engine → backend mapping lives in one place
-        // ([`EngineKind::substrate`]), so a new engine is one arm in
-        // dg-gossip, not a fourth copy of this match.
-        match config.engine.substrate() {
-            // Compact the substrate for the flat batched engine.
-            EngineSubstrate::FlatCsr => trust.freeze(),
+        match config.engine {
+            // The gossip algorithms read the oracle's substrate as built.
+            EngineKind::Sequential => {}
             // The sharded-substrate engines partition everything they
             // own; the substrate follows the same partition so no
             // monolithic arena exists anywhere in such a run.
-            EngineSubstrate::Sharded => trust.shard(dg_trust::ShardSpec::auto(config.nodes)),
-            EngineSubstrate::Dynamic => {}
+            EngineKind::Sharded | EngineKind::Incremental => {
+                trust.shard(dg_trust::ShardSpec::auto(config.nodes))
+            }
         }
 
         let weights = WeightParams::new(config.weight_a, config.weight_b)?;

@@ -13,7 +13,7 @@
 //!   the *set* of accepted reports, never on arrival timing. Replaying
 //!   an ingest log (each report tagged with the round it was accepted
 //!   into) reproduces the run bit for bit, on any engine
-//!   ([`RoundEngine::queue_reports`](crate::rounds::RoundEngine::queue_reports)
+//!   ([`EngineCore::queue_reports`](crate::kernel::EngineCore::queue_reports)
 //!   appends each requester's ingested records after its generated
 //!   ones, identically everywhere).
 //! * **Round-atomic reads.** After each round the session computes the

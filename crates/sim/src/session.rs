@@ -28,7 +28,7 @@
 //! cross-round state — estimators, reputation tables, aggregated runs,
 //! observer means and the round counter. Everything else (trust matrix,
 //! aggregate caches) is derived per round and deliberately omitted;
-//! `tests/crash_recovery.rs` pins the equivalence for all four engines.
+//! `tests/crash_recovery.rs` pins the equivalence for all three engines.
 //!
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly
@@ -63,6 +63,7 @@ use dg_trust::{ShardSpec, TrustValue};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use thiserror::Error;
 
 /// Full-epoch cadence: after this many delta checkpoints the next
@@ -463,7 +464,8 @@ pub enum RestoreError {
 /// survive a restart for the continuation to be bit-identical.
 ///
 /// Every engine produces and accepts this one shape
-/// ([`RoundEngine::checkpoint`] / [`RoundEngine::restore`]), which is
+/// ([`EngineCore::checkpoint`](crate::kernel::EngineCore::checkpoint) /
+/// [`RoundEngine::restore`]), which is
 /// what makes restore *cross-engine*: a checkpoint made by the
 /// sequential driver restores into the sharded engine and vice versa.
 /// Derived state — the trust matrix, subject-aggregate caches, the
@@ -530,11 +532,6 @@ pub(crate) fn checkpoint_node(state: &NodeState) -> NodeCheckpoint {
     }
 }
 
-/// Freeze a node-ordered slice of kernel states.
-pub(crate) fn checkpoint_nodes(states: &[NodeState]) -> Vec<NodeCheckpoint> {
-    states.iter().map(checkpoint_node).collect()
-}
-
 /// Thaw checkpointed nodes back into kernel states.
 pub(crate) fn restore_nodes(nodes: Vec<NodeCheckpoint>) -> Vec<NodeState> {
     nodes
@@ -554,10 +551,10 @@ pub(crate) fn restore_nodes(nodes: Vec<NodeCheckpoint>) -> Vec<NodeState> {
 }
 
 /// The single public engine factory: build the round engine a
-/// [`RunConfig`] selects over an existing scenario. Prefer
-/// [`RunSession`] unless you need to own the scenario yourself (the
-/// session owns scenario *and* engine and adds checkpoint / resume).
-pub fn build_engine<'s>(scenario: &'s Scenario, config: &RunConfig) -> Box<dyn RoundEngine + 's> {
+/// [`RunConfig`] selects over an existing (shared) scenario. Prefer
+/// [`RunSession`] unless you need to hold the scenario yourself (the
+/// session builds scenario *and* engine and adds checkpoint / resume).
+pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn RoundEngine> {
     make_engine(scenario, config.rounds_config())
 }
 
@@ -572,17 +569,12 @@ pub enum CheckpointKind {
 
 /// A running simulation that can be checkpointed and resumed.
 ///
-/// Owns the scenario and the engine together, runs rounds on the
+/// Owns the engine (which owns the scenario), runs rounds on the
 /// deterministic [`round_seed`] schedule, and persists / recovers its
 /// state through a [`dg_store::Store`]. See the module docs for the
 /// lifecycle and the bit-identity contract.
 pub struct RunSession {
-    // Declared before `scenario`: the engine borrows the boxed scenario
-    // (stable address, never moved or mutably aliased) and must drop
-    // first.
-    engine: Box<dyn RoundEngine + 'static>,
-    #[allow(dead_code)]
-    scenario: Box<Scenario>,
+    engine: Box<dyn RoundEngine>,
     config: RunConfig,
     stats: Vec<RoundStats>,
     /// Records as of the last checkpoint — the delta diff base.
@@ -598,17 +590,9 @@ impl RunSession {
         // Fail fast on invalid gossip knobs even in closed-form runs,
         // so a config either constructs everywhere or nowhere.
         config.gossip_config().validated()?;
-        let scenario = Box::new(Scenario::build(config.scenario_config())?);
-        // SAFETY: the engine borrows the scenario through this
-        // pointer. The scenario is boxed (stable address), declared
-        // after the engine (drops later), and never moved out of or
-        // mutably borrowed while the session lives, so the reference is
-        // valid for the engine's whole lifetime.
-        let sref: &'static Scenario = unsafe { &*(scenario.as_ref() as *const Scenario) };
-        let engine = make_engine(sref, config.rounds_config());
+        let scenario = Arc::new(Scenario::build(config.scenario_config())?);
         Ok(Self {
-            engine,
-            scenario,
+            engine: make_engine(scenario, config.rounds_config()),
             config,
             stats: Vec::new(),
             last_records: Vec::new(),
@@ -623,7 +607,7 @@ impl RunSession {
 
     /// Rounds completed so far.
     pub fn round(&self) -> usize {
-        self.engine.round()
+        self.engine.core().round()
     }
 
     /// Per-round statistics accumulated so far (survives resume: the
@@ -634,44 +618,43 @@ impl RunSession {
 
     /// The reputation table of one node.
     pub fn table(&self, node: NodeId) -> &dg_trust::prelude::ReputationTable {
-        self.engine.table(node)
+        self.engine.core().table(node)
     }
 
     /// The aggregated reputation of `subject` at `observer`, if any
     /// aggregation round has run (and the pair is in scope).
     pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        self.engine.aggregated(observer, subject)
+        self.engine.core().aggregated(observer, subject)
     }
 
     /// Mean absolute error between honest subjects' mean aggregated
     /// reputation and their latent quality (diagnostic — see
     /// [`RoundsSimulator::honest_residual_error`](crate::rounds::RoundsSimulator::honest_residual_error)).
     pub fn honest_residual(&self) -> Option<f64> {
-        self.engine.honest_residual()
+        self.engine.core().honest_residual()
     }
 
     /// Nodes convicted by the audit subsystem so far, as
     /// `(node, round convicted)` sorted by node.
     pub fn convicted(&self) -> Vec<(NodeId, u64)> {
-        self.engine.convicted()
+        self.engine.core().convicted()
     }
 
     /// Queue externally-ingested transaction reports for the *next*
     /// round (see
-    /// [`RoundEngine::queue_reports`]):
+    /// [`EngineCore::queue_reports`](crate::kernel::EngineCore::queue_reports)):
     /// ascending by requester, no empty batches. The serve layer's
     /// [`ServeSession`](crate::serve::ServeSession) normalises raw
     /// submissions into this shape.
     pub fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<crate::kernel::TransactionRecord>)>) {
-        self.engine.queue_reports(batches);
+        self.engine.core_mut().queue_reports(batches);
     }
 
     /// Per-subject network-wide mean aggregated reputation (`None`
     /// while no observer scores the subject) — what the serve layer
     /// snapshots after each round.
     pub fn subject_mean_reputations(&self) -> Vec<Option<f64>> {
-        let (sums, cnts) = self.engine.totals();
-        crate::kernel::subject_means(&sums, &cnts)
+        self.engine.core().subject_mean_reputations()
     }
 
     /// Mutable stats access for the serve layer (same crate): it stamps
@@ -683,8 +666,8 @@ impl RunSession {
     /// Run rounds until `round` rounds have completed (no-op if already
     /// there); returns the full stats history.
     pub fn run_to(&mut self, round: usize) -> Result<&[RoundStats], SessionError> {
-        while self.engine.round() < round {
-            let seed = round_seed(self.config.seed, self.engine.round() as u64);
+        while self.round() < round {
+            let seed = round_seed(self.config.seed, self.round() as u64);
             let stat = self.engine.run_round(seed)?;
             self.stats.push(stat);
         }
@@ -705,16 +688,12 @@ impl RunSession {
     /// last one, as a delta on the chain. Checkpointing the same round
     /// twice rewrites a full epoch idempotently.
     pub fn checkpoint(&mut self, dir: &Path) -> Result<CheckpointKind, SessionError> {
-        let round = self.engine.round() as u64;
-        let records = records_from_checkpoint(&self.engine.checkpoint());
+        let round = self.round() as u64;
+        let records = records_from_checkpoint(&self.engine.core().checkpoint());
         let store = Store::open(dir);
         let head = store.head()?;
 
-        let spec = if self.config.shard_count == 0 {
-            ShardSpec::auto(self.config.nodes)
-        } else {
-            ShardSpec::new(self.config.nodes, self.config.shard_count)
-        };
+        let spec = ShardSpec::configured(self.config.nodes, self.config.shard_count);
         let mut header = SnapshotHeader {
             format_version: dg_store::FORMAT_VERSION,
             round,
@@ -986,8 +965,8 @@ mod tests {
         let mut session = RunSession::new(config).unwrap();
         session.run().unwrap();
 
-        let scenario = Scenario::build(config.scenario_config()).unwrap();
-        let mut engine = build_engine(&scenario, &config);
+        let scenario = Arc::new(Scenario::build(config.scenario_config()).unwrap());
+        let mut engine = build_engine(scenario, &config);
         for r in 0..config.rounds {
             engine.run_round(round_seed(config.seed, r as u64)).unwrap();
         }
@@ -995,7 +974,7 @@ mod tests {
             for j in 0..config.nodes as u32 {
                 assert_eq!(
                     session.aggregated(NodeId(i), NodeId(j)),
-                    engine.aggregated(NodeId(i), NodeId(j))
+                    engine.core().aggregated(NodeId(i), NodeId(j))
                 );
             }
         }
@@ -1018,8 +997,8 @@ mod tests {
         assert_eq!(resumed.round(), 2);
         resumed.run().unwrap();
 
-        let a = records_from_checkpoint(&straight.engine.checkpoint());
-        let b = records_from_checkpoint(&resumed.engine.checkpoint());
+        let a = records_from_checkpoint(&straight.engine.core().checkpoint());
+        let b = records_from_checkpoint(&resumed.engine.core().checkpoint());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert!(x.bits_eq(y), "node {} diverged after resume", x.node);
@@ -1042,8 +1021,8 @@ mod tests {
 
         let resumed = RunSession::resume(&dir).unwrap();
         assert_eq!(resumed.round(), 3);
-        let want = records_from_checkpoint(&session.engine.checkpoint());
-        let got = records_from_checkpoint(&resumed.engine.checkpoint());
+        let want = records_from_checkpoint(&session.engine.core().checkpoint());
+        let got = records_from_checkpoint(&resumed.engine.core().checkpoint());
         for (x, y) in want.iter().zip(&got) {
             assert!(x.bits_eq(y), "node {} lost state through deltas", x.node);
         }
@@ -1078,7 +1057,7 @@ mod tests {
     #[test]
     fn cross_engine_restore_continues_identically() {
         // Checkpoint under the sequential driver, resume under the
-        // batched engine: the continuation must be bit-identical.
+        // sharded engine: the continuation must be bit-identical.
         let seq = small_config().with_engine(EngineKind::Sequential);
         let dir = temp_dir("cross");
         let mut session = RunSession::new(seq).unwrap();
@@ -1093,15 +1072,15 @@ mod tests {
         // user editing the snapshot would do; here we just resume and
         // then swap engines via a fresh session restored from records.
         let snapshot = Store::open(&dir).load_latest().unwrap();
-        let par = seq.with_engine(EngineKind::Parallel);
-        let mut resumed = RunSession::new(par).unwrap();
+        let sharded = seq.with_engine(EngineKind::Sharded);
+        let mut resumed = RunSession::new(sharded).unwrap();
         let checkpoint =
             checkpoint_from_records(snapshot.header.round as usize, &snapshot.records).unwrap();
         resumed.engine.restore(checkpoint).unwrap();
         resumed.run_to(seq.rounds).unwrap();
 
-        let a = records_from_checkpoint(&straight.engine.checkpoint());
-        let b = records_from_checkpoint(&resumed.engine.checkpoint());
+        let a = records_from_checkpoint(&straight.engine.core().checkpoint());
+        let b = records_from_checkpoint(&resumed.engine.core().checkpoint());
         for (x, y) in a.iter().zip(&b) {
             assert!(x.bits_eq(y), "node {} diverged across engines", x.node);
         }

@@ -1,17 +1,15 @@
-//! The sharded round engine — the million-node configuration.
+//! The sharded round engine — the dense and million-node configuration.
 //!
-//! [`crate::engine::BatchedRoundEngine`] fans the transact and estimate
-//! phases out over *nodes* and rebuilds one monolithic CSR trust matrix
-//! per round. That is the right shape up to a few hundred thousand
-//! nodes; beyond it the per-round scratch hurts: the estimate phase
-//! materialises every node's records and trust row before the single
-//! big builder freezes them, so transient memory tracks the **whole**
-//! matrix (`O(total nnz + N)`) on top of the persistent state.
+//! Rebuilding one monolithic CSR trust matrix per round materialises
+//! every node's records and trust row before a single big builder
+//! freezes them, so transient memory tracks the **whole** matrix
+//! (`O(total nnz + N)`) on top of the persistent state.
 //!
 //! [`ShardedRoundEngine`] partitions `NodeId`s into the contiguous
 //! ranges of a [`ShardSpec`] and makes the *shard* the unit of work:
 //!
-//! * each shard owns its nodes' estimators and reputation tables;
+//! * node state stays flat in the [`EngineCore`]; each shard works on
+//!   its disjoint `&mut [NodeState]` slice of it;
 //! * transact + estimate run **fused** per shard — a node's records are
 //!   folded into its estimators immediately and its trust row goes
 //!   straight into the shard's rectangular `CsrBuilder`, so no record
@@ -20,8 +18,8 @@
 //! * the per-shard CSRs assemble zero-copy into a
 //!   [`ShardedCsr`]-backed [`TrustMatrix`], whose
 //!   cross-shard subject-sum merge streams shards in ascending row
-//!   order — the exact global row-major accumulation order of the flat
-//!   backends;
+//!   order — the exact global row-major accumulation order of the
+//!   dynamic backend;
 //! * the closed-form aggregation phase fans the same shards out again,
 //!   writing each observer's run into the shard's slice of the
 //!   aggregated state. ([`AggregationMode::Gossip`] works on the
@@ -43,25 +41,21 @@
 //! cross-node reduction happens in a fixed order — the weighted
 //! scheduler commits results in input order, so the costs only steer
 //! wall-clock, never results. Results are **bit-for-bit identical to
-//! the batched and sequential engines at any shard count and any
-//! thread count** — pinned by `tests/engine_equivalence.rs` for shards
+//! the sequential reference at any shard count and any thread count**
+//! — pinned by `tests/engine_equivalence.rs` for shards
 //! 1/16/64 × threads 1/2/8, with and without an adversarial mix.
 
 use crate::kernel::{
-    aggregation_rng, audit_node, closed_form_row, convicted_of, emit_row, finish_round,
-    honest_residual_error, lookup_run, merge_pending, runs_totals, transact_requester,
-    AuditOutcome, NodeState, ServiceDelta, SubjectAggregates, TransactionRecord,
+    closed_form_row, purge_identities, EngineCore, NodeState, ServiceDelta, SubjectAggregates,
+    TransactionRecord,
 };
-use crate::rounds::{AggregationMode, RoundEngine, RoundStats, RoundsConfig};
+use crate::rounds::{AggregationMode, RoundEngine, RoundStats};
 use crate::scenario::Scenario;
-use crate::session::{checkpoint_node, restore_nodes, EngineCheckpoint, RestoreError};
-use crate::workload::ActivityPlan;
-use dg_core::algorithms::alg4;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_graph::NodeId;
-use dg_trust::audit::audit_targets;
 use dg_trust::{CsrBuilder, CsrStorage, ShardSpec, ShardedCsr, TrustMatrix};
+use std::sync::Arc;
 
 /// One requester's pending ingest batch, keyed by requester id.
 type RecordBatch = (NodeId, Vec<TransactionRecord>);
@@ -115,138 +109,79 @@ impl ShardCosts {
 }
 
 /// The sharded round engine (see the module docs).
-pub struct ShardedRoundEngine<'s> {
-    scenario: &'s Scenario,
-    config: RoundsConfig,
-    plan: ActivityPlan,
+pub struct ShardedRoundEngine {
+    core: EngineCore,
     spec: ShardSpec,
-    /// `shards[s][local]` is node `spec.range(s).start + local`.
-    shards: Vec<Vec<NodeState>>,
     /// Per-shard work estimates for the next round's fan-outs.
     costs: ShardCosts,
-    /// `aggregated[observer]` — sorted `(subject, reputation)` run.
-    aggregated: Vec<Vec<(NodeId, f64)>>,
-    observer_mean: Vec<Option<f64>>,
-    /// Ingested report batches for the next round (see
-    /// [`RoundEngine::queue_reports`]): ascending by requester.
-    pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
-    round: usize,
 }
 
-impl<'s> ShardedRoundEngine<'s> {
-    /// Fresh engine over a scenario. `config.shard_count == 0` selects
+impl ShardedRoundEngine {
+    /// Engine over fresh core state. `config.shard_count == 0` selects
     /// the deterministic auto partition ([`ShardSpec::auto`]).
-    pub fn new(scenario: &'s Scenario, config: RoundsConfig) -> Self {
-        let n = scenario.graph.node_count();
-        let spec = if config.shard_count == 0 {
-            ShardSpec::auto(n)
-        } else {
-            ShardSpec::new(n, config.shard_count)
-        };
+    pub(crate) fn new(core: EngineCore) -> Self {
+        let spec = ShardSpec::configured(core.nodes.len(), core.config.shard_count);
         Self {
-            scenario,
-            plan: ActivityPlan::new(config.traffic, n),
-            config,
+            costs: ShardCosts::seed(&core.scenario, spec),
+            core,
             spec,
-            shards: (0..spec.shard_count())
-                .map(|s| (0..spec.rows_in(s)).map(|_| NodeState::new()).collect())
-                .collect(),
-            costs: ShardCosts::seed(scenario, spec),
-            aggregated: vec![Vec::new(); n],
-            observer_mean: vec![None; n],
-            pending_ingest: Vec::new(),
-            round: 0,
         }
     }
+}
 
-    /// The partition driving this engine.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.spec
+impl RoundEngine for ShardedRoundEngine {
+    fn core(&self) -> &EngineCore {
+        &self.core
     }
 
-    /// Rounds completed so far.
-    pub fn round(&self) -> usize {
-        self.round
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
     }
 
-    fn state(&self, node: NodeId) -> &NodeState {
-        let (shard, local) = self.spec.locate(node);
-        &self.shards[shard][local]
-    }
-
-    /// The reputation table of one node.
-    pub fn table(&self, node: NodeId) -> &dg_trust::prelude::ReputationTable {
-        &self.state(node).table
-    }
-
-    /// The aggregated reputation of `subject` at `observer`, if any
-    /// aggregation round has run (and the subject is in scope).
-    pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        lookup_run(&self.aggregated, observer, subject)
-    }
-
-    /// Run one full round from the given seed; returns its statistics.
-    pub fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let n = self.scenario.graph.node_count();
+    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
         let spec = self.spec;
-        let round = self.round as u64;
-        let scenario = self.scenario;
-        let config = self.config;
-        let seed = scenario.config.seed;
+        let core = &mut self.core;
+        let scenario = Arc::clone(&core.scenario);
+        let n = scenario.graph.node_count();
 
         // Phases 1 + 2 fused, shard-granular: each shard transacts and
         // estimates its own nodes and freezes its rectangular CSR block
         // in one pass — per-node records never outlive the node.
-        let aggregated = &self.aggregated;
-        let observer_mean = &self.observer_mean;
-        let plan = &self.plan;
-        let lookup =
-            |provider: NodeId, requester: NodeId| lookup_run(aggregated, provider, requester);
-        let banned: Vec<bool> = self
-            .shards
-            .iter()
-            .flatten()
-            .map(|s| s.convicted_at.is_some())
-            .collect();
-        let banned_ref = &banned;
+        let banned = core.banned();
         // Route pending ingest batches to their owning shard; each
         // shard's list stays ascending by requester (the global list
         // is, and shards are contiguous id ranges).
         let mut pending_by_shard: Vec<Vec<RecordBatch>> =
             (0..spec.shard_count()).map(|_| Vec::new()).collect();
-        for batch in std::mem::take(&mut self.pending_ingest) {
-            let (s, _) = spec.locate(batch.0);
-            pending_by_shard[s].push(batch);
+        for batch in std::mem::take(&mut core.pending_ingest) {
+            pending_by_shard[spec.shard_of(batch.0)].push(batch);
         }
-        let work: Vec<(usize, Vec<NodeState>, Vec<RecordBatch>)> = std::mem::take(&mut self.shards)
+        // Shards own contiguous node ranges, so the flat node vector
+        // splits into one disjoint mutable slice per shard.
+        let mut nodes = std::mem::take(&mut core.nodes);
+        let mut rest = nodes.as_mut_slice();
+        let work: Vec<(usize, &mut [NodeState], Vec<RecordBatch>)> = pending_by_shard
             .into_iter()
-            .zip(pending_by_shard)
             .enumerate()
-            .map(|(s, (shard, pending))| (s, shard, pending))
+            .map(|(s, pending)| {
+                let (shard, tail) = std::mem::take(&mut rest).split_at_mut(spec.rows_in(s));
+                rest = tail;
+                (s, shard, pending)
+            })
             .collect();
+        let shared = &*core;
         // Weighted fan-out: last round's cost estimates seed the
         // stealing scheduler heaviest-shard-first; the weights steer
         // only wall-clock (results commit in shard order).
-        let estimated: Vec<(Vec<NodeState>, CsrStorage, ServiceDelta, usize)> =
-            rayon::map_weighted(work, self.costs.weights(), |(s, mut shard, pending)| {
-                let range = spec.range(s);
+        let estimated: Vec<(CsrStorage, ServiceDelta, usize)> =
+            rayon::map_weighted(work, self.costs.weights(), |(s, shard, pending)| {
                 let mut delta = ServiceDelta::default();
                 let mut active = 0usize;
-                let mut builder = CsrBuilder::rectangular(spec.rows_in(s), n);
+                let mut builder = CsrBuilder::rectangular(shard.len(), n);
                 let mut pending = pending.into_iter().peekable();
-                for (local, i) in range.enumerate() {
+                for (local, i) in spec.range(s).enumerate() {
                     let requester = NodeId(i);
-                    let (mut records, d) = transact_requester(
-                        scenario,
-                        &config,
-                        plan,
-                        requester,
-                        round,
-                        round_seed,
-                        &lookup,
-                        observer_mean,
-                        banned_ref,
-                    );
+                    let (mut records, d) = shared.transact(requester, round_seed, &banned);
                     // Active counts (a scheduling signal) stay
                     // transact-only; ingested records fold after the
                     // generated ones, same as every other engine.
@@ -255,26 +190,23 @@ impl<'s> ShardedRoundEngine<'s> {
                     if pending.peek().is_some_and(|(r, _)| *r == requester) {
                         records.extend(pending.next().expect("peeked").1);
                     }
-                    let state = &mut shard[local];
-                    let row = emit_row(scenario, &config, state, requester, records, round);
+                    let row = shared.emit_row(&mut shard[local], requester, records);
                     builder
                         .extend_row(NodeId(local as u32), row)
                         .expect("estimator keys are in range");
                 }
-                (shard, builder.build(), delta, active)
+                (builder.build(), delta, active)
             });
+        core.nodes = nodes;
 
         let mut delta = ServiceDelta::default();
-        let mut shards = Vec::with_capacity(spec.shard_count());
         let mut parts = Vec::with_capacity(spec.shard_count());
         let mut active_counts = Vec::with_capacity(spec.shard_count());
-        for (shard, csr, d, active) in estimated {
+        for (csr, d, active) in estimated {
             delta.merge(d);
-            shards.push(shard);
             parts.push(csr);
             active_counts.push(active);
         }
-        self.shards = shards;
         let sharded = ShardedCsr::from_parts(spec, parts).expect("shards built to spec");
         // Refresh the estimates with this round's measured signal; the
         // aggregation fan-out below and next round's transact both
@@ -283,162 +215,38 @@ impl<'s> ShardedRoundEngine<'s> {
             .update(&sharded.shard_entry_counts(), &active_counts);
         let trust = TrustMatrix::from_sharded(sharded);
         let report_entries = trust.entry_count() as u64;
-        let system = ReputationSystem::new(&self.scenario.graph, trust, self.scenario.weights)?;
+        let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
         // Phase 3: aggregate — shard-granular fan-out again; each shard
         // materialises only its observers' runs at a time.
-        match self.config.aggregation {
+        match core.config.aggregation {
             AggregationMode::ClosedForm => {
-                let agg = SubjectAggregates::compute(system.trust(), &self.config.defense.robust);
-                let scope = self.config.scope;
-                let sys = &system;
-                let agg_ref = &agg;
+                let agg = SubjectAggregates::compute(system.trust(), &core.config.defense.robust);
+                let scope = core.config.scope;
                 let shard_runs: Vec<Vec<Vec<(NodeId, f64)>>> = rayon::map_weighted(
                     (0..spec.shard_count()).collect(),
                     self.costs.weights(),
                     |s| {
                         spec.range(s)
-                            .map(|i| closed_form_row(sys, NodeId(i), scope, agg_ref))
+                            .map(|i| closed_form_row(&system, NodeId(i), scope, &agg))
                             .collect()
                     },
                 );
-                self.aggregated = shard_runs.into_iter().flatten().collect();
+                core.aggregated = shard_runs.into_iter().flatten().collect();
             }
-            AggregationMode::Gossip => {
-                let out = alg4::run(&system, self.config.gossip.validated()?, &mut {
-                    aggregation_rng(round_seed)
-                })?;
-                self.aggregated = out
-                    .estimates
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
-                    .collect();
-            }
+            AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
         }
 
-        // Audit phase: same deterministic target schedule as the flat
-        // engines; targets are located into their shards.
-        let mut audit = AuditOutcome::default();
-        for target in audit_targets(seed, round, n, self.config.audit.audit_rate) {
-            let (s, local) = spec.locate(target);
-            audit_node(
-                &self.config.audit,
-                &mut self.shards[s][local],
-                round,
-                target,
-                &mut audit,
-            );
-        }
-
-        // Shared round epilogue (one implementation with the batched
-        // engine): summary, whitewash + conviction purge, admission
-        // scales, stats.
-        let shards = &mut self.shards;
-        let stats = finish_round(
-            self.scenario,
-            self.round,
-            delta,
-            audit,
-            report_entries,
-            &mut self.aggregated,
-            &mut self.observer_mean,
-            |purged| {
-                // `purged` arrives sorted: membership is a binary
-                // search, and each state is swept once.
-                for shard in shards.iter_mut() {
-                    for state in shard.iter_mut() {
-                        state.forget(purged);
-                    }
-                }
-                for &w in purged {
-                    let (s, local) = spec.locate(w);
-                    shards[s][local].reset_identity();
-                }
-            },
-        );
-        self.round += 1;
-        Ok(stats)
-    }
-
-    /// Mean absolute error between honest subjects' network-wide mean
-    /// reputation and their latent quality (see
-    /// `honest_residual_error` in [`crate::kernel`]).
-    pub fn honest_residual(&self) -> Option<f64> {
-        let (sums, cnts) = self.totals();
-        honest_residual_error(self.scenario, &sums, &cnts)
-    }
-
-    pub(crate) fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        runs_totals(self.scenario.graph.node_count(), &self.aggregated)
-    }
-}
-
-impl RoundEngine for ShardedRoundEngine<'_> {
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        ShardedRoundEngine::run_round(self, round_seed)
-    }
-
-    fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<TransactionRecord>)>) {
-        merge_pending(&mut self.pending_ingest, batches);
-    }
-
-    fn table(&self, node: NodeId) -> &dg_trust::prelude::ReputationTable {
-        ShardedRoundEngine::table(self, node)
-    }
-
-    fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        ShardedRoundEngine::aggregated(self, observer, subject)
-    }
-
-    fn totals(&self) -> (Vec<f64>, Vec<usize>) {
-        ShardedRoundEngine::totals(self)
-    }
-
-    fn honest_residual(&self) -> Option<f64> {
-        ShardedRoundEngine::honest_residual(self)
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn convicted(&self) -> Vec<(NodeId, u64)> {
-        // Shards are contiguous node ranges, so flattening them in
-        // shard order enumerates nodes in id order.
-        convicted_of(self.shards.iter().flatten())
-    }
-
-    fn checkpoint(&self) -> EngineCheckpoint {
-        // Shards are contiguous node ranges, so flattening them in
-        // shard order yields the canonical node-ordered state.
-        let flat: Vec<&NodeState> = self.shards.iter().flatten().collect();
-        EngineCheckpoint {
-            round: self.round,
-            nodes: flat.into_iter().map(checkpoint_node).collect(),
-            aggregated: self.aggregated.clone(),
-            observer_mean: self.observer_mean.clone(),
-        }
-    }
-
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
-        checkpoint.validate(self.scenario.graph.node_count())?;
-        let mut states = restore_nodes(checkpoint.nodes);
-        let mut shards = Vec::with_capacity(self.spec.shard_count());
-        for shard in 0..self.spec.shard_count() {
-            let rest = states.split_off(self.spec.rows_in(shard).min(states.len()));
-            shards.push(std::mem::replace(&mut states, rest));
-        }
-        self.shards = shards;
-        self.aggregated = checkpoint.aggregated;
-        self.observer_mean = checkpoint.observer_mean;
-        self.round = checkpoint.round;
-        Ok(())
+        // Audit phase + shared round epilogue: summary, whitewash +
+        // conviction purge, admission scales, stats.
+        Ok(core.finish_round(delta, report_entries, purge_identities))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rounds::RoundsConfig;
     use crate::scenario::ScenarioConfig;
 
     fn tiny_scenario() -> Scenario {
@@ -481,8 +289,8 @@ mod tests {
 
     #[test]
     fn engine_refreshes_costs_each_round() {
-        let scenario = tiny_scenario();
-        let mut engine = ShardedRoundEngine::new(&scenario, RoundsConfig::default());
+        let core = EngineCore::new(Arc::new(tiny_scenario()), RoundsConfig::default());
+        let mut engine = ShardedRoundEngine::new(core);
         let seeded = engine.costs.clone();
         engine.run_round(41).expect("round runs");
         // After a round the estimates reflect traffic, not topology:

@@ -124,6 +124,61 @@ fn legacy_round_stats_deserialize_with_zero_traffic_counters() {
     assert_eq!(stats.dirty_fraction, 0.0);
 }
 
+#[test]
+fn configs_naming_the_parallel_engine_mean_sharded() {
+    // Configs and snapshot headers written while the batched `Parallel`
+    // engine existed: the name is an alias of `Sharded` now.
+    use dg_gossip::EngineKind;
+    use dg_sim::{RunConfig, RunSession};
+    fn as_parallel(json: &str) -> String {
+        let legacy = json.replace(r#""engine":"Sharded""#, r#""engine":"Parallel""#);
+        assert!(legacy.contains("Parallel"), "{legacy}");
+        legacy
+    }
+    fn reads_back<T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(v: T) {
+        let legacy = as_parallel(&serde_json::to_string(&v).unwrap());
+        assert_eq!(serde_json::from_str::<T>(&legacy).unwrap(), v);
+    }
+    let run = RunConfig::with_nodes(48)
+        .with_seed(5)
+        .with_rounds(4)
+        .with_engine(EngineKind::Sharded);
+    reads_back(run);
+    reads_back(run.rounds_config());
+    reads_back(run.scenario_config());
+
+    // A store whose header names `Parallel` resumes, and its next rounds
+    // are bit-equal to the sequential oracle's.
+    let dir = std::env::temp_dir().join(format!("dg_serde_compat_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut killed = RunSession::new(run).unwrap();
+    killed.run_to(2).unwrap();
+    killed.checkpoint(&dir).unwrap();
+    let store = dg_store::Store::open(&dir);
+    let mut snapshot = store.load_latest().unwrap();
+    snapshot.header.engine = "Parallel".into();
+    snapshot.header.config_json = as_parallel(&snapshot.header.config_json);
+    store
+        .write_epoch(&snapshot.header, &snapshot.records)
+        .unwrap();
+    let mut resumed = RunSession::resume(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.config().engine, EngineKind::Sharded);
+    assert_eq!(resumed.round(), 2);
+    resumed.run().unwrap();
+    let mut oracle = RunSession::new(run.with_engine(EngineKind::Sequential)).unwrap();
+    oracle.run().unwrap();
+    assert_eq!(resumed.stats(), oracle.stats());
+    let ids = || (0..run.nodes as u32).map(dg_graph::NodeId);
+    for (i, j) in ids().flat_map(|i| ids().map(move |j| (i, j))) {
+        assert_eq!(
+            resumed.aggregated(i, j).map(f64::to_bits),
+            oracle.aggregated(i, j).map(f64::to_bits),
+            "aggregated({i}, {j})"
+        );
+    }
+}
+
 /// Remove `"field":{...}` (brace-matched) plus one adjoining comma from
 /// a JSON string — simulates configs written before the field existed.
 fn strip_object_field(json: &str, field: &str) -> String {

@@ -41,6 +41,7 @@
 //!                        checkpoint in the chain
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;

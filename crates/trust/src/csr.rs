@@ -1,17 +1,18 @@
-//! Flat CSR storage for the trust matrix.
+//! CSR storage for one shard of the trust matrix.
 //!
 //! The gossip and closed-form aggregation hot paths read the trust
 //! matrix row-major millions of times per round but almost never mutate
-//! it mid-phase. This module provides the frozen representation: every
-//! row is a sorted `(column, value)` run inside one arena `Vec`, located
-//! by an `n + 1`-entry row-pointer array — the same layout `dg-graph`
-//! uses for adjacency. Point lookups are a binary search within the
-//! row's run; row scans are contiguous memory.
+//! it mid-phase. This module provides the frozen representation of one
+//! contiguous row range (see [`crate::sharded`]; a one-shard partition
+//! is the whole matrix): every row is a sorted `(column, value)` run
+//! inside one arena `Vec`, located by an `n + 1`-entry row-pointer array
+//! — the same layout `dg-graph` uses for adjacency. Point lookups are a
+//! binary search within the row's run; row scans are contiguous memory.
 //!
 //! Mutation goes through [`CsrBuilder`] (the bulk, out-of-order phase)
-//! or through [`CsrStorage::set`] / [`CsrStorage::remove`] (in-place
-//! splices — correct but `O(nnz)` in the worst case, intended for
-//! occasional touch-ups, not bulk loads).
+//! or through the sharded container's in-place splices (correct but
+//! `O(nnz)` in the worst case, intended for occasional touch-ups, not
+//! bulk loads).
 
 use crate::error::TrustError;
 use crate::value::TrustValue;
@@ -66,18 +67,6 @@ impl CsrStorage {
             .map(|idx| run[idx].1)
     }
 
-    /// Insert or overwrite `t_ij`; splices the arena on insert.
-    pub fn set(&mut self, i: NodeId, j: NodeId, t: TrustValue) -> Result<(), TrustError> {
-        let n = self.node_count();
-        for id in [i, j] {
-            if id.index() >= n {
-                return Err(TrustError::NodeOutOfRange { id: id.0, n });
-            }
-        }
-        self.splice_set(i.index(), j, t);
-        Ok(())
-    }
-
     /// Splice-insert into a row *without bounds checks* — the sharded
     /// container routes global ids onto local rows and does its own
     /// (global) validation first.
@@ -95,50 +84,16 @@ impl CsrStorage {
         }
     }
 
-    /// Remove an entry, splicing the arena; returns the old value.
-    pub fn remove(&mut self, i: NodeId, j: NodeId) -> Option<TrustValue> {
-        if i.index() >= self.node_count() {
-            return None;
-        }
-        self.splice_remove(i.index(), j)
-    }
-
-    /// Concatenate row-partitioned storages into one flat storage: the
-    /// arenas append in order and the row pointers shift by the running
-    /// cell offset. Because each part's rows are already sorted runs,
-    /// the result is exactly the arena one big builder over all rows
-    /// would have produced — `O(nnz)` memcpy, no re-sort.
-    pub(crate) fn concat(parts: impl IntoIterator<Item = CsrStorage>) -> CsrStorage {
-        let mut row_ptr = vec![0usize];
-        let mut cells = Vec::new();
-        for part in parts {
-            let base = cells.len();
-            cells.extend(part.cells);
-            row_ptr.extend(part.row_ptr.into_iter().skip(1).map(|p| p + base));
-        }
-        CsrStorage { row_ptr, cells }
-    }
-
-    /// Replace whole rows in one `O(nnz)` arena rebuild — the bulk
-    /// write path behind
-    /// [`TrustMatrix::replace_rows`](crate::TrustMatrix::replace_rows).
-    /// `rows` must be sorted by ascending row id without duplicates and
-    /// each run sorted by ascending column (the caller validates; rows
-    /// out of range are ignored). Far cheaper than per-entry splices
-    /// when a round touches many cells: one pass instead of `O(nnz)`
-    /// pointer shifts per write.
-    pub fn replace_rows(&mut self, rows: &[(NodeId, Vec<(NodeId, TrustValue)>)]) {
-        let local: Vec<(usize, &[(NodeId, TrustValue)])> = rows
-            .iter()
-            .map(|(i, run)| (i.index(), run.as_slice()))
-            .collect();
-        self.replace_rows_by_local(&local);
-    }
-
-    /// [`replace_rows`](Self::replace_rows) with shard-local row
-    /// indices — the sharded container routes global rows here after
-    /// translating them. Rows past this storage's dimension are
-    /// ignored (the malformed-serde degrade convention of this crate).
+    /// Replace whole rows (shard-local indices) in one `O(nnz)` arena
+    /// rebuild — the bulk write path behind
+    /// [`TrustMatrix::replace_rows`](crate::TrustMatrix::replace_rows);
+    /// the sharded container routes global rows here after translating
+    /// them. `rows` must be sorted by ascending row index without
+    /// duplicates and each run sorted by ascending column (the caller
+    /// validates). Far cheaper than per-entry splices when a round
+    /// touches many cells: one pass instead of `O(nnz)` pointer shifts
+    /// per write. Rows past this storage's dimension are ignored (the
+    /// malformed-serde degrade convention of this crate).
     pub(crate) fn replace_rows_by_local(&mut self, rows: &[(usize, &[(NodeId, TrustValue)])]) {
         let n = self.node_count();
         let replaced: usize = rows
@@ -188,7 +143,7 @@ impl CsrStorage {
 ///
 /// ```
 /// use dg_graph::NodeId;
-/// use dg_trust::{CsrBuilder, TrustMatrix, TrustValue};
+/// use dg_trust::{CsrBuilder, TrustValue};
 ///
 /// let mut b = CsrBuilder::new(4);
 /// // Out-of-order inserts are fine; the last write to a cell wins.
@@ -196,10 +151,9 @@ impl CsrStorage {
 /// b.set(NodeId(0), NodeId(3), TrustValue::new(0.2)?)?;
 /// b.set(NodeId(0), NodeId(3), TrustValue::new(0.6)?)?;
 ///
-/// let matrix = TrustMatrix::from_csr(b.build());
-/// assert!(matrix.is_csr());
-/// assert_eq!(matrix.entry_count(), 2);
-/// assert_eq!(matrix.get(NodeId(0), NodeId(3)).map(|v| v.get()), Some(0.6));
+/// let csr = b.build();
+/// assert_eq!(csr.entry_count(), 2);
+/// assert_eq!(csr.get(NodeId(0), NodeId(3)).map(|v| v.get()), Some(0.6));
 /// # Ok::<(), dg_trust::TrustError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -333,15 +287,15 @@ mod tests {
         b.set(NodeId(0), NodeId(2), tv(0.2)).unwrap();
         b.set(NodeId(2), NodeId(1), tv(0.6)).unwrap();
         let mut csr = b.build();
-        csr.set(NodeId(0), NodeId(1), tv(0.4)).unwrap();
+        csr.splice_set(0, NodeId(1), tv(0.4));
         assert_eq!(
             csr.row(NodeId(0)),
             &[(NodeId(1), tv(0.4)), (NodeId(2), tv(0.2))]
         );
         // Later rows shifted, still reachable.
         assert_eq!(csr.get(NodeId(2), NodeId(1)), Some(tv(0.6)));
-        assert_eq!(csr.remove(NodeId(0), NodeId(2)), Some(tv(0.2)));
-        assert_eq!(csr.remove(NodeId(0), NodeId(2)), None);
+        assert_eq!(csr.splice_remove(0, NodeId(2)), Some(tv(0.2)));
+        assert_eq!(csr.splice_remove(0, NodeId(2)), None);
         assert_eq!(csr.row(NodeId(0)), &[(NodeId(1), tv(0.4))]);
         assert_eq!(csr.get(NodeId(2), NodeId(1)), Some(tv(0.6)));
         assert_eq!(csr.entry_count(), 2);

@@ -17,10 +17,10 @@
 //!   authors' companion estimation paper (the paper's reference \[20\]),
 //! * [`weights`] — the neighbour-opinion weight law `w_Ii = a^(b·t_Ii)`
 //!   of Eq. (2), with the paper's `w ≥ 1` invariant,
-//! * [`sharded`] — the sharded CSR container behind the million-node
-//!   round engine: contiguous row ranges, one shard-local CSR each,
-//!   with a cross-shard subject-sum merge that is bit-identical to the
-//!   flat backends for any shard count,
+//! * [`sharded`] — the sharded CSR container behind the frozen
+//!   [`TrustMatrix`] backend: contiguous row ranges, one shard-local
+//!   CSR each, with a cross-shard subject-sum merge that is
+//!   bit-identical to the dynamic backend for any shard count,
 //! * [`delta`] — the column-postings mirror with delta-maintained
 //!   per-subject aggregates behind the incremental engine: dirty
 //!   subjects recompute through the same kernel as the from-scratch
@@ -45,6 +45,7 @@
 //!   double-buffered [`SnapshotCell`] so readers never block the
 //!   round engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aimd;

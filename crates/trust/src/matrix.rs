@@ -6,24 +6,22 @@
 //! node only transacts with a handful of neighbours. Rows are the
 //! *observer* (opining node) `i`, columns the *subject* `j`.
 //!
-//! Three storage backends share this API:
+//! Two storage backends share this API:
 //!
 //! * **Dynamic** — one ordered map per row; cheap point mutation, the
 //!   default for interactive construction;
-//! * **CSR** — sorted `(column, value)` runs over a single arena `Vec`
-//!   (see [`crate::csr`]); contiguous row scans and binary-search point
-//!   lookups for the aggregation hot path. Freeze a built matrix with
-//!   [`TrustMatrix::freeze`] or bulk-build one via [`TrustMatrix::builder`];
-//! * **Sharded** — contiguous row ranges, one shard-local CSR each (see
-//!   [`crate::sharded`]); the million-node backend whose shards build
-//!   independently on a thread pool. Bulk-build via
-//!   [`TrustMatrix::sharded_builder`] or wrap with
+//! * **Sharded** — contiguous row ranges, each a shard-local CSR of
+//!   sorted `(column, value)` runs over one arena `Vec` (see
+//!   [`crate::sharded`] and [`crate::csr`]): contiguous row scans and
+//!   binary-search point lookups for the aggregation hot path, with
+//!   shards that build independently on a thread pool. One shard is the
+//!   flat CSR layout. Freeze a built matrix with [`TrustMatrix::shard`],
+//!   bulk-build via [`TrustMatrix::sharded_builder`] or wrap with
 //!   [`TrustMatrix::from_sharded`].
 //!
 //! Rows *and* columns are addressed by [`NodeId`] throughout — raw `u32`
 //! indices never cross the API boundary.
 
-use crate::csr::{CsrBuilder, CsrStorage};
 use crate::error::TrustError;
 use crate::sharded::{ShardSpec, ShardedCsr, ShardedCsrBuilder};
 use crate::value::TrustValue;
@@ -34,19 +32,18 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Storage {
     Dynamic(Vec<BTreeMap<NodeId, TrustValue>>),
-    Csr(CsrStorage),
     Sharded(ShardedCsr),
 }
 
 /// Sparse `N × N` matrix of direct-interaction trust values.
 ///
 /// Iteration order is deterministic under both backends, which keeps
-/// gossip experiments reproducible. Equality is *logical*: a frozen and
+/// gossip experiments reproducible. Equality is *logical*: a sharded and
 /// a dynamic matrix with the same entries compare equal.
 ///
 /// ```
 /// use dg_graph::NodeId;
-/// use dg_trust::{TrustMatrix, TrustValue};
+/// use dg_trust::{ShardSpec, TrustMatrix, TrustValue};
 ///
 /// let mut t = TrustMatrix::new(3);
 /// t.set(NodeId(0), NodeId(1), TrustValue::new(0.8)?)?;
@@ -54,11 +51,11 @@ enum Storage {
 /// assert_eq!(t.get(NodeId(0), NodeId(1)).map(|v| v.get()), Some(0.8));
 /// assert_eq!(t.get(NodeId(2), NodeId(0)), None);
 ///
-/// // Freeze into the flat CSR backend for the aggregation hot path;
+/// // Freeze into the sharded CSR backend for the aggregation hot path;
 /// // the contents — and equality — are unchanged.
 /// let mut frozen = t.clone();
-/// frozen.freeze();
-/// assert!(frozen.is_csr());
+/// frozen.shard(ShardSpec::new(3, 1));
+/// assert!(frozen.is_sharded());
 /// assert_eq!(frozen, t);
 /// assert_eq!(frozen.entry_count(), 2);
 /// # Ok::<(), dg_trust::TrustError>(())
@@ -78,20 +75,6 @@ impl TrustMatrix {
         }
     }
 
-    /// Bulk builder for the mutable phase; [`CsrBuilder::build`] plus
-    /// [`TrustMatrix::from_csr`] produce a frozen matrix directly.
-    pub fn builder(n: usize) -> CsrBuilder {
-        CsrBuilder::new(n)
-    }
-
-    /// Wrap frozen CSR storage.
-    pub fn from_csr(csr: CsrStorage) -> Self {
-        Self {
-            n: csr.node_count(),
-            storage: Storage::Csr(csr),
-        }
-    }
-
     /// Wrap frozen sharded storage.
     pub fn from_sharded(sharded: ShardedCsr) -> Self {
         Self {
@@ -107,44 +90,16 @@ impl TrustMatrix {
         ShardedCsrBuilder::new(spec)
     }
 
-    /// Whether the matrix currently uses the flat CSR backend.
-    pub fn is_csr(&self) -> bool {
-        matches!(self.storage, Storage::Csr(_))
-    }
-
     /// Whether the matrix currently uses the sharded CSR backend.
     pub fn is_sharded(&self) -> bool {
         matches!(self.storage, Storage::Sharded(_))
     }
 
-    /// The sharded backend's partition (`None` on flat backends).
+    /// The sharded backend's partition (`None` on the dynamic backend).
     pub fn shard_spec(&self) -> Option<ShardSpec> {
         match &self.storage {
             Storage::Sharded(sharded) => Some(sharded.spec()),
-            _ => None,
-        }
-    }
-
-    /// Compact into the flat CSR backend (no-op when already frozen).
-    /// Merging a sharded matrix concatenates the shard arenas in row
-    /// order — the result is exactly the arena one big builder would
-    /// have produced.
-    pub fn freeze(&mut self) {
-        match &mut self.storage {
-            Storage::Dynamic(rows) => {
-                let mut builder = CsrBuilder::new(self.n);
-                for (i, row) in std::mem::take(rows).into_iter().enumerate() {
-                    builder
-                        .extend_row(NodeId(i as u32), row)
-                        .expect("dynamic rows are in range");
-                }
-                self.storage = Storage::Csr(builder.build());
-            }
-            Storage::Sharded(sharded) => {
-                let sharded = std::mem::replace(sharded, ShardedCsr::new(ShardSpec::new(0, 1)));
-                self.storage = Storage::Csr(sharded.into_flat());
-            }
-            Storage::Csr(_) => {}
+            Storage::Dynamic(_) => None,
         }
     }
 
@@ -182,25 +137,6 @@ impl TrustMatrix {
         self.storage = Storage::Sharded(builder.build());
     }
 
-    /// Convert back to the dynamic backend (no-op when already dynamic).
-    pub fn thaw(&mut self) {
-        match &self.storage {
-            Storage::Csr(csr) => {
-                let rows = (0..self.n)
-                    .map(|i| csr.row(NodeId(i as u32)).iter().copied().collect())
-                    .collect();
-                self.storage = Storage::Dynamic(rows);
-            }
-            Storage::Sharded(sharded) => {
-                let rows = (0..self.n)
-                    .map(|i| sharded.row(NodeId(i as u32)).iter().copied().collect())
-                    .collect();
-                self.storage = Storage::Dynamic(rows);
-            }
-            Storage::Dynamic(_) => {}
-        }
-    }
-
     /// Dimension `N`.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -219,8 +155,9 @@ impl TrustMatrix {
 
     /// Set `t_ij` (observer `i`, subject `j`).
     ///
-    /// On the CSR backend this splices the arena — fine for touch-ups;
-    /// use [`TrustMatrix::builder`] for bulk loads.
+    /// On the sharded backend this splices the owning shard's arena —
+    /// fine for touch-ups; use [`TrustMatrix::sharded_builder`] for bulk
+    /// loads.
     pub fn set(&mut self, i: NodeId, j: NodeId, t: TrustValue) -> Result<(), TrustError> {
         self.check(i)?;
         self.check(j)?;
@@ -229,7 +166,6 @@ impl TrustMatrix {
                 rows[i.index()].insert(j, t);
                 Ok(())
             }
-            Storage::Csr(csr) => csr.set(i, j, t),
             Storage::Sharded(sharded) => sharded.set(i, j, t),
         }
     }
@@ -240,7 +176,6 @@ impl TrustMatrix {
     pub fn remove(&mut self, i: NodeId, j: NodeId) -> Option<TrustValue> {
         match &mut self.storage {
             Storage::Dynamic(rows) => rows.get_mut(i.index())?.remove(&j),
-            Storage::Csr(csr) => csr.remove(i, j),
             Storage::Sharded(sharded) => sharded.remove(i, j),
         }
     }
@@ -249,7 +184,6 @@ impl TrustMatrix {
     pub fn get(&self, i: NodeId, j: NodeId) -> Option<TrustValue> {
         match &self.storage {
             Storage::Dynamic(rows) => rows.get(i.index())?.get(&j).copied(),
-            Storage::Csr(csr) => csr.get(i, j),
             Storage::Sharded(sharded) => sharded.get(i, j),
         }
     }
@@ -272,7 +206,6 @@ impl TrustMatrix {
                 Some(row) => RowIter::Dynamic(row.iter()),
                 None => RowIter::Empty,
             },
-            Storage::Csr(csr) => RowIter::Csr(csr.row(i).iter()),
             Storage::Sharded(sharded) => RowIter::Csr(sharded.row(i).iter()),
         }
     }
@@ -281,7 +214,6 @@ impl TrustMatrix {
     pub fn row_len(&self, i: NodeId) -> usize {
         match &self.storage {
             Storage::Dynamic(rows) => rows.get(i.index()).map_or(0, BTreeMap::len),
-            Storage::Csr(csr) => csr.row(i).len(),
             Storage::Sharded(sharded) => sharded.row(i).len(),
         }
     }
@@ -305,7 +237,6 @@ impl TrustMatrix {
     pub fn entry_count(&self) -> usize {
         match &self.storage {
             Storage::Dynamic(rows) => rows.iter().map(BTreeMap::len).sum(),
-            Storage::Csr(csr) => csr.entry_count(),
             Storage::Sharded(sharded) => sharded.entry_count(),
         }
     }
@@ -378,9 +309,9 @@ impl TrustMatrix {
     /// engine's bulk write path. `rows` must be sorted by ascending
     /// observer id with no duplicates; each replacement run must be
     /// sorted by ascending subject id (the order every backend stores
-    /// rows in). On the CSR backends this rebuilds only the touched
-    /// arenas (the flat arena, or just the shards owning a replaced
-    /// row) instead of splicing entry by entry.
+    /// rows in). On the sharded backend this rebuilds only the arenas
+    /// of the shards owning a replaced row instead of splicing entry by
+    /// entry.
     pub fn replace_rows(
         &mut self,
         rows: &[(NodeId, Vec<(NodeId, TrustValue)>)],
@@ -405,7 +336,6 @@ impl TrustMatrix {
                     dyn_rows[i.index()] = run.iter().copied().collect();
                 }
             }
-            Storage::Csr(csr) => csr.replace_rows(rows),
             Storage::Sharded(sharded) => sharded.replace_rows(rows),
         }
         Ok(())
@@ -426,7 +356,7 @@ impl PartialEq for TrustMatrix {
 pub enum RowIter<'a> {
     /// Row of a dynamic matrix.
     Dynamic(std::collections::btree_map::Iter<'a, NodeId, TrustValue>),
-    /// Row run of a CSR matrix.
+    /// Row run of a sharded CSR matrix.
     Csr(std::slice::Iter<'a, (NodeId, TrustValue)>),
     /// Out-of-range row.
     Empty,
@@ -472,10 +402,10 @@ mod tests {
 
     #[test]
     fn out_of_range_rejected() {
-        for frozen in [false, true] {
+        for sharded in [false, true] {
             let mut m = TrustMatrix::new(2);
-            if frozen {
-                m.freeze();
+            if sharded {
+                m.shard(ShardSpec::new(2, 1));
             }
             assert_eq!(
                 m.set(NodeId(5), NodeId(0), tv(0.1)),
@@ -513,10 +443,10 @@ mod tests {
 
     #[test]
     fn overwrite_and_remove() {
-        for frozen in [false, true] {
+        for sharded in [false, true] {
             let mut m = TrustMatrix::new(2);
-            if frozen {
-                m.freeze();
+            if sharded {
+                m.shard(ShardSpec::new(2, 1));
             }
             m.set(NodeId(0), NodeId(1), tv(0.2)).unwrap();
             m.set(NodeId(0), NodeId(1), tv(0.9)).unwrap();
@@ -553,27 +483,11 @@ mod tests {
         let back: TrustMatrix = serde_json::from_str(&s).unwrap();
         assert_eq!(m, back);
 
-        m.freeze();
+        m.shard(ShardSpec::new(3, 1));
         let s = serde_json::to_string(&m).unwrap();
         let back: TrustMatrix = serde_json::from_str(&s).unwrap();
-        assert!(back.is_csr());
+        assert!(back.is_sharded());
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn freeze_thaw_preserve_content_and_equality() {
-        let mut dynamic = TrustMatrix::new(5);
-        dynamic.set(NodeId(4), NodeId(0), tv(0.9)).unwrap();
-        dynamic.set(NodeId(0), NodeId(4), tv(0.3)).unwrap();
-        dynamic.set(NodeId(2), NodeId(3), tv(0.7)).unwrap();
-        let mut frozen = dynamic.clone();
-        frozen.freeze();
-        assert!(frozen.is_csr() && !dynamic.is_csr());
-        // Logical equality across backends.
-        assert_eq!(frozen, dynamic);
-        frozen.thaw();
-        assert!(!frozen.is_csr());
-        assert_eq!(frozen, dynamic);
     }
 
     #[test]
@@ -600,24 +514,15 @@ mod tests {
         let back: TrustMatrix = serde_json::from_str(&s).unwrap();
         assert!(back.is_sharded());
         assert_eq!(back, dynamic);
-
-        // freeze() merges into the flat arena; thaw() goes dynamic.
-        let mut frozen = sharded.clone();
-        frozen.freeze();
-        assert!(frozen.is_csr());
-        assert_eq!(frozen, dynamic);
-        sharded.thaw();
-        assert!(!sharded.is_sharded() && !sharded.is_csr());
-        assert_eq!(sharded, dynamic);
     }
 
     #[test]
     fn builder_builds_frozen_matrix() {
-        let mut b = TrustMatrix::builder(3);
+        let mut b = TrustMatrix::sharded_builder(ShardSpec::new(3, 1));
         b.set(NodeId(2), NodeId(1), tv(0.4)).unwrap();
         b.set(NodeId(0), NodeId(2), tv(0.6)).unwrap();
-        let m = TrustMatrix::from_csr(b.build());
-        assert!(m.is_csr());
+        let m = TrustMatrix::from_sharded(b.build());
+        assert!(m.is_sharded());
         assert_eq!(m.node_count(), 3);
         assert_eq!(m.get(NodeId(2), NodeId(1)), Some(tv(0.4)));
         assert_eq!(m.entry_count(), 2);
@@ -638,46 +543,55 @@ mod tests {
     }
 
     proptest! {
-        /// The CSR and BTreeMap backends agree on arbitrary interleaved
-        /// insert / overwrite / remove / read sequences.
+        /// The sharded-CSR and BTreeMap backends agree on arbitrary
+        /// interleaved insert / overwrite / remove / row-replace / read
+        /// sequences — at one shard (the flat CSR layout) and at several.
         #[test]
         fn backends_agree_on_random_sequences(
-            ops in proptest::collection::vec((0usize..8, 0usize..8, 0.0..1.0f64, 0u8..4), 1..120)
+            ops in proptest::collection::vec((0usize..8, 0usize..8, 0.0..1.0f64, 0u8..5), 1..120),
+            k in 2usize..6,
         ) {
             let n = 8;
-            let mut dynamic = TrustMatrix::new(n);
-            let mut frozen = TrustMatrix::new(n);
-            frozen.freeze();
-            prop_assert!(frozen.is_csr());
+            for shards in [1, k] {
+                let mut dynamic = TrustMatrix::new(n);
+                let mut frozen = TrustMatrix::new(n);
+                frozen.shard(ShardSpec::new(n, shards));
+                prop_assert!(frozen.is_sharded());
 
-            for (i, j, v, op) in ops {
-                let (i, j) = (NodeId(i as u32), NodeId(j as u32));
-                match op {
-                    0 | 1 => {
-                        dynamic.set(i, j, tv(v)).unwrap();
-                        frozen.set(i, j, tv(v)).unwrap();
-                    }
-                    2 => {
-                        prop_assert_eq!(dynamic.remove(i, j), frozen.remove(i, j));
-                    }
-                    _ => {
-                        prop_assert_eq!(dynamic.get(i, j), frozen.get(i, j));
-                        prop_assert_eq!(dynamic.row_len(i), frozen.row_len(i));
+                for &(i, j, v, op) in &ops {
+                    let (i, j) = (NodeId(i as u32), NodeId(j as u32));
+                    match op {
+                        0 | 1 => {
+                            dynamic.set(i, j, tv(v)).unwrap();
+                            frozen.set(i, j, tv(v)).unwrap();
+                        }
+                        2 => {
+                            prop_assert_eq!(dynamic.remove(i, j), frozen.remove(i, j));
+                        }
+                        3 => {
+                            let rows = [(i, vec![(j, tv(v))])];
+                            dynamic.replace_rows(&rows).unwrap();
+                            frozen.replace_rows(&rows).unwrap();
+                        }
+                        _ => {
+                            prop_assert_eq!(dynamic.get(i, j), frozen.get(i, j));
+                            prop_assert_eq!(dynamic.row_len(i), frozen.row_len(i));
+                        }
                     }
                 }
-            }
 
-            prop_assert_eq!(dynamic.entry_count(), frozen.entry_count());
-            let d: Vec<_> = dynamic.entries().collect();
-            let f: Vec<_> = frozen.entries().collect();
-            prop_assert_eq!(d, f);
-            for j in 0..n as u32 {
-                let j = NodeId(j);
-                prop_assert_eq!(dynamic.column(j), frozen.column(j));
-                prop_assert_eq!(dynamic.opinion_count(j), frozen.opinion_count(j));
-                prop_assert!((dynamic.opinion_sum(j) - frozen.opinion_sum(j)).abs() < 1e-12);
+                prop_assert_eq!(dynamic.entry_count(), frozen.entry_count());
+                let d: Vec<_> = dynamic.entries().collect();
+                let f: Vec<_> = frozen.entries().collect();
+                prop_assert_eq!(d, f);
+                for j in 0..n as u32 {
+                    let j = NodeId(j);
+                    prop_assert_eq!(dynamic.column(j), frozen.column(j));
+                    prop_assert_eq!(dynamic.opinion_count(j), frozen.opinion_count(j));
+                    prop_assert!((dynamic.opinion_sum(j) - frozen.opinion_sum(j)).abs() < 1e-12);
+                }
+                prop_assert_eq!(&dynamic, &frozen);
             }
-            prop_assert_eq!(&dynamic, &frozen);
         }
     }
 }

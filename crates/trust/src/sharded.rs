@@ -1,11 +1,9 @@
 //! Sharded CSR trust storage for million-node rounds.
 //!
-//! One flat CSR arena over the whole matrix (see [`crate::csr`]) is the
-//! right layout up to a few hundred thousand nodes, but a single
-//! `O(total nnz)` arena has two costs at production scale: every bulk
-//! rebuild materialises all rows before freezing (the batched engine's
-//! estimate phase holds matrix-sized scratch on top of the matrix), and
-//! the whole arena is one allocation that must move together.
+//! One CSR arena over the whole matrix (see [`crate::csr`]) has two
+//! costs at production scale: every bulk rebuild materialises all rows
+//! before freezing (matrix-sized scratch on top of the matrix), and the
+//! whole arena is one allocation that must move together.
 //!
 //! This module partitions the **rows** (observers) into
 //! [`ShardSpec::shard_count`] contiguous ranges, each backed by its own
@@ -18,11 +16,11 @@
 //! Determinism contract: shards are contiguous ascending row ranges, so
 //! streaming shard 0, shard 1, … and each shard row-major
 //! ([`ShardedCsr::entries`]) visits cells in **exactly the global
-//! row-major order** of the flat backends. The cross-shard subject-sum
+//! row-major order** of the dynamic backend. The cross-shard subject-sum
 //! merge — [`crate::matrix::TrustMatrix::subject_sums_and_counts`] on
 //! the sharded backend — accumulates per-subject `f64` sums in that
 //! single fixed order, which makes the result bit-identical to the
-//! flat backends' computation for *any* shard count (pinned by the
+//! dynamic backend's computation for *any* shard count (pinned by the
 //! proptest at the bottom of this module).
 
 use crate::csr::{CsrBuilder, CsrStorage};
@@ -68,6 +66,16 @@ impl ShardSpec {
     /// (and results are shard-count-independent anyway).
     pub fn auto(n: usize) -> Self {
         Self::new(n, n.div_ceil(Self::AUTO_CHUNK).max(1))
+    }
+
+    /// The partition a `shard_count` config knob selects: `0` means
+    /// [`auto`](Self::auto), anything else is taken literally.
+    pub fn configured(n: usize, shard_count: usize) -> Self {
+        if shard_count == 0 {
+            Self::auto(n)
+        } else {
+            Self::new(n, shard_count)
+        }
     }
 
     /// Total rows `N`.
@@ -268,8 +276,8 @@ impl ShardedCsr {
     /// the cross-shard subject-sum merge
     /// ([`TrustMatrix::subject_sums_and_counts`](crate::TrustMatrix::subject_sums_and_counts)
     /// on the sharded backend) accumulates in exactly this order, which
-    /// is why it is bit-identical to the flat backends for any shard
-    /// count.
+    /// is why it is bit-identical to the dynamic backend for any
+    /// shard count.
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, NodeId, TrustValue)> + '_ {
         self.shards.iter().enumerate().flat_map(move |(s, csr)| {
             let base = self.spec.range(s).start;
@@ -279,14 +287,6 @@ impl ShardedCsr {
                     .map(move |&(j, t)| (NodeId(base + local), j, t))
             })
         })
-    }
-
-    /// Merge into one flat [`CsrStorage`] — concatenating the shard
-    /// arenas in order reproduces the exact flat arena a single
-    /// [`CsrBuilder`] over all rows would have produced (`O(nnz)`
-    /// memcpy; the shard runs are already sorted).
-    pub fn into_flat(self) -> CsrStorage {
-        CsrStorage::concat(self.shards)
     }
 
     /// Replace whole global rows, rebuilding **only the shards that own
@@ -501,18 +501,6 @@ mod tests {
             ShardedCsr::from_parts(spec, vec![CsrStorage::new(2), CsrStorage::new(3)]).is_err()
         );
         assert!(ShardedCsr::from_parts(spec, vec![CsrStorage::new(2), CsrStorage::new(2)]).is_ok());
-    }
-
-    #[test]
-    fn into_flat_reproduces_the_monolithic_arena() {
-        let spec = ShardSpec::new(6, 3);
-        let mut sharded = ShardedCsrBuilder::new(spec);
-        let mut flat = CsrBuilder::new(6);
-        for &(i, j, v) in &[(5u32, 0u32, 0.9), (0, 5, 0.1), (2, 2, 0.4), (3, 1, 0.6)] {
-            sharded.set(NodeId(i), NodeId(j), tv(v)).unwrap();
-            flat.set(NodeId(i), NodeId(j), tv(v)).unwrap();
-        }
-        assert_eq!(sharded.build().into_flat(), flat.build());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use differential_gossip::gossip::AdversaryMix;
 use differential_gossip::sim::rounds::{DefensePolicy, RoundsConfig, RoundsSimulator};
 use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use std::sync::Arc;
 
 fn run(mix: AdversaryMix, defense: DefensePolicy) -> (f64, f64, f64, u64, Option<f64>) {
     let scenario = Scenario::build(
@@ -27,8 +28,9 @@ fn run(mix: AdversaryMix, defense: DefensePolicy) -> (f64, f64, f64, u64, Option
         .with_adversary(mix),
     )
     .expect("scenario builds");
+    let scenario = Arc::new(scenario);
     let mut sim = RoundsSimulator::new(
-        &scenario,
+        Arc::clone(&scenario),
         RoundsConfig {
             rounds: 8,
             ..RoundsConfig::default()

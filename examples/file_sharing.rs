@@ -15,6 +15,7 @@
 use differential_gossip::gossip::EngineKind;
 use differential_gossip::sim::rounds::{RoundsConfig, RoundsSimulator};
 use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ScenarioConfig {
@@ -22,12 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
         seed: 7,
-        // The batched parallel engine: identical results to the
-        // sequential reference driver, flat CSR state, node fan-out.
-        engine: EngineKind::Parallel,
+        // The sharded engine: identical results to the sequential
+        // reference driver, per-shard CSR state, shard fan-out.
+        engine: EngineKind::Sharded,
         ..ScenarioConfig::default()
     };
-    let scenario = Scenario::build(config)?;
+    let scenario = Arc::new(Scenario::build(config)?);
     let free_riders = scenario
         .population
         .iter()
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sim = RoundsSimulator::new(
-        &scenario,
+        Arc::clone(&scenario),
         RoundsConfig {
             rounds: 10,
             ..scenario.rounds_config()

@@ -22,6 +22,8 @@
 //! * [`serve`] — reputation-as-a-service: TCP query/ingest endpoints
 //!   over round-atomic snapshots.
 
+#![forbid(unsafe_code)]
+
 pub use dg_core as core;
 pub use dg_gossip as gossip;
 pub use dg_graph as graph;

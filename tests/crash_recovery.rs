@@ -24,12 +24,7 @@ use differential_gossip::store::{NodeRecord, Store};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-const ENGINES: [EngineKind; 4] = [
-    EngineKind::Sequential,
-    EngineKind::Parallel,
-    EngineKind::Sharded,
-    EngineKind::Incremental,
-];
+const ENGINES: [EngineKind; 3] = EngineKind::ALL;
 
 const ADVERSARIES: [&str; 6] = [
     "none",
@@ -190,7 +185,7 @@ fn kill_and_resume_with_audit_strikes_in_flight() {
 #[test]
 fn resume_restores_aggregates_and_residual_exactly() {
     let cfg = config(
-        EngineKind::Parallel,
+        EngineKind::Sharded,
         AdversaryMix::parse("collusion").unwrap(),
         NetworkProfile::lossy(),
         9,
@@ -233,7 +228,7 @@ proptest! {
     /// kill-and-resume bit-for-bit.
     #[test]
     fn kill_resume_property(
-        engine_ix in 0usize..4,
+        engine_ix in 0usize..ENGINES.len(),
         adversary_ix in 0usize..6,
         lossy in 0usize..2,
         kill_round in 1usize..4,

@@ -9,6 +9,7 @@ use differential_gossip::gossip::GossipConfig;
 use differential_gossip::sim::experiments::{collusion_experiment, steps_experiment};
 use differential_gossip::sim::rounds::{RoundsConfig, RoundsSimulator};
 use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use std::sync::Arc;
 
 /// Pin the concrete ChaCha8 stream for the workspace's canonical seed.
 ///
@@ -101,9 +102,10 @@ fn rounds_simulation_is_reproducible() {
         ..ScenarioConfig::default()
     })
     .expect("scenario");
+    let s = Arc::new(s);
     let run = || {
         let mut sim = RoundsSimulator::new(
-            &s,
+            Arc::clone(&s),
             RoundsConfig {
                 rounds: 3,
                 ..RoundsConfig::default()

@@ -1,4 +1,4 @@
-//! The batched, sharded and incremental round engines are pure
+//! The sharded and incremental round engines are pure
 //! optimisations: for the same pinned seeds they must produce
 //! **exactly** the sequential reference driver's results — same service
 //! counters, same reputation means, same per-pair aggregated
@@ -15,6 +15,7 @@ use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
 use differential_gossip::sim::workload::TrafficModel;
 use differential_gossip::trust::audit::AuditPolicy;
 use rayon::ThreadPoolBuilder;
+use std::sync::Arc;
 
 /// Shard counts the sharded engine is pinned at: one shard (the flat
 /// degenerate case), more shards than fit evenly — 16 shards over 90
@@ -23,28 +24,31 @@ use rayon::ThreadPoolBuilder;
 /// migration at every tested thread count.
 const SHARD_COUNTS: [usize; 3] = [1, 16, 64];
 
-fn scenario(seed: u64) -> Scenario {
-    Scenario::build(ScenarioConfig {
+fn build(config: ScenarioConfig) -> Arc<Scenario> {
+    Arc::new(Scenario::build(config).expect("scenario builds"))
+}
+
+fn scenario(seed: u64) -> Arc<Scenario> {
+    build(ScenarioConfig {
         nodes: 90,
         seed,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
         ..ScenarioConfig::default()
     })
-    .expect("scenario builds")
 }
 
-fn run(scenario: &Scenario, config: RoundsConfig) -> (Vec<RoundStats>, RoundsSimulator<'_>) {
-    let mut sim = RoundsSimulator::new(scenario, config);
+fn run(scenario: &Arc<Scenario>, config: RoundsConfig) -> (Vec<RoundStats>, RoundsSimulator) {
+    let mut sim = RoundsSimulator::new(Arc::clone(scenario), config);
     let mut rng = scenario.gossip_rng(6);
     let stats = sim.run(&mut rng).expect("rounds");
     (stats, sim)
 }
 
 fn assert_matches_reference(
-    scenario: &Scenario,
+    scenario: &Arc<Scenario>,
     seq_stats: &[RoundStats],
-    seq_sim: &RoundsSimulator<'_>,
+    seq_sim: &RoundsSimulator,
     config: RoundsConfig,
     threads: usize,
     what: &str,
@@ -76,18 +80,10 @@ fn assert_matches_reference(
     }
 }
 
-fn assert_equivalent(scenario: &Scenario, config: RoundsConfig) {
+fn assert_equivalent(scenario: &Arc<Scenario>, config: RoundsConfig) {
     let (seq_stats, seq_sim) = run(scenario, config.with_engine(EngineKind::Sequential));
 
     for threads in [1usize, 2, 8] {
-        assert_matches_reference(
-            scenario,
-            &seq_stats,
-            &seq_sim,
-            config.with_engine(EngineKind::Parallel),
-            threads,
-            "parallel",
-        );
         assert_matches_reference(
             scenario,
             &seq_stats,
@@ -136,14 +132,13 @@ fn engines_match_bitwise_in_neighbourhood_scope() {
 
 #[test]
 fn engines_match_bitwise_under_real_gossip_aggregation() {
-    let s = Scenario::build(ScenarioConfig {
+    let s = build(ScenarioConfig {
         nodes: 40,
         seed: 13,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds");
+    });
     assert_equivalent(
         &s,
         RoundsConfig {
@@ -167,15 +162,14 @@ fn engines_match_bitwise_under_adversary_mix() {
     }
     .validated()
     .expect("mix is valid");
-    let s = Scenario::build(ScenarioConfig {
+    let s = build(ScenarioConfig {
         nodes: 90,
         seed: 47,
         free_rider_fraction: 0.15,
         quality_range: (0.4, 1.0),
         adversary: mix,
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds");
+    });
     assert_equivalent(
         &s,
         RoundsConfig {
@@ -205,15 +199,14 @@ fn engines_match_bitwise_under_skewed_traffic_and_adversaries() {
             .with_activity(fraction)
             .with_zipf(0.8)
             .with_flash(3, 4.0);
-        let s = Scenario::build(ScenarioConfig {
+        let s = build(ScenarioConfig {
             nodes: 90,
             seed: 23,
             free_rider_fraction: 0.15,
             quality_range: (0.4, 1.0),
             adversary: mix,
             ..ScenarioConfig::default()
-        })
-        .expect("scenario builds");
+        });
         assert_equivalent(
             &s,
             RoundsConfig {
@@ -238,15 +231,14 @@ fn engines_match_bitwise_with_audits_convicting() {
         ..AuditPolicy::standard()
     };
     for fraction in [1.0, 0.01] {
-        let s = Scenario::build(ScenarioConfig {
+        let s = build(ScenarioConfig {
             nodes: 90,
             seed: 31,
             free_rider_fraction: 0.15,
             quality_range: (0.4, 1.0),
             adversary: mix,
             ..ScenarioConfig::default()
-        })
-        .expect("scenario builds");
+        });
         let config = RoundsConfig {
             rounds: 8,
             ..RoundsConfig::default()
@@ -303,15 +295,14 @@ fn incremental_engine_matches_under_whitewash_purges() {
     }
     .validated()
     .expect("mix is valid");
-    let s = Scenario::build(ScenarioConfig {
+    let s = build(ScenarioConfig {
         nodes: 70,
         seed: 53,
         free_rider_fraction: 0.1,
         quality_range: (0.4, 1.0),
         adversary: mix,
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds");
+    });
     let config = RoundsConfig {
         rounds: 8,
         ..RoundsConfig::default()
@@ -331,11 +322,7 @@ fn incremental_engine_matches_under_whitewash_purges() {
 #[test]
 fn sharded_engine_is_reproducible_across_repeat_runs() {
     let s = scenario(77);
-    for engine in [
-        EngineKind::Parallel,
-        EngineKind::Sharded,
-        EngineKind::Incremental,
-    ] {
+    for engine in [EngineKind::Sharded, EngineKind::Incremental] {
         let config = RoundsConfig {
             rounds: 4,
             ..RoundsConfig::default()
@@ -368,14 +355,13 @@ mod steal_order {
             activity in 0.02f64..1.0,
             zipf in 0.0f64..1.6,
         ) {
-            let s = Scenario::build(ScenarioConfig {
+            let s = build(ScenarioConfig {
                 nodes: 48,
                 seed,
                 free_rider_fraction: 0.2,
                 quality_range: (0.4, 1.0),
                 ..ScenarioConfig::default()
-            })
-            .expect("scenario builds");
+            });
             let config = RoundsConfig {
                 rounds: 3,
                 ..RoundsConfig::default()
@@ -402,14 +388,13 @@ mod steal_order {
 fn sharded_engine_handles_shard_count_above_node_count() {
     // 40 nodes, 64 shards: most shards own a single row, trailing
     // shards own none. Still bit-equal to the reference.
-    let s = Scenario::build(ScenarioConfig {
+    let s = build(ScenarioConfig {
         nodes: 40,
         seed: 19,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds");
+    });
     let config = RoundsConfig {
         rounds: 3,
         ..RoundsConfig::default()

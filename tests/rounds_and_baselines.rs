@@ -6,23 +6,24 @@ use differential_gossip::graph::NodeId;
 use differential_gossip::sim::baselines::{eigentrust, EigenTrustConfig};
 use differential_gossip::sim::rounds::{AggregationMode, RoundsConfig, RoundsSimulator};
 use differential_gossip::sim::scenario::{Scenario, ScenarioConfig, TrustSource};
+use std::sync::Arc;
 
-fn scenario(seed: u64) -> Scenario {
-    Scenario::build(ScenarioConfig {
+fn scenario(seed: u64) -> Arc<Scenario> {
+    let built = Scenario::build(ScenarioConfig {
         nodes: 100,
         seed,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
         ..ScenarioConfig::default()
-    })
-    .expect("scenario builds")
+    });
+    Arc::new(built.expect("scenario builds"))
 }
 
 #[test]
 fn incentive_loop_starves_free_riders_but_not_honest_peers() {
     let s = scenario(77);
     let mut sim = RoundsSimulator::new(
-        &s,
+        Arc::clone(&s),
         RoundsConfig {
             rounds: 8,
             ..RoundsConfig::default()
@@ -60,9 +61,10 @@ fn real_gossip_aggregation_mode_reaches_the_same_separation() {
         ..ScenarioConfig::default()
     })
     .expect("scenario builds");
+    let s = Arc::new(s);
     let run = |mode: AggregationMode| {
         let mut sim = RoundsSimulator::new(
-            &s,
+            Arc::clone(&s),
             RoundsConfig {
                 rounds: 4,
                 aggregation: mode,
