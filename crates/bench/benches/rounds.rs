@@ -5,19 +5,26 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dg_gossip::EngineKind;
 use dg_graph::NodeId;
-use dg_sim::rounds::{AggregationScope, RoundsConfig, RoundsSimulator};
-use dg_sim::scenario::{Scenario, ScenarioConfig};
+use dg_sim::rounds::AggregationScope;
+use dg_sim::{build_engine, RunConfig, Scenario};
 use dg_trust::{ShardSpec, TrustMatrix, TrustValue};
+use rand::RngCore;
 use std::sync::Arc;
 
 fn scenario(nodes: usize, engine: EngineKind) -> Arc<Scenario> {
-    let built = Scenario::build(ScenarioConfig {
+    let built = Scenario::build(RunConfig {
         nodes,
         seed: 42,
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
         engine,
-        ..ScenarioConfig::default()
+        rounds: 3,
+        requests_per_edge: 20,
+        scope: AggregationScope::Neighbourhood,
+        // Real cross-shard assembly, not the degenerate single-shard
+        // path auto would pick at 1000 nodes.
+        shard_count: 4,
+        ..RunConfig::default()
     });
     Arc::new(built.expect("scenario builds"))
 }
@@ -32,21 +39,11 @@ fn bench_round_engines(c: &mut Criterion) {
             &s,
             |b, s| {
                 b.iter(|| {
-                    let mut sim = RoundsSimulator::new(
-                        Arc::clone(s),
-                        RoundsConfig {
-                            rounds: 3,
-                            requests_per_edge: 20,
-                            scope: AggregationScope::Neighbourhood,
-                            ..RoundsConfig::default()
-                        }
-                        .with_engine(engine)
-                        // Real cross-shard assembly, not the degenerate
-                        // single-shard path auto would pick at 1000 nodes.
-                        .with_shards(4),
-                    );
+                    let mut sim = build_engine(Arc::clone(s), &s.config);
                     let mut rng = s.gossip_rng(1);
-                    sim.run(&mut rng).expect("rounds")
+                    (0..s.config.rounds)
+                        .map(|_| sim.run_round(rng.next_u64()).expect("round"))
+                        .collect::<Vec<_>>()
                 })
             },
         );

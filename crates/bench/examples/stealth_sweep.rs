@@ -11,8 +11,9 @@
 use dg_core::behavior::Behavior;
 use dg_gossip::AdversaryMix;
 use dg_graph::NodeId;
-use dg_sim::rounds::{DefensePolicy, RoundsConfig, RoundsSimulator};
-use dg_sim::scenario::{Scenario, ScenarioConfig};
+use dg_sim::rounds::DefensePolicy;
+use dg_sim::{build_engine, RunConfig, Scenario};
+use rand::RngCore;
 use std::sync::Arc;
 
 const NODES: usize = 250;
@@ -24,26 +25,24 @@ struct Run {
 }
 
 fn run(m: usize, mix: AdversaryMix, rounds: usize) -> Run {
-    let config = ScenarioConfig {
+    let config = RunConfig {
         nodes: NODES,
         m,
         seed: 42,
         free_rider_fraction: 0.1,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
+        rounds,
+        ..RunConfig::default()
     }
-    .with_adversary(mix);
+    .with_adversary(mix)
+    .with_defense(DefensePolicy::defended());
     let scenario = Arc::new(Scenario::build(config).unwrap());
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds,
-            ..RoundsConfig::default()
-        }
-        .with_defense(DefensePolicy::defended()),
-    );
+    let mut engine = build_engine(Arc::clone(&scenario), &config);
     let mut rng = scenario.gossip_rng(2);
-    sim.run(&mut rng).unwrap();
+    for _ in 0..rounds {
+        engine.run_round(rng.next_u64()).unwrap();
+    }
+    let sim = engine.core();
     let adv: Vec<bool> = scenario
         .graph
         .nodes()

@@ -25,9 +25,10 @@ use dg_core::behavior::Behavior;
 use dg_gossip::{AdversaryMix, GossipPair, NetworkProfile};
 use dg_graph::NodeId;
 use dg_p2p::{run_distributed, DistributedConfig};
-use dg_sim::rounds::{DefensePolicy, RoundStats, RoundsConfig, RoundsSimulator};
-use dg_sim::scenario::{Scenario, ScenarioConfig};
+use dg_sim::rounds::{DefensePolicy, RoundStats};
+use dg_sim::{build_engine, RunConfig, Scenario};
 use dg_trust::audit::AuditPolicy;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -334,43 +335,36 @@ pub struct AttackReport {
     pub violations: Vec<Violation>,
 }
 
-fn scenario_config(seed: u64, mix: AdversaryMix) -> ScenarioConfig {
-    ScenarioConfig {
+/// The attack-matrix run: open (undefended, unaudited) over
+/// [`MATRIX_ROUNDS`]; callers switch the defense, audits and horizon on.
+fn matrix_config(seed: u64, mix: AdversaryMix) -> RunConfig {
+    RunConfig {
         nodes: MATRIX_NODES,
         seed,
         free_rider_fraction: 0.1,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
+        rounds: MATRIX_ROUNDS,
+        ..RunConfig::default()
     }
     .with_adversary(mix)
 }
 
-fn run_lifecycle(
-    config: ScenarioConfig,
-    defense: DefensePolicy,
-    rounds: usize,
-    audit: AuditPolicy,
-) -> Result<LifecycleRun, Box<dyn std::error::Error>> {
+fn run_lifecycle(config: RunConfig) -> Result<LifecycleRun, Box<dyn std::error::Error>> {
     let scenario = Arc::new(Scenario::build(config)?);
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds,
-            ..RoundsConfig::default()
-        }
-        .with_defense(defense)
-        .with_audit(audit),
-    );
+    let mut engine = build_engine(Arc::clone(&scenario), &config);
     let mut rng = scenario.gossip_rng(2);
-    let stats = sim.run(&mut rng)?;
-    let residual = sim.honest_residual_error();
-    let convicted = sim.convicted();
+    let stats = (0..config.rounds)
+        .map(|_| engine.run_round(rng.next_u64()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let core = engine.core();
+    let residual = core.honest_residual();
+    let convicted = core.convicted();
     // Subject means over the *operational* observers. Conviction resets
     // an auditee's identity, leaving it the zero-prior newcomer view of
     // everyone — counting those husks as observers would read as a
     // uniform deflation of every honest subject, drowning the signal the
     // deviation comparison is after. With no convictions this is exactly
-    // [`RoundsSimulator::subject_mean_reputations`].
+    // `EngineCore::subject_mean_reputations`.
     let n = scenario.graph.node_count();
     let convicted_mask = {
         let mut mask = vec![false; n];
@@ -387,7 +381,7 @@ fn run_lifecycle(
                     if excluded(o) {
                         continue;
                     }
-                    if let Some(v) = sim.aggregated(NodeId(o as u32), NodeId(s as u32)) {
+                    if let Some(v) = core.aggregated(NodeId(o as u32), NodeId(s as u32)) {
                         acc += v;
                         count += 1;
                     }
@@ -436,26 +430,12 @@ pub struct Reference {
 
 /// Build the reference runs for a seed.
 pub fn reference(seed: u64) -> Result<Reference, Box<dyn std::error::Error>> {
-    let config = scenario_config(seed, AdversaryMix::none());
+    let open = matrix_config(seed, AdversaryMix::none());
+    let defended = open.with_defense(DefensePolicy::defended());
     Ok(Reference {
-        open: run_lifecycle(
-            config,
-            DefensePolicy::none(),
-            MATRIX_ROUNDS,
-            AuditPolicy::off(),
-        )?,
-        defended: run_lifecycle(
-            config,
-            DefensePolicy::defended(),
-            MATRIX_ROUNDS,
-            AuditPolicy::off(),
-        )?,
-        stealth_defended: run_lifecycle(
-            config,
-            DefensePolicy::defended(),
-            STEALTH_ROUNDS,
-            AuditPolicy::off(),
-        )?,
+        open: run_lifecycle(open)?,
+        defended: run_lifecycle(defended)?,
+        stealth_defended: run_lifecycle(defended.with_rounds(STEALTH_ROUNDS))?,
     })
 }
 
@@ -466,11 +446,11 @@ fn byzantine_check(
     // The real peer deployment over the lossy transport: byzantine
     // peers falsify their inputs, the network loses (and recredits)
     // shares, and the mass ledger must still close exactly.
-    let substrate = Scenario::build(ScenarioConfig {
+    let substrate = Scenario::build(RunConfig {
         nodes: BYZANTINE_NODES,
         seed,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     })?;
     let values = substrate.population.latent_qualities();
     let honest_mean = values.iter().sum::<f64>() / values.len() as f64;
@@ -542,7 +522,8 @@ pub fn run_attack(
     thresholds: &ClaimThresholds,
     reference: &Reference,
 ) -> Result<AttackReport, Box<dyn std::error::Error>> {
-    let config = scenario_config(seed, mix);
+    let open = matrix_config(seed, mix);
+    let defended = open.with_defense(DefensePolicy::defended());
     let is_stealth = attack == "stealth";
     // The `none` row IS the reference — reuse its runs instead of
     // repeating the identical 250-node lifecycles. The stealth row runs
@@ -551,35 +532,13 @@ pub fn run_attack(
     let attack_runs = if mix.is_none() {
         None
     } else if is_stealth {
+        let long = defended.with_rounds(STEALTH_ROUNDS);
         Some((
-            run_lifecycle(
-                config,
-                DefensePolicy::defended(),
-                STEALTH_ROUNDS,
-                AuditPolicy::off(),
-            )?,
-            run_lifecycle(
-                config,
-                DefensePolicy::defended(),
-                STEALTH_ROUNDS,
-                AuditPolicy::standard(),
-            )?,
+            run_lifecycle(long)?,
+            run_lifecycle(long.with_audit(AuditPolicy::standard()))?,
         ))
     } else {
-        Some((
-            run_lifecycle(
-                config,
-                DefensePolicy::none(),
-                MATRIX_ROUNDS,
-                AuditPolicy::off(),
-            )?,
-            run_lifecycle(
-                config,
-                DefensePolicy::defended(),
-                MATRIX_ROUNDS,
-                AuditPolicy::off(),
-            )?,
-        ))
+        Some((run_lifecycle(open)?, run_lifecycle(defended)?))
     };
     let (open_run, defended_run) = match &attack_runs {
         Some((open, defended)) => (open, defended),
@@ -656,12 +615,7 @@ pub fn run_attack(
             wash_threshold: 0.8,
             ..AdversaryMix::none()
         };
-        let replay = run_lifecycle(
-            scenario_config(seed, knobbed),
-            DefensePolicy::none(),
-            MATRIX_ROUNDS,
-            AuditPolicy::off(),
-        )?;
+        let replay = run_lifecycle(matrix_config(seed, knobbed))?;
         Some(replay.stats == open_run.stats && replay.means == open_run.means)
     } else {
         None

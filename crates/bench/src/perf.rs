@@ -9,9 +9,9 @@
 //! file are ignored by the comparison).
 
 use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile, ScalarGossip};
-use dg_sim::rounds::{AggregationScope, RoundsConfig, RoundsSimulator};
-use dg_sim::scenario::{Scenario, ScenarioConfig};
-use dg_sim::{CheckpointKind, RunConfig, RunSession, TrafficModel};
+use dg_sim::rounds::AggregationScope;
+use dg_sim::{build_engine, CheckpointKind, RunConfig, RunSession, Scenario, TrafficModel};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -207,24 +207,20 @@ pub fn peak_rss_bytes() -> u64 {
     }
 }
 
-fn scenario_config(
-    perf: &PerfConfig,
-    seed: u64,
-    engine: EngineKind,
-    profile: NetworkProfile,
-    adversary: AdversaryMix,
-) -> ScenarioConfig {
-    ScenarioConfig {
-        nodes: perf.nodes,
-        seed,
-        free_rider_fraction: 0.25,
-        quality_range: (0.4, 1.0),
-        engine,
-        profile,
-        adversary,
-        traffic: perf.traffic,
-        ..ScenarioConfig::default()
-    }
+/// The run a perf config describes: its size, load, traffic, shards
+/// and scope over the pinned bench population (25% free riders, honest
+/// quality 0.4–1.0). Callers add the profile / adversary they measure.
+pub(crate) fn run_config(perf: &PerfConfig, seed: u64, engine: EngineKind) -> RunConfig {
+    RunConfig::with_nodes(perf.nodes)
+        .with_seed(seed)
+        .with_engine(engine)
+        .with_shards(perf.shards)
+        .with_free_riders(0.25)
+        .with_quality_range(0.4, 1.0)
+        .with_traffic(perf.traffic)
+        .with_rounds(perf.rounds)
+        .with_requests_per_edge(perf.requests_per_edge)
+        .with_scope(perf.scope)
 }
 
 fn measure_engine(
@@ -237,26 +233,14 @@ fn measure_engine(
     // is profile-independent — always measured lossless for
     // baseline-comparability.
     let rss_before = peak_rss_bytes();
-    let scenario = Arc::new(Scenario::build(scenario_config(
-        perf,
-        seed,
-        engine,
-        NetworkProfile::lossless(),
-        adversary,
-    ))?);
-    let config = RoundsConfig {
-        rounds: perf.rounds,
-        requests_per_edge: perf.requests_per_edge,
-        scope: perf.scope,
-        ..RoundsConfig::default()
-    }
-    .with_engine(engine)
-    .with_shards(perf.shards)
-    .with_traffic(perf.traffic);
-    let mut sim = RoundsSimulator::new(Arc::clone(&scenario), config);
+    let config = run_config(perf, seed, engine).with_adversary(adversary);
+    let scenario = Arc::new(Scenario::build(config)?);
+    let mut driver = build_engine(Arc::clone(&scenario), &config);
     let mut rng = scenario.gossip_rng(1);
     let start = Instant::now();
-    let stats = sim.run(&mut rng)?;
+    let stats = (0..config.rounds)
+        .map(|_| driver.run_round(rng.next_u64()))
+        .collect::<Result<Vec<_>, _>>()?;
     let wall = start.elapsed();
     let wall_s = wall.as_secs_f64().max(1e-9);
     let last = stats.last().expect("at least one round");
@@ -313,16 +297,17 @@ pub fn run_suite_with_adversary(
     // rewrites leech-role latent qualities, and this metric must stay
     // comparable against honest baselines (byzantine gossip numbers
     // come from the `claims` harness).
-    let scenario = Scenario::build(scenario_config(
-        perf,
-        seed,
-        EngineKind::Sequential,
-        profile,
-        AdversaryMix::none(),
-    ))?;
+    let config = RunConfig {
+        xi: 1e-4,
+        ..run_config(perf, seed, EngineKind::Sequential).with_profile(profile)
+    };
+    let scenario = Scenario::build(config)?;
     let values = scenario.population.latent_qualities();
     let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
-    let gossip = scenario.gossip_config(1e-4)?.with_sticky_announcements();
+    let gossip = config
+        .gossip_config()
+        .validated()?
+        .with_sticky_announcements();
     let out =
         ScalarGossip::average(&scenario.graph, gossip, &values)?.run(&mut scenario.gossip_rng(1));
     let residual_error = out.max_error(mean);
@@ -682,21 +667,12 @@ pub(crate) fn select_config(cli: &crate::Cli) -> PerfConfig {
     config
 }
 
-/// The consolidated session config a perf config maps onto (same
-/// population and workload knobs as [`scenario_config`]).
+/// The session config the CLI selects: [`run_config`] under the
+/// requested engine (sharded by default), profile and adversary.
 fn session_run_config(perf: &PerfConfig, cli: &crate::Cli) -> RunConfig {
-    RunConfig::with_nodes(perf.nodes)
-        .with_seed(cli.seed)
-        .with_engine(cli.engine.unwrap_or(EngineKind::Sharded))
-        .with_shards(perf.shards)
-        .with_free_riders(0.25)
-        .with_quality_range(0.4, 1.0)
+    run_config(perf, cli.seed, cli.engine.unwrap_or(EngineKind::Sharded))
         .with_profile(cli.profile)
         .with_adversary(cli.adversary)
-        .with_traffic(perf.traffic)
-        .with_rounds(perf.rounds)
-        .with_requests_per_edge(perf.requests_per_edge)
-        .with_scope(perf.scope)
 }
 
 /// `--checkpoint-every` / `--resume` mode: drive the selected config

@@ -17,7 +17,7 @@
 use crate::perf::PerfConfig;
 use dg_gossip::EngineKind;
 use dg_serve::{Client, Request, Response, ServeOptions, Server};
-use dg_sim::{RunConfig, TrafficModel};
+use dg_sim::TrafficModel;
 use dg_trust::prelude::TransactionOutcome;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,18 +66,6 @@ pub struct ServeReport {
     /// ... of which shed with a typed `Busy` (backpressure working,
     /// not a failure).
     pub ingest_shed: u64,
-}
-
-fn serve_run_config(perf: &PerfConfig, seed: u64, engine: EngineKind) -> RunConfig {
-    RunConfig::with_nodes(perf.nodes)
-        .with_seed(seed)
-        .with_engine(engine)
-        .with_shards(perf.shards)
-        .with_free_riders(0.25)
-        .with_quality_range(0.4, 1.0)
-        .with_traffic(perf.traffic)
-        .with_requests_per_edge(perf.requests_per_edge)
-        .with_scope(perf.scope)
 }
 
 /// One query client: pipelined batches of reputation lookups with a
@@ -159,7 +147,7 @@ pub fn run_serve(
     seed: u64,
     engine: EngineKind,
 ) -> Result<ServeReport, Box<dyn std::error::Error>> {
-    let config = serve_run_config(perf, seed, engine);
+    let config = crate::perf::run_config(perf, seed, engine);
     let mut server =
         Server::start(config, ServeOptions::default()).map_err(|e| format!("server start: {e}"))?;
     let addr = server.local_addr();

@@ -6,11 +6,9 @@
 //! the per-attack knobs, in one serializable config that travels the
 //! same road as [`NetworkProfile`](crate::NetworkProfile):
 //!
-//! * `ScenarioConfig::adversary` (dg-sim) compiles the mix into per-node
+//! * `RunConfig::adversary` (dg-sim) compiles the mix into per-node
 //!   roles and the round engines apply each role's gossip-channel
 //!   distortion (the `Strategy` trait lives there);
-//! * [`GossipConfig::adversary`](crate::GossipConfig) carries the mix so
-//!   round-driving layers configured through a gossip config inherit it;
 //! * `DistributedConfig::adversary` (dg-p2p) maps the *total* adversary
 //!   fraction onto byzantine peers that falsify their gossip inputs over
 //!   the real transports, reliable or faulty.

@@ -24,7 +24,8 @@ pub enum EngineKind {
     #[default]
     Sequential,
     /// Sharded phase engine: per-shard CSR state and bounded scratch,
-    /// rayon fan-out over shards (shard count on the round config).
+    /// rayon fan-out over shards (shard count: the simulator's
+    /// `RunConfig::shard_count`).
     /// Configs and snapshot headers written while the batched
     /// `Parallel` engine existed deserialize here.
     #[serde(alias = "Parallel")]
@@ -101,10 +102,6 @@ pub struct GossipConfig {
     /// Hard step cap: runs that have not converged by then report
     /// `converged = false` instead of spinning forever.
     pub max_steps: usize,
-    /// Execution engine for round-driving layers consuming this config
-    /// (see [`EngineKind`]); the gossip protocol itself is
-    /// engine-agnostic.
-    pub engine: EngineKind,
     /// Whether convergence announcements are *sticky* (the paper's
     /// literal protocol: once announced, never revoked). Sticky
     /// announcements are safe — and faster to quiesce — when every node
@@ -114,19 +111,6 @@ pub struct GossipConfig {
     /// node whose ratio is disturbed by more than `ξ` revokes and
     /// resumes (see the `scalar` module docs).
     pub sticky_announcements: bool,
-    /// Adversarial population mix this config's experiment assumes (see
-    /// [`AdversaryMix`](crate::AdversaryMix)). **Descriptive metadata,
-    /// like [`EngineKind`] for the protocol itself**: the gossip engines
-    /// are adversary-agnostic and never read it — the distortion is
-    /// applied where the mix is *compiled*, by the simulator's scenario
-    /// build (`ScenarioConfig::adversary` → per-node strategies in the
-    /// round engines) and by the `dg-p2p` deployment
-    /// (`DistributedConfig::adversary` → byzantine input falsification).
-    /// It is carried and validated here so a config derived from a
-    /// scenario serializes the full experiment description. Defaults to
-    /// [`AdversaryMix::none`](crate::AdversaryMix::none).
-    #[serde(default)]
-    pub adversary: crate::adversary::AdversaryMix,
 }
 
 impl Default for GossipConfig {
@@ -137,9 +121,7 @@ impl Default for GossipConfig {
             loss: LossModel::none(),
             churn: ChurnModel::none(),
             max_steps: 100_000,
-            engine: EngineKind::default(),
             sticky_announcements: false,
-            adversary: crate::adversary::AdversaryMix::none(),
         }
     }
 }
@@ -217,24 +199,11 @@ impl GossipConfig {
         self
     }
 
-    /// Builder-style: select the execution engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builder-style: set the adversarial population mix.
-    pub fn with_adversary(mut self, adversary: crate::adversary::AdversaryMix) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Validate the tolerance and the adversary mix.
+    /// Validate the tolerance.
     pub fn validated(self) -> Result<Self, GossipError> {
         if !self.xi.is_finite() || self.xi <= 0.0 {
             return Err(GossipError::InvalidTolerance(self.xi));
         }
-        self.adversary.validated()?;
         Ok(self)
     }
 }

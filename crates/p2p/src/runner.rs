@@ -111,22 +111,6 @@ pub enum DistributedError {
     Store(#[from] dg_store::StoreError),
 }
 
-/// Legacy shim: the deployment-layer slice of a consolidated
-/// [`dg_sim::RunConfig`] — `max_steps` maps onto the round cap. New
-/// code should hold the `RunConfig` itself.
-impl From<&dg_sim::RunConfig> for DistributedConfig {
-    fn from(config: &dg_sim::RunConfig) -> Self {
-        Self {
-            xi: config.xi,
-            fanout: config.fanout,
-            max_rounds: config.max_steps,
-            seed: config.seed,
-            profile: config.profile,
-            adversary: config.adversary,
-        }
-    }
-}
-
 /// Run differential push gossip as one tokio task per peer, deploying
 /// over the transport backend selected by `config.profile`: the reliable
 /// [`Network`] for [`NetworkProfile::lossless`], the [`FaultyNetwork`]

@@ -14,7 +14,8 @@
 //! are until *protocol quiescence*: every node and all its neighbours
 //! have announced ξ-convergence.
 
-use crate::scenario::{Scenario, ScenarioConfig};
+use crate::config::RunConfig;
+use crate::scenario::Scenario;
 use dg_core::collusion::{average_rms_error, ColludedAggregates, CollusionScheme, GroupAssignment};
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
@@ -64,7 +65,7 @@ fn run_steps_once(
     loss: f64,
     seed: u64,
 ) -> Result<StepsRow, CoreError> {
-    let scenario = Scenario::build(ScenarioConfig::with_nodes(nodes).with_seed(seed))?;
+    let scenario = Scenario::build(RunConfig::with_nodes(nodes).with_seed(seed))?;
     let values = scenario.population.latent_qualities();
     // Averaging mode starts every node with positive gossip weight, so the
     // paper's literal sticky-announcement protocol is safe (and is what
@@ -162,13 +163,19 @@ fn degradation_row(
     seed: u64,
 ) -> Result<DegradationRow, CoreError> {
     let scenario = Scenario::build(
-        ScenarioConfig::with_nodes(nodes)
+        RunConfig::with_nodes(nodes)
             .with_seed(seed)
             .with_profile(profile),
     )?;
     let values = scenario.population.latent_qualities();
     let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let config = scenario.gossip_config(xi)?.with_sticky_announcements();
+    let config = RunConfig {
+        xi,
+        ..scenario.config
+    }
+    .gossip_config()
+    .validated()?
+    .with_sticky_announcements();
     let mut rng = scenario.gossip_rng(1);
     let out = ScalarGossip::average(&scenario.graph, config, &values)?.run(&mut rng);
     Ok(DegradationRow {
@@ -249,13 +256,13 @@ pub fn collusion_experiment(
     // File-sharing interactions reach beyond overlay neighbours; a
     // moderately dense trust footprint is what gives the weighted GCLR
     // its Eq. (17) protection (see DESIGN.md).
-    let config = ScenarioConfig {
+    let config = RunConfig {
         nodes,
         seed,
         far_partners: 10,
         weight_a: 4.0,
         weight_b: 2.0,
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     };
     let scenario = Scenario::build(config)?;
     let system = scenario.system()?;
@@ -410,7 +417,7 @@ pub fn spread_experiment(
     combos
         .into_par_iter()
         .map(|(n, protocol)| {
-            let scenario = Scenario::build(ScenarioConfig::with_nodes(n).with_seed(seed))?;
+            let scenario = Scenario::build(RunConfig::with_nodes(n).with_seed(seed))?;
             let cap = 50 * (n as f64).log2().ceil() as usize;
             let mut total = 0usize;
             let mut completed = 0usize;
@@ -438,7 +445,7 @@ pub fn potential_experiment(
     steps: usize,
     seed: u64,
 ) -> Result<Vec<f64>, CoreError> {
-    let scenario = Scenario::build(ScenarioConfig::with_nodes(nodes).with_seed(seed))?;
+    let scenario = Scenario::build(RunConfig::with_nodes(nodes).with_seed(seed))?;
     let mut tracker = PotentialTracker::new(&scenario.graph, policy)?;
     let mut rng = scenario.gossip_rng(7);
     Ok(tracker.trace(steps, &mut rng))
@@ -473,13 +480,13 @@ pub fn weight_ablation(
             // Complete topology: the Section 5.2 idealisation in which
             // every node is every other's neighbour, so the Eq. (17)
             // shrink factor is exact rather than footprint-limited.
-            let config = ScenarioConfig {
+            let config = RunConfig {
                 nodes,
                 weight_a: a,
                 weight_b: b,
                 seed,
                 topology: crate::scenario::Topology::Complete,
-                ..ScenarioConfig::default()
+                ..RunConfig::default()
             };
             let scenario = Scenario::build(config)?;
             let system = scenario.system()?;

@@ -42,7 +42,8 @@
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
 
-use crate::rounds::{AggregationScope, NewcomerPolicy, RoundStats, RoundsConfig};
+use crate::config::RunConfig;
+use crate::rounds::{AggregationScope, NewcomerPolicy, RoundStats};
 use crate::scenario::Scenario;
 use crate::session::{checkpoint_node, restore_nodes, EngineCheckpoint, RestoreError};
 use crate::workload::ActivityPlan;
@@ -519,7 +520,7 @@ pub(crate) fn purge_identities(nodes: &mut [NodeState], purged: &[NodeId]) {
 /// state that strategy derives — never anything a checkpoint needs).
 pub struct EngineCore {
     pub(crate) scenario: Arc<Scenario>,
-    pub(crate) config: RoundsConfig,
+    pub(crate) config: RunConfig,
     pub(crate) plan: ActivityPlan,
     /// Per-node estimators, tables and audit state, indexed by node id.
     pub(crate) nodes: Vec<NodeState>,
@@ -535,7 +536,7 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Fresh state over a scenario, at round 0.
-    pub(crate) fn new(scenario: Arc<Scenario>, config: RoundsConfig) -> Self {
+    pub(crate) fn new(scenario: Arc<Scenario>, config: RunConfig) -> Self {
         let n = scenario.graph.node_count();
         Self {
             scenario,
@@ -606,7 +607,13 @@ impl EngineCore {
         subject_means(&sums, &cnts)
     }
 
-    /// Honest-subject residual error (the claims-gate metric).
+    /// Mean absolute error between honest subjects' network-wide mean
+    /// aggregated reputation and their latent quality (the claims-gate
+    /// metric). A *diagnostic* residual: Eq. (6) deflates estimates
+    /// observer-dependently, so even honest runs keep a systematic
+    /// offset — compare runs against each other
+    /// ([`Self::subject_mean_reputations`]) to isolate what an attack
+    /// moved. `None` before the first aggregation round.
     pub fn honest_residual(&self) -> Option<f64> {
         let (sums, cnts) = self.totals();
         honest_residual_error(&self.scenario, &sums, &cnts)
@@ -804,7 +811,7 @@ impl EngineCore {
     ) -> Result<(), CoreError> {
         let out = alg4::run(
             system,
-            self.config.gossip.validated()?,
+            self.config.gossip_config().validated()?,
             &mut aggregation_rng(round_seed),
         )?;
         self.aggregated = out

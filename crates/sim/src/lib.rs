@@ -3,6 +3,8 @@
 //! Everything the evaluation (Section 5.3) needs on top of the algorithm
 //! crates:
 //!
+//! * [`config`] — [`RunConfig`], the one serializable description of a
+//!   run that every layer below reads;
 //! * [`scenario`] — reproducible scenario construction: PA topology +
 //!   behaviour population + trust matrix, all from one seeded config;
 //! * [`workload`] — the synthetic file-sharing workload that *estimates*
@@ -17,9 +19,8 @@
 //!   estimation → aggregation → admission control) behind the free-riding
 //!   examples, dispatching through one engine factory to the sequential
 //!   reference driver or one of the two production engines;
-//! * [`session`] — the consolidated front door: one serializable
-//!   [`RunConfig`] for every knob, and a
-//!   [`RunSession`] that runs rounds on a
+//! * [`session`] — the front door: a [`RunSession`] that builds
+//!   scenario and engine from a [`RunConfig`], runs rounds on a
 //!   deterministic seed schedule and checkpoints / resumes through the
 //!   `dg-store` durability layer, bit-for-bit;
 //! * [`kernel`] — the shared phase kernel and the one `EngineCore`
@@ -57,6 +58,7 @@
 
 pub mod adversary;
 pub mod baselines;
+pub mod config;
 pub mod experiments;
 pub mod incremental;
 pub mod kernel;
@@ -69,10 +71,12 @@ pub mod sharded;
 pub mod workload;
 
 pub use adversary::{AdversaryAssignment, Role, Strategy};
-pub use scenario::{Scenario, ScenarioConfig};
+pub use config::RunConfig;
+pub use rounds::build_engine;
+pub use scenario::Scenario;
 pub use serve::{IngestError, IngestReport, ServeSession};
 pub use session::{
-    build_engine, round_seed, CheckpointKind, EngineCheckpoint, NodeCheckpoint, RestoreError,
-    RunConfig, RunSession, SessionError,
+    round_seed, CheckpointKind, EngineCheckpoint, NodeCheckpoint, RestoreError, RunSession,
+    SessionError,
 };
 pub use workload::{ActivityPlan, TrafficModel};

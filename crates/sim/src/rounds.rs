@@ -11,46 +11,48 @@
 //! Each round runs the phases of the shared kernel ([`crate::kernel`]):
 //! **transact** (traffic-gated, admission-controlled chunk requests
 //! along overlay edges), **estimate** (per-edge EWMA updates feeding
-//! each node's [`ReputationTable`]) and **aggregate** (Variation-4
-//! differential gossip, in closed form or by real gossip).
+//! each node's [`ReputationTable`](dg_trust::prelude::ReputationTable))
+//! and **aggregate** (Variation-4 differential gossip, in closed form or
+//! by real gossip).
 //!
 //! Three execution engines are available through
-//! [`GossipConfig::engine`](dg_gossip::GossipConfig), each a `run_round`
-//! strategy over one shared [`EngineCore`]:
+//! [`RunConfig::engine`], each a `run_round` strategy over one shared
+//! [`EngineCore`]:
 //!
 //! * [`EngineKind::Sequential`] — the reference driver in this module:
 //!   one inline pass over nodes, the oracle every suite compares
 //!   against;
 //! * [`EngineKind::Sharded`] —
 //!   [`ShardedRoundEngine`](crate::sharded::ShardedRoundEngine): nodes
-//!   partitioned into contiguous shards ([`RoundsConfig::shard_count`]),
+//!   partitioned into contiguous shards ([`RunConfig::shard_count`]),
 //!   each with its own CSR block and bounded scratch, rayon fan-out
 //!   over shards — the dense and million-node configuration;
 //! * [`EngineKind::Incremental`] —
 //!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine):
 //!   persistent sharded trust state, dirty-row tracking and
 //!   delta-maintained aggregates, so a round costs `O(dirty)` instead
-//!   of `O(N)` under skewed traffic ([`RoundsConfig::traffic`]).
+//!   of `O(N)` under skewed traffic ([`RunConfig::traffic`]).
 //!
 //! Every node consumes a private ChaCha8 stream derived from the round
 //! seed, so **all engines produce bit-for-bit identical results at any
 //! thread count, any shard count, and any traffic shape** (pinned by
 //! `tests/engine_equivalence.rs`).
+//!
+//! Engines are built by [`build_engine`] and take one caller-chosen seed
+//! per [`RoundEngine::run_round`]; [`RunSession`](crate::session::RunSession)
+//! is the driver that adds the resumable seed schedule and checkpoints.
 
+use crate::config::RunConfig;
 use crate::kernel::{
     closed_form_row, purge_identities, EngineCore, ServiceDelta, SubjectAggregates,
 };
 use crate::scenario::Scenario;
 use crate::session::{EngineCheckpoint, RestoreError};
-use crate::workload::TrafficModel;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
-use dg_gossip::{EngineKind, GossipConfig};
+use dg_gossip::EngineKind;
 use dg_graph::NodeId;
-use dg_trust::audit::AuditPolicy;
-use dg_trust::prelude::ReputationTable;
 use dg_trust::{RobustAggregation, TrustMatrix};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -132,121 +134,6 @@ impl DefensePolicy {
     /// Whether this policy changes anything over the paper's behaviour.
     pub fn is_none(&self) -> bool {
         self.robust.is_none() && self.newcomer == NewcomerPolicy::Optimistic
-    }
-}
-
-/// Round-loop configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RoundsConfig {
-    /// Rounds to simulate.
-    pub rounds: usize,
-    /// Requests per directed neighbour pair per round.
-    pub requests_per_edge: u32,
-    /// Admission threshold as a *fraction of the provider's own mean
-    /// aggregated reputation*: a requester is served when its reputation
-    /// clears `admission_threshold × mean`. Relative thresholds are
-    /// necessary because Eq. (6) deflates estimates observer-dependently
-    /// (an observer whose weighted neighbourhood holds no information
-    /// about a subject treats the silence like 0-reports, the
-    /// anti-whitewash default) — an absolute cut-off would let
-    /// high-excess observers refuse honest strangers wholesale.
-    pub admission_threshold: f64,
-    /// EWMA learning rate for trust estimation.
-    pub ewma_rate: f64,
-    /// How to refresh reputations.
-    pub aggregation: AggregationMode,
-    /// Closed-form materialisation scope.
-    pub scope: AggregationScope,
-    /// Gossip-layer configuration: tolerance `ξ` for
-    /// [`AggregationMode::Gossip`] and the execution engine
-    /// ([`GossipConfig::engine`]) driving the round loop.
-    pub gossip: GossipConfig,
-    /// Trust-side countermeasures against adversarial reports. Defaults
-    /// to [`DefensePolicy::none`] — the paper's plain behaviour.
-    #[serde(default)]
-    pub defense: DefensePolicy,
-    /// Shard count for [`EngineKind::Sharded`] and
-    /// [`EngineKind::Incremental`] (ignored by the other engines). `0` —
-    /// the default — selects the deterministic auto partition, one shard
-    /// per [`ShardSpec::AUTO_CHUNK`](dg_trust::ShardSpec::AUTO_CHUNK)
-    /// nodes. Results are bit-identical for **every** value; this is
-    /// purely a memory/parallelism knob.
-    #[serde(default)]
-    pub shard_count: usize,
-    /// Traffic shape: which requesters are active each round (see
-    /// [`TrafficModel`]). Defaults to the legacy full workload — every
-    /// participating node requests every round. Results are
-    /// bit-identical across engines for **every** traffic shape; the
-    /// incremental engine merely converts the idleness into speed.
-    #[serde(default)]
-    pub traffic: TrafficModel,
-    /// The stochastic-audit countermeasure against within-bounds
-    /// stealth cartels (see [`dg_trust::audit`]). Defaults to
-    /// [`AuditPolicy::off`] — zero audit rate, no report logging, runs
-    /// bit-identical to builds that predate the subsystem.
-    #[serde(default)]
-    pub audit: AuditPolicy,
-}
-
-impl Default for RoundsConfig {
-    fn default() -> Self {
-        Self {
-            rounds: 10,
-            requests_per_edge: 5,
-            admission_threshold: 0.35,
-            ewma_rate: 0.3,
-            aggregation: AggregationMode::ClosedForm,
-            scope: AggregationScope::Full,
-            gossip: GossipConfig::default(),
-            defense: DefensePolicy::none(),
-            shard_count: 0,
-            traffic: TrafficModel::full(),
-            audit: AuditPolicy::off(),
-        }
-    }
-}
-
-impl RoundsConfig {
-    /// Builder-style: select the execution engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.gossip.engine = engine;
-        self
-    }
-
-    /// Builder-style: fix the shard count of the sharded-substrate
-    /// engines (0 = auto).
-    pub fn with_shards(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
-    }
-
-    /// Builder-style: set the defense policy.
-    pub fn with_defense(mut self, defense: DefensePolicy) -> Self {
-        self.defense = defense;
-        self
-    }
-
-    /// Builder-style: set the gossip tolerance `ξ`.
-    pub fn with_xi(mut self, xi: f64) -> Self {
-        self.gossip.xi = xi;
-        self
-    }
-
-    /// Builder-style: set the traffic shape.
-    pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
-        self.traffic = traffic;
-        self
-    }
-
-    /// Builder-style: set the audit policy.
-    pub fn with_audit(mut self, audit: AuditPolicy) -> Self {
-        self.audit = audit;
-        self
-    }
-
-    /// The engine driving the round loop.
-    pub fn engine(&self) -> EngineKind {
-        self.gossip.engine
     }
 }
 
@@ -360,12 +247,11 @@ fn rate(served: u64, refused: u64) -> f64 {
 /// (estimators, tables, aggregated runs, observer means, queued ingest,
 /// round index) and everything that is a pure function of it —
 /// [`EngineCore::checkpoint`], [`EngineCore::queue_reports`], lookups,
-/// totals — so [`RoundsSimulator`] and
-/// [`RunSession`](crate::session::RunSession) read those straight off
-/// [`core`](Self::core). Adding an engine is one `impl` (the two
-/// accessors plus `run_round`) and one arm in `make_engine` — the single
-/// dispatch point every layer (simulator, session, bench CLI, perf
-/// suite) routes through.
+/// totals — so [`RunSession`](crate::session::RunSession) and
+/// engine-level callers read those straight off [`core`](Self::core).
+/// Adding an engine is one `impl` (the two accessors plus `run_round`)
+/// and one arm in [`build_engine`] — the single dispatch point every
+/// layer (session, bench CLI, perf suite) routes through.
 ///
 /// Checkpoints speak the engine-agnostic [`EngineCheckpoint`].
 /// Engine-internal acceleration state — CSR matrices, aggregate caches,
@@ -389,11 +275,14 @@ pub trait RoundEngine {
     }
 }
 
-/// The single engine factory: every layer that turns an [`EngineKind`]
-/// into a running engine goes through here.
-pub(crate) fn make_engine(scenario: Arc<Scenario>, config: RoundsConfig) -> Box<dyn RoundEngine> {
-    let core = EngineCore::new(scenario, config);
-    match config.engine() {
+/// The single engine factory: build the round engine `config` selects
+/// over an existing (shared) scenario, at round 0. Prefer
+/// [`RunSession`](crate::session::RunSession) unless you need to hold
+/// the scenario or choose the round seeds yourself (the session builds
+/// scenario *and* engine and adds checkpoint / resume).
+pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn RoundEngine> {
+    let core = EngineCore::new(scenario, *config);
+    match config.engine {
         EngineKind::Sequential => Box::new(SequentialRounds::new(core)),
         EngineKind::Sharded => Box::new(crate::sharded::ShardedRoundEngine::new(core)),
         EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(core)),
@@ -492,108 +381,37 @@ impl RoundEngine for SequentialRounds {
     }
 }
 
-/// The round-loop simulator, dispatching to the configured engine.
-pub struct RoundsSimulator {
-    config: RoundsConfig,
-    backend: Box<dyn RoundEngine>,
-}
-
-impl RoundsSimulator {
-    /// Create a simulator over a (shared) scenario, using the engine
-    /// selected by `config.gossip.engine`.
-    pub fn new(scenario: Arc<Scenario>, config: RoundsConfig) -> Self {
-        Self {
-            config,
-            backend: make_engine(scenario, config),
-        }
-    }
-
-    /// The engine driving this simulator.
-    pub fn engine(&self) -> EngineKind {
-        self.config.engine()
-    }
-
-    /// The reputation table of one node.
-    pub fn table(&self, node: NodeId) -> &ReputationTable {
-        self.backend.core().table(node)
-    }
-
-    /// The aggregated reputation of `subject` at `observer`, if any
-    /// aggregation round has run (and the pair is in scope).
-    pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        self.backend.core().aggregated(observer, subject)
-    }
-
-    /// Mean absolute error between honest subjects' network-wide mean
-    /// aggregated reputation and their latent quality. A *diagnostic*
-    /// residual: Eq. (6) deflates estimates observer-dependently, so
-    /// even honest runs keep a systematic offset — compare runs against
-    /// each other ([`Self::subject_mean_reputations`]) to isolate what
-    /// an attack moved. `None` before the first aggregation round.
-    pub fn honest_residual_error(&self) -> Option<f64> {
-        self.backend.core().honest_residual()
-    }
-
-    /// Each subject's mean aggregated reputation over the observers
-    /// currently holding a view (`None` for unaggregated subjects) —
-    /// the per-node quantity attack/reference comparisons difference.
-    pub fn subject_mean_reputations(&self) -> Vec<Option<f64>> {
-        self.backend.core().subject_mean_reputations()
-    }
-
-    /// Nodes convicted by the audit subsystem so far, with their
-    /// conviction rounds, ascending (empty while auditing is off).
-    pub fn convicted(&self) -> Vec<(NodeId, u64)> {
-        self.backend.core().convicted()
-    }
-
-    /// Run one full round, drawing the round seed from `rng`; returns
-    /// its statistics.
-    pub fn run_round<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<RoundStats, CoreError> {
-        let round_seed = rng.next_u64();
-        self.backend.run_round(round_seed)
-    }
-
-    /// Run all configured rounds.
-    pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<Vec<RoundStats>, CoreError> {
-        (0..self.config.rounds)
-            .map(|_| self.run_round(rng))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioConfig;
+    use crate::workload::TrafficModel;
+    use rand::RngCore;
 
-    #[test]
-    fn free_riders_get_starved() {
-        let cfg = ScenarioConfig {
+    /// Build the scenario and engine for `config` and run all its
+    /// rounds on seeds drawn from gossip stream `stream`.
+    fn run(config: RunConfig, stream: u64) -> Vec<RoundStats> {
+        let scenario = Arc::new(Scenario::build(config).unwrap());
+        let mut rng = scenario.gossip_rng(stream);
+        let mut engine = build_engine(scenario, &config);
+        (0..config.rounds)
+            .map(|_| engine.run_round(rng.next_u64()).unwrap())
+            .collect()
+    }
+
+    /// Honest contributors are decent (≥ 0.4); the gap to free riders is
+    /// what admission control must detect.
+    fn free_rider_config() -> RunConfig {
+        RunConfig {
             nodes: 120,
             free_rider_fraction: 0.25,
             seed: 7,
-            // Honest contributors are decent (≥ 0.4); the gap to free
-            // riders is what admission control must detect.
             quality_range: (0.4, 1.0),
-            ..ScenarioConfig::default()
-        };
-        let scenario = Arc::new(Scenario::build(cfg).unwrap());
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&scenario),
-            RoundsConfig {
-                rounds: 6,
-                ..RoundsConfig::default()
-            },
-        );
-        let mut rng = scenario.gossip_rng(2);
-        let stats = sim.run(&mut rng).unwrap();
+            rounds: 6,
+            ..RunConfig::default()
+        }
+    }
 
-        // Round 0: nobody has reputations yet; everyone served.
-        assert_eq!(stats[0].refused_honest + stats[0].refused_free_riders, 0);
-        // By the last round free riders are mostly refused while honest
-        // nodes keep near-full service.
-        let last = stats.last().unwrap();
+    fn assert_free_riders_starved(last: &RoundStats) {
         assert!(
             last.free_rider_service_rate() < 0.2,
             "free riders still served at {}",
@@ -604,6 +422,18 @@ mod tests {
             "honest service degraded to {}",
             last.honest_service_rate()
         );
+    }
+
+    #[test]
+    fn free_riders_get_starved() {
+        let stats = run(free_rider_config(), 2);
+
+        // Round 0: nobody has reputations yet; everyone served.
+        assert_eq!(stats[0].refused_honest + stats[0].refused_free_riders, 0);
+        // By the last round free riders are mostly refused while honest
+        // nodes keep near-full service.
+        let last = stats.last().unwrap();
+        assert_free_riders_starved(last);
         // Reputation separation.
         assert!(last.mean_rep_honest > last.mean_rep_free_riders + 0.2);
         // The full traffic model keeps every node active, and every
@@ -614,96 +444,52 @@ mod tests {
 
     #[test]
     fn gossip_mode_agrees_with_closed_form_direction() {
-        let cfg = ScenarioConfig {
-            nodes: 60,
-            free_rider_fraction: 0.2,
-            seed: 11,
-            ..ScenarioConfig::default()
-        };
-        let scenario = Arc::new(Scenario::build(cfg).unwrap());
-        let mut rng = scenario.gossip_rng(3);
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&scenario),
-            RoundsConfig {
+        let stats = run(
+            RunConfig {
+                nodes: 60,
+                free_rider_fraction: 0.2,
+                seed: 11,
                 rounds: 4,
                 aggregation: AggregationMode::Gossip,
-                ..RoundsConfig::default()
-            }
-            .with_xi(1e-6),
+                xi: 1e-6,
+                ..RunConfig::default()
+            },
+            3,
         );
-        let stats = sim.run(&mut rng).unwrap();
         let last = stats.last().unwrap();
         assert!(last.mean_rep_honest > last.mean_rep_free_riders);
     }
 
     #[test]
     fn aggregated_lookup_works() {
-        let cfg = ScenarioConfig {
-            nodes: 30,
-            seed: 5,
-            ..ScenarioConfig::default()
-        };
-        let scenario = Arc::new(Scenario::build(cfg).unwrap());
-        let mut sim = RoundsSimulator::new(Arc::clone(&scenario), RoundsConfig::default());
-        assert_eq!(sim.aggregated(NodeId(0), NodeId(1)), None);
-        let mut rng = scenario.gossip_rng(4);
-        sim.run_round(&mut rng).unwrap();
+        let config = RunConfig::with_nodes(30).with_seed(5);
+        let scenario = Arc::new(Scenario::build(config).unwrap());
+        let mut engine = build_engine(Arc::clone(&scenario), &config);
+        assert_eq!(engine.core().aggregated(NodeId(0), NodeId(1)), None);
+        engine.run_round(scenario.gossip_rng(4).next_u64()).unwrap();
         // Node 1 is a neighbour of someone, so it has been rated and
         // aggregated.
-        assert!(sim.aggregated(NodeId(0), NodeId(1)).is_some());
+        assert!(engine.core().aggregated(NodeId(0), NodeId(1)).is_some());
     }
 
     #[test]
     fn neighbourhood_scope_still_starves_free_riders() {
-        let cfg = ScenarioConfig {
-            nodes: 120,
-            free_rider_fraction: 0.25,
-            seed: 7,
-            quality_range: (0.4, 1.0),
-            ..ScenarioConfig::default()
-        };
-        let scenario = Arc::new(Scenario::build(cfg).unwrap());
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&scenario),
-            RoundsConfig {
-                rounds: 6,
-                scope: AggregationScope::Neighbourhood,
-                ..RoundsConfig::default()
-            },
+        let stats = run(
+            free_rider_config().with_scope(AggregationScope::Neighbourhood),
+            2,
         );
-        let mut rng = scenario.gossip_rng(2);
-        let stats = sim.run(&mut rng).unwrap();
-        let last = stats.last().unwrap();
-        assert!(
-            last.free_rider_service_rate() < 0.2,
-            "free riders still served at {}",
-            last.free_rider_service_rate()
-        );
-        assert!(
-            last.honest_service_rate() > 0.8,
-            "honest service degraded to {}",
-            last.honest_service_rate()
-        );
+        assert_free_riders_starved(stats.last().unwrap());
     }
 
     #[test]
     fn thinned_traffic_reduces_activity_and_dirt() {
-        let cfg = ScenarioConfig {
-            nodes: 150,
-            seed: 19,
-            ..ScenarioConfig::default()
-        };
-        let scenario = Arc::new(Scenario::build(cfg).unwrap());
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&scenario),
-            RoundsConfig {
-                rounds: 3,
-                ..RoundsConfig::default()
-            }
-            .with_traffic(TrafficModel::full().with_activity(0.1)),
+        let stats = run(
+            RunConfig::with_nodes(150)
+                .with_seed(19)
+                .with_rounds(3)
+                .with_traffic(TrafficModel::full().with_activity(0.1)),
+            2,
         );
-        let mut rng = scenario.gossip_rng(2);
-        let stats = sim.run(&mut rng).unwrap();
         for s in &stats {
             assert!(
                 s.active_nodes < 50,

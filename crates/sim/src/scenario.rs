@@ -1,17 +1,17 @@
 //! Reproducible scenario construction.
 //!
-//! One seeded [`ScenarioConfig`] deterministically produces a complete
+//! One seeded [`RunConfig`] deterministically produces a complete
 //! experiment substrate: the PA overlay, the behaviour population
 //! (honest / free-riding peers), and the direct-interaction trust matrix
 //! (either the exact latent qualities or estimates from a simulated
 //! transaction workload).
 
 use crate::adversary::AdversaryAssignment;
+use crate::config::RunConfig;
 use dg_core::behavior::{Behavior, Population};
 use dg_core::reputation::{trust_from_qualities, ReputationSystem};
 use dg_core::CoreError;
-use dg_gossip::profile::NetworkProfile;
-use dg_gossip::{AdversaryMix, EngineKind, GossipConfig, GossipError};
+use dg_gossip::EngineKind;
 use dg_graph::{pa, Graph};
 use dg_trust::{TrustMatrix, WeightParams};
 use rand::Rng;
@@ -44,128 +44,6 @@ pub enum TrustSource {
     },
 }
 
-/// Scenario parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioConfig {
-    /// Nodes in the overlay.
-    pub nodes: usize,
-    /// PA attachment parameter `m`.
-    pub m: usize,
-    /// RNG seed (drives topology, population, workload and gossip).
-    pub seed: u64,
-    /// Weight-law parameters `(a, b)`.
-    pub weight_a: f64,
-    /// See `weight_a`.
-    pub weight_b: f64,
-    /// Fraction of free riders in the population.
-    pub free_rider_fraction: f64,
-    /// Honest quality range `[lo, hi]`.
-    pub quality_range: (f64, f64),
-    /// Trust matrix source.
-    pub trust_source: TrustSource,
-    /// Overlay topology family.
-    pub topology: Topology,
-    /// Additional random *far* interaction partners per node: file-sharing
-    /// downloads reach beyond overlay neighbours, so each node also rates
-    /// this many uniformly chosen non-neighbours. Densifies the trust
-    /// matrix the way the paper's Section 5.2 analysis assumes.
-    pub far_partners: usize,
-    /// Execution engine for round loops driven over this scenario (see
-    /// [`EngineKind`]). With [`EngineKind::Sharded`] or
-    /// [`EngineKind::Incremental`] the built trust matrix is partitioned
-    /// into the sharded backend
-    /// ([`ShardSpec::auto`](dg_trust::ShardSpec::auto)), so no
-    /// monolithic arena survives scenario construction. Does **not**
-    /// affect the generated topology, population or trust values.
-    pub engine: EngineKind,
-    /// Network fault profile gossip runs over this scenario assume (see
-    /// [`NetworkProfile`]). Does **not** affect the generated topology,
-    /// population or trust values — it parameterises the gossip layer:
-    /// [`Scenario::gossip_config`] maps it onto the synchronous engines'
-    /// loss / churn models, and the `dg-p2p` deployment honours every
-    /// knob. Defaults to [`NetworkProfile::lossless`].
-    #[serde(default)]
-    pub profile: NetworkProfile,
-    /// Adversarial population mix (see [`AdversaryMix`]). Compiled into
-    /// per-node attack strategies at build time
-    /// ([`Scenario::adversaries`]); leech roles (sybil identities,
-    /// whitewashers) also override the service behaviour, so the trust
-    /// substrate reflects the attack. The honest substrate streams are
-    /// untouched: a zero-fraction mix builds a bit-identical scenario.
-    /// Defaults to [`AdversaryMix::none`].
-    #[serde(default)]
-    pub adversary: AdversaryMix,
-    /// Traffic shape round loops over this scenario assume (see
-    /// [`TrafficModel`](crate::workload::TrafficModel)). Does **not**
-    /// affect the generated topology, population or trust values — it
-    /// parameterises the round loop: [`Scenario::rounds_config`] hands
-    /// it to the engines' shared transact gate. Defaults to the legacy
-    /// full workload.
-    #[serde(default)]
-    pub traffic: crate::workload::TrafficModel,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 1000,
-            m: 2,
-            seed: 42,
-            weight_a: 2.0,
-            weight_b: 2.0,
-            free_rider_fraction: 0.0,
-            quality_range: (0.2, 1.0),
-            trust_source: TrustSource::Exact,
-            topology: Topology::Pa,
-            far_partners: 0,
-            engine: EngineKind::Sequential,
-            profile: NetworkProfile::lossless(),
-            adversary: AdversaryMix::none(),
-            traffic: crate::workload::TrafficModel::full(),
-        }
-    }
-}
-
-impl ScenarioConfig {
-    /// Default config at a given size.
-    pub fn with_nodes(nodes: usize) -> Self {
-        Self {
-            nodes,
-            ..Self::default()
-        }
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style engine override.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builder-style network-profile override.
-    pub fn with_profile(mut self, profile: NetworkProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Builder-style adversary-mix override.
-    pub fn with_adversary(mut self, adversary: AdversaryMix) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Builder-style traffic-shape override.
-    pub fn with_traffic(mut self, traffic: crate::workload::TrafficModel) -> Self {
-        self.traffic = traffic;
-        self
-    }
-}
-
 /// A fully built scenario.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -178,15 +56,17 @@ pub struct Scenario {
     /// Weight law.
     pub weights: WeightParams,
     /// Per-node adversarial strategies compiled from
-    /// [`ScenarioConfig::adversary`].
+    /// [`RunConfig::adversary`].
     pub adversaries: AdversaryAssignment,
     /// The config that produced everything.
-    pub config: ScenarioConfig,
+    pub config: RunConfig,
 }
 
 impl Scenario {
-    /// Build a scenario from its config (deterministic).
-    pub fn build(config: ScenarioConfig) -> Result<Self, CoreError> {
+    /// Build a scenario from its config (deterministic). Reads the
+    /// substrate knobs, the adversary mix and the engine kind; the
+    /// round-loop and gossip knobs ride along for the engines.
+    pub fn build(config: RunConfig) -> Result<Self, CoreError> {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let graph = match config.topology {
             Topology::Pa => pa::preferential_attachment(
@@ -274,29 +154,6 @@ impl Scenario {
         ReputationSystem::new(&self.graph, self.trust.clone(), self.weights)
     }
 
-    /// A default round-loop configuration inheriting this scenario's
-    /// engine choice and traffic shape.
-    pub fn rounds_config(&self) -> crate::rounds::RoundsConfig {
-        crate::rounds::RoundsConfig::default()
-            .with_engine(self.config.engine)
-            .with_traffic(self.config.traffic)
-    }
-
-    /// A gossip configuration with tolerance `xi` that inherits this
-    /// scenario's engine choice and network profile (loss / churn mapped
-    /// onto the synchronous models; at most a quarter of the network may
-    /// depart so long runs stay populated).
-    pub fn gossip_config(&self, xi: f64) -> Result<GossipConfig, GossipError> {
-        GossipConfig {
-            xi,
-            engine: self.config.engine,
-            adversary: self.config.adversary,
-            ..GossipConfig::default()
-        }
-        .with_profile(&self.config.profile, self.config.nodes / 4)
-        .validated()
-    }
-
     /// A fresh RNG stream for the gossip phase, decoupled from the
     /// construction stream (so topology stays fixed when re-running
     /// gossip with different sub-seeds).
@@ -313,7 +170,7 @@ mod tests {
 
     #[test]
     fn build_is_deterministic() {
-        let cfg = ScenarioConfig::with_nodes(200);
+        let cfg = RunConfig::with_nodes(200);
         let a = Scenario::build(cfg).unwrap();
         let b = Scenario::build(cfg).unwrap();
         assert_eq!(a.graph, b.graph);
@@ -323,17 +180,17 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = Scenario::build(ScenarioConfig::with_nodes(200).with_seed(1)).unwrap();
-        let b = Scenario::build(ScenarioConfig::with_nodes(200).with_seed(2)).unwrap();
+        let a = Scenario::build(RunConfig::with_nodes(200).with_seed(1)).unwrap();
+        let b = Scenario::build(RunConfig::with_nodes(200).with_seed(2)).unwrap();
         assert_ne!(a.graph, b.graph);
     }
 
     #[test]
     fn free_rider_fraction_is_respected() {
-        let cfg = ScenarioConfig {
+        let cfg = RunConfig {
             nodes: 2000,
             free_rider_fraction: 0.3,
-            ..ScenarioConfig::default()
+            ..RunConfig::default()
         };
         let s = Scenario::build(cfg).unwrap();
         let free_riders = s
@@ -347,7 +204,7 @@ mod tests {
 
     #[test]
     fn exact_trust_matches_latent_quality() {
-        let s = Scenario::build(ScenarioConfig::with_nodes(100)).unwrap();
+        let s = Scenario::build(RunConfig::with_nodes(100)).unwrap();
         let q = s.population.latent_qualities();
         for v in s.graph.nodes() {
             for &w in s.graph.neighbours(v) {
@@ -362,12 +219,12 @@ mod tests {
 
     #[test]
     fn workload_trust_is_populated_and_plausible() {
-        let cfg = ScenarioConfig {
+        let cfg = RunConfig {
             nodes: 100,
             trust_source: TrustSource::Workload {
                 transactions_per_edge: 30,
             },
-            ..ScenarioConfig::default()
+            ..RunConfig::default()
         };
         let s = Scenario::build(cfg).unwrap();
         assert!(s.trust.entry_count() > 0);
@@ -383,7 +240,7 @@ mod tests {
 
     #[test]
     fn system_builds() {
-        let s = Scenario::build(ScenarioConfig::with_nodes(50)).unwrap();
+        let s = Scenario::build(RunConfig::with_nodes(50)).unwrap();
         let sys = s.system().unwrap();
         assert_eq!(sys.node_count(), 50);
     }

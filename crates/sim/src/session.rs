@@ -1,11 +1,7 @@
 //! The run session — one front door for configuring, running,
 //! checkpointing and resuming a reputation simulation.
 //!
-//! Historically every layer stacked its own config struct:
-//! [`ScenarioConfig`] for the substrate, [`RoundsConfig`] for the round
-//! loop, [`GossipConfig`] for the gossip layer — with the engine kind,
-//! seed, traffic shape and adversary mix duplicated across them.
-//! [`RunConfig`] consolidates every knob into one flat, serializable,
+//! [`RunConfig`] holds every knob of a run in one flat, serializable,
 //! builder-style struct, and [`RunSession`] owns the whole lifecycle:
 //!
 //! ```no_run
@@ -35,32 +31,25 @@
 //! idle network persist as dirty-row *delta* records
 //! ([`dg_store::diff_changed`]) against the last checkpoint.
 //!
-//! The legacy constructors ([`Scenario::build`],
-//! [`RoundsSimulator`](crate::rounds::RoundsSimulator)) remain as thin
-//! shims underneath this module — [`RunConfig`] converts into each
-//! legacy config via `From`, so existing call sites keep compiling
-//! while new code goes through the session API.
+//! Underneath, [`Scenario::build`] and [`build_engine`] take the same
+//! [`RunConfig`]; callers that hold the scenario themselves or choose
+//! their own round seeds use those directly and give up resumability.
 
+pub use crate::config::RunConfig;
 use crate::kernel::NodeState;
-use crate::rounds::{
-    make_engine, AggregationMode, AggregationScope, DefensePolicy, RoundEngine, RoundStats,
-    RoundsConfig,
-};
-use crate::scenario::{Scenario, ScenarioConfig, Topology, TrustSource};
-use crate::workload::TrafficModel;
+use crate::rounds::{build_engine, RoundEngine, RoundStats};
+use crate::scenario::Scenario;
 use dg_core::CoreError;
-use dg_gossip::profile::NetworkProfile;
-use dg_gossip::{AdversaryMix, EngineKind, FanoutPolicy, GossipConfig, GossipError};
+use dg_gossip::GossipError;
 use dg_graph::NodeId;
 use dg_store::{
     diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
     TableRecord,
 };
-use dg_trust::audit::{AuditPolicy, ReportLog, ReportLogEntry};
+use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::{EwmaEstimator, TrustEstimator};
 use dg_trust::table::TableEntry;
 use dg_trust::{ShardSpec, TrustValue};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -71,341 +60,13 @@ use thiserror::Error;
 /// replay length and the window a corrupt delta file can poison.
 pub const FULL_EPOCH_INTERVAL: usize = 8;
 
-/// The consolidated run configuration — every knob of a simulation in
-/// one flat, serializable, builder-style struct.
-///
-/// Converts into each legacy config ([`ScenarioConfig`],
-/// [`RoundsConfig`], [`GossipConfig`]) via `From<&RunConfig>`, so the
-/// pre-session constructors keep working unchanged. The full struct is
-/// serialized into every snapshot header, which is how
-/// [`RunSession::resume`] rebuilds an identical run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunConfig {
-    // --- substrate (scenario) knobs ---
-    /// Nodes in the overlay.
-    pub nodes: usize,
-    /// PA attachment parameter `m`.
-    pub m: usize,
-    /// RNG seed (drives topology, population, workload, round seeds).
-    pub seed: u64,
-    /// Weight-law parameter `a`.
-    pub weight_a: f64,
-    /// Weight-law parameter `b`.
-    pub weight_b: f64,
-    /// Fraction of free riders in the population.
-    pub free_rider_fraction: f64,
-    /// Honest quality range `[lo, hi]`.
-    pub quality_range: (f64, f64),
-    /// Trust matrix source.
-    pub trust_source: TrustSource,
-    /// Overlay topology family.
-    pub topology: Topology,
-    /// Additional random far interaction partners per node.
-    pub far_partners: usize,
-    // --- execution knobs ---
-    /// Execution engine for the round loop (one knob; the legacy
-    /// configs each carried their own copy).
-    pub engine: EngineKind,
-    /// Shard count for the sharded-substrate engines (0 = auto).
-    pub shard_count: usize,
-    /// Network fault profile (loss / churn presets).
-    pub profile: NetworkProfile,
-    /// Adversarial population mix.
-    pub adversary: AdversaryMix,
-    /// Traffic shape: which requesters are active each round.
-    pub traffic: TrafficModel,
-    /// Trust-side countermeasures against adversarial reports.
-    pub defense: DefensePolicy,
-    /// Stochastic re-verification audits (off by default; rides in
-    /// under `serde(default)` so pre-audit snapshot headers resume).
-    #[serde(default)]
-    pub audit: AuditPolicy,
-    // --- round-loop knobs ---
-    /// Rounds a full [`RunSession::run`] simulates.
-    pub rounds: usize,
-    /// Requests per directed neighbour pair per round.
-    pub requests_per_edge: u32,
-    /// Admission threshold (fraction of the provider's mean aggregated
-    /// reputation — see [`RoundsConfig::admission_threshold`]).
-    pub admission_threshold: f64,
-    /// EWMA learning rate for trust estimation.
-    pub ewma_rate: f64,
-    /// How to refresh reputations.
-    pub aggregation: AggregationMode,
-    /// Closed-form materialisation scope.
-    pub scope: AggregationScope,
-    // --- gossip knobs ---
-    /// Convergence tolerance `ξ`.
-    pub xi: f64,
-    /// Fan-out policy (differential vs. uniform push).
-    pub fanout: FanoutPolicy,
-    /// Hard gossip step cap.
-    pub max_steps: usize,
-    /// Whether convergence announcements are sticky.
-    pub sticky_announcements: bool,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        // Inherit every default from the legacy configs so the two
-        // construction paths can never drift apart.
-        let s = ScenarioConfig::default();
-        let r = RoundsConfig::default();
-        let g = GossipConfig::default();
-        Self {
-            nodes: s.nodes,
-            m: s.m,
-            seed: s.seed,
-            weight_a: s.weight_a,
-            weight_b: s.weight_b,
-            free_rider_fraction: s.free_rider_fraction,
-            quality_range: s.quality_range,
-            trust_source: s.trust_source,
-            topology: s.topology,
-            far_partners: s.far_partners,
-            engine: s.engine,
-            shard_count: r.shard_count,
-            profile: s.profile,
-            adversary: s.adversary,
-            traffic: s.traffic,
-            defense: r.defense,
-            audit: r.audit,
-            rounds: r.rounds,
-            requests_per_edge: r.requests_per_edge,
-            admission_threshold: r.admission_threshold,
-            ewma_rate: r.ewma_rate,
-            aggregation: r.aggregation,
-            scope: r.scope,
-            xi: g.xi,
-            fanout: g.fanout,
-            max_steps: g.max_steps,
-            sticky_announcements: g.sticky_announcements,
-        }
-    }
-}
-
-impl RunConfig {
-    /// Default config at a given size.
-    pub fn with_nodes(nodes: usize) -> Self {
-        Self {
-            nodes,
-            ..Self::default()
-        }
-    }
-
-    /// Lift a legacy `(ScenarioConfig, RoundsConfig)` pair into the
-    /// consolidated config — the migration path for call sites that
-    /// still assemble the layered structs. Where the legacy pair
-    /// duplicated a knob (engine, traffic, adversary) the rounds-side
-    /// copy wins, matching how the round loop actually consumed them.
-    pub fn from_parts(scenario: &ScenarioConfig, rounds: &RoundsConfig) -> Self {
-        Self {
-            nodes: scenario.nodes,
-            m: scenario.m,
-            seed: scenario.seed,
-            weight_a: scenario.weight_a,
-            weight_b: scenario.weight_b,
-            free_rider_fraction: scenario.free_rider_fraction,
-            quality_range: scenario.quality_range,
-            trust_source: scenario.trust_source,
-            topology: scenario.topology,
-            far_partners: scenario.far_partners,
-            engine: rounds.gossip.engine,
-            shard_count: rounds.shard_count,
-            profile: scenario.profile,
-            adversary: rounds.gossip.adversary,
-            traffic: rounds.traffic,
-            defense: rounds.defense,
-            audit: rounds.audit,
-            rounds: rounds.rounds,
-            requests_per_edge: rounds.requests_per_edge,
-            admission_threshold: rounds.admission_threshold,
-            ewma_rate: rounds.ewma_rate,
-            aggregation: rounds.aggregation,
-            scope: rounds.scope,
-            xi: rounds.gossip.xi,
-            fanout: rounds.gossip.fanout,
-            max_steps: rounds.gossip.max_steps,
-            sticky_announcements: rounds.gossip.sticky_announcements,
-        }
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style engine override.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builder-style shard-count override (0 = auto).
-    pub fn with_shards(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
-    }
-
-    /// Builder-style network-profile override.
-    pub fn with_profile(mut self, profile: NetworkProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Builder-style adversary-mix override.
-    pub fn with_adversary(mut self, adversary: AdversaryMix) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Builder-style traffic-shape override.
-    pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
-        self.traffic = traffic;
-        self
-    }
-
-    /// Builder-style defense-policy override.
-    pub fn with_defense(mut self, defense: DefensePolicy) -> Self {
-        self.defense = defense;
-        self
-    }
-
-    /// Builder-style audit-policy override.
-    pub fn with_audit(mut self, audit: AuditPolicy) -> Self {
-        self.audit = audit;
-        self
-    }
-
-    /// Builder-style round-count override.
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
-    /// Builder-style requests-per-edge override.
-    pub fn with_requests_per_edge(mut self, requests_per_edge: u32) -> Self {
-        self.requests_per_edge = requests_per_edge;
-        self
-    }
-
-    /// Builder-style trust-source override.
-    pub fn with_trust_source(mut self, trust_source: TrustSource) -> Self {
-        self.trust_source = trust_source;
-        self
-    }
-
-    /// Builder-style free-rider population override.
-    pub fn with_free_riders(mut self, fraction: f64) -> Self {
-        self.free_rider_fraction = fraction;
-        self
-    }
-
-    /// Builder-style honest-quality-range override.
-    pub fn with_quality_range(mut self, lo: f64, hi: f64) -> Self {
-        self.quality_range = (lo, hi);
-        self
-    }
-
-    /// Builder-style aggregation-scope override.
-    pub fn with_scope(mut self, scope: AggregationScope) -> Self {
-        self.scope = scope;
-        self
-    }
-
-    /// Builder-style aggregation-mode override.
-    pub fn with_aggregation(mut self, aggregation: AggregationMode) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
-    /// The scenario-layer view of this config.
-    pub fn scenario_config(&self) -> ScenarioConfig {
-        ScenarioConfig {
-            nodes: self.nodes,
-            m: self.m,
-            seed: self.seed,
-            weight_a: self.weight_a,
-            weight_b: self.weight_b,
-            free_rider_fraction: self.free_rider_fraction,
-            quality_range: self.quality_range,
-            trust_source: self.trust_source,
-            topology: self.topology,
-            far_partners: self.far_partners,
-            engine: self.engine,
-            profile: self.profile,
-            adversary: self.adversary,
-            traffic: self.traffic,
-        }
-    }
-
-    /// The gossip-layer view of this config (profile mapped onto the
-    /// synchronous loss / churn models, like
-    /// [`Scenario::gossip_config`]; not yet validated).
-    pub fn gossip_config(&self) -> GossipConfig {
-        GossipConfig {
-            xi: self.xi,
-            fanout: self.fanout,
-            max_steps: self.max_steps,
-            engine: self.engine,
-            sticky_announcements: self.sticky_announcements,
-            adversary: self.adversary,
-            ..GossipConfig::default()
-        }
-        .with_profile(&self.profile, self.nodes / 4)
-    }
-
-    /// The round-loop view of this config.
-    pub fn rounds_config(&self) -> RoundsConfig {
-        RoundsConfig {
-            rounds: self.rounds,
-            requests_per_edge: self.requests_per_edge,
-            admission_threshold: self.admission_threshold,
-            ewma_rate: self.ewma_rate,
-            aggregation: self.aggregation,
-            scope: self.scope,
-            gossip: self.gossip_config(),
-            defense: self.defense,
-            audit: self.audit,
-            shard_count: self.shard_count,
-            traffic: self.traffic,
-        }
-    }
-}
-
-/// Legacy shim: the scenario-layer slice of a [`RunConfig`]. New code
-/// should hold the [`RunConfig`] itself.
-impl From<&RunConfig> for ScenarioConfig {
-    fn from(config: &RunConfig) -> Self {
-        config.scenario_config()
-    }
-}
-
-/// Legacy shim: the round-loop slice of a [`RunConfig`]. New code
-/// should hold the [`RunConfig`] itself.
-impl From<&RunConfig> for RoundsConfig {
-    fn from(config: &RunConfig) -> Self {
-        config.rounds_config()
-    }
-}
-
-/// Legacy shim: the gossip-layer slice of a [`RunConfig`]. New code
-/// should hold the [`RunConfig`] itself.
-impl From<&RunConfig> for GossipConfig {
-    fn from(config: &RunConfig) -> Self {
-        config.gossip_config()
-    }
-}
-
 /// The deterministic round-seed schedule sessions run on.
 ///
 /// Round `r` of a run seeded `run_seed` always executes with this seed
 /// — a pure function of `(run_seed, r)`, **not** a draw from shared RNG
 /// state — so a resumed session continues the exact seed sequence the
-/// original would have produced. (The legacy
-/// [`RoundsSimulator`](crate::rounds::RoundsSimulator) draws round
-/// seeds from a caller-supplied RNG instead; its runs are reproducible
+/// original would have produced. (Engine-level callers of
+/// [`build_engine`] choose their own seeds; such runs are reproducible
 /// against themselves but not resumable. The bit-identity guarantee is
 /// session-vs-session.) SplitMix64 finalisation, like
 /// [`dg_gossip::node_stream_seed`].
@@ -550,14 +211,6 @@ pub(crate) fn restore_nodes(nodes: Vec<NodeCheckpoint>) -> Vec<NodeState> {
         .collect()
 }
 
-/// The single public engine factory: build the round engine a
-/// [`RunConfig`] selects over an existing (shared) scenario. Prefer
-/// [`RunSession`] unless you need to hold the scenario yourself (the
-/// session builds scenario *and* engine and adds checkpoint / resume).
-pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn RoundEngine> {
-    make_engine(scenario, config.rounds_config())
-}
-
 /// What [`RunSession::checkpoint`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
@@ -587,12 +240,14 @@ pub struct RunSession {
 impl RunSession {
     /// Build the scenario and engine for `config` and start at round 0.
     pub fn new(config: RunConfig) -> Result<Self, SessionError> {
-        // Fail fast on invalid gossip knobs even in closed-form runs,
-        // so a config either constructs everywhere or nowhere.
+        // Fail fast on invalid gossip knobs and adversary mixes even
+        // in closed-form runs, so a config either constructs everywhere
+        // or nowhere.
         config.gossip_config().validated()?;
-        let scenario = Arc::new(Scenario::build(config.scenario_config())?);
+        config.adversary.validated()?;
+        let scenario = Arc::new(Scenario::build(config)?);
         Ok(Self {
-            engine: make_engine(scenario, config.rounds_config()),
+            engine: build_engine(scenario, &config),
             config,
             stats: Vec::new(),
             last_records: Vec::new(),
@@ -629,7 +284,7 @@ impl RunSession {
 
     /// Mean absolute error between honest subjects' mean aggregated
     /// reputation and their latent quality (diagnostic — see
-    /// [`RoundsSimulator::honest_residual_error`](crate::rounds::RoundsSimulator::honest_residual_error)).
+    /// [`EngineCore::honest_residual`](crate::kernel::EngineCore::honest_residual)).
     pub fn honest_residual(&self) -> Option<f64> {
         self.engine.core().honest_residual()
     }
@@ -917,6 +572,7 @@ pub(crate) fn checkpoint_from_records(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_gossip::EngineKind;
 
     fn small_config() -> RunConfig {
         RunConfig::with_nodes(80)
@@ -940,15 +596,21 @@ mod tests {
     }
 
     #[test]
-    fn run_config_views_agree_with_legacy_defaults() {
-        let config = RunConfig::default();
-        assert_eq!(config.scenario_config(), ScenarioConfig::default());
-        assert_eq!(
-            config.rounds_config().rounds,
-            RoundsConfig::default().rounds
-        );
-        let legacy = RunConfig::from_parts(&ScenarioConfig::default(), &RoundsConfig::default());
-        assert_eq!(legacy, config);
+    fn invalid_gossip_knobs_and_adversary_mixes_are_rejected_up_front() {
+        let bad_xi = RunConfig {
+            xi: 0.0,
+            ..small_config()
+        };
+        assert!(matches!(
+            RunSession::new(bad_xi),
+            Err(SessionError::Gossip(GossipError::InvalidTolerance(_)))
+        ));
+        let mut bad_mix = small_config();
+        bad_mix.adversary.sybil_fraction = 1.5;
+        assert!(matches!(
+            RunSession::new(bad_mix),
+            Err(SessionError::Gossip(GossipError::InvalidAdversaryMix(_)))
+        ));
     }
 
     #[test]
@@ -960,12 +622,12 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_legacy_build_engine_path() {
+    fn session_matches_build_engine_path() {
         let config = small_config();
         let mut session = RunSession::new(config).unwrap();
         session.run().unwrap();
 
-        let scenario = Arc::new(Scenario::build(config.scenario_config()).unwrap());
+        let scenario = Arc::new(Scenario::build(config).unwrap());
         let mut engine = build_engine(scenario, &config);
         for r in 0..config.rounds {
             engine.run_round(round_seed(config.seed, r as u64)).unwrap();

@@ -246,16 +246,10 @@ impl RoundEngine for ShardedRoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rounds::RoundsConfig;
-    use crate::scenario::ScenarioConfig;
+    use crate::config::RunConfig;
 
     fn tiny_scenario() -> Scenario {
-        Scenario::build(ScenarioConfig {
-            nodes: 24,
-            seed: 7,
-            ..ScenarioConfig::default()
-        })
-        .expect("tiny scenario builds")
+        Scenario::build(RunConfig::with_nodes(24).with_seed(7)).expect("tiny scenario builds")
     }
 
     #[test]
@@ -289,7 +283,8 @@ mod tests {
 
     #[test]
     fn engine_refreshes_costs_each_round() {
-        let core = EngineCore::new(Arc::new(tiny_scenario()), RoundsConfig::default());
+        let scenario = Arc::new(tiny_scenario());
+        let core = EngineCore::new(Arc::clone(&scenario), scenario.config);
         let mut engine = ShardedRoundEngine::new(core);
         let seeded = engine.costs.clone();
         engine.run_round(41).expect("round runs");

@@ -2,86 +2,45 @@
 //! existed must keep deserializing (the `#[serde(default)]` support in
 //! the vendored derive).
 
-use dg_sim::scenario::Topology;
-use dg_sim::ScenarioConfig;
+use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile};
+use dg_sim::rounds::DefensePolicy;
+use dg_sim::{RunConfig, RunSession, TrafficModel};
+use dg_trust::audit::AuditPolicy;
 
-#[test]
-fn scenario_config_deserializes_without_profile_field() {
-    // The exact shape ScenarioConfig serialized to before the network
-    // profile existed (PR 3): the new field must default to lossless.
-    let s = r#"{"nodes":10,"m":2,"seed":1,"weight_a":2.0,"weight_b":2.0,
-        "free_rider_fraction":0.0,"quality_range":[0.2,1.0],
-        "trust_source":"Exact","topology":"Pa","far_partners":0,
-        "engine":"Sequential"}"#;
-    let c: ScenarioConfig = serde_json::from_str(s).unwrap();
-    assert!(c.profile.is_reliable());
-    assert_eq!(c.nodes, 10);
-    assert_eq!(c.topology, Topology::Pa);
+/// Exactly what the commit before `RunConfig` became the only config
+/// serialized for [`written_config`] — the snapshot-header contract.
+const WRITTEN_CONFIG_JSON: &str = r#"{"nodes":48,"m":2,"seed":5,"weight_a":2,"weight_b":2,"free_rider_fraction":0.25,"quality_range":[0.4,1],"trust_source":"Exact","topology":"Pa","far_partners":0,"engine":"Sharded","shard_count":3,"profile":{"loss":0.1,"duplicate":0.01,"detect_loss":true,"max_delay":2,"churn":{"crash_probability":0,"min_downtime":0,"max_downtime":0},"partition":null},"adversary":{"sybil_fraction":0,"sybil_ring":8,"sybil_spawn_rate":2,"collusion_fraction":0,"collusion_clique":4,"slander_fraction":0,"slander_factor":0,"whitewash_fraction":0,"wash_threshold":0.25,"stealth_fraction":0.45,"stealth_clique":5,"stealth_bias":1},"traffic":{"activity_fraction":0.5,"zipf_exponent":0.8,"flash_interval":0,"flash_multiplier":1},"defense":{"robust":{"clamp_lo":0.1,"clamp_hi":0.9,"trim_fraction":0.2},"newcomer":"ZeroPrior"},"audit":{"audit_rate":0.03,"strikes_to_convict":2,"tolerance":0.05,"log_capacity":16,"checks_per_audit":1},"rounds":4,"requests_per_edge":5,"admission_threshold":0.35,"ewma_rate":0.3,"aggregation":"ClosedForm","scope":"Full","xi":0.0001,"fanout":"Differential","max_steps":100000,"sticky_announcements":false}"#;
+
+fn written_config() -> RunConfig {
+    RunConfig::with_nodes(48)
+        .with_seed(5)
+        .with_rounds(4)
+        .with_free_riders(0.25)
+        .with_quality_range(0.4, 1.0)
+        .with_engine(EngineKind::Sharded)
+        .with_shards(3)
+        .with_profile(NetworkProfile::lossy())
+        .with_adversary(AdversaryMix::stealth())
+        .with_traffic(TrafficModel::full().with_activity(0.5).with_zipf(0.8))
+        .with_defense(DefensePolicy::defended())
+        .with_audit(AuditPolicy::standard())
 }
 
 #[test]
-fn scenario_config_roundtrips_with_profile() {
-    let config = ScenarioConfig::with_nodes(64).with_profile(dg_gossip::NetworkProfile::churning());
-    let s = serde_json::to_string(&config).unwrap();
-    let back: ScenarioConfig = serde_json::from_str(&s).unwrap();
-    assert_eq!(config, back);
-    assert_eq!(back.profile.label(), "churning");
+fn run_config_json_is_byte_stable() {
+    let config: RunConfig = serde_json::from_str(WRITTEN_CONFIG_JSON).unwrap();
+    assert_eq!(config, written_config());
+    assert_eq!(serde_json::to_string(&config).unwrap(), WRITTEN_CONFIG_JSON);
 }
 
 #[test]
-fn scenario_config_roundtrips_with_adversary_mix() {
-    let config =
-        ScenarioConfig::with_nodes(64).with_adversary(dg_gossip::AdversaryMix::whitewash());
-    let s = serde_json::to_string(&config).unwrap();
-    let back: ScenarioConfig = serde_json::from_str(&s).unwrap();
-    assert_eq!(config, back);
-    assert_eq!(back.adversary.label(), "whitewash");
-}
-
-#[test]
-fn pre_sharding_rounds_config_still_deserializes() {
-    // RoundsConfig serialized before the sharded engine existed has no
-    // `shard_count`; it must default to 0 (the auto partition).
-    let config = dg_sim::rounds::RoundsConfig::default();
-    let json = serde_json::to_string(&config).unwrap();
-    let legacy = json.replace(",\"shard_count\":0", "");
-    assert!(!legacy.contains("shard_count"), "{legacy}");
-    let back: dg_sim::rounds::RoundsConfig = serde_json::from_str(&legacy).unwrap();
-    assert_eq!(back.shard_count, 0);
-    assert_eq!(back, config);
-}
-
-#[test]
-fn pre_adversary_rounds_config_still_deserializes() {
-    // RoundsConfig serialized before the defense policy existed: the
-    // new fields must default to the paper's plain behaviour.
-    let config = dg_sim::rounds::RoundsConfig::default();
-    let json = serde_json::to_string(&config).unwrap();
-    let legacy = strip_object_field(&strip_object_field(&json, "defense"), "adversary");
-    assert!(!legacy.contains("defense") && !legacy.contains("adversary"));
-    let back: dg_sim::rounds::RoundsConfig = serde_json::from_str(&legacy).unwrap();
-    assert!(back.defense.is_none());
-    assert!(back.gossip.adversary.is_none());
-    assert_eq!(back, config);
-}
-
-#[test]
-fn pre_traffic_configs_still_deserialize_as_full_traffic() {
-    // RoundsConfig and ScenarioConfig serialized before the traffic
-    // model existed: the new field must default to the legacy
-    // every-node-every-round workload.
-    let config = dg_sim::rounds::RoundsConfig::default();
-    let legacy = strip_object_field(&serde_json::to_string(&config).unwrap(), "traffic");
-    assert!(!legacy.contains("traffic"), "{legacy}");
-    let back: dg_sim::rounds::RoundsConfig = serde_json::from_str(&legacy).unwrap();
-    assert!(back.traffic.is_full());
-    assert_eq!(back, config);
-
-    let config = ScenarioConfig::with_nodes(32);
-    let legacy = strip_object_field(&serde_json::to_string(&config).unwrap(), "traffic");
-    let back: ScenarioConfig = serde_json::from_str(&legacy).unwrap();
-    assert!(back.traffic.is_full());
-    assert_eq!(back, config);
+fn pre_audit_run_config_still_deserializes() {
+    // Snapshot headers written before the audit subsystem existed carry
+    // no `audit` object — the one `serde(default)` field of the config.
+    let legacy = strip_object_field(WRITTEN_CONFIG_JSON, "audit");
+    assert!(!legacy.contains("audit"), "{legacy}");
+    let back: RunConfig = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(back, written_config().with_audit(AuditPolicy::off()));
 }
 
 #[test]
@@ -128,27 +87,33 @@ fn legacy_round_stats_deserialize_with_zero_traffic_counters() {
 fn configs_naming_the_parallel_engine_mean_sharded() {
     // Configs and snapshot headers written while the batched `Parallel`
     // engine existed: the name is an alias of `Sharded` now.
-    use dg_gossip::EngineKind;
-    use dg_sim::{RunConfig, RunSession};
     fn as_parallel(json: &str) -> String {
         let legacy = json.replace(r#""engine":"Sharded""#, r#""engine":"Parallel""#);
         assert!(legacy.contains("Parallel"), "{legacy}");
         legacy
     }
-    fn reads_back<T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(v: T) {
-        let legacy = as_parallel(&serde_json::to_string(&v).unwrap());
-        assert_eq!(serde_json::from_str::<T>(&legacy).unwrap(), v);
-    }
     let run = RunConfig::with_nodes(48)
         .with_seed(5)
         .with_rounds(4)
         .with_engine(EngineKind::Sharded);
-    reads_back(run);
-    reads_back(run.rounds_config());
-    reads_back(run.scenario_config());
+    let legacy = as_parallel(&serde_json::to_string(&run).unwrap());
+    assert_eq!(serde_json::from_str::<RunConfig>(&legacy).unwrap(), run);
 
-    // A store whose header names `Parallel` resumes, and its next rounds
-    // are bit-equal to the sequential oracle's.
+    // A store whose header names `Parallel` resumes like the oracle, and
+    // so does one whose header carries the checked-in literal.
+    resumes_like_the_oracle(run, "Parallel", &legacy);
+    resumes_like_the_oracle(written_config(), "Sharded", WRITTEN_CONFIG_JSON);
+    resumes_like_the_oracle(
+        written_config(),
+        "Parallel",
+        &as_parallel(WRITTEN_CONFIG_JSON),
+    );
+}
+
+/// Checkpoint `run` at round 2, rewrite the store header to carry
+/// `engine` / `config_json`, resume, and require the finished run to be
+/// bit-equal to the sequential oracle's.
+fn resumes_like_the_oracle(run: RunConfig, engine: &str, config_json: &str) {
     let dir = std::env::temp_dir().join(format!("dg_serde_compat_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut killed = RunSession::new(run).unwrap();
@@ -156,14 +121,14 @@ fn configs_naming_the_parallel_engine_mean_sharded() {
     killed.checkpoint(&dir).unwrap();
     let store = dg_store::Store::open(&dir);
     let mut snapshot = store.load_latest().unwrap();
-    snapshot.header.engine = "Parallel".into();
-    snapshot.header.config_json = as_parallel(&snapshot.header.config_json);
+    snapshot.header.engine = engine.into();
+    snapshot.header.config_json = config_json.into();
     store
         .write_epoch(&snapshot.header, &snapshot.records)
         .unwrap();
     let mut resumed = RunSession::resume(&dir).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(resumed.config().engine, EngineKind::Sharded);
+    assert_eq!(resumed.config(), &run);
     assert_eq!(resumed.round(), 2);
     resumed.run().unwrap();
     let mut oracle = RunSession::new(run.with_engine(EngineKind::Sequential)).unwrap();

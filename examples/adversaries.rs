@@ -12,40 +12,35 @@
 //! ```
 
 use differential_gossip::gossip::AdversaryMix;
-use differential_gossip::sim::rounds::{DefensePolicy, RoundsConfig, RoundsSimulator};
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use differential_gossip::sim::rounds::DefensePolicy;
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use rand::RngCore;
 use std::sync::Arc;
 
 fn run(mix: AdversaryMix, defense: DefensePolicy) -> (f64, f64, f64, u64, Option<f64>) {
-    let scenario = Scenario::build(
-        ScenarioConfig {
-            nodes: 250,
-            seed: 42,
-            free_rider_fraction: 0.1,
-            quality_range: (0.4, 1.0),
-            ..ScenarioConfig::default()
-        }
-        .with_adversary(mix),
-    )
-    .expect("scenario builds");
-    let scenario = Arc::new(scenario);
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds: 8,
-            ..RoundsConfig::default()
-        }
-        .with_defense(defense),
-    );
+    let config = RunConfig {
+        nodes: 250,
+        seed: 42,
+        free_rider_fraction: 0.1,
+        quality_range: (0.4, 1.0),
+        rounds: 8,
+        ..RunConfig::default()
+    }
+    .with_adversary(mix)
+    .with_defense(defense);
+    let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+    let mut engine = build_engine(Arc::clone(&scenario), &config);
     let mut rng = scenario.gossip_rng(2);
-    let stats = sim.run(&mut rng).expect("rounds run");
+    let stats: Vec<_> = (0..config.rounds)
+        .map(|_| engine.run_round(rng.next_u64()).expect("round runs"))
+        .collect();
     let last = stats.last().unwrap();
     (
         last.honest_service_rate(),
         last.free_rider_service_rate(),
         last.adversary_service_rate(),
         stats.iter().map(|s| s.washes).sum(),
-        sim.honest_residual_error(),
+        engine.core().honest_residual(),
     )
 }
 

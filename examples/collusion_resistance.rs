@@ -20,19 +20,20 @@ use differential_gossip::core::collusion::{
     average_rms_error, theory, ColludedAggregates, CollusionScheme, GroupAssignment,
 };
 use differential_gossip::graph::NodeId;
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig, Topology};
+use differential_gossip::sim::scenario::Topology;
+use differential_gossip::sim::{RunConfig, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Section 5.2 idealisation: a complete interaction graph, so the
     // weighted neighbour channel has full coverage and the Eq. (17)
     // shrink is visible at full strength.
-    let config = ScenarioConfig {
+    let config = RunConfig {
         nodes: 200,
         topology: Topology::Complete,
         weight_a: 4.0,
         weight_b: 2.0,
         seed: 99,
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     };
     let scenario = Scenario::build(config)?;
     let system = scenario.system()?;

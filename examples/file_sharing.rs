@@ -13,12 +13,12 @@
 //! ```
 
 use differential_gossip::gossip::EngineKind;
-use differential_gossip::sim::rounds::{RoundsConfig, RoundsSimulator};
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use rand::RngCore;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = ScenarioConfig {
+    let config = RunConfig {
         nodes: 500,
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The sharded engine: identical results to the sequential
         // reference driver, per-shard CSR state, shard fan-out.
         engine: EngineKind::Sharded,
-        ..ScenarioConfig::default()
+        rounds: 10,
+        ..RunConfig::default()
     };
     let scenario = Arc::new(Scenario::build(config)?);
     let free_riders = scenario
@@ -41,21 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.graph.edge_count()
     );
 
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds: 10,
-            ..scenario.rounds_config()
-        },
-    );
-    println!("engine: {}\n", sim.engine().label());
+    let mut engine = build_engine(Arc::clone(&scenario), &config);
+    println!("engine: {}\n", config.engine.label());
     let mut rng = scenario.gossip_rng(1);
 
     println!(
         "{:>5}  {:>14}  {:>18}  {:>12}  {:>16}",
         "round", "honest service", "free-rider service", "honest rep", "free-rider rep"
     );
-    for stats in sim.run(&mut rng)? {
+    for _ in 0..config.rounds {
+        let stats = engine.run_round(rng.next_u64())?;
         println!(
             "{:>5}  {:>13.1}%  {:>17.1}%  {:>12.4}  {:>16.4}",
             stats.round,

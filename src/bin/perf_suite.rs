@@ -1,5 +1,5 @@
 //! Round-engine performance suite: run the reputation lifecycle on a
-//! pinned-seed scenario under both engines and emit a machine-readable
+//! pinned-seed scenario under every engine and emit a machine-readable
 //! `BENCH_<name>.json` report (nodes/round throughput,
 //! rounds-to-convergence, wall time). With `--profile` the convergence
 //! measurement runs under that network fault profile and the report is
@@ -13,7 +13,7 @@
 //! cargo run --release --bin perf_suite            # smoke (5k nodes)
 //! cargo run --release --bin perf_suite -- --full  # 20k nodes
 //! cargo run --release --bin perf_suite -- --out BENCH_pr.json
-//! cargo run --release --bin perf_suite -- --engine parallel
+//! cargo run --release --bin perf_suite -- --engine sharded
 //! cargo run --release --bin perf_suite -- --profile lossy  # BENCH_lossy.json
 //! ```
 //!

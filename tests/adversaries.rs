@@ -19,52 +19,41 @@
 use differential_gossip::core::behavior::Behavior;
 use differential_gossip::gossip::{AdversaryMix, EngineKind};
 use differential_gossip::graph::NodeId;
-use differential_gossip::sim::rounds::{DefensePolicy, RoundStats, RoundsConfig, RoundsSimulator};
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use differential_gossip::sim::kernel::EngineCore;
+use differential_gossip::sim::rounds::{DefensePolicy, RoundEngine, RoundStats};
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
 use differential_gossip::trust::audit::AuditPolicy;
 use proptest::prelude::*;
+use rand::RngCore;
 use std::sync::Arc;
 
-fn scenario_config(seed: u64, mix: AdversaryMix) -> ScenarioConfig {
-    ScenarioConfig {
+fn scenario_config(seed: u64, mix: AdversaryMix) -> RunConfig {
+    RunConfig {
         nodes: 120,
         seed,
         free_rider_fraction: 0.1,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     }
     .with_adversary(mix)
 }
 
-fn run(
-    config: ScenarioConfig,
-    rounds: usize,
-    defense: DefensePolicy,
-) -> (Vec<RoundStats>, Option<f64>) {
-    run_sharded(config, rounds, defense, 0)
+/// Build `config`'s scenario and engine and run all its rounds on seeds
+/// drawn from gossip stream 2.
+fn drive(config: RunConfig) -> (Arc<Scenario>, Box<dyn RoundEngine>, Vec<RoundStats>) {
+    let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+    let mut engine = build_engine(Arc::clone(&scenario), &config);
+    let mut rng = scenario.gossip_rng(2);
+    let stats = (0..config.rounds)
+        .map(|_| engine.run_round(rng.next_u64()).expect("round runs"))
+        .collect();
+    (scenario, engine, stats)
 }
 
-fn run_sharded(
-    config: ScenarioConfig,
-    rounds: usize,
-    defense: DefensePolicy,
-    shard_count: usize,
-) -> (Vec<RoundStats>, Option<f64>) {
-    let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds,
-            ..RoundsConfig::default()
-        }
-        .with_engine(config.engine)
-        .with_defense(defense)
-        .with_shards(shard_count),
-    );
-    let mut rng = scenario.gossip_rng(2);
-    let stats = sim.run(&mut rng).expect("rounds run");
-    let residual = sim.honest_residual_error();
-    (stats, residual)
+/// The stats history and the honest residual of a run.
+fn run(config: RunConfig) -> (Vec<RoundStats>, Option<f64>) {
+    let (_, engine, stats) = drive(config);
+    (stats, engine.core().honest_residual())
 }
 
 /// Attack mix number `kind` (a preset with jittered fraction, or the
@@ -106,9 +95,11 @@ proptest! {
             0 => EngineKind::Sequential,
             _ => EngineKind::Sharded,
         };
-        let config = scenario_config(seed, mix_for(kind, strength)).with_engine(engine);
-        let a = run(config, 4, DefensePolicy::none());
-        let b = run(config, 4, DefensePolicy::none());
+        let config = scenario_config(seed, mix_for(kind, strength))
+            .with_engine(engine)
+            .with_rounds(4);
+        let a = run(config);
+        let b = run(config);
         prop_assert_eq!(a, b);
     }
 }
@@ -126,8 +117,10 @@ fn zero_fraction_mix_is_bit_identical_to_honest_run() {
         ..AdversaryMix::none()
     };
     for engine in [EngineKind::Sequential, EngineKind::Sharded] {
-        let honest = scenario_config(11, AdversaryMix::none()).with_engine(engine);
-        let zeroed = scenario_config(11, zero_mix).with_engine(engine);
+        let honest = scenario_config(11, AdversaryMix::none())
+            .with_engine(engine)
+            .with_rounds(5);
+        let zeroed = honest.with_adversary(zero_mix);
 
         let a = Scenario::build(honest).unwrap();
         let b = Scenario::build(zeroed).unwrap();
@@ -136,11 +129,7 @@ fn zero_fraction_mix_is_bit_identical_to_honest_run() {
         assert_eq!(a.trust, b.trust);
         assert!(b.adversaries.is_none());
 
-        assert_eq!(
-            run(honest, 5, DefensePolicy::none()),
-            run(zeroed, 5, DefensePolicy::none()),
-            "engine {engine:?}"
-        );
+        assert_eq!(run(honest), run(zeroed), "engine {engine:?}");
     }
 }
 
@@ -155,18 +144,12 @@ fn engines_agree_bit_for_bit_under_attack() {
         ..AdversaryMix::none()
     };
     for defense in [DefensePolicy::none(), DefensePolicy::defended()] {
-        let seq = run(
-            scenario_config(23, mix).with_engine(EngineKind::Sequential),
-            6,
-            defense,
-        );
+        let config = scenario_config(23, mix)
+            .with_rounds(6)
+            .with_defense(defense);
+        let seq = run(config.with_engine(EngineKind::Sequential));
         for shards in [1usize, 4, 16] {
-            let shd = run_sharded(
-                scenario_config(23, mix).with_engine(EngineKind::Sharded),
-                6,
-                defense,
-                shards,
-            );
+            let shd = run(config.with_engine(EngineKind::Sharded).with_shards(shards));
             assert_eq!(seq, shd, "defense {defense:?}, {shards} shards");
         }
     }
@@ -174,7 +157,7 @@ fn engines_agree_bit_for_bit_under_attack() {
 
 /// Per-subject mean reputation over honest (non-adversary) observers —
 /// the view the operational network acts on.
-fn honest_observer_means(sim: &RoundsSimulator, scenario: &Scenario) -> Vec<Option<f64>> {
+fn honest_observer_means(core: &EngineCore, scenario: &Scenario) -> Vec<Option<f64>> {
     let n = scenario.graph.node_count();
     (0..n)
         .map(|s| {
@@ -183,7 +166,7 @@ fn honest_observer_means(sim: &RoundsSimulator, scenario: &Scenario) -> Vec<Opti
                 if scenario.adversaries.is_adversary(NodeId(o as u32)) {
                     continue;
                 }
-                if let Some(v) = sim.aggregated(NodeId(o as u32), NodeId(s as u32)) {
+                if let Some(v) = core.aggregated(NodeId(o as u32), NodeId(s as u32)) {
                     acc += v;
                     count += 1;
                 }
@@ -202,37 +185,21 @@ fn stealth_cartel_evades_clamp_and_trim() {
     // observers see them) move beyond the 0.1 deviation bound the
     // defended runs are elsewhere required to hold. Mirrors the claims
     // gate's stealth arm (N = 250, pinned seed 42).
-    let build = |mix: AdversaryMix| {
-        let built = Scenario::build(
-            ScenarioConfig {
-                nodes: 250,
-                seed: 42,
-                free_rider_fraction: 0.1,
-                quality_range: (0.4, 1.0),
-                ..ScenarioConfig::default()
-            }
-            .with_adversary(mix),
-        );
-        Arc::new(built.expect("scenario builds"))
-    };
-    let defended_means = |scenario: &Arc<Scenario>| {
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(scenario),
-            RoundsConfig {
-                rounds: 40,
-                ..RoundsConfig::default()
-            }
-            .with_defense(DefensePolicy::defended()),
-        );
-        let mut rng = scenario.gossip_rng(2);
-        sim.run(&mut rng).expect("rounds run");
-        honest_observer_means(&sim, scenario)
+    let defended_means = |mix: AdversaryMix| {
+        let config = RunConfig {
+            nodes: 250,
+            seed: 42,
+            ..scenario_config(0, mix)
+        }
+        .with_rounds(40)
+        .with_defense(DefensePolicy::defended());
+        let (scenario, engine, _) = drive(config);
+        let means = honest_observer_means(engine.core(), &scenario);
+        (scenario, means)
     };
 
-    let reference = build(AdversaryMix::none());
-    let attacked = build(AdversaryMix::stealth());
-    let ref_means = defended_means(&reference);
-    let atk_means = defended_means(&attacked);
+    let (_, ref_means) = defended_means(AdversaryMix::none());
+    let (attacked, atk_means) = defended_means(AdversaryMix::stealth());
 
     let (mut acc, mut count) = (0.0, 0usize);
     for v in attacked.graph.nodes() {
@@ -255,26 +222,15 @@ fn stealth_cartel_evades_clamp_and_trim() {
     );
 }
 
-/// Run a stealth scenario with an audit policy; returns the stats
-/// history and the convicted set.
-fn run_audited(
-    config: ScenarioConfig,
-    rounds: usize,
-    audit: AuditPolicy,
-) -> (Vec<RoundStats>, Vec<(NodeId, u64)>) {
-    let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&scenario),
-        RoundsConfig {
-            rounds,
-            ..RoundsConfig::default()
-        }
-        .with_defense(DefensePolicy::defended())
-        .with_audit(audit),
+/// Run a defended stealth scenario with an audit policy; returns the
+/// stats history and the convicted set.
+fn run_audited(config: RunConfig, audit: AuditPolicy) -> (Vec<RoundStats>, Vec<(NodeId, u64)>) {
+    let (_, engine, stats) = drive(
+        config
+            .with_defense(DefensePolicy::defended())
+            .with_audit(audit),
     );
-    let mut rng = scenario.gossip_rng(2);
-    let stats = sim.run(&mut rng).expect("rounds run");
-    (stats, sim.convicted())
+    (stats, engine.core().convicted())
 }
 
 proptest! {
@@ -304,11 +260,11 @@ proptest! {
             stealth_bias: bias,
             ..AdversaryMix::none()
         }.validated().expect("mix is valid");
-        let config = scenario_config(seed, mix);
+        let config = scenario_config(seed, mix).with_rounds(6);
         let audit = AuditPolicy { audit_rate: rate, ..AuditPolicy::standard() };
 
-        let (stats_a, convicted_a) = run_audited(config, 6, audit);
-        let (stats_b, convicted_b) = run_audited(config, 6, audit);
+        let (stats_a, convicted_a) = run_audited(config, audit);
+        let (stats_b, convicted_b) = run_audited(config, audit);
         prop_assert_eq!(&stats_a, &stats_b, "audited run must replay bit-for-bit");
         prop_assert_eq!(&convicted_a, &convicted_b, "convictions must be deterministic");
 
@@ -321,8 +277,8 @@ proptest! {
         }
 
         let zero_rate = AuditPolicy { audit_rate: 0.0, ..audit };
-        let zeroed = run_audited(config, 6, zero_rate);
-        let off = run_audited(config, 6, AuditPolicy::off());
+        let zeroed = run_audited(config, zero_rate);
+        let off = run_audited(config, AuditPolicy::off());
         prop_assert_eq!(&zeroed.0, &off.0, "zero-rate stats must match audits-off");
         prop_assert_eq!(&zeroed.1, &off.1, "zero-rate convictions must be empty like audits-off");
         prop_assert!(zeroed.1.is_empty());
@@ -332,8 +288,9 @@ proptest! {
 #[test]
 fn whitewashers_wash_and_zero_prior_starves_them() {
     let mix = AdversaryMix::whitewash();
-    let (open, _) = run(scenario_config(5, mix), 8, DefensePolicy::none());
-    let (defended, _) = run(scenario_config(5, mix), 8, DefensePolicy::defended());
+    let config = scenario_config(5, mix).with_rounds(8);
+    let (open, _) = run(config);
+    let (defended, _) = run(config.with_defense(DefensePolicy::defended()));
 
     // The attack actually exercises identity churn.
     assert!(
@@ -359,8 +316,9 @@ fn slander_residual_shrinks_under_robust_aggregation() {
         slander_fraction: 0.3,
         ..AdversaryMix::slander()
     };
-    let (_, open) = run(scenario_config(7, mix), 6, DefensePolicy::none());
-    let (_, defended) = run(scenario_config(7, mix), 6, DefensePolicy::defended());
+    let config = scenario_config(7, mix).with_rounds(6);
+    let (_, open) = run(config);
+    let (_, defended) = run(config.with_defense(DefensePolicy::defended()));
     let (open, defended) = (open.unwrap(), defended.unwrap());
     assert!(
         defended < open,
@@ -371,8 +329,9 @@ fn slander_residual_shrinks_under_robust_aggregation() {
 #[test]
 fn sybil_ring_extraction_is_curbed_by_the_defense() {
     let mix = AdversaryMix::sybil();
-    let (open, _) = run(scenario_config(9, mix), 8, DefensePolicy::none());
-    let (defended, _) = run(scenario_config(9, mix), 8, DefensePolicy::defended());
+    let config = scenario_config(9, mix).with_rounds(8);
+    let (open, _) = run(config);
+    let (defended, _) = run(config.with_defense(DefensePolicy::defended()));
     let open_rate = open.last().unwrap().adversary_service_rate();
     let defended_rate = defended.last().unwrap().adversary_service_rate();
     assert!(

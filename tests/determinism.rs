@@ -7,8 +7,7 @@ use differential_gossip::core::algorithms::alg3;
 use differential_gossip::gossip::FanoutPolicy;
 use differential_gossip::gossip::GossipConfig;
 use differential_gossip::sim::experiments::{collusion_experiment, steps_experiment};
-use differential_gossip::sim::rounds::{RoundsConfig, RoundsSimulator};
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
 use std::sync::Arc;
 
 /// Pin the concrete ChaCha8 stream for the workspace's canonical seed.
@@ -52,12 +51,12 @@ fn chacha8_seed_42_stream_is_pinned() {
 
 #[test]
 fn scenarios_are_bit_reproducible() {
-    let cfg = ScenarioConfig {
+    let cfg = RunConfig {
         nodes: 150,
         seed: 321,
         free_rider_fraction: 0.2,
         far_partners: 5,
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     };
     let a = Scenario::build(cfg).expect("scenario");
     let b = Scenario::build(cfg).expect("scenario");
@@ -68,7 +67,7 @@ fn scenarios_are_bit_reproducible() {
 
 #[test]
 fn gossip_runs_are_reproducible_given_the_same_stream() {
-    let s = Scenario::build(ScenarioConfig::with_nodes(80).with_seed(9)).expect("scenario");
+    let s = Scenario::build(RunConfig::with_nodes(80).with_seed(9)).expect("scenario");
     let system = s.system().expect("system");
     let config = GossipConfig::differential(1e-6).expect("config");
     let out1 = alg3::run(&system, config, &mut s.gossip_rng(5)).expect("run");
@@ -94,25 +93,21 @@ fn experiment_sweeps_are_reproducible_despite_rayon() {
 
 #[test]
 fn rounds_simulation_is_reproducible() {
-    let s = Scenario::build(ScenarioConfig {
+    let config = RunConfig {
         nodes: 60,
         seed: 2,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
-    })
-    .expect("scenario");
-    let s = Arc::new(s);
+        rounds: 3,
+        ..RunConfig::default()
+    };
+    let s = Arc::new(Scenario::build(config).expect("scenario"));
     let run = || {
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&s),
-            RoundsConfig {
-                rounds: 3,
-                ..RoundsConfig::default()
-            },
-        );
+        let mut engine = build_engine(Arc::clone(&s), &config);
         let mut rng = s.gossip_rng(8);
-        sim.run(&mut rng).expect("rounds")
+        (0..config.rounds)
+            .map(|_| engine.run_round(rng.next_u64()).expect("round"))
+            .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
 }

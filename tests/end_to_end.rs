@@ -5,16 +5,17 @@ use differential_gossip::core::algorithms::{alg1, alg2, alg3, alg4};
 use differential_gossip::core::ReputationSystem;
 use differential_gossip::gossip::GossipConfig;
 use differential_gossip::graph::NodeId;
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig, TrustSource};
+use differential_gossip::sim::scenario::TrustSource;
+use differential_gossip::sim::{RunConfig, Scenario};
 
 fn scenario() -> Scenario {
-    Scenario::build(ScenarioConfig {
+    Scenario::build(RunConfig {
         nodes: 60,
         seed: 424242,
         trust_source: TrustSource::Workload {
             transactions_per_edge: 25,
         },
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     })
     .expect("scenario builds")
 }
@@ -116,10 +117,10 @@ fn estimated_reputation_tracks_latent_quality() {
 
 #[test]
 fn neutral_weights_make_gclr_equal_global_everywhere() {
-    let mut cfg = ScenarioConfig {
+    let mut cfg = RunConfig {
         nodes: 40,
         seed: 7,
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     };
     cfg.weight_a = 1.0;
     cfg.weight_b = 0.0;

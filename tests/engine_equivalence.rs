@@ -9,11 +9,12 @@
 use differential_gossip::gossip::{AdversaryMix, EngineKind};
 use differential_gossip::graph::NodeId;
 use differential_gossip::sim::rounds::{
-    AggregationMode, AggregationScope, RoundStats, RoundsConfig, RoundsSimulator,
+    AggregationMode, AggregationScope, RoundEngine, RoundStats,
 };
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig};
 use differential_gossip::sim::workload::TrafficModel;
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
 use differential_gossip::trust::audit::AuditPolicy;
+use rand::RngCore;
 use rayon::ThreadPoolBuilder;
 use std::sync::Arc;
 
@@ -24,32 +25,36 @@ use std::sync::Arc;
 /// migration at every tested thread count.
 const SHARD_COUNTS: [usize; 3] = [1, 16, 64];
 
-fn build(config: ScenarioConfig) -> Arc<Scenario> {
+/// One substrate per row, shared by every engine under test (built as
+/// the sequential oracle builds it).
+fn build(config: RunConfig) -> Arc<Scenario> {
     Arc::new(Scenario::build(config).expect("scenario builds"))
 }
 
-fn scenario(seed: u64) -> Arc<Scenario> {
-    build(ScenarioConfig {
+fn base(seed: u64) -> RunConfig {
+    RunConfig {
         nodes: 90,
         seed,
         free_rider_fraction: 0.2,
         quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
-    })
+        ..RunConfig::default()
+    }
 }
 
-fn run(scenario: &Arc<Scenario>, config: RoundsConfig) -> (Vec<RoundStats>, RoundsSimulator) {
-    let mut sim = RoundsSimulator::new(Arc::clone(scenario), config);
+fn run(scenario: &Arc<Scenario>, config: RunConfig) -> (Vec<RoundStats>, Box<dyn RoundEngine>) {
+    let mut engine = build_engine(Arc::clone(scenario), &config);
     let mut rng = scenario.gossip_rng(6);
-    let stats = sim.run(&mut rng).expect("rounds");
-    (stats, sim)
+    let stats = (0..config.rounds)
+        .map(|_| engine.run_round(rng.next_u64()).expect("round"))
+        .collect();
+    (stats, engine)
 }
 
 fn assert_matches_reference(
     scenario: &Arc<Scenario>,
     seq_stats: &[RoundStats],
-    seq_sim: &RoundsSimulator,
-    config: RoundsConfig,
+    seq_sim: &dyn RoundEngine,
+    config: RunConfig,
     threads: usize,
     what: &str,
 ) {
@@ -58,6 +63,7 @@ fn assert_matches_reference(
         .build()
         .expect("pool");
     let (stats, sim) = pool.install(|| run(scenario, config));
+    let (seq_sim, sim) = (seq_sim.core(), sim.core());
     // Bit-for-bit: RoundStats contains f64 means and PartialEq is
     // exact equality.
     assert_eq!(seq_stats, stats, "stats diverged: {what} at {threads}t");
@@ -80,14 +86,15 @@ fn assert_matches_reference(
     }
 }
 
-fn assert_equivalent(scenario: &Arc<Scenario>, config: RoundsConfig) {
+fn assert_equivalent(config: RunConfig) {
+    let scenario = &build(config);
     let (seq_stats, seq_sim) = run(scenario, config.with_engine(EngineKind::Sequential));
 
     for threads in [1usize, 2, 8] {
         assert_matches_reference(
             scenario,
             &seq_stats,
-            &seq_sim,
+            &*seq_sim,
             config.with_engine(EngineKind::Incremental),
             threads,
             "incremental",
@@ -96,7 +103,7 @@ fn assert_equivalent(scenario: &Arc<Scenario>, config: RoundsConfig) {
             assert_matches_reference(
                 scenario,
                 &seq_stats,
-                &seq_sim,
+                &*seq_sim,
                 config.with_engine(EngineKind::Sharded).with_shards(shards),
                 threads,
                 &format!("sharded/{shards}"),
@@ -107,47 +114,27 @@ fn assert_equivalent(scenario: &Arc<Scenario>, config: RoundsConfig) {
 
 #[test]
 fn engines_match_bitwise_in_closed_form_full_scope() {
-    let s = scenario(41);
-    assert_equivalent(
-        &s,
-        RoundsConfig {
-            rounds: 5,
-            ..RoundsConfig::default()
-        },
-    );
+    assert_equivalent(base(41).with_rounds(5));
 }
 
 #[test]
 fn engines_match_bitwise_in_neighbourhood_scope() {
-    let s = scenario(42);
     assert_equivalent(
-        &s,
-        RoundsConfig {
-            rounds: 5,
-            scope: AggregationScope::Neighbourhood,
-            ..RoundsConfig::default()
-        },
+        base(42)
+            .with_rounds(5)
+            .with_scope(AggregationScope::Neighbourhood),
     );
 }
 
 #[test]
 fn engines_match_bitwise_under_real_gossip_aggregation() {
-    let s = build(ScenarioConfig {
+    assert_equivalent(RunConfig {
         nodes: 40,
-        seed: 13,
-        free_rider_fraction: 0.2,
-        quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
+        rounds: 3,
+        aggregation: AggregationMode::Gossip,
+        xi: 1e-5,
+        ..base(13)
     });
-    assert_equivalent(
-        &s,
-        RoundsConfig {
-            rounds: 3,
-            aggregation: AggregationMode::Gossip,
-            ..RoundsConfig::default()
-        }
-        .with_xi(1e-5),
-    );
 }
 
 #[test]
@@ -162,22 +149,13 @@ fn engines_match_bitwise_under_adversary_mix() {
     }
     .validated()
     .expect("mix is valid");
-    let s = build(ScenarioConfig {
-        nodes: 90,
-        seed: 47,
+    assert_equivalent(RunConfig {
         free_rider_fraction: 0.15,
-        quality_range: (0.4, 1.0),
         adversary: mix,
-        ..ScenarioConfig::default()
+        rounds: 6,
+        scope: AggregationScope::Neighbourhood,
+        ..base(47)
     });
-    assert_equivalent(
-        &s,
-        RoundsConfig {
-            rounds: 6,
-            scope: AggregationScope::Neighbourhood,
-            ..RoundsConfig::default()
-        },
-    );
 }
 
 #[test]
@@ -199,22 +177,13 @@ fn engines_match_bitwise_under_skewed_traffic_and_adversaries() {
             .with_activity(fraction)
             .with_zipf(0.8)
             .with_flash(3, 4.0);
-        let s = build(ScenarioConfig {
-            nodes: 90,
-            seed: 23,
+        assert_equivalent(RunConfig {
             free_rider_fraction: 0.15,
-            quality_range: (0.4, 1.0),
             adversary: mix,
-            ..ScenarioConfig::default()
+            rounds: 6,
+            traffic,
+            ..base(23)
         });
-        assert_equivalent(
-            &s,
-            RoundsConfig {
-                rounds: 6,
-                ..RoundsConfig::default()
-            }
-            .with_traffic(traffic),
-        );
     }
 }
 
@@ -231,33 +200,27 @@ fn engines_match_bitwise_with_audits_convicting() {
         ..AuditPolicy::standard()
     };
     for fraction in [1.0, 0.01] {
-        let s = build(ScenarioConfig {
-            nodes: 90,
-            seed: 31,
+        let config = RunConfig {
             free_rider_fraction: 0.15,
-            quality_range: (0.4, 1.0),
             adversary: mix,
-            ..ScenarioConfig::default()
-        });
-        let config = RoundsConfig {
             rounds: 8,
-            ..RoundsConfig::default()
-        }
-        .with_audit(audit)
-        .with_traffic(TrafficModel::full().with_activity(fraction));
+            audit,
+            traffic: TrafficModel::full().with_activity(fraction),
+            ..base(31)
+        };
         // The row only proves something if the audit machinery actually
         // fires. At full activity that means convictions (and the purge
         // they trigger) land mid-run; at 1% activity cartel members
         // rarely emit a report, so logs stay empty and no strike can
         // accrue — there the live part is the audit sampling itself.
-        let (seq_stats, _) = run(&s, config.with_engine(EngineKind::Sequential));
+        let (seq_stats, _) = run(&build(config), config);
         let audits: u64 = seq_stats.iter().map(|r| r.audits).sum();
         assert!(audits > 0, "no audits ran at activity {fraction}");
         if fraction == 1.0 {
             let convictions: u64 = seq_stats.iter().map(|r| r.convictions).sum();
             assert!(convictions > 0, "no convictions at full activity");
         }
-        assert_equivalent(&s, config);
+        assert_equivalent(config);
     }
 }
 
@@ -269,19 +232,11 @@ fn engines_match_bitwise_with_one_hot_shard() {
     // rest idle, the exact shape that serialised the old static
     // shard→thread assignment. The weighted stealing schedule must not
     // change a bit of the output.
-    let s = scenario(61);
     let traffic = TrafficModel::full()
         .with_activity(0.1)
         .with_zipf(1.5)
         .with_flash(3, 4.0);
-    assert_equivalent(
-        &s,
-        RoundsConfig {
-            rounds: 6,
-            ..RoundsConfig::default()
-        }
-        .with_traffic(traffic),
-    );
+    assert_equivalent(base(61).with_rounds(6).with_traffic(traffic));
 }
 
 #[test]
@@ -295,24 +250,20 @@ fn incremental_engine_matches_under_whitewash_purges() {
     }
     .validated()
     .expect("mix is valid");
-    let s = build(ScenarioConfig {
+    let config = RunConfig {
         nodes: 70,
-        seed: 53,
         free_rider_fraction: 0.1,
-        quality_range: (0.4, 1.0),
         adversary: mix,
-        ..ScenarioConfig::default()
-    });
-    let config = RoundsConfig {
         rounds: 8,
-        ..RoundsConfig::default()
-    }
-    .with_traffic(TrafficModel::full().with_activity(0.15));
+        traffic: TrafficModel::full().with_activity(0.15),
+        ..base(53)
+    };
+    let s = build(config);
     let (seq_stats, seq_sim) = run(&s, config.with_engine(EngineKind::Sequential));
     assert_matches_reference(
         &s,
         &seq_stats,
-        &seq_sim,
+        &*seq_sim,
         config.with_engine(EngineKind::Incremental),
         4,
         "incremental under whitewash",
@@ -321,14 +272,9 @@ fn incremental_engine_matches_under_whitewash_purges() {
 
 #[test]
 fn sharded_engine_is_reproducible_across_repeat_runs() {
-    let s = scenario(77);
+    let s = build(base(77));
     for engine in [EngineKind::Sharded, EngineKind::Incremental] {
-        let config = RoundsConfig {
-            rounds: 4,
-            ..RoundsConfig::default()
-        }
-        .with_engine(engine)
-        .with_shards(4);
+        let config = base(77).with_rounds(4).with_engine(engine).with_shards(4);
         let (a, _) = run(&s, config);
         let (b, _) = run(&s, config);
         assert_eq!(a, b, "{engine:?}");
@@ -355,25 +301,20 @@ mod steal_order {
             activity in 0.02f64..1.0,
             zipf in 0.0f64..1.6,
         ) {
-            let s = build(ScenarioConfig {
+            let config = RunConfig {
                 nodes: 48,
-                seed,
-                free_rider_fraction: 0.2,
-                quality_range: (0.4, 1.0),
-                ..ScenarioConfig::default()
-            });
-            let config = RoundsConfig {
                 rounds: 3,
-                ..RoundsConfig::default()
-            }
-            .with_traffic(TrafficModel::full().with_activity(activity).with_zipf(zipf));
+                traffic: TrafficModel::full().with_activity(activity).with_zipf(zipf),
+                ..base(seed)
+            };
+            let s = build(config);
             let (seq_stats, seq_sim) = run(&s, config.with_engine(EngineKind::Sequential));
             for threads in [1usize, 2, 8] {
                 for shards in SHARD_COUNTS {
                     assert_matches_reference(
                         &s,
                         &seq_stats,
-                        &seq_sim,
+                        &*seq_sim,
                         config.with_engine(EngineKind::Sharded).with_shards(shards),
                         threads,
                         &format!("steal-order sharded/{shards}"),
@@ -388,22 +329,17 @@ mod steal_order {
 fn sharded_engine_handles_shard_count_above_node_count() {
     // 40 nodes, 64 shards: most shards own a single row, trailing
     // shards own none. Still bit-equal to the reference.
-    let s = build(ScenarioConfig {
+    let config = RunConfig {
         nodes: 40,
-        seed: 19,
-        free_rider_fraction: 0.2,
-        quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
-    });
-    let config = RoundsConfig {
         rounds: 3,
-        ..RoundsConfig::default()
+        ..base(19)
     };
+    let s = build(config);
     let (seq_stats, seq_sim) = run(&s, config.with_engine(EngineKind::Sequential));
     assert_matches_reference(
         &s,
         &seq_stats,
-        &seq_sim,
+        &*seq_sim,
         config.with_engine(EngineKind::Sharded).with_shards(64),
         2,
         "sharded/64 > n",
@@ -411,7 +347,7 @@ fn sharded_engine_handles_shard_count_above_node_count() {
     assert_matches_reference(
         &s,
         &seq_stats,
-        &seq_sim,
+        &*seq_sim,
         config.with_engine(EngineKind::Incremental).with_shards(64),
         2,
         "incremental/64 > n",

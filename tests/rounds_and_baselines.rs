@@ -4,33 +4,36 @@
 use differential_gossip::core::behavior::Behavior;
 use differential_gossip::graph::NodeId;
 use differential_gossip::sim::baselines::{eigentrust, EigenTrustConfig};
-use differential_gossip::sim::rounds::{AggregationMode, RoundsConfig, RoundsSimulator};
-use differential_gossip::sim::scenario::{Scenario, ScenarioConfig, TrustSource};
+use differential_gossip::sim::rounds::{AggregationMode, RoundStats};
+use differential_gossip::sim::scenario::TrustSource;
+use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use rand::RngCore;
 use std::sync::Arc;
 
-fn scenario(seed: u64) -> Arc<Scenario> {
-    let built = Scenario::build(ScenarioConfig {
-        nodes: 100,
-        seed,
-        free_rider_fraction: 0.2,
-        quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
-    });
-    Arc::new(built.expect("scenario builds"))
+/// Build `config`'s scenario and engine and run all its rounds on seeds
+/// drawn from gossip stream `stream`.
+fn run_rounds(config: RunConfig, stream: u64) -> Vec<RoundStats> {
+    let s = Arc::new(Scenario::build(config).expect("scenario builds"));
+    let mut engine = build_engine(Arc::clone(&s), &config);
+    let mut rng = s.gossip_rng(stream);
+    (0..config.rounds)
+        .map(|_| engine.run_round(rng.next_u64()).expect("round"))
+        .collect()
 }
 
 #[test]
 fn incentive_loop_starves_free_riders_but_not_honest_peers() {
-    let s = scenario(77);
-    let mut sim = RoundsSimulator::new(
-        Arc::clone(&s),
-        RoundsConfig {
+    let stats = run_rounds(
+        RunConfig {
+            nodes: 100,
+            seed: 77,
+            free_rider_fraction: 0.2,
+            quality_range: (0.4, 1.0),
             rounds: 8,
-            ..RoundsConfig::default()
+            ..RunConfig::default()
         },
+        1,
     );
-    let mut rng = s.gossip_rng(1);
-    let stats = sim.run(&mut rng).expect("rounds");
 
     // Round 0 serves everyone (no reputations yet).
     assert_eq!(stats[0].refused_honest, 0);
@@ -53,27 +56,20 @@ fn incentive_loop_starves_free_riders_but_not_honest_peers() {
 
 #[test]
 fn real_gossip_aggregation_mode_reaches_the_same_separation() {
-    let s = Scenario::build(ScenarioConfig {
-        nodes: 50,
-        seed: 5,
-        free_rider_fraction: 0.2,
-        quality_range: (0.4, 1.0),
-        ..ScenarioConfig::default()
-    })
-    .expect("scenario builds");
-    let s = Arc::new(s);
-    let run = |mode: AggregationMode| {
-        let mut sim = RoundsSimulator::new(
-            Arc::clone(&s),
-            RoundsConfig {
+    let run = |aggregation: AggregationMode| {
+        run_rounds(
+            RunConfig {
+                nodes: 50,
+                seed: 5,
+                free_rider_fraction: 0.2,
+                quality_range: (0.4, 1.0),
                 rounds: 4,
-                aggregation: mode,
-                ..RoundsConfig::default()
-            }
-            .with_xi(1e-7),
-        );
-        let mut rng = s.gossip_rng(9);
-        sim.run(&mut rng).expect("rounds")
+                aggregation,
+                xi: 1e-7,
+                ..RunConfig::default()
+            },
+            9,
+        )
     };
     let closed = run(AggregationMode::ClosedForm);
     let gossip = run(AggregationMode::Gossip);
@@ -93,7 +89,7 @@ fn real_gossip_aggregation_mode_reaches_the_same_separation() {
 
 #[test]
 fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
-    let s = Scenario::build(ScenarioConfig {
+    let s = Scenario::build(RunConfig {
         nodes: 80,
         seed: 11,
         free_rider_fraction: 0.25,
@@ -101,7 +97,7 @@ fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
         trust_source: TrustSource::Workload {
             transactions_per_edge: 20,
         },
-        ..ScenarioConfig::default()
+        ..RunConfig::default()
     })
     .expect("scenario builds");
     let system = s.system().expect("system");
