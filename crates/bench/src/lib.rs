@@ -3,64 +3,43 @@
 //! Every binary accepts:
 //!
 //! * `--full` — run the paper's full parameter grid (N up to 50 000);
-//!   the default grid is scaled to finish in minutes on a laptop,
-//! * `--scale` — run `perf_suite` on the pinned-seed N = 1 000 000
-//!   sparse-graph scale config (`BENCH_scale.json`, with peak-RSS
-//!   sampling); typically combined with `--engine sharded`,
-//! * `--skewed` — run `perf_suite` on the pinned-seed skewed-traffic
-//!   config (Zipf s = 1 request skew at 1% mean activity,
-//!   `BENCH_skewed.json`) — the incremental engine's target workload,
-//! * `--serve` — run `perf_suite`'s serving-throughput measurement
-//!   instead of the round-loop suite: concurrent pipelined clients
-//!   hammer a live `dg-serve` server while the engine keeps completing
-//!   rounds (`BENCH_serve.json`, gated by `perf_compare --serve`);
-//!   composes with `--scale` for the million-node serving floor,
+//!   the default grid is scaled to finish in minutes on a laptop. For
+//!   `perf_suite` it selects the 20 000-node preset,
+//! * `--scale` — `perf_suite`: the N = 1 000 000 sparse-graph preset,
+//! * `--skewed` — `perf_suite`: the skewed-traffic preset (Zipf s = 1
+//!   request skew at 1% mean activity over 100 000 nodes) — the
+//!   incremental engine's target traffic,
 //! * `--nodes <usize>` — override the node count of the selected
-//!   `perf_suite` config (the `SCALING.md` table sweeps 10k/100k/1M
+//!   `perf_suite` preset (the `SCALING.md` table sweeps 10k/100k/1M
 //!   this way),
 //! * `--activity <f64>` / `--zipf <f64>` — override the selected
-//!   config's traffic shape (mean activity fraction / Zipf exponent of
-//!   the per-node request skew); overridden runs get their own report
-//!   file so they cannot shadow a pinned config's gate,
+//!   preset's traffic shape (mean activity fraction / Zipf exponent of
+//!   the per-node request skew),
 //! * `--seed <u64>` — override the scenario seed (default 42),
 //! * `--json` — emit JSON lines instead of a formatted table,
-//! * `--engine <sequential|sharded|incremental>` — restrict a
-//!   *round-loop driving* binary (`perf_suite`, which otherwise
-//!   measures all engines) to one execution engine. The figure/table
-//!   binaries measure the gossip layer itself, which is
-//!   engine-independent — they accept and ignore the flag. Results
+//! * `--engine <sequential|sharded|incremental>` — the execution engine
+//!   of a *round-loop driving* binary (`perf_suite`, default `sharded`).
+//!   The figure/table binaries measure the gossip layer itself, which
+//!   is engine-independent — they accept and ignore the flag. Results
 //!   never depend on it (see `tests/engine_equivalence.rs`),
 //! * `--shards <usize>` — shard count for the sharded engine (0 = the
 //!   deterministic auto partition; results are bit-identical either
 //!   way),
 //! * `--profile <lossless|lossy|partitioned|churning>` — network fault
-//!   profile for profile-aware binaries (`perf_suite` emits
-//!   `BENCH_<profile>.json`, `degradation` sweeps them),
+//!   profile of the `perf_suite` run (`degradation` sweeps all four
+//!   itself),
 //! * `--adversary <none|sybil|collusion|slander|whitewash|stealth>` —
-//!   adversary preset for round-loop driving binaries (`perf_suite` composes it
-//!   with `--engine` and `--profile`, so attacks run under either
-//!   engine over any transport profile; the gossip-layer figure/table
-//!   binaries accept and ignore it),
-//! * `--out <path>` — where report-writing binaries put their JSON,
-//! * `--out-dir <dir>` — directory report-writing binaries
-//!   (`perf_suite`, `claims`, `perf_trend`) resolve their output files
-//!   under (created if missing; composes with `--out`, which then names
-//!   the file inside the directory),
-//! * `--checkpoint-every <rounds>` — `perf_suite` session mode: run the
-//!   smoke config through a `RunSession`, checkpointing every N rounds
-//!   into `--out-dir` (or a temp dir),
-//! * `--resume <dir>` — `perf_suite`: resume a `RunSession` from the
-//!   store at `<dir>` and continue the run,
-//! * `--checkpoint-overhead` — `perf_suite` gate: measure the pinned
-//!   smoke config with and without checkpoint-every-4-rounds and exit
-//!   non-zero if checkpointing costs more than 10% throughput,
-//! * `--threads <list>` — `perf_suite` thread-scaling mode: run the
-//!   selected config's round loop once per thread count in the
-//!   comma-separated list (e.g. `1,2,4`) and emit the
-//!   scaling-efficiency curve (node-rounds/s and parallel efficiency
-//!   vs cores) into `BENCH_threads.json`; composes with `--engine`
-//!   (default: the sharded engine, the work-stealing scheduler's
-//!   target configuration).
+//!   adversary preset for round-loop driving binaries (`perf_suite`
+//!   composes it with `--engine` and `--profile`, so attacks run under
+//!   any engine over any transport profile; the gossip-layer
+//!   figure/table binaries accept and ignore it),
+//! * `--out-dir <dir>` — `perf_suite`: the directory a checkpointed run
+//!   puts its `session_store` under (default: a temp dir),
+//! * `--checkpoint-every <rounds>` — `perf_suite`: checkpoint the run
+//!   every N rounds into the store,
+//! * `--resume <dir>` — `perf_suite`: continue the run in the store at
+//!   `<dir>`. The config travels in the snapshot header, so no
+//!   config-selecting flag may accompany it.
 
 #![forbid(unsafe_code)]
 
@@ -69,8 +48,6 @@ use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile};
 pub mod claims;
 pub mod linkcheck;
 pub mod perf;
-pub mod serve;
-pub mod trend;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,47 +59,34 @@ pub struct Cli {
     /// Skewed-traffic mode (`perf_suite`): Zipf request skew at 1%
     /// mean activity, the incremental engine's target workload.
     pub skewed: bool,
-    /// Node-count override for the selected config.
+    /// Node-count override for the selected preset.
     pub nodes: Option<usize>,
-    /// Mean activity-fraction override for the selected config's
+    /// Mean activity-fraction override for the selected preset's
     /// traffic model.
     pub activity: Option<f64>,
-    /// Zipf-exponent override for the selected config's traffic model.
+    /// Zipf-exponent override for the selected preset's traffic model.
     pub zipf: Option<f64>,
     /// Scenario seed.
     pub seed: u64,
     /// Emit JSON lines.
     pub json: bool,
-    /// Engine restriction for round-loop driving binaries
-    /// (`None` = the binary's default, e.g. `perf_suite` measures all).
+    /// Engine for round-loop driving binaries (`None` = the binary's
+    /// default; `perf_suite` runs the sharded engine).
     pub engine: Option<EngineKind>,
     /// Shard count for the sharded engine: `None` when the flag was
-    /// not passed (keep the binary's config default), `Some(0)` for an
-    /// explicit auto partition, `Some(n)` for a fixed count.
+    /// not passed (keep the preset's), `Some(0)` for an explicit auto
+    /// partition, `Some(n)` for a fixed count.
     pub shards: Option<usize>,
     /// Network fault profile (default lossless).
     pub profile: NetworkProfile,
     /// Adversary preset (default none).
     pub adversary: AdversaryMix,
-    /// Output path for report files (binaries define their default).
-    pub out: Option<String>,
-    /// Directory report files are resolved under (default: the current
-    /// directory). Created if missing.
+    /// `perf_suite`: directory a checkpointed run's store goes under.
     pub out_dir: Option<String>,
-    /// `perf_suite` session mode: checkpoint cadence in rounds.
+    /// `perf_suite`: checkpoint cadence in rounds.
     pub checkpoint_every: Option<usize>,
-    /// `perf_suite` session mode: resume from this store directory.
+    /// `perf_suite`: resume from this store directory.
     pub resume: Option<String>,
-    /// `perf_suite`: run the snapshot-overhead gate instead of the
-    /// measurement suite.
-    pub checkpoint_overhead: bool,
-    /// `perf_suite` thread-scaling mode: the thread counts to sweep
-    /// (ascending, deduplicated). `None` when `--threads` was not
-    /// passed.
-    pub threads: Option<Vec<usize>>,
-    /// `perf_suite` serving mode: measure sustained queries/s against a
-    /// live `dg-serve` server instead of the round-loop suite.
-    pub serve: bool,
 }
 
 impl Default for Cli {
@@ -140,200 +104,160 @@ impl Default for Cli {
             shards: None,
             profile: NetworkProfile::lossless(),
             adversary: AdversaryMix::none(),
-            out: None,
             out_dir: None,
             checkpoint_every: None,
             resume: None,
-            checkpoint_overhead: false,
-            threads: None,
-            serve: false,
         }
     }
 }
+
+/// The flags that select or alter the run's config — everything
+/// `--resume` must refuse, because a resumed run's config is the one in
+/// its snapshot header.
+const CONFIG_FLAGS: [&str; 11] = [
+    "--full",
+    "--scale",
+    "--skewed",
+    "--nodes",
+    "--shards",
+    "--activity",
+    "--zipf",
+    "--engine",
+    "--profile",
+    "--adversary",
+    "--seed",
+];
 
 impl Cli {
     /// Parse from `std::env::args`. Unknown flags abort with a usage
     /// message (better than silently ignoring a typo in an experiment
     /// run).
     pub fn parse() -> Self {
+        Self::parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("{msg}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`parse`](Self::parse) over explicit arguments; `Err` is the
+    /// message to print above the usage line.
+    fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        /// The next argument run through `parse`, or `needs` as the error.
+        fn value<T>(
+            args: &mut impl Iterator<Item = String>,
+            parse: impl FnOnce(&str) -> Option<T>,
+            needs: &str,
+        ) -> Result<T, String> {
+            args.next()
+                .as_deref()
+                .and_then(parse)
+                .ok_or_else(|| needs.to_owned())
+        }
+
         let mut cli = Cli::default();
-        let mut args = std::env::args().skip(1);
+        let mut config_flag = None;
         while let Some(arg) = args.next() {
+            if config_flag.is_none() && CONFIG_FLAGS.contains(&arg.as_str()) {
+                config_flag = Some(arg.clone());
+            }
+            let args = &mut args;
             match arg.as_str() {
                 "--full" => cli.full = true,
                 "--scale" => cli.scale = true,
                 "--skewed" => cli.skewed = true,
                 "--json" => cli.json = true,
                 "--nodes" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| usage("--nodes needs a positive node count"));
-                    cli.nodes = Some(v);
+                    cli.nodes = Some(value(
+                        args,
+                        |s| s.parse().ok().filter(|&n: &usize| n > 0),
+                        "--nodes needs a positive node count",
+                    )?);
                 }
                 "--activity" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|f: &f64| f.is_finite() && *f >= 0.0)
-                        .unwrap_or_else(|| usage("--activity needs a fraction in [0, 1]"));
-                    cli.activity = Some(v);
+                    cli.activity = Some(value(
+                        args,
+                        |s| s.parse().ok().filter(|f: &f64| f.is_finite() && *f >= 0.0),
+                        "--activity needs a fraction in [0, 1]",
+                    )?);
                 }
                 "--zipf" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|f: &f64| f.is_finite() && *f >= 0.0)
-                        .unwrap_or_else(|| usage("--zipf needs a non-negative exponent"));
-                    cli.zipf = Some(v);
+                    cli.zipf = Some(value(
+                        args,
+                        |s| s.parse().ok().filter(|f: &f64| f.is_finite() && *f >= 0.0),
+                        "--zipf needs a non-negative exponent",
+                    )?);
                 }
-                "--seed" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a u64 value"));
-                    cli.seed = v;
-                }
+                "--seed" => cli.seed = value(args, |s| s.parse().ok(), "--seed needs a u64 value")?,
                 "--engine" => {
-                    let v = args
-                        .next()
-                        .as_deref()
-                        .and_then(EngineKind::parse)
-                        .unwrap_or_else(|| {
-                            usage("--engine needs `sequential`, `sharded` or `incremental`")
-                        });
-                    cli.engine = Some(v);
+                    cli.engine = Some(value(
+                        args,
+                        EngineKind::parse,
+                        "--engine needs `sequential`, `sharded` or `incremental`",
+                    )?);
                 }
                 "--shards" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--shards needs a usize value (0 = auto)"));
-                    cli.shards = Some(v);
+                    cli.shards = Some(value(
+                        args,
+                        |s| s.parse().ok(),
+                        "--shards needs a usize value (0 = auto)",
+                    )?);
                 }
                 "--profile" => {
-                    let v = args
-                        .next()
-                        .as_deref()
-                        .and_then(NetworkProfile::parse)
-                        .unwrap_or_else(|| {
-                            usage("--profile needs one of: lossless, lossy, partitioned, churning")
-                        });
-                    cli.profile = v;
+                    cli.profile = value(
+                        args,
+                        NetworkProfile::parse,
+                        "--profile needs one of: lossless, lossy, partitioned, churning",
+                    )?;
                 }
                 "--adversary" => {
-                    let v = args
-                        .next()
-                        .as_deref()
-                        .and_then(AdversaryMix::parse)
-                        .unwrap_or_else(|| {
-                            usage(
-                                "--adversary needs one of: none, sybil, collusion, slander, \
-                                 whitewash, stealth (with optional key=value overrides)",
-                            )
-                        });
-                    cli.adversary = v;
-                }
-                "--out" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--out needs a file path"));
-                    cli.out = Some(v);
+                    cli.adversary = value(
+                        args,
+                        AdversaryMix::parse,
+                        "--adversary needs one of: none, sybil, collusion, slander, whitewash, \
+                         stealth (with optional key=value overrides)",
+                    )?;
                 }
                 "--out-dir" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--out-dir needs a directory path"));
-                    cli.out_dir = Some(v);
+                    cli.out_dir = Some(value(
+                        args,
+                        |s| Some(s.to_owned()),
+                        "--out-dir needs a directory path",
+                    )?);
                 }
                 "--checkpoint-every" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| {
-                            usage("--checkpoint-every needs a positive round count")
-                        });
-                    cli.checkpoint_every = Some(v);
+                    cli.checkpoint_every = Some(value(
+                        args,
+                        |s| s.parse().ok().filter(|&n: &usize| n > 0),
+                        "--checkpoint-every needs a positive round count",
+                    )?);
                 }
                 "--resume" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage("--resume needs a store directory"));
-                    cli.resume = Some(v);
+                    cli.resume = Some(value(
+                        args,
+                        |s| Some(s.to_owned()),
+                        "--resume needs a store directory",
+                    )?);
                 }
-                "--checkpoint-overhead" => cli.checkpoint_overhead = true,
-                "--serve" => cli.serve = true,
-                "--threads" => {
-                    let v = args
-                        .next()
-                        .map(|s| parse_thread_list(&s))
-                        .unwrap_or_else(|| {
-                            usage("--threads needs a comma-separated list of positive counts")
-                        });
-                    cli.threads = Some(v);
-                }
-                "--help" | "-h" => usage(
-                    "
-",
-                ),
-                other => usage(&format!("unknown flag {other}")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        cli
-    }
-}
-
-/// Parse a `--threads` list: comma-separated positive counts, returned
-/// ascending and deduplicated (a scaling curve needs each point once).
-fn parse_thread_list(raw: &str) -> Vec<usize> {
-    let mut counts: Vec<usize> = raw
-        .split(',')
-        .map(|part| match part.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => usage("--threads needs a comma-separated list of positive counts (e.g. 1,2,4)"),
-        })
-        .collect();
-    if counts.is_empty() {
-        usage("--threads needs at least one thread count");
-    }
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "{msg}\nusage: <bin> [--full] [--scale] [--skewed] [--nodes <usize>] \
-         [--activity <f64>] [--zipf <f64>] [--seed <u64>] [--json] \
-         [--engine <sequential|sharded|incremental>] [--shards <usize>] \
-         [--profile <lossless|lossy|partitioned|churning>] \
-         [--adversary <none|sybil|collusion|slander|whitewash|stealth>] [--out <path>] \
-         [--out-dir <dir>] [--checkpoint-every <rounds>] [--resume <dir>] \
-         [--checkpoint-overhead] [--threads <list>] [--serve]"
-    );
-    std::process::exit(2)
-}
-
-/// Resolve a report file name under the CLI's `--out-dir` (creating the
-/// directory if needed). `name` is `--out` when given, else the
-/// binary's default; without `--out-dir` it is returned as-is.
-pub fn resolve_out_path(out_dir: Option<&str>, name: &str) -> String {
-    match out_dir {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create --out-dir {dir}: {e}");
-                std::process::exit(2);
-            }
-            std::path::Path::new(dir)
-                .join(name)
-                .to_string_lossy()
-                .into_owned()
+        match (&cli.resume, config_flag) {
+            (Some(_), Some(flag)) => Err(format!(
+                "--resume cannot be combined with {flag}: the run's config travels in the \
+                 snapshot header"
+            )),
+            _ => Ok(cli),
         }
-        None => name.to_string(),
     }
 }
+
+const USAGE: &str = "usage: <bin> [--full] [--scale] [--skewed] [--nodes <usize>] \
+    [--activity <f64>] [--zipf <f64>] [--seed <u64>] [--json] \
+    [--engine <sequential|sharded|incremental>] [--shards <usize>] \
+    [--profile <lossless|lossy|partitioned|churning>] \
+    [--adversary <none|sybil|collusion|slander|whitewash|stealth>] \
+    [--out-dir <dir>] [--checkpoint-every <rounds>] [--resume <dir>]";
 
 /// The paper's tolerance grid (Figs. 3/4, Table 2).
 pub const XI_GRID: [f64; 4] = [1e-2, 1e-3, 1e-4, 1e-5];
@@ -345,5 +269,72 @@ pub fn size_grid(full: bool) -> Vec<usize> {
         vec![100, 500, 1000, 10_000, 50_000]
     } else {
         vec![100, 500, 1000, 5000]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_into_their_fields() {
+        let cli = parse(&[
+            "--skewed",
+            "--nodes",
+            "20000",
+            "--engine",
+            "incremental",
+            "--checkpoint-every",
+            "2",
+            "--out-dir",
+            "/tmp/run",
+        ])
+        .unwrap();
+        let expected = Cli {
+            skewed: true,
+            nodes: Some(20_000),
+            engine: Some(EngineKind::Incremental),
+            checkpoint_every: Some(2),
+            out_dir: Some("/tmp/run".into()),
+            ..Cli::default()
+        };
+        assert_eq!(cli, expected);
+        assert_eq!(parse(&[]).unwrap(), Cli::default());
+        assert!(parse(&["--nodes", "0"]).unwrap_err().contains("--nodes"));
+        assert!(parse(&["--seed"]).unwrap_err().contains("--seed"));
+        assert_eq!(parse(&["--threads"]).unwrap_err(), "unknown flag --threads");
+    }
+
+    #[test]
+    fn resume_refuses_every_config_selecting_flag() {
+        let resumed = parse(&["--resume", "dir", "--checkpoint-every", "1", "--json"]).unwrap();
+        assert_eq!(resumed.resume.as_deref(), Some("dir"));
+        for flag in CONFIG_FLAGS {
+            // Value-taking flags get a valid value, so the only error
+            // left is the combination itself; order does not matter.
+            let value = match flag {
+                "--full" | "--scale" | "--skewed" => None,
+                "--engine" => Some("sharded"),
+                "--profile" => Some("lossy"),
+                "--adversary" => Some("sybil"),
+                _ => Some("9"),
+            };
+            let mut args: Vec<&str> = std::iter::once(flag).chain(value).collect();
+            args.extend(["--resume", "dir"]);
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains("snapshot header"),
+                "{err}"
+            );
+            args.rotate_right(2);
+            assert!(
+                parse(&args).unwrap_err().contains(flag),
+                "{flag} after --resume"
+            );
+        }
     }
 }

@@ -580,6 +580,13 @@ mod tests {
         assert!(clean.residual_error < 0.02, "{}", clean.residual_error);
         assert_eq!(clean.profile, "lossless");
         assert_eq!(lossy.profile, "custom");
+
+        // The `degradation` rows README §Network faults quotes (seed
+        // 42): seed-pinned and deterministic, so pinned exactly.
+        let quoted = degradation_experiment(1000, 1e-4, &[0.0, 0.3, 0.5], 42).unwrap();
+        assert!(quoted.iter().all(|r| r.converged));
+        let steps: Vec<usize> = quoted.iter().map(|r| r.steps).collect();
+        assert_eq!(steps, [80, 113, 188]);
     }
 
     #[test]
@@ -593,6 +600,18 @@ mod tests {
         // The churning preset maps its crash probability onto the sync
         // churn model.
         assert!(rows[1].churn > 0.0);
+
+        // The four preset rows `degradation` prints at seed 42, exactly.
+        let presets = [
+            NetworkProfile::lossless(),
+            NetworkProfile::lossy(),
+            NetworkProfile::partitioned(),
+            NetworkProfile::churning(),
+        ];
+        let quoted = profile_experiment(1000, 1e-4, &presets, 42).unwrap();
+        assert!(quoted.iter().all(|r| r.converged));
+        let steps: Vec<usize> = quoted.iter().map(|r| r.steps).collect();
+        assert_eq!(steps, [80, 83, 80, 139]);
     }
 
     #[test]

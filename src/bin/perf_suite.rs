@@ -1,24 +1,21 @@
-//! Round-engine performance suite: run the reputation lifecycle on a
-//! pinned-seed scenario under every engine and emit a machine-readable
-//! `BENCH_<name>.json` report (nodes/round throughput,
-//! rounds-to-convergence, wall time). With `--profile` the convergence
-//! measurement runs under that network fault profile and the report is
-//! written to `BENCH_<profile>.json`.
+//! `RunSession` runner: drive one preset `RunConfig` to its configured
+//! `rounds` and print one summary line (rounds, wall time,
+//! node-rounds/s, final free-rider service rate, peak RSS), optionally
+//! checkpointing into — or resuming from — a `dg-store` directory.
+//! It keeps no report and gates nothing; the repo's benchmark is
+//! `benchmark/` (see `benchmark/README.md`).
 //!
-//! The binary lives in the umbrella package (entry point shared with
+//! The binary lives in the umbrella package (its logic is
 //! `dg_bench::perf::suite_main`) so it runs from the workspace root
 //! without naming a package:
 //!
 //! ```text
-//! cargo run --release --bin perf_suite            # smoke (5k nodes)
-//! cargo run --release --bin perf_suite -- --full  # 20k nodes
-//! cargo run --release --bin perf_suite -- --out BENCH_pr.json
-//! cargo run --release --bin perf_suite -- --engine sharded
-//! cargo run --release --bin perf_suite -- --profile lossy  # BENCH_lossy.json
+//! cargo run --release --bin perf_suite                      # smoke preset (5k nodes, sharded)
+//! cargo run --release --bin perf_suite -- --skewed --engine incremental
+//! cargo run --release --bin perf_suite -- --scale --engine sharded   # 1M nodes
+//! cargo run --release --bin perf_suite -- --checkpoint-every 2 --out-dir /tmp/run
+//! cargo run --release --bin perf_suite -- --resume /tmp/run/session_store
 //! ```
-//!
-//! CI's `perf-smoke` job uploads the report and gates on
-//! `perf_compare` against the committed `crates/bench/BENCH_baseline.json`.
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     dg_bench::perf::suite_main()
