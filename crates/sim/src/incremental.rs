@@ -52,10 +52,11 @@ use crate::kernel::{
     SubjectAggregates, TransactionRecord,
 };
 use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
-use crate::session::{EngineCheckpoint, RestoreError};
+use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_graph::NodeId;
+use dg_store::NodeRecord;
 use dg_trust::{ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -369,17 +370,17 @@ impl RoundEngine for IncrementalRoundEngine {
         &mut self.core
     }
 
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
+    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
         // Rebuild from scratch, then mark *every* node dirty and
         // *every* node as freshly washed: the persistent trust matrix,
         // aggregate cache and ŷ cache are derived state that the
-        // checkpoint deliberately omits, so the first resumed round
+        // records deliberately omit, so the first resumed round
         // refolds all rows and recomputes every observer's run from
         // the restored estimators — after which the incremental paths
         // take over again. Queued ingest batches survive the restore,
         // like the other engines' pending lists do.
         let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
-        core.restore(checkpoint)?;
+        core.restore(round, records)?;
         core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
         let n = core.nodes.len() as u32;
         *self = Self::new(core);

@@ -4,9 +4,9 @@
 //! The paper's lifecycle loop — transact, estimate, gossip-aggregate,
 //! whitewash — is implemented **once**, here, as engine-agnostic phase
 //! primitives over one [`EngineCore`]: the cross-round state (scenario,
-//! config, per-node estimators and tables, aggregated runs, admission
+//! config, per-node estimators and audit state, aggregated runs, admission
 //! scales, queued ingest, round counter) together with everything that
-//! is a pure function of it — checkpoint / restore, ingest queueing,
+//! is a pure function of it — records / restore, ingest queueing,
 //! lookups, totals, the audit phase and the round epilogue. An engine
 //! ([`crate::rounds`]' sequential reference driver,
 //! [`crate::sharded::ShardedRoundEngine`] and
@@ -22,8 +22,8 @@
 //!   aggregated view, and the per-node ChaCha8 stream
 //!   ([`node_stream_seed`]) its quality draws consume;
 //! * `NodeState::fold_records` — phase 2 for one node: fold the
-//!   round's records into the per-edge estimators and the reputation
-//!   table, emit the node's (sorted) trust row;
+//!   round's records into the per-edge estimators, emit the node's
+//!   (sorted) trust row;
 //! * `SubjectAggregates` + `closed_form_row` — phase 3 in closed
 //!   form: per-subject report sums under the robust policy and the
 //!   weighted Eq. (6) row of one observer;
@@ -45,7 +45,7 @@
 use crate::config::RunConfig;
 use crate::rounds::{AggregationScope, NewcomerPolicy, RoundStats};
 use crate::scenario::Scenario;
-use crate::session::{checkpoint_node, restore_nodes, EngineCheckpoint, RestoreError};
+use crate::session::{node_from_record, node_record, SessionError};
 use crate::workload::ActivityPlan;
 use dg_core::algorithms::alg4;
 use dg_core::behavior::Behavior;
@@ -53,8 +53,9 @@ use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_gossip::node_stream_seed;
 use dg_graph::NodeId;
+use dg_store::NodeRecord;
 use dg_trust::audit::{audit_targets, AuditPolicy, ReportLog};
-use dg_trust::prelude::{EwmaEstimator, ReputationTable, TransactionOutcome, TrustEstimator};
+use dg_trust::prelude::{EwmaEstimator, TransactionOutcome, TrustEstimator};
 use dg_trust::{RobustAggregation, TrustMatrix, TrustValue};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -381,12 +382,14 @@ pub(crate) fn merge_pending(
     *pending = out;
 }
 
-/// Per-node mutable state of the record-folding engines.
+/// Per-node mutable state of the record-folding engines. Together with
+/// the node's aggregated run (`EngineCore::aggregated`, what admission
+/// reads) this is the paper's Section 3 reputation table.
+#[derive(Default)]
 pub(crate) struct NodeState {
-    /// Per-provider estimators (the requester's view of each provider).
+    /// Per-provider estimators (the requester's view of each provider:
+    /// local trust `t_ij` and the first-hand transaction count).
     pub(crate) estimators: BTreeMap<NodeId, EwmaEstimator>,
-    /// The node's reputation table.
-    pub(crate) table: ReputationTable,
     /// Recorded report evidence for audit re-verification (empty while
     /// auditing is off — zero-rate runs carry no extra state).
     pub(crate) log: ReportLog,
@@ -399,22 +402,11 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    pub(crate) fn new() -> Self {
-        Self {
-            estimators: BTreeMap::new(),
-            table: ReputationTable::new(),
-            log: ReportLog::default(),
-            strikes: 0,
-            convicted_at: None,
-        }
-    }
-
     /// Drop every trace of the purged identities from this node's view
     /// (their subjects were washed or convicted).
     pub(crate) fn forget(&mut self, purged: &[NodeId]) {
         self.estimators
             .retain(|j, _| purged.binary_search(j).is_err());
-        self.table.retain(|j| purged.binary_search(&j).is_err());
     }
 
     /// Reset this node's own identity state (it washed or was
@@ -422,28 +414,24 @@ impl NodeState {
     /// a whitewasher's reset is a fresh start.
     pub(crate) fn reset_identity(&mut self) {
         self.estimators.clear();
-        self.table = ReputationTable::new();
         self.log.clear();
         self.strikes = 0;
     }
 
-    /// Fold one round's transaction records into the estimators and
-    /// table, then emit the node's trust row (ascending by provider) —
-    /// the estimate-phase kernel shared by every engine so their math
-    /// is identical by construction.
+    /// Fold one round's transaction records into the estimators, then
+    /// emit the node's trust row (ascending by provider) — the
+    /// estimate-phase kernel shared by every engine so their math is
+    /// identical by construction.
     pub(crate) fn fold_records(
         &mut self,
         records: Vec<TransactionRecord>,
         ewma_rate: f64,
-        round: u64,
     ) -> Vec<(NodeId, TrustValue)> {
         for rec in records {
-            let est = self
-                .estimators
+            self.estimators
                 .entry(rec.provider)
-                .or_insert_with(|| EwmaEstimator::new(ewma_rate));
-            self.table
-                .record_transaction(rec.provider, est, rec.outcome, round);
+                .or_insert_with(|| EwmaEstimator::new(ewma_rate))
+                .record(rec.outcome);
         }
         self.estimators
             .iter()
@@ -522,7 +510,7 @@ pub struct EngineCore {
     pub(crate) scenario: Arc<Scenario>,
     pub(crate) config: RunConfig,
     pub(crate) plan: ActivityPlan,
-    /// Per-node estimators, tables and audit state, indexed by node id.
+    /// Per-node estimators and audit state, indexed by node id.
     pub(crate) nodes: Vec<NodeState>,
     /// `aggregated[observer]` — sorted `(subject, reputation)` run.
     pub(crate) aggregated: Vec<Vec<(NodeId, f64)>>,
@@ -542,7 +530,7 @@ impl EngineCore {
             scenario,
             plan: ActivityPlan::new(config.traffic, n),
             config,
-            nodes: (0..n).map(|_| NodeState::new()).collect(),
+            nodes: (0..n).map(|_| NodeState::default()).collect(),
             aggregated: vec![Vec::new(); n],
             observer_mean: vec![None; n],
             pending_ingest: Vec::new(),
@@ -568,11 +556,6 @@ impl EngineCore {
     /// The index of the next round to run (0 before the first round).
     pub fn round(&self) -> usize {
         self.round
-    }
-
-    /// The reputation table of one node.
-    pub fn table(&self, node: NodeId) -> &ReputationTable {
-        &self.nodes[node.index()].table
     }
 
     /// The aggregated reputation of `subject` at `observer`, if any
@@ -630,26 +613,55 @@ impl EngineCore {
             .collect()
     }
 
-    /// Freeze the cross-round state.
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            round: self.round,
-            nodes: self.nodes.iter().map(checkpoint_node).collect(),
-            aggregated: self.aggregated.clone(),
-            observer_mean: self.observer_mean.clone(),
-        }
+    /// The cross-round state written down, one record per node: exactly
+    /// what must survive a restart for the continuation to be
+    /// bit-identical, and the same on every engine. Derived state — the
+    /// trust matrix, subject-aggregate caches, the incremental engine's
+    /// dirty sets — is deliberately absent; engines rebuild it from the
+    /// estimators on the first resumed round.
+    pub fn records(&self) -> Vec<NodeRecord> {
+        (0..self.nodes.len())
+            .map(|i| {
+                node_record(
+                    i,
+                    &self.nodes[i],
+                    &self.aggregated[i],
+                    self.observer_mean[i],
+                )
+            })
+            .collect()
     }
 
-    /// Replace the cross-round state with a checkpoint. Queued ingest
-    /// batches survive. Engines with derived state go through
+    /// Replace the cross-round state with `records` (dense: record `i`
+    /// describes node `i`), about to run `round`. Nothing changes unless
+    /// every record is usable. Queued ingest batches survive. Engines
+    /// with derived state go through
     /// [`RoundEngine::restore`](crate::rounds::RoundEngine::restore),
     /// which also resets it.
-    pub(crate) fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
-        checkpoint.validate(self.nodes.len())?;
-        self.nodes = restore_nodes(checkpoint.nodes);
-        self.aggregated = checkpoint.aggregated;
-        self.observer_mean = checkpoint.observer_mean;
-        self.round = checkpoint.round;
+    pub(crate) fn restore(
+        &mut self,
+        round: usize,
+        records: &[NodeRecord],
+    ) -> Result<(), SessionError> {
+        let n = self.nodes.len();
+        if records.len() != n {
+            return Err(SessionError::Snapshot {
+                reason: format!("{} node records for a scenario of {n} nodes", records.len()),
+            });
+        }
+        let mut nodes = Vec::with_capacity(n);
+        let mut aggregated = Vec::with_capacity(n);
+        let mut observer_mean = Vec::with_capacity(n);
+        for (i, record) in records.iter().enumerate() {
+            let (state, run, mean) = node_from_record(i, record, n)?;
+            nodes.push(state);
+            aggregated.push(run);
+            observer_mean.push(mean);
+        }
+        self.nodes = nodes;
+        self.aggregated = aggregated;
+        self.observer_mean = observer_mean;
+        self.round = round;
         Ok(())
     }
 
@@ -779,7 +791,7 @@ impl EngineCore {
             return Vec::new();
         }
         let (config, round) = (&self.config, self.round as u64);
-        let mut row = state.fold_records(records, config.ewma_rate, round);
+        let mut row = state.fold_records(records, config.ewma_rate);
         self.scenario
             .adversaries
             .distort_row(node, round, self.scenario.config.seed, &mut row);
@@ -827,7 +839,7 @@ impl EngineCore {
     /// summarise the round, run the whitewash phase (washers whose mean
     /// reputation collapsed discard their identity) merged with the
     /// audit phase's convictions into one purge — `purge` clears the
-    /// per-node estimator/table state for the listed ids
+    /// per-node estimator state for the listed ids
     /// ([`purge_identities`] unless the engine must also record what
     /// the purge touched); the aggregated runs are scrubbed here — then
     /// refresh the observers' admission scales (post-purge, so the next

@@ -27,7 +27,7 @@
 //!   every engine is a `run_round` strategy over: the cross-round state
 //!   plus the transact → estimate → aggregate → wash contracts, so all
 //!   observable math (per-node RNG streams, robust subject sums, Eq. (6)
-//!   rows, the round epilogue) and all bookkeeping (checkpoint, restore,
+//!   rows, the round epilogue) and all bookkeeping (records, restore,
 //!   ingest queueing) has exactly one implementation;
 //! * [`sharded`] — the sharded round engine: the kernel phases fanned
 //!   out over contiguous *node shards* on per-node ChaCha8 streams,
@@ -75,8 +75,5 @@ pub use config::RunConfig;
 pub use rounds::build_engine;
 pub use scenario::Scenario;
 pub use serve::{IngestError, IngestReport, ServeSession};
-pub use session::{
-    round_seed, CheckpointKind, EngineCheckpoint, NodeCheckpoint, RestoreError, RunSession,
-    SessionError,
-};
+pub use session::{round_seed, CheckpointKind, RunSession, SessionError};
 pub use workload::{ActivityPlan, TrafficModel};

@@ -10,10 +10,9 @@
 //!
 //! Each round runs the phases of the shared kernel ([`crate::kernel`]):
 //! **transact** (traffic-gated, admission-controlled chunk requests
-//! along overlay edges), **estimate** (per-edge EWMA updates feeding
-//! each node's [`ReputationTable`](dg_trust::prelude::ReputationTable))
-//! and **aggregate** (Variation-4 differential gossip, in closed form or
-//! by real gossip).
+//! along overlay edges), **estimate** (per-edge EWMA updates of each
+//! node's first-hand estimators) and **aggregate** (Variation-4
+//! differential gossip, in closed form or by real gossip).
 //!
 //! Three execution engines are available through
 //! [`RunConfig::engine`], each a `run_round` strategy over one shared
@@ -47,11 +46,12 @@ use crate::kernel::{
     closed_form_row, purge_identities, EngineCore, ServiceDelta, SubjectAggregates,
 };
 use crate::scenario::Scenario;
-use crate::session::{EngineCheckpoint, RestoreError};
+use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_gossip::EngineKind;
 use dg_graph::NodeId;
+use dg_store::NodeRecord;
 use dg_trust::{RobustAggregation, TrustMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -244,20 +244,20 @@ fn rate(served: u64, refused: u64) -> f64 {
 /// A round engine: a `run_round` strategy over one [`EngineCore`].
 ///
 /// The core holds the cross-round state every engine shares
-/// (estimators, tables, aggregated runs, observer means, queued ingest,
-/// round index) and everything that is a pure function of it —
-/// [`EngineCore::checkpoint`], [`EngineCore::queue_reports`], lookups,
+/// (estimators, audit state, aggregated runs, observer means, queued
+/// ingest, round index) and everything that is a pure function of it —
+/// [`EngineCore::records`], [`EngineCore::queue_reports`], lookups,
 /// totals — so [`RunSession`](crate::session::RunSession) and
 /// engine-level callers read those straight off [`core`](Self::core).
 /// Adding an engine is one `impl` (the two accessors plus `run_round`)
 /// and one arm in [`build_engine`] — the single dispatch point every
 /// layer (session, bench CLI, perf suite) routes through.
 ///
-/// Checkpoints speak the engine-agnostic [`EngineCheckpoint`].
+/// The checkpoint is the store's [`NodeRecord`] list itself.
 /// Engine-internal acceleration state — CSR matrices, aggregate caches,
-/// cached weights — is deliberately *not* part of a checkpoint: it is
+/// cached weights — is deliberately *not* part of it: it is
 /// deterministically reconstructible, so any engine can restore any
-/// engine's checkpoint and the resumed trajectory stays bit-identical
+/// engine's records and the resumed trajectory stays bit-identical
 /// (pinned by `tests/crash_recovery.rs`).
 pub trait RoundEngine {
     /// The shared cross-round state.
@@ -266,12 +266,13 @@ pub trait RoundEngine {
     fn core_mut(&mut self) -> &mut EngineCore;
     /// Run one full round from the given seed.
     fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError>;
-    /// Replace the engine's cross-round state with a checkpoint (made by
-    /// this engine or any other). Fails if the checkpoint's node count
-    /// does not match the scenario. Engines that keep derived state
+    /// Replace the engine's cross-round state with `records` (written
+    /// by this engine or any other), about to run `round`. Fails with
+    /// [`SessionError::Snapshot`], leaving the engine untouched, if the
+    /// records do not fit the scenario. Engines that keep derived state
     /// across rounds override this to reset it.
-    fn restore(&mut self, checkpoint: EngineCheckpoint) -> Result<(), RestoreError> {
-        self.core_mut().restore(checkpoint)
+    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
+        self.core_mut().restore(round, records)
     }
 }
 
@@ -319,9 +320,8 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     let n = scenario.graph.node_count();
 
     // Phases 1 + 2: transact, then fold each requester's records
-    // into its estimators and table — inline, one node at a time,
-    // but on the same per-node streams and kernel phases as the
-    // parallel engines. Rows go into the dynamic map backend, one
+    // into its estimators — inline, one node at a time, but on the
+    // same per-node streams and kernel phases as the parallel engines. Rows go into the dynamic map backend, one
     // point insertion per entry.
     let mut delta = ServiceDelta::default();
     let banned = core.banned();

@@ -20,16 +20,21 @@
 //! The resumed run is **bit-for-bit identical** to one that never
 //! stopped: engines draw round seeds from the deterministic
 //! [`round_seed`] schedule (not from shared RNG state, which a restart
-//! could not reproduce), and [`EngineCheckpoint`] carries exactly the
-//! cross-round state — estimators, reputation tables, aggregated runs,
-//! observer means and the round counter. Everything else (trust matrix,
-//! aggregate caches) is derived per round and deliberately omitted;
-//! `tests/crash_recovery.rs` pins the equivalence for all three engines.
+//! could not reproduce), and the checkpoint is the store's own
+//! [`NodeRecord`] list ([`RunSession::records`]): one record per node
+//! carrying exactly the cross-round state — estimators, audit state,
+//! aggregated run and observer mean — plus the round counter in the
+//! header. Everything else (trust matrix, aggregate caches) is derived
+//! per round and deliberately omitted; `tests/crash_recovery.rs` pins
+//! the equivalence for all three engines.
 //!
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly
 //! idle network persist as dirty-row *delta* records
-//! ([`dg_store::diff_changed`]) against the last checkpoint.
+//! ([`dg_store::diff_changed`]) against the last checkpoint. This
+//! module is the one place that converts between a node's live state
+//! and its record, and the conversion back validates what it reads: a
+//! store is outside input.
 //!
 //! Underneath, [`Scenario::build`] and [`build_engine`] take the same
 //! [`RunConfig`]; callers that hold the scenario themselves or choose
@@ -44,14 +49,11 @@ use dg_gossip::GossipError;
 use dg_graph::NodeId;
 use dg_store::{
     diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
-    TableRecord,
 };
 use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::{EwmaEstimator, TrustEstimator};
-use dg_trust::table::TableEntry;
 use dg_trust::{ShardSpec, TrustValue};
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use thiserror::Error;
 
@@ -91,10 +93,8 @@ pub enum SessionError {
     /// The durable store rejected or could not produce a checkpoint.
     #[error(transparent)]
     Store(#[from] StoreError),
-    /// A checkpoint does not fit the engine it was offered to.
-    #[error(transparent)]
-    Restore(#[from] RestoreError),
-    /// A loaded snapshot is internally inconsistent: {reason}
+    /// A loaded snapshot is internally inconsistent or does not fit the
+    /// engine it was offered to.
     #[error("snapshot is not usable: {reason}")]
     Snapshot {
         /// What made the snapshot unusable.
@@ -102,113 +102,133 @@ pub enum SessionError {
     },
 }
 
-/// Errors from handing an [`EngineCheckpoint`] to an engine.
-#[derive(Debug, Error, PartialEq, Eq)]
-pub enum RestoreError {
-    /// The checkpoint was made over a different node count.
-    #[error("checkpoint holds {found} nodes, scenario has {expected}")]
-    NodeCount {
-        /// Node count of the engine's scenario.
-        expected: usize,
-        /// Node count found in the checkpoint.
-        found: usize,
-    },
-    /// The checkpoint's parallel arrays disagree in length.
-    #[error("checkpoint is malformed: {reason}")]
-    Shape {
-        /// Which arrays disagree.
-        reason: String,
-    },
-}
-
-/// The engine-agnostic cross-round state of a run: exactly what must
-/// survive a restart for the continuation to be bit-identical.
-///
-/// Every engine produces and accepts this one shape
-/// ([`EngineCore::checkpoint`](crate::kernel::EngineCore::checkpoint) /
-/// [`RoundEngine::restore`]), which is
-/// what makes restore *cross-engine*: a checkpoint made by the
-/// sequential driver restores into the sharded engine and vice versa.
-/// Derived state — the trust matrix, subject-aggregate caches, the
-/// incremental engine's dirty sets — is deliberately absent; engines
-/// rebuild it from the estimators on the first resumed round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineCheckpoint {
-    /// Rounds completed (the next round to run).
-    pub round: usize,
-    /// Per-node persistent state, indexed by node id.
-    pub nodes: Vec<NodeCheckpoint>,
-    /// `aggregated[observer]` — sorted `(subject, reputation)` run.
-    pub aggregated: Vec<Vec<(NodeId, f64)>>,
-    /// Mean aggregated reputation per observer (admission scale).
-    pub observer_mean: Vec<Option<f64>>,
-}
-
-impl EngineCheckpoint {
-    /// Check the checkpoint fits a scenario of `n` nodes.
-    pub fn validate(&self, n: usize) -> Result<(), RestoreError> {
-        if self.nodes.len() != n {
-            return Err(RestoreError::NodeCount {
-                expected: n,
-                found: self.nodes.len(),
-            });
-        }
-        if self.aggregated.len() != n || self.observer_mean.len() != n {
-            return Err(RestoreError::Shape {
-                reason: format!(
-                    "{} nodes but {} aggregated rows and {} observer means",
-                    n,
-                    self.aggregated.len(),
-                    self.observer_mean.len()
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// One node's persistent state inside an [`EngineCheckpoint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeCheckpoint {
-    /// Per-provider estimators, sorted by peer.
-    pub estimators: Vec<(NodeId, EwmaEstimator)>,
-    /// Reputation-table rows, sorted by peer.
-    pub table: Vec<(NodeId, TableEntry)>,
-    /// Audit report log entries, sorted by subject.
-    pub log: Vec<ReportLogEntry>,
-    /// Accumulated audit strikes.
-    pub strikes: u32,
-    /// Round the node was convicted, if ever.
-    pub convicted_at: Option<u64>,
-}
-
-/// Freeze one node's kernel state.
-pub(crate) fn checkpoint_node(state: &NodeState) -> NodeCheckpoint {
-    NodeCheckpoint {
-        estimators: state.estimators.iter().map(|(&id, &e)| (id, e)).collect(),
-        table: state.table.iter().map(|(id, &e)| (id, e)).collect(),
-        log: state.log.entries().to_vec(),
+/// One node's cross-round state — its [`NodeState`], its aggregated
+/// `run` and its observer `mean` — written down as the store's record.
+pub(crate) fn node_record(
+    node: usize,
+    state: &NodeState,
+    run: &[(NodeId, f64)],
+    mean: Option<f64>,
+) -> NodeRecord {
+    NodeRecord {
+        node: node as u32,
+        estimators: state
+            .estimators
+            .iter()
+            .map(|(peer, est)| EstimatorRecord {
+                peer: peer.0,
+                rate: est.rate(),
+                value: est.estimate().get(),
+                count: est.transactions(),
+            })
+            .collect(),
+        run: run.iter().map(|&(subject, rep)| (subject.0, rep)).collect(),
+        mean,
+        audit_log: state
+            .log
+            .entries()
+            .iter()
+            .map(|e| AuditEntryRecord {
+                subject: e.subject.0,
+                round: e.round,
+                reported: e.reported,
+                implied: e.implied,
+            })
+            .collect(),
         strikes: state.strikes,
         convicted_at: state.convicted_at,
     }
 }
 
-/// Thaw checkpointed nodes back into kernel states.
-pub(crate) fn restore_nodes(nodes: Vec<NodeCheckpoint>) -> Vec<NodeState> {
-    nodes
-        .into_iter()
-        .map(|node| {
-            let mut state = NodeState::new();
-            state.estimators = BTreeMap::from_iter(node.estimators);
-            for (peer, entry) in node.table {
-                state.table.insert(peer, entry);
-            }
-            state.log = ReportLog::from_entries(node.log);
-            state.strikes = node.strikes;
-            state.convicted_at = node.convicted_at;
-            state
-        })
-        .collect()
+/// What one [`NodeRecord`] restores: the node's kernel state, its
+/// aggregated run and its observer mean.
+pub(crate) type NodeParts = (NodeState, Vec<(NodeId, f64)>, Option<f64>);
+
+/// The inverse of [`node_record`] for node `node` of `nodes`. A record
+/// comes from disk, so everything the round loop would index, search or
+/// feed into admission arithmetic is checked first: every id list
+/// strictly ascending (the run and the audit log are binary-searched)
+/// and below `nodes`, rates in `[0, 1]`, run values and the mean finite.
+/// Records this crate wrote pass unchanged, bit for bit.
+pub(crate) fn node_from_record(
+    node: usize,
+    record: &NodeRecord,
+    nodes: usize,
+) -> Result<NodeParts, SessionError> {
+    let bad = |what: String| SessionError::Snapshot {
+        reason: format!("node {node}: {what}"),
+    };
+    if record.node as usize != node {
+        return Err(bad(format!("record describes node {}", record.node)));
+    }
+    let peers = record.estimators.iter().map(|e| e.peer);
+    let subjects = record.run.iter().map(|r| r.0);
+    let audited = record.audit_log.iter().map(|e| e.subject);
+    for (field, stray) in [
+        ("estimator peer", first_stray_id(peers, nodes)),
+        ("run subject", first_stray_id(subjects, nodes)),
+        ("audit subject", first_stray_id(audited, nodes)),
+    ] {
+        if let Some(id) = stray {
+            return Err(bad(format!(
+                "{field} {id} is not strictly ascending below {nodes}"
+            )));
+        }
+    }
+    if let Some(e) = record
+        .estimators
+        .iter()
+        .find(|e| !(0.0..=1.0).contains(&e.rate))
+    {
+        return Err(bad(format!(
+            "estimator rate {} for peer {}",
+            e.rate, e.peer
+        )));
+    }
+    if let Some((subject, rep)) = record.run.iter().find(|r| !r.1.is_finite()) {
+        return Err(bad(format!("run value {rep} for subject {subject}")));
+    }
+    if record.mean.is_some_and(|m| !m.is_finite()) {
+        return Err(bad(format!("observer mean {:?}", record.mean)));
+    }
+
+    // `saturating` is the identity for every value an estimator can
+    // hold, so written records round-trip bit for bit.
+    let estimator = |e: &EstimatorRecord| {
+        let value = TrustValue::saturating(e.value);
+        (
+            NodeId(e.peer),
+            EwmaEstimator::from_parts(e.rate, value, e.count),
+        )
+    };
+    let logged = |e: &AuditEntryRecord| ReportLogEntry {
+        subject: NodeId(e.subject),
+        round: e.round,
+        reported: e.reported,
+        implied: e.implied,
+    };
+    let state = NodeState {
+        estimators: record.estimators.iter().map(estimator).collect(),
+        log: ReportLog::from_entries(record.audit_log.iter().map(logged).collect()),
+        strikes: record.strikes,
+        convicted_at: record.convicted_at,
+    };
+    let run = record
+        .run
+        .iter()
+        .map(|&(j, rep)| (NodeId(j), rep))
+        .collect();
+    Ok((state, run, record.mean))
+}
+
+/// The first id that breaks "strictly ascending and below `nodes`".
+fn first_stray_id(mut ids: impl Iterator<Item = u32>, nodes: usize) -> Option<u32> {
+    let mut floor = 0;
+    ids.find(|&id| {
+        let stray = id < floor || id as usize >= nodes;
+        floor = id.saturating_add(1);
+        stray
+    })
 }
 
 /// What [`RunSession::checkpoint`] wrote.
@@ -232,9 +252,10 @@ pub struct RunSession {
     stats: Vec<RoundStats>,
     /// Records as of the last checkpoint — the delta diff base.
     last_records: Vec<NodeRecord>,
-    /// Round of the last checkpoint *we* wrote (deltas only extend a
-    /// chain this session owns end-to-end).
-    last_checkpoint_round: Option<u64>,
+    /// Store root and round of the last checkpoint *we* wrote or
+    /// resumed from (deltas only extend a chain this session owns
+    /// end-to-end, in the directory it owns it in).
+    last_checkpoint: Option<(PathBuf, u64)>,
 }
 
 impl RunSession {
@@ -251,7 +272,7 @@ impl RunSession {
             config,
             stats: Vec::new(),
             last_records: Vec::new(),
-            last_checkpoint_round: None,
+            last_checkpoint: None,
         })
     }
 
@@ -271,9 +292,12 @@ impl RunSession {
         &self.stats
     }
 
-    /// The reputation table of one node.
-    pub fn table(&self, node: NodeId) -> &dg_trust::prelude::ReputationTable {
-        self.engine.core().table(node)
+    /// The cross-round state as the store's node records — what
+    /// [`checkpoint`](Self::checkpoint) persists and
+    /// [`resume`](Self::resume) restores; compare two runs with
+    /// [`NodeRecord::bits_eq`].
+    pub fn records(&self) -> Vec<NodeRecord> {
+        self.engine.core().records()
     }
 
     /// The aggregated reputation of `subject` at `observer`, if any
@@ -337,14 +361,15 @@ impl RunSession {
     /// Persist the current state into the store at `dir`.
     ///
     /// Writes a full epoch the first time (and every
-    /// [`FULL_EPOCH_INTERVAL`]-th time, and whenever the store's chain
-    /// was not written by this session); in between, consecutive
-    /// checkpoints persist only the node records that changed since the
-    /// last one, as a delta on the chain. Checkpointing the same round
-    /// twice rewrites a full epoch idempotently.
+    /// [`FULL_EPOCH_INTERVAL`]-th time, and whenever the chain in `dir`
+    /// is not the one this session last wrote or resumed); in between,
+    /// consecutive checkpoints persist only the node records that
+    /// changed since the last one, as a delta on the chain.
+    /// Checkpointing the same round twice rewrites a full epoch
+    /// idempotently.
     pub fn checkpoint(&mut self, dir: &Path) -> Result<CheckpointKind, SessionError> {
         let round = self.round() as u64;
-        let records = records_from_checkpoint(&self.engine.core().checkpoint());
+        let records = self.records();
         let store = Store::open(dir);
         let head = store.head()?;
 
@@ -372,18 +397,25 @@ impl RunSession {
             notes: String::new(),
         };
 
-        let as_delta = match &head {
-            Some(h) => {
-                Some(h.latest_round()) == self.last_checkpoint_round
-                    && round > h.latest_round()
+        // The chain's tip must be the checkpoint `last_records` mirrors:
+        // same directory, same round. Another directory whose unrelated
+        // chain happens to end on that round gets a full epoch (paths
+        // compare as given, so an alias of the same directory merely
+        // costs one too).
+        let base = match (&head, &self.last_checkpoint) {
+            (Some(h), Some((root, base)))
+                if root == dir
+                    && h.latest_round() == *base
+                    && round > *base
                     && h.delta_rounds.len() < FULL_EPOCH_INTERVAL
-                    && !self.last_records.is_empty()
+                    && !self.last_records.is_empty() =>
+            {
+                Some(*base)
             }
-            None => false,
+            _ => None,
         };
 
-        let kind = if as_delta {
-            let base = self.last_checkpoint_round.expect("checked above");
+        let kind = if let Some(base) = base {
             header.base_round = Some(base);
             let changed = diff_changed(&self.last_records, &records);
             store.write_delta(&header, &changed)?;
@@ -393,7 +425,7 @@ impl RunSession {
             CheckpointKind::Full
         };
         self.last_records = records;
-        self.last_checkpoint_round = Some(round);
+        self.last_checkpoint = Some((dir.to_path_buf(), round));
         Ok(kind)
     }
 
@@ -430,143 +462,14 @@ impl RunSession {
         };
 
         let mut session = Self::new(config)?;
-        let checkpoint =
-            checkpoint_from_records(snapshot.header.round as usize, &snapshot.records)?;
-        session.engine.restore(checkpoint)?;
+        session
+            .engine
+            .restore(snapshot.header.round as usize, &snapshot.records)?;
         session.stats = stats;
         session.last_records = snapshot.records;
-        session.last_checkpoint_round = Some(snapshot.header.round);
+        session.last_checkpoint = Some((dir.to_path_buf(), snapshot.header.round));
         Ok(session)
     }
-}
-
-/// Flatten an [`EngineCheckpoint`] into the store's node records.
-pub(crate) fn records_from_checkpoint(checkpoint: &EngineCheckpoint) -> Vec<NodeRecord> {
-    checkpoint
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| NodeRecord {
-            node: i as u32,
-            estimators: node
-                .estimators
-                .iter()
-                .map(|&(peer, est)| EstimatorRecord {
-                    peer: peer.0,
-                    rate: est.rate(),
-                    value: est.estimate().get(),
-                    count: est.transactions(),
-                })
-                .collect(),
-            table: node
-                .table
-                .iter()
-                .map(|&(peer, entry)| TableRecord {
-                    peer: peer.0,
-                    local_trust: entry.local_trust.get(),
-                    aggregated: entry.aggregated.map(TrustValue::get),
-                    last_heard_round: entry.last_heard_round,
-                    transactions: entry.transactions,
-                })
-                .collect(),
-            run: checkpoint.aggregated[i]
-                .iter()
-                .map(|&(subject, rep)| (subject.0, rep))
-                .collect(),
-            mean: checkpoint.observer_mean[i],
-            audit_log: node
-                .log
-                .iter()
-                .map(|e| AuditEntryRecord {
-                    subject: e.subject.0,
-                    round: e.round,
-                    reported: e.reported,
-                    implied: e.implied,
-                })
-                .collect(),
-            strikes: node.strikes,
-            convicted_at: node.convicted_at,
-        })
-        .collect()
-}
-
-/// Rebuild an [`EngineCheckpoint`] from store records. Records must be
-/// dense: record `i` describes node `i`.
-pub(crate) fn checkpoint_from_records(
-    round: usize,
-    records: &[NodeRecord],
-) -> Result<EngineCheckpoint, SessionError> {
-    let mut nodes = Vec::with_capacity(records.len());
-    let mut aggregated = Vec::with_capacity(records.len());
-    let mut observer_mean = Vec::with_capacity(records.len());
-    for (i, record) in records.iter().enumerate() {
-        if record.node as usize != i {
-            return Err(SessionError::Snapshot {
-                reason: format!(
-                    "record {i} describes node {} (snapshot not dense)",
-                    record.node
-                ),
-            });
-        }
-        nodes.push(NodeCheckpoint {
-            estimators: record
-                .estimators
-                .iter()
-                .map(|e| {
-                    (
-                        NodeId(e.peer),
-                        // `saturating` is the identity for every value
-                        // an estimator can hold (checkpointed values
-                        // are already clamped), so this round-trips
-                        // bit-for-bit; it only guards hand-edited
-                        // snapshots.
-                        EwmaEstimator::from_parts(e.rate, TrustValue::saturating(e.value), e.count),
-                    )
-                })
-                .collect(),
-            table: record
-                .table
-                .iter()
-                .map(|t| {
-                    (
-                        NodeId(t.peer),
-                        TableEntry {
-                            local_trust: TrustValue::saturating(t.local_trust),
-                            aggregated: t.aggregated.map(TrustValue::saturating),
-                            last_heard_round: t.last_heard_round,
-                            transactions: t.transactions,
-                        },
-                    )
-                })
-                .collect(),
-            log: record
-                .audit_log
-                .iter()
-                .map(|e| ReportLogEntry {
-                    subject: NodeId(e.subject),
-                    round: e.round,
-                    reported: e.reported,
-                    implied: e.implied,
-                })
-                .collect(),
-            strikes: record.strikes,
-            convicted_at: record.convicted_at,
-        });
-        aggregated.push(
-            record
-                .run
-                .iter()
-                .map(|&(subject, rep)| (NodeId(subject), rep))
-                .collect(),
-        );
-        observer_mean.push(record.mean);
-    }
-    Ok(EngineCheckpoint {
-        round,
-        nodes,
-        aggregated,
-        observer_mean,
-    })
 }
 
 #[cfg(test)]
@@ -586,6 +489,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dg_session_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn assert_records_eq(want: &[NodeRecord], got: &[NodeRecord], what: &str) {
+        assert_eq!(want.len(), got.len());
+        for (x, y) in want.iter().zip(got) {
+            assert!(x.bits_eq(y), "node {} {what}", x.node);
+        }
     }
 
     #[test]
@@ -632,14 +542,7 @@ mod tests {
         for r in 0..config.rounds {
             engine.run_round(round_seed(config.seed, r as u64)).unwrap();
         }
-        for i in 0..config.nodes as u32 {
-            for j in 0..config.nodes as u32 {
-                assert_eq!(
-                    session.aggregated(NodeId(i), NodeId(j)),
-                    engine.core().aggregated(NodeId(i), NodeId(j))
-                );
-            }
-        }
+        assert_records_eq(&session.records(), &engine.core().records(), "diverged");
     }
 
     #[test]
@@ -659,12 +562,11 @@ mod tests {
         assert_eq!(resumed.round(), 2);
         resumed.run().unwrap();
 
-        let a = records_from_checkpoint(&straight.engine.core().checkpoint());
-        let b = records_from_checkpoint(&resumed.engine.core().checkpoint());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.bits_eq(y), "node {} diverged after resume", x.node);
-        }
+        assert_records_eq(
+            &straight.records(),
+            &resumed.records(),
+            "diverged after resume",
+        );
         assert_eq!(straight.stats(), resumed.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -681,13 +583,17 @@ mod tests {
         session.run_to(3).unwrap();
         assert_eq!(session.checkpoint(&dir).unwrap(), CheckpointKind::Delta);
 
+        // Extract and disk agree: the live records are what the store
+        // hands back, and a resume restores exactly them.
+        let on_disk = Store::open(&dir).load_latest().unwrap().records;
+        assert_records_eq(&session.records(), &on_disk, "differs on disk");
         let resumed = RunSession::resume(&dir).unwrap();
         assert_eq!(resumed.round(), 3);
-        let want = records_from_checkpoint(&session.engine.core().checkpoint());
-        let got = records_from_checkpoint(&resumed.engine.core().checkpoint());
-        for (x, y) in want.iter().zip(&got) {
-            assert!(x.bits_eq(y), "node {} lost state through deltas", x.node);
-        }
+        assert_records_eq(
+            &session.records(),
+            &resumed.records(),
+            "lost state through deltas",
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -717,6 +623,96 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_never_lands_on_another_directorys_chain() {
+        // Two unrelated runs whose chains both end at round 2. A writes
+        // its round-2 state into its own directory, then checkpoints
+        // round 3 into B's: that must be a full epoch of A's state, not
+        // a delta of A's changes on top of B's base.
+        let (dir_a, dir_b) = (temp_dir("cross_dir_a"), temp_dir("cross_dir_b"));
+        let mut b = RunSession::new(small_config().with_seed(8)).unwrap();
+        b.run_to(2).unwrap();
+        b.checkpoint(&dir_b).unwrap();
+
+        let mut a = RunSession::new(small_config()).unwrap();
+        a.run_to(2).unwrap();
+        assert_eq!(a.checkpoint(&dir_a).unwrap(), CheckpointKind::Full);
+        a.run_to(3).unwrap();
+        assert_eq!(a.checkpoint(&dir_b).unwrap(), CheckpointKind::Full);
+
+        let resumed = RunSession::resume(&dir_b).unwrap();
+        assert_eq!(resumed.config().seed, 7);
+        assert_records_eq(
+            &a.records(),
+            &resumed.records(),
+            "restored from the wrong base",
+        );
+        // Back in the directory it now owns, the chain continues.
+        a.run_to(4).unwrap();
+        assert_eq!(a.checkpoint(&dir_b).unwrap(), CheckpointKind::Delta);
+        for dir in [dir_a, dir_b] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_records_the_round_loop_cannot_run_on() {
+        let config = small_config().with_engine(EngineKind::Incremental);
+        let mut session = RunSession::new(config).unwrap();
+        session.run_to(2).unwrap();
+        let good = session.records();
+        let node = good.iter().position(|r| r.run.len() >= 2).unwrap();
+        let audit = AuditEntryRecord {
+            subject: 1,
+            round: 1,
+            reported: 0.5,
+            implied: Some(0.5),
+        };
+        type Damage = fn(&mut NodeRecord);
+        let cases: [(&str, Damage); 11] = [
+            ("estimator peer 80 is not", |r| r.estimators[0].peer = 80),
+            ("run subject 80 is not", |r| {
+                r.run.last_mut().unwrap().0 = 80
+            }),
+            ("audit subject 80 is not", |r| r.audit_log[1].subject = 80),
+            ("run subject", |r| r.run.swap(0, 1)),
+            ("run subject", |r| r.run[1].0 = r.run[0].0),
+            ("audit subject 1 is not", |r| r.audit_log.swap(0, 1)),
+            ("estimator rate NaN", |r| r.estimators[0].rate = f64::NAN),
+            ("estimator rate 1.5", |r| r.estimators[0].rate = 1.5),
+            ("run value inf", |r| r.run[0].1 = f64::INFINITY),
+            ("observer mean Some(NaN)", |r| r.mean = Some(f64::NAN)),
+            ("record describes node", |r| r.node += 1),
+        ];
+        for (expect, damage) in cases {
+            let mut records = good.clone();
+            records[node].audit_log = vec![
+                audit,
+                AuditEntryRecord {
+                    subject: 2,
+                    ..audit
+                },
+            ];
+            damage(&mut records[node]);
+            match session.engine.restore(2, &records) {
+                Err(SessionError::Snapshot { reason }) => assert!(
+                    reason.contains(&format!("node {node}: ")) && reason.contains(expect),
+                    "{expect:?} not named in {reason:?}"
+                ),
+                other => panic!("{expect}: expected a Snapshot error, got {other:?}"),
+            }
+        }
+        match session.engine.restore(2, &good[1..]) {
+            Err(SessionError::Snapshot { reason }) => assert!(reason.contains("79 node records")),
+            other => panic!("short record list: got {other:?}"),
+        }
+        // Every refusal left the engine as it was, and the undamaged
+        // records are accepted.
+        assert_records_eq(&good, &session.records(), "changed by a refused restore");
+        session.engine.restore(2, &good).unwrap();
+        assert_records_eq(&good, &session.records(), "changed by its own records");
+    }
+
+    #[test]
     fn cross_engine_restore_continues_identically() {
         // Checkpoint under the sequential driver, resume under the
         // sharded engine: the continuation must be bit-identical.
@@ -736,16 +732,16 @@ mod tests {
         let snapshot = Store::open(&dir).load_latest().unwrap();
         let sharded = seq.with_engine(EngineKind::Sharded);
         let mut resumed = RunSession::new(sharded).unwrap();
-        let checkpoint =
-            checkpoint_from_records(snapshot.header.round as usize, &snapshot.records).unwrap();
-        resumed.engine.restore(checkpoint).unwrap();
+        resumed
+            .engine
+            .restore(snapshot.header.round as usize, &snapshot.records)
+            .unwrap();
         resumed.run_to(seq.rounds).unwrap();
-
-        let a = records_from_checkpoint(&straight.engine.core().checkpoint());
-        let b = records_from_checkpoint(&resumed.engine.core().checkpoint());
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.bits_eq(y), "node {} diverged across engines", x.node);
-        }
+        assert_records_eq(
+            &straight.records(),
+            &resumed.records(),
+            "diverged across engines",
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,14 @@
 //! Serialized-config compatibility: configs written before a field
 //! existed must keep deserializing (the `#[serde(default)]` support in
-//! the vendored derive).
+//! the vendored derive) — and stores written in an earlier snapshot
+//! format must keep resuming.
 
 use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile};
 use dg_sim::rounds::DefensePolicy;
-use dg_sim::{RunConfig, RunSession, TrafficModel};
+use dg_sim::{CheckpointKind, RunConfig, RunSession, TrafficModel};
+use dg_store::{NodeRecord, Store};
 use dg_trust::audit::AuditPolicy;
+use std::path::Path;
 
 /// Exactly what the commit before `RunConfig` became the only config
 /// serialized for [`written_config`] — the snapshot-header contract.
@@ -134,13 +137,63 @@ fn resumes_like_the_oracle(run: RunConfig, engine: &str, config_json: &str) {
     let mut oracle = RunSession::new(run.with_engine(EngineKind::Sequential)).unwrap();
     oracle.run().unwrap();
     assert_eq!(resumed.stats(), oracle.stats());
-    let ids = || (0..run.nodes as u32).map(dg_graph::NodeId);
-    for (i, j) in ids().flat_map(|i| ids().map(move |j| (i, j))) {
-        assert_eq!(
-            resumed.aggregated(i, j).map(f64::to_bits),
-            oracle.aggregated(i, j).map(f64::to_bits),
-            "aggregated({i}, {j})"
-        );
+    assert_records_eq(&oracle.records(), &resumed.records());
+}
+
+#[test]
+fn a_store_written_in_format_v2_resumes_bit_identically() {
+    // `fixtures/store-v2` was written by the last commit that spoke
+    // format 2 (PR 14): 60 nodes, incremental engine, a stealth cartel
+    // under audit with two convictions already in, `run_to(3)` + full
+    // epoch, `run_to(4)` + delta. Every record carries the
+    // reputation-table section format 3 dropped.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v2");
+    let dir = std::env::temp_dir().join(format!("dg_store_v2_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("epoch-3")).unwrap();
+    for file in [
+        "HEAD.json",
+        "delta-4.bin",
+        "delta-4.json",
+        "epoch-3/header.json",
+        "epoch-3/shard-0.bin",
+    ] {
+        std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+    }
+    assert_eq!(
+        Store::open(&dir)
+            .load_latest()
+            .unwrap()
+            .header
+            .format_version,
+        2
+    );
+
+    let mut resumed = RunSession::resume(&dir).unwrap();
+    assert_eq!(resumed.round(), 4);
+    assert_eq!(resumed.config().engine, EngineKind::Incremental);
+    assert_eq!(resumed.convicted().len(), 2);
+    resumed.run().unwrap();
+    let mut straight = RunSession::new(*resumed.config()).unwrap();
+    straight.run().unwrap();
+    assert_eq!(resumed.stats(), straight.stats());
+    assert_records_eq(&straight.records(), &resumed.records());
+
+    // One more checkpoint is a format-3 delta on the format-2 chain
+    // (frames carry their own version), and that loads too.
+    assert_eq!(resumed.checkpoint(&dir).unwrap(), CheckpointKind::Delta);
+    let header = Store::open(&dir).load_latest().unwrap().header;
+    assert_eq!((header.format_version, header.base_round), (3, Some(4)));
+    let again = RunSession::resume(&dir).unwrap();
+    assert_eq!(again.stats(), straight.stats());
+    assert_records_eq(&straight.records(), &again.records());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn assert_records_eq(want: &[NodeRecord], got: &[NodeRecord]) {
+    assert_eq!(want.len(), got.len());
+    for (x, y) in want.iter().zip(got) {
+        assert!(x.bits_eq(y), "node {} diverged", x.node);
     }
 }
 

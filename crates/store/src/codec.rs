@@ -18,11 +18,16 @@ use std::path::Path;
 /// are rejected with a typed error rather than misread.
 ///
 /// Version history:
-/// - 1: estimators + table + aggregated run + observer mean.
+/// - 1: estimators + reputation table + aggregated run + observer
+///   mean.
 /// - 2: adds per-node audit state (report log, strike count,
 ///   conviction round) after the observer mean. Version-1 payloads
 ///   decode with the audit fields empty.
-pub const FORMAT_VERSION: u32 = 2;
+/// - 3: drops the per-peer reputation-table section that sat between
+///   the estimators and the aggregated run (a mirror of the estimators
+///   that nothing read). Version-1 and -2 payloads decode with that
+///   section length-checked and skipped.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Leading magic of every framed snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"DGSNAP01";

@@ -54,7 +54,5 @@ pub mod wire;
 pub use codec::{ByteReader, ByteWriter, FORMAT_VERSION};
 pub use error::StoreError;
 pub use gossip::{read_gossip, write_gossip, GossipRecord, LedgerRecord};
-pub use records::{
-    diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, TableRecord,
-};
+pub use records::{diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader};
 pub use store::{Head, Snapshot, Store};

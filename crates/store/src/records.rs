@@ -62,21 +62,6 @@ pub struct EstimatorRecord {
     pub count: u64,
 }
 
-/// One reputation-table row a node holds about a peer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TableRecord {
-    /// The peer the row describes.
-    pub peer: u32,
-    /// Local (first-hand) trust.
-    pub local_trust: f64,
-    /// Network-aggregated reputation, if one has been gossiped in.
-    pub aggregated: Option<f64>,
-    /// Round the peer was last heard from.
-    pub last_heard_round: u64,
-    /// First-hand transaction count behind `local_trust`.
-    pub transactions: u64,
-}
-
 /// One entry of a node's audit report log: what the node last reported
 /// about a subject versus what its own estimator implied at that time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,17 +77,15 @@ pub struct AuditEntryRecord {
     pub implied: Option<f64>,
 }
 
-/// The full persisted state of one node: its estimators, its reputation
-/// table, its row of the aggregated-run matrix, its observer mean and
-/// (format version ≥ 2) its audit state.
+/// The full persisted state of one node: its estimators, its row of the
+/// aggregated-run matrix, its observer mean and (format version ≥ 2) its
+/// audit state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// The node's id (== its index in the snapshot).
     pub node: u32,
     /// First-hand estimators, sorted by peer.
     pub estimators: Vec<EstimatorRecord>,
-    /// Reputation-table rows, sorted by peer.
-    pub table: Vec<TableRecord>,
     /// The node's aggregated reputation run `(subject, value)`, sorted
     /// by subject.
     pub run: Vec<(u32, f64)>,
@@ -124,7 +107,6 @@ impl NodeRecord {
     pub fn bits_eq(&self, other: &NodeRecord) -> bool {
         self.node == other.node
             && self.estimators.len() == other.estimators.len()
-            && self.table.len() == other.table.len()
             && self.run.len() == other.run.len()
             && opt_bits_eq(self.mean, other.mean)
             && self.audit_log.len() == other.audit_log.len()
@@ -142,13 +124,6 @@ impl NodeRecord {
                     && a.rate.to_bits() == b.rate.to_bits()
                     && a.value.to_bits() == b.value.to_bits()
             })
-            && self.table.iter().zip(&other.table).all(|(a, b)| {
-                a.peer == b.peer
-                    && a.last_heard_round == b.last_heard_round
-                    && a.transactions == b.transactions
-                    && a.local_trust.to_bits() == b.local_trust.to_bits()
-                    && opt_bits_eq(a.aggregated, b.aggregated)
-            })
             && self
                 .run
                 .iter()
@@ -164,14 +139,6 @@ impl NodeRecord {
             w.put_f64(e.rate);
             w.put_f64(e.value);
             w.put_u64(e.count);
-        }
-        w.put_u32(self.table.len() as u32);
-        for t in &self.table {
-            w.put_u32(t.peer);
-            w.put_f64(t.local_trust);
-            w.put_opt_f64(t.aggregated);
-            w.put_u64(t.last_heard_round);
-            w.put_u64(t.transactions);
         }
         w.put_u32(self.run.len() as u32);
         for &(subject, value) in &self.run {
@@ -203,16 +170,17 @@ impl NodeRecord {
                 count: r.get_u64("estimator count")?,
             });
         }
-        let n_table = r.get_len("table list", 29)?;
-        let mut table = Vec::with_capacity(n_table);
-        for _ in 0..n_table {
-            table.push(TableRecord {
-                peer: r.get_u32("table peer")?,
-                local_trust: r.get_f64("table local trust")?,
-                aggregated: r.get_opt_f64("table aggregated")?,
-                last_heard_round: r.get_u64("table last-heard round")?,
-                transactions: r.get_u64("table transactions")?,
-            });
+        // Versions 1 and 2 wrote a per-peer reputation-table section
+        // here. No result ever depended on it, so it is length-checked
+        // and skipped: older stores restore the exact same engine state.
+        if version < 3 {
+            for _ in 0..r.get_len("table list", 29)? {
+                r.get_u32("table peer")?;
+                r.get_f64("table local trust")?;
+                r.get_opt_f64("table aggregated")?;
+                r.get_u64("table last-heard round")?;
+                r.get_u64("table transactions")?;
+            }
         }
         let n_run = r.get_len("run list", 12)?;
         let mut run = Vec::with_capacity(n_run);
@@ -244,7 +212,6 @@ impl NodeRecord {
         Ok(NodeRecord {
             node,
             estimators,
-            table,
             run,
             mean,
             audit_log,
@@ -310,13 +277,6 @@ mod tests {
                 value: 0.123_456_789,
                 count: 7,
             }],
-            table: vec![TableRecord {
-                peer: node + 1,
-                local_trust: 0.5,
-                aggregated: Some(0.25),
-                last_heard_round: 3,
-                transactions: 9,
-            }],
             run: vec![(node + 1, 0.75), (node + 2, 0.5)],
             mean: Some(0.625),
             audit_log: vec![AuditEntryRecord {
@@ -346,20 +306,56 @@ mod tests {
         assert!(record.bits_eq(&back));
     }
 
+    /// `record` as a version-2 writer laid it out: the v3 bytes with a
+    /// reputation-table section (one row with, one without an
+    /// aggregated value) spliced in after the estimator list.
+    fn encode_v2(record: &NodeRecord) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        record.encode(&mut w);
+        let v3 = w.into_bytes();
+        let mut table = ByteWriter::new();
+        table.put_u32(2);
+        for (peer, aggregated) in [(record.node + 1, Some(0.25)), (record.node + 2, None)] {
+            table.put_u32(peer);
+            table.put_f64(0.5);
+            table.put_opt_f64(aggregated);
+            table.put_u64(3);
+            table.put_u64(9);
+        }
+        let at = 8 + 28 * record.estimators.len();
+        [&v3[..at], &table.into_bytes(), &v3[at..]].concat()
+    }
+
+    #[test]
+    fn v2_payload_decodes_to_the_same_record_minus_the_table() {
+        let record = sample_record(4);
+        let bytes = encode_v2(&record);
+        let mut r = ByteReader::new(&bytes);
+        let back = NodeRecord::decode(&mut r, 2).unwrap();
+        assert!(r.is_empty());
+        assert!(record.bits_eq(&back));
+        // Cut anywhere, table section included: a typed error, never a
+        // panic.
+        for cut in 0..bytes.len() {
+            assert!(
+                NodeRecord::decode(&mut ByteReader::new(&bytes[..cut]), 2).is_err(),
+                "decode of a {cut}-byte v2 prefix must fail"
+            );
+        }
+    }
+
     #[test]
     fn v1_payload_decodes_with_empty_audit_state() {
-        // A record with no audit state encodes to `v1 bytes ‖ v2
-        // trailer` where the trailer is exactly 9 bytes (empty log
-        // count + zero strikes + absent conviction). Stripping it
-        // reconstructs what a version-1 writer produced, which must
-        // keep decoding under the v1 layout.
+        // A v2 record with no audit state is `v1 bytes ‖ v2 trailer`
+        // where the trailer is exactly 9 bytes (empty log count + zero
+        // strikes + absent conviction). Stripping it reconstructs what
+        // a version-1 writer produced, which must keep decoding under
+        // the v1 layout.
         let mut record = sample_record(3);
         record.audit_log.clear();
         record.strikes = 0;
         record.convicted_at = None;
-        let mut w = ByteWriter::new();
-        record.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = encode_v2(&record);
         let v1_bytes = &bytes[..bytes.len() - 9];
         let mut r = ByteReader::new(v1_bytes);
         let back = NodeRecord::decode(&mut r, 1).unwrap();
@@ -419,6 +415,16 @@ mod tests {
                 "decode of a {cut}-byte prefix must fail"
             );
         }
+    }
+
+    #[test]
+    fn persistence_doc_names_the_current_format_version() {
+        let doc = include_str!("../../../docs/PERSISTENCE.md");
+        let current = format!("(currently {})", crate::FORMAT_VERSION);
+        assert!(
+            doc.contains(&current),
+            "docs/PERSISTENCE.md lacks {current:?}"
+        );
     }
 
     #[test]

@@ -399,7 +399,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{EstimatorRecord, TableRecord};
+    use crate::records::EstimatorRecord;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dg_store_{tag}_{}", std::process::id()));
@@ -415,13 +415,6 @@ mod tests {
                 rate: 0.3,
                 value: salt,
                 count: u64::from(node) + 1,
-            }],
-            table: vec![TableRecord {
-                peer: node ^ 1,
-                local_trust: salt / 2.0,
-                aggregated: (node % 2 == 0).then_some(salt / 4.0),
-                last_heard_round: 2,
-                transactions: 5,
             }],
             run: vec![(node ^ 1, salt / 8.0)],
             mean: Some(salt / 16.0),

@@ -26,8 +26,6 @@
 //!   subjects recompute through the same kernel as the from-scratch
 //!   sweep, so delta results are bit-identical, clean subjects are
 //!   free,
-//! * [`table`] — the per-node reputation table of the system model
-//!   (local trust + last-heard bookkeeping for dropping silent peers),
 //! * [`robust`] — robust-aggregation countermeasures (report clamping,
 //!   per-subject trimmed aggregation) for adversarial gossip channels,
 //! * `tiled` (internal) — the cache-aware tiled subject-sum sweeps
@@ -58,7 +56,6 @@ pub mod matrix;
 pub mod robust;
 pub mod sharded;
 pub mod snapshot;
-pub mod table;
 mod tiled;
 pub mod value;
 pub mod weights;
@@ -80,7 +77,6 @@ pub mod prelude {
     pub use crate::estimator::{BetaEstimator, EwmaEstimator, TransactionOutcome, TrustEstimator};
     pub use crate::matrix::TrustMatrix;
     pub use crate::robust::RobustAggregation;
-    pub use crate::table::ReputationTable;
     pub use crate::value::TrustValue;
     pub use crate::weights::WeightParams;
 }
