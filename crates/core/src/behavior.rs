@@ -8,6 +8,7 @@
 //! are drawn from and that reputation estimates should track.
 
 use dg_graph::NodeId;
+use dg_trust::prelude::TransactionOutcome;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +74,18 @@ impl Behavior {
                     0.0
                 }
             }
+        }
+    }
+
+    /// Sample one transaction as the requester observes it — the one
+    /// place a sampled quality becomes a [`TransactionOutcome`]: a
+    /// quality of exactly 0 is a refusal, anything else was served.
+    pub fn sample_outcome<R: Rng + ?Sized>(&self, rng: &mut R) -> TransactionOutcome {
+        let quality = self.sample_quality(rng);
+        if quality == 0.0 {
+            TransactionOutcome::Refused
+        } else {
+            TransactionOutcome::Served { quality }
         }
     }
 }

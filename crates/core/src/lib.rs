@@ -21,22 +21,20 @@
 //!   latent-quality ground truth,
 //! * [`collusion`] — colluding-group assignment, the distorted gossip
 //!   reports, the exact ΔR formulas of Eqs. (12) and (17), and the
-//!   RMS-error metric of Eq. (18),
-//! * [`adaptive`] — the paper's deferred dynamic adjustment of the
-//!   weight-law parameters `a_i` / `b_ij` (QoS-driven base,
-//!   recommendation-accuracy-driven exponents),
-//! * [`whitewash`] — the whitewashing attack, the zero-prior defence and
-//!   the dynamically adjusted newcomer prior the paper sketches.
+//!   RMS-error metric of Eq. (18).
+//!
+//! The paper leaves dynamic `a_i` / `b_ij` and a dynamically adjusted
+//! newcomer prior unstudied, and nothing here implements them (see
+//! `docs/PAPER_MAP.md`, "Not implemented"); the measured whitewash
+//! lifecycle is `dg-sim`'s `AdversaryMix` + `NewcomerPolicy` + purge path.
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod algorithms;
 pub mod behavior;
 pub mod collusion;
 pub mod error;
 pub mod reputation;
-pub mod whitewash;
 
 pub use error::CoreError;
 pub use reputation::ReputationSystem;

@@ -7,7 +7,8 @@
 //! large collusion sweeps can evaluate thousands of observer/subject
 //! pairs without re-running gossip for each.
 //!
-//! Conventions (matching the gossip semantics, see DESIGN.md §4):
+//! Conventions (matching the gossip semantics, see `docs/PAPER_MAP.md`,
+//! "Equations"):
 //!
 //! * the **global reputation** of subject `j` is the mean of the direct
 //!   opinions over the `N_d` nodes that hold one (the value Algorithm 1's

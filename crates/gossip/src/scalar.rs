@@ -28,7 +28,7 @@
 //! node whose ratio is moved by more than `ξ` by incoming mass revokes
 //! its announcement and resumes gossiping. Once ratios are genuinely
 //! uniform, incoming shares no longer move them and the network quiesces
-//! for good. (See DESIGN.md.)
+//! for good. (See `docs/PAPER_MAP.md`, "Convergence protocol".)
 //!
 //! ## Mass conservation
 //!

@@ -1,4 +1,5 @@
-//! One function per paper artifact (see DESIGN.md §3 for the index).
+//! One function per paper artifact (see `docs/PAPER_MAP.md`,
+//! "Evaluation artifacts", for the index).
 //!
 //! Each function returns plain serde-serialisable rows; the `dg-bench`
 //! binaries render them as the paper's tables/series. Parameter sweeps
@@ -255,7 +256,8 @@ pub fn collusion_experiment(
 ) -> Result<Vec<CollusionRow>, CoreError> {
     // File-sharing interactions reach beyond overlay neighbours; a
     // moderately dense trust footprint is what gives the weighted GCLR
-    // its Eq. (17) protection (see DESIGN.md).
+    // its Eq. (17) protection (see docs/PAPER_MAP.md, "The paper's
+    // collusion model").
     let config = RunConfig {
         nodes,
         seed,

@@ -55,7 +55,7 @@ use dg_gossip::node_stream_seed;
 use dg_graph::NodeId;
 use dg_store::NodeRecord;
 use dg_trust::audit::{audit_targets, AuditPolicy, ReportLog};
-use dg_trust::prelude::{EwmaEstimator, TransactionOutcome, TrustEstimator};
+use dg_trust::prelude::{EwmaEstimator, TransactionOutcome};
 use dg_trust::{RobustAggregation, TrustMatrix, TrustValue};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -420,7 +420,8 @@ impl NodeState {
 
     /// Fold one round's transaction records into the estimators, then
     /// emit the node's trust row (ascending by provider) — the
-    /// estimate-phase kernel shared by every engine so their math is
+    /// estimate-phase kernel shared by every engine (and by the
+    /// `TrustSource::Workload` scenario bootstrap) so their math is
     /// identical by construction.
     pub(crate) fn fold_records(
         &mut self,
@@ -744,12 +745,7 @@ impl EngineCore {
                 delta.count(class, admitted);
                 if admitted {
                     // Requester observes the provider's behaviour.
-                    let quality = population.behavior(provider).sample_quality(&mut rng);
-                    let outcome = if quality == 0.0 {
-                        TransactionOutcome::Refused
-                    } else {
-                        TransactionOutcome::Served { quality }
-                    };
+                    let outcome = population.behavior(provider).sample_outcome(&mut rng);
                     records.push(TransactionRecord { provider, outcome });
                 }
             }

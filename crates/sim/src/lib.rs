@@ -9,7 +9,8 @@
 //!   behaviour population + trust matrix, all from one seeded config;
 //! * [`workload`] — the synthetic file-sharing workload that *estimates*
 //!   the trust matrix through simulated transactions (our substitution
-//!   for the paper's unavailable trace data — see DESIGN.md §4);
+//!   for the paper's unavailable trace data — see `docs/PAPER_MAP.md`,
+//!   "Trust estimation from transactions");
 //! * [`experiments`] — one function per paper artifact: Fig. 3 (steps vs
 //!   N), Fig. 4 (steps vs packet loss), Figs. 5/6 (collusion RMS error),
 //!   Tables 1 and 2, the convergence/weight ablations, and the

@@ -113,6 +113,7 @@ impl Scenario {
                 &graph,
                 &population,
                 transactions_per_edge,
+                config.ewma_rate,
                 &mut rng,
             ),
         };
@@ -167,6 +168,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_graph::NodeId;
 
     #[test]
     fn build_is_deterministic() {
@@ -208,10 +210,7 @@ mod tests {
         let q = s.population.latent_qualities();
         for v in s.graph.nodes() {
             for &w in s.graph.neighbours(v) {
-                let t = s
-                    .trust
-                    .get(v, dg_graph::NodeId(w))
-                    .expect("neighbour entry");
+                let t = s.trust.get(v, NodeId(w)).expect("neighbour entry");
                 assert!((t.get() - q[w as usize]).abs() < 1e-12);
             }
         }
@@ -236,6 +235,57 @@ mod tests {
         }
         let mean_diff = diffs.iter().sum::<f64>() / diffs.len() as f64;
         assert!(mean_diff < 0.25, "mean |t - q| = {mean_diff}");
+    }
+
+    /// The workload bootstrap runs through the kernel's fold
+    /// (`NodeState::fold_records`); no `cmp` gate sees it, because every
+    /// artifact and claim uses `TrustSource::Exact`. The golden below
+    /// was recorded at the last commit where `workload::estimate_trust`
+    /// still ran its own per-edge EWMA loop, so it pins the two paths
+    /// bit-equal at the default rate: the RNG draw order (requester,
+    /// neighbour, transaction) and every `t_ij`, far partners included.
+    #[test]
+    fn workload_trust_bits_are_pinned() {
+        let cfg = RunConfig {
+            nodes: 200,
+            free_rider_fraction: 0.2,
+            trust_source: TrustSource::Workload {
+                transactions_per_edge: 30,
+            },
+            far_partners: 5,
+            ..RunConfig::default()
+        };
+        let s = Scenario::build(cfg).unwrap();
+        let checksum = s
+            .trust
+            .entries()
+            .fold(0xcbf2_9ce4_8422_2325u64, |acc, (i, j, t)| {
+                (acc ^ ((i.0 as u64) << 32 | j.0 as u64) ^ t.get().to_bits())
+                    .wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(s.trust.entry_count(), 1794);
+        assert_eq!(checksum, 0x8728_4373_078b_aa59);
+        // A free rider that served some of the 30 requests, an honest
+        // neighbour, and a far partner (exact latent quality).
+        for (i, j, bits) in [
+            (0u32, 5u32, 0x3f7a_d1e7_83a2_ac34u64),
+            (79, 151, 0x3fea_1c81_4954_7b1d),
+            (199, 164, 0x3fdf_d526_e951_4870),
+        ] {
+            let t = s.trust.get(NodeId(i), NodeId(j)).expect("pinned entry");
+            assert_eq!(t.get().to_bits(), bits, "t_{{{i},{j}}}");
+        }
+
+        // The bootstrap reads the run's own rate: a different rate moves
+        // the estimates and nothing else — same draws, same sparsity.
+        let slow = Scenario::build(RunConfig {
+            ewma_rate: 0.1,
+            ..cfg
+        })
+        .unwrap();
+        assert_eq!(slow.graph, s.graph);
+        assert_eq!(slow.trust.entry_count(), s.trust.entry_count());
+        assert_ne!(slow.trust, s.trust);
     }
 
     #[test]

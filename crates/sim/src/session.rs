@@ -51,7 +51,7 @@ use dg_store::{
     diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
 };
 use dg_trust::audit::{ReportLog, ReportLogEntry};
-use dg_trust::prelude::{EwmaEstimator, TrustEstimator};
+use dg_trust::prelude::EwmaEstimator;
 use dg_trust::{ShardSpec, TrustValue};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -6,8 +6,9 @@
 //! direct transactions. The paper does not publish traces, so this module
 //! *generates* them: for every directed neighbour pair `(i, j)`,
 //! `transactions_per_edge` requests from `i` to `j` are simulated, each
-//! served with a quality drawn from `j`'s behaviour profile, and an EWMA
-//! estimator turns the outcome stream into `t_ij`.
+//! served with a quality drawn from `j`'s behaviour profile, and the
+//! round loop's own estimate phase (`NodeState::fold_records`) turns
+//! the outcome stream into `t_ij`.
 //!
 //! It also owns the round-loop *traffic shape*: [`TrafficModel`]
 //! describes which requesters are active in a round (uniform or
@@ -17,18 +18,19 @@
 //! by construction, and the default full-traffic model consumes no
 //! randomness at all.
 
+use crate::kernel::{NodeState, TransactionRecord};
 use dg_core::behavior::Population;
 use dg_gossip::node_stream_seed;
 use dg_graph::{Graph, NodeId};
-use dg_trust::prelude::{EwmaEstimator, TransactionOutcome, TrustEstimator};
 use dg_trust::TrustMatrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Learning rate of the per-edge EWMA estimators.
-const EWMA_RATE: f64 = 0.3;
-
-/// Simulate the workload and estimate the trust matrix.
+/// Simulate the workload and estimate the trust matrix: each requester's
+/// `transactions_per_edge` draws per neighbour go through the round
+/// loop's estimate phase (`NodeState::fold_records` at `ewma_rate`), so
+/// a bootstrapped `t_ij` is exactly what a first round of that many
+/// admitted requests would have produced.
 ///
 /// Every node ends up with an opinion about each of its neighbours — the
 /// sparsity structure the paper assumes (trust only from direct
@@ -37,26 +39,23 @@ pub fn estimate_trust<R: Rng + ?Sized>(
     graph: &Graph,
     population: &Population,
     transactions_per_edge: u32,
+    ewma_rate: f64,
     rng: &mut R,
 ) -> TrustMatrix {
     let mut trust = TrustMatrix::new(graph.node_count());
     for i in graph.nodes() {
-        for &j in graph.neighbours(i) {
-            let j = NodeId(j);
-            let provider = population.behavior(j);
-            let mut estimator = EwmaEstimator::new(EWMA_RATE);
+        let neighbours = graph.neighbours(i);
+        let mut records = Vec::with_capacity(neighbours.len() * transactions_per_edge as usize);
+        for &j in neighbours {
+            let provider = NodeId(j);
+            let behavior = population.behavior(provider);
             for _ in 0..transactions_per_edge {
-                let quality = provider.sample_quality(rng);
-                let outcome = if quality == 0.0 {
-                    TransactionOutcome::Refused
-                } else {
-                    TransactionOutcome::Served { quality }
-                };
-                estimator.record(outcome);
+                let outcome = behavior.sample_outcome(rng);
+                records.push(TransactionRecord { provider, outcome });
             }
-            trust
-                .set(i, j, estimator.estimate())
-                .expect("graph ids are in range");
+        }
+        for (j, t) in NodeState::default().fold_records(records, ewma_rate) {
+            trust.set(i, j, t).expect("graph ids are in range");
         }
     }
     trust
@@ -309,50 +308,6 @@ impl ActivityPlan {
     }
 }
 
-/// Per-node served/refused counters for admission-control experiments.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceLog {
-    /// Requests served, indexed by provider.
-    pub served: Vec<u64>,
-    /// Requests refused, indexed by provider.
-    pub refused: Vec<u64>,
-}
-
-/// Simulate reputation-gated service: each request from `i` to neighbour
-/// `j` is admitted when `i`'s reputation *as seen by `j`* (via
-/// `reputation(j, i)`) clears `threshold`. Returns per-provider counters.
-///
-/// This exercises the paper's motivation loop: free riders' reputation
-/// collapses, so the network stops serving them.
-pub fn gated_service<R: Rng + ?Sized>(
-    graph: &Graph,
-    reputation: impl Fn(NodeId, NodeId) -> f64,
-    threshold: f64,
-    requests_per_edge: u32,
-    rng: &mut R,
-) -> ServiceLog {
-    let n = graph.node_count();
-    let mut log = ServiceLog {
-        served: vec![0; n],
-        refused: vec![0; n],
-    };
-    for i in graph.nodes() {
-        for &j in graph.neighbours(i) {
-            let j = NodeId(j);
-            for _ in 0..requests_per_edge {
-                // Small dither so ties don't all resolve the same way.
-                let rep = reputation(j, i) + 1e-9 * rng.random::<f64>();
-                if rep >= threshold {
-                    log.served[j.index()] += 1;
-                } else {
-                    log.refused[j.index()] += 1;
-                }
-            }
-        }
-    }
-    log
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +330,7 @@ mod tests {
             },
             Behavior::Honest { quality: 0.5 },
         ]);
-        let trust = estimate_trust(&g, &pop, 50, &mut rng(1));
+        let trust = estimate_trust(&g, &pop, 50, 0.3, &mut rng(1));
         // Everyone judges node 0 high, node 1 at zero.
         for i in [1u32, 2] {
             let t0 = trust.get(NodeId(i), NodeId(0)).unwrap().get();
@@ -391,7 +346,7 @@ mod tests {
     fn opinions_only_about_neighbours() {
         let g = generators::ring(6).unwrap();
         let pop = Population::honest_uniform(6, 0.5, 0.9, &mut rng(2));
-        let trust = estimate_trust(&g, &pop, 10, &mut rng(3));
+        let trust = estimate_trust(&g, &pop, 10, 0.3, &mut rng(3));
         assert_eq!(trust.entry_count(), 12); // 6 edges × 2 directions
         assert!(trust.get(NodeId(0), NodeId(3)).is_none());
     }
@@ -481,27 +436,5 @@ mod tests {
             flash > 4 * quiet.max(1),
             "flash round {flash} vs quiet {quiet}"
         );
-    }
-
-    #[test]
-    fn gated_service_starves_low_reputation_nodes() {
-        let g = generators::complete(4);
-        // Node 3 has reputation 0; others 0.9.
-        let rep = |_observer: NodeId, requester: NodeId| {
-            if requester == NodeId(3) {
-                0.0
-            } else {
-                0.9
-            }
-        };
-        let log = gated_service(&g, rep, 0.5, 10, &mut rng(4));
-        // Node 3's requests (to each of 3 neighbours) all refused;
-        // refusals are recorded under the providers.
-        let total_refused: u64 = log.refused.iter().sum();
-        assert_eq!(total_refused, 30);
-        // Every provider served the 2 reputable requesters.
-        for j in 0..3usize {
-            assert_eq!(log.served[j], 30 - 10);
-        }
     }
 }

@@ -4,14 +4,12 @@
 //! the other nodes on the basis of quality of service provided by them
 //! against the requests made", delegating the estimator itself to the
 //! authors' earlier BLUE work \[20\], for which no trace data is published.
-//! We substitute two standard estimators that exercise the same code path
-//! (per-edge online updates producing `t_ij ∈ [0, 1]`):
-//!
-//! * [`EwmaEstimator`] — exponentially weighted moving average of outcome
-//!   quality, the common choice in P2P trust systems;
-//! * [`BetaEstimator`] — Beta-posterior mean `(s + 1)/(s + f + 2)` over
-//!   success/failure counts (Jøsang-style), which naturally encodes the
-//!   number of transactions as confidence.
+//! We substitute the one estimator every run, artifact and persisted
+//! record uses: [`EwmaEstimator`], an exponentially weighted moving
+//! average of outcome quality (per-edge online updates producing
+//! `t_ij ∈ [0, 1]`), the common choice in P2P trust systems. See
+//! `docs/PAPER_MAP.md`, "Trust estimation from transactions", for why
+//! there is exactly one.
 
 use crate::value::TrustValue;
 use serde::{Deserialize, Serialize};
@@ -45,24 +43,6 @@ impl TransactionOutcome {
             TransactionOutcome::Refused => 0.0,
         }
     }
-
-    /// Whether the transaction counts as a success for the Beta estimator
-    /// (served with quality ≥ 0.5).
-    pub fn is_success(self) -> bool {
-        self.quality() >= 0.5
-    }
-}
-
-/// An online trust estimator fed by transaction outcomes.
-pub trait TrustEstimator {
-    /// Incorporate one outcome.
-    fn record(&mut self, outcome: TransactionOutcome);
-
-    /// Current estimate `t_ij`.
-    fn estimate(&self) -> TrustValue;
-
-    /// Number of transactions observed so far.
-    fn transactions(&self) -> u64;
 }
 
 /// Exponentially-weighted moving average of transaction quality.
@@ -88,14 +68,6 @@ impl EwmaEstimator {
         }
     }
 
-    /// Start from a non-default prior (e.g. a dynamically adjusted
-    /// whitewash level, which the paper mentions but does not study).
-    pub fn with_initial(rate: f64, initial: TrustValue) -> Self {
-        let mut e = Self::new(rate);
-        e.value = initial;
-        e
-    }
-
     /// The learning rate (needed to checkpoint the estimator).
     pub fn rate(&self) -> f64 {
         self.rate
@@ -110,72 +82,22 @@ impl EwmaEstimator {
     pub fn from_parts(rate: f64, value: TrustValue, count: u64) -> Self {
         Self { value, rate, count }
     }
-}
 
-impl Default for EwmaEstimator {
-    fn default() -> Self {
-        Self::new(0.3)
-    }
-}
-
-impl TrustEstimator for EwmaEstimator {
-    fn record(&mut self, outcome: TransactionOutcome) {
+    /// Incorporate one outcome.
+    pub fn record(&mut self, outcome: TransactionOutcome) {
         self.value = self
             .value
             .blend_towards(TrustValue::saturating(outcome.quality()), self.rate);
         self.count += 1;
     }
 
-    fn estimate(&self) -> TrustValue {
+    /// Current estimate `t_ij`.
+    pub fn estimate(&self) -> TrustValue {
         self.value
     }
 
-    fn transactions(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Beta-posterior mean estimator: `t = (s + 1) / (s + f + 2)` where `s`
-/// and `f` are weighted success/failure masses.
-///
-/// Unlike the raw Jøsang form, the observed quality contributes
-/// fractionally: a transaction of quality `q` adds `q` to `s` and
-/// `1 − q` to `f`, so QoS grades below/above the 0.5 threshold still move
-/// the estimate proportionally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct BetaEstimator {
-    successes: f64,
-    failures: f64,
-    count: u64,
-}
-
-impl BetaEstimator {
-    /// Fresh estimator (estimate starts at the indifferent 0.5; combine
-    /// with [`TrustMatrix::get_or_zero`](crate::TrustMatrix::get_or_zero)
-    /// semantics if a zero prior is required).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The (s, f) masses, mostly for diagnostics.
-    pub fn masses(&self) -> (f64, f64) {
-        (self.successes, self.failures)
-    }
-}
-
-impl TrustEstimator for BetaEstimator {
-    fn record(&mut self, outcome: TransactionOutcome) {
-        let q = outcome.quality();
-        self.successes += q;
-        self.failures += 1.0 - q;
-        self.count += 1;
-    }
-
-    fn estimate(&self) -> TrustValue {
-        TrustValue::saturating((self.successes + 1.0) / (self.successes + self.failures + 2.0))
-    }
-
-    fn transactions(&self) -> u64 {
+    /// Number of transactions observed so far.
+    pub fn transactions(&self) -> u64 {
         self.count
     }
 }
@@ -195,8 +117,6 @@ mod tests {
         assert_eq!(served(-1.0).quality(), 0.0);
         assert_eq!(served(f64::NAN).quality(), 0.0);
         assert_eq!(TransactionOutcome::Refused.quality(), 0.0);
-        assert!(served(0.9).is_success());
-        assert!(!TransactionOutcome::Refused.is_success());
     }
 
     #[test]
@@ -212,49 +132,21 @@ mod tests {
 
     #[test]
     fn ewma_falls_after_refusals() {
-        let mut e = EwmaEstimator::with_initial(0.5, TrustValue::ONE);
+        let mut e = EwmaEstimator::from_parts(0.5, TrustValue::ONE, 0);
         for _ in 0..20 {
             e.record(TransactionOutcome::Refused);
         }
         assert!(e.estimate().get() < 0.01);
     }
 
-    #[test]
-    fn beta_estimator_converges_to_quality() {
-        let mut e = BetaEstimator::new();
-        for _ in 0..1000 {
-            e.record(served(0.8));
-        }
-        assert!((e.estimate().get() - 0.8).abs() < 0.01);
-        assert_eq!(e.transactions(), 1000);
-    }
-
-    #[test]
-    fn beta_prior_is_indifferent() {
-        let e = BetaEstimator::new();
-        assert_eq!(e.estimate(), TrustValue::HALF);
-    }
-
-    #[test]
-    fn beta_refusals_push_to_zero() {
-        let mut e = BetaEstimator::new();
-        for _ in 0..100 {
-            e.record(TransactionOutcome::Refused);
-        }
-        assert!(e.estimate().get() < 0.02);
-    }
-
     proptest! {
         #[test]
         fn estimates_always_in_range(qualities in proptest::collection::vec(-1.0..2.0f64, 0..50)) {
-            let mut ewma = EwmaEstimator::default();
-            let mut beta = BetaEstimator::new();
+            let mut ewma = EwmaEstimator::new(0.3);
             for q in qualities {
                 let o = if q < 0.0 { TransactionOutcome::Refused } else { served(q) };
                 ewma.record(o);
-                beta.record(o);
                 prop_assert!((0.0..=1.0).contains(&ewma.estimate().get()));
-                prop_assert!((0.0..=1.0).contains(&beta.estimate().get()));
             }
         }
     }

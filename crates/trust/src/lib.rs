@@ -9,12 +9,11 @@
 //! * [`TrustValue`] — a validated `[0, 1]` trust score,
 //! * [`TrustMatrix`] — the sparse `N × N` matrix of direct-interaction
 //!   trust values (`t_ij`), row-indexed by the observing node,
-//! * [`estimator`] — transaction-outcome driven estimators (EWMA and a
-//!   Beta-posterior mean) that produce `t_ij` from a synthetic
-//!   file-sharing workload (our substitution for the paper's unpublished
-//!   trace data; see DESIGN.md §4),
-//! * [`aimd`] — a BLUE-inspired AIMD estimator in the spirit of the
-//!   authors' companion estimation paper (the paper's reference \[20\]),
+//! * [`estimator`] — the transaction-outcome driven EWMA estimator that
+//!   produces `t_ij` from a synthetic file-sharing workload (our
+//!   substitution for the paper's reference \[20\] and its unpublished
+//!   trace data; see `docs/PAPER_MAP.md`, "Trust estimation from
+//!   transactions"),
 //! * [`weights`] — the neighbour-opinion weight law `w_Ii = a^(b·t_Ii)`
 //!   of Eq. (2), with the paper's `w ≥ 1` invariant,
 //! * [`sharded`] — the sharded CSR container behind the frozen
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aimd;
 pub mod audit;
 pub mod csr;
 pub mod delta;
@@ -73,8 +71,7 @@ pub use weights::WeightParams;
 
 /// Convenience prelude.
 pub mod prelude {
-    pub use crate::aimd::{AimdEstimator, AimdParams};
-    pub use crate::estimator::{BetaEstimator, EwmaEstimator, TransactionOutcome, TrustEstimator};
+    pub use crate::estimator::{EwmaEstimator, TransactionOutcome};
     pub use crate::matrix::TrustMatrix;
     pub use crate::robust::RobustAggregation;
     pub use crate::value::TrustValue;

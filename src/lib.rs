@@ -13,7 +13,7 @@
 //! Crate map:
 //!
 //! * [`graph`] — topologies (preferential attachment and baselines),
-//! * [`trust`] — trust values, sparse trust matrices, estimators, weights,
+//! * [`trust`] — trust values, sparse trust matrices, the EWMA estimator, weights,
 //! * [`gossip`] — push / pull / push-pull / differential gossip engines,
 //! * [`core`] — the paper's four aggregation algorithms and collusion model,
 //! * [`sim`] — scenario runner, workloads, metrics, baselines,
