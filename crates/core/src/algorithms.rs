@@ -144,7 +144,15 @@ pub mod alg2 {
                 let observer = NodeId(i as u32);
                 let sum = out.estimate(observer, subject)?;
                 let count = out.count_estimate(observer, subject)?;
-                Some(combine_gclr(system, observer, subject, sum, count))
+                // Blend the gossiped `(Σ t, N_d)` with the neighbours'
+                // direct reports per Eq. (6) / Algorithm 2's output line,
+                // `Rep_Ij = (ŷ_Ij + Y) / (Σ(w−1) + Count)`; the observer's
+                // trust row is read once, for `ŷ` and the excess alike.
+                let weights = system.neighbour_excess_weights(observer);
+                let excess = weights.iter().sum();
+                let rep = system
+                    .gclr_from_parts_weighted(observer, &weights, subject, sum, count, excess);
+                Some(rep.unwrap_or(0.0))
             })
             .collect();
         Ok(SingleOutcome {
@@ -155,24 +163,6 @@ pub mod alg2 {
             total_messages: out.stats.total(),
         })
     }
-}
-
-/// Blend the gossiped `(Σ t, N_d)` aggregates with the neighbours' direct
-/// reports per Eq. (6) / Algorithm 2's output line:
-/// `Rep_Ij = (ŷ_Ij + Y) / (Σ(w−1) + Count)`.
-pub(crate) fn combine_gclr(
-    system: &ReputationSystem<'_>,
-    observer: NodeId,
-    subject: NodeId,
-    opinion_sum: f64,
-    opinion_count: f64,
-) -> f64 {
-    let excess = system.neighbour_excess_sum(observer);
-    let denom = excess + opinion_count;
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    ((system.y_hat(observer, subject) + opinion_sum) / denom).clamp(0.0, 1.0)
 }
 
 /// Variation 3: simultaneous global reputation for all subjects.
@@ -245,15 +235,25 @@ pub mod alg4 {
 
         let estimates = (0..n)
             .map(|i| {
+                // Eq. (6) as in `alg2`; the observer's excess weights
+                // do not depend on the subject.
                 let observer = NodeId(i as u32);
+                let weights = system.neighbour_excess_weights(observer);
+                let excess = weights.iter().sum();
                 out.state[i]
                     .iter()
                     .filter(|(_, e)| e.weight > 0.0)
                     .map(|(&j, e)| {
-                        let subject = NodeId(j);
                         let count = e.count_estimate().unwrap_or(0.0);
-                        let rep = combine_gclr(system, observer, subject, e.ratio(), count);
-                        (j, rep)
+                        let rep = system.gclr_from_parts_weighted(
+                            observer,
+                            &weights,
+                            NodeId(j),
+                            e.ratio(),
+                            count,
+                            excess,
+                        );
+                        (j, rep.unwrap_or(0.0))
                     })
                     .collect()
             })

@@ -31,7 +31,7 @@
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly
 //! idle network persist as dirty-row *delta* records
-//! ([`dg_store::diff_changed`]) against the last checkpoint. This
+//! ([`dg_store::changed`]) against the last checkpoint. This
 //! module is the one place that converts between a node's live state
 //! and its record, and the conversion back validates what it reads: a
 //! store is outside input.
@@ -48,7 +48,7 @@ use dg_core::CoreError;
 use dg_gossip::GossipError;
 use dg_graph::NodeId;
 use dg_store::{
-    diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
+    changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
 };
 use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::EwmaEstimator;
@@ -417,8 +417,7 @@ impl RunSession {
 
         let kind = if let Some(base) = base {
             header.base_round = Some(base);
-            let changed = diff_changed(&self.last_records, &records);
-            store.write_delta(&header, &changed)?;
+            store.write_delta(&header, changed(&self.last_records, &records))?;
             CheckpointKind::Delta
         } else {
             store.write_epoch(&header, &records)?;

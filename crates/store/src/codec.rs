@@ -11,6 +11,7 @@
 //! [`StoreError::Corrupt`](crate::StoreError::Corrupt).
 
 use crate::StoreError;
+use std::io::Write;
 use std::path::Path;
 
 /// Current snapshot format version, stamped into every frame and
@@ -58,7 +59,12 @@ impl FrameKind {
 /// catch torn writes and bit rot (this is an integrity check, not an
 /// adversarial MAC).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_more(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a digest over `bytes`: hashing a buffer piece by
+/// piece gives the digest of the pieces laid end to end.
+fn fnv1a64_more(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -83,20 +89,20 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
 /// Write `payload` as a framed file at `path`, crash-safely: the bytes
 /// land in a `.tmp` sibling first and are renamed into place, so a kill
 /// mid-write leaves either the old file or no file — never a torn one.
+/// The payload is hashed and written where it lies, not copied into a
+/// frame buffer first (a delta payload is tens of megabytes).
 pub(crate) fn write_frame(path: &Path, kind: FrameKind, payload: &[u8]) -> Result<(), StoreError> {
-    let mut frame = Vec::with_capacity(payload.len() + 29);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(kind as u8);
-    frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let digest = fnv1a64(&frame);
-    frame.extend_from_slice(&digest.to_le_bytes());
-    write_atomic(path, &frame)
+    let mut prelude = [0u8; 21];
+    prelude[..8].copy_from_slice(&MAGIC);
+    prelude[8] = kind as u8;
+    prelude[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    prelude[13..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let digest = fnv1a64_more(fnv1a64(&prelude), payload);
+    write_atomic(path, &[&prelude, payload, &digest.to_le_bytes()])
 }
 
-/// Write `bytes` to `path` via a temporary sibling + rename.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// Write `parts`, end to end, to `path` via a temporary sibling + rename.
+pub(crate) fn write_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), StoreError> {
     let tmp = match path.file_name().and_then(|n| n.to_str()) {
         Some(name) => path.with_file_name(format!("{name}.tmp")),
         None => {
@@ -105,7 +111,12 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
             })
         }
     };
-    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+    for part in parts {
+        file.write_all(part).map_err(|e| io_err(&tmp, e))?;
+    }
+    // Closed before the rename, as `fs::write` left it.
+    drop(file);
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 

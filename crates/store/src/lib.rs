@@ -54,5 +54,7 @@ pub mod wire;
 pub use codec::{ByteReader, ByteWriter, FORMAT_VERSION};
 pub use error::StoreError;
 pub use gossip::{read_gossip, write_gossip, GossipRecord, LedgerRecord};
-pub use records::{diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader};
+pub use records::{
+    changed, diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader,
+};
 pub use store::{Head, Snapshot, Store};

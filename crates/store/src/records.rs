@@ -8,6 +8,7 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// The JSON header written next to every checkpoint (full epoch or
 /// delta).
@@ -230,23 +231,30 @@ fn opt_bits_eq(a: Option<f64>, b: Option<f64>) -> bool {
 }
 
 /// The node records in `next` whose bits changed relative to `prev`
-/// (the delta checkpoint's content). Both slices must describe the same
-/// node set in the same order; nodes only present in `next` count as
-/// changed.
-pub fn diff_changed(prev: &[NodeRecord], next: &[NodeRecord]) -> Vec<NodeRecord> {
+/// (the delta checkpoint's content), borrowed. Both slices must describe
+/// the same node set in the same order; nodes only present in `next`
+/// count as changed.
+pub fn changed<'a>(
+    prev: &'a [NodeRecord],
+    next: &'a [NodeRecord],
+) -> impl Iterator<Item = &'a NodeRecord> + Clone {
     next.iter()
         .enumerate()
-        .filter(|(i, record)| !matches!(prev.get(*i), Some(old) if old.bits_eq(record)))
-        .map(|(_, record)| record.clone())
-        .collect()
+        .filter(move |(i, record)| !matches!(prev.get(*i), Some(old) if old.bits_eq(record)))
+        .map(|(_, record)| record)
 }
 
-/// Encode a list of records with a count prefix (shard and delta
-/// payload body).
-pub(crate) fn encode_records(w: &mut ByteWriter, records: &[NodeRecord]) {
+/// [`changed`], cloned out into an owned list.
+pub fn diff_changed(prev: &[NodeRecord], next: &[NodeRecord]) -> Vec<NodeRecord> {
+    changed(prev, next).cloned().collect()
+}
+
+/// Encode a list of records, owned or borrowed, with a count prefix
+/// (shard and delta payload body).
+pub(crate) fn encode_records(w: &mut ByteWriter, records: &[impl Borrow<NodeRecord>]) {
     w.put_u32(records.len() as u32);
     for record in records {
-        record.encode(w);
+        record.borrow().encode(w);
     }
 }
 
@@ -396,10 +404,16 @@ mod tests {
         let prev: Vec<_> = (0..4).map(sample_record).collect();
         let mut next = prev.clone();
         next[2].mean = Some(0.9);
-        let changed = diff_changed(&prev, &next);
-        assert_eq!(changed.len(), 1);
-        assert_eq!(changed[0].node, 2);
+        let owned = diff_changed(&prev, &next);
+        assert_eq!(owned.len(), 1);
+        assert_eq!(owned[0].node, 2);
         assert!(diff_changed(&prev, &prev).is_empty());
+        // The borrowed form hands out `next`'s own records, and a record
+        // `prev` is too short to hold counts as changed.
+        let borrowed: Vec<&NodeRecord> = changed(&prev, &next).collect();
+        assert!(std::ptr::eq(borrowed[0], &next[2]));
+        let grown: Vec<u32> = changed(&prev[..3], &next).map(|r| r.node).collect();
+        assert_eq!(grown, [2, 3]);
     }
 
     #[test]

@@ -166,14 +166,14 @@ impl Store {
         let bytes = serde_json::to_string_pretty(head).map_err(|e| StoreError::Invalid {
             reason: format!("HEAD serialization failed: {e}"),
         })?;
-        write_atomic(&self.head_path(), bytes.as_bytes())
+        write_atomic(&self.head_path(), &[bytes.as_bytes()])
     }
 
     fn write_header(&self, path: &Path, header: &SnapshotHeader) -> Result<(), StoreError> {
         let bytes = serde_json::to_string_pretty(header).map_err(|e| StoreError::Invalid {
             reason: format!("header serialization failed: {e}"),
         })?;
-        write_atomic(path, bytes.as_bytes())
+        write_atomic(path, &[bytes.as_bytes()])
     }
 
     fn read_header(&self, path: &Path) -> Result<SnapshotHeader, StoreError> {
@@ -243,14 +243,15 @@ impl Store {
         })
     }
 
-    /// Write a delta checkpoint holding only `changed` records, on top
+    /// Write a delta checkpoint holding only `changed` records (borrowed:
+    /// a slice, or [`changed`](crate::changed) itself), on top
     /// of the currently committed chain. `header.base_round` must name
     /// the committed latest round; the commit appends `header.round` to
     /// the chain.
-    pub fn write_delta(
+    pub fn write_delta<'a>(
         &self,
         header: &SnapshotHeader,
-        changed: &[NodeRecord],
+        changed: impl IntoIterator<Item = &'a NodeRecord>,
     ) -> Result<(), StoreError> {
         let mut head = self.head()?.ok_or_else(|| StoreError::NoSnapshot {
             dir: self.root.display().to_string(),
@@ -272,6 +273,7 @@ impl Store {
                 ),
             });
         }
+        let changed: Vec<&NodeRecord> = changed.into_iter().collect();
         if changed.iter().any(|r| u64::from(r.node) >= header.nodes) {
             return Err(StoreError::Invalid {
                 reason: "changed record names a node outside the snapshot".into(),
@@ -280,7 +282,7 @@ impl Store {
         let mut w = ByteWriter::new();
         w.put_u64(latest);
         w.put_u64(header.round);
-        encode_records(&mut w, changed);
+        encode_records(&mut w, &changed);
         write_frame(
             &self.delta_bin_path(header.round),
             FrameKind::Delta,
@@ -502,6 +504,14 @@ mod tests {
         h.base_round = Some(4); // nothing at round 4 is committed
         let err = store.write_delta(&h, &[]).unwrap_err();
         assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        // So is a record outside the snapshot, before anything is written.
+        h.base_round = Some(2);
+        let err = store
+            .write_delta(&h, &[record(1, 9.0), record(3, 9.0)])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(!store.delta_bin_path(5).exists());
+        assert_eq!(store.head().unwrap().unwrap().latest_round(), 2);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
