@@ -103,13 +103,10 @@ pub struct GossipConfig {
     /// `converged = false` instead of spinning forever.
     pub max_steps: usize,
     /// Whether convergence announcements are *sticky* (the paper's
-    /// literal protocol: once announced, never revoked). Sticky
-    /// announcements are safe — and faster to quiesce — when every node
-    /// starts with positive gossip weight (averaging mode). With
-    /// zero-weight regions (single-subject aggregation) they can freeze
-    /// sentinel-ratio nodes early, so the default is `false`: a stopped
-    /// node whose ratio is disturbed by more than `ξ` revokes and
-    /// resumes (see the `scalar` module docs).
+    /// literal protocol: once announced, never revoked) in both engines.
+    /// Safe — and faster to quiesce — when every node starts with
+    /// positive gossip weight (averaging mode); the default `false`
+    /// revokes, for the reason the [`protocol`](crate::protocol) docs give.
     pub sticky_announcements: bool,
 }
 

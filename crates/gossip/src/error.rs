@@ -30,6 +30,11 @@ pub enum GossipError {
     #[error("gossip weights must be non-negative and finite, got {0}")]
     InvalidWeight(f64),
 
+    /// [`VectorGossip`](crate::VectorGossip) has no departure model; it
+    /// refuses a churn setting instead of ignoring it.
+    #[error("the vector engine does not model churn: pass ChurnModel::none()")]
+    ChurnNotModelled,
+
     /// A network fault profile failed validation.
     #[error("invalid network profile: {0}")]
     InvalidProfile(&'static str),

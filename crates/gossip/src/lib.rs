@@ -4,14 +4,14 @@
 //! the baselines it is measured against:
 //!
 //! * [`scalar::ScalarGossip`] — push-sum averaging of a single quantity
-//!   per node (the gossip pair `(y, g)`), with the paper's full
-//!   convergence protocol: per-node ratio tracking with error bound `ξ`,
-//!   convergence *announcements* to neighbours, and per-node stopping once
-//!   the node **and all its neighbours** have announced;
+//!   per node (the gossip pair `(y, g)`);
 //! * [`vector::VectorGossip`] — the simultaneous all-subjects variant
 //!   (Variations 3/4) exchanging gossip *trios* `(subject, y, g)` plus
-//!   counts, with the `Σ_j |r_j(n) − r_j(n−1)| ≤ Nξ` convergence test of
-//!   Eq. (7);
+//!   counts;
+//! * [`protocol::Convergence`] — the paper's convergence protocol, driven
+//!   by both engines and the `dg-p2p` peer: movement against the error
+//!   bound `ξ` (`Nξ` for vectors, Eq. (7)), *announcements* to neighbours,
+//!   and stopping once a node **and all its neighbours** have announced;
 //! * [`spread`] — rumor-spreading engines (push / pull / push-pull /
 //!   differential push) used to check Theorem 5.1 empirically;
 //! * [`fanout::FanoutPolicy`] — uniform `p`-push vs. the paper's
@@ -52,6 +52,7 @@ pub mod metrics;
 pub mod pair;
 pub mod potential;
 pub mod profile;
+pub mod protocol;
 pub mod scalar;
 pub mod spread;
 pub mod vector;

@@ -8,27 +8,10 @@
 //! degree-ratio for differential push). Nodes sum everything they receive;
 //! the ratio `y / g` converges to `Σ y⁰ / Σ g⁰` everywhere.
 //!
-//! ## Convergence protocol (Section 4.1.1)
-//!
-//! * A node checks convergence only when it received a pair from **someone
-//!   other than itself** this step (the paper's `|S| > 1`).
-//! * It is *converged* when its ratio moved by at most `ξ` since the
-//!   previous step; it announces this to its neighbours.
-//! * A node **stops pushing** once itself and *all* of its neighbours have
-//!   announced convergence.
-//!
-//! ## Implementation decision: revocable announcements
-//!
-//! The paper does not specify what happens when a node's ratio moves
-//! *after* it announced (e.g. a far region whose gossip weight is still
-//! zero sits at the sentinel ratio 10, "converges" trivially, and only
-//! later receives real mass). With sticky announcements such regions stop
-//! early and become mass sinks, and the run never reaches the true
-//! average. We therefore re-evaluate convergence each step: a stopped
-//! node whose ratio is moved by more than `ξ` by incoming mass revokes
-//! its announcement and resumes gossiping. Once ratios are genuinely
-//! uniform, incoming shares no longer move them and the network quiesces
-//! for good. (See `docs/PAPER_MAP.md`, "Convergence protocol".)
+//! The convergence protocol of Section 4.1.1 — when a node announces,
+//! revokes and stops pushing, and why — lives in
+//! [`protocol`](crate::protocol); this engine feeds it each node's ratio
+//! movement in the steps where the node heard from somebody else.
 //!
 //! ## Mass conservation
 //!
@@ -41,6 +24,7 @@ use crate::config::GossipConfig;
 use crate::error::GossipError;
 use crate::metrics::MessageStats;
 use crate::pair::GossipPair;
+use crate::protocol::Convergence;
 use dg_graph::{Graph, NodeId};
 use rand::seq::index::sample;
 use rand::Rng;
@@ -90,6 +74,7 @@ impl ScalarOutcome {
 pub struct ScalarGossip<'g> {
     graph: &'g Graph,
     config: GossipConfig,
+    convergence: Convergence,
     fanouts: Vec<usize>,
     state: Vec<GossipPair>,
     /// Previous-step ratio `u` per node.
@@ -140,6 +125,7 @@ impl<'g> ScalarGossip<'g> {
         Ok(Self {
             graph,
             config,
+            convergence: Convergence::new(config.xi, config.sticky_announcements, None),
             fanouts,
             state: initial,
             prev_ratio,
@@ -322,37 +308,22 @@ impl<'g> ScalarGossip<'g> {
             let ratio = self.state[i].ratio();
             if self.heard_other[i] {
                 let moved = (ratio - self.prev_ratio[i]).abs();
-                if moved <= self.config.xi {
-                    self.announced[i] = true;
-                } else if !self.config.sticky_announcements {
-                    // Revocation: incoming mass disturbed the estimate.
-                    self.announced[i] = false;
-                    self.stopped[i] = false;
-                }
+                self.announced[i] = self.convergence.observe(self.announced[i], moved);
             }
             self.prev_ratio[i] = ratio;
         }
 
-        // Stopping rule: self + all (present) neighbours announced.
-        // Quiescence is *derived* each step rather than latched: if a
-        // neighbour revokes its announcement, this node resumes pushing.
-        // A latch would let a lone unconverged node drain its pair into
-        // permanently-stopped neighbours forever (it can never satisfy
-        // |S| > 1 if nobody pushes back), underflowing its gossip weight.
-        // With the derived rule, an unannounced node keeps its whole
-        // neighbourhood active until it can hear, converge and announce.
         for i in 0..n {
             if !self.present[i] {
                 continue;
             }
             let neighbours = self.graph.neighbours(NodeId(i as u32));
-            // An isolated node has nothing to gossip with and counts as
-            // quiescent immediately.
-            self.stopped[i] = neighbours.is_empty()
-                || (self.announced[i]
-                    && neighbours
-                        .iter()
-                        .all(|&w| !self.present[w as usize] || self.announced[w as usize]));
+            self.stopped[i] = Convergence::quiescent(
+                self.announced[i],
+                neighbours
+                    .iter()
+                    .map(|&w| !self.present[w as usize] || self.announced[w as usize]),
+            );
         }
 
         self.step += 1;

@@ -10,11 +10,10 @@
 //! proportionally to the size of vector." The engine therefore tracks
 //! both message counts and entry counts.
 //!
-//! Convergence per node follows Eq. (7):
-//! `Σ_j |y_ij(n)/g_ij(n) − y_ij(n−1)/g_ij(n−1)| ≤ N·ξ`,
-//! with the usual sentinel ratio for zero weights; the announce / revoke /
-//! stop protocol is shared with the scalar engine (see
-//! [`scalar`](crate::scalar) for the revocation rationale).
+//! A node's movement is the left-hand side of Eq. (7),
+//! `Σ_j |y_ij(n)/g_ij(n) − y_ij(n−1)/g_ij(n−1)|` with the usual sentinel
+//! ratio for zero weights; the bound it is held to and the announce /
+//! revoke / stop rule are [`protocol`](crate::protocol)'s.
 //!
 //! ## State layout
 //!
@@ -60,17 +59,20 @@
 //!
 //! ## What this engine does not model
 //!
-//! [`GossipConfig::loss`] is honoured; [`GossipConfig::churn`] and
-//! [`GossipConfig::sticky_announcements`] are **ignored** — no node ever
-//! departs and announcements always revoke — although
-//! `RunConfig::gossip_config()` fills both (churn from the run's network
-//! profile). Only [`ScalarGossip`](crate::scalar::ScalarGossip)
-//! implements them.
+//! Churn: no node ever departs. [`GossipConfig::loss`] and
+//! [`GossipConfig::sticky_announcements`] are honoured;
+//! [`GossipConfig::churn`] is **refused** — [`VectorGossip::new`] fails
+//! with [`GossipError::ChurnNotModelled`] rather than drop it, so a
+//! caller whose config may carry one (`RunConfig::gossip_config()` fills
+//! it from the network profile) clears it where it calls. Only
+//! [`ScalarGossip`](crate::scalar::ScalarGossip) models departures.
 
 use crate::config::GossipConfig;
 use crate::error::GossipError;
+use crate::loss::ChurnModel;
 use crate::metrics::MessageStats;
 use crate::pair::RATIO_SENTINEL;
+use crate::protocol::Convergence;
 use dg_graph::{Graph, NodeId};
 use rand::seq::index::sample;
 use rand::Rng;
@@ -322,6 +324,7 @@ impl Arena {
 pub struct VectorGossip<'g> {
     graph: &'g Graph,
     config: GossipConfig,
+    convergence: Convergence,
     /// Pushes per step, clamped to the degree (0 for an isolated node).
     fanouts: Vec<usize>,
     state: Arena,
@@ -345,13 +348,17 @@ pub struct VectorGossip<'g> {
 }
 
 impl<'g> VectorGossip<'g> {
-    /// Create an engine with per-node initial vectors.
+    /// Create an engine with per-node initial vectors; a config that asks
+    /// for churn is refused ([`GossipError::ChurnNotModelled`]).
     pub fn new(
         graph: &'g Graph,
         config: GossipConfig,
         initial: Vec<GossipVector>,
     ) -> Result<Self, GossipError> {
         let config = config.validated()?;
+        if config.churn != ChurnModel::none() {
+            return Err(GossipError::ChurnNotModelled);
+        }
         let n = graph.node_count();
         if initial.len() != n {
             return Err(GossipError::StateSizeMismatch {
@@ -373,6 +380,7 @@ impl<'g> VectorGossip<'g> {
         Ok(Self {
             graph,
             config,
+            convergence: Convergence::new(config.xi, config.sticky_announcements, Some(n)),
             fanouts,
             state: Arena::from_maps(&initial),
             next: Arena::from_maps(&[]),
@@ -470,9 +478,8 @@ impl<'g> VectorGossip<'g> {
         }
 
         // Pass 2, receivers ascending: merge what each one heard with
-        // what it kept, in the order the module docs fix, and run the
-        // convergence protocol with Eq. (7).
-        let bound = n as f64 * self.config.xi;
+        // what it kept, in the order the module docs fix, and hand the
+        // convergence protocol Eq. (7)'s summed movement.
         self.next.clear();
         let mut r = 0;
         while r < n {
@@ -523,23 +530,18 @@ impl<'g> VectorGossip<'g> {
                     };
                     total_move += (e.ratio() - prev).abs();
                 }
-                if total_move <= bound {
-                    self.announced[r] = true;
-                } else {
-                    self.announced[r] = false;
-                    self.stopped[r] = false;
-                }
+                self.announced[r] = self.convergence.observe(self.announced[r], total_move);
             }
             r += 1;
         }
         std::mem::swap(&mut self.state, &mut self.next);
 
-        // Derived (not latched) quiescence — see the scalar engine for the
-        // deadlock rationale.
         for i in 0..n {
             let neighbours = self.graph.neighbours(NodeId(i as u32));
-            self.stopped[i] = neighbours.is_empty()
-                || (self.announced[i] && neighbours.iter().all(|&w| self.announced[w as usize]));
+            self.stopped[i] = Convergence::quiescent(
+                self.announced[i],
+                neighbours.iter().map(|&w| self.announced[w as usize]),
+            );
         }
 
         self.step += 1;
@@ -608,6 +610,44 @@ mod tests {
             VectorGossip::new(&g, GossipConfig::default(), vec![GossipVector::new(); 2]),
             Err(GossipError::StateSizeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn refuses_churn_instead_of_ignoring_it() {
+        let g = generators::complete(3);
+        let churning = GossipConfig::default().with_churn(ChurnModel::new(0.01, 1).unwrap());
+        assert_eq!(
+            VectorGossip::new(&g, churning, vec![GossipVector::new(); 3]).err(),
+            Some(GossipError::ChurnNotModelled)
+        );
+    }
+
+    /// Two engines in lockstep on one stream are identical until the
+    /// revocable one first takes an announcement back; the sticky one
+    /// keeps it.
+    #[test]
+    fn sticky_announcements_latch() {
+        let g =
+            pa::preferential_attachment(pa::PaConfig { nodes: 80, m: 2 }, &mut rng(13)).unwrap();
+        let config = GossipConfig::differential(1e-6).unwrap();
+        let init = neighbour_ratings(&g, false);
+        let mut revocable = VectorGossip::new(&g, config, init.clone()).unwrap();
+        let mut sticky = VectorGossip::new(&g, config.with_sticky_announcements(), init).unwrap();
+        let (mut revocable_rng, mut sticky_rng) = (rng(14), rng(14));
+        for _ in 0..200 {
+            let before = revocable.announced.clone();
+            revocable.step(&mut revocable_rng);
+            sticky.step(&mut sticky_rng);
+            if let Some(i) = (0..80).find(|&i| before[i] && !revocable.announced[i]) {
+                assert!(
+                    sticky.announced[i],
+                    "node {i} revoked a sticky announcement"
+                );
+                return;
+            }
+            assert_eq!(sticky.announced, revocable.announced);
+        }
+        panic!("the run never revoked an announcement");
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! Connectivity, distance and clustering diagnostics.
-//!
-//! Theorem 5.1's argument rests on PA components having diameter
-//! `~ log₂ N`; the ablation harness uses [`estimate_diameter`] to check
-//! that property on generated instances.
+//! Connectivity check: the generators' tests assert that what they
+//! build is one component (gossip mass cannot cross components).
 
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -39,108 +36,11 @@ pub fn is_connected(graph: &Graph) -> bool {
     }
 }
 
-/// Connected components as vectors of node ids (each sorted ascending).
-pub fn connected_components(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut seen = vec![false; n];
-    let mut components = Vec::new();
-    for start in graph.nodes() {
-        if seen[start.index()] {
-            continue;
-        }
-        let mut component = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[start.index()] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            component.push(v);
-            for &w in graph.neighbours(v) {
-                let w = NodeId(w);
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-        component.sort_unstable();
-        components.push(component);
-    }
-    components
-}
-
-/// Eccentricity of `source`: the largest finite BFS distance from it.
-pub fn eccentricity(graph: &Graph, source: NodeId) -> u32 {
-    bfs_distances(graph, source)
-        .into_iter()
-        .filter(|&d| d != u32::MAX)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Lower-bound estimate of the diameter by double-sweep BFS from
-/// `samples` seed nodes (exact on trees; a tight lower bound in practice).
-pub fn estimate_diameter(graph: &Graph, samples: usize) -> u32 {
-    let n = graph.node_count();
-    if n == 0 {
-        return 0;
-    }
-    let mut best = 0;
-    // Deterministic sample spread over the id space.
-    for k in 0..samples.max(1) {
-        let seed = NodeId(((k * n) / samples.max(1)) as u32);
-        let dist = bfs_distances(graph, seed);
-        let (far, d) = dist
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d != u32::MAX)
-            .max_by_key(|(_, &d)| d)
-            .map(|(i, &d)| (NodeId(i as u32), d))
-            .unwrap_or((seed, 0));
-        best = best.max(d).max(eccentricity(graph, far));
-    }
-    best
-}
-
-/// Local clustering coefficient of `node`: the fraction of neighbour pairs
-/// that are themselves adjacent. `0.0` for degree < 2.
-pub fn local_clustering(graph: &Graph, node: NodeId) -> f64 {
-    let ns = graph.neighbours(node);
-    let d = ns.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for (i, &a) in ns.iter().enumerate() {
-        for &b in &ns[i + 1..] {
-            if graph.has_edge(NodeId(a), NodeId(b)) {
-                closed += 1;
-            }
-        }
-    }
-    closed as f64 / (d * (d - 1) / 2) as f64
-}
-
-/// Mean local clustering coefficient over all nodes.
-pub fn average_clustering(graph: &Graph) -> f64 {
-    let n = graph.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    graph
-        .nodes()
-        .map(|v| local_clustering(graph, v))
-        .sum::<f64>()
-        / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
     use crate::graph::GraphBuilder;
-    use crate::pa::{preferential_attachment, PaConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn bfs_on_ring() {
@@ -150,55 +50,12 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_components_found() {
+    fn connectivity_of_split_whole_and_empty_graphs() {
         let mut b = GraphBuilder::new(5);
         b.add_edge(0u32, 1u32).unwrap();
         b.add_edge(2u32, 3u32).unwrap();
-        let g = b.build();
-        assert!(!is_connected(&g));
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![NodeId(0), NodeId(1)]);
-        assert_eq!(comps[2], vec![NodeId(4)]);
-    }
-
-    #[test]
-    fn diameter_of_ring_exact_by_double_sweep() {
-        let g = generators::ring(10).unwrap();
-        assert_eq!(estimate_diameter(&g, 3), 5);
-    }
-
-    #[test]
-    fn clustering_of_complete_graph_is_one() {
-        let g = generators::complete(5);
-        assert!((average_clustering(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_of_star_is_zero() {
-        let g = generators::star(6).unwrap();
-        assert_eq!(average_clustering(&g), 0.0);
-    }
-
-    #[test]
-    fn pa_diameter_is_logarithmic() {
-        // Theorem 5.1 relies on PA components having small diameter; for
-        // N = 2000, log2(N) ~ 11, so the diameter should be far below,
-        // e.g., sqrt(N).
-        let g = preferential_attachment(
-            PaConfig { nodes: 2000, m: 2 },
-            &mut ChaCha8Rng::seed_from_u64(1),
-        )
-        .unwrap();
-        let diam = estimate_diameter(&g, 4);
-        assert!(diam <= 16, "diameter {diam} too large for PA graph");
-    }
-
-    #[test]
-    fn empty_graph_edge_cases() {
-        let g = GraphBuilder::new(0).build();
-        assert!(is_connected(&g));
-        assert_eq!(estimate_diameter(&g, 3), 0);
-        assert_eq!(average_clustering(&g), 0.0);
+        assert!(!is_connected(&b.build()));
+        assert!(is_connected(&generators::ring(6).unwrap()));
+        assert!(is_connected(&GraphBuilder::new(0).build()));
     }
 }

@@ -14,8 +14,8 @@
 //!   Erdős–Rényi, random-regular, and the 10-node example of the paper's
 //!   Fig. 2),
 //! * [`degree`] — degree statistics and a power-law exponent estimator,
-//! * [`analysis`] — connectivity, distance and clustering diagnostics used
-//!   by the experiment harness.
+//! * [`analysis`] — BFS distances and the connectivity check the
+//!   generators' tests use.
 //!
 //! All generators are deterministic given an explicit RNG, which keeps every
 //! experiment in the repository reproducible bit-for-bit.

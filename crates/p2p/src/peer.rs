@@ -13,6 +13,7 @@
 
 use crate::transport::{Availability, Envelope, Inbox, MassLedger, PeerLink, PeerMsg, SendOutcome};
 use dg_gossip::pair::GossipPair;
+use dg_gossip::protocol::Convergence;
 use dg_graph::NodeId;
 use rand::seq::index::sample;
 use rand_chacha::ChaCha8Rng;
@@ -103,6 +104,8 @@ pub async fn run_peer(
         mut rng,
         availability,
     } = setup;
+    // Announcements always revoke here, as in the engines' default.
+    let convergence = Convergence::new(xi, false, None);
     let mut pair = initial;
     let mut pending = GossipPair::ZERO;
     let mut prev_ratio = pair.ratio();
@@ -252,7 +255,7 @@ pub async fn run_peer(
                 let mut changed = false;
                 if up && heard_other {
                     let was = announced;
-                    announced = (ratio - prev_ratio).abs() <= xi;
+                    announced = convergence.observe(was, (ratio - prev_ratio).abs());
                     changed = announced != was;
                 }
                 // Announce on change and *keep re-announcing while
@@ -290,18 +293,15 @@ pub async fn run_peer(
                 }
                 prev_ratio = ratio;
 
-                // Quiescence is derived each round, never latched: a
-                // neighbour's revocation re-activates this peer (the
-                // latched variant deadlocks — see the scalar engine
-                // docs). A crashed peer freezes its last stopped state
+                // A crashed peer freezes its last stopped state
                 // (fail-stop with persisted state): a node that went
                 // down converged stays converged — its pair cannot
                 // change while it is dark — and one that went down
                 // active keeps blocking global convergence until it
                 // rejoins and settles.
                 if up {
-                    stopped = neighbours.is_empty()
-                        || (announced && neighbour_converged.iter().all(|&c| c));
+                    stopped =
+                        Convergence::quiescent(announced, neighbour_converged.iter().copied());
                 }
                 let _ = status.send(Status::Committed { node: id, stopped });
                 round += 1;

@@ -23,7 +23,7 @@ use crate::proto::{read_request, write_response, Request, Response};
 use dg_graph::NodeId;
 use dg_sim::rounds::RoundStats;
 use dg_sim::session::SessionError;
-use dg_sim::{IngestReport, RunConfig, ServeSession};
+use dg_sim::{IngestError, IngestReport, RunConfig, ServeSession};
 use dg_store::wire::WireError;
 use dg_trust::SnapshotCell;
 use std::io::{BufReader, BufWriter, Write};
@@ -60,6 +60,8 @@ pub enum ServeError {
     Io(std::io::Error),
     /// The underlying session rejected the config or a round failed.
     Session(SessionError),
+    /// The session refused a report a connection handler had queued.
+    Ingest(IngestError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -67,6 +69,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "socket error: {e}"),
             ServeError::Session(e) => write!(f, "session error: {e}"),
+            ServeError::Ingest(e) => write!(f, "queued ingest report refused: {e}"),
         }
     }
 }
@@ -154,11 +157,9 @@ impl Server {
     /// counters, publishing the round's snapshot).
     pub fn run_round(&mut self) -> Result<&RoundStats, ServeError> {
         while let Ok(report) = self.ingest_rx.try_recv() {
-            // Handlers validated ids before sending; a failure here
-            // would mean they and the session disagree.
-            self.session
-                .ingest(report)
-                .expect("handler-validated report");
+            // Handlers queue only what `IngestReport::validate` passed,
+            // the check the session repeats.
+            self.session.ingest(report).map_err(ServeError::Ingest)?;
         }
         self.session.note_shed(self.shed.swap(0, Ordering::AcqRel));
         Ok(self.session.run_round()?)
@@ -303,16 +304,6 @@ fn respond(
             provider,
             outcome,
         } => {
-            if requester as usize >= nodes || provider as usize >= nodes {
-                return Response::Error {
-                    message: format!("unknown node {}", requester.max(provider)),
-                };
-            }
-            if requester == provider {
-                return Response::Error {
-                    message: format!("node {requester} reporting about itself"),
-                };
-            }
             let report = IngestReport {
                 from: source,
                 seq,
@@ -320,6 +311,11 @@ fn respond(
                 provider: NodeId(provider),
                 outcome,
             };
+            if let Err(e) = report.validate(nodes) {
+                return Response::Error {
+                    message: e.to_string(),
+                };
+            }
             match tx.try_send(report) {
                 Ok(()) => Response::IngestAccepted {
                     round: cell.load().round(),

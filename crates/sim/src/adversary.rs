@@ -17,8 +17,7 @@
 //! 3. **wash** — after aggregation, whitewashers whose network-wide mean
 //!    reputation fell below their personal threshold discard their
 //!    identity ([`AdversaryAssignment::washes`]); the engines then purge
-//!    every estimator, table entry and aggregated opinion involving the
-//!    old identity.
+//!    every estimator and aggregated opinion involving the old identity.
 //!
 //! Determinism: every stochastic attack parameter (sybil activation
 //! rounds, personal wash thresholds) is drawn from a *per-adversary*

@@ -21,15 +21,17 @@
 //!   subjects recompute through the *same* robust kernel as the
 //!   from-scratch sweep (bit-identical by `dg-trust`'s delta
 //!   proptests), clean subjects are free;
-//! * each observer's excess weights (a function of its own trust row
-//!   alone) are cached; a clean observer's Eq. (6) row is **patched** —
-//!   only the subjects whose aggregate or incoming reports changed are
-//!   re-evaluated, and every re-evaluation calls the same
-//!   [`gclr_from_parts_weighted`](dg_core::reputation::ReputationSystem::gclr_from_parts_weighted)
-//!   the full sweep uses. In neighbourhood scope the update set is
-//!   *inverted* through the undirected adjacency (subject → observers
-//!   holding it in scope) and the affected runs are surgically edited
-//!   in place, so rows the frontier never reaches are not even visited.
+//! * in neighbourhood scope each observer's excess weights (a function
+//!   of its own trust row alone) are cached and a clean observer's
+//!   Eq. (6) row is **patched** — only the subjects whose aggregate or
+//!   incoming reports changed are re-evaluated, through the same Eq. (6)
+//!   tail the full sweep uses. The update set is *inverted* through the
+//!   undirected adjacency (subject → observers holding it in scope) and
+//!   the affected runs are surgically edited in place, so rows the
+//!   frontier never reaches are not even visited. A full-scope run lists
+//!   every rated subject and has no such frontier: there phase 3 is the
+//!   `closed_form_row` sweep of the other engines, over the
+//!   delta-maintained aggregates.
 //!
 //! A subject `j` can move at a clean observer only if `j`'s report
 //! column changed (its sum/count, or a neighbour's direct report
@@ -79,9 +81,9 @@ pub struct IncrementalRoundEngine {
     cache: SubjectAggregateCache,
     /// `weights[observer]` — cached `(excess weights, their sum)`;
     /// valid while the observer's trust row is unchanged. `None` until
-    /// first computed (closed-form mode only).
+    /// first computed (closed-form neighbourhood scope only).
     weights: Vec<Option<(Vec<f64>, f64)>>,
-    /// Every `weights` slot initialised (the first closed-form round
+    /// Every `weights` slot initialised (the first neighbourhood-scope round
     /// ran): afterwards only replaced rows need a refresh, so the
     /// per-round candidate scan is `O(dirty)` instead of `O(N)`.
     weights_ready: bool,
@@ -200,8 +202,7 @@ fn diff_changed_entries(
 /// run **in place**, keeping it sorted: each updated subject is
 /// re-evaluated through the same Eq. (6) kernel the full sweep uses and
 /// its entry replaced, inserted, or dropped (count hit zero / out of
-/// domain — exactly the full row's `filter_map` drop). The in-place
-/// analogue of [`patch_row`] for short neighbourhood runs: rows with an
+/// domain — exactly the full row's `filter_map` drop). Rows with an
 /// empty update set are never visited, so a round's aggregation cost
 /// scales with the dirty frontier instead of `N`.
 ///
@@ -258,68 +259,6 @@ fn apply_updates_in_place(
             (Err(_), None) => {}
         }
     }
-}
-
-/// Merge-patch one clean observer's aggregated run: subjects outside
-/// `updates` keep last round's value (provably unchanged — see the
-/// module docs), subjects in `updates` are re-evaluated through the
-/// same Eq. (6) kernel the full sweep uses (dropped when their count
-/// hit zero, exactly like the full row's `filter_map`).
-#[allow(clippy::too_many_arguments)]
-fn patch_row(
-    system: &ReputationSystem<'_>,
-    observer: NodeId,
-    weights: &[f64],
-    excess: f64,
-    old: &[(NodeId, f64)],
-    updates: &[NodeId],
-    agg: &SubjectAggregates,
-) -> Vec<(NodeId, f64)> {
-    let eval = |j: NodeId| -> Option<(NodeId, f64)> {
-        let count = agg.counts[j.index()];
-        if count == 0 {
-            return None;
-        }
-        system
-            .gclr_from_parts_weighted(
-                observer,
-                weights,
-                j,
-                agg.sums[j.index()],
-                count as f64,
-                excess,
-            )
-            .map(|rep| (j, rep))
-    };
-    let mut out = Vec::with_capacity(old.len() + updates.len());
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < old.len() || b < updates.len() {
-        match (old.get(a), updates.get(b)) {
-            (Some(&(j, rep)), Some(&u)) if j < u => {
-                out.push((j, rep));
-                a += 1;
-            }
-            (Some(&(j, _)), Some(&u)) if j > u => {
-                out.extend(eval(u));
-                b += 1;
-            }
-            (Some(_), Some(&u)) => {
-                out.extend(eval(u));
-                a += 1;
-                b += 1;
-            }
-            (Some(&(j, rep)), None) => {
-                out.push((j, rep));
-                a += 1;
-            }
-            (None, Some(&u)) => {
-                out.extend(eval(u));
-                b += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    out
 }
 
 impl IncrementalRoundEngine {
@@ -494,76 +433,50 @@ impl RoundEngine for IncrementalRoundEngine {
         // Phase 3: aggregate.
         match core.config.aggregation {
             AggregationMode::ClosedForm => {
-                // Refresh cached excess weights where the observer's own
-                // row changed; the first closed-form round initialises
-                // every slot, later rounds scan only the replacements.
-                let need: Vec<NodeId> = if self.weights_ready {
-                    replaced.clone()
-                } else {
-                    (0..n as u32).map(NodeId).collect()
-                };
-                self.weights_ready = true;
-                let sys = &system;
-                let fresh: Vec<(NodeId, Vec<f64>, f64)> = need
-                    .into_par_iter()
-                    .map(|o| {
-                        let w = sys.neighbour_excess_weights(o);
-                        let e: f64 = w.iter().sum();
-                        (o, w, e)
-                    })
-                    .collect();
-                for (o, w, e) in fresh {
-                    self.weights[o.index()] = Some((w, e));
-                }
-
                 let agg = SubjectAggregates::from_parts(
                     self.cache.sums().to_vec(),
                     self.cache.counts().to_vec(),
                 );
-                let scope = core.config.scope;
-                let weights = &self.weights;
+                let sys = &system;
                 let agg_ref = &agg;
-                let replaced_ref = &replaced;
-                let washed_ref = &washed_last;
-                let updates_all = merge_sorted(&refreshed, &washed_last);
-                match scope {
+                match core.config.scope {
+                    // A full-scope run lists every rated subject, so it
+                    // has no frontier to patch along: the sweep the
+                    // other engines run, over the delta-maintained
+                    // aggregates.
                     AggregationScope::Full => {
-                        // Full-scope runs list every rated subject, so a
-                        // patched rebuild (one merge walk over old ∪
-                        // updates) is already `O(S + U)` per observer —
-                        // in-place surgery would pay the same memmoves
-                        // through `Vec::insert`/`remove`.
-                        let prev = &core.aggregated;
-                        let updates_ref = &updates_all;
                         core.aggregated = (0..n as u32)
                             .into_par_iter()
                             .map(|i| {
-                                let o = NodeId(i);
-                                if replaced_ref.binary_search(&o).is_ok()
-                                    || washed_ref.binary_search(&o).is_ok()
-                                {
-                                    // Dirty observer (changed weights) or
-                                    // freshly washed identity (its run was
-                                    // cleared, not computed): every subject
-                                    // needs the full kernel row.
-                                    return closed_form_row(sys, o, scope, agg_ref);
-                                }
-                                let (w, excess) = weights[o.index()]
-                                    .as_ref()
-                                    .expect("weights initialised for all observers above");
-                                patch_row(
-                                    sys,
-                                    o,
-                                    w,
-                                    *excess,
-                                    &prev[o.index()],
-                                    updates_ref,
-                                    agg_ref,
-                                )
+                                closed_form_row(sys, NodeId(i), AggregationScope::Full, agg_ref)
                             })
                             .collect();
                     }
                     AggregationScope::Neighbourhood => {
+                        // Refresh cached excess weights where the
+                        // observer's own row changed; the first round
+                        // initialises every slot, later rounds scan only
+                        // the replacements.
+                        let need: Vec<NodeId> = if self.weights_ready {
+                            replaced.clone()
+                        } else {
+                            (0..n as u32).map(NodeId).collect()
+                        };
+                        self.weights_ready = true;
+                        let fresh: Vec<(NodeId, Vec<f64>, f64)> = need
+                            .into_par_iter()
+                            .map(|o| {
+                                let w = sys.neighbour_excess_weights(o);
+                                let e: f64 = w.iter().sum();
+                                (o, w, e)
+                            })
+                            .collect();
+                        for (o, w, e) in fresh {
+                            self.weights[o.index()] = Some((w, e));
+                        }
+                        let weights = &self.weights;
+                        let updates_all = merge_sorted(&refreshed, &washed_last);
+
                         // Invert the update set through the undirected
                         // adjacency: subject `j` moved ⇒ exactly `j`'s
                         // neighbours hold it in scope, so push `j` onto
@@ -599,7 +512,7 @@ impl RoundEngine for IncrementalRoundEngine {
                         let upd = &mut self.upd;
                         let mut touched = vec![false; n];
                         let mut full = vec![false; n];
-                        for &o in replaced_ref.iter().chain(washed_ref.iter()) {
+                        for &o in replaced.iter().chain(washed_last.iter()) {
                             full[o.index()] = true;
                             touched[o.index()] = true;
                         }

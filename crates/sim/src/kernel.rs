@@ -51,6 +51,7 @@ use dg_core::algorithms::alg4;
 use dg_core::behavior::Behavior;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
+use dg_gossip::loss::ChurnModel;
 use dg_gossip::node_stream_seed;
 use dg_graph::NodeId;
 use dg_store::NodeRecord;
@@ -817,9 +818,12 @@ impl EngineCore {
         system: &ReputationSystem<'_>,
         round_seed: u64,
     ) -> Result<(), CoreError> {
+        // `VectorGossip` has no departure model and refuses one: rounds
+        // under a churning profile gossip over the full membership.
+        let gossip = self.config.gossip_config().with_churn(ChurnModel::none());
         let out = alg4::run(
             system,
-            self.config.gossip_config().validated()?,
+            gossip.validated()?,
             &mut aggregation_rng(round_seed),
         )?;
         self.aggregated = out

@@ -56,6 +56,23 @@ pub struct IngestReport {
     pub outcome: TransactionOutcome,
 }
 
+impl IngestReport {
+    /// Whether a run over `nodes` nodes can fold this report — the one
+    /// statement of ingest validity, for [`ServeSession::ingest`] and
+    /// for a front end that wants to refuse before it queues. An
+    /// out-of-range report names the larger of its two ids.
+    pub fn validate(&self, nodes: usize) -> Result<(), IngestError> {
+        let highest = self.requester.max(self.provider);
+        if highest.index() >= nodes {
+            return Err(IngestError::UnknownNode(highest));
+        }
+        if self.requester == self.provider {
+            return Err(IngestError::SelfReport(self.requester));
+        }
+        Ok(())
+    }
+}
+
 /// Why an ingest submission was rejected at the session boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestError {
@@ -142,15 +159,7 @@ impl ServeSession {
     /// Accept one report into the next round's buffer. Rejections are
     /// typed and leave the buffer untouched.
     pub fn ingest(&mut self, report: IngestReport) -> Result<(), IngestError> {
-        let n = self.session.config().nodes;
-        for id in [report.requester, report.provider] {
-            if id.index() >= n {
-                return Err(IngestError::UnknownNode(id));
-            }
-        }
-        if report.requester == report.provider {
-            return Err(IngestError::SelfReport(report.requester));
-        }
+        report.validate(self.session.config().nodes)?;
         self.pending.push(report);
         Ok(())
     }

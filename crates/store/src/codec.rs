@@ -10,6 +10,7 @@
 //! returns a reason string the caller wraps into
 //! [`StoreError::Corrupt`](crate::StoreError::Corrupt).
 
+use crate::wire::{read_versioned_frame, WireError};
 use crate::StoreError;
 use std::io::Write;
 use std::path::Path;
@@ -32,6 +33,9 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// Leading magic of every framed snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"DGSNAP01";
+
+/// Bytes before the payload: magic (8) + kind (1) + version (4) + length (8).
+pub(crate) const PRELUDE_LEN: usize = 21;
 
 /// Payload kind tags (one per file role, so a delta file pasted over a
 /// shard slot is caught by the frame, not the record decoder).
@@ -72,6 +76,25 @@ fn fnv1a64_more(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The digest a frame carries after its payload: FNV-1a-64 over the
+/// prelude and the payload, each hashed where it lies.
+pub(crate) fn frame_digest(prelude: &[u8; PRELUDE_LEN], payload: &[u8]) -> u64 {
+    fnv1a64_more(fnv1a64(prelude), payload)
+}
+
+/// The two pieces a frame puts around `payload` — the prelude and the
+/// little-endian digest trailer. The one encoder of the layout, for
+/// files ([`write_frame`]) and streams ([`crate::wire::write_wire_frame`]).
+pub(crate) fn seal(kind: u8, payload: &[u8]) -> ([u8; PRELUDE_LEN], [u8; 8]) {
+    let mut prelude = [0u8; PRELUDE_LEN];
+    prelude[..8].copy_from_slice(&MAGIC);
+    prelude[8] = kind;
+    prelude[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    prelude[13..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let digest = frame_digest(&prelude, payload);
+    (prelude, digest.to_le_bytes())
+}
+
 fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     StoreError::Io {
         path: path.display().to_string(),
@@ -92,13 +115,8 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
 /// The payload is hashed and written where it lies, not copied into a
 /// frame buffer first (a delta payload is tens of megabytes).
 pub(crate) fn write_frame(path: &Path, kind: FrameKind, payload: &[u8]) -> Result<(), StoreError> {
-    let mut prelude = [0u8; 21];
-    prelude[..8].copy_from_slice(&MAGIC);
-    prelude[8] = kind as u8;
-    prelude[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    prelude[13..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    let digest = fnv1a64_more(fnv1a64(&prelude), payload);
-    write_atomic(path, &[&prelude, payload, &digest.to_le_bytes()])
+    let (prelude, trailer) = seal(kind as u8, payload);
+    write_atomic(path, &[&prelude, payload, &trailer])
 }
 
 /// Write `parts`, end to end, to `path` via a temporary sibling + rename.
@@ -136,21 +154,19 @@ pub(crate) fn read_frame(path: &Path, kind: FrameKind) -> Result<(u32, Vec<u8>),
         }
         Err(e) => return Err(io_err(path, e)),
     };
-    // Fixed prelude: magic(8) + kind(1) + version(4) + len(8); fixed
-    // trailer: digest(8).
-    if bytes.len() < 29 {
-        return Err(corrupt(
-            path,
-            format!(
-                "file is {} bytes, shorter than the 29-byte frame",
-                bytes.len()
-            ),
-        ));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(corrupt(path, "bad magic (not a snapshot file)"));
-    }
-    let found_kind = bytes[8];
+    // The file is one frame, verified by the stream reader over its
+    // bytes; the slice can only fail that reader by running out.
+    let mut stream = bytes.as_slice();
+    let (found_kind, version, payload) =
+        read_versioned_frame(&mut stream, bytes.len()).map_err(|e| match e {
+            WireError::Io(e) => corrupt(path, format!("truncated frame: {e}")),
+            WireError::Corrupt(reason) => corrupt(path, reason),
+            WireError::UnsupportedVersion { found, supported } => StoreError::UnsupportedVersion {
+                path: path.display().to_string(),
+                found,
+                supported,
+            },
+        })?;
     if found_kind != kind as u8 {
         return Err(corrupt(
             path,
@@ -160,37 +176,13 @@ pub(crate) fn read_frame(path: &Path, kind: FrameKind) -> Result<(u32, Vec<u8>),
             ),
         ));
     }
-    let version = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes"));
-    if version > FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: path.display().to_string(),
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes")) as usize;
-    let expected_total = 21usize
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8));
-    if expected_total != Some(bytes.len()) {
+    if !stream.is_empty() {
         return Err(corrupt(
             path,
-            format!(
-                "declared payload of {payload_len} bytes does not match file size {}",
-                bytes.len()
-            ),
+            format!("{} bytes after the end of the frame", stream.len()),
         ));
     }
-    let body_end = 21 + payload_len;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(&bytes[..body_end]);
-    if stored != computed {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"),
-        ));
-    }
-    Ok((version, bytes[21..body_end].to_vec()))
+    Ok((version, payload))
 }
 
 /// Little-endian payload writer (the encode half of the record codec,
@@ -296,18 +288,20 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1, what)?[0])
     }
 
+    fn take_array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], String> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
     /// Read a `u32`, little endian.
     pub fn get_u32(&mut self, what: &str) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.take_array(what)?))
     }
 
     /// Read a `u64`, little endian.
     pub fn get_u64(&mut self, what: &str) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.take_array(what)?))
     }
 
     /// Read an `f64` from raw bits.

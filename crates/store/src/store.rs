@@ -31,6 +31,44 @@ impl Head {
     }
 }
 
+/// Read the JSON document at `path` (`None` if there is no such file),
+/// refusing one stamped — per `version` — by a newer format.
+fn read_json<T: Deserialize>(
+    path: &Path,
+    what: &str,
+    version: impl Fn(&T) -> u32,
+) -> Result<Option<T>, StoreError> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => {
+            return Err(StoreError::Io {
+                path: path.display().to_string(),
+                source: e,
+            })
+        }
+    };
+    let value: T = serde_json::from_str(std::str::from_utf8(&bytes).unwrap_or_default())
+        .map_err(|e| corrupt_at(path, format!("undecodable {what}: {e}")))?;
+    let found = version(&value);
+    if found > FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion {
+            path: path.display().to_string(),
+            found,
+            supported: FORMAT_VERSION,
+        });
+    }
+    Ok(Some(value))
+}
+
+/// Write `value` as pretty JSON at `path`, atomically.
+fn write_json<T: Serialize>(path: &Path, what: &str, value: &T) -> Result<(), StoreError> {
+    let json = serde_json::to_string_pretty(value).map_err(|e| StoreError::Invalid {
+        reason: format!("{what} serialization failed: {e}"),
+    })?;
+    write_atomic(path, &[json.as_bytes()])
+}
+
 /// A fully resolved checkpoint: the latest header and one record per
 /// node (base epoch with every committed delta applied).
 #[derive(Debug, Clone, PartialEq)]
@@ -97,27 +135,9 @@ impl Store {
     /// The committed head, or `None` if the directory holds no
     /// checkpoint yet.
     pub fn head(&self) -> Result<Option<Head>, StoreError> {
-        let path = self.head_path();
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(StoreError::Io {
-                    path: path.display().to_string(),
-                    source: e,
-                })
-            }
-        };
-        let head: Head = serde_json::from_str(std::str::from_utf8(&bytes).unwrap_or_default())
-            .map_err(|e| corrupt_at(&path, format!("undecodable HEAD.json: {e}")))?;
-        if head.format_version > FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                path: path.display().to_string(),
-                found: head.format_version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        Ok(Some(head))
+        read_json(&self.head_path(), "HEAD.json", |head: &Head| {
+            head.format_version
+        })
     }
 
     fn validate_records(header: &SnapshotHeader, records: &[NodeRecord]) -> Result<(), StoreError> {
@@ -162,46 +182,13 @@ impl Store {
         Ok(())
     }
 
-    fn write_head(&self, head: &Head) -> Result<(), StoreError> {
-        let bytes = serde_json::to_string_pretty(head).map_err(|e| StoreError::Invalid {
-            reason: format!("HEAD serialization failed: {e}"),
-        })?;
-        write_atomic(&self.head_path(), &[bytes.as_bytes()])
-    }
-
-    fn write_header(&self, path: &Path, header: &SnapshotHeader) -> Result<(), StoreError> {
-        let bytes = serde_json::to_string_pretty(header).map_err(|e| StoreError::Invalid {
-            reason: format!("header serialization failed: {e}"),
-        })?;
-        write_atomic(path, &[bytes.as_bytes()])
-    }
-
     fn read_header(&self, path: &Path) -> Result<SnapshotHeader, StoreError> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::Missing {
-                    path: path.display().to_string(),
-                })
-            }
-            Err(e) => {
-                return Err(StoreError::Io {
-                    path: path.display().to_string(),
-                    source: e,
-                })
-            }
-        };
-        let header: SnapshotHeader =
-            serde_json::from_str(std::str::from_utf8(&bytes).unwrap_or_default())
-                .map_err(|e| corrupt_at(path, format!("undecodable header: {e}")))?;
-        if header.format_version > FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                path: path.display().to_string(),
-                found: header.format_version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        Ok(header)
+        read_json(path, "header", |header: &SnapshotHeader| {
+            header.format_version
+        })?
+        .ok_or_else(|| StoreError::Missing {
+            path: path.display().to_string(),
+        })
     }
 
     /// Write a full epoch checkpoint: one framed file per shard range
@@ -235,12 +222,13 @@ impl Store {
         for result in written {
             result?;
         }
-        self.write_header(&dir.join("header.json"), header)?;
-        self.write_head(&Head {
+        write_json(&dir.join("header.json"), "header", header)?;
+        let head = Head {
             format_version: FORMAT_VERSION,
             base_round: header.round,
             delta_rounds: Vec::new(),
-        })
+        };
+        write_json(&self.head_path(), "HEAD", &head)
     }
 
     /// Write a delta checkpoint holding only `changed` records (borrowed:
@@ -288,9 +276,9 @@ impl Store {
             FrameKind::Delta,
             &w.into_bytes(),
         )?;
-        self.write_header(&self.delta_header_path(header.round), header)?;
+        write_json(&self.delta_header_path(header.round), "header", header)?;
         head.delta_rounds.push(header.round);
-        self.write_head(&head)
+        write_json(&self.head_path(), "HEAD", &head)
     }
 
     /// Load the latest committed checkpoint: the base epoch's shards
@@ -325,7 +313,8 @@ impl Store {
                 let (version, payload) = read_frame(&path, FrameKind::Shard)?;
                 let mut r = ByteReader::new(&payload);
                 let records = decode_records(&mut r, version).map_err(|e| corrupt_at(&path, e))?;
-                if records.len() as u64 != end - start
+                // `start` and `end` come from header.json: subtract checked.
+                if end.checked_sub(start) != Some(records.len() as u64)
                     || records
                         .iter()
                         .enumerate()
@@ -340,9 +329,11 @@ impl Store {
                 Ok(records)
             })
             .collect();
-        let mut records: Vec<NodeRecord> = Vec::with_capacity(base_header.nodes as usize);
+        // Sized from what the shards hold, not from what the header claims.
+        let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut records: Vec<NodeRecord> = Vec::with_capacity(shards.iter().map(Vec::len).sum());
         for shard in shards {
-            records.extend(shard?);
+            records.extend(shard);
         }
         if records.len() as u64 != base_header.nodes {
             return Err(StoreError::BrokenChain {

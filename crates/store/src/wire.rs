@@ -14,7 +14,7 @@
 
 use std::io::{Read, Write};
 
-use crate::codec::{fnv1a64, FORMAT_VERSION, MAGIC};
+use crate::codec::{frame_digest, seal, FORMAT_VERSION, MAGIC, PRELUDE_LEN};
 
 /// How reading a wire frame can fail.
 #[derive(Debug)]
@@ -63,37 +63,43 @@ impl From<std::io::Error> for WireError {
 /// Write one framed message to `w` (buffer the writer; a frame issues
 /// several small writes).
 pub fn write_wire_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut head = [0u8; 21];
-    head[..8].copy_from_slice(&MAGIC);
-    head[8] = kind;
-    head[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    head[13..21].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    let mut digest_input = Vec::with_capacity(21 + payload.len());
-    digest_input.extend_from_slice(&head);
-    digest_input.extend_from_slice(payload);
-    let digest = fnv1a64(&digest_input);
-    w.write_all(&digest_input)?;
-    w.write_all(&digest.to_le_bytes())
+    let (prelude, trailer) = seal(kind, payload);
+    w.write_all(&prelude)?;
+    w.write_all(payload)?;
+    w.write_all(&trailer)
 }
 
 /// Read and verify one framed message from `r`, returning its kind
 /// byte and payload. `max_payload` bounds the declared length before
 /// the payload is allocated.
 pub fn read_wire_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<(u8, Vec<u8>), WireError> {
-    let mut head = [0u8; 21];
-    r.read_exact(&mut head)?;
-    if head[..8] != MAGIC {
-        return Err(WireError::Corrupt("bad magic".to_string()));
+    read_versioned_frame(r, max_payload).map(|(kind, _, payload)| (kind, payload))
+}
+
+/// The one frame verifier, for streams and (through
+/// `codec::read_frame`) files: `(kind, format version, payload)`.
+pub(crate) fn read_versioned_frame<R: Read>(
+    r: &mut R,
+    max_payload: usize,
+) -> Result<(u8, u32, Vec<u8>), WireError> {
+    let mut prelude = [0u8; PRELUDE_LEN];
+    r.read_exact(&mut prelude)?;
+    if prelude[..8] != MAGIC {
+        return Err(WireError::Corrupt(
+            "bad magic (not a snapshot frame)".to_string(),
+        ));
     }
-    let kind = head[8];
-    let version = u32::from_le_bytes(head[9..13].try_into().expect("4 bytes"));
+    let kind = prelude[8];
+    let version = u32::from_le_bytes([prelude[9], prelude[10], prelude[11], prelude[12]]);
     if version > FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let payload_len = u64::from_le_bytes(head[13..21].try_into().expect("8 bytes"));
+    let mut payload_len = [0u8; 8];
+    payload_len.copy_from_slice(&prelude[13..]);
+    let payload_len = u64::from_le_bytes(payload_len);
     if payload_len > max_payload as u64 {
         return Err(WireError::Corrupt(format!(
             "declared payload of {payload_len} bytes exceeds the {max_payload}-byte bound"
@@ -104,21 +110,19 @@ pub fn read_wire_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<(u8, Ve
     let mut trailer = [0u8; 8];
     r.read_exact(&mut trailer)?;
     let stored = u64::from_le_bytes(trailer);
-    let mut digest_input = Vec::with_capacity(21 + payload.len());
-    digest_input.extend_from_slice(&head);
-    digest_input.extend_from_slice(&payload);
-    let computed = fnv1a64(&digest_input);
+    let computed = frame_digest(&prelude, &payload);
     if stored != computed {
         return Err(WireError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
         )));
     }
-    Ok((kind, payload))
+    Ok((kind, version, payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv1a64;
 
     #[test]
     fn frame_round_trips() {

@@ -247,6 +247,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Hostile bytes never panic the store (ROADMAP 6(a)): flip any one
+    /// byte of a shard, a delta, an epoch or delta header or `HEAD.json`
+    /// and `load_latest` answers with a typed error — always one for the
+    /// framed files, whose digest covers every byte — or, where the JSON
+    /// still parses, with a snapshot of the right size. `resume` on the
+    /// same directory must return too.
+    #[test]
+    fn a_flipped_byte_in_any_store_file_is_a_typed_error_or_a_valid_load(
+        seed in 0u64..1000,
+        flips in proptest::collection::vec((0usize..6, 0usize..1_000_000, 1u8..=255), 48..49),
+    ) {
+        let cfg = config(
+            EngineKind::Incremental,
+            AdversaryMix::none(),
+            NetworkProfile::lossless(),
+            seed,
+        );
+        let dir = temp_dir(&format!("flip_{seed}"));
+        let mut session = RunSession::new(cfg).expect("session");
+        session.run_to(1).expect("round 1");
+        session.checkpoint(&dir).expect("full epoch");
+        session.run_to(2).expect("round 2");
+        session.checkpoint(&dir).expect("delta");
+        let store = Store::open(&dir);
+        let nodes = store.load_latest().expect("pristine store loads").records.len();
+
+        let files = [
+            store.epoch_dir(1).join("shard-0.bin"),
+            dir.join("delta-2.bin"),
+            store.epoch_dir(1).join("header.json"),
+            dir.join("delta-2.json"),
+            dir.join("HEAD.json"),
+            dir.join("HEAD.json"),
+        ];
+        for (file, at, flip) in flips {
+            let path = &files[file];
+            let pristine = std::fs::read(path).expect("store file exists");
+            let mut bytes = pristine.clone();
+            let at = at % bytes.len();
+            bytes[at] ^= flip;
+            std::fs::write(path, &bytes).expect("mutate");
+            let what = format!("{} byte {at} ^ {flip:#04x}", path.display());
+            match store.load_latest() {
+                Ok(snapshot) => {
+                    prop_assert!(file >= 2, "{what}: a framed file passed its digest");
+                    prop_assert_eq!(snapshot.records.len(), nodes, "{}", what);
+                }
+                // Every variant is a typed refusal; formatting it must
+                // not panic either.
+                Err(e) => drop(e.to_string()),
+            }
+            let _ = RunSession::resume(&dir);
+            std::fs::write(path, &pristine).expect("restore");
+        }
+        store.load_latest().expect("restored store loads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn distributed_mass_ledger_balances_across_restart() {
     use differential_gossip::graph::pa;

@@ -551,3 +551,94 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes never panic a wire decoder (ROADMAP 6(a)): an
+    /// arbitrary stream, an arbitrary payload sealed in a well-formed
+    /// frame (a checksum is no defence against a client that computes
+    /// it), and every single-byte mutation or truncation of a valid
+    /// frame come back as a typed error or as a value that re-encodes to
+    /// itself.
+    #[test]
+    fn hostile_bytes_reach_the_wire_decoders_as_typed_errors(
+        bytes in proptest::collection::vec(0u8..=255, 0..96),
+        sample in 0usize..6,
+        at in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        use differential_gossip::serve::proto::{
+            read_request, read_response, write_request, write_response, KIND_REQUEST,
+            KIND_RESPONSE,
+        };
+        use differential_gossip::store::wire::{read_wire_frame, write_wire_frame, WireError};
+
+        let _ = read_wire_frame(&mut &bytes[..], 1 << 16);
+        let _ = read_request(&mut &bytes[..]);
+        let _ = read_response(&mut &bytes[..]);
+
+        // Half the payloads open with a tag the decoders know, so their
+        // field readers see the garbage, not just the tag check.
+        let mut payload = bytes.clone();
+        if let Some(tag) = payload.first_mut().filter(|_| at % 2 == 0) {
+            *tag %= 8;
+        }
+        for kind in [KIND_REQUEST, KIND_RESPONSE] {
+            let mut sealed = Vec::new();
+            write_wire_frame(&mut sealed, kind, &payload).expect("writes");
+            if let Ok(request) = read_request(&mut &sealed[..]) {
+                let mut again = Vec::new();
+                write_request(&mut again, &request).expect("writes");
+                let back = read_request(&mut &again[..]).expect("a decoded request re-encodes");
+                prop_assert_eq!(format!("{back:?}"), format!("{request:?}"));
+            }
+            if let Ok(response) = read_response(&mut &sealed[..]) {
+                let mut again = Vec::new();
+                write_response(&mut again, &response).expect("writes");
+                let back = read_response(&mut &again[..]).expect("a decoded response re-encodes");
+                prop_assert_eq!(format!("{back:?}"), format!("{response:?}"));
+            }
+        }
+
+        let mut valid = Vec::new();
+        match sample {
+            0 => write_request(&mut valid, &Request::TopK { k: 10 }),
+            1 => write_request(&mut valid, &Request::Percentile { p: 0.5 }),
+            2 => write_request(&mut valid, &Request::Ingest {
+                source: 3,
+                seq: 41,
+                requester: 1,
+                provider: 2,
+                outcome: TransactionOutcome::Served { quality: 0.75 },
+            }),
+            3 => write_response(&mut valid, &Response::TopK {
+                round: 9,
+                entries: vec![(4, 0.9), (1, 0.5)],
+            }),
+            4 => write_response(&mut valid, &Response::Error { message: "unknown node 99".into() }),
+            _ => write_response(&mut valid, &Response::Reputation { round: 3, reputation: None }),
+        }
+        .expect("writes");
+        let is_request = sample < 3;
+        let decodes = |stream: &[u8]| -> Result<(), WireError> {
+            let mut stream = stream;
+            if is_request {
+                read_request(&mut stream).map(drop)
+            } else {
+                read_response(&mut stream).map(drop)
+            }
+        };
+        decodes(&valid).expect("the unmutated frame decodes");
+
+        // The digest covers every byte before it, so no single-byte
+        // change survives.
+        let mut mutated = valid.clone();
+        mutated[at % valid.len()] ^= flip;
+        prop_assert!(decodes(&mutated).is_err(), "byte {} ^ {flip:#04x}", at % valid.len());
+        prop_assert!(read_wire_frame(&mut &mutated[..], 1 << 16).is_err());
+
+        let cut = &valid[..at % valid.len()];
+        prop_assert!(matches!(decodes(cut), Err(WireError::Io(_))), "cut at {}", cut.len());
+    }
+}
