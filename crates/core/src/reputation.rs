@@ -93,11 +93,19 @@ impl<'g> ReputationSystem<'g> {
     /// `Σ_{k ∈ NS_I} (w_Ik − 1)` — the total excess weight observer `I`
     /// grants its neighbourhood (the denominator correction of Eq. (6)).
     pub fn neighbour_excess_sum(&self, observer: NodeId) -> f64 {
+        self.excess_weights(observer).sum()
+    }
+
+    /// The excess weights `(w_Ik − 1)` of `observer`, one per neighbour
+    /// in adjacency order — the single definition behind
+    /// [`neighbour_excess_sum`](Self::neighbour_excess_sum) and
+    /// [`neighbour_excess_weights`](Self::neighbour_excess_weights), for
+    /// callers that write them into storage of their own.
+    pub fn excess_weights(&self, observer: NodeId) -> impl Iterator<Item = f64> + '_ {
         self.graph
             .neighbours(observer)
             .iter()
-            .map(|&k| self.weight_of(observer, NodeId(k)) - 1.0)
-            .sum()
+            .map(move |&k| self.weight_of(observer, NodeId(k)) - 1.0)
     }
 
     /// The per-neighbour excess weights `(w_Ik − 1)` of `observer`, in
@@ -110,11 +118,7 @@ impl<'g> ReputationSystem<'g> {
     /// [`neighbour_excess_sum`](Self::neighbour_excess_sum) bit-for-bit
     /// (same iteration order, same additions).
     pub fn neighbour_excess_weights(&self, observer: NodeId) -> Vec<f64> {
-        self.graph
-            .neighbours(observer)
-            .iter()
-            .map(|&k| self.weight_of(observer, NodeId(k)) - 1.0)
-            .collect()
+        self.excess_weights(observer).collect()
     }
 
     /// `ŷ_Ij = Σ_{k ∈ NS_I} (w_Ik − 1) · t_kj` — the weighted excess of

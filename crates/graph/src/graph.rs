@@ -180,6 +180,16 @@ impl Graph {
         self.neighbours(node).len()
     }
 
+    /// The CSR row offsets (`node_count() + 1` entries, ascending):
+    /// `neighbours(i)` occupies positions `offsets()[i]..offsets()[i + 1]`
+    /// of the flat adjacency. Lets a caller keep per-(node, neighbour)
+    /// state in one flat array aligned to the adjacency instead of one
+    /// container per node.
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Whether the edge `{a, b}` exists (binary search over sorted list).
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         self.neighbours(a).binary_search(&b.0).is_ok()
@@ -262,6 +272,16 @@ mod tests {
         b.add_edge(0u32, 1u32).unwrap();
         b.add_edge(1u32, 2u32).unwrap();
         b.build()
+    }
+
+    #[test]
+    fn offsets_delimit_each_neighbour_slice() {
+        let g = path3();
+        assert_eq!(g.offsets(), &[0, 1, 3, 4]);
+        for i in g.nodes() {
+            let span = g.offsets()[i.index() + 1] - g.offsets()[i.index()];
+            assert_eq!(span as usize, g.degree(i));
+        }
     }
 
     #[test]

@@ -522,14 +522,13 @@ impl AdversaryAssignment {
     }
 
     /// The whitewashers discarding their identity given the round's
-    /// per-subject mean reputations (ascending node order).
-    pub fn washes(&self, subject_mean: &[Option<f64>]) -> Vec<NodeId> {
+    /// per-subject mean reputations (ascending node order);
+    /// `subject_mean` is asked about washers only.
+    pub fn washes(&self, subject_mean: impl Fn(NodeId) -> Option<f64>) -> Vec<NodeId> {
         self.washer_ids
             .iter()
             .zip(&self.washers)
-            .filter(|(w, washer)| {
-                subject_mean[w.index()].is_some_and(|mean| mean < washer.threshold)
-            })
+            .filter(|(&w, washer)| subject_mean(w).is_some_and(|mean| mean < washer.threshold))
             .map(|(&w, _)| w)
             .collect()
     }
@@ -713,16 +712,16 @@ mod tests {
         let washers = a.adversaries();
         assert_eq!(washers.len(), 4);
         // Nobody has a view yet: nobody washes.
-        assert!(a.washes(&[None; 8]).is_empty());
+        assert!(a.washes(|_| None).is_empty());
         // Collapsed reputation: every washer washes (thresholds are in
         // [0.32, 0.48], all above 0.01).
-        let mut means = vec![Some(0.9); 8];
+        let mut means = [Some(0.9); 8];
         for &w in &washers {
             means[w.index()] = Some(0.01);
         }
-        assert_eq!(a.washes(&means), washers);
+        assert_eq!(a.washes(|w| means[w.index()]), washers);
         // High reputation: nobody washes.
-        assert!(a.washes(&[Some(0.9); 8]).is_empty());
+        assert!(a.washes(|_| Some(0.9)).is_empty());
     }
 
     #[test]

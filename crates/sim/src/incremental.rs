@@ -26,22 +26,45 @@
 //!   Eq. (6) row is **patched** — only the subjects whose aggregate or
 //!   incoming reports changed are re-evaluated, through the same Eq. (6)
 //!   tail the full sweep uses. The update set is *inverted* through the
-//!   undirected adjacency (subject → observers holding it in scope) and
-//!   the affected runs are surgically edited in place, so rows the
-//!   frontier never reaches are not even visited. A full-scope run lists
-//!   every rated subject and has no such frontier: there phase 3 is the
-//!   `closed_form_row` sweep of the other engines, over the
-//!   delta-maintained aggregates.
+//!   undirected adjacency (subject → observers holding it in scope) into
+//!   **one flat frontier**: a sorted list of `(observer, update index)`
+//!   items over a small per-round update table, cut into contiguous
+//!   pieces for the pool. The affected runs are surgically edited in
+//!   place, so rows the frontier never reaches are not even visited, and
+//!   nothing of length `N` is allocated, scanned or cleared. A
+//!   full-scope run lists every rated subject and has no such frontier:
+//!   there phase 3 is the `closed_form_row` sweep of the other engines,
+//!   over the delta-maintained aggregates;
+//! * the per-observer caches behind the patch — excess weights, their
+//!   sum, the Eq. (6) `ŷ` of every adjacency slot — live in **arenas**:
+//!   flat arrays aligned to the graph's CSR offsets
+//!   ([`dg_graph::Graph::offsets`]), not one heap block per observer per
+//!   cache. A patched observer reads one contiguous stretch of each;
+//! * the epilogue is told what the frontier edited
+//!   (`Changed::Frontier`: the rows, and the columns every edit is
+//!   about), so `EngineCore::finish_round` re-sums only those columns
+//!   and refreshes only those observers' means instead of passing over
+//!   all `N` runs.
 //!
 //! A subject `j` can move at a clean observer only if `j`'s report
 //! column changed (its sum/count, or a neighbour's direct report
 //! `t_kj`) — and every such `j` is in the cache's refreshed set,
 //! because the row diffs that changed the column marked it dirty. Dirty
-//! observers (replaced rows ⇒ changed weights) get full kernel rows.
-//! So each round costs `O(dirty work)` instead of `O(N · S)`, and the
-//! result stays **bit-for-bit identical to every other engine at any
-//! thread count, shard count, activity fraction and adversary mix** —
-//! pinned by `tests/engine_equivalence.rs`.
+//! observers (replaced rows ⇒ changed weights) are rebuilt through the
+//! full kernel row. So in a steady-state neighbourhood-scope round the
+//! only loops of length `N` left are the activity sweep and the class
+//! means; everything else costs `O(frontier)` — and the result stays
+//! **bit-for-bit identical to every other engine at any thread count,
+//! shard count, activity fraction and adversary mix**, pinned by
+//! `tests/engine_equivalence.rs`.
+//!
+//! Three kinds of round fall back to a full pass. The first round of a
+//! fresh engine and the first round after a restore are **unprimed**:
+//! the arenas hold nothing, so every observer is rebuilt (one arena
+//! fill) and the epilogue gets `Changed::All`. A round whose epilogue
+//! purges (whitewash, conviction) scrubs every run anyway and rebuilds
+//! totals and means in that same pass; the purged identities are forced
+//! updates and forced rebuilds of the next round's frontier.
 //!
 //! [`AggregationMode::Gossip`] works on this engine too: the trust
 //! matrix is still maintained incrementally, but the Variation-4
@@ -50,8 +73,8 @@
 //! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
-    closed_form_neighbourhood_row_cached, closed_form_row, merge_pending, EngineCore, ServiceDelta,
-    SubjectAggregates, TransactionRecord,
+    closed_form_neighbourhood_row_cached, closed_form_row, merge_pending, Changed, EngineCore,
+    ServiceDelta, SubjectAggregates, TransactionRecord,
 };
 use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
 use crate::session::SessionError;
@@ -66,10 +89,6 @@ use std::sync::Arc;
 /// One requester's non-empty transaction batch, keyed by requester id.
 type RecordBatch = (NodeId, Vec<TransactionRecord>);
 
-/// A touched observer's evaluation job: its index paired with mutable
-/// views of its aggregated run and its cached per-neighbour-slot ŷ row.
-type EvalJob<'a> = (usize, (&'a mut Vec<(NodeId, f64)>, &'a mut Vec<f64>));
-
 /// The incremental delta-driven round engine (see the module docs).
 pub struct IncrementalRoundEngine {
     core: EngineCore,
@@ -79,69 +98,44 @@ pub struct IncrementalRoundEngine {
     /// Column-postings mirror of `trust` with delta-maintained
     /// per-subject report aggregates.
     cache: SubjectAggregateCache,
-    /// `weights[observer]` — cached `(excess weights, their sum)`;
-    /// valid while the observer's trust row is unchanged. `None` until
-    /// first computed (closed-form neighbourhood scope only).
-    weights: Vec<Option<(Vec<f64>, f64)>>,
-    /// Every `weights` slot initialised (the first neighbourhood-scope round
-    /// ran): afterwards only replaced rows need a refresh, so the
-    /// per-round candidate scan is `O(dirty)` instead of `O(N)`.
-    weights_ready: bool,
-    /// `y_cache[observer][p]` — cached Eq. (6) `ŷ` for the subject at
-    /// adjacency position `p` of `observer` (`NaN` = unknown; allocated
-    /// lazily, neighbourhood scope only). Valid while the observer's
-    /// weights and every neighbour's report about that subject are
-    /// bitwise unchanged — both invalidation sources are visible here:
-    /// changed weights mean a replaced row, changed reports are in the
-    /// round's row diffs.
-    y_cache: Vec<Vec<f64>>,
-    /// Reusable per-observer update lists for the neighbourhood
-    /// inversion: cleared through the same adjacency walk that filled
-    /// them (capacity retained), so no round reallocates `N` vecs.
-    upd: Vec<Vec<NodeId>>,
-    /// Rows the end-of-round whitewash purge invalidated: they must be
-    /// re-emitted next round even if their owner folds no records.
+    /// The per-observer caches of the neighbourhood patch path
+    /// (`None` in full scope and under gossip aggregation).
+    arenas: Option<Arenas>,
+    /// Whether `arenas` and the aggregated runs are a patch baseline.
+    /// `false` after construction and after a restore — the next round
+    /// then rebuilds every observer (one arena fill) instead of patching.
+    primed: bool,
+    /// Rows that must be re-emitted next round even if their owner folds
+    /// no records: the rows the end-of-round whitewash purge invalidated
+    /// and, after a restore, every row the restored estimators back (the
+    /// persistent matrix starts empty).
     pending_dirty: Vec<NodeId>,
     /// Last round's washed identities (sorted). The epilogue scrubbed
     /// them out of every observer's run and cleared their own runs, so
     /// next round they are forced updates for every patch (their run
     /// entries must be re-derived from current report counts, even if
-    /// their report column is bitwise unchanged) and forced-full
+    /// their report column is bitwise unchanged) and forced-rebuild
     /// observers (their cleared runs are not a patch baseline).
     washed_last: Vec<NodeId>,
 }
 
-/// Ascending union of two sorted `NodeId` lists.
-fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x < y => {
-                out.push(x);
-                i += 1;
-            }
-            (Some(&x), Some(&y)) if x > y => {
-                out.push(y);
-                j += 1;
-            }
-            (Some(&x), Some(_)) => {
-                out.push(x);
-                i += 1;
-                j += 1;
-            }
-            (Some(&x), None) => {
-                out.push(x);
-                i += 1;
-            }
-            (None, Some(&y)) => {
-                out.push(y);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    out
+/// Per-(observer, neighbour-slot) caches as flat arrays aligned to the
+/// graph's CSR offsets — observer `o`'s slots are
+/// `offsets[o]..offsets[o + 1]`, in adjacency order — so patching an
+/// observer touches one contiguous stretch per array instead of chasing
+/// a heap block per observer per cache.
+struct Arenas {
+    /// Excess weights `(w_ok − 1)`; valid while the observer's trust row
+    /// is unchanged.
+    weights: Vec<f64>,
+    /// `excess[o]` — the sum of `o`'s excess weights.
+    excess: Vec<f64>,
+    /// Eq. (6) `ŷ` for the subject at that adjacency slot (`NaN` =
+    /// unknown). Valid while the observer's weights and every
+    /// neighbour's report about that subject are bitwise unchanged —
+    /// both invalidation sources are visible here: changed weights mean
+    /// a replaced row, changed reports are in the round's row diffs.
+    y_hat: Vec<f64>,
 }
 
 /// Bitwise row equality — the only comparison that may skip a
@@ -198,68 +192,171 @@ fn diff_changed_entries(
     }
 }
 
-/// Surgically apply one clean observer's update set to its aggregated
-/// run **in place**, keeping it sorted: each updated subject is
-/// re-evaluated through the same Eq. (6) kernel the full sweep uses and
-/// its entry replaced, inserted, or dropped (count hit zero / out of
-/// domain — exactly the full row's `filter_map` drop). Rows with an
-/// empty update set are never visited, so a round's aggregation cost
-/// scales with the dirty frontier instead of `N`.
+/// One subject the frontier re-evaluates: its current aggregate (read
+/// from this table, not from the `N`-long cache arrays, on the patch
+/// path) and the slice of the round's sorted changed-`(subject,
+/// reporter)` registry that is about it.
+struct Update {
+    subject: NodeId,
+    sum: f64,
+    count: usize,
+    changed: std::ops::Range<usize>,
+}
+
+/// The update-index half of a frontier item that marks its observer for
+/// a full rebuild; sorts after every real index of the same observer.
+const REBUILD: u32 = u32::MAX;
+
+/// A frontier item: `(observer, update index)` packed so that sorting
+/// the `u64`s sorts by observer, then by update index — and the update
+/// table is ascending by subject, so each observer's updates come out in
+/// run order.
+fn item(observer: u32, update: u32) -> u64 {
+    u64::from(observer) << 32 | u64::from(update)
+}
+
+fn observer_of(item: u64) -> usize {
+    (item >> 32) as usize
+}
+
+/// How many leading `items` belong to `observer`.
+fn leading(items: &[u64], observer: usize) -> usize {
+    items
+        .iter()
+        .take_while(|&&i| observer_of(i) == observer)
+        .count()
+}
+
+/// Everything a [`Piece`] reads.
+struct PatchContext<'a> {
+    system: &'a ReputationSystem<'a>,
+    agg: &'a SubjectAggregates<'a>,
+    updates: &'a [Update],
+    /// Every `(subject, reporter)` report that moved bitwise this round,
+    /// sorted.
+    changed: &'a [(NodeId, NodeId)],
+}
+
+/// A contiguous stretch of the sorted frontier together with the
+/// windows of the aggregated runs and the arenas its observers own —
+/// the unit of the parallel fan-out. Windows start at observer `first`
+/// (arena windows at its CSR offset).
+struct Piece<'a> {
+    first: usize,
+    items: &'a [u64],
+    runs: &'a mut [Vec<(NodeId, f64)>],
+    weights: &'a mut [f64],
+    excess: &'a mut [f64],
+    y_hat: &'a mut [f64],
+}
+
+/// Skip `skip` elements of `rest`, then split off and return the next
+/// `len` — how ascending disjoint windows are peeled off one slice.
+fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(skip).1.split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+impl Piece<'_> {
+    fn run(self, ctx: &PatchContext<'_>) {
+        let graph = ctx.system.graph();
+        let offsets = graph.offsets();
+        let base = offsets[self.first] as usize;
+        let mut start = 0;
+        while start < self.items.len() {
+            let o = observer_of(self.items[start]);
+            let len = leading(&self.items[start..], o);
+            let group = &self.items[start..start + len];
+            start += len;
+
+            let observer = NodeId(o as u32);
+            let slots = offsets[o] as usize - base..offsets[o + 1] as usize - base;
+            let weights = &mut self.weights[slots.clone()];
+            let y_row = &mut self.y_hat[slots];
+            let excess = &mut self.excess[o - self.first];
+            let run = &mut self.runs[o - self.first];
+            if group[len - 1] as u32 == REBUILD {
+                // Dirty observer (changed weights), freshly washed
+                // identity (its run was cleared, not computed) or an
+                // unprimed engine: the full kernel row, over fresh
+                // weights, and every cached ŷ term is suspect — the
+                // sweep recaptures the ones it evaluates.
+                for (slot, w) in weights.iter_mut().zip(ctx.system.excess_weights(observer)) {
+                    *slot = w;
+                }
+                *excess = weights.iter().sum();
+                y_row.fill(f64::NAN);
+                closed_form_neighbourhood_row_cached(
+                    ctx.system, observer, weights, *excess, ctx.agg, y_row, run,
+                );
+            } else {
+                patch_run(ctx, observer, weights, *excess, y_row, run, group);
+            }
+        }
+    }
+}
+
+/// Surgically apply one clean observer's updates (`group`, its frontier
+/// items) to its aggregated run **in place**, keeping it sorted: each
+/// updated subject is re-evaluated through the same Eq. (6) kernel the
+/// full sweep uses and its entry replaced, inserted, or dropped (count
+/// hit zero / out of domain — exactly the full row's drop).
 ///
 /// The `ŷ` half of each evaluation comes from `y_row`, the observer's
-/// per-adjacency-position cache: a term is resummed only when a
-/// neighbour's report about that subject actually changed this round
-/// (`changed`, sorted `(subject, reporter)` pairs from the row diffs)
-/// or the slot is still unknown. A clean observer's weights are
-/// unchanged by definition, so an untouched cached `ŷ` is bitwise
-/// equal to the resum the rebuild-everything engines perform — most updates
-/// collapse to the `O(1)` Eq. (6) tail instead of an `O(deg)` sweep.
-#[allow(clippy::too_many_arguments)]
-fn apply_updates_in_place(
-    system: &ReputationSystem<'_>,
+/// per-adjacency-slot cache: a term is resummed only when a neighbour's
+/// report about that subject actually changed this round or the slot is
+/// still unknown. A clean observer's weights are unchanged by
+/// definition, so an untouched cached `ŷ` is bitwise equal to the resum
+/// the rebuild-everything engines perform — most updates collapse to the
+/// `O(1)` Eq. (6) tail instead of an `O(deg)` sweep.
+fn patch_run(
+    ctx: &PatchContext<'_>,
     observer: NodeId,
     weights: &[f64],
     excess: f64,
-    run: &mut Vec<(NodeId, f64)>,
     y_row: &mut [f64],
-    changed: &[(NodeId, NodeId)],
-    changed_range: &[(u32, u32)],
-    updates: &[NodeId],
-    agg: &SubjectAggregates,
+    run: &mut Vec<(NodeId, f64)>,
+    group: &[u64],
 ) {
-    let nbrs = system.graph().neighbours(observer);
-    for &j in updates {
+    let nbrs = ctx.system.graph().neighbours(observer);
+    for &item in group {
+        let update = &ctx.updates[item as u32 as usize];
+        let j = update.subject;
         // The update was inverted through `j`'s neighbour list, so `j`
         // is a neighbour of this observer (undirected adjacency).
-        let pos = nbrs
+        let slot = nbrs
             .binary_search(&j.0)
             .expect("updates are inverted through the adjacency");
-        let (lo, hi) = changed_range[j.index()];
-        if changed[lo as usize..hi as usize]
+        if ctx.changed[update.changed.clone()]
             .iter()
             .any(|&(_, k)| nbrs.binary_search(&k.0).is_ok())
         {
-            y_row[pos] = f64::NAN;
+            y_row[slot] = f64::NAN;
         }
-        let count = agg.counts[j.index()];
-        let rep = if count == 0 {
+        let rep = if update.count == 0 {
             None
         } else {
-            if y_row[pos].is_nan() {
-                y_row[pos] = system.y_hat_from_weights(observer, weights, j);
+            if y_row[slot].is_nan() {
+                y_row[slot] = ctx.system.y_hat_from_weights(observer, weights, j);
             }
-            system.gclr_from_y_hat(y_row[pos], agg.sums[j.index()], count as f64, excess)
+            ctx.system
+                .gclr_from_y_hat(y_row[slot], update.sum, update.count as f64, excess)
         };
         match (run.binary_search_by_key(&j, |&(s, _)| s), rep) {
-            (Ok(pos), Some(r)) => run[pos].1 = r,
-            (Ok(pos), None) => {
-                run.remove(pos);
+            (Ok(at), Some(r)) => run[at].1 = r,
+            (Ok(at), None) => {
+                run.remove(at);
             }
-            (Err(pos), Some(r)) => run.insert(pos, (j, r)),
+            (Err(at), Some(r)) => run.insert(at, (j, r)),
             (Err(_), None) => {}
         }
     }
 }
+
+/// Frontier items per [`Piece`]: small enough that a multi-thread pool
+/// has blocks to steal, large enough that cutting them costs nothing.
+const PIECE_ITEMS: usize = 4096;
 
 impl IncrementalRoundEngine {
     /// Engine over fresh core state. `config.shard_count == 0` selects
@@ -269,34 +366,168 @@ impl IncrementalRoundEngine {
         let n = scenario.graph.node_count();
         let mut trust = TrustMatrix::new(n);
         trust.shard(ShardSpec::configured(n, config.shard_count));
-        // The ŷ cache mirrors the adjacency; prime it (and the update
-        // lists) up front for the configuration that uses them so no
-        // round pays the allocation.
-        let neighbourhood_closed_form = matches!(config.aggregation, AggregationMode::ClosedForm)
+        let patches = matches!(config.aggregation, AggregationMode::ClosedForm)
             && matches!(config.scope, AggregationScope::Neighbourhood);
-        let y_cache = if neighbourhood_closed_form {
-            (0..n as u32)
-                .map(|o| vec![f64::NAN; scenario.graph.neighbours(NodeId(o)).len()])
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let upd = if neighbourhood_closed_form {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
+        // Contents are irrelevant until the first (rebuild) round has
+        // written every slot, so the arenas start as untouched zero
+        // pages.
+        let arenas = patches.then(|| {
+            let slots = 2 * scenario.graph.edge_count();
+            Arenas {
+                weights: vec![0.0; slots],
+                excess: vec![0.0; n],
+                y_hat: vec![0.0; slots],
+            }
+        });
         Self {
             trust,
             cache: SubjectAggregateCache::new(n),
-            weights: vec![None; n],
-            weights_ready: false,
-            y_cache,
-            upd,
+            arenas,
+            primed: false,
             pending_dirty: Vec::new(),
             washed_last: Vec::new(),
             core,
         }
+    }
+
+    /// Phase 3 in closed-form neighbourhood scope: rebuild or patch
+    /// exactly the observers the round's frontier reaches, and report
+    /// what that edited.
+    ///
+    /// `refreshed` are the subjects whose report column moved, `replaced`
+    /// the observers whose own trust row did, `changed` the sorted
+    /// `(subject, reporter)` reports that moved bitwise. Returns the
+    /// edited rows and the columns every edit is about (both ascending,
+    /// deduplicated), or `None` after a rebuild of everything.
+    fn patch_frontier(
+        &mut self,
+        system: &ReputationSystem<'_>,
+        refreshed: &[NodeId],
+        replaced: &[NodeId],
+        changed: &[(NodeId, NodeId)],
+    ) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
+        let graph = system.graph();
+        let n = graph.node_count();
+        let arenas = self
+            .arenas
+            .as_mut()
+            .expect("arenas exist in closed-form neighbourhood scope");
+        let agg = SubjectAggregates::new(
+            self.cache.sums(),
+            self.cache.counts(),
+            AggregationScope::Neighbourhood,
+        );
+        // Last round's wash rewrote the aggregated runs behind the
+        // engine's back (scrubbed subjects, cleared washed observers'
+        // runs): washed identities are forced updates for every patch
+        // and forced rebuilds.
+        let washed_last = std::mem::take(&mut self.washed_last);
+
+        let mut updates: Vec<Update> = Vec::new();
+        let mut frontier: Vec<u64> = Vec::new();
+        if self.primed {
+            let mut subjects = [refreshed, &washed_last[..]].concat();
+            subjects.sort_unstable();
+            subjects.dedup();
+            let mut pairs = 0;
+            for subject in subjects {
+                // The registry ascends by subject too; its entries about
+                // subjects outside the update set (a report that moved
+                // bits but not value) are never consulted.
+                while pairs < changed.len() && changed[pairs].0 < subject {
+                    pairs += 1;
+                }
+                let about = changed[pairs..]
+                    .iter()
+                    .take_while(|&&(j, _)| j == subject)
+                    .count();
+                let (sum, count) = self.cache.aggregate(subject);
+                updates.push(Update {
+                    subject,
+                    sum,
+                    count,
+                    changed: pairs..pairs + about,
+                });
+                pairs += about;
+            }
+            // Invert the update set through the undirected adjacency:
+            // subject `j` moved ⇒ exactly `j`'s neighbours hold it in
+            // scope. Rows no item points at are untouched — not copied,
+            // not even visited.
+            let reached: usize = updates.iter().map(|u| graph.degree(u.subject)).sum();
+            frontier.reserve_exact(reached + replaced.len() + washed_last.len());
+            for (u, update) in updates.iter().enumerate() {
+                frontier.extend(
+                    graph
+                        .neighbours(update.subject)
+                        .iter()
+                        .map(|&o| item(o, u as u32)),
+                );
+            }
+            frontier.extend(
+                replaced
+                    .iter()
+                    .chain(&washed_last)
+                    .map(|o| item(o.0, REBUILD)),
+            );
+            frontier.sort_unstable();
+        } else {
+            frontier.extend((0..n as u32).map(|o| item(o, REBUILD)));
+        }
+
+        // Cut the frontier into pieces at observer boundaries, each with
+        // its observers' windows of the runs and the arenas.
+        let offsets = graph.offsets();
+        let mut runs = &mut self.core.aggregated[..];
+        let mut weights = &mut arenas.weights[..];
+        let mut excess = &mut arenas.excess[..];
+        let mut y_hat = &mut arenas.y_hat[..];
+        let mut pieces = Vec::with_capacity(frontier.len() / PIECE_ITEMS + 1);
+        let (mut start, mut next) = (0, 0);
+        while start < frontier.len() {
+            let mut end = (start + PIECE_ITEMS).min(frontier.len());
+            let last = observer_of(frontier[end - 1]);
+            end += leading(&frontier[end..], last);
+            let first = observer_of(frontier[start]);
+            let (skip, len) = (first - next, last + 1 - first);
+            let slots_skip = (offsets[first] - offsets[next]) as usize;
+            let slots_len = (offsets[last + 1] - offsets[first]) as usize;
+            pieces.push(Piece {
+                first,
+                items: &frontier[start..end],
+                runs: window(&mut runs, skip, len),
+                weights: window(&mut weights, slots_skip, slots_len),
+                excess: window(&mut excess, skip, len),
+                y_hat: window(&mut y_hat, slots_skip, slots_len),
+            });
+            (start, next) = (end, last + 1);
+        }
+        let ctx = PatchContext {
+            system,
+            agg: &agg,
+            updates: &updates,
+            changed,
+        };
+        pieces.into_par_iter().for_each(|piece| piece.run(&ctx));
+
+        if !self.primed {
+            self.primed = true;
+            return None;
+        }
+        let mut rows: Vec<NodeId> = frontier
+            .iter()
+            .map(|&i| NodeId(observer_of(i) as u32))
+            .collect();
+        rows.dedup();
+        // A rebuilt run may differ from its predecessor anywhere in the
+        // observer's neighbourhood; a patched one only at its updates.
+        let mut columns: Vec<NodeId> = updates.iter().map(|u| u.subject).collect();
+        for &o in replaced.iter().chain(&washed_last) {
+            columns.extend(graph.neighbours(o).iter().map(|&j| NodeId(j)));
+        }
+        columns.sort_unstable();
+        columns.dedup();
+        Some((rows, columns))
     }
 }
 
@@ -310,56 +541,55 @@ impl RoundEngine for IncrementalRoundEngine {
     }
 
     fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
-        // Rebuild from scratch, then mark *every* node dirty and
-        // *every* node as freshly washed: the persistent trust matrix,
-        // aggregate cache and ŷ cache are derived state that the
-        // records deliberately omit, so the first resumed round
-        // refolds all rows and recomputes every observer's run from
-        // the restored estimators — after which the incremental paths
-        // take over again. Queued ingest batches survive the restore,
-        // like the other engines' pending lists do.
+        // Rebuild from scratch: the persistent trust matrix, aggregate
+        // cache and arenas are derived state that the records
+        // deliberately omit, so the first resumed round re-emits every
+        // row the restored estimators back and — unprimed — rebuilds
+        // every observer's run, after which the incremental paths take
+        // over again. Queued ingest batches survive the restore, like
+        // the other engines' pending lists do.
         let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
         core.restore(round, records)?;
         core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
-        let n = core.nodes.len() as u32;
+        let backed = (0u32..)
+            .zip(&core.nodes)
+            .filter(|(_, state)| !state.estimators.is_empty())
+            .map(|(i, _)| NodeId(i))
+            .collect();
         *self = Self::new(core);
-        self.pending_dirty = (0..n).map(NodeId).collect();
-        self.washed_last = (0..n).map(NodeId).collect();
+        self.pending_dirty = backed;
         Ok(())
     }
 
     fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let core = &mut self.core;
-        let scenario = Arc::clone(&core.scenario);
+        let scenario = Arc::clone(&self.core.scenario);
         let n = scenario.graph.node_count();
 
-        // Phase 1: transact — a pure fan-out over requesters (inactive
-        // requesters cost one activity draw).
-        let banned = core.banned();
-        let shared = &*core;
-        // Index-block fan-out over the same pure per-requester kernel
-        // every engine uses (identical RNG streams): at skewed
-        // activity fractions almost every requester returns an empty
-        // batch, so only the non-empty ones are materialised. Block-
-        // merging the service deltas is exact — integer counters.
+        // Phase 1: transact — a fan-out over index blocks of the same
+        // pure per-requester kernel every engine uses (identical RNG
+        // streams). At skewed activity fractions a block is one activity
+        // sweep and a handful of requesters. Block-merging the service
+        // deltas is exact — integer counters.
         const BLOCK: usize = 4096;
+        let shared = &self.core;
         let blocks: Vec<(Vec<RecordBatch>, ServiceDelta)> = (0..n.div_ceil(BLOCK))
             .into_par_iter()
             .map(|b| {
                 let mut delta = ServiceDelta::default();
                 let mut batches = Vec::new();
-                let lo = b * BLOCK;
-                for i in lo..(lo + BLOCK).min(n) {
-                    let (records, d) = shared.transact(NodeId(i as u32), round_seed, &banned);
+                let ids = (b * BLOCK) as u32..((b + 1) * BLOCK).min(n) as u32;
+                for requester in shared.requesters(ids, round_seed) {
+                    let (records, d) = shared.transact(requester, round_seed);
                     delta.merge(d);
                     if !records.is_empty() {
-                        batches.push((NodeId(i as u32), records));
+                        batches.push((requester, records));
                     }
                 }
                 (batches, delta)
             })
             .collect();
 
+        let core = &mut self.core;
         let mut delta = ServiceDelta::default();
         // Ascending by requester: blocks are in index order.
         let mut record_batches: Vec<RecordBatch> = Vec::new();
@@ -378,7 +608,7 @@ impl RoundEngine for IncrementalRoundEngine {
         // Phase 2: estimate — only dirty rows. A row is dirty when its
         // owner folded records, is an adversary (distortions are
         // round-keyed, and colluders re-praise washed clique mates), or
-        // was invalidated by last round's whitewash purge.
+        // is pending from last round's whitewash purge or a restore.
         let mut dirty: Vec<NodeId> = record_batches.iter().map(|&(i, _)| i).collect();
         dirty.extend(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
@@ -394,11 +624,9 @@ impl RoundEngine for IncrementalRoundEngine {
         let mut batches = record_batches.into_iter().peekable();
         let mut nodes = std::mem::take(&mut core.nodes);
         for &i in &dirty {
-            let records = if batches.peek().is_some_and(|&(j, _)| j == i) {
-                batches.next().expect("peeked").1
-            } else {
-                Vec::new()
-            };
+            let records = batches
+                .next_if(|&(j, _)| j == i)
+                .map_or_else(Vec::new, |(_, records)| records);
             // Emit (and, with auditing on, log) the row *before* the
             // identity check: a clean node's re-emitted row re-records
             // identical content, which `ReportLog::record` makes a
@@ -421,161 +649,42 @@ impl RoundEngine for IncrementalRoundEngine {
         // subjects any clean observer needs to re-evaluate.
         let refreshed = self.cache.refresh(&core.config.defense.robust);
         let replaced: Vec<NodeId> = replacements.iter().map(|&(i, _)| i).collect();
+        drop(replacements);
+        changed_pairs.sort_unstable();
 
         let trust = std::mem::replace(&mut self.trust, TrustMatrix::new(0));
         let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
-        // Last round's wash rewrote the aggregated runs behind the
-        // engine's back (scrubbed subjects, cleared washed observers'
-        // runs): washed identities are forced updates for every patch
-        // and forced-full observers below.
-        let washed_last = std::mem::take(&mut self.washed_last);
 
         // Phase 3: aggregate.
-        match core.config.aggregation {
-            AggregationMode::ClosedForm => {
-                let agg = SubjectAggregates::from_parts(
-                    self.cache.sums().to_vec(),
-                    self.cache.counts().to_vec(),
-                );
-                let sys = &system;
-                let agg_ref = &agg;
-                match core.config.scope {
-                    // A full-scope run lists every rated subject, so it
-                    // has no frontier to patch along: the sweep the
-                    // other engines run, over the delta-maintained
-                    // aggregates.
-                    AggregationScope::Full => {
-                        core.aggregated = (0..n as u32)
-                            .into_par_iter()
-                            .map(|i| {
-                                closed_form_row(sys, NodeId(i), AggregationScope::Full, agg_ref)
-                            })
-                            .collect();
-                    }
-                    AggregationScope::Neighbourhood => {
-                        // Refresh cached excess weights where the
-                        // observer's own row changed; the first round
-                        // initialises every slot, later rounds scan only
-                        // the replacements.
-                        let need: Vec<NodeId> = if self.weights_ready {
-                            replaced.clone()
-                        } else {
-                            (0..n as u32).map(NodeId).collect()
-                        };
-                        self.weights_ready = true;
-                        let fresh: Vec<(NodeId, Vec<f64>, f64)> = need
-                            .into_par_iter()
-                            .map(|o| {
-                                let w = sys.neighbour_excess_weights(o);
-                                let e: f64 = w.iter().sum();
-                                (o, w, e)
-                            })
-                            .collect();
-                        for (o, w, e) in fresh {
-                            self.weights[o.index()] = Some((w, e));
-                        }
-                        let weights = &self.weights;
-                        let updates_all = merge_sorted(&refreshed, &washed_last);
-
-                        // Invert the update set through the undirected
-                        // adjacency: subject `j` moved ⇒ exactly `j`'s
-                        // neighbours hold it in scope, so push `j` onto
-                        // each of their update lists (ascending, since
-                        // `updates_all` is). Rows no update points at
-                        // are untouched — not copied, not even visited.
-                        let graph = sys.graph();
-                        if self.y_cache.len() != n {
-                            self.y_cache = (0..n as u32)
-                                .map(|o| vec![f64::NAN; graph.neighbours(NodeId(o)).len()])
-                                .collect();
-                        }
-                        if self.upd.len() != n {
-                            self.upd = vec![Vec::new(); n];
-                        }
-                        changed_pairs.sort_unstable();
-                        // Dense per-subject slice bounds into the
-                        // changed-pairs registry: one indexed load per
-                        // evaluation instead of two binary searches.
-                        let mut changed_range: Vec<(u32, u32)> = vec![(0, 0); n];
-                        let mut s = 0usize;
-                        while s < changed_pairs.len() {
-                            let j = changed_pairs[s].0;
-                            let mut e = s + 1;
-                            while e < changed_pairs.len() && changed_pairs[e].0 == j {
-                                e += 1;
-                            }
-                            changed_range[j.index()] = (s as u32, e as u32);
-                            s = e;
-                        }
-                        let changed_ref = &changed_pairs;
-                        let ranges_ref = &changed_range;
-                        let upd = &mut self.upd;
-                        let mut touched = vec![false; n];
-                        let mut full = vec![false; n];
-                        for &o in replaced.iter().chain(washed_last.iter()) {
-                            full[o.index()] = true;
-                            touched[o.index()] = true;
-                        }
-                        for &j in &updates_all {
-                            for &o in graph.neighbours(j) {
-                                upd[o as usize].push(j);
-                                touched[o as usize] = true;
-                            }
-                        }
-                        let upd_ref = &*upd;
-                        let full_ref = &full;
-                        let jobs: Vec<EvalJob> = core
-                            .aggregated
-                            .iter_mut()
-                            .zip(self.y_cache.iter_mut())
-                            .enumerate()
-                            .filter(|&(i, _)| touched[i])
-                            .collect();
-                        jobs.into_par_iter().for_each(|(i, (run, y_row))| {
-                            let o = NodeId(i as u32);
-                            if full_ref[i] {
-                                // Dirty observer (changed weights) or
-                                // freshly washed identity (its run was
-                                // cleared, not computed): every subject
-                                // needs the full kernel row, and every
-                                // cached ŷ term is suspect — the sweep
-                                // recaptures the ones it evaluates.
-                                y_row.iter_mut().for_each(|y| *y = f64::NAN);
-                                *run = closed_form_neighbourhood_row_cached(sys, o, agg_ref, y_row);
-                                return;
-                            }
-                            let (w, excess) = weights[o.index()]
-                                .as_ref()
-                                .expect("weights initialised for all observers above");
-                            apply_updates_in_place(
-                                sys,
-                                o,
-                                w,
-                                *excess,
-                                run,
-                                y_row,
-                                changed_ref,
-                                ranges_ref,
-                                &upd_ref[i],
-                                agg_ref,
-                            );
-                        });
-                        // Reset the touched update lists through the
-                        // same walk that filled them (capacity kept).
-                        for &j in &updates_all {
-                            for &o in graph.neighbours(j) {
-                                upd[o as usize].clear();
-                            }
-                        }
-                    }
-                }
+        let (aggregation, scope) = (self.core.config.aggregation, self.core.config.scope);
+        let frontier = match (aggregation, scope) {
+            (AggregationMode::ClosedForm, AggregationScope::Neighbourhood) => {
+                self.patch_frontier(&system, &refreshed, &replaced, &changed_pairs)
+            }
+            // A full-scope run lists every rated subject, so it has no
+            // frontier to patch along: the sweep the other engines run,
+            // over the delta-maintained aggregates.
+            (AggregationMode::ClosedForm, AggregationScope::Full) => {
+                let agg = SubjectAggregates::new(self.cache.sums(), self.cache.counts(), scope);
+                self.core.aggregated = (0..n as u32)
+                    .into_par_iter()
+                    .map(|i| closed_form_row(&system, NodeId(i), scope, &agg))
+                    .collect();
+                None
             }
             // The trust matrix is still maintained incrementally; the
             // gossip itself runs whole.
-            AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
-        }
+            (AggregationMode::Gossip, _) => {
+                self.core.aggregate_by_gossip(&system, round_seed)?;
+                None
+            }
+        };
         self.trust = system.into_trust();
         let report_entries = self.trust.entry_count() as u64;
+        let changed = match &frontier {
+            Some((rows, columns)) => Changed::Frontier { rows, columns },
+            None => Changed::All,
+        };
 
         // Audit phase + shared round epilogue: summary, whitewash +
         // conviction purge, admission scales, stats. Every row the purge
@@ -585,19 +694,172 @@ impl RoundEngine for IncrementalRoundEngine {
         // state.
         let pending = &mut self.pending_dirty;
         let washed_store = &mut self.washed_last;
-        Ok(core.finish_round(delta, report_entries, |nodes, purged| {
-            *washed_store = purged.to_vec();
-            for (i, state) in nodes.iter_mut().enumerate() {
-                let before = state.estimators.len();
-                state.forget(purged);
-                if state.estimators.len() != before {
-                    pending.push(NodeId(i as u32));
+        Ok(self
+            .core
+            .finish_round(delta, report_entries, changed, |nodes, purged| {
+                *washed_store = purged.to_vec();
+                for (i, state) in nodes.iter_mut().enumerate() {
+                    let before = state.estimators.len();
+                    state.forget(purged);
+                    if state.estimators.len() != before {
+                        pending.push(NodeId(i as u32));
+                    }
+                }
+                for &w in purged {
+                    nodes[w.index()].reset_identity();
+                    pending.push(w);
+                }
+            }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RunConfig;
+    use crate::scenario::Scenario;
+    use crate::session::round_seed;
+    use crate::workload::TrafficModel;
+    use dg_gossip::{AdversaryMix, EngineKind};
+    use dg_trust::audit::AuditPolicy;
+    use dg_trust::prelude::TransactionOutcome;
+
+    /// Thirty skewed rounds through every way a round can move the
+    /// aggregated runs — patches, rebuilds, whitewash purges, audit
+    /// convictions, an ingest-only dirty row, a flash crowd, a round
+    /// that changes nothing, a restore — and after **every** one the
+    /// maintained totals and observer means are bit-equal to the full
+    /// passes (`EngineCore::totals`, `row_mean`).
+    #[test]
+    fn maintained_totals_and_means_equal_the_full_pass_after_every_round() {
+        const N: u32 = 160;
+        let mix = AdversaryMix {
+            whitewash_fraction: 0.03,
+            stealth_fraction: 0.1,
+            stealth_clique: 5,
+            stealth_bias: 1.0,
+            ..AdversaryMix::none()
+        }
+        .validated()
+        .expect("mix is valid");
+        let audit = AuditPolicy {
+            audit_rate: 0.08,
+            ..AuditPolicy::standard()
+        };
+        let config = RunConfig::with_nodes(N as usize)
+            .with_seed(71)
+            .with_engine(EngineKind::Incremental)
+            .with_scope(AggregationScope::Neighbourhood)
+            .with_free_riders(0.15)
+            .with_quality_range(0.4, 1.0)
+            .with_adversary(mix)
+            .with_audit(audit)
+            // Skewed, but nobody is certain to request: some round seeds
+            // idle the whole network.
+            .with_traffic(
+                TrafficModel::full()
+                    .with_activity(0.05)
+                    .with_zipf(0.5)
+                    .with_flash(6, 6.0),
+            );
+        let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+        let mut engine = IncrementalRoundEngine::new(EngineCore::new(scenario, config));
+        // A round seed under which nobody requests.
+        let idle_seed = |core: &EngineCore| {
+            (0u64..)
+                .find(|&seed| core.requesters(0..N, seed).next().is_none())
+                .expect("some seed idles a 10%-active network")
+        };
+
+        let mut stats: Vec<RoundStats> = Vec::new();
+        let mut idle_round = None;
+        for round in 0..30usize {
+            let mut seed = round_seed(config.seed, round as u64);
+            let mut unchanged = None;
+            match round {
+                // An ingest-only dirty row: nobody requests, one node's
+                // records arrive through the serve layer's queue.
+                13 => {
+                    seed = idle_seed(&engine.core);
+                    let reporter = (0..N)
+                        .map(NodeId)
+                        .find(|&i| {
+                            !engine.core.banned[i.index()]
+                                && engine.core.nodes[i.index()].estimators.is_empty()
+                        })
+                        .expect("an unconvicted node that has not requested yet");
+                    let provider = NodeId(engine.core.scenario.graph.neighbours(reporter)[0]);
+                    let outcome = TransactionOutcome::Served { quality: 0.25 };
+                    engine.core.queue_reports(vec![(
+                        reporter,
+                        vec![TransactionRecord { provider, outcome }],
+                    )]);
+                }
+                // An empty frontier, the first time nothing is pending
+                // from a purge: nobody requests, so no run may change.
+                14.. if idle_round.is_none()
+                    && !engine.core.plan.is_flash_round(round as u64)
+                    && engine.pending_dirty.is_empty()
+                    && engine.washed_last.is_empty() =>
+                {
+                    seed = idle_seed(&engine.core);
+                    unchanged = Some(engine.core.aggregated.clone());
+                }
+                // A restore mid-run: derived state is rebuilt, the
+                // maintained state must be exact before and after.
+                20 => {
+                    let records = engine.core.records();
+                    engine
+                        .restore(round, &records)
+                        .expect("own records restore");
+                    assert!(!engine.primed);
+                    assert!(engine.core.maintained_state_is_exact(), "after restore");
+                }
+                _ => {}
+            }
+            let round_stats = engine.run_round(seed).expect("round runs");
+            assert!(
+                engine.core.maintained_state_is_exact(),
+                "maintained state drifted in round {round}"
+            );
+            if let Some(before) = unchanged {
+                assert_eq!(round_stats.active_nodes, 0);
+                // (Its own epilogue may still purge; then try again.)
+                if round_stats.washes + round_stats.convictions == 0 {
+                    assert!(
+                        engine.core.aggregated == before,
+                        "an idle round edited a run"
+                    );
+                    idle_round = Some(round);
                 }
             }
-            for &w in purged {
-                nodes[w.index()].reset_identity();
-                pending.push(w);
-            }
-        }))
+            stats.push(round_stats);
+        }
+
+        // The run went through what the doc comment says it did.
+        assert!(stats.iter().any(|s| s.washes > 0), "no whitewash purge");
+        assert!(stats.iter().any(|s| s.convictions > 0), "no conviction");
+        assert!(
+            stats
+                .iter()
+                .filter(|s| s.washes + s.convictions == 0)
+                .count()
+                > 10,
+            "too few purge-free (frontier-maintained) rounds"
+        );
+        assert!(
+            idle_round.is_some(),
+            "no round started with nothing pending"
+        );
+        assert_eq!(stats[13].active_nodes, 0);
+        assert_eq!(stats[12].washes + stats[12].convictions, 0);
+        assert_eq!(stats[13].report_entries, stats[12].report_entries + 1);
+        assert!(
+            stats[5].active_nodes > 2 * stats[4].active_nodes.max(stats[6].active_nodes),
+            "round 5 is a flash crowd: {} vs {} / {}",
+            stats[5].active_nodes,
+            stats[4].active_nodes,
+            stats[6].active_nodes
+        );
     }
 }

@@ -17,10 +17,11 @@
 //! **bit-for-bit identical by construction** at any thread count, shard
 //! count, and traffic shape (pinned by `tests/engine_equivalence.rs`):
 //!
-//! * `EngineCore::transact` — phase 1 for one requester: the traffic
-//!   activity gate, admission control against the previous round's
-//!   aggregated view, and the per-node ChaCha8 stream
-//!   ([`node_stream_seed`]) its quality draws consume;
+//! * `EngineCore::requesters` + `EngineCore::transact` — phase 1: one
+//!   sweep of the traffic plan's activity gate yields the round's
+//!   requesters (active, participating, not expelled), and each of them
+//!   runs admission control against the previous round's aggregated view
+//!   on its own per-node ChaCha8 stream ([`node_stream_seed`]);
 //! * `NodeState::fold_records` — phase 2 for one node: fold the
 //!   round's records into the per-edge estimators, emit the node's
 //!   (sorted) trust row;
@@ -37,7 +38,15 @@
 //!   re-verification, k-strikes conviction;
 //! * `EngineCore::finish_round` — the audit phase plus the round
 //!   epilogue: round summary, the whitewash + conviction purge,
-//!   admission-scale refresh, and the [`RoundStats`] assembly.
+//!   admission-scale refresh, and the [`RoundStats`] assembly. The
+//!   per-subject reputation totals behind the summary and the observers'
+//!   admission scales are **maintained state** of the core, not
+//!   per-round recomputations: the engine says what its aggregation
+//!   phase changed (`Changed`) and the epilogue re-sums only those
+//!   columns (each one whole, in the full pass's addition order — so the
+//!   maintained values are bit-equal to `EngineCore::totals` and
+//!   `row_mean` after every round) and refreshes only those rows.
+//!   `Changed::All`, a purge round and a restore take the full pass.
 //!
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
@@ -57,7 +66,7 @@ use dg_graph::NodeId;
 use dg_store::NodeRecord;
 use dg_trust::audit::{audit_targets, AuditPolicy, ReportLog};
 use dg_trust::prelude::{EwmaEstimator, TransactionOutcome};
-use dg_trust::{RobustAggregation, TrustMatrix, TrustValue};
+use dg_trust::TrustValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -131,36 +140,32 @@ impl ServiceDelta {
     }
 }
 
-/// Per-subject `(Σᵢ t_ij, N_d)` plus the ascending list of subjects
-/// anyone holds an opinion about — the closed-form aggregation inputs,
-/// computed once per round in `O(nnz)` (or patched in `O(dirty)` from
-/// the incremental engine's [`dg_trust::SubjectAggregateCache`]).
-pub(crate) struct SubjectAggregates {
-    pub sums: Vec<f64>,
-    pub counts: Vec<usize>,
-    /// Subjects with `N_d > 0`, ascending.
-    pub subjects: Vec<NodeId>,
+/// Per-subject `(Σᵢ t_ij, N_d)` under the robust policy — the
+/// closed-form aggregation inputs, borrowed from whoever computed them:
+/// [`dg_trust::TrustMatrix::robust_subject_sums_and_counts`] once per
+/// round in `O(nnz)`, or the incremental engine's delta-maintained
+/// [`dg_trust::SubjectAggregateCache`] (bit-identical by `dg-trust`'s
+/// delta proptests).
+pub(crate) struct SubjectAggregates<'a> {
+    pub sums: &'a [f64],
+    pub counts: &'a [usize],
+    /// Subjects with `N_d > 0`, ascending — what a full-scope row lists.
+    /// Empty in neighbourhood scope, where a row lists the observer's
+    /// neighbours instead.
+    subjects: Vec<NodeId>,
 }
 
-impl SubjectAggregates {
-    /// Per-subject aggregates under a robust-aggregation policy
-    /// ([`RobustAggregation::none`] reproduces the paper's plain sums
-    /// bit-for-bit).
-    pub(crate) fn compute(trust: &TrustMatrix, robust: &RobustAggregation) -> Self {
-        let (sums, counts) = trust.robust_subject_sums_and_counts(robust);
-        Self::from_parts(sums, counts)
-    }
-
-    /// Wrap precomputed per-subject sums and counts (the incremental
-    /// engine hands in its delta-maintained cache, which is bit-identical
-    /// to [`Self::compute`] by `dg-trust`'s delta proptests).
-    pub(crate) fn from_parts(sums: Vec<f64>, counts: Vec<usize>) -> Self {
-        let subjects = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(j, _)| NodeId(j as u32))
-            .collect();
+impl<'a> SubjectAggregates<'a> {
+    pub(crate) fn new(sums: &'a [f64], counts: &'a [usize], scope: AggregationScope) -> Self {
+        let subjects = match scope {
+            AggregationScope::Full => counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(j, _)| NodeId(j as u32))
+                .collect(),
+            AggregationScope::Neighbourhood => Vec::new(),
+        };
         Self {
             sums,
             counts,
@@ -176,7 +181,7 @@ pub(crate) fn closed_form_row(
     system: &ReputationSystem<'_>,
     observer: NodeId,
     scope: AggregationScope,
-    agg: &SubjectAggregates,
+    agg: &SubjectAggregates<'_>,
 ) -> Vec<(NodeId, f64)> {
     // The observer's excess weights are the same for every subject:
     // compute them once (their sum IS `neighbour_excess_sum`, same
@@ -218,39 +223,38 @@ pub(crate) fn closed_form_row(
     }
 }
 
-/// [`closed_form_row`] for neighbourhood scope, with `ŷ` capture: the
-/// sweep evaluates every `ŷ` term anyway, so each one is handed to the
-/// caller's per-adjacency-position cache instead of being discarded —
-/// a freshly rebuilt observer starts its next delta round warm.
-/// Bit-identical to `closed_form_row` (same weights, same `ŷ` resum
-/// order, same shared Eq. (6) tail); slots the sweep skips
-/// (unrated subjects) are left exactly as the caller primed them.
+/// [`closed_form_row`] for neighbourhood scope over caller-held state:
+/// `weights` / `excess` are the observer's excess weights and their sum
+/// (what `closed_form_row` computes for itself), the row is written
+/// into `run` (allocation reused), and — the sweep evaluates every `ŷ`
+/// term anyway — each one is handed to `y_row`, the caller's
+/// per-adjacency-position cache, instead of being discarded: a freshly
+/// rebuilt observer starts its next delta round warm. Bit-identical to
+/// `closed_form_row` (same weights, same `ŷ` resum order, same shared
+/// Eq. (6) tail); slots the sweep skips (unrated subjects) are left
+/// exactly as the caller primed them.
 pub(crate) fn closed_form_neighbourhood_row_cached(
     system: &ReputationSystem<'_>,
     observer: NodeId,
-    agg: &SubjectAggregates,
+    weights: &[f64],
+    excess: f64,
+    agg: &SubjectAggregates<'_>,
     y_row: &mut [f64],
-) -> Vec<(NodeId, f64)> {
-    let weights = system.neighbour_excess_weights(observer);
-    let excess: f64 = weights.iter().sum();
-    system
-        .graph()
-        .neighbours(observer)
-        .iter()
-        .enumerate()
-        .filter_map(|(p, &j)| {
-            let j = NodeId(j);
-            let count = agg.counts[j.index()];
-            if count == 0 {
-                return None;
-            }
-            let y = system.y_hat_from_weights(observer, &weights, j);
-            y_row[p] = y;
-            system
-                .gclr_from_y_hat(y, agg.sums[j.index()], count as f64, excess)
-                .map(|rep| (j, rep))
-        })
-        .collect()
+    run: &mut Vec<(NodeId, f64)>,
+) {
+    run.clear();
+    for (p, &j) in system.graph().neighbours(observer).iter().enumerate() {
+        let j = NodeId(j);
+        let count = agg.counts[j.index()];
+        if count == 0 {
+            continue;
+        }
+        let y = system.y_hat_from_weights(observer, weights, j);
+        y_row[p] = y;
+        if let Some(rep) = system.gclr_from_y_hat(y, agg.sums[j.index()], count as f64, excess) {
+            run.push((j, rep));
+        }
+    }
 }
 
 /// Per-subject mean reputation (over the observers holding a view) from
@@ -329,14 +333,49 @@ fn honest_residual_error(scenario: &Scenario, sums: &[f64], cnts: &[usize]) -> O
     (count > 0).then(|| err / count as f64)
 }
 
+/// `subject`'s reputation in one observer's sorted run, if listed.
+fn run_value(run: &[(NodeId, f64)], subject: NodeId) -> Option<f64> {
+    run.binary_search_by_key(&subject, |&(j, _)| j)
+        .ok()
+        .map(|at| run[at].1)
+}
+
 /// Mean of one observer's aggregated row (its admission scale), `None`
 /// for an empty row.
-fn row_mean(values: impl ExactSizeIterator<Item = f64>) -> Option<f64> {
-    let len = values.len();
-    if len == 0 {
+pub(crate) fn row_mean(run: &[(NodeId, f64)]) -> Option<f64> {
+    if run.is_empty() {
         return None;
     }
-    Some(values.sum::<f64>() / len as f64)
+    Some(run.iter().map(|&(_, rep)| rep).sum::<f64>() / run.len() as f64)
+}
+
+/// Per-subject `(Σ rep, #observers)` over `aggregated`, from scratch
+/// into `sums` / `counts`. Row-major accumulation keeps the f64
+/// addition order fixed (ascending observer, then subject), so the
+/// result is engine- and thread-count-independent.
+fn accumulate_totals(aggregated: &[Vec<(NodeId, f64)>], sums: &mut [f64], counts: &mut [usize]) {
+    sums.fill(0.0);
+    counts.fill(0);
+    for &(subject, rep) in aggregated.iter().flatten() {
+        sums[subject.index()] += rep;
+        counts[subject.index()] += 1;
+    }
+}
+
+/// What a round's aggregation phase changed in `EngineCore::aggregated`
+/// — how [`EngineCore::finish_round`] brings the maintained per-subject
+/// totals and observer means up to date.
+pub(crate) enum Changed<'a> {
+    /// Any run may have changed: one full pass.
+    All,
+    /// Neighbourhood scope only (a subject's holders are then among its
+    /// overlay neighbours): exactly the runs of `rows` were edited, and
+    /// every edited, added or dropped entry is about a subject in
+    /// `columns`. Both ascending, no duplicates.
+    Frontier {
+        rows: &'a [NodeId],
+        columns: &'a [NodeId],
+    },
 }
 
 /// The RNG stream of the aggregation phase (distinct from every node
@@ -516,8 +555,17 @@ pub struct EngineCore {
     pub(crate) nodes: Vec<NodeState>,
     /// `aggregated[observer]` — sorted `(subject, reputation)` run.
     pub(crate) aggregated: Vec<Vec<(NodeId, f64)>>,
-    /// Mean aggregated reputation per observer (admission scale).
+    /// Mean aggregated reputation per observer (admission scale):
+    /// [`row_mean`] of the observer's run as of the last round epilogue.
     pub(crate) observer_mean: Vec<Option<f64>>,
+    /// Per-subject `(Σ rep, #observers)` over `aggregated` — bit-equal
+    /// to [`Self::totals`] between rounds, maintained by
+    /// [`Self::finish_round`] from what the round changed.
+    pub(crate) rep_sums: Vec<f64>,
+    pub(crate) rep_counts: Vec<usize>,
+    /// `banned[i]` — node `i` is convicted (expelled): it neither
+    /// requests nor serves. Set at conviction and on restore.
+    pub(crate) banned: Vec<bool>,
     /// Ingested report batches for the next round (see
     /// [`Self::queue_reports`]): ascending by requester.
     pub(crate) pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
@@ -535,6 +583,9 @@ impl EngineCore {
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             aggregated: vec![Vec::new(); n],
             observer_mean: vec![None; n],
+            rep_sums: vec![0.0; n],
+            rep_counts: vec![0; n],
+            banned: vec![false; n],
             pending_ingest: Vec::new(),
             round: 0,
         }
@@ -565,31 +616,23 @@ impl EngineCore {
     /// search in the observer's sorted run; also the admission-control
     /// read of the transact phase.
     pub fn aggregated(&self, observer: NodeId, subject: NodeId) -> Option<f64> {
-        let run = self.aggregated.get(observer.index())?;
-        run.binary_search_by_key(&subject, |&(j, _)| j)
-            .ok()
-            .map(|idx| run[idx].1)
+        run_value(self.aggregated.get(observer.index())?, subject)
     }
 
-    /// Per-subject `(Σ rep, #observers)` over the stored aggregated rows.
-    /// Row-major accumulation keeps the f64 addition order fixed
-    /// (ascending observer, then subject), so the result is engine- and
-    /// thread-count-independent.
+    /// Per-subject `(Σ rep, #observers)` over the stored aggregated rows,
+    /// recomputed from scratch (the engines themselves keep these totals
+    /// up to date round by round; this is the pass they are pinned to).
     pub fn totals(&self) -> (Vec<f64>, Vec<usize>) {
         let n = self.aggregated.len();
-        let (mut sums, mut cnts) = (vec![0.0f64; n], vec![0usize; n]);
-        for &(subject, rep) in self.aggregated.iter().flatten() {
-            sums[subject.index()] += rep;
-            cnts[subject.index()] += 1;
-        }
-        (sums, cnts)
+        let (mut sums, mut counts) = (vec![0.0f64; n], vec![0usize; n]);
+        accumulate_totals(&self.aggregated, &mut sums, &mut counts);
+        (sums, counts)
     }
 
     /// Each subject's mean aggregated reputation over the observers
     /// currently holding a view (`None` for unaggregated subjects).
     pub fn subject_mean_reputations(&self) -> Vec<Option<f64>> {
-        let (sums, cnts) = self.totals();
-        subject_means(&sums, &cnts)
+        subject_means(&self.rep_sums, &self.rep_counts)
     }
 
     /// Mean absolute error between honest subjects' network-wide mean
@@ -600,8 +643,7 @@ impl EngineCore {
     /// ([`Self::subject_mean_reputations`]) to isolate what an attack
     /// moved. `None` before the first aggregation round.
     pub fn honest_residual(&self) -> Option<f64> {
-        let (sums, cnts) = self.totals();
-        honest_residual_error(&self.scenario, &sums, &cnts)
+        honest_residual_error(&self.scenario, &self.rep_sums, &self.rep_counts)
     }
 
     /// Nodes convicted by the audit subsystem so far, with their
@@ -660,60 +702,58 @@ impl EngineCore {
             aggregated.push(run);
             observer_mean.push(mean);
         }
+        self.banned = nodes.iter().map(|s| s.convicted_at.is_some()).collect();
         self.nodes = nodes;
         self.aggregated = aggregated;
         self.observer_mean = observer_mean;
+        accumulate_totals(&self.aggregated, &mut self.rep_sums, &mut self.rep_counts);
         self.round = round;
         Ok(())
     }
 
-    /// Which nodes are expelled (convicted) as this round starts.
-    pub(crate) fn banned(&self) -> Vec<bool> {
-        self.nodes
-            .iter()
-            .map(|state| state.convicted_at.is_some())
-            .collect()
+    /// The requesters of `range` that transact this round, ascending:
+    /// active under the traffic plan (inactive requesters still *serve*
+    /// — only their requester side goes quiet), participating (dormant
+    /// sybil identities have not joined the network yet) and not
+    /// expelled. All three are pure functions of `(node, round, seed)`
+    /// and the conviction record — no randomness is consumed, so the set
+    /// is engine- and thread-count-independent, and every engine calls
+    /// [`Self::transact`] for exactly these.
+    pub(crate) fn requesters(
+        &self,
+        range: std::ops::Range<u32>,
+        round_seed: u64,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let round = self.round as u64;
+        self.plan
+            .active_in(range, round, round_seed)
+            .filter(move |&i| {
+                !self.banned[i.index()] && self.scenario.adversaries.participates(i, round)
+            })
     }
 
-    /// Phase 1 for a single requester: run its transactions against every
-    /// neighbour, consuming the requester's own ChaCha8 stream for the
-    /// round. Admission reads the *previous* round's aggregated reputation
-    /// at the provider against `observer_mean[provider]`, the provider's
-    /// admission scale. The traffic plan gates whether this requester is
-    /// active at all this round (inactive requesters still *serve* — only
-    /// their requester side goes quiet). `banned` is [`Self::banned`],
-    /// computed once per round.
+    /// Phase 1 for one of this round's [`requesters`](Self::requesters):
+    /// run its transactions against every neighbour, consuming the
+    /// requester's own ChaCha8 stream for the round. Admission reads the
+    /// *previous* round's aggregated reputation at the provider against
+    /// `observer_mean[provider]`, the provider's admission scale.
     ///
     /// Shared by every engine so their math and RNG consumption are
-    /// identical by construction. The activity draw happens **before** the
-    /// requester's transact stream is created, so under the full traffic
-    /// model nothing changes, and under a thinned model active nodes still
-    /// consume exactly their legacy streams.
+    /// identical by construction. The gates consume no randomness, so
+    /// under the full traffic model nothing changes, and under a thinned
+    /// model active nodes still consume exactly their legacy streams.
     pub(crate) fn transact(
         &self,
         requester: NodeId,
         round_seed: u64,
-        banned: &[bool],
     ) -> (Vec<TransactionRecord>, ServiceDelta) {
         let (scenario, config, round) = (&*self.scenario, &self.config, self.round as u64);
+        let banned = &self.banned;
         let mut records = Vec::new();
-        let mut delta = ServiceDelta::default();
-        // Convicted identities are expelled: they neither request nor
-        // serve (checked before any randomness is consumed, so the ban is
-        // engine- and thread-count-independent).
-        if banned[requester.index()] {
-            return (records, delta);
-        }
-        // Dormant sybil identities have not joined the network yet: they
-        // neither request nor serve.
-        if !scenario.adversaries.participates(requester, round) {
-            return (records, delta);
-        }
-        // Traffic gate: inactive requesters sit the round out.
-        if !self.plan.is_active(requester, round, round_seed) {
-            return (records, delta);
-        }
-        delta.active_requesters = 1;
+        let mut delta = ServiceDelta {
+            active_requesters: 1,
+            ..ServiceDelta::default()
+        };
         let population = &scenario.population;
         let class = if scenario.adversaries.is_adversary(requester) {
             RequesterClass::Adversary
@@ -836,10 +876,11 @@ impl EngineCore {
 
     /// The audit phase and the shared round epilogue of every engine:
     /// re-verify the deterministic audit targets of `(seed, round)`,
-    /// summarise the round, run the whitewash phase (washers whose mean
-    /// reputation collapsed discard their identity) merged with the
-    /// audit phase's convictions into one purge — `purge` clears the
-    /// per-node estimator state for the listed ids
+    /// bring the per-subject totals up to date with what the aggregation
+    /// phase `changed`, summarise the round, run the whitewash phase
+    /// (washers whose mean reputation collapsed discard their identity)
+    /// merged with the audit phase's convictions into one purge —
+    /// `purge` clears the per-node estimator state for the listed ids
     /// ([`purge_identities`] unless the engine must also record what
     /// the purge touched); the aggregated runs are scrubbed here — then
     /// refresh the observers' admission scales (post-purge, so the next
@@ -848,6 +889,15 @@ impl EngineCore {
     /// so the engines cannot drift apart — like the phase kernels above,
     /// this keeps them identical by construction.
     ///
+    /// Totals and observer means are *maintained*, never approximated:
+    /// under [`Changed::Frontier`] each dirty column is re-summed whole
+    /// over the subject's neighbours in ascending observer order — the
+    /// additions [`Self::totals`] performs for that subject, in its
+    /// order — and only the edited rows' means are refreshed, so a
+    /// steady-state round costs its frontier. [`Changed::All`] and every
+    /// purge round (whose scrub walks all runs anyway) take one full
+    /// pass.
+    ///
     /// `report_entries` is the round's report traffic (trust-matrix entry
     /// count after the report phase) — the denominator of the
     /// audit-overhead claim.
@@ -855,25 +905,48 @@ impl EngineCore {
         &mut self,
         delta: ServiceDelta,
         report_entries: u64,
+        changed: Changed<'_>,
         purge: impl FnOnce(&mut [NodeState], &[NodeId]),
     ) -> RoundStats {
-        let scenario = &*self.scenario;
+        let scenario = Arc::clone(&self.scenario);
         let audit = run_audit_phase(
             &self.config.audit,
             scenario.config.seed,
             self.round as u64,
             &mut self.nodes,
         );
-        let (sums, cnts) = self.totals();
+        for &convict in &audit.convicted {
+            self.banned[convict.index()] = true;
+        }
         let aggregated = &mut self.aggregated;
+        let (sums, counts) = (&mut self.rep_sums, &mut self.rep_counts);
+        match changed {
+            Changed::All => accumulate_totals(aggregated, sums, counts),
+            Changed::Frontier { columns, .. } => {
+                for &j in columns {
+                    let (mut sum, mut count) = (0.0f64, 0usize);
+                    for &o in scenario.graph.neighbours(j) {
+                        if let Some(rep) = run_value(&aggregated[o as usize], j) {
+                            sum += rep;
+                            count += 1;
+                        }
+                    }
+                    sums[j.index()] = sum;
+                    counts[j.index()] = count;
+                }
+            }
+        }
         let n = aggregated.len();
-        let means = class_reputation_means(scenario, &sums, &cnts);
+        let means = class_reputation_means(&scenario, sums, counts);
         // Sorted, so every membership test below (and in the purge
         // hooks) is a binary search — the purge stays
         // `O(entries × log washed)` when a large mix washes thousands of
         // identities at million-node scale. Removals are set operations,
         // so ordering cannot change the result.
-        let mut washed = scenario.adversaries.washes(&subject_means(&sums, &cnts));
+        let mut washed = scenario.adversaries.washes(|w| {
+            let count = counts[w.index()];
+            (count > 0).then(|| sums[w.index()] / count as f64)
+        });
         washed.sort_unstable();
         // One purge list: washed identities plus this round's convictions
         // (disjoint roles in practice, merged defensively).
@@ -883,16 +956,39 @@ impl EngineCore {
         purged.dedup();
         if !purged.is_empty() {
             purge(&mut self.nodes, &purged);
-            for run in aggregated.iter_mut() {
-                run.retain(|(j, _)| purged.binary_search(j).is_err());
-            }
             for &w in &purged {
                 aggregated[w.index()].clear();
             }
+            // The scrub walks every run, so totals and observer means
+            // are rebuilt in the same pass.
+            sums.fill(0.0);
+            counts.fill(0);
+            for (run, mean) in aggregated.iter_mut().zip(&mut self.observer_mean) {
+                run.retain(|(j, _)| purged.binary_search(j).is_err());
+                for &(j, rep) in run.iter() {
+                    sums[j.index()] += rep;
+                    counts[j.index()] += 1;
+                }
+                *mean = row_mean(run);
+            }
+        } else {
+            match changed {
+                Changed::All => {
+                    for (run, mean) in aggregated.iter().zip(&mut self.observer_mean) {
+                        *mean = row_mean(run);
+                    }
+                }
+                Changed::Frontier { rows, .. } => {
+                    for &o in rows {
+                        self.observer_mean[o.index()] = row_mean(&aggregated[o.index()]);
+                    }
+                }
+            }
         }
-        for (i, run) in aggregated.iter().enumerate() {
-            self.observer_mean[i] = row_mean(run.iter().map(|&(_, r)| r));
-        }
+        debug_assert!(
+            self.maintained_state_is_exact(),
+            "maintained totals / observer means drifted from the full pass"
+        );
         let round = self.round;
         self.round += 1;
         RoundStats {
@@ -923,5 +1019,22 @@ impl EngineCore {
             ingested_reports: 0,
             ingest_shed: 0,
         }
+    }
+
+    /// Whether the maintained totals and observer means are bit-equal
+    /// to the from-scratch passes ([`Self::totals`], [`row_mean`]) —
+    /// the invariant [`Self::finish_round`] re-establishes every round.
+    pub(crate) fn maintained_state_is_exact(&self) -> bool {
+        let (sums, counts) = self.totals();
+        counts == self.rep_counts
+            && sums
+                .iter()
+                .zip(&self.rep_sums)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self
+                .aggregated
+                .iter()
+                .zip(&self.observer_mean)
+                .all(|(run, mean)| row_mean(run).map(f64::to_bits) == mean.map(f64::to_bits))
     }
 }

@@ -43,7 +43,7 @@
 
 use crate::config::RunConfig;
 use crate::kernel::{
-    closed_form_row, purge_identities, EngineCore, ServiceDelta, SubjectAggregates,
+    closed_form_row, purge_identities, Changed, EngineCore, ServiceDelta, SubjectAggregates,
 };
 use crate::scenario::Scenario;
 use crate::session::SessionError;
@@ -324,15 +324,19 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     // same per-node streams and kernel phases as the parallel engines. Rows go into the dynamic map backend, one
     // point insertion per entry.
     let mut delta = ServiceDelta::default();
-    let banned = core.banned();
     let mut nodes = std::mem::take(&mut core.nodes);
     let mut trust = TrustMatrix::new(n);
     let mut pending = std::mem::take(&mut core.pending_ingest)
         .into_iter()
         .peekable();
+    let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
     for requester in scenario.graph.nodes() {
-        let (mut records, d) = core.transact(requester, round_seed, &banned);
-        delta.merge(d);
+        let mut records = Vec::new();
+        if requesters.next_if_eq(&requester).is_some() {
+            let (generated, d) = core.transact(requester, round_seed);
+            records = generated;
+            delta.merge(d);
+        }
         // Ingested records fold after the generated ones — the one
         // ordering every engine reproduces.
         if pending.peek().is_some_and(|(r, _)| *r == requester) {
@@ -345,6 +349,7 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
                 .expect("estimator keys are in range");
         }
     }
+    drop(requesters); // ends its borrow of `core`
     core.nodes = nodes;
     let report_entries = trust.entry_count() as u64;
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
@@ -352,7 +357,10 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     // Phase 3: aggregate.
     match core.config.aggregation {
         AggregationMode::ClosedForm => {
-            let agg = SubjectAggregates::compute(system.trust(), &core.config.defense.robust);
+            let (sums, counts) = system
+                .trust()
+                .robust_subject_sums_and_counts(&core.config.defense.robust);
+            let agg = SubjectAggregates::new(&sums, &counts, core.config.scope);
             core.aggregated = (0..n as u32)
                 .map(|i| closed_form_row(&system, NodeId(i), core.config.scope, &agg))
                 .collect();
@@ -362,7 +370,7 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
 
     // Audit phase + shared round epilogue: summary, whitewash +
     // conviction purge, admission scales, stats.
-    Ok(core.finish_round(delta, report_entries, purge_identities))
+    Ok(core.finish_round(delta, report_entries, Changed::All, purge_identities))
 }
 
 impl RoundEngine for SequentialRounds {

@@ -46,8 +46,8 @@
 //! 1/16/64 × threads 1/2/8, with and without an adversarial mix.
 
 use crate::kernel::{
-    closed_form_row, purge_identities, EngineCore, NodeState, ServiceDelta, SubjectAggregates,
-    TransactionRecord,
+    closed_form_row, purge_identities, Changed, EngineCore, NodeState, ServiceDelta,
+    SubjectAggregates, TransactionRecord,
 };
 use crate::rounds::{AggregationMode, RoundEngine, RoundStats};
 use crate::scenario::Scenario;
@@ -147,7 +147,6 @@ impl RoundEngine for ShardedRoundEngine {
         // Phases 1 + 2 fused, shard-granular: each shard transacts and
         // estimates its own nodes and freezes its rectangular CSR block
         // in one pass — per-node records never outlive the node.
-        let banned = core.banned();
         // Route pending ingest batches to their owning shard; each
         // shard's list stays ascending by requester (the global list
         // is, and shards are contiguous id ranges).
@@ -179,14 +178,19 @@ impl RoundEngine for ShardedRoundEngine {
                 let mut active = 0usize;
                 let mut builder = CsrBuilder::rectangular(shard.len(), n);
                 let mut pending = pending.into_iter().peekable();
+                let mut requesters = shared.requesters(spec.range(s), round_seed).peekable();
                 for (local, i) in spec.range(s).enumerate() {
                     let requester = NodeId(i);
-                    let (mut records, d) = shared.transact(requester, round_seed, &banned);
+                    let mut records = Vec::new();
+                    if requesters.next_if_eq(&requester).is_some() {
+                        let (generated, d) = shared.transact(requester, round_seed);
+                        records = generated;
+                        delta.merge(d);
+                    }
                     // Active counts (a scheduling signal) stay
                     // transact-only; ingested records fold after the
                     // generated ones, same as every other engine.
                     active += usize::from(!records.is_empty());
-                    delta.merge(d);
                     if pending.peek().is_some_and(|(r, _)| *r == requester) {
                         records.extend(pending.next().expect("peeked").1);
                     }
@@ -221,8 +225,11 @@ impl RoundEngine for ShardedRoundEngine {
         // materialises only its observers' runs at a time.
         match core.config.aggregation {
             AggregationMode::ClosedForm => {
-                let agg = SubjectAggregates::compute(system.trust(), &core.config.defense.robust);
                 let scope = core.config.scope;
+                let (sums, counts) = system
+                    .trust()
+                    .robust_subject_sums_and_counts(&core.config.defense.robust);
+                let agg = SubjectAggregates::new(&sums, &counts, scope);
                 let shard_runs: Vec<Vec<Vec<(NodeId, f64)>>> = rayon::map_weighted(
                     (0..spec.shard_count()).collect(),
                     self.costs.weights(),
@@ -239,7 +246,7 @@ impl RoundEngine for ShardedRoundEngine {
 
         // Audit phase + shared round epilogue: summary, whitewash +
         // conviction purge, admission scales, stats.
-        Ok(core.finish_round(delta, report_entries, purge_identities))
+        Ok(core.finish_round(delta, report_entries, Changed::All, purge_identities))
     }
 }
 

@@ -221,9 +221,21 @@ const ACTIVITY_SALT: u64 = 0x7C15_62E1_9B52_ACE1;
 /// the compiled plan, not of any round's randomness).
 const RANK_SALT: u64 = 0x3A1D_77F0_C4B9_5E23;
 
-/// A [`TrafficModel`] compiled against a network size: per-node base
-/// activity probabilities, ready for `O(1)` engine-independent activity
-/// draws.
+/// The activity gate's integer threshold for probability `p`: a node
+/// whose 53-bit draw `d` (one SplitMix64 output, `>> 11`) satisfies
+/// `d < activity_threshold(p)` is active. `d · 2⁻⁵³` and `p · 2⁵³` are
+/// both exact in `f64`, so `d · 2⁻⁵³ < p ⇔ d < p · 2⁵³ ⇔ d < ⌈p · 2⁵³⌉`
+/// — the same predicate as comparing the draw mapped to `[0, 1)` with
+/// `p`, without the per-draw float work. `p ≥ 1` admits every draw,
+/// `p ≤ 0` (and `NaN`) none.
+fn activity_threshold(p: f64) -> u64 {
+    const DRAWS: f64 = (1u64 << 53) as f64;
+    // Saturating float → int: NaN and negatives land on 0.
+    (p.clamp(0.0, 1.0) * DRAWS).ceil() as u64
+}
+
+/// A [`TrafficModel`] compiled against a network size: per-node gate
+/// thresholds, ready for `O(1)` engine-independent activity draws.
 ///
 /// The draw for `(node, round)` hashes the round seed and node id
 /// through a dedicated salted stream — it depends on nothing an engine
@@ -231,9 +243,12 @@ const RANK_SALT: u64 = 0x3A1D_77F0_C4B9_5E23;
 /// keeps all engines bit-identical under any traffic shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityPlan {
-    /// `base[i]` — node `i`'s activity probability before the flash
-    /// multiplier; `None` for the full model (everyone always active).
-    base: Option<Vec<f64>>,
+    /// `quiet[i]` — node `i`'s [`activity_threshold`] on an ordinary
+    /// round; `None` for the full model (everyone always active).
+    quiet: Option<Vec<u64>>,
+    /// The thresholds of a flash round (base probability × the flash
+    /// multiplier, clamped); `None` when the model has no flash crowds.
+    flash: Option<Vec<u64>>,
     model: TrafficModel,
 }
 
@@ -241,7 +256,11 @@ impl ActivityPlan {
     /// Compile a model for an `n`-node network.
     pub fn new(model: TrafficModel, n: usize) -> Self {
         if model.is_full() {
-            return Self { base: None, model };
+            return Self {
+                quiet: None,
+                flash: None,
+                model,
+            };
         }
         let fraction = model.activity_fraction.max(0.0);
         // Request rank per node: identity for uniform activity, a fixed
@@ -265,9 +284,15 @@ impl ActivityPlan {
             .collect();
         let total: f64 = weights.iter().sum();
         let scale = if total > 0.0 { n as f64 / total } else { 0.0 };
-        let base = weights.iter().map(|w| fraction * w * scale).collect();
+        let thresholds = |multiplier: f64| -> Vec<u64> {
+            weights
+                .iter()
+                .map(|w| activity_threshold(fraction * w * scale * multiplier))
+                .collect()
+        };
         Self {
-            base: Some(base),
+            quiet: Some(thresholds(1.0)),
+            flash: (model.flash_interval > 0).then(|| thresholds(model.flash_multiplier)),
             model,
         }
     }
@@ -282,29 +307,43 @@ impl ActivityPlan {
         self.model.flash_interval > 0 && (round + 1) % self.model.flash_interval as u64 == 0
     }
 
+    /// This round's per-node thresholds (`None`: the full model).
+    fn thresholds(&self, round: u64) -> Option<&[u64]> {
+        match &self.flash {
+            Some(flash) if self.is_flash_round(round) => Some(flash),
+            _ => self.quiet.as_deref(),
+        }
+    }
+
     /// Whether `node` issues requests this round. Deterministic in
     /// `(node, round_seed)` alone; the full model answers `true` without
     /// drawing.
     pub fn is_active(&self, node: NodeId, round: u64, round_seed: u64) -> bool {
-        let Some(base) = &self.base else {
-            return true;
-        };
-        let flash = if self.is_flash_round(round) {
-            self.model.flash_multiplier
-        } else {
-            1.0
-        };
-        let p = (base[node.index()] * flash).clamp(0.0, 1.0);
-        if p >= 1.0 {
-            return true;
-        }
-        if p <= 0.0 {
-            return false;
-        }
-        // One SplitMix64 output mapped to [0, 1) with 53 uniform bits —
-        // no stream object needed for a single coin.
-        let draw = node_stream_seed(round_seed ^ ACTIVITY_SALT, node.0);
-        ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+        self.active_in(node.0..node.0 + 1, round, round_seed)
+            .next()
+            .is_some()
+    }
+
+    /// The nodes of `range` that issue requests this round, ascending —
+    /// the one activity gate every engine sweeps. A node is active when
+    /// its draw (one SplitMix64 output of a dedicated salted stream, top
+    /// 53 bits — no stream object needed for a single coin) is below its
+    /// threshold.
+    pub fn active_in(
+        &self,
+        range: std::ops::Range<u32>,
+        round: u64,
+        round_seed: u64,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let thresholds = self.thresholds(round);
+        let stream = round_seed ^ ACTIVITY_SALT;
+        range
+            .filter(move |&node| {
+                thresholds.map_or(true, |t| {
+                    node_stream_seed(stream, node) >> 11 < t[node as usize]
+                })
+            })
+            .map(NodeId)
     }
 }
 
@@ -313,8 +352,104 @@ mod tests {
     use super::*;
     use dg_core::behavior::Behavior;
     use dg_graph::generators;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The activity gate as it was first written: the clamped
+    /// probability short-circuits at the ends, otherwise the draw's top
+    /// 53 bits mapped to `[0, 1)` are compared with it in floating point.
+    fn float_gate(p: f64, draw: u64) -> bool {
+        let p = p.clamp(0.0, 1.0);
+        if p >= 1.0 {
+            return true;
+        }
+        if p <= 0.0 {
+            return false;
+        }
+        ((draw >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+    }
+
+    proptest! {
+        /// `draw >> 11 < activity_threshold(p)` is the float gate for
+        /// every probability — the ends, subnormals, products of a base
+        /// and a flash multiplier (clamped or not), arbitrary bit
+        /// patterns — at random draws and at the three draws around the
+        /// threshold itself.
+        #[test]
+        fn integer_gate_equals_the_float_compare(
+            kind in 0u8..6,
+            unit in 0.0..1.0f64,
+            multiplier in 0.0..16.0f64,
+            bits in 0u64..u64::MAX,
+            raw in proptest::num::f64::ANY,
+            draw in 0u64..u64::MAX,
+        ) {
+            let p = match kind {
+                0 => 0.0,
+                1 => 1.0,
+                2 => f64::from_bits(bits >> 12), // subnormal
+                3 => unit * multiplier,
+                4 => raw,
+                _ => unit,
+            };
+            let threshold = activity_threshold(p);
+            prop_assert!(threshold <= 1 << 53);
+            let around = [threshold.saturating_sub(1), threshold, threshold + 1];
+            let draws = around
+                .iter()
+                .filter(|&&d| d < 1 << 53)
+                .map(|&d| d << 11 | (bits & 0x7FF))
+                .chain([draw, 0, u64::MAX]);
+            for draw in draws {
+                prop_assert_eq!(
+                    draw >> 11 < threshold,
+                    float_gate(p, draw),
+                    "p = {:e}, draw = {:#x}",
+                    p,
+                    draw
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_and_single_node_gate_agree_on_quiet_and_flash_rounds() {
+        // Zipf-skewed thresholds and a flash multiplier large enough to
+        // clamp the head: on both kinds of round the range sweep yields
+        // exactly the nodes `is_active` admits one by one.
+        let n = 300usize;
+        let model = TrafficModel::full()
+            .with_activity(0.05)
+            .with_zipf(1.0)
+            .with_flash(4, 30.0);
+        let plan = ActivityPlan::new(model, n);
+        let (quiet, flash) = (plan.thresholds(0).unwrap(), plan.thresholds(3).unwrap());
+        assert!(quiet.iter().zip(flash).all(|(q, f)| q <= f));
+        let clamped = |t: &[u64]| t.iter().filter(|&&t| t == 1 << 53).count();
+        assert!(
+            clamped(flash) > clamped(quiet),
+            "the flash crowd clamps more of the head"
+        );
+        for round in [0u64, 3] {
+            for seed in 0..20u64 {
+                let swept: Vec<NodeId> = plan.active_in(0..n as u32, round, seed).collect();
+                let one_by_one: Vec<NodeId> = (0..n as u32)
+                    .map(NodeId)
+                    .filter(|&i| plan.is_active(i, round, seed))
+                    .collect();
+                assert_eq!(swept, one_by_one);
+                // A sub-range sweep is the matching slice of the whole.
+                let middle: Vec<NodeId> = plan.active_in(100..200, round, seed).collect();
+                let expected: Vec<NodeId> = swept
+                    .iter()
+                    .copied()
+                    .filter(|i| (100..200).contains(&i.0))
+                    .collect();
+                assert_eq!(middle, expected);
+            }
+        }
+    }
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
