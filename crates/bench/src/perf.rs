@@ -150,6 +150,13 @@ fn drive(
 /// workspace root).
 pub fn suite_main() -> Result<(), Box<dyn std::error::Error>> {
     let cli = crate::Cli::parse();
+    if cli.json {
+        eprintln!(
+            "perf_suite has no --json: it prints one summary line\n{}",
+            crate::USAGE
+        );
+        std::process::exit(2);
+    }
     let (mut session, store) = match &cli.resume {
         Some(dir) => {
             let session = RunSession::resume(Path::new(dir))?;

@@ -3,15 +3,16 @@
 //!
 //! Division of labour (see `docs/SERVING.md`):
 //!
-//! * **Connection handlers** (one [`tokio::task::spawn_blocking`]
-//!   thread each) answer queries straight from the shared
-//!   [`SnapshotCell`] — they clone an `Arc` per request and never
-//!   touch the engine, so readers cannot block a round and a round
-//!   cannot tear a read. Ingest submissions go into the bounded
-//!   [`tokio::sync::mpsc`] channel via `try_send`: a full channel
-//!   answers [`Response::Busy`] — typed shedding, never blocking the
-//!   handler, never dropping silently (every shed is counted into the
-//!   next round's [`RoundStats::ingest_shed`]).
+//! * **Connection handlers** (one OS thread each; a connection whose
+//!   thread cannot be spawned is dropped, and accepting carries on)
+//!   answer queries straight from the shared [`SnapshotCell`] — they
+//!   clone an `Arc` per request and never touch the engine, so readers
+//!   cannot block a round and a round cannot tear a read. Ingest
+//!   submissions go into the bounded [`tokio::sync::mpsc`] channel via
+//!   `try_send`: a full channel answers [`Response::Busy`] — typed
+//!   shedding, never blocking the handler, never dropping silently
+//!   (every shed is counted into the next round's
+//!   [`RoundStats::ingest_shed`]).
 //! * **The round engine** stays on the caller's thread:
 //!   [`Server::run_round`] drains the ingest channel into the
 //!   [`ServeSession`] (which sorts by `(source, seq, ...)` — arrival
@@ -98,13 +99,14 @@ pub struct Server {
     shed: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
-    acceptor: Option<tokio::task::JoinHandle<()>>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Build the session, bind the listener and start accepting
     /// connections. The engine does **not** free-run: drive it with
-    /// [`run_round`](Self::run_round).
+    /// [`run_round`](Self::run_round). Failing to start the acceptor
+    /// thread is a [`ServeError::Io`].
     pub fn start(config: RunConfig, opts: ServeOptions) -> Result<Self, ServeError> {
         let session = ServeSession::new(config)?;
         let nodes = session.session().config().nodes;
@@ -121,9 +123,9 @@ impl Server {
             let tx = ingest_tx.clone();
             let shed = Arc::clone(&shed);
             let shutdown = Arc::clone(&shutdown);
-            tokio::task::spawn_blocking(move || {
-                accept_loop(listener, cell, tx, shed, shutdown, nodes)
-            })
+            std::thread::Builder::new()
+                .name("dg-serve-accept".into())
+                .spawn(move || accept_loop(listener, cell, tx, shed, shutdown, nodes))?
         };
 
         Ok(Self {
@@ -179,7 +181,7 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join_blocking();
+            let _ = acceptor.join();
         }
     }
 }
@@ -204,9 +206,11 @@ fn accept_loop(
                 let cell = Arc::clone(&cell);
                 let tx = tx.clone();
                 let shed = Arc::clone(&shed);
-                tokio::task::spawn_blocking(move || {
-                    let _ = handle_connection(stream, cell, tx, shed, nodes);
-                });
+                // A failed spawn (thread exhaustion) drops the closure and
+                // with it this connection; accepting carries on.
+                let _ = std::thread::Builder::new()
+                    .name("dg-serve-conn".into())
+                    .spawn(move || handle_connection(stream, cell, tx, shed, nodes));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));

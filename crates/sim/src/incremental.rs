@@ -607,11 +607,20 @@ impl RoundEngine for IncrementalRoundEngine {
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
         // owner folded records, is an adversary (distortions are
-        // round-keyed, and colluders re-praise washed clique mates), or
-        // is pending from last round's whitewash purge or a restore.
+        // round-keyed, and colluders re-praise washed clique mates), is
+        // pending from last round's whitewash purge or a restore, or —
+        // with auditing on — its report log is full: re-recording an
+        // unchanged row into a full log re-inserts evicted subjects under
+        // this round, exactly as the rebuild-everything engines do.
         let mut dirty: Vec<NodeId> = record_batches.iter().map(|&(i, _)| i).collect();
         dirty.extend(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
+        let audit = core.config.audit;
+        if audit.enabled() {
+            let logs = (0u32..).zip(&core.nodes);
+            let full = logs.filter(|(_, state)| state.log.entries().len() >= audit.log_capacity);
+            dirty.extend(full.map(|(i, _)| NodeId(i)));
+        }
         dirty.sort_unstable();
         dirty.dedup();
 
@@ -630,8 +639,9 @@ impl RoundEngine for IncrementalRoundEngine {
             // Emit (and, with auditing on, log) the row *before* the
             // identity check: a clean node's re-emitted row re-records
             // identical content, which `ReportLog::record` makes a
-            // no-op — so skipping clean rows leaves the exact log state
-            // the rebuild-everything engines hold.
+            // no-op while the log has room (full logs are dirty, above)
+            // — so skipping clean rows leaves the exact log state the
+            // rebuild-everything engines hold.
             let row = core.emit_row(&mut nodes[i.index()], i, records);
             let old: Vec<(NodeId, TrustValue)> = self.trust.row(i).collect();
             if rows_identical(&old, &row) {

@@ -56,6 +56,7 @@ pub use codec::{ByteReader, ByteWriter, FORMAT_VERSION};
 pub use error::StoreError;
 pub use gossip::{read_gossip, write_gossip, GossipRecord, LedgerRecord};
 pub use records::{
-    changed, diff_changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader,
+    changed, diff_changed, first_divergence, AuditEntryRecord, EstimatorRecord, NodeRecord,
+    SnapshotHeader,
 };
 pub use store::{Head, Snapshot, Store};

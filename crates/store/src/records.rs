@@ -222,6 +222,17 @@ impl NodeRecord {
     }
 }
 
+/// Where two record lists stop being bit-identical: the index of the
+/// first pair that fails [`NodeRecord::bits_eq`], or the shorter list's
+/// length when one is a prefix of the other; `None` when they match.
+/// Record lists are dense, so the index is the diverging node's id.
+pub fn first_divergence(a: &[NodeRecord], b: &[NodeRecord]) -> Option<usize> {
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| !x.bits_eq(y))
+        .or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))
+}
+
 fn opt_bits_eq(a: Option<f64>, b: Option<f64>) -> bool {
     match (a, b) {
         (None, None) => true,
@@ -397,6 +408,18 @@ mod tests {
         a0.run[0].1 = 0.0;
         assert!(!a0.bits_eq(&b), "0.0 and -0.0 differ bitwise");
         assert!(a.bits_eq(&a.clone()));
+    }
+
+    #[test]
+    fn first_divergence_names_the_first_differing_node() {
+        let a: Vec<_> = (0..4).map(sample_record).collect();
+        assert_eq!(first_divergence(&a, &a.clone()), None);
+        let mut b = a.clone();
+        b[3].strikes += 1;
+        b[1].run[0].1 = -0.0;
+        assert_eq!(first_divergence(&a, &b), Some(1));
+        assert_eq!(first_divergence(&a, &a[..3]), Some(3));
+        assert_eq!(first_divergence(&[], &a), Some(0));
     }
 
     #[test]

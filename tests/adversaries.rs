@@ -6,8 +6,8 @@
 //!    (whatever its structural knobs say) is bit-identical to the plain
 //!    honest run: the adversary plumbing costs nothing when unused.
 //! 3. **Engine equivalence** — attacks produce identical results under
-//!    the sequential reference driver and the sharded engine (several
-//!    shard counts), with and without the defense policy.
+//!    the sequential oracle and the sharded engine (several shard
+//!    counts), with and without the defense policy.
 //! 4. **Defenses act** — the robust-aggregation / zero-prior knobs
 //!    measurably reduce what attacks extract or distort.
 //! 5. **Stealth evasion and its countermeasure** — a within-bounds
@@ -15,6 +15,11 @@
 //!    moves past the deviation bound the defense is supposed to hold),
 //!    while the seeded audit layer convicts deterministically, never
 //!    touches an honest node, and vanishes bitwise at rate zero.
+//!
+//! Properties 1–3 and the audit determinism checks run as sequences of
+//! the session model (`tests/model/mod.rs`).
+
+mod model;
 
 use differential_gossip::core::behavior::Behavior;
 use differential_gossip::gossip::{AdversaryMix, EngineKind};
@@ -23,6 +28,7 @@ use differential_gossip::sim::kernel::EngineCore;
 use differential_gossip::sim::rounds::{DefensePolicy, RoundEngine, RoundStats};
 use differential_gossip::sim::{build_engine, RunConfig, Scenario};
 use differential_gossip::trust::audit::AuditPolicy;
+use model::Op::Run;
 use proptest::prelude::*;
 use rand::RngCore;
 use std::sync::Arc;
@@ -56,29 +62,15 @@ fn run(config: RunConfig) -> (Vec<RoundStats>, Option<f64>) {
     (stats, engine.core().honest_residual())
 }
 
-/// Attack mix number `kind` (a preset with jittered fraction, or the
-/// all-zero mix).
-fn mix_for(kind: u8, strength: u8) -> AdversaryMix {
-    let fraction = 0.1 * strength as f64;
-    match kind {
-        0 => AdversaryMix::none(),
-        1 => AdversaryMix {
-            sybil_fraction: fraction,
-            ..AdversaryMix::sybil()
-        },
-        2 => AdversaryMix {
-            collusion_fraction: fraction,
-            ..AdversaryMix::collusion()
-        },
-        3 => AdversaryMix {
-            slander_fraction: fraction,
-            ..AdversaryMix::slander()
-        },
-        _ => AdversaryMix {
-            whitewash_fraction: fraction,
-            ..AdversaryMix::whitewash()
-        },
-    }
+/// Attack mix number `kind`: the all-zero mix, or a preset with its
+/// fraction jittered to `0.1 × strength`.
+fn mix_for(kind: usize, strength: u8) -> AdversaryMix {
+    let preset = ["none", "sybil", "collusion", "slander", "whitewash"][kind];
+    let spec = match kind {
+        0 => preset.to_string(),
+        _ => format!("{preset}:{preset}_fraction={}", 0.1 * strength as f64),
+    };
+    AdversaryMix::parse(&spec).expect("known preset")
 }
 
 proptest! {
@@ -87,20 +79,15 @@ proptest! {
     #[test]
     fn same_seed_and_mix_replays_bit_for_bit(
         seed in 0u64..1000,
-        pick in (0u8..5, 1u8..=3),
-        engine_pick in 0u8..2,
+        pick in (0usize..5, 1u8..=3),
+        engine in 0usize..3,
     ) {
+        // Any engine replaying the attack equals the sequential oracle's
+        // independent run — stats, records and residual.
         let (kind, strength) = pick;
-        let engine = match engine_pick {
-            0 => EngineKind::Sequential,
-            _ => EngineKind::Sharded,
-        };
         let config = scenario_config(seed, mix_for(kind, strength))
-            .with_engine(engine)
-            .with_rounds(4);
-        let a = run(config);
-        let b = run(config);
-        prop_assert_eq!(a, b);
+            .with_engine(EngineKind::ALL[engine]);
+        model::check(config, &[Run(4)]);
     }
 }
 
@@ -116,27 +103,24 @@ fn zero_fraction_mix_is_bit_identical_to_honest_run() {
         wash_threshold: 0.9,
         ..AdversaryMix::none()
     };
+    let honest = scenario_config(11, AdversaryMix::none());
+    let zeroed = honest.with_adversary(zero_mix);
+    let a = Scenario::build(honest).unwrap();
+    let b = Scenario::build(zeroed).unwrap();
+    assert_eq!(a.graph, b.graph);
+    assert_eq!(a.population, b.population);
+    assert_eq!(a.trust, b.trust);
+    assert!(b.adversaries.is_none());
     for engine in [EngineKind::Sequential, EngineKind::Sharded] {
-        let honest = scenario_config(11, AdversaryMix::none())
-            .with_engine(engine)
-            .with_rounds(5);
-        let zeroed = honest.with_adversary(zero_mix);
-
-        let a = Scenario::build(honest).unwrap();
-        let b = Scenario::build(zeroed).unwrap();
-        assert_eq!(a.graph, b.graph);
-        assert_eq!(a.population, b.population);
-        assert_eq!(a.trust, b.trust);
-        assert!(b.adversaries.is_none());
-
-        assert_eq!(run(honest), run(zeroed), "engine {engine:?}");
+        model::check_against(honest, zeroed.with_engine(engine), &[Run(5)]);
     }
 }
 
 #[test]
 fn engines_agree_bit_for_bit_under_attack() {
     // The most stateful attack paths — spawning sybils and whitewash
-    // purges — must not break sequential/sharded equivalence.
+    // purges — must not break equivalence with the oracle, at 1, 4 and
+    // 16 shards, with and without the defense policy.
     let mix = AdversaryMix {
         sybil_fraction: 0.15,
         whitewash_fraction: 0.1,
@@ -144,14 +128,9 @@ fn engines_agree_bit_for_bit_under_attack() {
         ..AdversaryMix::none()
     };
     for defense in [DefensePolicy::none(), DefensePolicy::defended()] {
-        let config = scenario_config(23, mix)
-            .with_rounds(6)
-            .with_defense(defense);
-        let seq = run(config.with_engine(EngineKind::Sequential));
-        for shards in [1usize, 4, 16] {
-            let shd = run(config.with_engine(EngineKind::Sharded).with_shards(shards));
-            assert_eq!(seq, shd, "defense {defense:?}, {shards} shards");
-        }
+        let config = scenario_config(23, mix).with_defense(defense);
+        let shards = [1, 4, 16].map(|shards| (EngineKind::Sharded, shards));
+        model::check_each(config, &shards, &[Run(6)]);
     }
 }
 
@@ -222,17 +201,6 @@ fn stealth_cartel_evades_clamp_and_trim() {
     );
 }
 
-/// Run a defended stealth scenario with an audit policy; returns the
-/// stats history and the convicted set.
-fn run_audited(config: RunConfig, audit: AuditPolicy) -> (Vec<RoundStats>, Vec<(NodeId, u64)>) {
-    let (_, engine, stats) = drive(
-        config
-            .with_defense(DefensePolicy::defended())
-            .with_audit(audit),
-    );
-    (stats, engine.core().convicted())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -241,7 +209,8 @@ proptest! {
     /// pinned claims configuration:
     ///
     /// * convictions are a deterministic function of the seed — the
-    ///   same run replays the identical convicted set, round for round;
+    ///   model's two independent runs convict the identical set, round
+    ///   for round;
     /// * no honest node is ever convicted (honest reports re-verify
     ///   bit-exactly, so no tolerance can strike them);
     /// * a zero audit rate is bit-identical to [`AuditPolicy::off`],
@@ -260,28 +229,21 @@ proptest! {
             stealth_bias: bias,
             ..AdversaryMix::none()
         }.validated().expect("mix is valid");
-        let config = scenario_config(seed, mix).with_rounds(6);
+        let config = scenario_config(seed, mix).with_defense(DefensePolicy::defended());
         let audit = AuditPolicy { audit_rate: rate, ..AuditPolicy::standard() };
 
-        let (stats_a, convicted_a) = run_audited(config, audit);
-        let (stats_b, convicted_b) = run_audited(config, audit);
-        prop_assert_eq!(&stats_a, &stats_b, "audited run must replay bit-for-bit");
-        prop_assert_eq!(&convicted_a, &convicted_b, "convictions must be deterministic");
-
+        let audited = model::check(config.with_audit(audit), &[Run(6)]);
         let scenario = Scenario::build(config).expect("scenario builds");
-        for &(node, round) in &convicted_a {
+        for (node, round) in audited.convicted() {
             prop_assert!(
                 scenario.adversaries.is_adversary(node),
                 "honest node {node} convicted at round {round}"
             );
         }
 
-        let zero_rate = AuditPolicy { audit_rate: 0.0, ..audit };
-        let zeroed = run_audited(config, zero_rate);
-        let off = run_audited(config, AuditPolicy::off());
-        prop_assert_eq!(&zeroed.0, &off.0, "zero-rate stats must match audits-off");
-        prop_assert_eq!(&zeroed.1, &off.1, "zero-rate convictions must be empty like audits-off");
-        prop_assert!(zeroed.1.is_empty());
+        let zero_rate = config.with_audit(AuditPolicy { audit_rate: 0.0, ..audit });
+        let off = model::check_against(config.with_audit(AuditPolicy::off()), zero_rate, &[Run(6)]);
+        prop_assert!(off.convicted().is_empty());
     }
 }
 

@@ -1,12 +1,7 @@
-//! The crash-recovery keystone: **kill-at-round-k + resume ≡ straight
-//! run, bit for bit**, for every round engine, under every adversary
-//! preset and under faulty network profiles.
-//!
-//! State is compared through the persistence layer itself: both the
-//! straight and the resumed session checkpoint their final state into
-//! fresh `dg-store` directories, and the loaded [`NodeRecord`]s must
-//! match with [`NodeRecord::bits_eq`] (exact f64 bit patterns, not
-//! tolerances), alongside exact [`RoundStats`] history equality.
+//! The crash-recovery keystone: **crash + resume ≡ straight run, bit
+//! for bit**, for every round engine, under every adversary preset and
+//! faulty network profile, as fixed sequences of the session model
+//! (`tests/model/mod.rs`) and as its random-sequence property.
 //!
 //! The asynchronous deployment's restart contract is different — the
 //! continuation is statistical, not bitwise (see
@@ -14,17 +9,19 @@
 //! here pin is the part that *is* exact: resume determinism and the
 //! mass-conservation ledger balancing across the restart.
 
+mod model;
+
 use differential_gossip::gossip::pair::GossipPair;
 use differential_gossip::gossip::{AdversaryMix, EngineKind, NetworkProfile};
 use differential_gossip::p2p::{
     resume_distributed, run_distributed, DistributedConfig, GossipCheckpoint,
 };
-use differential_gossip::sim::{RunConfig, RunSession};
-use differential_gossip::store::{NodeRecord, Store};
+use differential_gossip::sim::rounds::{AggregationScope, RoundStats};
+use differential_gossip::sim::{RunConfig, RunSession, TrafficModel};
+use differential_gossip::store::Store;
+use differential_gossip::trust::audit::AuditPolicy;
+use model::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-const ENGINES: [EngineKind; 3] = EngineKind::ALL;
 
 const ADVERSARIES: [&str; 6] = [
     "none",
@@ -35,215 +32,145 @@ const ADVERSARIES: [&str; 6] = [
     "stealth",
 ];
 
-fn temp_dir(tag: &str) -> PathBuf {
+const PROFILES: [&str; 4] = ["lossless", "lossy", "partitioned", "churning"];
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dg_crash_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-fn config(
-    engine: EngineKind,
-    adversary: AdversaryMix,
-    profile: NetworkProfile,
-    seed: u64,
-) -> RunConfig {
+/// The suite's 64-node run on `engine`, under the adversary preset and
+/// network profile the CLI names `adversary` and `profile`.
+fn config(engine: EngineKind, adversary: &str, profile: &str, seed: u64) -> RunConfig {
     RunConfig::with_nodes(64)
         .with_seed(seed)
         .with_engine(engine)
-        .with_adversary(adversary)
-        .with_profile(profile)
+        .with_adversary(AdversaryMix::parse(adversary).expect("adversary preset"))
+        .with_profile(NetworkProfile::parse(profile).expect("network profile"))
         .with_rounds(4)
         .with_requests_per_edge(2)
         .with_free_riders(0.25)
         .with_quality_range(0.4, 1.0)
 }
 
-/// Final node records of a session, read back through the store — the
-/// comparison deliberately round-trips the serialization layer.
-fn final_records(session: &mut RunSession, tag: &str) -> Vec<NodeRecord> {
-    let dir = temp_dir(tag);
-    session.checkpoint(&dir).expect("final checkpoint");
-    let snapshot = Store::open(&dir).load_latest().expect("load final state");
-    let _ = std::fs::remove_dir_all(&dir);
-    snapshot.records
-}
-
-/// Run `config` straight through, and again with a kill (drop) at
-/// `kill_round` plus a resume from the on-disk snapshot; assert the two
-/// end states are bit-identical.
-fn assert_kill_resume_bit_identical(config: RunConfig, kill_round: usize, tag: &str) {
-    let mut straight = RunSession::new(config).expect("straight session");
-    straight.run().expect("straight run");
-
-    let dir = temp_dir(tag);
-    let mut killed = RunSession::new(config).expect("killed session");
-    killed.run_to(kill_round).expect("run to kill round");
-    killed.checkpoint(&dir).expect("checkpoint before kill");
-    // The "kill": all in-memory state is gone, only the store remains.
-    drop(killed);
-
-    let mut resumed = RunSession::resume(&dir).expect("resume from store");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(resumed.round(), kill_round, "{tag}: resumed at wrong round");
-    resumed.run().expect("resumed run");
-
-    assert_eq!(
-        straight.stats()[..kill_round],
-        resumed.stats()[..kill_round],
-        "{tag}: pre-kill stats history not restored"
-    );
-    assert_eq!(straight.stats(), resumed.stats(), "{tag}: stats diverged");
-
-    let a = final_records(&mut straight, &format!("{tag}_straight"));
-    let b = final_records(&mut resumed, &format!("{tag}_resumed"));
-    assert_eq!(a.len(), b.len(), "{tag}: record counts differ");
-    for (x, y) in a.iter().zip(&b) {
-        assert!(x.bits_eq(y), "{tag}: node {} diverged after resume", x.node);
-    }
+/// Killed after round `k` of four and resumed as the same engine; the
+/// last checkpoint round-trips the finished state through the store.
+fn kill_at(k: usize, engine: EngineKind) -> Vec<Op> {
+    let resume_as = (engine, AUTO);
+    let crash = Crash { resume_as };
+    vec![Run(k), Checkpoint, crash, Run(4 - k), Checkpoint]
 }
 
 #[test]
 fn kill_and_resume_is_bit_identical_for_every_engine_and_adversary() {
-    for engine in ENGINES {
-        for name in ADVERSARIES {
-            let adversary = AdversaryMix::parse(name).expect("known adversary preset");
-            let cfg = config(engine, adversary, NetworkProfile::lossless(), 42);
-            assert_kill_resume_bit_identical(cfg, 2, &format!("{engine:?}_{name}"));
+    for engine in EngineKind::ALL {
+        for adversary in ADVERSARIES {
+            let cfg = config(engine, adversary, "lossless", 42);
+            check(cfg, &kill_at(2, engine));
         }
     }
 }
 
 #[test]
 fn kill_and_resume_is_bit_identical_under_faulty_network_profiles() {
-    for engine in ENGINES {
-        for profile in [
-            NetworkProfile::lossy(),
-            NetworkProfile::partitioned(),
-            NetworkProfile::churning(),
-        ] {
-            let adversary = AdversaryMix::parse("sybil").expect("sybil preset");
-            let cfg = config(engine, adversary, profile, 17);
-            assert_kill_resume_bit_identical(cfg, 2, &format!("{engine:?}_{}", profile.label()));
+    for engine in EngineKind::ALL {
+        for profile in &PROFILES[1..] {
+            check(config(engine, "sybil", profile, 17), &kill_at(2, engine));
         }
     }
 }
 
 #[test]
 fn kill_and_resume_with_audit_strikes_in_flight() {
-    use differential_gossip::trust::audit::AuditPolicy;
-
     // The audit subsystem's durable state — per-node report logs,
     // accumulated strike counters, the convicted set — must survive the
     // snapshot round-trip mid-conviction: killed after strikes have
     // accrued but before the cartel is fully convicted, the resumed run
     // must land every remaining conviction in exactly the round the
     // straight run does.
-    let audit = AuditPolicy {
-        audit_rate: 0.1,
-        ..AuditPolicy::standard()
-    };
-    for engine in ENGINES {
-        let cfg = config(
-            engine,
-            AdversaryMix::stealth(),
-            NetworkProfile::lossless(),
-            42,
-        )
-        .with_rounds(8)
-        .with_audit(audit);
-        let tag = format!("{engine:?}_audit_inflight");
-
-        let mut straight = RunSession::new(cfg).expect("straight session");
-        straight.run().expect("straight run");
-        let kill_round = 4;
-        let strikes_at_kill: u64 = straight.stats()[..kill_round]
-            .iter()
-            .map(|r| r.audit_strikes)
-            .sum();
-        let convictions_before: u64 = straight.stats()[..kill_round]
-            .iter()
-            .map(|r| r.convictions)
-            .sum();
-        let convictions_after: u64 = straight.stats()[kill_round..]
-            .iter()
-            .map(|r| r.convictions)
-            .sum();
-        assert!(
-            strikes_at_kill > 0,
-            "{tag}: no strikes in flight at the kill round"
-        );
-        assert!(
-            convictions_before > 0 && convictions_after > 0,
-            "{tag}: convictions must straddle the kill round \
-             ({convictions_before} before, {convictions_after} after)"
-        );
-
-        assert_kill_resume_bit_identical(cfg, kill_round, &tag);
+    let mut audit = AuditPolicy::standard();
+    audit.audit_rate = 0.1;
+    for engine in EngineKind::ALL {
+        let cfg = config(engine, "stealth", "lossless", 42).with_audit(audit);
+        let resume_as = (engine, AUTO);
+        let oracle = check(cfg, &[Run(4), Checkpoint, Crash { resume_as }, Run(4)]);
+        let (before, after) = oracle.stats().split_at(4);
+        let convictions = |rounds: &[RoundStats]| rounds.iter().map(|r| r.convictions).sum::<u64>();
+        let strikes: u64 = before.iter().map(|r| r.audit_strikes).sum();
+        assert!(strikes > 0, "{engine:?}: no strikes in flight");
+        let straddle = convictions(before) > 0 && convictions(after) > 0;
+        assert!(straddle, "{engine:?}: convictions straddle the kill");
     }
 }
 
 #[test]
 fn resume_restores_aggregates_and_residual_exactly() {
-    let cfg = config(
-        EngineKind::Sharded,
-        AdversaryMix::parse("collusion").unwrap(),
-        NetworkProfile::lossy(),
-        9,
-    );
-    let mut straight = RunSession::new(cfg).unwrap();
-    straight.run().unwrap();
+    // The model compares every aggregated run (the records) and the
+    // honest residual after each op; killed at round 3 of 4.
+    let cfg = config(Sharded, "collusion", "lossy", 9);
+    check(cfg, &kill_at(3, Sharded));
+}
 
-    let dir = temp_dir("aggregates");
-    let mut killed = RunSession::new(cfg).unwrap();
-    killed.run_to(3).unwrap();
-    killed.checkpoint(&dir).unwrap();
-    drop(killed);
-    let mut resumed = RunSession::resume(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    resumed.run().unwrap();
-
-    let residual = (
-        straight.honest_residual().map(f64::to_bits),
-        resumed.honest_residual().map(f64::to_bits),
-    );
-    assert_eq!(residual.0, residual.1, "honest residual must be bit-equal");
-    for observer in 0..cfg.nodes as u32 {
-        for subject in 0..cfg.nodes as u32 {
-            let a = straight
-                .aggregated(observer.into(), subject.into())
-                .map(f64::to_bits);
-            let b = resumed
-                .aggregated(observer.into(), subject.into())
-                .map(f64::to_bits);
-            assert_eq!(a, b, "aggregate ({observer}, {subject}) diverged");
+#[test]
+fn resume_as_another_engine_then_ingest_and_crash_again() {
+    // No fixed grid covered this: a resume that switches engine and shard
+    // count, ingest on the switched engine, then a second crash — which
+    // loses the ingest queued after the last checkpoint — and a resume
+    // back to the first engine. Every ordered engine pair, at 10%
+    // activity so the ingest lands on idle requesters too.
+    let traffic = TrafficModel::full().with_activity(0.1);
+    for from in EngineKind::ALL {
+        for to in EngineKind::ALL.into_iter().filter(|&to| to != from) {
+            let cfg = config(from, "whitewash", "lossless", 5).with_traffic(traffic);
+            let (there, back) = ((to, 16), (from, 64));
+            let ops = [
+                Run(2),
+                Checkpoint,
+                Crash { resume_as: there },
+                Ingest(vec![(1, 2, Some(0.9)), (40, 3, None), (1, 7, Some(0.25))]),
+                Run(1),
+                Checkpoint,
+                Ingest(vec![(9, 8, Some(0.5))]),
+                Crash { resume_as: back },
+                Ingest(vec![(63, 0, Some(1.0))]),
+                Run(2),
+                Checkpoint,
+            ];
+            check(cfg, &ops);
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The property form of the keystone: an arbitrary (engine,
-    /// adversary, profile, kill round, seed) combination survives
-    /// kill-and-resume bit-for-bit.
+    /// The keystone as a property: a random op sequence — rounds,
+    /// ingest, checkpoints, crashes resuming as any engine and shard
+    /// count, thread changes — over a random point of every config axis
+    /// (engine, shards, adversary, profile, activity / Zipf, scope,
+    /// audits) ends, and passes every step, bit-identical to the oracle.
     #[test]
     fn kill_resume_property(
-        engine_ix in 0usize..ENGINES.len(),
-        adversary_ix in 0usize..6,
-        lossy in 0usize..2,
-        kill_round in 1usize..4,
+        axes in (0usize..3, 0usize..4, 0usize..6, 0usize..4),
+        shape in (0usize..3, 0usize..2, 0usize..2),
         seed in 0u64..1000,
+        ops_seed in 0u64..u64::MAX,
     ) {
-        let engine = ENGINES[engine_ix];
-        let adversary = AdversaryMix::parse(ADVERSARIES[adversary_ix]).unwrap();
-        let profile = if lossy == 1 {
-            NetworkProfile::lossy()
-        } else {
-            NetworkProfile::lossless()
-        };
-        let cfg = config(engine, adversary, profile, seed);
-        let tag = format!("prop_{engine_ix}_{adversary_ix}_{lossy}_{kill_round}_{seed}");
-        assert_kill_resume_bit_identical(cfg, kill_round, &tag);
+        let (engine, shards, adversary, profile) = axes;
+        let (traffic, scope, audit) = shape;
+        let mut audits = [AuditPolicy::off(), AuditPolicy::standard()];
+        audits[1].audit_rate = 0.2;
+        let cfg = config(EngineKind::ALL[engine], ADVERSARIES[adversary], PROFILES[profile], seed)
+            .with_shards(SHARDS[shards])
+            .with_traffic([
+                TrafficModel::full(),
+                TrafficModel::full().with_activity(0.1).with_zipf(0.8),
+                TrafficModel::full().with_activity(0.01).with_zipf(1.2).with_flash(3, 4.0),
+            ][traffic])
+            .with_scope([AggregationScope::Full, AggregationScope::Neighbourhood][scope])
+            .with_audit(audits[audit]);
+        check(cfg, &random_ops(ops_seed, cfg.nodes));
     }
 }
 
@@ -261,12 +188,7 @@ proptest! {
         seed in 0u64..1000,
         flips in proptest::collection::vec((0usize..6, 0usize..1_000_000, 1u8..=255), 48..49),
     ) {
-        let cfg = config(
-            EngineKind::Incremental,
-            AdversaryMix::none(),
-            NetworkProfile::lossless(),
-            seed,
-        );
+        let cfg = config(Incremental, "none", "lossless", seed);
         let dir = temp_dir(&format!("flip_{seed}"));
         let mut session = RunSession::new(cfg).expect("session");
         session.run_to(1).expect("round 1");

@@ -1,5 +1,8 @@
 //! Reproducibility: every layer is a pure function of its seed.
 
+mod model;
+
+use model::Op::Run;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -7,8 +10,7 @@ use differential_gossip::core::algorithms::alg3;
 use differential_gossip::gossip::FanoutPolicy;
 use differential_gossip::gossip::GossipConfig;
 use differential_gossip::sim::experiments::{collusion_experiment, steps_experiment};
-use differential_gossip::sim::{build_engine, RunConfig, Scenario};
-use std::sync::Arc;
+use differential_gossip::sim::{RunConfig, Scenario};
 
 /// Pin the concrete ChaCha8 stream for the workspace's canonical seed.
 ///
@@ -93,21 +95,8 @@ fn experiment_sweeps_are_reproducible_despite_rayon() {
 
 #[test]
 fn rounds_simulation_is_reproducible() {
-    let config = RunConfig {
-        nodes: 60,
-        seed: 2,
-        free_rider_fraction: 0.2,
-        quality_range: (0.4, 1.0),
-        rounds: 3,
-        ..RunConfig::default()
-    };
-    let s = Arc::new(Scenario::build(config).expect("scenario"));
-    let run = || {
-        let mut engine = build_engine(Arc::clone(&s), &config);
-        let mut rng = s.gossip_rng(8);
-        (0..config.rounds)
-            .map(|_| engine.run_round(rng.next_u64()).expect("round"))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(), run());
+    // The model's candidate and oracle are two independent sequential
+    // runs of one config: they must agree bit for bit after every round.
+    let config = RunConfig::with_nodes(60).with_seed(2).with_free_riders(0.2);
+    model::check(config.with_quality_range(0.4, 1.0), &[Run(1), Run(2)]);
 }
