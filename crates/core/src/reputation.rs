@@ -256,6 +256,56 @@ impl<'g> ReputationSystem<'g> {
             .sum()
     }
 
+    /// [`y_hat_from_weights`](Self::y_hat_from_weights) for every subject
+    /// in `observer`'s neighbourhood at once: `out[p]` becomes `ŷ` of the
+    /// neighbour at adjacency slot `p`, bit for bit.
+    ///
+    /// `t_kj` is nonzero only where `k` holds a row entry about `j`, so
+    /// instead of one lookup per (neighbour, subject) pair, each
+    /// neighbour `k` — in adjacency order — intersects its row with the
+    /// observer's neighbour list (iterating the shorter, binary-searching
+    /// the longer) and adds `(w_k − 1) · t_kj` to the matching slots.
+    /// Every slot receives the same nonzero additions in the same order
+    /// as the per-subject sum; a skipped term — a missing report
+    /// (`w · 0`) or a zero weight (`0 · t`) — is `+0.0` for a finite
+    /// `w ≥ 0`, which leaves a non-negative sum unchanged. A weight law
+    /// that yields any other excess weight takes the per-subject sum
+    /// instead.
+    ///
+    /// # Panics
+    /// Panics unless `out` has one slot per neighbour.
+    pub fn y_hat_row(&self, observer: NodeId, excess_weights: &[f64], out: &mut [f64]) {
+        let nbrs = self.graph.neighbours(observer);
+        assert_eq!(out.len(), nbrs.len(), "one ŷ slot per neighbour");
+        debug_assert_eq!(excess_weights.len(), nbrs.len());
+        if !excess_weights.iter().all(|w| w.is_finite() && *w >= 0.0) {
+            for (slot, &j) in out.iter_mut().zip(nbrs) {
+                *slot = self.y_hat_from_weights(observer, excess_weights, NodeId(j));
+            }
+            return;
+        }
+        out.fill(0.0);
+        for (&k, &w1) in nbrs.iter().zip(excess_weights) {
+            if w1 == 0.0 {
+                continue;
+            }
+            let k = NodeId(k);
+            if self.trust.row_len(k) <= nbrs.len() {
+                for (j, t) in self.trust.row(k) {
+                    if let Ok(p) = nbrs.binary_search(&j.0) {
+                        out[p] += w1 * t.get();
+                    }
+                }
+            } else {
+                for (slot, &j) in out.iter_mut().zip(nbrs) {
+                    if let Some(t) = self.trust.get(k, NodeId(j)) {
+                        *slot += w1 * t.get();
+                    }
+                }
+            }
+        }
+    }
+
     /// Eq. (6) from an externally supplied `ŷ` (cached, or just
     /// resummed via [`y_hat_from_weights`](Self::y_hat_from_weights)):
     /// the same shared `eq6` tail as every other entry point, so a
@@ -396,6 +446,65 @@ mod tests {
         assert!((s.y_hat(NodeId(0), NodeId(3)) - 0.8).abs() < 1e-12);
         // Leaf 1 about subject 3: hub has no opinion and no excess.
         assert_eq!(s.y_hat(NodeId(1), NodeId(3)), 0.0);
+    }
+
+    /// `y_hat_row` is the per-slot `y_hat_from_weights`, bit for bit, at
+    /// every observer of a star with one extra leaf–leaf edge, on both
+    /// matrix backends and under a weight law with all-zero excess.
+    #[test]
+    fn y_hat_row_equals_the_per_slot_sum() {
+        // Hub 0 over leaves 1..=6, plus the edge 1–2.
+        let mut builder = dg_graph::GraphBuilder::new(7);
+        for leaf in 1..7u32 {
+            builder.add_edge(0u32, leaf).unwrap();
+        }
+        builder.add_edge(1u32, 2u32).unwrap();
+        let g = builder.build();
+        let mut m = TrustMatrix::new(7);
+        for (i, j, t) in [
+            // The hub's row: a zero trust value (excess weight 0), and
+            // no opinion of leaf 5 or 6.
+            (0, 1, 1.0),
+            (0, 2, 0.5),
+            (0, 3, 0.0),
+            (0, 4, 0.7),
+            // Leaf rows, with a zero report and reports about
+            // non-neighbours. Leaves 3, 5 and 6 hold no row.
+            (1, 0, 0.9),
+            (1, 2, 0.8),
+            (1, 3, 0.0),
+            (1, 6, 0.6),
+            (2, 1, 0.4),
+            (2, 4, 0.6),
+            (2, 5, 0.3),
+            (4, 0, 0.2),
+            (4, 6, 1.0),
+        ] {
+            m.set(NodeId(i), NodeId(j), tv(t)).unwrap();
+        }
+        // Both branches: the hub iterates the (shorter) leaf rows; leaf
+        // 1 searches the (longer) hub row.
+        assert!(m.row_len(NodeId(1)) < g.degree(NodeId(0)));
+        assert!(m.row_len(NodeId(0)) > g.degree(NodeId(1)));
+        let mut sharded = m.clone();
+        sharded.shard(dg_trust::ShardSpec::new(7, 3));
+        for trust in [m, sharded] {
+            for weights in [
+                WeightParams::new(2.0, 1.5).unwrap(),
+                WeightParams::neutral(),
+            ] {
+                let s = ReputationSystem::new(&g, trust.clone(), weights).unwrap();
+                for observer in g.nodes() {
+                    let w = s.neighbour_excess_weights(observer);
+                    let mut row = vec![f64::NAN; w.len()];
+                    s.y_hat_row(observer, &w, &mut row);
+                    for (&j, y) in g.neighbours(observer).iter().zip(&row) {
+                        let want = s.y_hat_from_weights(observer, &w, NodeId(j));
+                        assert_eq!(y.to_bits(), want.to_bits(), "ŷ({observer}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@
 //! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
-    closed_form_neighbourhood_row_cached, closed_form_row, merge_pending, Changed, EngineCore,
-    ServiceDelta, SubjectAggregates, TransactionRecord,
+    closed_form_neighbourhood_row_cached, closed_form_row, Changed, EngineCore, ServiceDelta,
+    SubjectAggregates,
 };
 use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
 use crate::session::SessionError;
@@ -85,9 +85,6 @@ use dg_store::NodeRecord;
 use dg_trust::{ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// One requester's non-empty transaction batch, keyed by requester id.
-type RecordBatch = (NodeId, Vec<TransactionRecord>);
 
 /// The incremental delta-driven round engine (see the module docs).
 pub struct IncrementalRoundEngine {
@@ -281,12 +278,11 @@ impl Piece<'_> {
                 // identity (its run was cleared, not computed) or an
                 // unprimed engine: the full kernel row, over fresh
                 // weights, and every cached ŷ term is suspect — the
-                // sweep recaptures the ones it evaluates.
+                // sweep rewrites them all.
                 for (slot, w) in weights.iter_mut().zip(ctx.system.excess_weights(observer)) {
                     *slot = w;
                 }
                 *excess = weights.iter().sum();
-                y_row.fill(f64::NAN);
                 closed_form_neighbourhood_row_cached(
                     ctx.system, observer, weights, *excess, ctx.agg, y_row, run,
                 );
@@ -566,58 +562,59 @@ impl RoundEngine for IncrementalRoundEngine {
         let n = scenario.graph.node_count();
 
         // Phase 1: transact — a fan-out over index blocks of the same
-        // pure per-requester kernel every engine uses (identical RNG
-        // streams). At skewed activity fractions a block is one activity
+        // per-requester kernel every engine uses (identical RNG streams),
+        // each block drawing into its own disjoint slice of the node
+        // states. At skewed activity fractions a block is one activity
         // sweep and a handful of requesters. Block-merging the service
         // deltas is exact — integer counters.
         const BLOCK: usize = 4096;
+        let mut nodes = std::mem::take(&mut self.core.nodes);
         let shared = &self.core;
-        let blocks: Vec<(Vec<RecordBatch>, ServiceDelta)> = (0..n.div_ceil(BLOCK))
+        let blocks: Vec<(Vec<NodeId>, ServiceDelta)> = nodes
+            .chunks_mut(BLOCK)
+            .enumerate()
             .into_par_iter()
-            .map(|b| {
+            .map(|(b, block)| {
                 let mut delta = ServiceDelta::default();
-                let mut batches = Vec::new();
-                let ids = (b * BLOCK) as u32..((b + 1) * BLOCK).min(n) as u32;
+                let mut folded = Vec::new();
+                let first = b * BLOCK;
+                let ids = first as u32..(first + block.len()) as u32;
                 for requester in shared.requesters(ids, round_seed) {
-                    let (records, d) = shared.transact(requester, round_seed);
-                    delta.merge(d);
-                    if !records.is_empty() {
-                        batches.push((requester, records));
+                    let state = &mut block[requester.index() - first];
+                    let d = shared.transact(state, requester, round_seed);
+                    if d.dirty_rows > 0 {
+                        folded.push(requester);
                     }
+                    delta.merge(d);
                 }
-                (batches, delta)
+                (folded, delta)
             })
             .collect();
 
         let core = &mut self.core;
         let mut delta = ServiceDelta::default();
-        // Ascending by requester: blocks are in index order.
-        let mut record_batches: Vec<RecordBatch> = Vec::new();
-        for (batches, d) in blocks {
+        let mut dirty: Vec<NodeId> = Vec::new();
+        for (folded, d) in blocks {
             delta.merge(d);
-            record_batches.extend(batches);
+            dirty.extend(folded);
         }
-        // Ingested records fold after the generated ones (the order
-        // every engine reproduces). A requester with only ingested
-        // records becomes a new batch — and thereby a dirty row.
-        merge_pending(
-            &mut record_batches,
-            std::mem::take(&mut core.pending_ingest),
-        );
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
-        // owner folded records, is an adversary (distortions are
-        // round-keyed, and colluders re-praise washed clique mates), is
-        // pending from last round's whitewash purge or a restore, or —
-        // with auditing on — its report log is full: re-recording an
-        // unchanged row into a full log re-inserts evicted subjects under
-        // this round, exactly as the rebuild-everything engines do.
-        let mut dirty: Vec<NodeId> = record_batches.iter().map(|&(i, _)| i).collect();
+        // owner folded generated outcomes or has ingested records
+        // (folded after them, the order every engine reproduces), is an
+        // adversary (distortions are round-keyed, and colluders re-praise
+        // washed clique mates), is pending from last round's whitewash
+        // purge or a restore, or — with auditing on — its report log is
+        // full: re-recording an unchanged row into a full log re-inserts
+        // evicted subjects under this round, exactly as the
+        // rebuild-everything engines do.
+        let ingest = std::mem::take(&mut core.pending_ingest);
+        dirty.extend(ingest.iter().map(|&(i, _)| i));
         dirty.extend(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
         let audit = core.config.audit;
         if audit.enabled() {
-            let logs = (0u32..).zip(&core.nodes);
+            let logs = (0u32..).zip(&nodes);
             let full = logs.filter(|(_, state)| state.log.entries().len() >= audit.log_capacity);
             dirty.extend(full.map(|(i, _)| NodeId(i)));
         }
@@ -628,21 +625,21 @@ impl RoundEngine for IncrementalRoundEngine {
         // Every `(subject, reporter)` report that moved bitwise this
         // round — the `ŷ`-cache invalidation set.
         let mut changed_pairs: Vec<(NodeId, NodeId)> = Vec::new();
-        // `dirty` is a sorted superset of the batch owners, so one
+        // `dirty` is a sorted superset of the ingest owners, so one
         // merge walk hands each batch to its row fold.
-        let mut batches = record_batches.into_iter().peekable();
-        let mut nodes = std::mem::take(&mut core.nodes);
+        let mut batches = ingest.into_iter().peekable();
         for &i in &dirty {
             let records = batches
                 .next_if(|&(j, _)| j == i)
-                .map_or_else(Vec::new, |(_, records)| records);
+                .map(|(_, records)| records)
+                .unwrap_or_default();
             // Emit (and, with auditing on, log) the row *before* the
             // identity check: a clean node's re-emitted row re-records
             // identical content, which `ReportLog::record` makes a
             // no-op while the log has room (full logs are dirty, above)
             // — so skipping clean rows leaves the exact log state the
             // rebuild-everything engines hold.
-            let row = core.emit_row(&mut nodes[i.index()], i, records);
+            let row = core.emit_row(&mut nodes[i.index()], i, &records);
             let old: Vec<(NodeId, TrustValue)> = self.trust.row(i).collect();
             if rows_identical(&old, &row) {
                 continue;
@@ -678,7 +675,7 @@ impl RoundEngine for IncrementalRoundEngine {
                 let agg = SubjectAggregates::new(self.cache.sums(), self.cache.counts(), scope);
                 self.core.aggregated = (0..n as u32)
                     .into_par_iter()
-                    .map(|i| closed_form_row(&system, NodeId(i), scope, &agg))
+                    .map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut Vec::new()))
                     .collect();
                 None
             }
@@ -727,6 +724,7 @@ impl RoundEngine for IncrementalRoundEngine {
 mod tests {
     use super::*;
     use crate::config::RunConfig;
+    use crate::kernel::TransactionRecord;
     use crate::scenario::Scenario;
     use crate::session::round_seed;
     use crate::workload::TrafficModel;

@@ -17,14 +17,17 @@
 //! **bit-for-bit identical by construction** at any thread count, shard
 //! count, and traffic shape (pinned by `tests/engine_equivalence.rs`):
 //!
-//! * `EngineCore::requesters` + `EngineCore::transact` — phase 1: one
-//!   sweep of the traffic plan's activity gate yields the round's
-//!   requesters (active, participating, not expelled), and each of them
-//!   runs admission control against the previous round's aggregated view
-//!   on its own per-node ChaCha8 stream ([`node_stream_seed`]);
-//! * `NodeState::fold_records` — phase 2 for one node: fold the
-//!   round's records into the per-edge estimators, emit the node's
-//!   (sorted) trust row;
+//! * `EngineCore::requesters` + `EngineCore::transact` — phase 1 and
+//!   the generated half of phase 2: one sweep of the traffic plan's
+//!   activity gate yields the round's requesters (active, participating,
+//!   not expelled); each of them runs admission control once per edge
+//!   against the previous round's aggregated view and draws the admitted
+//!   edges' outcomes, on its own per-node ChaCha8 stream
+//!   ([`node_stream_seed`]), straight into its per-edge estimators
+//!   (`NodeState::observe`) — no per-request record is built;
+//! * `NodeState::fold_records` + `NodeState::trust_row` — the rest of
+//!   phase 2 for one node: fold the round's *ingested* records after the
+//!   generated outcomes, emit the node's (sorted) trust row;
 //! * `SubjectAggregates` + `closed_form_row` — phase 3 in closed
 //!   form: per-subject report sums under the robust policy and the
 //!   weighted Eq. (6) row of one observer;
@@ -67,13 +70,15 @@ use dg_store::NodeRecord;
 use dg_trust::audit::{audit_targets, AuditPolicy, ReportLog};
 use dg_trust::prelude::{EwmaEstimator, TransactionOutcome};
 use dg_trust::TrustValue;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One transaction as seen by the requester: which provider it hit and
-/// what came back.
+/// One transaction as a requester reports it through ingest
+/// ([`EngineCore::queue_reports`]): which provider it hit and what came
+/// back. The round's own traffic builds none — its outcomes are drawn
+/// straight into the estimators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransactionRecord {
     /// The provider that was asked.
@@ -100,8 +105,8 @@ pub struct ServiceDelta {
     /// Requesters that cleared both the participation and the traffic
     /// activity gates this round.
     pub active_requesters: u64,
-    /// Requesters that came away with at least one transaction record —
-    /// the observers whose trust rows actually change this round.
+    /// Requesters that folded at least one transaction outcome — the
+    /// observers whose trust rows actually change this round.
     pub dirty_rows: u64,
 }
 
@@ -127,7 +132,7 @@ impl ServiceDelta {
         self.dirty_rows += other.dirty_rows;
     }
 
-    fn count(&mut self, class: RequesterClass, served: bool) {
+    fn count(&mut self, class: RequesterClass, served: bool, requests: u64) {
         let slot = match (class, served) {
             (RequesterClass::Honest, true) => &mut self.served_honest,
             (RequesterClass::Honest, false) => &mut self.refused_honest,
@@ -136,7 +141,7 @@ impl ServiceDelta {
             (RequesterClass::Adversary, true) => &mut self.served_adversaries,
             (RequesterClass::Adversary, false) => &mut self.refused_adversaries,
         };
-        *slot += 1;
+        *slot += requests;
     }
 }
 
@@ -176,12 +181,15 @@ impl<'a> SubjectAggregates<'a> {
 
 /// Closed-form aggregated-reputation row of one observer (Eq. (6) with
 /// the gossiped count), over the scope's subject set in ascending
-/// order. Shared by every engine.
+/// order. Shared by every engine. `y_hat` is the sweep's scratch for
+/// the neighbourhood arm's `ŷ` row — one buffer per shard or sweep,
+/// reused across its observers (full scope never touches it).
 pub(crate) fn closed_form_row(
     system: &ReputationSystem<'_>,
     observer: NodeId,
     scope: AggregationScope,
     agg: &SubjectAggregates<'_>,
+    y_hat: &mut Vec<f64>,
 ) -> Vec<(NodeId, f64)> {
     // The observer's excess weights are the same for every subject:
     // compute them once (their sum IS `neighbour_excess_sum`, same
@@ -190,49 +198,40 @@ pub(crate) fn closed_form_row(
     // per-subject evaluation.
     let weights = system.neighbour_excess_weights(observer);
     let excess: f64 = weights.iter().sum();
-    // Subjects nobody rated are out of scope (the matrix lists rated
-    // subjects only); the formula itself lives in dg-core.
-    let subject_rep = |j: NodeId| -> Option<(NodeId, f64)> {
-        let count = agg.counts[j.index()];
-        if count == 0 {
-            return None;
-        }
-        system
-            .gclr_from_parts_weighted(
-                observer,
-                &weights,
-                j,
-                agg.sums[j.index()],
-                count as f64,
-                excess,
-            )
-            .map(|rep| (j, rep))
-    };
     match scope {
+        // Only rated subjects are listed; the formula lives in dg-core.
         AggregationScope::Full => agg
             .subjects
             .iter()
-            .filter_map(|&j| subject_rep(j))
+            .filter_map(|&j| {
+                let (sum, count) = (agg.sums[j.index()], agg.counts[j.index()] as f64);
+                system
+                    .gclr_from_parts_weighted(observer, &weights, j, sum, count, excess)
+                    .map(|rep| (j, rep))
+            })
             .collect(),
-        AggregationScope::Neighbourhood => system
-            .graph()
-            .neighbours(observer)
-            .iter()
-            .filter_map(|&j| subject_rep(NodeId(j)))
-            .collect(),
+        AggregationScope::Neighbourhood => {
+            y_hat.clear();
+            y_hat.resize(weights.len(), 0.0);
+            let mut run = Vec::new();
+            closed_form_neighbourhood_row_cached(
+                system, observer, &weights, excess, agg, y_hat, &mut run,
+            );
+            run
+        }
     }
 }
 
 /// [`closed_form_row`] for neighbourhood scope over caller-held state:
 /// `weights` / `excess` are the observer's excess weights and their sum
 /// (what `closed_form_row` computes for itself), the row is written
-/// into `run` (allocation reused), and — the sweep evaluates every `ŷ`
-/// term anyway — each one is handed to `y_row`, the caller's
-/// per-adjacency-position cache, instead of being discarded: a freshly
-/// rebuilt observer starts its next delta round warm. Bit-identical to
-/// `closed_form_row` (same weights, same `ŷ` resum order, same shared
-/// Eq. (6) tail); slots the sweep skips (unrated subjects) are left
-/// exactly as the caller primed them.
+/// into `run` (allocation reused), and the `ŷ` of every adjacency slot
+/// is left in `y_row` — the incremental engine's per-slot cache, so a
+/// freshly rebuilt observer starts its next delta round warm. `ŷ` comes
+/// from one [`ReputationSystem::y_hat_row`] pass (the per-subject sums,
+/// bit for bit); the slot of a subject nobody rated is set to `NaN`
+/// (unknown), and the subject is out of the row. Subjects that are
+/// listed go through the shared Eq. (6) tail.
 pub(crate) fn closed_form_neighbourhood_row_cached(
     system: &ReputationSystem<'_>,
     observer: NodeId,
@@ -242,16 +241,16 @@ pub(crate) fn closed_form_neighbourhood_row_cached(
     y_row: &mut [f64],
     run: &mut Vec<(NodeId, f64)>,
 ) {
+    system.y_hat_row(observer, weights, y_row);
     run.clear();
-    for (p, &j) in system.graph().neighbours(observer).iter().enumerate() {
+    for (&j, y) in system.graph().neighbours(observer).iter().zip(y_row) {
         let j = NodeId(j);
         let count = agg.counts[j.index()];
         if count == 0 {
+            *y = f64::NAN;
             continue;
         }
-        let y = system.y_hat_from_weights(observer, weights, j);
-        y_row[p] = y;
-        if let Some(rep) = system.gclr_from_y_hat(y, agg.sums[j.index()], count as f64, excess) {
+        if let Some(rep) = system.gclr_from_y_hat(*y, agg.sums[j.index()], count as f64, excess) {
             run.push((j, rep));
         }
     }
@@ -458,22 +457,46 @@ impl NodeState {
         self.strikes = 0;
     }
 
-    /// Fold one round's transaction records into the estimators, then
-    /// emit the node's trust row (ascending by provider) — the
-    /// estimate-phase kernel shared by every engine (and by the
-    /// `TrustSource::Workload` scenario bootstrap) so their math is
-    /// identical by construction.
-    pub(crate) fn fold_records(
+    /// Draw `requests` outcomes of `provider`'s `behavior` from `rng`
+    /// straight into this node's estimator of the provider — the
+    /// estimate-phase kernel for generated traffic, shared by every
+    /// engine's transact phase and the `TrustSource::Workload` scenario
+    /// bootstrap so their math and stream consumption are identical by
+    /// construction. One map entry per edge, no record per request; zero
+    /// requests create no estimator.
+    pub(crate) fn observe<R: Rng + ?Sized>(
         &mut self,
-        records: Vec<TransactionRecord>,
+        provider: NodeId,
+        behavior: Behavior,
+        requests: u32,
         ewma_rate: f64,
-    ) -> Vec<(NodeId, TrustValue)> {
+        rng: &mut R,
+    ) {
+        if requests == 0 {
+            return;
+        }
+        let estimator = self
+            .estimators
+            .entry(provider)
+            .or_insert_with(|| EwmaEstimator::new(ewma_rate));
+        for _ in 0..requests {
+            estimator.record(behavior.sample_outcome(rng));
+        }
+    }
+
+    /// Fold transaction records into the estimators one at a time, in
+    /// order — the path of ingested reports.
+    pub(crate) fn fold_records(&mut self, records: &[TransactionRecord], ewma_rate: f64) {
         for rec in records {
             self.estimators
                 .entry(rec.provider)
                 .or_insert_with(|| EwmaEstimator::new(ewma_rate))
                 .record(rec.outcome);
         }
+    }
+
+    /// The node's trust row, ascending by provider.
+    pub(crate) fn trust_row(&self) -> Vec<(NodeId, TrustValue)> {
         self.estimators
             .iter()
             .map(|(&j, est)| (j, est.estimate()))
@@ -595,10 +618,10 @@ impl EngineCore {
     /// round: `batches` maps each reporting requester to the records it
     /// submitted, sorted ascending by requester with no empty batches
     /// (the serve layer normalises submissions into this shape). During
-    /// the next `run_round`, each batch is appended after the
-    /// requester's generated records — in exactly this order on every
-    /// engine, so ingest-carrying rounds stay bit-identical across
-    /// engines and across replays of the same log. Ingested records
+    /// the next `run_round`, each batch is folded after the requester's
+    /// generated outcomes — in exactly this order on every engine, so
+    /// ingest-carrying rounds stay bit-identical across engines and
+    /// across replays of the same log. Ingested records
     /// fold into estimators and reports; the service-delta stats
     /// (served/refused counts, active nodes, dirty fraction) remain
     /// transact-phase-only.
@@ -732,11 +755,23 @@ impl EngineCore {
             })
     }
 
-    /// Phase 1 for one of this round's [`requesters`](Self::requesters):
-    /// run its transactions against every neighbour, consuming the
-    /// requester's own ChaCha8 stream for the round. Admission reads the
-    /// *previous* round's aggregated reputation at the provider against
-    /// `observer_mean[provider]`, the provider's admission scale.
+    /// Phase 1 + the generated half of phase 2 for one of this round's
+    /// [`requesters`](Self::requesters): run its transactions against
+    /// every neighbour on the requester's own ChaCha8 stream for the
+    /// round, drawing each admitted edge's outcomes straight into
+    /// `state` (the requester's entry of [`Self::nodes`], held mutably by
+    /// the engine while the rest of the core is read). Returns the
+    /// requester's service counters; `dirty_rows` is 1 exactly when an
+    /// outcome was folded.
+    ///
+    /// Admission reads the *previous* round's aggregated reputation at
+    /// the provider against `observer_mean[provider]`, the provider's
+    /// admission scale — state no request of this round changes, so it
+    /// is decided once per edge and covers all `requests_per_edge`
+    /// requests along it. Outcomes are drawn edge by edge in adjacency
+    /// order, request by request: the stream, and the order each
+    /// estimator sees its outcomes, are those of issuing the requests
+    /// one at a time.
     ///
     /// Shared by every engine so their math and RNG consumption are
     /// identical by construction. The gates consume no randomness, so
@@ -744,16 +779,23 @@ impl EngineCore {
     /// model active nodes still consume exactly their legacy streams.
     pub(crate) fn transact(
         &self,
+        state: &mut NodeState,
         requester: NodeId,
         round_seed: u64,
-    ) -> (Vec<TransactionRecord>, ServiceDelta) {
+    ) -> ServiceDelta {
+        let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(round_seed, requester.0));
+        self.transact_on(state, requester, &mut rng)
+    }
+
+    /// [`Self::transact`] on a caller-held stream.
+    fn transact_on(
+        &self,
+        state: &mut NodeState,
+        requester: NodeId,
+        rng: &mut ChaCha8Rng,
+    ) -> ServiceDelta {
         let (scenario, config, round) = (&*self.scenario, &self.config, self.round as u64);
         let banned = &self.banned;
-        let mut records = Vec::new();
-        let mut delta = ServiceDelta {
-            active_requesters: 1,
-            ..ServiceDelta::default()
-        };
         let population = &scenario.population;
         let class = if scenario.adversaries.is_adversary(requester) {
             RequesterClass::Adversary
@@ -762,49 +804,50 @@ impl EngineCore {
         } else {
             RequesterClass::Honest
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(round_seed, requester.0));
-
+        let requests = config.requests_per_edge;
+        let mut delta = ServiceDelta {
+            active_requesters: 1,
+            ..ServiceDelta::default()
+        };
         for &provider in scenario.graph.neighbours(requester) {
             let provider = NodeId(provider);
             if banned[provider.index()] || !scenario.adversaries.participates(provider, round) {
                 continue;
             }
-            for _ in 0..config.requests_per_edge {
-                // Admission control at the provider, against last round's
-                // aggregated view.
-                let rep = self.aggregated(provider, requester);
-                let admitted = match (rep, self.observer_mean[provider.index()]) {
-                    (Some(r), Some(mean)) => r >= config.admission_threshold * mean,
-                    // The provider aggregates opinions but holds none about
-                    // this requester: a stranger. The paper's anti-whitewash
-                    // zero prior refuses strangers; the optimistic default
-                    // serves them (the honeymoon whitewashers farm).
-                    (None, Some(_)) => config.defense.newcomer == NewcomerPolicy::Optimistic,
-                    // No aggregation yet at this provider: serve everyone.
-                    _ => true,
-                };
-                delta.count(class, admitted);
-                if admitted {
-                    // Requester observes the provider's behaviour.
-                    let outcome = population.behavior(provider).sample_outcome(&mut rng);
-                    records.push(TransactionRecord { provider, outcome });
-                }
+            let admitted = match (
+                self.aggregated(provider, requester),
+                self.observer_mean[provider.index()],
+            ) {
+                (Some(r), Some(mean)) => r >= config.admission_threshold * mean,
+                // The provider aggregates opinions but holds none about
+                // this requester: a stranger. The paper's anti-whitewash
+                // zero prior refuses strangers; the optimistic default
+                // serves them (the honeymoon whitewashers farm).
+                (None, Some(_)) => config.defense.newcomer == NewcomerPolicy::Optimistic,
+                // No aggregation yet at this provider: serve everyone.
+                _ => true,
+            };
+            delta.count(class, admitted, u64::from(requests));
+            if admitted && requests > 0 {
+                // The requester observes the provider's behaviour.
+                let behavior = population.behavior(provider);
+                state.observe(provider, behavior, requests, config.ewma_rate, rng);
+                delta.dirty_rows = 1;
             }
         }
-        if !records.is_empty() {
-            delta.dirty_rows = 1;
-        }
-        (records, delta)
+        delta
     }
 
-    /// The report phase for one node: fold the round's records, pass the
-    /// row through the node's adversary strategy, and — when auditing is
-    /// enabled — record every emitted report in the node's [`ReportLog`]
-    /// alongside the estimator-implied value at emit time (`None` = the
-    /// report has no backing estimator, i.e. it was fabricated). Honest
-    /// rows come straight from the estimators, so their reported and
-    /// implied values are bit-equal — the structural guarantee behind the
-    /// zero-false-positive claim.
+    /// The report phase for one node: fold the round's `ingest` records
+    /// (after the outcomes [`Self::transact`] drew, so each estimator
+    /// sees the generated outcomes first — the one order every engine
+    /// reproduces), pass the row through the node's adversary strategy,
+    /// and — when auditing is enabled — record every emitted report in
+    /// the node's [`ReportLog`] alongside the estimator-implied value at
+    /// emit time (`None` = the report has no backing estimator, i.e. it
+    /// was fabricated). Honest rows come straight from the estimators,
+    /// so their reported and implied values are bit-equal — the
+    /// structural guarantee behind the zero-false-positive claim.
     ///
     /// Convicted nodes are banned: they emit nothing (their stale matrix
     /// row was scrubbed by the conviction purge) and their recorded
@@ -822,13 +865,14 @@ impl EngineCore {
         &self,
         state: &mut NodeState,
         node: NodeId,
-        records: Vec<TransactionRecord>,
+        ingest: &[TransactionRecord],
     ) -> Vec<(NodeId, TrustValue)> {
         if state.convicted_at.is_some() {
             return Vec::new();
         }
         let (config, round) = (&self.config, self.round as u64);
-        let mut row = state.fold_records(records, config.ewma_rate);
+        state.fold_records(ingest, config.ewma_rate);
+        let mut row = state.trust_row();
         self.scenario
             .adversaries
             .distort_row(node, round, self.scenario.config.seed, &mut row);
@@ -1036,5 +1080,139 @@ impl EngineCore {
                 .iter()
                 .zip(&self.observer_mean)
                 .all(|(run, mean)| row_mean(run).map(f64::to_bits) == mean.map(f64::to_bits))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rounds::build_engine;
+    use crate::session::round_seed;
+    use dg_gossip::AdversaryMix;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// The transact phase request by request — admission decided per
+    /// request, one record per outcome, folded afterwards by
+    /// `NodeState::fold_records` — the oracle of the draw-and-fold
+    /// kernel.
+    fn transact_records(
+        core: &EngineCore,
+        requester: NodeId,
+        rng: &mut ChaCha8Rng,
+    ) -> (Vec<TransactionRecord>, ServiceDelta) {
+        let (scenario, config, round) = (&*core.scenario, &core.config, core.round as u64);
+        let mut records = Vec::new();
+        let mut delta = ServiceDelta {
+            active_requesters: 1,
+            ..ServiceDelta::default()
+        };
+        let population = &scenario.population;
+        let class = if scenario.adversaries.is_adversary(requester) {
+            RequesterClass::Adversary
+        } else if matches!(population.behavior(requester), Behavior::FreeRider { .. }) {
+            RequesterClass::FreeRider
+        } else {
+            RequesterClass::Honest
+        };
+        for &provider in scenario.graph.neighbours(requester) {
+            let provider = NodeId(provider);
+            if core.banned[provider.index()] || !scenario.adversaries.participates(provider, round)
+            {
+                continue;
+            }
+            for _ in 0..config.requests_per_edge {
+                let rep = core.aggregated(provider, requester);
+                let admitted = match (rep, core.observer_mean[provider.index()]) {
+                    (Some(r), Some(mean)) => r >= config.admission_threshold * mean,
+                    (None, Some(_)) => config.defense.newcomer == NewcomerPolicy::Optimistic,
+                    _ => true,
+                };
+                delta.count(class, admitted, 1);
+                if admitted {
+                    let outcome = population.behavior(provider).sample_outcome(rng);
+                    records.push(TransactionRecord { provider, outcome });
+                }
+            }
+        }
+        if !records.is_empty() {
+            delta.dirty_rows = 1;
+        }
+        (records, delta)
+    }
+
+    /// Every estimator's value bits and transaction count.
+    fn estimator_bits(state: &NodeState) -> Vec<(NodeId, u64, u64)> {
+        state
+            .estimators
+            .iter()
+            .map(|(&j, est)| (j, est.estimate().get().to_bits(), est.transactions()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// `transact` (admission once per edge, outcomes drawn straight
+        /// into the estimators) leaves every requester's estimators, its
+        /// service counters and its stream exactly where the
+        /// request-by-request path plus `fold_records` leaves them — on
+        /// fresh and on primed aggregated state, with free riders,
+        /// dormant sybils and whitewashers, either newcomer policy, any
+        /// admission threshold and banned providers.
+        #[test]
+        fn draw_and_fold_equals_the_per_record_path(
+            requests_pick in 0usize..5,
+            free_riders in 0.0..0.5f64,
+            adversary in 0usize..3,
+            threshold in 0.0..1.5f64,
+            zero_prior in 0u8..2,
+            primed_rounds in 0usize..3,
+            ban_every in 0u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut config = RunConfig::with_nodes(48)
+                .with_seed(seed)
+                .with_free_riders(free_riders)
+                .with_quality_range(0.3, 1.0)
+                .with_requests_per_edge([0, 1, 2, 7, 50][requests_pick])
+                .with_adversary(
+                    [AdversaryMix::none(), AdversaryMix::sybil(), AdversaryMix::whitewash()]
+                        [adversary],
+                );
+            config.admission_threshold = threshold;
+            if zero_prior == 1 {
+                config.defense.newcomer = NewcomerPolicy::ZeroPrior;
+            }
+            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+            let mut engine = build_engine(scenario, &config);
+            for round in 0..primed_rounds as u64 {
+                engine.run_round(round_seed(seed, round)).expect("round runs");
+            }
+            // Providers expelled by a conviction: skipped, and (as
+            // requesters) gone from the round.
+            if ban_every > 0 {
+                for banned in engine.core_mut().banned.iter_mut().step_by(ban_every as usize + 2) {
+                    *banned = true;
+                }
+            }
+            let core = engine.core();
+            let stream_seed = round_seed(seed, primed_rounds as u64);
+            for requester in core.requesters(0..48, stream_seed) {
+                let start = &core.nodes[requester.index()].estimators;
+                let mut fused = NodeState { estimators: start.clone(), ..NodeState::default() };
+                let mut oracle = NodeState { estimators: start.clone(), ..NodeState::default() };
+                let mut stream =
+                    ChaCha8Rng::seed_from_u64(node_stream_seed(stream_seed, requester.0));
+                let mut oracle_stream = stream.clone();
+                let delta = core.transact_on(&mut fused, requester, &mut stream);
+                let (records, oracle_delta) =
+                    transact_records(core, requester, &mut oracle_stream);
+                oracle.fold_records(&records, config.ewma_rate);
+                prop_assert_eq!(delta, oracle_delta, "requester {}", requester);
+                prop_assert_eq!(estimator_bits(&fused), estimator_bits(&oracle));
+                prop_assert_eq!(stream.next_u64(), oracle_stream.next_u64());
+            }
+        }
     }
 }

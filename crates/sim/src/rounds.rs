@@ -319,10 +319,11 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     let scenario = Arc::clone(&core.scenario);
     let n = scenario.graph.node_count();
 
-    // Phases 1 + 2: transact, then fold each requester's records
-    // into its estimators — inline, one node at a time, but on the
-    // same per-node streams and kernel phases as the parallel engines. Rows go into the dynamic map backend, one
-    // point insertion per entry.
+    // Phases 1 + 2: transact (drawing outcomes straight into the
+    // requester's estimators), then fold ingest and emit the row —
+    // inline, one node at a time, but on the same per-node streams and
+    // kernel phases as the parallel engines. Rows go into the dynamic
+    // map backend, one point insertion per entry.
     let mut delta = ServiceDelta::default();
     let mut nodes = std::mem::take(&mut core.nodes);
     let mut trust = TrustMatrix::new(n);
@@ -331,18 +332,15 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
         .peekable();
     let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
     for requester in scenario.graph.nodes() {
-        let mut records = Vec::new();
+        let state = &mut nodes[requester.index()];
         if requesters.next_if_eq(&requester).is_some() {
-            let (generated, d) = core.transact(requester, round_seed);
-            records = generated;
-            delta.merge(d);
+            delta.merge(core.transact(state, requester, round_seed));
         }
-        // Ingested records fold after the generated ones — the one
-        // ordering every engine reproduces.
-        if pending.peek().is_some_and(|(r, _)| *r == requester) {
-            records.extend(pending.next().expect("peeked").1);
-        }
-        let row = core.emit_row(&mut nodes[requester.index()], requester, records);
+        let ingest = pending
+            .next_if(|(r, _)| *r == requester)
+            .map(|(_, records)| records)
+            .unwrap_or_default();
+        let row = core.emit_row(state, requester, &ingest);
         for (j, report) in row {
             trust
                 .set(requester, j, report)
@@ -361,8 +359,9 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
                 .trust()
                 .robust_subject_sums_and_counts(&core.config.defense.robust);
             let agg = SubjectAggregates::new(&sums, &counts, core.config.scope);
+            let mut y_hat = Vec::new();
             core.aggregated = (0..n as u32)
-                .map(|i| closed_form_row(&system, NodeId(i), core.config.scope, &agg))
+                .map(|i| closed_form_row(&system, NodeId(i), core.config.scope, &agg, &mut y_hat))
                 .collect();
         }
         AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,

@@ -238,7 +238,7 @@ mod tests {
     }
 
     /// The workload bootstrap runs through the kernel's fold
-    /// (`NodeState::fold_records`); no `cmp` gate sees it, because every
+    /// (`NodeState::observe`); no `cmp` gate sees it, because every
     /// artifact and claim uses `TrustSource::Exact`. The golden below
     /// was recorded at the last commit where `workload::estimate_trust`
     /// still ran its own per-edge EWMA loop, so it pins the two paths

@@ -10,10 +10,11 @@
 //!
 //! * node state stays flat in the [`EngineCore`]; each shard works on
 //!   its disjoint `&mut [NodeState]` slice of it;
-//! * transact + estimate run **fused** per shard — a node's records are
-//!   folded into its estimators immediately and its trust row goes
-//!   straight into the shard's rectangular `CsrBuilder`, so no record
-//!   batch or row batch ever exists for more than the in-flight shards
+//! * transact + estimate run **fused** per shard — a requester's
+//!   outcomes are drawn straight into its estimators (no per-request
+//!   record exists at all), its ingest batch folds after them, and its
+//!   trust row goes straight into the shard's rectangular `CsrBuilder`,
+//!   so no row batch ever exists for more than the in-flight shards
 //!   (`O(max-shard edges × threads)` scratch instead of `O(total nnz)`);
 //! * the per-shard CSRs assemble zero-copy into a
 //!   [`ShardedCsr`]-backed [`TrustMatrix`], whose
@@ -146,7 +147,7 @@ impl RoundEngine for ShardedRoundEngine {
 
         // Phases 1 + 2 fused, shard-granular: each shard transacts and
         // estimates its own nodes and freezes its rectangular CSR block
-        // in one pass — per-node records never outlive the node.
+        // in one pass — outcomes go straight into the estimators.
         // Route pending ingest batches to their owning shard; each
         // shard's list stays ascending by requester (the global list
         // is, and shards are contiguous id ranges).
@@ -181,20 +182,19 @@ impl RoundEngine for ShardedRoundEngine {
                 let mut requesters = shared.requesters(spec.range(s), round_seed).peekable();
                 for (local, i) in spec.range(s).enumerate() {
                     let requester = NodeId(i);
-                    let mut records = Vec::new();
+                    let state = &mut shard[local];
                     if requesters.next_if_eq(&requester).is_some() {
-                        let (generated, d) = shared.transact(requester, round_seed);
-                        records = generated;
+                        let d = shared.transact(state, requester, round_seed);
+                        // Active counts (a scheduling signal) stay
+                        // transact-only.
+                        active += d.dirty_rows as usize;
                         delta.merge(d);
                     }
-                    // Active counts (a scheduling signal) stay
-                    // transact-only; ingested records fold after the
-                    // generated ones, same as every other engine.
-                    active += usize::from(!records.is_empty());
-                    if pending.peek().is_some_and(|(r, _)| *r == requester) {
-                        records.extend(pending.next().expect("peeked").1);
-                    }
-                    let row = shared.emit_row(&mut shard[local], requester, records);
+                    let ingest = pending
+                        .next_if(|(r, _)| *r == requester)
+                        .map(|(_, records)| records)
+                        .unwrap_or_default();
+                    let row = shared.emit_row(state, requester, &ingest);
                     builder
                         .extend_row(NodeId(local as u32), row)
                         .expect("estimator keys are in range");
@@ -234,8 +234,9 @@ impl RoundEngine for ShardedRoundEngine {
                     (0..spec.shard_count()).collect(),
                     self.costs.weights(),
                     |s| {
+                        let mut y_hat = Vec::new();
                         spec.range(s)
-                            .map(|i| closed_form_row(&system, NodeId(i), scope, &agg))
+                            .map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut y_hat))
                             .collect()
                     },
                 );

@@ -7,8 +7,8 @@
 //! *generates* them: for every directed neighbour pair `(i, j)`,
 //! `transactions_per_edge` requests from `i` to `j` are simulated, each
 //! served with a quality drawn from `j`'s behaviour profile, and the
-//! round loop's own estimate phase (`NodeState::fold_records`) turns
-//! the outcome stream into `t_ij`.
+//! round loop's own estimate phase (`NodeState::observe`) turns the
+//! outcome stream into `t_ij`.
 //!
 //! It also owns the round-loop *traffic shape*: [`TrafficModel`]
 //! describes which requesters are active in a round (uniform or
@@ -18,7 +18,7 @@
 //! by construction, and the default full-traffic model consumes no
 //! randomness at all.
 
-use crate::kernel::{NodeState, TransactionRecord};
+use crate::kernel::NodeState;
 use dg_core::behavior::Population;
 use dg_gossip::node_stream_seed;
 use dg_graph::{Graph, NodeId};
@@ -28,8 +28,8 @@ use serde::{Deserialize, Serialize};
 
 /// Simulate the workload and estimate the trust matrix: each requester's
 /// `transactions_per_edge` draws per neighbour go through the round
-/// loop's estimate phase (`NodeState::fold_records` at `ewma_rate`), so
-/// a bootstrapped `t_ij` is exactly what a first round of that many
+/// loop's estimate phase (`NodeState::observe` at `ewma_rate`), so a
+/// bootstrapped `t_ij` is exactly what a first round of that many
 /// admitted requests would have produced.
 ///
 /// Every node ends up with an opinion about each of its neighbours — the
@@ -44,17 +44,13 @@ pub fn estimate_trust<R: Rng + ?Sized>(
 ) -> TrustMatrix {
     let mut trust = TrustMatrix::new(graph.node_count());
     for i in graph.nodes() {
-        let neighbours = graph.neighbours(i);
-        let mut records = Vec::with_capacity(neighbours.len() * transactions_per_edge as usize);
-        for &j in neighbours {
+        let mut state = NodeState::default();
+        for &j in graph.neighbours(i) {
             let provider = NodeId(j);
             let behavior = population.behavior(provider);
-            for _ in 0..transactions_per_edge {
-                let outcome = behavior.sample_outcome(rng);
-                records.push(TransactionRecord { provider, outcome });
-            }
+            state.observe(provider, behavior, transactions_per_edge, ewma_rate, rng);
         }
-        for (j, t) in NodeState::default().fold_records(records, ewma_rate) {
+        for (j, t) in state.trust_row() {
             trust.set(i, j, t).expect("graph ids are in range");
         }
     }
