@@ -521,6 +521,12 @@ impl AdversaryAssignment {
         self.strategy(node).distort_row(node, round, row, &mut rng);
     }
 
+    /// Every whitewasher, ascending — the identities a round's wash can
+    /// purge.
+    pub fn washers(&self) -> &[NodeId] {
+        &self.washer_ids
+    }
+
     /// The whitewashers discarding their identity given the round's
     /// per-subject mean reputations (ascending node order);
     /// `subject_mean` is asked about washers only.

@@ -73,8 +73,8 @@
 //! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
-    closed_form_neighbourhood_row_cached, closed_form_row, Changed, EngineCore, ServiceDelta,
-    SubjectAggregates,
+    closed_form_neighbourhood_row_cached, closed_form_row, runs_bits_eq, Changed, EngineCore,
+    ServiceDelta, SubjectAggregates,
 };
 use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
 use crate::session::SessionError;
@@ -256,10 +256,14 @@ fn window<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T]
 }
 
 impl Piece<'_> {
-    fn run(self, ctx: &PatchContext<'_>) {
+    /// Rebuild or patch every observer of the piece; returns those
+    /// whose run changed bitwise, ascending.
+    fn run(self, ctx: &PatchContext<'_>) -> Vec<NodeId> {
         let graph = ctx.system.graph();
         let offsets = graph.offsets();
         let base = offsets[self.first] as usize;
+        let mut edited = Vec::new();
+        let mut before = Vec::new();
         let mut start = 0;
         while start < self.items.len() {
             let o = observer_of(self.items[start]);
@@ -273,7 +277,7 @@ impl Piece<'_> {
             let y_row = &mut self.y_hat[slots];
             let excess = &mut self.excess[o - self.first];
             let run = &mut self.runs[o - self.first];
-            if group[len - 1] as u32 == REBUILD {
+            let changed = if group[len - 1] as u32 == REBUILD {
                 // Dirty observer (changed weights), freshly washed
                 // identity (its run was cleared, not computed) or an
                 // unprimed engine: the full kernel row, over fresh
@@ -283,13 +287,19 @@ impl Piece<'_> {
                     *slot = w;
                 }
                 *excess = weights.iter().sum();
+                before.clone_from(run);
                 closed_form_neighbourhood_row_cached(
                     ctx.system, observer, weights, *excess, ctx.agg, y_row, run,
                 );
+                !runs_bits_eq(&before, run)
             } else {
-                patch_run(ctx, observer, weights, *excess, y_row, run, group);
+                patch_run(ctx, observer, weights, *excess, y_row, run, group)
+            };
+            if changed {
+                edited.push(observer);
             }
         }
+        edited
     }
 }
 
@@ -306,6 +316,9 @@ impl Piece<'_> {
 /// definition, so an untouched cached `ŷ` is bitwise equal to the resum
 /// the rebuild-everything engines perform — most updates collapse to the
 /// `O(1)` Eq. (6) tail instead of an `O(deg)` sweep.
+///
+/// Returns whether the run changed: an entry inserted or dropped, or a
+/// value whose bits moved.
 fn patch_run(
     ctx: &PatchContext<'_>,
     observer: NodeId,
@@ -314,8 +327,9 @@ fn patch_run(
     y_row: &mut [f64],
     run: &mut Vec<(NodeId, f64)>,
     group: &[u64],
-) {
+) -> bool {
     let nbrs = ctx.system.graph().neighbours(observer);
+    let mut changed = false;
     for &item in group {
         let update = &ctx.updates[item as u32 as usize];
         let j = update.subject;
@@ -340,14 +354,22 @@ fn patch_run(
                 .gclr_from_y_hat(y_row[slot], update.sum, update.count as f64, excess)
         };
         match (run.binary_search_by_key(&j, |&(s, _)| s), rep) {
-            (Ok(at), Some(r)) => run[at].1 = r,
+            (Ok(at), Some(r)) => {
+                changed |= run[at].1.to_bits() != r.to_bits();
+                run[at].1 = r;
+            }
             (Ok(at), None) => {
                 run.remove(at);
+                changed = true;
             }
-            (Err(at), Some(r)) => run.insert(at, (j, r)),
+            (Err(at), Some(r)) => {
+                run.insert(at, (j, r));
+                changed = true;
+            }
             (Err(_), None) => {}
         }
     }
+    changed
 }
 
 /// Frontier items per [`Piece`]: small enough that a multi-thread pool
@@ -504,7 +526,11 @@ impl IncrementalRoundEngine {
             updates: &updates,
             changed,
         };
-        pieces.into_par_iter().for_each(|piece| piece.run(&ctx));
+        let edited: Vec<Vec<NodeId>> = pieces
+            .into_par_iter()
+            .map(|piece| piece.run(&ctx))
+            .collect();
+        self.core.marks.mark_all(edited.into_iter().flatten());
 
         if !self.primed {
             self.primed = true;
@@ -560,6 +586,7 @@ impl RoundEngine for IncrementalRoundEngine {
     fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
         let scenario = Arc::clone(&self.core.scenario);
         let n = scenario.graph.node_count();
+        self.core.begin_round();
 
         // Phase 1: transact — a fan-out over index blocks of the same
         // per-requester kernel every engine uses (identical RNG streams),
@@ -596,6 +623,7 @@ impl RoundEngine for IncrementalRoundEngine {
         let mut dirty: Vec<NodeId> = Vec::new();
         for (folded, d) in blocks {
             delta.merge(d);
+            core.marks.mark_all(folded.iter().copied());
             dirty.extend(folded);
         }
 
@@ -639,7 +667,10 @@ impl RoundEngine for IncrementalRoundEngine {
             // no-op while the log has room (full logs are dirty, above)
             // — so skipping clean rows leaves the exact log state the
             // rebuild-everything engines hold.
-            let row = core.emit_row(&mut nodes[i.index()], i, &records);
+            let (row, emitted) = core.emit_row(&mut nodes[i.index()], i, &records);
+            if emitted {
+                core.marks.mark(i);
+            }
             let old: Vec<(NodeId, TrustValue)> = self.trust.row(i).collect();
             if rows_identical(&old, &row) {
                 continue;
@@ -673,10 +704,11 @@ impl RoundEngine for IncrementalRoundEngine {
             // over the delta-maintained aggregates.
             (AggregationMode::ClosedForm, AggregationScope::Full) => {
                 let agg = SubjectAggregates::new(self.cache.sums(), self.cache.counts(), scope);
-                self.core.aggregated = (0..n as u32)
+                let runs: Vec<_> = (0..n as u32)
                     .into_par_iter()
                     .map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut Vec::new()))
                     .collect();
+                self.core.set_runs(runs);
                 None
             }
             // The trust matrix is still maintained incrementally; the
@@ -703,19 +735,10 @@ impl RoundEngine for IncrementalRoundEngine {
         let washed_store = &mut self.washed_last;
         Ok(self
             .core
-            .finish_round(delta, report_entries, changed, |nodes, purged| {
+            .finish_round(delta, report_entries, changed, |purged, forgot| {
                 *washed_store = purged.to_vec();
-                for (i, state) in nodes.iter_mut().enumerate() {
-                    let before = state.estimators.len();
-                    state.forget(purged);
-                    if state.estimators.len() != before {
-                        pending.push(NodeId(i as u32));
-                    }
-                }
-                for &w in purged {
-                    nodes[w.index()].reset_identity();
-                    pending.push(w);
-                }
+                pending.extend_from_slice(forgot);
+                pending.extend_from_slice(purged);
             }))
     }
 }

@@ -49,13 +49,18 @@
 //!   columns (each one whole, in the full pass's addition order — so the
 //!   maintained values are bit-equal to `EngineCore::totals` and
 //!   `row_mean` after every round) and refreshes only those rows.
-//!   `Changed::All`, a purge round and a restore take the full pass.
+//!   `Changed::All`, a purge round and a restore take the full pass;
+//! * `ChangeMarks` — one bit per node, "record changed since the last
+//!   committed checkpoint", set by the phases above exactly where they
+//!   move a node's persisted bits. A delta checkpoint encodes the marked
+//!   nodes' records straight from this state, with no full extract and
+//!   no diff.
 //!
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
 
 use crate::config::RunConfig;
-use crate::rounds::{AggregationScope, NewcomerPolicy, RoundStats};
+use crate::rounds::{AggregationMode, AggregationScope, NewcomerPolicy, RoundStats};
 use crate::scenario::Scenario;
 use crate::session::{node_from_record, node_record, SessionError};
 use crate::workload::ActivityPlan;
@@ -442,10 +447,12 @@ pub(crate) struct NodeState {
 
 impl NodeState {
     /// Drop every trace of the purged identities from this node's view
-    /// (their subjects were washed or convicted).
-    pub(crate) fn forget(&mut self, purged: &[NodeId]) {
+    /// (their subjects were washed or convicted); whether any went.
+    pub(crate) fn forget(&mut self, purged: &[NodeId]) -> bool {
+        let before = self.estimators.len();
         self.estimators
             .retain(|j, _| purged.binary_search(j).is_err());
+        self.estimators.len() != before
     }
 
     /// Reset this node's own identity state (it washed or was
@@ -485,7 +492,9 @@ impl NodeState {
     }
 
     /// Fold transaction records into the estimators one at a time, in
-    /// order — the path of ingested reports.
+    /// order — the path of ingested reports. Every record moves its
+    /// estimator's count, so the state changes exactly when `records`
+    /// is non-empty.
     pub(crate) fn fold_records(&mut self, records: &[TransactionRecord], ewma_rate: f64) {
         for rec in records {
             self.estimators
@@ -519,21 +528,20 @@ struct AuditOutcome {
     pub convicted: Vec<NodeId>,
 }
 
-/// The audit phase over the node states: each target of the
-/// deterministic `(seed, round)` selection has its most recent log
-/// entries re-verified against their implied values, accumulates
-/// strikes, and is convicted at the policy's k-strikes threshold.
+/// The audit phase over the node states: each of the round's `targets`
+/// (the deterministic `(seed, round)` selection) has its most recent
+/// log entries re-verified against their implied values, accumulates
+/// strikes, and is convicted at the policy's k-strikes threshold. A
+/// target that took a strike is marked in `marks`.
 fn run_audit_phase(
     policy: &AuditPolicy,
-    seed: u64,
     round: u64,
+    targets: &[NodeId],
     states: &mut [NodeState],
+    marks: &mut ChangeMarks,
 ) -> AuditOutcome {
     let mut out = AuditOutcome::default();
-    if !policy.enabled() {
-        return out;
-    }
-    for target in audit_targets(seed, round, states.len(), policy.audit_rate) {
+    for &target in targets {
         let state = &mut states[target.index()];
         if state.convicted_at.is_some() {
             continue;
@@ -544,6 +552,11 @@ fn run_audit_phase(
         let strikes = checked.iter().filter(|e| policy.entry_fails(e)).count() as u32;
         state.strikes += strikes;
         out.strikes += strikes as u64;
+        if strikes > 0 {
+            marks.mark(target);
+        }
+        // A conviction purges the target, and a purge round settles the
+        // target's mark with every other exposed node's.
         if state.strikes >= policy.strikes_to_convict {
             state.convicted_at = Some(round);
             out.convicted.push(target);
@@ -552,17 +565,88 @@ fn run_audit_phase(
     out
 }
 
-/// The default purge hook of [`EngineCore::finish_round`]: every node
-/// forgets the purged identities, and the purged identities themselves
-/// start over. `purged` arrives sorted, so membership is a binary
-/// search and each state is swept once.
-pub(crate) fn purge_identities(nodes: &mut [NodeState], purged: &[NodeId]) {
-    for state in nodes.iter_mut() {
-        state.forget(purged);
+/// Bitwise equality of two aggregated runs.
+pub(crate) fn runs_bits_eq(a: &[(NodeId, f64)], b: &[(NodeId, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+/// One bit per node: "this node's record changed since the last
+/// committed checkpoint" — what a delta checkpoint writes. A mark is
+/// set where a node's persisted bits change (estimators, audit state,
+/// aggregated run; the observer mean is its run's `row_mean` and moves
+/// with it), not where code merely runs over the node;
+/// `dg_store::changed` against the committed records is the oracle it
+/// is pinned to.
+#[derive(Debug, Default)]
+pub(crate) struct ChangeMarks {
+    words: Vec<u64>,
+}
+
+impl ChangeMarks {
+    fn new(nodes: usize) -> Self {
+        Self {
+            words: vec![0; nodes.div_ceil(64)],
+        }
     }
-    for &w in purged {
-        nodes[w.index()].reset_identity();
+
+    pub(crate) fn mark(&mut self, node: NodeId) {
+        self.words[node.index() / 64] |= 1 << (node.index() % 64);
     }
+
+    fn unmark(&mut self, node: NodeId) {
+        self.words[node.index() / 64] &= !(1 << (node.index() % 64));
+    }
+
+    fn is_marked(&self, node: NodeId) -> bool {
+        self.words[node.index() / 64] & (1 << (node.index() % 64)) != 0
+    }
+
+    pub(crate) fn mark_all(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        for node in nodes {
+            self.mark(node);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The marked nodes, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    NodeId(w as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+/// What [`EngineCore::begin_round`] settles before a round writes
+/// anything: the round's audit targets, and the nodes a purge at its end
+/// could touch.
+///
+/// Every other write of a round moves bits one way — counts grow, logs
+/// and strikes advance, a run is compared before it is replaced — so
+/// the mark it sets is a real change. A purge is the exception: it
+/// removes everything about the purged identities, including what the
+/// round itself just added (a first estimator of a whitewasher, a run
+/// entry for a subject rated for the first time), and resets the purged
+/// identities, which may have been blank already. So a purge round
+/// settles the mark of every node it could have touched — those that can
+/// hold anything about a purge candidate, the *exposed* nodes — by
+/// comparing its record with the one it started the round with (kept
+/// here, with whether the node was already marked).
+struct RoundOpening {
+    audit_targets: Vec<NodeId>,
+    exposed: Vec<(NodeId, NodeRecord, bool)>,
 }
 
 /// What a round engine is: the cross-round state of a run plus
@@ -593,6 +677,13 @@ pub struct EngineCore {
     /// [`Self::queue_reports`]): ascending by requester.
     pub(crate) pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
     pub(crate) round: usize,
+    /// Nodes whose record changed since the last committed checkpoint
+    /// (or restore): set by every phase that writes persisted state
+    /// (settled against pre-round records where a purge ran), cleared
+    /// only by [`Self::commit_marks`] and [`Self::restore`].
+    pub(crate) marks: ChangeMarks,
+    /// Set by [`Self::begin_round`], consumed by [`Self::finish_round`].
+    opening: Option<RoundOpening>,
 }
 
 impl EngineCore {
@@ -611,6 +702,8 @@ impl EngineCore {
             banned: vec![false; n],
             pending_ingest: Vec::new(),
             round: 0,
+            marks: ChangeMarks::new(n),
+            opening: None,
         }
     }
 
@@ -687,21 +780,38 @@ impl EngineCore {
     /// dirty sets — is deliberately absent; engines rebuild it from the
     /// estimators on the first resumed round.
     pub fn records(&self) -> Vec<NodeRecord> {
-        (0..self.nodes.len())
-            .map(|i| {
-                node_record(
-                    i,
-                    &self.nodes[i],
-                    &self.aggregated[i],
-                    self.observer_mean[i],
-                )
-            })
+        (0..self.nodes.len() as u32)
+            .map(|i| self.record(NodeId(i)))
             .collect()
+    }
+
+    /// One node's entry of [`Self::records`].
+    pub(crate) fn record(&self, node: NodeId) -> NodeRecord {
+        let i = node.index();
+        node_record(
+            i,
+            &self.nodes[i],
+            &self.aggregated[i],
+            self.observer_mean[i],
+        )
+    }
+
+    /// The records of the nodes marked since the last commit,
+    /// ascending, built one at a time — a delta checkpoint's content.
+    pub(crate) fn marked_records(&self) -> impl Iterator<Item = NodeRecord> + '_ {
+        self.marks.iter().map(|node| self.record(node))
+    }
+
+    /// The state is committed: nothing has changed since.
+    pub(crate) fn commit_marks(&mut self) {
+        self.marks.clear();
     }
 
     /// Replace the cross-round state with `records` (dense: record `i`
     /// describes node `i`), about to run `round`. Nothing changes unless
-    /// every record is usable. Queued ingest batches survive. Engines
+    /// every record is usable. Queued ingest batches survive; the
+    /// change marks clear — the restored records are the baseline the
+    /// next delta is taken against. Engines
     /// with derived state go through
     /// [`RoundEngine::restore`](crate::rounds::RoundEngine::restore),
     /// which also resets it.
@@ -731,7 +841,74 @@ impl EngineCore {
         self.observer_mean = observer_mean;
         accumulate_totals(&self.aggregated, &mut self.rep_sums, &mut self.rep_counts);
         self.round = round;
+        self.marks.clear();
         Ok(())
+    }
+
+    /// Open a round before any phase writes state — every engine's
+    /// `run_round` starts here, and [`Self::finish_round`] consumes what
+    /// it settles (`RoundOpening`): the round's audit targets, and the
+    /// nodes a purge could return to their pre-round bits. Those are the
+    /// purge candidates — every whitewasher, and every unconvicted
+    /// target whose audit could reach the conviction threshold — and
+    /// whoever can come to hold anything about them: in closed-form
+    /// neighbourhood scope their neighbours (estimators and runs follow
+    /// edges) and the queued ingest reporters naming them; under any
+    /// other aggregation, everyone. Runs without whitewashers or
+    /// convictable targets expose nobody.
+    pub(crate) fn begin_round(&mut self) {
+        let (policy, n) = (self.config.audit, self.nodes.len());
+        let audit_targets = if policy.enabled() {
+            let seed = self.scenario.config.seed;
+            audit_targets(seed, self.round as u64, n, policy.audit_rate)
+        } else {
+            Vec::new()
+        };
+        let convictable = audit_targets.iter().copied().filter(|t| {
+            let state = &self.nodes[t.index()];
+            state.convicted_at.is_none()
+                && u64::from(state.strikes) + policy.checks_per_audit as u64
+                    >= u64::from(policy.strikes_to_convict)
+        });
+        let mut candidates: Vec<NodeId> = self.scenario.adversaries.washers().to_vec();
+        candidates.extend(convictable);
+        candidates.sort_unstable();
+        candidates.dedup();
+        let neighbourhood = self.config.aggregation == AggregationMode::ClosedForm
+            && self.config.scope == AggregationScope::Neighbourhood;
+        let exposed: Vec<NodeId> = if candidates.is_empty() {
+            Vec::new()
+        } else if neighbourhood {
+            let graph = &self.scenario.graph;
+            let mut exposed = candidates.clone();
+            for &w in &candidates {
+                exposed.extend(graph.neighbours(w).iter().map(|&o| NodeId(o)));
+            }
+            let names_candidate = |records: &[TransactionRecord]| {
+                records
+                    .iter()
+                    .any(|r| candidates.binary_search(&r.provider).is_ok())
+            };
+            exposed.extend(
+                self.pending_ingest
+                    .iter()
+                    .filter(|(_, records)| names_candidate(records))
+                    .map(|&(reporter, _)| reporter),
+            );
+            exposed.sort_unstable();
+            exposed.dedup();
+            exposed
+        } else {
+            (0..n as u32).map(NodeId).collect()
+        };
+        let exposed = exposed
+            .into_iter()
+            .map(|o| (o, self.record(o), self.marks.is_marked(o)))
+            .collect();
+        self.opening = Some(RoundOpening {
+            audit_targets,
+            exposed,
+        });
     }
 
     /// The requesters of `range` that transact this round, ascending:
@@ -860,18 +1037,21 @@ impl EngineCore {
     /// agree with the engines that re-emit everything each round.
     ///
     /// `state` is `node`'s entry of [`Self::nodes`], which the engine
-    /// holds mutably while the rest of the core is read.
+    /// holds mutably while the rest of the core is read. Returns the
+    /// row and whether `state` changed (ingest folded, or the log
+    /// edited) — the engine marks the node when it did.
     pub(crate) fn emit_row(
         &self,
         state: &mut NodeState,
         node: NodeId,
         ingest: &[TransactionRecord],
-    ) -> Vec<(NodeId, TrustValue)> {
+    ) -> (Vec<(NodeId, TrustValue)>, bool) {
         if state.convicted_at.is_some() {
-            return Vec::new();
+            return (Vec::new(), false);
         }
         let (config, round) = (&self.config, self.round as u64);
         state.fold_records(ingest, config.ewma_rate);
+        let mut changed = !ingest.is_empty();
         let mut row = state.trust_row();
         self.scenario
             .adversaries
@@ -882,7 +1062,7 @@ impl EngineCore {
                     .estimators
                     .get(&subject)
                     .map(|est| est.estimate().get());
-                state.log.record(
+                changed |= state.log.record(
                     subject,
                     round,
                     reported.get(),
@@ -891,7 +1071,7 @@ impl EngineCore {
                 );
             }
         }
-        row
+        (row, changed)
     }
 
     /// Phase 3 by real Variation-4 gossip over this round's trust
@@ -910,12 +1090,27 @@ impl EngineCore {
             gossip.validated()?,
             &mut aggregation_rng(round_seed),
         )?;
-        self.aggregated = out
-            .estimates
-            .into_iter()
-            .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
-            .collect();
+        self.set_runs(
+            out.estimates
+                .into_iter()
+                .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect()),
+        );
         Ok(())
+    }
+
+    /// A whole-pass aggregation's result: `runs` (one per observer, in
+    /// observer order) replace the aggregated runs, and every observer
+    /// whose run differs bitwise from the one it replaces is marked.
+    pub(crate) fn set_runs(&mut self, runs: impl IntoIterator<Item = Vec<(NodeId, f64)>>) {
+        let mut replaced = 0;
+        for ((i, run), new) in (0u32..).zip(&mut self.aggregated).zip(runs) {
+            if !runs_bits_eq(run, &new) {
+                self.marks.mark(NodeId(i));
+            }
+            *run = new;
+            replaced += 1;
+        }
+        debug_assert_eq!(replaced, self.aggregated.len(), "one run per observer");
     }
 
     /// The audit phase and the shared round epilogue of every engine:
@@ -923,10 +1118,11 @@ impl EngineCore {
     /// bring the per-subject totals up to date with what the aggregation
     /// phase `changed`, summarise the round, run the whitewash phase
     /// (washers whose mean reputation collapsed discard their identity)
-    /// merged with the audit phase's convictions into one purge —
-    /// `purge` clears the per-node estimator state for the listed ids
-    /// ([`purge_identities`] unless the engine must also record what
-    /// the purge touched); the aggregated runs are scrubbed here — then
+    /// merged with the audit phase's convictions into one purge (every
+    /// node forgets the purged identities, which reset their own, and
+    /// every run is scrubbed of them; `on_purge` then hears the purged
+    /// ids and the nodes whose estimators the purge shrank, for engines
+    /// that keep derived state over them) — then
     /// refresh the observers' admission scales (post-purge, so the next
     /// round treats a fresh identity as a stranger), assemble the
     /// [`RoundStats`] and advance the round counter. One implementation
@@ -940,7 +1136,10 @@ impl EngineCore {
     /// order — and only the edited rows' means are refreshed, so a
     /// steady-state round costs its frontier. [`Changed::All`] and every
     /// purge round (whose scrub walks all runs anyway) take one full
-    /// pass.
+    /// pass. A strike marks its target; what a conviction and the purge
+    /// write is marked by settling every exposed node against its
+    /// pre-round record (`RoundOpening`); a refreshed mean needs no mark
+    /// of its own, since it moves only with its run.
     ///
     /// `report_entries` is the round's report traffic (trust-matrix entry
     /// count after the report phase) — the denominator of the
@@ -950,14 +1149,19 @@ impl EngineCore {
         delta: ServiceDelta,
         report_entries: u64,
         changed: Changed<'_>,
-        purge: impl FnOnce(&mut [NodeState], &[NodeId]),
+        on_purge: impl FnOnce(&[NodeId], &[NodeId]),
     ) -> RoundStats {
         let scenario = Arc::clone(&self.scenario);
+        let opening = self
+            .opening
+            .take()
+            .expect("every round opens with `begin_round`");
         let audit = run_audit_phase(
             &self.config.audit,
-            scenario.config.seed,
             self.round as u64,
+            &opening.audit_targets,
             &mut self.nodes,
+            &mut self.marks,
         );
         for &convict in &audit.convicted {
             self.banned[convict.index()] = true;
@@ -982,8 +1186,8 @@ impl EngineCore {
         }
         let n = aggregated.len();
         let means = class_reputation_means(&scenario, sums, counts);
-        // Sorted, so every membership test below (and in the purge
-        // hooks) is a binary search — the purge stays
+        // Sorted, so every membership test below (and in `on_purge`) is
+        // a binary search — the purge stays
         // `O(entries × log washed)` when a large mix washes thousands of
         // identities at million-node scale. Removals are set operations,
         // so ordering cannot change the result.
@@ -999,10 +1203,19 @@ impl EngineCore {
         purged.sort_unstable();
         purged.dedup();
         if !purged.is_empty() {
-            purge(&mut self.nodes, &purged);
+            // Every node forgets the purged identities, which start over
+            // themselves; `purged` is sorted, so each state is swept once.
+            let mut forgot = Vec::new();
+            for (i, state) in (0u32..).zip(&mut self.nodes) {
+                if state.forget(&purged) {
+                    forgot.push(NodeId(i));
+                }
+            }
             for &w in &purged {
+                self.nodes[w.index()].reset_identity();
                 aggregated[w.index()].clear();
             }
+            on_purge(&purged, &forgot);
             // The scrub walks every run, so totals and observer means
             // are rebuilt in the same pass.
             sums.fill(0.0);
@@ -1015,7 +1228,26 @@ impl EngineCore {
                 }
                 *mean = row_mean(run);
             }
+            // Everything the purge wrote is about a purge candidate, so
+            // only exposed nodes changed here — and only they can have
+            // been returned to their pre-round bits. Their marks are
+            // settled against the record they started the round with.
+            debug_assert!(purged.iter().all(|w| {
+                opening
+                    .exposed
+                    .binary_search_by_key(w, |&(node, _, _)| node)
+                    .is_ok()
+            }));
+            for (node, before, was_marked) in opening.exposed {
+                if !self.record(node).bits_eq(&before) {
+                    self.marks.mark(node);
+                } else if !was_marked {
+                    self.marks.unmark(node);
+                }
+            }
         } else {
+            // A mean is its run's `row_mean`, so it moves only with a run
+            // the aggregation already marked.
             match changed {
                 Changed::All => {
                     for (run, mean) in aggregated.iter().zip(&mut self.observer_mean) {
@@ -1213,6 +1445,222 @@ mod tests {
                 prop_assert_eq!(estimator_bits(&fused), estimator_bits(&oracle));
                 prop_assert_eq!(stream.next_u64(), oracle_stream.next_u64());
             }
+        }
+    }
+
+    /// Run one round of `engine` on `seed` and check that the marks it
+    /// left (nothing was marked before it) are exactly the nodes
+    /// `dg_store::changed` finds moved. Returns the round's stats and
+    /// the records after it.
+    fn round_with_checked_marks(
+        engine: &mut dyn crate::rounds::RoundEngine,
+        seed: u64,
+        what: &str,
+    ) -> (RoundStats, Vec<NodeRecord>) {
+        assert_eq!(
+            engine.core().marks.iter().next(),
+            None,
+            "{what}: marked before"
+        );
+        let before = engine.core().records();
+        let stats = engine.run_round(seed).expect("round runs");
+        let after = engine.core().records();
+        let moved: Vec<u32> = dg_store::changed(&before, &after).map(|r| r.node).collect();
+        let marked: Vec<u32> = engine.core().marks.iter().map(|i| i.0).collect();
+        assert_eq!(marked, moved, "{what}");
+        (stats, after)
+    }
+
+    /// A round seed under which nobody in `core` requests.
+    fn idle_seed(core: &EngineCore) -> u64 {
+        (0u64..)
+            .find(|&s| {
+                core.requesters(0..core.nodes.len() as u32, s)
+                    .next()
+                    .is_none()
+            })
+            .expect("some seed idles a sparsely active network")
+    }
+
+    /// Thirty skewed rounds on every engine through every way a round
+    /// writes persisted state — transact, ingest, whitewash purges
+    /// (washers that were blank before the round among them), audit
+    /// strikes and convictions with full report logs, patched, inserted,
+    /// dropped and rebuilt run entries, a flash crowd, an idle round, a
+    /// restore — and after **every** one the marked nodes are exactly
+    /// the nodes whose record `dg_store::changed` finds moved since the
+    /// last commit. An honest run adds an ingest-only row whose records
+    /// change nothing but its estimators, and an idle round (the
+    /// incremental engine's empty frontier) that marks nothing.
+    #[test]
+    fn marks_equal_the_bitwise_diff_after_every_round() {
+        use crate::rounds::AggregationScope::{Full, Neighbourhood};
+        use crate::workload::TrafficModel;
+        use dg_gossip::EngineKind;
+        use dg_trust::prelude::TransactionOutcome;
+
+        let mix = AdversaryMix {
+            whitewash_fraction: 0.03,
+            stealth_fraction: 0.1,
+            stealth_clique: 5,
+            stealth_bias: 1.0,
+            ..AdversaryMix::none()
+        }
+        .validated()
+        .expect("mix is valid");
+        let audit = AuditPolicy {
+            audit_rate: 0.08,
+            log_capacity: 4,
+            ..AuditPolicy::standard()
+        };
+        let honest = RunConfig::with_nodes(160)
+            .with_seed(71)
+            .with_free_riders(0.15)
+            .with_quality_range(0.4, 1.0)
+            .with_traffic(
+                TrafficModel::full()
+                    .with_activity(0.05)
+                    .with_zipf(0.5)
+                    .with_flash(6, 6.0),
+            );
+        let engines = [
+            (EngineKind::Sequential, 0, Neighbourhood),
+            (EngineKind::Sharded, 1, Neighbourhood),
+            (EngineKind::Sharded, 16, Neighbourhood),
+            (EngineKind::Incremental, 4, Neighbourhood),
+            // Full scope: every run lists every rated subject.
+            (EngineKind::Sequential, 0, Full),
+            (EngineKind::Incremental, 4, Full),
+        ];
+        for (engine_kind, shards, scope) in engines {
+            let label = format!("{engine_kind:?} × {shards}, {scope:?} scope");
+            let honest = honest
+                .with_scope(scope)
+                .with_engine(engine_kind)
+                .with_shards(shards);
+            let config = honest.with_adversary(mix).with_audit(audit);
+            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+            let mut engine = build_engine(scenario, &config);
+            let (mut washes, mut convictions, mut full_logs) = (0, 0, false);
+            for round in 0..30usize {
+                let mut seed = round_seed(config.seed, round as u64);
+                if round == 20 {
+                    // A restore mid-run, with last round's marks still
+                    // pending: the restored records are the baseline the
+                    // marks restart from.
+                    assert!(engine.core().marks.iter().next().is_some());
+                    let records = engine.core().records();
+                    engine
+                        .restore(round, &records)
+                        .expect("own records restore");
+                } else {
+                    engine.core_mut().commit_marks();
+                }
+                match round {
+                    // An ingest-only row: nobody requests, one node's
+                    // records arrive through the ingest queue (rounds 13
+                    // and 16 are not flash rounds, so an idle seed
+                    // exists).
+                    13 => {
+                        let core = engine.core();
+                        seed = idle_seed(core);
+                        let reporter = (0..core.nodes.len())
+                            .find(|&i| !core.banned[i] && core.nodes[i].estimators.is_empty())
+                            .map(|i| NodeId(i as u32))
+                            .expect("an unconvicted node that has not requested yet");
+                        let provider = NodeId(core.scenario.graph.neighbours(reporter)[0]);
+                        let outcome = TransactionOutcome::Served { quality: 0.25 };
+                        engine.core_mut().queue_reports(vec![(
+                            reporter,
+                            vec![TransactionRecord { provider, outcome }],
+                        )]);
+                    }
+                    16 => seed = idle_seed(engine.core()),
+                    _ => {}
+                }
+                let what = format!("{label}: round {round}");
+                let (stats, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
+                washes += stats.washes;
+                convictions += stats.convictions;
+                full_logs |= after
+                    .iter()
+                    .any(|r| r.audit_log.len() >= audit.log_capacity);
+                if round == 13 {
+                    assert_eq!(stats.active_nodes, 0, "{label}: ingest-only round");
+                }
+            }
+            // The run went through what the doc comment says it did.
+            assert!(washes > 0, "{label}: no whitewash purge");
+            assert!(convictions > 0, "{label}: no conviction");
+            assert!(full_logs, "{label}: no full report log");
+
+            // Honest traffic: three rounds, then an ingest-only round
+            // whose one record is about a provider outside the
+            // reporter's neighbourhood (so neither its trust weights nor
+            // its run move), then an idle round.
+            let scenario = Arc::new(Scenario::build(honest).expect("scenario builds"));
+            let mut engine = build_engine(scenario, &honest);
+            for round in 0..5u64 {
+                engine.core_mut().commit_marks();
+                let mut seed = round_seed(honest.seed, round);
+                if round >= 3 {
+                    seed = idle_seed(engine.core());
+                }
+                if round == 3 {
+                    let graph = &engine.core().scenario.graph;
+                    let reporter = NodeId(7);
+                    let provider = (0..graph.node_count() as u32)
+                        .map(NodeId)
+                        .find(|&p| p != reporter && !graph.neighbours(reporter).contains(&p.0))
+                        .expect("a non-neighbour");
+                    let outcome = TransactionOutcome::Served { quality: 0.25 };
+                    engine.core_mut().queue_reports(vec![(
+                        reporter,
+                        vec![TransactionRecord { provider, outcome }],
+                    )]);
+                }
+                let before = engine.core().records();
+                let what = format!("{label}: honest round {round}");
+                let (_, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
+                if round == 4 {
+                    assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
+                }
+            }
+
+            // Whitewashers, no audit: a first round whose only traffic is
+            // ingest about a whitewasher from outside its neighbourhood.
+            // The reports get the washer rated and washed at once, and the
+            // purge takes back all the round wrote — the reporter's
+            // estimator, the neighbours' run entries — so the records end
+            // as blank as they began and nothing may stay marked.
+            let washers = AdversaryMix {
+                whitewash_fraction: 0.03,
+                ..AdversaryMix::none()
+            };
+            let config = honest.with_adversary(washers);
+            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+            let mut engine = build_engine(scenario, &config);
+            let core = engine.core();
+            let (graph, washers) = (&core.scenario.graph, core.scenario.adversaries.washers());
+            let reporter = (0..graph.node_count() as u32)
+                .map(NodeId)
+                .find(|r| {
+                    let near = |&w: &NodeId| w == *r || graph.neighbours(w).contains(&r.0);
+                    !washers.iter().any(near)
+                })
+                .expect("a node out of every washer's neighbourhood");
+            let refused = TransactionRecord {
+                provider: washers[0],
+                outcome: TransactionOutcome::Refused,
+            };
+            let (seed, before) = (idle_seed(core), core.records());
+            engine
+                .core_mut()
+                .queue_reports(vec![(reporter, vec![refused; 20])]);
+            let what = format!("{label}: washed by ingest");
+            let (stats, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
+            assert_eq!(stats.washes, 1, "{what}");
+            assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
         }
     }
 }

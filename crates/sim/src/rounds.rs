@@ -42,9 +42,7 @@
 //! is the driver that adds the resumable seed schedule and checkpoints.
 
 use crate::config::RunConfig;
-use crate::kernel::{
-    closed_form_row, purge_identities, Changed, EngineCore, ServiceDelta, SubjectAggregates,
-};
+use crate::kernel::{closed_form_row, Changed, EngineCore, ServiceDelta, SubjectAggregates};
 use crate::scenario::Scenario;
 use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
@@ -318,6 +316,7 @@ impl SequentialRounds {
 fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundStats, CoreError> {
     let scenario = Arc::clone(&core.scenario);
     let n = scenario.graph.node_count();
+    core.begin_round();
 
     // Phases 1 + 2: transact (drawing outcomes straight into the
     // requester's estimators), then fold ingest and emit the row —
@@ -326,6 +325,7 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     // map backend, one point insertion per entry.
     let mut delta = ServiceDelta::default();
     let mut nodes = std::mem::take(&mut core.nodes);
+    let mut marks = std::mem::take(&mut core.marks);
     let mut trust = TrustMatrix::new(n);
     let mut pending = std::mem::take(&mut core.pending_ingest)
         .into_iter()
@@ -333,14 +333,20 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
     for requester in scenario.graph.nodes() {
         let state = &mut nodes[requester.index()];
+        let mut touched = false;
         if requesters.next_if_eq(&requester).is_some() {
-            delta.merge(core.transact(state, requester, round_seed));
+            let d = core.transact(state, requester, round_seed);
+            touched = d.dirty_rows > 0;
+            delta.merge(d);
         }
         let ingest = pending
             .next_if(|(r, _)| *r == requester)
             .map(|(_, records)| records)
             .unwrap_or_default();
-        let row = core.emit_row(state, requester, &ingest);
+        let (row, emitted) = core.emit_row(state, requester, &ingest);
+        if touched || emitted {
+            marks.mark(requester);
+        }
         for (j, report) in row {
             trust
                 .set(requester, j, report)
@@ -349,6 +355,7 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     }
     drop(requesters); // ends its borrow of `core`
     core.nodes = nodes;
+    core.marks = marks;
     let report_entries = trust.entry_count() as u64;
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
@@ -358,18 +365,19 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
             let (sums, counts) = system
                 .trust()
                 .robust_subject_sums_and_counts(&core.config.defense.robust);
-            let agg = SubjectAggregates::new(&sums, &counts, core.config.scope);
+            let scope = core.config.scope;
+            let agg = SubjectAggregates::new(&sums, &counts, scope);
             let mut y_hat = Vec::new();
-            core.aggregated = (0..n as u32)
-                .map(|i| closed_form_row(&system, NodeId(i), core.config.scope, &agg, &mut y_hat))
-                .collect();
+            core.set_runs(
+                (0..n as u32).map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut y_hat)),
+            );
         }
         AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
     }
 
     // Audit phase + shared round epilogue: summary, whitewash +
     // conviction purge, admission scales, stats.
-    Ok(core.finish_round(delta, report_entries, Changed::All, purge_identities))
+    Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
 }
 
 impl RoundEngine for SequentialRounds {

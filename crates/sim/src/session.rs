@@ -30,8 +30,9 @@
 //!
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly
-//! idle network persist as dirty-row *delta* records
-//! ([`dg_store::changed`]) against the last checkpoint. This
+//! idle network persist as *delta* records — only the nodes the engine
+//! marked as changed since the last checkpoint, each encoded straight
+//! from live state. This
 //! module is the one place that converts between a node's live state
 //! and its record, and the conversion back validates what it reads: a
 //! store is outside input.
@@ -41,15 +42,13 @@
 //! their own round seeds use those directly and give up resumability.
 
 pub use crate::config::RunConfig;
-use crate::kernel::NodeState;
+use crate::kernel::{row_mean, NodeState};
 use crate::rounds::{build_engine, RoundEngine, RoundStats};
 use crate::scenario::Scenario;
 use dg_core::CoreError;
 use dg_gossip::GossipError;
 use dg_graph::NodeId;
-use dg_store::{
-    changed, AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError,
-};
+use dg_store::{AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError};
 use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::EwmaEstimator;
 use dg_trust::{ShardSpec, TrustValue};
@@ -148,7 +147,8 @@ pub(crate) type NodeParts = (NodeState, Vec<(NodeId, f64)>, Option<f64>);
 /// comes from disk, so everything the round loop would index, search or
 /// feed into admission arithmetic is checked first: every id list
 /// strictly ascending (the run and the audit log are binary-searched)
-/// and below `nodes`, rates in `[0, 1]`, run values and the mean finite.
+/// and below `nodes`, rates in `[0, 1]`, run values and the mean finite,
+/// the mean exactly its run's [`row_mean`].
 /// Records this crate wrote pass unchanged, bit for bit.
 pub(crate) fn node_from_record(
     node: usize,
@@ -213,11 +213,19 @@ pub(crate) fn node_from_record(
         strikes: record.strikes,
         convicted_at: record.convicted_at,
     };
-    let run = record
+    let run: Vec<(NodeId, f64)> = record
         .run
         .iter()
         .map(|&(j, rep)| (NodeId(j), rep))
         .collect();
+    // Rounds keep the mean equal to its run's, and delta checkpoints
+    // rely on it: a mean never moves without its run.
+    if record.mean.map(f64::to_bits) != row_mean(&run).map(f64::to_bits) {
+        return Err(bad(format!(
+            "observer mean {:?} is not the mean of its run",
+            record.mean
+        )));
+    }
     Ok((state, run, record.mean))
 }
 
@@ -250,11 +258,10 @@ pub struct RunSession {
     engine: Box<dyn RoundEngine>,
     config: RunConfig,
     stats: Vec<RoundStats>,
-    /// Records as of the last checkpoint — the delta diff base.
-    last_records: Vec<NodeRecord>,
     /// Store root and round of the last checkpoint *we* wrote or
     /// resumed from (deltas only extend a chain this session owns
-    /// end-to-end, in the directory it owns it in).
+    /// end-to-end, in the directory it owns it in). The engine's change
+    /// marks count from exactly this checkpoint.
     last_checkpoint: Option<(PathBuf, u64)>,
 }
 
@@ -271,7 +278,6 @@ impl RunSession {
             engine: build_engine(scenario, &config),
             config,
             stats: Vec::new(),
-            last_records: Vec::new(),
             last_checkpoint: None,
         })
     }
@@ -364,12 +370,14 @@ impl RunSession {
     /// [`FULL_EPOCH_INTERVAL`]-th time, and whenever the chain in `dir`
     /// is not the one this session last wrote or resumed); in between,
     /// consecutive checkpoints persist only the node records that
-    /// changed since the last one, as a delta on the chain.
+    /// changed since the last one, as a delta on the chain: the nodes
+    /// the engine marked, encoded one at a time from live state (no
+    /// full record list, no diff). The marks clear only once the commit
+    /// succeeds, so a failed checkpoint can simply be retried.
     /// Checkpointing the same round twice rewrites a full epoch
     /// idempotently.
     pub fn checkpoint(&mut self, dir: &Path) -> Result<CheckpointKind, SessionError> {
         let round = self.round() as u64;
-        let records = self.records();
         let store = Store::open(dir);
         let head = store.head()?;
 
@@ -397,33 +405,35 @@ impl RunSession {
             notes: String::new(),
         };
 
-        // The chain's tip must be the checkpoint `last_records` mirrors:
-        // same directory, same round. Another directory whose unrelated
-        // chain happens to end on that round gets a full epoch (paths
-        // compare as given, so an alias of the same directory merely
-        // costs one too).
+        // The chain's tip must be the checkpoint the engine's change
+        // marks count from: same directory, same round. Another
+        // directory whose unrelated chain happens to end on that round
+        // gets a full epoch (paths compare as given, so an alias of the
+        // same directory merely costs one too).
         let base = match (&head, &self.last_checkpoint) {
             (Some(h), Some((root, base)))
                 if root == dir
                     && h.latest_round() == *base
                     && round > *base
-                    && h.delta_rounds.len() < FULL_EPOCH_INTERVAL
-                    && !self.last_records.is_empty() =>
+                    && h.delta_rounds.len() < FULL_EPOCH_INTERVAL =>
             {
                 Some(*base)
             }
             _ => None,
         };
 
+        let core = self.engine.core();
         let kind = if let Some(base) = base {
             header.base_round = Some(base);
-            store.write_delta(&header, changed(&self.last_records, &records))?;
+            store.write_delta(&header, core.marked_records())?;
             CheckpointKind::Delta
         } else {
-            store.write_epoch(&header, &records)?;
+            store.write_epoch(&header, &core.records())?;
             CheckpointKind::Full
         };
-        self.last_records = records;
+        // Committed: the marks restart from this state. A failed write
+        // returned above with them intact, so a retry loses nothing.
+        self.engine.core_mut().commit_marks();
         self.last_checkpoint = Some((dir.to_path_buf(), round));
         Ok(kind)
     }
@@ -465,7 +475,6 @@ impl RunSession {
             .engine
             .restore(snapshot.header.round as usize, &snapshot.records)?;
         session.stats = stats;
-        session.last_records = snapshot.records;
         session.last_checkpoint = Some((dir.to_path_buf(), snapshot.header.round));
         Ok(session)
     }
@@ -563,6 +572,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_checkpoint_keeps_its_marks_and_the_retry_loses_nothing() {
+        let dir = temp_dir("failed_write");
+        let mut session = RunSession::new(small_config()).unwrap();
+        session.run_to(1).unwrap();
+        assert_eq!(session.checkpoint(&dir).unwrap(), CheckpointKind::Full);
+        session.run_to(3).unwrap();
+        let marked: Vec<NodeId> = session.engine.core().marks.iter().collect();
+        assert!(!marked.is_empty());
+
+        // A directory where the delta's temporary file must go.
+        let obstacle = dir.join("delta-3.bin.tmp");
+        std::fs::create_dir_all(&obstacle).unwrap();
+        match session.checkpoint(&dir) {
+            Err(SessionError::Store(StoreError::Io { .. })) => {}
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        let kept: Vec<NodeId> = session.engine.core().marks.iter().collect();
+        assert_eq!(kept, marked, "a failed write cleared marks");
+
+        std::fs::remove_dir(&obstacle).unwrap();
+        assert_eq!(session.checkpoint(&dir).unwrap(), CheckpointKind::Delta);
+        let on_disk = Store::open(&dir).load_latest().unwrap().records;
+        assert_eq!(first_divergence(&on_disk, &session.records()), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_same_round_twice_rewrites_full_epoch() {
         let config = small_config();
         let dir = temp_dir("rewrite");
@@ -630,7 +666,7 @@ mod tests {
             implied: Some(0.5),
         };
         type Damage = fn(&mut NodeRecord);
-        let cases: [(&str, Damage); 11] = [
+        let cases: [(&str, Damage); 12] = [
             ("estimator peer 80 is not", |r| r.estimators[0].peer = 80),
             ("run subject 80 is not", |r| {
                 r.run.last_mut().unwrap().0 = 80
@@ -643,6 +679,9 @@ mod tests {
             ("estimator rate 1.5", |r| r.estimators[0].rate = 1.5),
             ("run value inf", |r| r.run[0].1 = f64::INFINITY),
             ("observer mean Some(NaN)", |r| r.mean = Some(f64::NAN)),
+            ("is not the mean of its run", |r| {
+                r.mean = r.mean.map(|m| m / 2.0)
+            }),
             ("record describes node", |r| r.node += 1),
         ];
         for (expect, damage) in cases {

@@ -47,8 +47,8 @@
 //! 1/16/64 × threads 1/2/8, with and without an adversarial mix.
 
 use crate::kernel::{
-    closed_form_row, purge_identities, Changed, EngineCore, NodeState, ServiceDelta,
-    SubjectAggregates, TransactionRecord,
+    closed_form_row, Changed, EngineCore, NodeState, ServiceDelta, SubjectAggregates,
+    TransactionRecord,
 };
 use crate::rounds::{AggregationMode, RoundEngine, RoundStats};
 use crate::scenario::Scenario;
@@ -144,6 +144,7 @@ impl RoundEngine for ShardedRoundEngine {
         let core = &mut self.core;
         let scenario = Arc::clone(&core.scenario);
         let n = scenario.graph.node_count();
+        core.begin_round();
 
         // Phases 1 + 2 fused, shard-granular: each shard transacts and
         // estimates its own nodes and freezes its rectangular CSR block
@@ -173,43 +174,50 @@ impl RoundEngine for ShardedRoundEngine {
         // Weighted fan-out: last round's cost estimates seed the
         // stealing scheduler heaviest-shard-first; the weights steer
         // only wall-clock (results commit in shard order).
-        let estimated: Vec<(CsrStorage, ServiceDelta, usize)> =
+        let estimated: Vec<(CsrStorage, ServiceDelta, usize, Vec<NodeId>)> =
             rayon::map_weighted(work, self.costs.weights(), |(s, shard, pending)| {
                 let mut delta = ServiceDelta::default();
                 let mut active = 0usize;
+                let mut touched = Vec::new();
                 let mut builder = CsrBuilder::rectangular(shard.len(), n);
                 let mut pending = pending.into_iter().peekable();
                 let mut requesters = shared.requesters(spec.range(s), round_seed).peekable();
                 for (local, i) in spec.range(s).enumerate() {
                     let requester = NodeId(i);
                     let state = &mut shard[local];
+                    let mut folded = false;
                     if requesters.next_if_eq(&requester).is_some() {
                         let d = shared.transact(state, requester, round_seed);
                         // Active counts (a scheduling signal) stay
                         // transact-only.
                         active += d.dirty_rows as usize;
+                        folded = d.dirty_rows > 0;
                         delta.merge(d);
                     }
                     let ingest = pending
                         .next_if(|(r, _)| *r == requester)
                         .map(|(_, records)| records)
                         .unwrap_or_default();
-                    let row = shared.emit_row(state, requester, &ingest);
+                    let (row, emitted) = shared.emit_row(state, requester, &ingest);
+                    if folded || emitted {
+                        touched.push(requester);
+                    }
                     builder
                         .extend_row(NodeId(local as u32), row)
                         .expect("estimator keys are in range");
                 }
-                (builder.build(), delta, active)
+                (builder.build(), delta, active, touched)
             });
         core.nodes = nodes;
 
         let mut delta = ServiceDelta::default();
         let mut parts = Vec::with_capacity(spec.shard_count());
         let mut active_counts = Vec::with_capacity(spec.shard_count());
-        for (csr, d, active) in estimated {
+        for (csr, d, active, touched) in estimated {
             delta.merge(d);
             parts.push(csr);
             active_counts.push(active);
+            core.marks.mark_all(touched);
         }
         let sharded = ShardedCsr::from_parts(spec, parts).expect("shards built to spec");
         // Refresh the estimates with this round's measured signal; the
@@ -240,14 +248,14 @@ impl RoundEngine for ShardedRoundEngine {
                             .collect()
                     },
                 );
-                core.aggregated = shard_runs.into_iter().flatten().collect();
+                core.set_runs(shard_runs.into_iter().flatten());
             }
             AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
         }
 
         // Audit phase + shared round epilogue: summary, whitewash +
         // conviction purge, admission scales, stats.
-        Ok(core.finish_round(delta, report_entries, Changed::All, purge_identities))
+        Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
     }
 }
 

@@ -203,6 +203,17 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Overwrite the `u32` written at byte offset `at` — the back-patch
+    /// of a count prefix written before its items.
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

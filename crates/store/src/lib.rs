@@ -12,7 +12,9 @@
 //! * **Delta records between epochs.** Under skewed traffic most rows
 //!   never change between checkpoints; a delta checkpoint stores only
 //!   the node records whose bits changed since the previous checkpoint
-//!   (the same dirty-row observation the incremental engine exploits).
+//!   (the same dirty-row observation the incremental engine exploits),
+//!   streamed in by the writer — [`changed`] is the diff they must
+//!   equal.
 //! * **Crash safety and forward compatibility.** Every file is written
 //!   to a temporary sibling and renamed into place; the checkpoint only
 //!   becomes visible when `HEAD.json` commits it. Headers are JSON with

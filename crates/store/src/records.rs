@@ -104,7 +104,7 @@ pub struct NodeRecord {
 impl NodeRecord {
     /// Bitwise equality: `f64`s compare by `to_bits`, so two records are
     /// equal exactly when restoring either yields identical engine
-    /// state. This is the predicate delta checkpoints diff with.
+    /// state. This is the predicate [`changed`] diffs with.
     pub fn bits_eq(&self, other: &NodeRecord) -> bool {
         self.node == other.node
             && self.estimators.len() == other.estimators.len()
@@ -241,10 +241,12 @@ fn opt_bits_eq(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
-/// The node records in `next` whose bits changed relative to `prev`
-/// (the delta checkpoint's content), borrowed. Both slices must describe
-/// the same node set in the same order; nodes only present in `next`
-/// count as changed.
+/// The node records in `next` whose bits changed relative to `prev`,
+/// borrowed — what a delta checkpoint between the two must hold. A
+/// writer that tracks its own changes (the simulator's change marks)
+/// needs no diff; this is the oracle such marks are tested against.
+/// Both slices must describe the same node set in the same order; nodes
+/// only present in `next` count as changed.
 pub fn changed<'a>(
     prev: &'a [NodeRecord],
     next: &'a [NodeRecord],
@@ -260,13 +262,21 @@ pub fn diff_changed(prev: &[NodeRecord], next: &[NodeRecord]) -> Vec<NodeRecord>
     changed(prev, next).cloned().collect()
 }
 
-/// Encode a list of records, owned or borrowed, with a count prefix
-/// (shard and delta payload body).
-pub(crate) fn encode_records(w: &mut ByteWriter, records: &[impl Borrow<NodeRecord>]) {
-    w.put_u32(records.len() as u32);
+/// Encode records, owned or borrowed, behind a count prefix (shard and
+/// delta payload body) — one at a time as the iterator yields them, the
+/// prefix back-patched once the count is known.
+pub(crate) fn encode_records(
+    w: &mut ByteWriter,
+    records: impl IntoIterator<Item = impl Borrow<NodeRecord>>,
+) {
+    let prefix = w.len();
+    w.put_u32(0);
+    let mut count = 0u32;
     for record in records {
         record.borrow().encode(w);
+        count += 1;
     }
+    w.patch_u32(prefix, count);
 }
 
 /// Decode a count-prefixed record list laid out in format `version`.

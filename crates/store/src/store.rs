@@ -7,6 +7,7 @@ use crate::records::{decode_records, encode_records, NodeRecord, SnapshotHeader}
 use crate::StoreError;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 
 /// The commit point of a checkpoint directory: which epoch is current
@@ -231,15 +232,16 @@ impl Store {
         write_json(&self.head_path(), "HEAD", &head)
     }
 
-    /// Write a delta checkpoint holding only `changed` records (borrowed:
-    /// a slice, or [`changed`](crate::changed) itself), on top
-    /// of the currently committed chain. `header.base_round` must name
-    /// the committed latest round; the commit appends `header.round` to
-    /// the chain.
-    pub fn write_delta<'a>(
+    /// Write a delta checkpoint holding only `changed` records, on top
+    /// of the currently committed chain. The records may be owned or
+    /// borrowed (a slice, [`changed`](crate::changed) itself, or records
+    /// built one at a time); each is encoded as it arrives, so no list
+    /// of them is ever held. `header.base_round` must name the committed
+    /// latest round; the commit appends `header.round` to the chain.
+    pub fn write_delta(
         &self,
         header: &SnapshotHeader,
-        changed: impl IntoIterator<Item = &'a NodeRecord>,
+        changed: impl IntoIterator<Item = impl Borrow<NodeRecord>>,
     ) -> Result<(), StoreError> {
         let mut head = self.head()?.ok_or_else(|| StoreError::NoSnapshot {
             dir: self.root.display().to_string(),
@@ -261,16 +263,19 @@ impl Store {
                 ),
             });
         }
-        let changed: Vec<&NodeRecord> = changed.into_iter().collect();
-        if changed.iter().any(|r| u64::from(r.node) >= header.nodes) {
+        let mut w = ByteWriter::new();
+        w.put_u64(latest);
+        w.put_u64(header.round);
+        let mut stray = false;
+        let checked = changed.into_iter().inspect(|r| {
+            stray |= u64::from(r.borrow().node) >= header.nodes;
+        });
+        encode_records(&mut w, checked);
+        if stray {
             return Err(StoreError::Invalid {
                 reason: "changed record names a node outside the snapshot".into(),
             });
         }
-        let mut w = ByteWriter::new();
-        w.put_u64(latest);
-        w.put_u64(header.round);
-        encode_records(&mut w, &changed);
         write_frame(
             &self.delta_bin_path(header.round),
             FrameKind::Delta,
@@ -482,6 +487,36 @@ mod tests {
         assert!(snap.records[1].bits_eq(&record(1, 11.0)));
         assert!(snap.records[5].bits_eq(&record(5, 12.0)));
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn owned_and_borrowed_records_write_the_same_delta_bytes() {
+        let changed = [record(1, 9.0), record(4, -0.0), record(5, 12.5)];
+        let mut h = header(4, 6, vec![(0, 3), (3, 6)]);
+        h.base_round = Some(2);
+        let write = |tag: &str, owned: bool| {
+            let root = temp_root(tag);
+            let store = Store::open(&root);
+            store
+                .write_epoch(&header(2, 6, vec![(0, 3), (3, 6)]), &records(6, 0.5))
+                .unwrap();
+            if owned {
+                // Owned records made one at a time, as a session
+                // streams them out of live state.
+                store.write_delta(&h, changed.iter().cloned()).unwrap();
+            } else {
+                store.write_delta(&h, &changed[..]).unwrap();
+            }
+            let bytes = std::fs::read(store.delta_bin_path(4)).unwrap();
+            let loaded = store.load_latest().unwrap();
+            std::fs::remove_dir_all(&root).unwrap();
+            (bytes, loaded)
+        };
+        let (owned, from_owned) = write("delta_owned", true);
+        let (borrowed, from_borrowed) = write("delta_borrowed", false);
+        assert_eq!(owned, borrowed, "delta files differ");
+        assert_eq!(from_owned, from_borrowed);
+        assert!(from_owned.records[4].bits_eq(&record(4, -0.0)));
     }
 
     #[test]

@@ -216,7 +216,8 @@ impl ReportLog {
     /// entry already holds the same `(reported, implied)` bits;
     /// otherwise upsert with `round`, evicting the stalest entry
     /// (oldest round, smallest subject on ties) when `capacity` is
-    /// exceeded.
+    /// exceeded. Returns whether the log changed — `false` for the
+    /// no-op, and for an insert whose own entry is the one evicted.
     pub fn record(
         &mut self,
         subject: NodeId,
@@ -224,9 +225,9 @@ impl ReportLog {
         reported: f64,
         implied: Option<f64>,
         capacity: usize,
-    ) {
+    ) -> bool {
         if capacity == 0 {
-            return;
+            return false;
         }
         match self.entries.binary_search_by_key(&subject, |e| e.subject) {
             Ok(ix) => {
@@ -238,6 +239,7 @@ impl ReportLog {
                     e.reported = reported;
                     e.implied = implied;
                 }
+                !same
             }
             Err(ix) => {
                 self.entries.insert(
@@ -258,7 +260,9 @@ impl ReportLog {
                         .map(|(i, _)| i)
                         .expect("non-empty log");
                     self.entries.remove(evict);
+                    return evict != ix;
                 }
+                true
             }
         }
     }
@@ -355,15 +359,31 @@ mod tests {
     #[test]
     fn record_is_content_conditional() {
         let mut log = ReportLog::default();
-        log.record(NodeId(7), 1, 0.5, Some(0.5), 16);
+        assert!(log.record(NodeId(7), 1, 0.5, Some(0.5), 16));
         // Same bits, later round: total no-op — the round sticks.
-        log.record(NodeId(7), 5, 0.5, Some(0.5), 16);
+        assert!(!log.record(NodeId(7), 5, 0.5, Some(0.5), 16));
         assert_eq!(log.entries()[0].round, 1);
         // Changed bits: the entry moves to the new round.
-        log.record(NodeId(7), 6, 0.25, Some(0.5), 16);
+        assert!(log.record(NodeId(7), 6, 0.25, Some(0.5), 16));
         assert_eq!(log.entries()[0].round, 6);
         assert_eq!(log.entries()[0].reported, 0.25);
         assert_eq!(log.len(), 1);
+        // Zero capacity logs nothing.
+        assert!(!log.record(NodeId(8), 7, 0.5, None, 0));
+    }
+
+    #[test]
+    fn an_insert_that_evicts_itself_reports_no_change() {
+        let mut log = ReportLog::default();
+        assert!(log.record(NodeId(5), 3, 0.5, Some(0.5), 2));
+        assert!(log.record(NodeId(9), 3, 0.5, Some(0.5), 2));
+        let before = log.clone();
+        // Same round, smallest subject: the new entry is the stalest.
+        assert!(!log.record(NodeId(1), 3, 0.5, Some(0.5), 2));
+        assert_eq!(log, before);
+        // A later round evicts an old entry instead.
+        assert!(log.record(NodeId(1), 4, 0.5, Some(0.5), 2));
+        assert_ne!(log, before);
     }
 
     #[test]
