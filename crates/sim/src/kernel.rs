@@ -50,11 +50,11 @@
 //!   maintained values are bit-equal to `EngineCore::totals` and
 //!   `row_mean` after every round) and refreshes only those rows.
 //!   `Changed::All`, a purge round and a restore take the full pass;
-//! * `ChangeMarks` — one bit per node, "record changed since the last
-//!   committed checkpoint", set by the phases above exactly where they
-//!   move a node's persisted bits. A delta checkpoint encodes the marked
-//!   nodes' records straight from this state, with no full extract and
-//!   no diff.
+//! * `ChangeMarks` — one bit per node, "a round since the last committed
+//!   checkpoint changed this record", set by the phases above exactly
+//!   where they move a node's persisted bits. A delta checkpoint
+//!   encodes the marked nodes' records straight from this state, with
+//!   no full extract and no diff.
 //!
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
@@ -555,8 +555,7 @@ fn run_audit_phase(
         if strikes > 0 {
             marks.mark(target);
         }
-        // A conviction purges the target, and a purge round settles the
-        // target's mark with every other exposed node's.
+        // A conviction purges the target, and the purge marks it.
         if state.strikes >= policy.strikes_to_convict {
             state.convicted_at = Some(round);
             out.convicted.push(target);
@@ -573,13 +572,15 @@ pub(crate) fn runs_bits_eq(a: &[(NodeId, f64)], b: &[(NodeId, f64)]) -> bool {
             .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
 }
 
-/// One bit per node: "this node's record changed since the last
-/// committed checkpoint" — what a delta checkpoint writes. A mark is
-/// set where a node's persisted bits change (estimators, audit state,
-/// aggregated run; the observer mean is its run's `row_mean` and moves
-/// with it), not where code merely runs over the node;
-/// `dg_store::changed` against the committed records is the oracle it
-/// is pinned to.
+/// One bit per node: "a round since the last committed checkpoint
+/// changed this node's record" — what a delta checkpoint writes. A mark
+/// is set where a round moves a node's persisted bits (estimators,
+/// audit state, aggregated run; the observer mean is its run's
+/// `row_mean` and moves with it), not where code merely runs over the
+/// node. After one round the marked nodes are exactly those
+/// `dg_store::changed` finds between the records before and after it;
+/// after several, the union of those sets — which may include a node a
+/// later round returned to its committed bits.
 #[derive(Debug, Default)]
 pub(crate) struct ChangeMarks {
     words: Vec<u64>,
@@ -630,23 +631,26 @@ impl ChangeMarks {
 }
 
 /// What [`EngineCore::begin_round`] settles before a round writes
-/// anything: the round's audit targets, and the nodes a purge at its end
-/// could touch.
+/// anything: the round's audit targets, and the pre-round records a
+/// purge at its end is settled against.
 ///
 /// Every other write of a round moves bits one way — counts grow, logs
 /// and strikes advance, a run is compared before it is replaced — so
-/// the mark it sets is a real change. A purge is the exception: it
-/// removes everything about the purged identities, including what the
-/// round itself just added (a first estimator of a whitewasher, a run
-/// entry for a subject rated for the first time), and resets the purged
-/// identities, which may have been blank already. So a purge round
-/// settles the mark of every node it could have touched — those that can
-/// hold anything about a purge candidate, the *exposed* nodes — by
-/// comparing its record with the one it started the round with (kept
-/// here, with whether the node was already marked).
+/// the mark it sets is a real change. A purge marks every node it
+/// touches, but it removes everything about the purged identities,
+/// including what the round itself just added (a first estimator of a
+/// whitewasher, a run entry for a subject rated for the first time),
+/// and resets the purged identities, which may have been blank already.
+/// Only a node that can come to hold something about a purge candidate
+/// this round — an *exposed* node — can be returned to the bits it
+/// started the round with; every other node the purge touches lost
+/// something it held before. So the record of each exposed node that is
+/// not yet marked is kept here, and a purge round unmarks it again if
+/// the node ends the round back at those bits. A node already marked
+/// stays marked whatever the round does.
 struct RoundOpening {
     audit_targets: Vec<NodeId>,
-    exposed: Vec<(NodeId, NodeRecord, bool)>,
+    unmarked_exposed: Vec<(NodeId, NodeRecord)>,
 }
 
 /// What a round engine is: the cross-round state of a run plus
@@ -677,10 +681,10 @@ pub struct EngineCore {
     /// [`Self::queue_reports`]): ascending by requester.
     pub(crate) pending_ingest: Vec<(NodeId, Vec<TransactionRecord>)>,
     pub(crate) round: usize,
-    /// Nodes whose record changed since the last committed checkpoint
-    /// (or restore): set by every phase that writes persisted state
-    /// (settled against pre-round records where a purge ran), cleared
-    /// only by [`Self::commit_marks`] and [`Self::restore`].
+    /// Nodes whose record a round changed since the last committed
+    /// checkpoint (or restore): set by every phase that writes persisted
+    /// state (settled against pre-round records where a purge ran),
+    /// cleared only by [`Self::commit_marks`] and [`Self::restore`].
     pub(crate) marks: ChangeMarks,
     /// Set by [`Self::begin_round`], consumed by [`Self::finish_round`].
     opening: Option<RoundOpening>,
@@ -848,14 +852,15 @@ impl EngineCore {
     /// Open a round before any phase writes state — every engine's
     /// `run_round` starts here, and [`Self::finish_round`] consumes what
     /// it settles (`RoundOpening`): the round's audit targets, and the
-    /// nodes a purge could return to their pre-round bits. Those are the
-    /// purge candidates — every whitewasher, and every unconvicted
-    /// target whose audit could reach the conviction threshold — and
-    /// whoever can come to hold anything about them: in closed-form
-    /// neighbourhood scope their neighbours (estimators and runs follow
-    /// edges) and the queued ingest reporters naming them; under any
-    /// other aggregation, everyone. Runs without whitewashers or
-    /// convictable targets expose nobody.
+    /// pre-round records of the unmarked nodes a purge could return to
+    /// those bits. Those are the purge candidates — every whitewasher,
+    /// and every unconvicted target whose audit could reach the
+    /// conviction threshold — and whoever can come to hold anything
+    /// about them this round: in closed-form neighbourhood scope their
+    /// neighbours (generated traffic and runs follow edges) and the
+    /// queued ingest reporters naming them; under any other aggregation,
+    /// everyone. Runs without whitewashers or convictable targets expose
+    /// nobody, and a node already marked needs no copy.
     pub(crate) fn begin_round(&mut self) {
         let (policy, n) = (self.config.audit, self.nodes.len());
         let audit_targets = if policy.enabled() {
@@ -901,13 +906,14 @@ impl EngineCore {
         } else {
             (0..n as u32).map(NodeId).collect()
         };
-        let exposed = exposed
+        let unmarked_exposed = exposed
             .into_iter()
-            .map(|o| (o, self.record(o), self.marks.is_marked(o)))
+            .filter(|&o| !self.marks.is_marked(o))
+            .map(|o| (o, self.record(o)))
             .collect();
         self.opening = Some(RoundOpening {
             audit_targets,
-            exposed,
+            unmarked_exposed,
         });
     }
 
@@ -1136,10 +1142,10 @@ impl EngineCore {
     /// order — and only the edited rows' means are refreshed, so a
     /// steady-state round costs its frontier. [`Changed::All`] and every
     /// purge round (whose scrub walks all runs anyway) take one full
-    /// pass. A strike marks its target; what a conviction and the purge
-    /// write is marked by settling every exposed node against its
-    /// pre-round record (`RoundOpening`); a refreshed mean needs no mark
-    /// of its own, since it moves only with its run.
+    /// pass. A strike marks its target; the purge marks every node it
+    /// touches, then unmarks each exposed node that was unmarked and is
+    /// back at its pre-round record (`RoundOpening`); a refreshed mean
+    /// needs no mark of its own, since it moves only with its run.
     ///
     /// `report_entries` is the round's report traffic (trust-matrix entry
     /// count after the report phase) — the denominator of the
@@ -1216,32 +1222,32 @@ impl EngineCore {
                 aggregated[w.index()].clear();
             }
             on_purge(&purged, &forgot);
+            // Every node the purge touches is marked: the purged, the
+            // nodes that forgot them, the runs the scrub shrinks.
+            self.marks.mark_all(purged.iter().chain(&forgot).copied());
             // The scrub walks every run, so totals and observer means
             // are rebuilt in the same pass.
             sums.fill(0.0);
             counts.fill(0);
-            for (run, mean) in aggregated.iter_mut().zip(&mut self.observer_mean) {
+            for ((o, run), mean) in (0u32..)
+                .zip(aggregated.iter_mut())
+                .zip(&mut self.observer_mean)
+            {
+                let len = run.len();
                 run.retain(|(j, _)| purged.binary_search(j).is_err());
+                if run.len() != len {
+                    self.marks.mark(NodeId(o));
+                }
                 for &(j, rep) in run.iter() {
                     sums[j.index()] += rep;
                     counts[j.index()] += 1;
                 }
                 *mean = row_mean(run);
             }
-            // Everything the purge wrote is about a purge candidate, so
-            // only exposed nodes changed here — and only they can have
-            // been returned to their pre-round bits. Their marks are
-            // settled against the record they started the round with.
-            debug_assert!(purged.iter().all(|w| {
-                opening
-                    .exposed
-                    .binary_search_by_key(w, |&(node, _, _)| node)
-                    .is_ok()
-            }));
-            for (node, before, was_marked) in opening.exposed {
-                if !self.record(node).bits_eq(&before) {
-                    self.marks.mark(node);
-                } else if !was_marked {
+            // Only an exposed node can be back at its pre-round bits;
+            // one that was unmarked and is takes its mark back.
+            for (node, before) in opening.unmarked_exposed {
+                if self.record(node).bits_eq(&before) {
                     self.marks.unmark(node);
                 }
             }
@@ -1448,27 +1454,63 @@ mod tests {
         }
     }
 
-    /// Run one round of `engine` on `seed` and check that the marks it
-    /// left (nothing was marked before it) are exactly the nodes
-    /// `dg_store::changed` finds moved. Returns the round's stats and
-    /// the records after it.
-    fn round_with_checked_marks(
-        engine: &mut dyn crate::rounds::RoundEngine,
-        seed: u64,
-        what: &str,
-    ) -> (RoundStats, Vec<NodeRecord>) {
-        assert_eq!(
-            engine.core().marks.iter().next(),
-            None,
-            "{what}: marked before"
-        );
-        let before = engine.core().records();
-        let stats = engine.run_round(seed).expect("round runs");
-        let after = engine.core().records();
-        let moved: Vec<u32> = dg_store::changed(&before, &after).map(|r| r.node).collect();
-        let marked: Vec<u32> = engine.core().marks.iter().map(|i| i.0).collect();
-        assert_eq!(marked, moved, "{what}");
-        (stats, after)
+    /// The marks' oracle over one checkpoint window: the records at its
+    /// start (a commit or a restore), and the nodes `dg_store::changed`
+    /// found moved by some round of it.
+    struct MarkWindow {
+        committed: Vec<NodeRecord>,
+        moved: std::collections::BTreeSet<u32>,
+    }
+
+    impl MarkWindow {
+        /// A window starting at `engine`'s current state, which must
+        /// carry no marks.
+        fn open(engine: &dyn crate::rounds::RoundEngine, what: &str) -> Self {
+            let core = engine.core();
+            assert_eq!(
+                core.marks.iter().next(),
+                None,
+                "{what}: marked at the start"
+            );
+            Self {
+                committed: core.records(),
+                moved: Default::default(),
+            }
+        }
+
+        /// Commit `engine`'s marks, as a successful checkpoint does, and
+        /// open the next window.
+        fn commit(engine: &mut dyn crate::rounds::RoundEngine, what: &str) -> Self {
+            engine.core_mut().commit_marks();
+            Self::open(engine, what)
+        }
+
+        /// Run one round of `engine` on `seed` and check that the marks
+        /// are exactly the nodes some round of the window moved — so
+        /// they cover every node whose record differs from the
+        /// committed one. Returns the round's stats and the records
+        /// after it.
+        fn round(
+            &mut self,
+            engine: &mut dyn crate::rounds::RoundEngine,
+            seed: u64,
+            what: &str,
+        ) -> (RoundStats, Vec<NodeRecord>) {
+            let before = engine.core().records();
+            let stats = engine.run_round(seed).expect("round runs");
+            let after = engine.core().records();
+            self.moved
+                .extend(dg_store::changed(&before, &after).map(|r| r.node));
+            let marked: Vec<u32> = engine.core().marks.iter().map(|i| i.0).collect();
+            let moved: Vec<u32> = self.moved.iter().copied().collect();
+            assert_eq!(marked, moved, "{what}");
+            let unmarked: Vec<u32> = dg_store::changed(&self.committed, &after)
+                .map(|r| r.node)
+                .filter(|node| !self.moved.contains(node))
+                .collect();
+            assert_eq!(unmarked, Vec::<u32>::new(), "{what}: changed, unmarked");
+            (stats, after)
+        }
     }
 
     /// A round seed under which nobody in `core` requests.
@@ -1487,11 +1529,15 @@ mod tests {
     /// (washers that were blank before the round among them), audit
     /// strikes and convictions with full report logs, patched, inserted,
     /// dropped and rebuilt run entries, a flash crowd, an idle round, a
-    /// restore — and after **every** one the marked nodes are exactly
-    /// the nodes whose record `dg_store::changed` finds moved since the
-    /// last commit. An honest run adds an ingest-only row whose records
-    /// change nothing but its estimators, and an idle round (the
-    /// incremental engine's empty frontier) that marks nothing.
+    /// restore — committing every round, then again every third round,
+    /// and after **every** round the marked nodes are exactly those
+    /// `dg_store::changed` found moved by some round since the last
+    /// commit. An honest run adds an
+    /// ingest-only row whose records change nothing but its estimators,
+    /// and an idle round (the incremental engine's empty frontier) that
+    /// marks nothing. Whitewash legs: a purge that takes back all its
+    /// round wrote, and one that takes an estimator from a node far from
+    /// the washer that neither transacts nor reports that round.
     #[test]
     fn marks_equal_the_bitwise_diff_after_every_round() {
         use crate::rounds::AggregationScope::{Full, Neighbourhood};
@@ -1539,60 +1585,67 @@ mod tests {
                 .with_engine(engine_kind)
                 .with_shards(shards);
             let config = honest.with_adversary(mix).with_audit(audit);
-            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario, &config);
-            let (mut washes, mut convictions, mut full_logs) = (0, 0, false);
-            for round in 0..30usize {
-                let mut seed = round_seed(config.seed, round as u64);
-                if round == 20 {
-                    // A restore mid-run, with last round's marks still
-                    // pending: the restored records are the baseline the
-                    // marks restart from.
-                    assert!(engine.core().marks.iter().next().is_some());
-                    let records = engine.core().records();
-                    engine
-                        .restore(round, &records)
-                        .expect("own records restore");
-                } else {
-                    engine.core_mut().commit_marks();
-                }
-                match round {
-                    // An ingest-only row: nobody requests, one node's
-                    // records arrive through the ingest queue (rounds 13
-                    // and 16 are not flash rounds, so an idle seed
-                    // exists).
-                    13 => {
-                        let core = engine.core();
-                        seed = idle_seed(core);
-                        let reporter = (0..core.nodes.len())
-                            .find(|&i| !core.banned[i] && core.nodes[i].estimators.is_empty())
-                            .map(|i| NodeId(i as u32))
-                            .expect("an unconvicted node that has not requested yet");
-                        let provider = NodeId(core.scenario.graph.neighbours(reporter)[0]);
-                        let outcome = TransactionOutcome::Served { quality: 0.25 };
-                        engine.core_mut().queue_reports(vec![(
-                            reporter,
-                            vec![TransactionRecord { provider, outcome }],
-                        )]);
+            // Committing every round, each round's marks are checked
+            // alone; every third, they are checked as a union.
+            for every in [1, 3] {
+                let label = format!("{label}, commit every {every}");
+                let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+                let mut engine = build_engine(scenario, &config);
+                let (mut washes, mut convictions, mut full_logs) = (0, 0, false);
+                let mut window = MarkWindow::open(engine.as_ref(), &label);
+                for round in 0..30usize {
+                    let mut seed = round_seed(config.seed, round as u64);
+                    let what = format!("{label}: round {round}");
+                    if round == 20 {
+                        // A restore mid-window, with marks still
+                        // pending: the restored records are the
+                        // baseline the marks restart from.
+                        assert!(engine.core().marks.iter().next().is_some());
+                        let records = engine.core().records();
+                        engine
+                            .restore(round, &records)
+                            .expect("own records restore");
+                        window = MarkWindow::open(engine.as_ref(), &what);
+                    } else if round % every == 0 {
+                        window = MarkWindow::commit(engine.as_mut(), &what);
                     }
-                    16 => seed = idle_seed(engine.core()),
-                    _ => {}
+                    match round {
+                        // An ingest-only row: nobody requests, one
+                        // node's records arrive through the ingest queue
+                        // (rounds 13 and 16 are not flash rounds, so an
+                        // idle seed exists).
+                        13 => {
+                            let core = engine.core();
+                            seed = idle_seed(core);
+                            let reporter = (0..core.nodes.len())
+                                .find(|&i| !core.banned[i] && core.nodes[i].estimators.is_empty())
+                                .map(|i| NodeId(i as u32))
+                                .expect("an unconvicted node that has not requested yet");
+                            let provider = NodeId(core.scenario.graph.neighbours(reporter)[0]);
+                            let outcome = TransactionOutcome::Served { quality: 0.25 };
+                            engine.core_mut().queue_reports(vec![(
+                                reporter,
+                                vec![TransactionRecord { provider, outcome }],
+                            )]);
+                        }
+                        16 => seed = idle_seed(engine.core()),
+                        _ => {}
+                    }
+                    let (stats, after) = window.round(engine.as_mut(), seed, &what);
+                    washes += stats.washes;
+                    convictions += stats.convictions;
+                    full_logs |= after
+                        .iter()
+                        .any(|r| r.audit_log.len() >= audit.log_capacity);
+                    if round == 13 {
+                        assert_eq!(stats.active_nodes, 0, "{label}: ingest-only round");
+                    }
                 }
-                let what = format!("{label}: round {round}");
-                let (stats, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
-                washes += stats.washes;
-                convictions += stats.convictions;
-                full_logs |= after
-                    .iter()
-                    .any(|r| r.audit_log.len() >= audit.log_capacity);
-                if round == 13 {
-                    assert_eq!(stats.active_nodes, 0, "{label}: ingest-only round");
-                }
+                // The run went through what the doc comment says it did.
+                assert!(washes > 0, "{label}: no whitewash purge");
+                assert!(convictions > 0, "{label}: no conviction");
+                assert!(full_logs, "{label}: no full report log");
             }
-            // The run went through what the doc comment says it did.
-            assert!(washes > 0, "{label}: no whitewash purge");
-            assert!(convictions > 0, "{label}: no conviction");
-            assert!(full_logs, "{label}: no full report log");
 
             // Honest traffic: three rounds, then an ingest-only round
             // whose one record is about a provider outside the
@@ -1601,7 +1654,8 @@ mod tests {
             let scenario = Arc::new(Scenario::build(honest).expect("scenario builds"));
             let mut engine = build_engine(scenario, &honest);
             for round in 0..5u64 {
-                engine.core_mut().commit_marks();
+                let what = format!("{label}: honest round {round}");
+                let mut window = MarkWindow::commit(engine.as_mut(), &what);
                 let mut seed = round_seed(honest.seed, round);
                 if round >= 3 {
                     seed = idle_seed(engine.core());
@@ -1620,19 +1674,15 @@ mod tests {
                     )]);
                 }
                 let before = engine.core().records();
-                let what = format!("{label}: honest round {round}");
-                let (_, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
+                let (_, after) = window.round(engine.as_mut(), seed, &what);
                 if round == 4 {
                     assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
                 }
             }
 
-            // Whitewashers, no audit: a first round whose only traffic is
-            // ingest about a whitewasher from outside its neighbourhood.
-            // The reports get the washer rated and washed at once, and the
-            // purge takes back all the round wrote — the reporter's
-            // estimator, the neighbours' run entries — so the records end
-            // as blank as they began and nothing may stay marked.
+            // Whitewashers, no audit, idle rounds whose only traffic is
+            // ingest about a washer from nodes outside every washer's
+            // neighbourhood.
             let washers = AdversaryMix {
                 whitewash_fraction: 0.03,
                 ..AdversaryMix::none()
@@ -1642,25 +1692,119 @@ mod tests {
             let mut engine = build_engine(scenario, &config);
             let core = engine.core();
             let (graph, washers) = (&core.scenario.graph, core.scenario.adversaries.washers());
-            let reporter = (0..graph.node_count() as u32)
+            let far: Vec<NodeId> = (0..graph.node_count() as u32)
                 .map(NodeId)
-                .find(|r| {
+                .filter(|r| {
                     let near = |&w: &NodeId| w == *r || graph.neighbours(w).contains(&r.0);
                     !washers.iter().any(near)
                 })
-                .expect("a node out of every washer's neighbourhood");
-            let refused = TransactionRecord {
-                provider: washers[0],
-                outcome: TransactionOutcome::Refused,
+                .collect();
+            let washer = washers[0];
+            let (seed, blank) = (idle_seed(core), core.records());
+            let report = |quality: Option<f64>| TransactionRecord {
+                provider: washer,
+                outcome: match quality {
+                    Some(quality) => TransactionOutcome::Served { quality },
+                    None => TransactionOutcome::Refused,
+                },
             };
-            let (seed, before) = (idle_seed(core), core.records());
+            // The reports get the washer rated and washed at once, and
+            // the purge takes back all the round wrote — the reporter's
+            // estimator, the neighbours' run entries — so the records
+            // end as blank as they began and nothing may stay marked.
+            let what = format!("{label}: washed by ingest");
+            let mut window = MarkWindow::open(engine.as_ref(), &what);
             engine
                 .core_mut()
-                .queue_reports(vec![(reporter, vec![refused; 20])]);
-            let what = format!("{label}: washed by ingest");
-            let (stats, after) = round_with_checked_marks(engine.as_mut(), seed, &what);
+                .queue_reports(vec![(far[0], vec![report(None); 20])]);
+            let (stats, after) = window.round(engine.as_mut(), seed, &what);
             assert_eq!(stats.washes, 1, "{what}");
-            assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
+            assert_eq!(dg_store::first_divergence(&blank, &after), None, "{what}");
+            // One far node rates the washer well and keeps the estimator
+            // past a commit; a round later every other far node refuses
+            // it and it washes. The purge takes the first reporter's
+            // estimator although that node is idle and far from the
+            // washer, and its mark must say so.
+            let what = format!("{label}: rated, committed, washed");
+            let mut window = MarkWindow::commit(engine.as_mut(), &what);
+            engine
+                .core_mut()
+                .queue_reports(vec![(far[1], vec![report(Some(0.9)); 20])]);
+            let (stats, _) = window.round(engine.as_mut(), seed, &what);
+            assert_eq!(stats.washes, 0, "{what}");
+            let mut window = MarkWindow::commit(engine.as_mut(), &what);
+            engine.core_mut().queue_reports(
+                far[2..]
+                    .iter()
+                    .map(|&r| (r, vec![report(None); 20]))
+                    .collect(),
+            );
+            let (stats, after) = window.round(engine.as_mut(), seed, &what);
+            assert_eq!(stats.washes, 1, "{what}");
+            assert!(engine.core().marks.is_marked(far[1]), "{what}");
+            assert!(after[far[1].index()].estimators.is_empty(), "{what}");
+
+            // Stealth liars, one strike convicts: the first round whose
+            // audit targets include a liar nobody has rated yet idles,
+            // and a node more than two hops from the liar rates it
+            // through ingest. The liar's idle neighbours gain a run
+            // entry about it that the conviction's purge scrubs again,
+            // leaving them at their pre-round bits — and unmarked.
+            let liars = AdversaryMix {
+                stealth_fraction: 0.1,
+                stealth_clique: 5,
+                stealth_bias: 1.0,
+                ..AdversaryMix::none()
+            };
+            let strict = AuditPolicy {
+                audit_rate: 0.3,
+                strikes_to_convict: 1,
+                log_capacity: 4,
+                ..AuditPolicy::standard()
+            };
+            let config = honest.with_adversary(liars).with_audit(strict);
+            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+            let mut engine = build_engine(scenario, &config);
+            let convicted_unrated = (0..20u64).any(|round| {
+                let what = format!("{label}: liar convicted, round {round}");
+                let mut window = MarkWindow::commit(engine.as_mut(), &what);
+                let core = engine.core();
+                let (graph, n) = (&core.scenario.graph, core.nodes.len());
+                let rated = |t: NodeId| core.nodes.iter().any(|s| s.estimators.contains_key(&t));
+                let liar = audit_targets(config.seed, round, n, strict.audit_rate)
+                    .into_iter()
+                    .find(|&t| {
+                        let state = &core.nodes[t.index()];
+                        state.convicted_at.is_none()
+                            && strict.failed_checks(&state.log) > 0
+                            && !rated(t)
+                    });
+                let mut seed = round_seed(config.seed, round);
+                if let Some(liar) = liar {
+                    let near = |r: u32| {
+                        r == liar.0
+                            || graph
+                                .neighbours(liar)
+                                .iter()
+                                .any(|&o| o == r || graph.neighbours(NodeId(o)).contains(&r))
+                    };
+                    let reporter = (0..n as u32)
+                        .find(|&r| !near(r) && !core.banned[r as usize])
+                        .map(NodeId)
+                        .expect("a node more than two hops from the liar");
+                    let rating = TransactionRecord {
+                        provider: liar,
+                        outcome: TransactionOutcome::Served { quality: 0.9 },
+                    };
+                    seed = idle_seed(core);
+                    engine
+                        .core_mut()
+                        .queue_reports(vec![(reporter, vec![rating])]);
+                }
+                window.round(engine.as_mut(), seed, &what);
+                liar.is_some_and(|t| engine.core().nodes[t.index()].convicted_at.is_some())
+            });
+            assert!(convicted_unrated, "{label}: no unrated liar convicted");
         }
     }
 }

@@ -372,7 +372,10 @@ impl RunSession {
     /// consecutive checkpoints persist only the node records that
     /// changed since the last one, as a delta on the chain: the nodes
     /// the engine marked, encoded one at a time from live state (no
-    /// full record list, no diff). The marks clear only once the commit
+    /// full record list, no diff). A round's marks are exactly the
+    /// records it changed; over several rounds they may include one a
+    /// later round put back to its committed bits, which the delta then
+    /// rewrites unchanged. The marks clear only once the commit
     /// succeeds, so a failed checkpoint can simply be retried.
     /// Checkpointing the same round twice rewrites a full epoch
     /// idempotently.
