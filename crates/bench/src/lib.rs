@@ -18,13 +18,14 @@
 //! * `--seed <u64>` — override the scenario seed (default 42),
 //! * `--json` — emit JSON lines instead of a formatted table (not
 //!   `perf_suite`, which prints one summary line and refuses the flag),
-//! * `--engine <sequential|sharded|incremental>` — the execution engine
-//!   of a *round-loop driving* binary (`perf_suite`, default `sharded`).
+//! * `--engine <sequential|incremental>` — the execution engine of a
+//!   *round-loop driving* binary (`perf_suite`, default `incremental`;
+//!   `sharded` and `parallel` are accepted as old spellings of it).
 //!   The figure/table binaries measure the gossip layer itself, which
 //!   is engine-independent — they accept and ignore the flag. Results
 //!   never depend on it (see `tests/engine_equivalence.rs`),
-//! * `--shards <usize>` — shard count for the sharded engine (0 = the
-//!   deterministic auto partition; results are bit-identical either
+//! * `--shards <usize>` — shard count for the incremental engine (0 =
+//!   the deterministic auto partition; results are bit-identical either
 //!   way),
 //! * `--profile <lossless|lossy|partitioned|churning>` — network fault
 //!   profile of the `perf_suite` run (`degradation` sweeps all four
@@ -72,9 +73,9 @@ pub struct Cli {
     /// Emit JSON lines.
     pub json: bool,
     /// Engine for round-loop driving binaries (`None` = the binary's
-    /// default; `perf_suite` runs the sharded engine).
+    /// default; `perf_suite` runs the incremental engine).
     pub engine: Option<EngineKind>,
-    /// Shard count for the sharded engine: `None` when the flag was
+    /// Shard count for the incremental engine: `None` when the flag was
     /// not passed (keep the preset's), `Some(0)` for an explicit auto
     /// partition, `Some(n)` for a fixed count.
     pub shards: Option<usize>,
@@ -193,7 +194,7 @@ impl Cli {
                     cli.engine = Some(value(
                         args,
                         EngineKind::parse,
-                        "--engine needs `sequential`, `sharded` or `incremental`",
+                        "--engine needs `sequential` or `incremental`",
                     )?);
                 }
                 "--shards" => {
@@ -255,7 +256,7 @@ impl Cli {
 
 const USAGE: &str = "usage: <bin> [--full] [--scale] [--skewed] [--nodes <usize>] \
     [--activity <f64>] [--zipf <f64>] [--seed <u64>] [--json] \
-    [--engine <sequential|sharded|incremental>] [--shards <usize>] \
+    [--engine <sequential|incremental>] [--shards <usize>] \
     [--profile <lossless|lossy|partitioned|churning>] \
     [--adversary <none|sybil|collusion|slander|whitewash|stealth>] \
     [--out-dir <dir>] [--checkpoint-every <rounds>] [--resume <dir>]";
@@ -319,7 +320,7 @@ mod tests {
             // left is the combination itself; order does not matter.
             let value = match flag {
                 "--full" | "--scale" | "--skewed" => None,
-                "--engine" => Some("sharded"),
+                "--engine" => Some("incremental"),
                 "--profile" => Some("lossy"),
                 "--adversary" => Some("sybil"),
                 _ => Some("9"),

@@ -50,10 +50,10 @@ pub fn peak_rss_bytes() -> u64 {
 
 /// A preset's size, load and shard count over the pinned bench
 /// population: 25% free riders, honest quality 0.4–1.0, full traffic,
-/// neighbourhood-scoped closed-form aggregation, the sharded engine.
+/// neighbourhood-scoped closed-form aggregation, the incremental engine.
 fn preset(nodes: usize, rounds: usize, requests_per_edge: u32, shards: usize) -> RunConfig {
     RunConfig::with_nodes(nodes)
-        .with_engine(EngineKind::Sharded)
+        .with_engine(EngineKind::Incremental)
         .with_shards(shards)
         .with_free_riders(0.25)
         .with_quality_range(0.4, 1.0)
@@ -77,14 +77,14 @@ fn full() -> RunConfig {
 /// The `--skewed` preset: Zipf (s = 1) per-node request skew at 1% mean
 /// activity, so under 1% of the 100 000 rows fold records in any round
 /// (the head of the Zipf is pinned at p = 1) while every row stays live
-/// for serving — the incremental engine's target traffic.
+/// for serving — the incremental engine's delta-round traffic.
 fn skewed() -> RunConfig {
     preset(100_000, 32, 8, 4).with_traffic(TrafficModel::full().with_activity(0.01).with_zipf(1.0))
 }
 
 /// The `--scale` preset: one million nodes on the sparse PA overlay
 /// (`m = 2` → ~4M directed trust edges), light per-edge load, auto
-/// partition — the sharded engine's target configuration.
+/// partition — full traffic, so every round is a rebuild round.
 fn scale() -> RunConfig {
     preset(1_000_000, 3, 1, 0)
 }
@@ -272,44 +272,38 @@ mod tests {
     /// stats.
     #[test]
     fn checkpointed_and_resumed_runs_end_with_the_uninterrupted_stats() {
-        for engine in [EngineKind::Sharded, EngineKind::Incremental] {
-            let mut config = smoke().with_engine(engine).with_requests_per_edge(3);
-            config.nodes = 120;
-            let dir = std::env::temp_dir().join(format!(
-                "dg_perf_runner_test_{}_{}",
-                engine.label(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
+        let mut config = smoke().with_requests_per_edge(3);
+        config.nodes = 120;
+        let dir = std::env::temp_dir().join(format!("dg_perf_runner_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
 
-            let mut plain = RunSession::new(config).unwrap();
-            drive(&mut plain, None).unwrap();
-            assert_eq!(plain.round(), config.rounds);
+        let mut plain = RunSession::new(config).unwrap();
+        drive(&mut plain, None).unwrap();
+        assert_eq!(plain.round(), config.rounds);
 
-            let finished = dir.join("finished");
-            let mut checkpointed = RunSession::new(config).unwrap();
-            drive(&mut checkpointed, Some((&finished, 2))).unwrap();
-            assert_eq!(checkpointed.stats(), plain.stats(), "{engine:?}");
-            let mut resumed = RunSession::resume(&finished).unwrap();
-            assert_eq!(resumed.round(), config.rounds);
-            drive(&mut resumed, None).unwrap();
-            assert_eq!(resumed.stats(), plain.stats(), "{engine:?}");
+        let finished = dir.join("finished");
+        let mut checkpointed = RunSession::new(config).unwrap();
+        drive(&mut checkpointed, Some((&finished, 2))).unwrap();
+        assert_eq!(checkpointed.stats(), plain.stats());
+        let mut resumed = RunSession::resume(&finished).unwrap();
+        assert_eq!(resumed.round(), config.rounds);
+        drive(&mut resumed, None).unwrap();
+        assert_eq!(resumed.stats(), plain.stats());
 
-            // Killed after the round-3 checkpoint; the resumed run keeps
-            // checkpointing into the same store (once more, at round 5).
-            let killed = dir.join("killed");
-            let mut first = RunSession::new(config).unwrap();
-            first.run_to(3).unwrap();
-            first.checkpoint(&killed).unwrap();
-            drop(first);
-            let mut resumed = RunSession::resume(&killed).unwrap();
-            assert_eq!(resumed.round(), 3);
-            drive(&mut resumed, Some((&killed, 2))).unwrap();
-            assert_eq!(resumed.stats(), plain.stats(), "{engine:?}");
-            let reloaded = RunSession::resume(&killed).unwrap();
-            assert_eq!(reloaded.stats(), plain.stats(), "{engine:?}");
+        // Killed after the round-3 checkpoint; the resumed run keeps
+        // checkpointing into the same store (once more, at round 5).
+        let killed = dir.join("killed");
+        let mut first = RunSession::new(config).unwrap();
+        first.run_to(3).unwrap();
+        first.checkpoint(&killed).unwrap();
+        drop(first);
+        let mut resumed = RunSession::resume(&killed).unwrap();
+        assert_eq!(resumed.round(), 3);
+        drive(&mut resumed, Some((&killed, 2))).unwrap();
+        assert_eq!(resumed.stats(), plain.stats());
+        let reloaded = RunSession::resume(&killed).unwrap();
+        assert_eq!(reloaded.stats(), plain.stats());
 
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

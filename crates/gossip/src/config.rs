@@ -10,29 +10,25 @@ use serde::{Deserialize, Serialize};
 ///
 /// The gossip *protocol* semantics are identical under every engine —
 /// per-node RNG streams derived with [`node_stream_seed`] make results
-/// bit-for-bit equal regardless of thread count (and, for `Sharded`,
-/// regardless of shard count). `Sharded` partitions nodes into
-/// contiguous shards, each with its own CSR and bounded scratch, fanning
-/// *shards* out over the pool — the dense and million-node
-/// configuration; `Incremental` keeps the sharded substrate persistent
-/// across rounds and re-derives only the rows and aggregates the round
-/// actually touched — the skewed-traffic configuration; `Sequential`
-/// keeps the reference map-based driver every suite compares against.
+/// bit-for-bit equal regardless of thread count and shard count.
+/// `Sequential` is the reference map-based driver every suite compares
+/// against; `Incremental` is the production engine, whose traffic model
+/// picks its round: a rebuild into per-shard CSR blocks under full
+/// traffic, a delta round that re-derives only the rows and aggregates
+/// the round touched under any gated traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum EngineKind {
     /// Reference single-stream driver over map-based state.
     #[default]
     Sequential,
-    /// Sharded phase engine: per-shard CSR state and bounded scratch,
-    /// rayon fan-out over shards (shard count: the simulator's
-    /// `RunConfig::shard_count`).
-    /// Configs and snapshot headers written while the batched
-    /// `Parallel` engine existed deserialize here.
-    #[serde(alias = "Parallel")]
-    Sharded,
-    /// Incremental delta engine: persistent sharded CSR state, dirty-set
-    /// tracking and cached per-subject aggregates, so rounds cost
-    /// `O(dirty)` instead of `O(N)` under skewed traffic.
+    /// The production engine: sharded CSR state (shard count: the
+    /// simulator's `RunConfig::shard_count`), rebuilt every round under
+    /// full traffic and maintained by dirty-row deltas and cached
+    /// per-subject aggregates otherwise, so a skewed round costs
+    /// `O(dirty)` instead of `O(N)`. Configs and snapshot headers
+    /// naming the removed `Sharded` and `Parallel` engines deserialize
+    /// here.
+    #[serde(alias = "Sharded", alias = "Parallel")]
     Incremental,
 }
 
@@ -40,34 +36,35 @@ impl EngineKind {
     /// Every engine, in the canonical reporting order. Bench suites and
     /// trend trackers iterate this so a new engine shows up everywhere
     /// by construction.
-    pub const ALL: [EngineKind; 3] = [
-        EngineKind::Sequential,
-        EngineKind::Sharded,
-        EngineKind::Incremental,
-    ];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Incremental];
 
-    /// Compatibility name of the removed batched engine: callers that
-    /// still select `Parallel` get the sharded engine.
+    /// Compatibility name of the removed sharded engine: callers that
+    /// still select `Sharded` get the production engine.
     #[doc(hidden)]
     #[allow(non_upper_case_globals)]
-    pub const Parallel: EngineKind = EngineKind::Sharded;
+    pub const Sharded: EngineKind = EngineKind::Incremental;
+
+    /// Compatibility name of the removed batched engine.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Parallel: EngineKind = EngineKind::Incremental;
 
     /// Stable label for CLI flags and JSON reports.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Sequential => "sequential",
-            EngineKind::Sharded => "sharded",
             EngineKind::Incremental => "incremental",
         }
     }
 
-    /// Parse a CLI label (`parallel` / `par` are kept as spellings of
-    /// the sharded engine).
+    /// Parse a CLI label (`sharded` / `shard` / `parallel` / `par` are
+    /// kept as spellings of the production engine).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "sequential" | "seq" => Some(EngineKind::Sequential),
-            "sharded" | "shard" | "parallel" | "par" => Some(EngineKind::Sharded),
-            "incremental" | "inc" => Some(EngineKind::Incremental),
+            "incremental" | "inc" | "sharded" | "shard" | "parallel" | "par" => {
+                Some(EngineKind::Incremental)
+            }
             _ => None,
         }
     }
@@ -233,10 +230,15 @@ mod tests {
         for kind in EngineKind::ALL {
             assert_eq!(EngineKind::parse(kind.label()), Some(kind));
         }
-        assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Sharded));
-        assert_eq!(EngineKind::parse("par"), Some(EngineKind::Sharded));
-        assert_eq!(EngineKind::parse("shard"), Some(EngineKind::Sharded));
-        assert_eq!(EngineKind::parse("inc"), Some(EngineKind::Incremental));
+        for old in ["sharded", "shard", "parallel", "par", "inc"] {
+            assert_eq!(
+                EngineKind::parse(old),
+                Some(EngineKind::Incremental),
+                "{old}"
+            );
+        }
+        assert_eq!(EngineKind::Sharded, EngineKind::Incremental);
+        assert_eq!(EngineKind::Parallel, EngineKind::Incremental);
         assert_eq!(EngineKind::parse("nope"), None);
         assert_eq!(EngineKind::default(), EngineKind::Sequential);
     }

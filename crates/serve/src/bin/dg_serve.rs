@@ -1,7 +1,7 @@
 //! `dg_serve` — run the reputation service against a live simulation.
 //!
 //! ```text
-//! dg_serve [--nodes N] [--seed S] [--engine sequential|sharded|incremental]
+//! dg_serve [--nodes N] [--seed S] [--engine sequential|incremental]
 //!          [--rounds R] [--addr HOST:PORT] [--ingest-capacity C]
 //!          [--round-interval-ms MS] [--traffic uniform|skewed]
 //! ```

@@ -47,18 +47,18 @@ pub struct RunConfig {
     pub far_partners: usize,
     // --- execution knobs ---
     /// Execution engine for the round loop (see [`EngineKind`]). With
-    /// [`EngineKind::Sharded`] or [`EngineKind::Incremental`] the built
-    /// trust matrix is partitioned into the sharded backend
+    /// [`EngineKind::Incremental`] the built trust matrix is partitioned
+    /// into the sharded backend
     /// ([`ShardSpec::auto`](dg_trust::ShardSpec::auto)), so no
     /// monolithic arena survives scenario construction. Does **not**
     /// affect the generated topology, population or trust values.
     pub engine: EngineKind,
-    /// Shard count for [`EngineKind::Sharded`] and
-    /// [`EngineKind::Incremental`] (ignored by the sequential driver).
-    /// `0` — the default — selects the deterministic auto partition, one
-    /// shard per [`ShardSpec::AUTO_CHUNK`](dg_trust::ShardSpec::AUTO_CHUNK)
-    /// nodes. Results are bit-identical for **every** value; this is
-    /// purely a memory/parallelism knob.
+    /// Shard count for [`EngineKind::Incremental`] (ignored by the
+    /// sequential driver). `0` — the default — selects the
+    /// deterministic auto partition, one shard per
+    /// [`ShardSpec::AUTO_CHUNK`](dg_trust::ShardSpec::AUTO_CHUNK) nodes.
+    /// Results are bit-identical for **every** value; this is purely a
+    /// memory/parallelism knob.
     pub shard_count: usize,
     /// Network fault profile (see [`NetworkProfile`]). Does **not**
     /// affect the generated topology, population or trust values — it
@@ -76,7 +76,8 @@ pub struct RunConfig {
     /// Traffic shape: which requesters are active each round (see
     /// [`TrafficModel`]). Results are bit-identical across engines for
     /// **every** traffic shape; the incremental engine merely converts
-    /// the idleness into speed.
+    /// the idleness into speed (a full model takes its rebuild round,
+    /// any other its delta round).
     pub traffic: TrafficModel,
     /// Trust-side countermeasures against adversarial reports.
     pub defense: DefensePolicy,

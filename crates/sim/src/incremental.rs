@@ -1,15 +1,22 @@
-//! The incremental delta-driven round engine — the skewed-traffic
-//! configuration.
+//! The production round engine: a **rebuild round** under full traffic
+//! and a **delta round** under any gated traffic shape, chosen from
+//! [`TrafficModel::is_full`](crate::workload::TrafficModel::is_full)
+//! when the engine is built.
 //!
-//! The sequential and sharded engines rebuild the full trust matrix and
-//! recompute every observer's aggregated row every round — the right
-//! shape when every node transacts every round. Under realistic skewed
-//! traffic ([`crate::workload::TrafficModel`]) most rows don't change:
-//! a node that issued no requests folds no records, so its estimators,
-//! its trust row, its excess weights, and most of the per-subject
-//! report sums are exactly last round's. [`IncrementalRoundEngine`]
-//! keeps all of that state *alive across rounds* and recomputes only
-//! what moved:
+//! Both rounds open with the same transact phase (a fan-out over index
+//! blocks of the node states). Under full traffic — the paper's workload
+//! — every row changes every round, so the rebuild round keeps nothing:
+//! it emits every row into one rectangular `CsrBuilder` per [`ShardSpec`]
+//! shard, in parallel over shards, assembles them zero-copy into a
+//! [`ShardedCsr`]-backed [`TrustMatrix`] and runs the oracle's
+//! `closed_form_row` sweep (or the gossip) over it. It never allocates
+//! the persistent matrix, the column postings or the arenas below.
+//!
+//! Under realistic skewed traffic most rows don't change: a node that
+//! issued no requests folds no records, so its estimators, its trust
+//! row, its excess weights, and most of the per-subject report sums are
+//! exactly last round's. The delta round keeps all of that state *alive
+//! across rounds* and recomputes only what moved:
 //!
 //! * the trust matrix persists in the sharded CSR backend;
 //!   [`TrustMatrix::replace_rows`] rebuilds only the shards owning a
@@ -33,8 +40,8 @@
 //!   place, so rows the frontier never reaches are not even visited, and
 //!   nothing of length `N` is allocated, scanned or cleared. A
 //!   full-scope run lists every rated subject and has no such frontier:
-//!   there phase 3 is the `closed_form_row` sweep of the other engines,
-//!   over the delta-maintained aggregates;
+//!   there phase 3 is the oracle's `closed_form_row` sweep, over the
+//!   delta-maintained aggregates;
 //! * the per-observer caches behind the patch — excess weights, their
 //!   sum, the Eq. (6) `ŷ` of every adjacency slot — live in **arenas**:
 //!   flat arrays aligned to the graph's CSR offsets
@@ -54,27 +61,27 @@
 //! full kernel row. So in a steady-state neighbourhood-scope round the
 //! only loops of length `N` left are the activity sweep and the class
 //! means; everything else costs `O(frontier)` — and the result stays
-//! **bit-for-bit identical to every other engine at any thread count,
-//! shard count, activity fraction and adversary mix**, pinned by
-//! `tests/engine_equivalence.rs`.
+//! **bit-for-bit identical to the sequential oracle at any thread count,
+//! shard count, activity fraction and adversary mix**, in either round
+//! shape, pinned by `tests/engine_equivalence.rs`.
 //!
-//! Three kinds of round fall back to a full pass. The first round of a
-//! fresh engine and the first round after a restore are **unprimed**:
+//! Three kinds of delta round fall back to a full pass. The first round
+//! of a fresh engine and the first round after a restore are **unprimed**:
 //! the arenas hold nothing, so every observer is rebuilt (one arena
 //! fill) and the epilogue gets `Changed::All`. A round whose epilogue
 //! purges (whitewash, conviction) scrubs every run anyway and rebuilds
 //! totals and means in that same pass; the purged identities are forced
 //! updates and forced rebuilds of the next round's frontier.
 //!
-//! [`AggregationMode::Gossip`] works on this engine too: the trust
-//! matrix is still maintained incrementally, but the Variation-4
+//! [`AggregationMode::Gossip`] works in both rounds: the delta round
+//! still maintains the trust matrix incrementally, but the Variation-4
 //! gossip itself runs whole — gossip epidemics have no per-subject
 //! sparsity to exploit. The skewed-traffic configuration is closed
 //! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
     closed_form_neighbourhood_row_cached, closed_form_row, runs_bits_eq, Changed, EngineCore,
-    ServiceDelta, SubjectAggregates,
+    NodeState, ServiceDelta, SubjectAggregates,
 };
 use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
 use crate::session::SessionError;
@@ -82,13 +89,23 @@ use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_graph::NodeId;
 use dg_store::NodeRecord;
-use dg_trust::{ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
+use dg_trust::{
+    CsrBuilder, CsrStorage, ShardSpec, ShardedCsr, SubjectAggregateCache, TrustMatrix, TrustValue,
+};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// The incremental delta-driven round engine (see the module docs).
+/// The production round engine (see the module docs).
 pub struct IncrementalRoundEngine {
     core: EngineCore,
+    /// The delta round's cross-round state; `None` under full traffic,
+    /// where every round is a rebuild round and keeps nothing.
+    delta: Option<DeltaState>,
+}
+
+/// What the delta round keeps alive across rounds — all of it derived
+/// from the core's records, none of it in a checkpoint.
+struct DeltaState {
     /// The persistent trust matrix (sharded CSR backend); rows are
     /// replaced in place each round via [`TrustMatrix::replace_rows`].
     trust: TrustMatrix,
@@ -377,16 +394,154 @@ fn patch_run(
 const PIECE_ITEMS: usize = 4096;
 
 impl IncrementalRoundEngine {
-    /// Engine over fresh core state. `config.shard_count == 0` selects
-    /// the deterministic auto partition for the persistent matrix.
+    /// Engine over fresh core state: rebuild rounds under full traffic,
+    /// delta rounds under any other traffic model.
     pub(crate) fn new(core: EngineCore) -> Self {
+        let delta = (!core.config.traffic.is_full()).then(|| DeltaState::new(&core));
+        Self { core, delta }
+    }
+}
+
+/// Phase 1 of both rounds: the per-requester kernel every engine uses
+/// (identical RNG streams), fanned out over index blocks that each draw
+/// into their own slice of the node states — under skewed traffic, one
+/// activity sweep and a handful of requesters per block. Marks and
+/// returns the requesters that folded an outcome, ascending.
+fn transact_blocks(core: &mut EngineCore, round_seed: u64) -> (ServiceDelta, Vec<NodeId>) {
+    const BLOCK: usize = 4096;
+    let mut nodes = std::mem::take(&mut core.nodes);
+    let shared = &*core;
+    let blocks: Vec<(Vec<NodeId>, ServiceDelta)> = nodes
+        .chunks_mut(BLOCK)
+        .enumerate()
+        .into_par_iter()
+        .map(|(b, block)| {
+            let mut delta = ServiceDelta::default();
+            let mut folded = Vec::new();
+            let first = b * BLOCK;
+            let ids = first as u32..(first + block.len()) as u32;
+            for requester in shared.requesters(ids, round_seed) {
+                let state = &mut block[requester.index() - first];
+                let d = shared.transact(state, requester, round_seed);
+                if d.dirty_rows > 0 {
+                    folded.push(requester);
+                }
+                delta.merge(d);
+            }
+            (folded, delta)
+        })
+        .collect();
+    core.nodes = nodes;
+
+    let mut delta = ServiceDelta::default();
+    let mut folded: Vec<NodeId> = Vec::new();
+    for (block, d) in blocks {
+        delta.merge(d);
+        core.marks.mark_all(block.iter().copied());
+        folded.extend(block);
+    }
+    (delta, folded)
+}
+
+/// The rebuild round after [`transact_blocks`]: every row is emitted
+/// into its shard's rectangular CSR block, in parallel over shards, and
+/// phase 3 runs whole over the assembled matrix, which the round then
+/// drops.
+fn rebuild_round(
+    core: &mut EngineCore,
+    delta: ServiceDelta,
+    round_seed: u64,
+) -> Result<RoundStats, CoreError> {
+    let scenario = Arc::clone(&core.scenario);
+    let n = scenario.graph.node_count();
+    let spec = ShardSpec::configured(n, core.config.shard_count);
+
+    // Phase 2: emit every row (folding its owner's ingest after the
+    // generated outcomes). Shards own contiguous node ranges, so the
+    // flat node vector splits into one disjoint mutable slice per shard
+    // and the ascending ingest list into one ascending run per shard.
+    let ingest = std::mem::take(&mut core.pending_ingest);
+    let mut nodes = std::mem::take(&mut core.nodes);
+    let mut rest = nodes.as_mut_slice();
+    let work: Vec<(usize, &mut [NodeState])> = (0..spec.shard_count())
+        .map(|s| (s, window(&mut rest, 0, spec.rows_in(s))))
+        .collect();
+    let shared = &*core;
+    let built: Vec<_> = work
+        .into_par_iter()
+        .map(|(s, shard)| {
+            let range = spec.range(s);
+            let mut builder = CsrBuilder::rectangular(shard.len(), n);
+            let mut emitted = Vec::new();
+            let first = ingest.partition_point(|(r, _)| r.0 < range.start);
+            let mut batches = ingest[first..].iter().peekable();
+            for (local, (i, state)) in range.zip(shard).enumerate() {
+                let node = NodeId(i);
+                let records = batches
+                    .next_if(|(r, _)| *r == node)
+                    .map_or(&[][..], |(_, records)| records);
+                let (row, changed) = shared.emit_row(state, node, records);
+                if changed {
+                    emitted.push(node);
+                }
+                builder
+                    .extend_row(NodeId(local as u32), row)
+                    .expect("estimator keys are in range");
+            }
+            (builder.build(), emitted)
+        })
+        .collect();
+    core.nodes = nodes;
+    let (parts, emitted): (Vec<CsrStorage>, Vec<Vec<NodeId>>) = built.into_iter().unzip();
+    core.marks.mark_all(emitted.into_iter().flatten());
+    let parts = ShardedCsr::from_parts(spec, parts).expect("shards built to spec");
+    let trust = TrustMatrix::from_sharded(parts);
+    let report_entries = trust.entry_count() as u64;
+    let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
+
+    // Phase 3: aggregate — the oracle's sweep, fanned out over the same
+    // shards, one `ŷ` scratch row per shard.
+    match core.config.aggregation {
+        AggregationMode::ClosedForm => {
+            let scope = core.config.scope;
+            let (sums, counts) = system
+                .trust()
+                .robust_subject_sums_and_counts(&core.config.defense.robust);
+            let agg = SubjectAggregates::new(&sums, &counts, scope);
+            let runs: Vec<Vec<Vec<(NodeId, f64)>>> = (0..spec.shard_count())
+                .into_par_iter()
+                .map(|s| {
+                    let mut y_hat = Vec::new();
+                    let rows = spec.range(s).map(NodeId);
+                    rows.map(|i| closed_form_row(&system, i, scope, &agg, &mut y_hat))
+                        .collect()
+                })
+                .collect();
+            core.set_runs(runs.into_iter().flatten());
+        }
+        AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
+    }
+
+    // Audit phase + shared round epilogue: summary, whitewash +
+    // conviction purge, admission scales, stats. Nothing derived
+    // survives the round, so a purge needs no follow-up.
+    Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
+}
+
+impl DeltaState {
+    /// Fresh delta state over `core`, unprimed: its first round
+    /// re-emits every row an estimator backs (the persistent matrix
+    /// starts empty — after a restore, that is every restored row).
+    /// `config.shard_count == 0` selects the deterministic auto
+    /// partition for the persistent matrix.
+    fn new(core: &EngineCore) -> Self {
         let (scenario, config) = (&core.scenario, &core.config);
         let n = scenario.graph.node_count();
         let mut trust = TrustMatrix::new(n);
         trust.shard(ShardSpec::configured(n, config.shard_count));
         let patches = matches!(config.aggregation, AggregationMode::ClosedForm)
             && matches!(config.scope, AggregationScope::Neighbourhood);
-        // Contents are irrelevant until the first (rebuild) round has
+        // Contents are irrelevant until the first (unprimed) round has
         // written every slot, so the arenas start as untouched zero
         // pages.
         let arenas = patches.then(|| {
@@ -402,9 +557,12 @@ impl IncrementalRoundEngine {
             cache: SubjectAggregateCache::new(n),
             arenas,
             primed: false,
-            pending_dirty: Vec::new(),
+            pending_dirty: (0u32..)
+                .zip(&core.nodes)
+                .filter(|(_, state)| !state.estimators.is_empty())
+                .map(|(i, _)| NodeId(i))
+                .collect(),
             washed_last: Vec::new(),
-            core,
         }
     }
 
@@ -419,6 +577,7 @@ impl IncrementalRoundEngine {
     /// deduplicated), or `None` after a rebuild of everything.
     fn patch_frontier(
         &mut self,
+        core: &mut EngineCore,
         system: &ReputationSystem<'_>,
         refreshed: &[NodeId],
         replaced: &[NodeId],
@@ -496,7 +655,7 @@ impl IncrementalRoundEngine {
         // Cut the frontier into pieces at observer boundaries, each with
         // its observers' windows of the runs and the arenas.
         let offsets = graph.offsets();
-        let mut runs = &mut self.core.aggregated[..];
+        let mut runs = &mut core.aggregated[..];
         let mut weights = &mut arenas.weights[..];
         let mut excess = &mut arenas.excess[..];
         let mut y_hat = &mut arenas.y_hat[..];
@@ -530,7 +689,7 @@ impl IncrementalRoundEngine {
             .into_par_iter()
             .map(|piece| piece.run(&ctx))
             .collect();
-        self.core.marks.mark_all(edited.into_iter().flatten());
+        core.marks.mark_all(edited.into_iter().flatten());
 
         if !self.primed {
             self.primed = true;
@@ -551,81 +710,18 @@ impl IncrementalRoundEngine {
         columns.dedup();
         Some((rows, columns))
     }
-}
 
-impl RoundEngine for IncrementalRoundEngine {
-    fn core(&self) -> &EngineCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut EngineCore {
-        &mut self.core
-    }
-
-    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
-        // Rebuild from scratch: the persistent trust matrix, aggregate
-        // cache and arenas are derived state that the records
-        // deliberately omit, so the first resumed round re-emits every
-        // row the restored estimators back and — unprimed — rebuilds
-        // every observer's run, after which the incremental paths take
-        // over again. Queued ingest batches survive the restore, like
-        // the other engines' pending lists do.
-        let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
-        core.restore(round, records)?;
-        core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
-        let backed = (0u32..)
-            .zip(&core.nodes)
-            .filter(|(_, state)| !state.estimators.is_empty())
-            .map(|(i, _)| NodeId(i))
-            .collect();
-        *self = Self::new(core);
-        self.pending_dirty = backed;
-        Ok(())
-    }
-
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let scenario = Arc::clone(&self.core.scenario);
+    /// The delta round after [`transact_blocks`]; `dirty` starts as the
+    /// requesters that folded an outcome.
+    fn run_round(
+        &mut self,
+        core: &mut EngineCore,
+        delta: ServiceDelta,
+        mut dirty: Vec<NodeId>,
+        round_seed: u64,
+    ) -> Result<RoundStats, CoreError> {
+        let scenario = Arc::clone(&core.scenario);
         let n = scenario.graph.node_count();
-        self.core.begin_round();
-
-        // Phase 1: transact — a fan-out over index blocks of the same
-        // per-requester kernel every engine uses (identical RNG streams),
-        // each block drawing into its own disjoint slice of the node
-        // states. At skewed activity fractions a block is one activity
-        // sweep and a handful of requesters. Block-merging the service
-        // deltas is exact — integer counters.
-        const BLOCK: usize = 4096;
-        let mut nodes = std::mem::take(&mut self.core.nodes);
-        let shared = &self.core;
-        let blocks: Vec<(Vec<NodeId>, ServiceDelta)> = nodes
-            .chunks_mut(BLOCK)
-            .enumerate()
-            .into_par_iter()
-            .map(|(b, block)| {
-                let mut delta = ServiceDelta::default();
-                let mut folded = Vec::new();
-                let first = b * BLOCK;
-                let ids = first as u32..(first + block.len()) as u32;
-                for requester in shared.requesters(ids, round_seed) {
-                    let state = &mut block[requester.index() - first];
-                    let d = shared.transact(state, requester, round_seed);
-                    if d.dirty_rows > 0 {
-                        folded.push(requester);
-                    }
-                    delta.merge(d);
-                }
-                (folded, delta)
-            })
-            .collect();
-
-        let core = &mut self.core;
-        let mut delta = ServiceDelta::default();
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for (folded, d) in blocks {
-            delta.merge(d);
-            core.marks.mark_all(folded.iter().copied());
-            dirty.extend(folded);
-        }
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
         // owner folded generated outcomes or has ingested records
@@ -635,8 +731,9 @@ impl RoundEngine for IncrementalRoundEngine {
         // purge or a restore, or — with auditing on — its report log is
         // full: re-recording an unchanged row into a full log re-inserts
         // evicted subjects under this round, exactly as the
-        // rebuild-everything engines do.
+        // rebuild-everything rounds do.
         let ingest = std::mem::take(&mut core.pending_ingest);
+        let mut nodes = std::mem::take(&mut core.nodes);
         dirty.extend(ingest.iter().map(|&(i, _)| i));
         dirty.extend(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
@@ -666,7 +763,7 @@ impl RoundEngine for IncrementalRoundEngine {
             // identical content, which `ReportLog::record` makes a
             // no-op while the log has room (full logs are dirty, above)
             // — so skipping clean rows leaves the exact log state the
-            // rebuild-everything engines hold.
+            // rebuild-everything rounds hold.
             let (row, emitted) = core.emit_row(&mut nodes[i.index()], i, &records);
             if emitted {
                 core.marks.mark(i);
@@ -694,27 +791,27 @@ impl RoundEngine for IncrementalRoundEngine {
         let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
         // Phase 3: aggregate.
-        let (aggregation, scope) = (self.core.config.aggregation, self.core.config.scope);
+        let (aggregation, scope) = (core.config.aggregation, core.config.scope);
         let frontier = match (aggregation, scope) {
             (AggregationMode::ClosedForm, AggregationScope::Neighbourhood) => {
-                self.patch_frontier(&system, &refreshed, &replaced, &changed_pairs)
+                self.patch_frontier(core, &system, &refreshed, &replaced, &changed_pairs)
             }
             // A full-scope run lists every rated subject, so it has no
-            // frontier to patch along: the sweep the other engines run,
-            // over the delta-maintained aggregates.
+            // frontier to patch along: the oracle's sweep, over the
+            // delta-maintained aggregates.
             (AggregationMode::ClosedForm, AggregationScope::Full) => {
                 let agg = SubjectAggregates::new(self.cache.sums(), self.cache.counts(), scope);
                 let runs: Vec<_> = (0..n as u32)
                     .into_par_iter()
                     .map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut Vec::new()))
                     .collect();
-                self.core.set_runs(runs);
+                core.set_runs(runs);
                 None
             }
             // The trust matrix is still maintained incrementally; the
             // gossip itself runs whole.
             (AggregationMode::Gossip, _) => {
-                self.core.aggregate_by_gossip(&system, round_seed)?;
+                core.aggregate_by_gossip(&system, round_seed)?;
                 None
             }
         };
@@ -729,17 +826,49 @@ impl RoundEngine for IncrementalRoundEngine {
         // conviction purge, admission scales, stats. Every row the purge
         // touches is recorded so the next round re-emits it — the
         // persistent matrix still holds the pre-purge entries until
-        // then, exactly like the rebuild-everything engines' estimator
+        // then, exactly like the rebuild-everything rounds' estimator
         // state.
         let pending = &mut self.pending_dirty;
         let washed_store = &mut self.washed_last;
-        Ok(self
-            .core
-            .finish_round(delta, report_entries, changed, |purged, forgot| {
+        Ok(
+            core.finish_round(delta, report_entries, changed, |purged, forgot| {
                 *washed_store = purged.to_vec();
                 pending.extend_from_slice(forgot);
                 pending.extend_from_slice(purged);
-            }))
+            }),
+        )
+    }
+}
+
+impl RoundEngine for IncrementalRoundEngine {
+    fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
+        // Rebuild from scratch: the delta state is derived, so the
+        // records omit it and it starts over, unprimed (see
+        // `DeltaState::new`). Queued ingest batches survive the restore,
+        // like the core's own restore keeps them.
+        let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
+        core.restore(round, records)?;
+        core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
+        *self = Self::new(core);
+        Ok(())
+    }
+
+    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
+        let core = &mut self.core;
+        core.begin_round();
+        let (delta, folded) = transact_blocks(core, round_seed);
+        match &mut self.delta {
+            None => rebuild_round(core, delta, round_seed),
+            Some(state) => state.run_round(core, delta, folded, round_seed),
+        }
     }
 }
 
@@ -754,6 +883,61 @@ mod tests {
     use dg_gossip::{AdversaryMix, EngineKind};
     use dg_trust::audit::AuditPolicy;
     use dg_trust::prelude::TransactionOutcome;
+
+    fn delta(engine: &IncrementalRoundEngine) -> &DeltaState {
+        engine
+            .delta
+            .as_ref()
+            .expect("gated traffic keeps delta state")
+    }
+
+    /// Full traffic takes the rebuild round and keeps no derived state —
+    /// no persistent matrix, column postings or arenas, before or after
+    /// a restore. A gated model under which every node still requests
+    /// takes the delta round, and the two agree on every round's stats
+    /// and records.
+    #[test]
+    fn full_traffic_rebuilds_and_gated_traffic_takes_the_delta_round() {
+        let full = RunConfig::with_nodes(90)
+            .with_seed(5)
+            .with_engine(EngineKind::Incremental)
+            .with_scope(AggregationScope::Neighbourhood)
+            .with_free_riders(0.2)
+            .with_quality_range(0.4, 1.0);
+        // Gated, but its one (thinning) flash round is far away.
+        let gated = full.with_traffic(TrafficModel::full().with_flash(1_000, 0.5));
+        assert!(full.traffic.is_full() && !gated.traffic.is_full());
+        let engine = |config: RunConfig| {
+            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+            IncrementalRoundEngine::new(EngineCore::new(scenario, config))
+        };
+        let (mut rebuild, mut patch) = (engine(full), engine(gated));
+        for round in 0..4 {
+            if round == 2 {
+                let records = rebuild.core.records();
+                rebuild
+                    .restore(round, &records)
+                    .expect("own records restore");
+                patch
+                    .restore(round, &records)
+                    .expect("same records restore");
+                assert!(!delta(&patch).primed && !delta(&patch).pending_dirty.is_empty());
+            }
+            let seed = round_seed(full.seed, round as u64);
+            let stats = rebuild.run_round(seed).expect("round runs");
+            assert_eq!(stats.active_nodes, 90, "round {round}");
+            assert_eq!(patch.run_round(seed).expect("round runs"), stats);
+            assert!(rebuild.delta.is_none(), "round {round} kept delta state");
+            let state = delta(&patch);
+            assert!(state.primed && state.arenas.is_some(), "round {round}");
+            assert_eq!(state.trust.entry_count() as u64, stats.report_entries);
+            assert_eq!(
+                dg_store::first_divergence(&rebuild.core.records(), &patch.core.records()),
+                None,
+                "round {round}"
+            );
+        }
+    }
 
     /// Thirty skewed rounds through every way a round can move the
     /// aggregated runs — patches, rebuilds, whitewash purges, audit
@@ -830,8 +1014,8 @@ mod tests {
                 // from a purge: nobody requests, so no run may change.
                 14.. if idle_round.is_none()
                     && !engine.core.plan.is_flash_round(round as u64)
-                    && engine.pending_dirty.is_empty()
-                    && engine.washed_last.is_empty() =>
+                    && delta(&engine).pending_dirty.is_empty()
+                    && delta(&engine).washed_last.is_empty() =>
                 {
                     seed = idle_seed(&engine.core);
                     unchanged = Some(engine.core.aggregated.clone());
@@ -843,7 +1027,7 @@ mod tests {
                     engine
                         .restore(round, &records)
                         .expect("own records restore");
-                    assert!(!engine.primed);
+                    assert!(!delta(&engine).primed);
                     assert!(engine.core.maintained_state_is_exact(), "after restore");
                 }
                 _ => {}

@@ -8,8 +8,7 @@
 //! scales, queued ingest, round counter) together with everything that
 //! is a pure function of it — records / restore, ingest queueing,
 //! lookups, totals, the audit phase and the round epilogue. An engine
-//! ([`crate::rounds`]' sequential reference driver,
-//! [`crate::sharded::ShardedRoundEngine`] and
+//! ([`crate::rounds`]' sequential reference driver and the production
 //! [`crate::incremental::IncrementalRoundEngine`]) is a `run_round`
 //! strategy over an `EngineCore`: it chooses storage layout, parallel
 //! granularity and recompute strategy, but every observable number flows
@@ -1524,15 +1523,16 @@ mod tests {
             .expect("some seed idles a sparsely active network")
     }
 
-    /// Thirty skewed rounds on every engine through every way a round
-    /// writes persisted state — transact, ingest, whitewash purges
+    /// Thirty skewed rounds on every engine (and thirty full-traffic
+    /// rebuild rounds of the incremental engine) through every way a
+    /// round writes persisted state — transact, ingest, whitewash purges
     /// (washers that were blank before the round among them), audit
     /// strikes and convictions with full report logs, patched, inserted,
     /// dropped and rebuilt run entries, a flash crowd, an idle round, a
     /// restore — committing every round, then again every third round,
     /// and after **every** round the marked nodes are exactly those
     /// `dg_store::changed` found moved by some round since the last
-    /// commit. An honest run adds an
+    /// commit. An honest skewed run adds an
     /// ingest-only row whose records change nothing but its estimators,
     /// and an idle round (the incremental engine's empty frontier) that
     /// marks nothing. Whitewash legs: a purge that takes back all its
@@ -1559,31 +1559,35 @@ mod tests {
             log_capacity: 4,
             ..AuditPolicy::standard()
         };
+        let skewed = TrafficModel::full()
+            .with_activity(0.05)
+            .with_zipf(0.5)
+            .with_flash(6, 6.0);
+        let dense = TrafficModel::full();
         let honest = RunConfig::with_nodes(160)
             .with_seed(71)
             .with_free_riders(0.15)
-            .with_quality_range(0.4, 1.0)
-            .with_traffic(
-                TrafficModel::full()
-                    .with_activity(0.05)
-                    .with_zipf(0.5)
-                    .with_flash(6, 6.0),
-            );
+            .with_quality_range(0.4, 1.0);
         let engines = [
-            (EngineKind::Sequential, 0, Neighbourhood),
-            (EngineKind::Sharded, 1, Neighbourhood),
-            (EngineKind::Sharded, 16, Neighbourhood),
-            (EngineKind::Incremental, 4, Neighbourhood),
+            (EngineKind::Sequential, 0, Neighbourhood, skewed),
+            (EngineKind::Incremental, 4, Neighbourhood, skewed),
+            // Full traffic: the incremental engine's rebuild round.
+            (EngineKind::Incremental, 1, Neighbourhood, dense),
+            (EngineKind::Incremental, 16, Neighbourhood, dense),
             // Full scope: every run lists every rated subject.
-            (EngineKind::Sequential, 0, Full),
-            (EngineKind::Incremental, 4, Full),
+            (EngineKind::Sequential, 0, Full, skewed),
+            (EngineKind::Incremental, 4, Full, skewed),
         ];
-        for (engine_kind, shards, scope) in engines {
-            let label = format!("{engine_kind:?} × {shards}, {scope:?} scope");
+        for (engine_kind, shards, scope, traffic) in engines {
+            // Nobody idles under full traffic: those rows keep their
+            // round seeds and skip the legs built on idle rounds.
+            let full = traffic.is_full();
+            let label = format!("{engine_kind:?} × {shards}, {scope:?} scope, full {full}");
             let honest = honest
                 .with_scope(scope)
                 .with_engine(engine_kind)
-                .with_shards(shards);
+                .with_shards(shards)
+                .with_traffic(traffic);
             let config = honest.with_adversary(mix).with_audit(audit);
             // Committing every round, each round's marks are checked
             // alone; every third, they are checked as a union.
@@ -1616,7 +1620,9 @@ mod tests {
                         // idle seed exists).
                         13 => {
                             let core = engine.core();
-                            seed = idle_seed(core);
+                            if !full {
+                                seed = idle_seed(core);
+                            }
                             let reporter = (0..core.nodes.len())
                                 .find(|&i| !core.banned[i] && core.nodes[i].estimators.is_empty())
                                 .map(|i| NodeId(i as u32))
@@ -1628,7 +1634,7 @@ mod tests {
                                 vec![TransactionRecord { provider, outcome }],
                             )]);
                         }
-                        16 => seed = idle_seed(engine.core()),
+                        16 if !full => seed = idle_seed(engine.core()),
                         _ => {}
                     }
                     let (stats, after) = window.round(engine.as_mut(), seed, &what);
@@ -1637,7 +1643,7 @@ mod tests {
                     full_logs |= after
                         .iter()
                         .any(|r| r.audit_log.len() >= audit.log_capacity);
-                    if round == 13 {
+                    if round == 13 && !full {
                         assert_eq!(stats.active_nodes, 0, "{label}: ingest-only round");
                     }
                 }
@@ -1657,7 +1663,7 @@ mod tests {
                 let what = format!("{label}: honest round {round}");
                 let mut window = MarkWindow::commit(engine.as_mut(), &what);
                 let mut seed = round_seed(honest.seed, round);
-                if round >= 3 {
+                if round >= 3 && !full {
                     seed = idle_seed(engine.core());
                 }
                 if round == 3 {
@@ -1675,11 +1681,14 @@ mod tests {
                 }
                 let before = engine.core().records();
                 let (_, after) = window.round(engine.as_mut(), seed, &what);
-                if round == 4 {
+                if round == 4 && !full {
                     assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
                 }
             }
 
+            if full {
+                continue;
+            }
             // Whitewashers, no audit, idle rounds whose only traffic is
             // ingest about a washer from nodes outside every washer's
             // neighbourhood.

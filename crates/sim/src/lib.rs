@@ -19,7 +19,7 @@
 //! * [`rounds`] — the full reputation lifecycle loop (transactions →
 //!   estimation → aggregation → admission control) behind the free-riding
 //!   examples, dispatching through one engine factory to the sequential
-//!   reference driver or one of the two production engines;
+//!   reference driver or the production engine;
 //! * [`session`] — the front door: a [`RunSession`] that builds
 //!   scenario and engine from a [`RunConfig`], runs rounds on a
 //!   deterministic seed schedule and checkpoints / resumes through the
@@ -30,16 +30,12 @@
 //!   observable math (per-node RNG streams, robust subject sums, Eq. (6)
 //!   rows, the round epilogue) and all bookkeeping (records, restore,
 //!   ingest queueing) has exactly one implementation;
-//! * [`sharded`] — the sharded round engine: the kernel phases fanned
-//!   out over contiguous *node shards* on per-node ChaCha8 streams,
-//!   each shard building its own CSR block with bounded scratch — the
-//!   dense and million-node configuration, bit-identical to the other
-//!   engines at any shard count;
-//! * [`incremental`] — the incremental delta-driven engine: persistent
-//!   sharded trust matrix, dirty-row replacement, delta-maintained
-//!   subject aggregates and patched Eq. (6) rows — the skewed-traffic
-//!   configuration, bit-identical to the others at any activity
-//!   fraction;
+//! * [`incremental`] — the production engine: under full traffic a
+//!   rebuild round whose rows go straight into per-shard CSR blocks;
+//!   under gated traffic a delta round over a persistent sharded trust
+//!   matrix, dirty-row replacement, delta-maintained subject aggregates
+//!   and patched Eq. (6) rows — bit-identical to the sequential oracle
+//!   at any shard count, thread count and activity fraction;
 //! * [`adversary`] — the attack layer: per-node adversarial strategies
 //!   (sybil rings, collusion cliques, slanderers, whitewashers) compiled
 //!   from an [`AdversaryMix`](dg_gossip::AdversaryMix) and applied by
@@ -68,7 +64,6 @@ pub mod rounds;
 pub mod scenario;
 pub mod serve;
 pub mod session;
-pub mod sharded;
 pub mod workload;
 
 pub use adversary::{AdversaryAssignment, Role, Strategy};

@@ -14,26 +14,25 @@
 //! node's first-hand estimators) and **aggregate** (Variation-4
 //! differential gossip, in closed form or by real gossip).
 //!
-//! Three execution engines are available through
-//! [`RunConfig::engine`], each a `run_round` strategy over one shared
-//! [`EngineCore`]:
+//! Two execution engines are available through [`RunConfig::engine`],
+//! each a `run_round` strategy over one shared [`EngineCore`]:
 //!
 //! * [`EngineKind::Sequential`] — the reference driver in this module:
 //!   one inline pass over nodes, the oracle every suite compares
 //!   against;
-//! * [`EngineKind::Sharded`] —
-//!   [`ShardedRoundEngine`](crate::sharded::ShardedRoundEngine): nodes
-//!   partitioned into contiguous shards ([`RunConfig::shard_count`]),
-//!   each with its own CSR block and bounded scratch, rayon fan-out
-//!   over shards — the dense and million-node configuration;
 //! * [`EngineKind::Incremental`] —
-//!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine):
-//!   persistent sharded trust state, dirty-row tracking and
-//!   delta-maintained aggregates, so a round costs `O(dirty)` instead
-//!   of `O(N)` under skewed traffic ([`RunConfig::traffic`]).
+//!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine),
+//!   the production engine. Under full traffic every round rebuilds:
+//!   nodes are partitioned into contiguous shards
+//!   ([`RunConfig::shard_count`]), each emitting its own CSR block,
+//!   with a rayon fan-out over shards. Under gated traffic
+//!   ([`RunConfig::traffic`]) it keeps sharded trust state, dirty-row
+//!   tracking and delta-maintained aggregates across rounds, so a
+//!   round costs `O(dirty)` instead of `O(N)`. The traffic model
+//!   chooses; there is no option.
 //!
 //! Every node consumes a private ChaCha8 stream derived from the round
-//! seed, so **all engines produce bit-for-bit identical results at any
+//! seed, so **both engines produce bit-for-bit identical results at any
 //! thread count, any shard count, and any traffic shape** (pinned by
 //! `tests/engine_equivalence.rs`).
 //!
@@ -283,7 +282,6 @@ pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn Roun
     let core = EngineCore::new(scenario, *config);
     match config.engine {
         EngineKind::Sequential => Box::new(SequentialRounds::new(core)),
-        EngineKind::Sharded => Box::new(crate::sharded::ShardedRoundEngine::new(core)),
         EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(core)),
     }
 }
@@ -291,7 +289,7 @@ pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn Roun
 /// The sequential reference driver: one inline pass over nodes per
 /// phase, dynamic map-backed trust storage — deliberately the simplest
 /// possible composition of the kernel phases, the yardstick the
-/// optimised engines are pinned against.
+/// production engine is pinned against.
 struct SequentialRounds {
     core: EngineCore,
     /// The tiled subject-sum sweep inside dg-trust fans out on the
@@ -321,7 +319,7 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     // Phases 1 + 2: transact (drawing outcomes straight into the
     // requester's estimators), then fold ingest and emit the row —
     // inline, one node at a time, but on the same per-node streams and
-    // kernel phases as the parallel engines. Rows go into the dynamic
+    // kernel phases as the production engine. Rows go into the dynamic
     // map backend, one point insertion per entry.
     let mut delta = ServiceDelta::default();
     let mut nodes = std::mem::take(&mut core.nodes);

@@ -131,12 +131,10 @@ impl Scenario {
         match config.engine {
             // The gossip algorithms read the oracle's substrate as built.
             EngineKind::Sequential => {}
-            // The sharded-substrate engines partition everything they
-            // own; the substrate follows the same partition so no
-            // monolithic arena exists anywhere in such a run.
-            EngineKind::Sharded | EngineKind::Incremental => {
-                trust.shard(dg_trust::ShardSpec::auto(config.nodes))
-            }
+            // The production engine partitions everything it owns; the
+            // substrate follows the same partition so no monolithic
+            // arena exists anywhere in such a run.
+            EngineKind::Incremental => trust.shard(dg_trust::ShardSpec::auto(config.nodes)),
         }
 
         let weights = WeightParams::new(config.weight_a, config.weight_b)?;

@@ -26,7 +26,7 @@
 //! aggregated run and observer mean — plus the round counter in the
 //! header. Everything else (trust matrix, aggregate caches) is derived
 //! per round and deliberately omitted; `tests/crash_recovery.rs` pins
-//! the equivalence for all three engines.
+//! the equivalence for both engines.
 //!
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly

@@ -11,7 +11,9 @@ use dg_trust::audit::AuditPolicy;
 use std::path::Path;
 
 /// Exactly what the commit before `RunConfig` became the only config
-/// serialized for [`written_config`] — the snapshot-header contract.
+/// serialized for [`written_config`] — the snapshot-header contract. It
+/// names the removed `Sharded` engine, which reads back as
+/// `Incremental`.
 const WRITTEN_CONFIG_JSON: &str = r#"{"nodes":48,"m":2,"seed":5,"weight_a":2,"weight_b":2,"free_rider_fraction":0.25,"quality_range":[0.4,1],"trust_source":"Exact","topology":"Pa","far_partners":0,"engine":"Sharded","shard_count":3,"profile":{"loss":0.1,"duplicate":0.01,"detect_loss":true,"max_delay":2,"churn":{"crash_probability":0,"min_downtime":0,"max_downtime":0},"partition":null},"adversary":{"sybil_fraction":0,"sybil_ring":8,"sybil_spawn_rate":2,"collusion_fraction":0,"collusion_clique":4,"slander_fraction":0,"slander_factor":0,"whitewash_fraction":0,"wash_threshold":0.25,"stealth_fraction":0.45,"stealth_clique":5,"stealth_bias":1},"traffic":{"activity_fraction":0.5,"zipf_exponent":0.8,"flash_interval":0,"flash_multiplier":1},"defense":{"robust":{"clamp_lo":0.1,"clamp_hi":0.9,"trim_fraction":0.2},"newcomer":"ZeroPrior"},"audit":{"audit_rate":0.03,"strikes_to_convict":2,"tolerance":0.05,"log_capacity":16,"checks_per_audit":1},"rounds":4,"requests_per_edge":5,"admission_threshold":0.35,"ewma_rate":0.3,"aggregation":"ClosedForm","scope":"Full","xi":0.0001,"fanout":"Differential","max_steps":100000,"sticky_announcements":false}"#;
 
 fn written_config() -> RunConfig {
@@ -20,7 +22,7 @@ fn written_config() -> RunConfig {
         .with_rounds(4)
         .with_free_riders(0.25)
         .with_quality_range(0.4, 1.0)
-        .with_engine(EngineKind::Sharded)
+        .with_engine(EngineKind::Incremental)
         .with_shards(3)
         .with_profile(NetworkProfile::lossy())
         .with_adversary(AdversaryMix::stealth())
@@ -33,7 +35,13 @@ fn written_config() -> RunConfig {
 fn run_config_json_is_byte_stable() {
     let config: RunConfig = serde_json::from_str(WRITTEN_CONFIG_JSON).unwrap();
     assert_eq!(config, written_config());
-    assert_eq!(serde_json::to_string(&config).unwrap(), WRITTEN_CONFIG_JSON);
+    // The one intended byte change since the literal was written: the
+    // `Sharded` engine it names is gone, and its alias re-serializes
+    // under the production engine's name. Every other byte is stable.
+    let rewritten =
+        WRITTEN_CONFIG_JSON.replace(r#""engine":"Sharded""#, r#""engine":"Incremental""#);
+    assert_ne!(rewritten, WRITTEN_CONFIG_JSON);
+    assert_eq!(serde_json::to_string(&config).unwrap(), rewritten);
 }
 
 #[test]
@@ -87,30 +95,36 @@ fn legacy_round_stats_deserialize_with_zero_traffic_counters() {
 }
 
 #[test]
-fn configs_naming_the_parallel_engine_mean_sharded() {
+fn configs_naming_removed_engines_mean_incremental() {
     // Configs and snapshot headers written while the batched `Parallel`
-    // engine existed: the name is an alias of `Sharded` now.
-    fn as_parallel(json: &str) -> String {
-        let legacy = json.replace(r#""engine":"Sharded""#, r#""engine":"Parallel""#);
-        assert!(legacy.contains("Parallel"), "{legacy}");
+    // or the `Sharded` engine existed: both names are aliases of the
+    // production engine now.
+    fn naming(engine: &str, json: &str) -> String {
+        let legacy = json.replace(
+            r#""engine":"Incremental""#,
+            &format!(r#""engine":"{engine}""#),
+        );
+        assert!(legacy.contains(engine), "{legacy}");
         legacy
     }
-    let run = RunConfig::with_nodes(48)
+    // Full traffic (the rebuild round) and the checked-in literal's
+    // skewed traffic (the delta round).
+    let full = RunConfig::with_nodes(48)
         .with_seed(5)
         .with_rounds(4)
-        .with_engine(EngineKind::Sharded);
-    let legacy = as_parallel(&serde_json::to_string(&run).unwrap());
-    assert_eq!(serde_json::from_str::<RunConfig>(&legacy).unwrap(), run);
-
-    // A store whose header names `Parallel` resumes like the oracle, and
-    // so does one whose header carries the checked-in literal.
-    resumes_like_the_oracle(run, "Parallel", &legacy);
+        .with_engine(EngineKind::Incremental);
+    for run in [full, written_config()] {
+        let json = serde_json::to_string(&run).unwrap();
+        for engine in ["Sharded", "Parallel"] {
+            let legacy = naming(engine, &json);
+            assert_eq!(serde_json::from_str::<RunConfig>(&legacy).unwrap(), run);
+            // A store whose header names the removed engine resumes like
+            // the oracle.
+            resumes_like_the_oracle(run, engine, &legacy);
+        }
+    }
+    // So does one whose header carries the checked-in literal.
     resumes_like_the_oracle(written_config(), "Sharded", WRITTEN_CONFIG_JSON);
-    resumes_like_the_oracle(
-        written_config(),
-        "Parallel",
-        &as_parallel(WRITTEN_CONFIG_JSON),
-    );
 }
 
 /// Checkpoint `run` at round 2, rewrite the store header to carry

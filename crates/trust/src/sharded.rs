@@ -187,16 +187,6 @@ impl ShardedCsr {
         self.shards.iter().map(CsrStorage::entry_count).sum()
     }
 
-    /// Stored entries per shard (`nnz`), in shard order — the per-shard
-    /// cost signal the round engines feed the work-stealing scheduler's
-    /// weighted map. Degrades to zeroes for shards a malformed
-    /// deserialized value is missing.
-    pub fn shard_entry_counts(&self) -> Vec<usize> {
-        (0..self.spec.shard_count())
-            .map(|s| self.shards.get(s).map_or(0, CsrStorage::entry_count))
-            .collect()
-    }
-
     /// One shard's storage (rows are shard-local).
     pub fn shard(&self, shard: usize) -> &CsrStorage {
         &self.shards[shard]
@@ -476,21 +466,6 @@ mod tests {
         assert!(sharded.set(NodeId(4), NodeId(0), tv(0.5)).is_err());
         assert_eq!(sharded.get(NodeId(9), NodeId(0)), None);
         assert_eq!(sharded.remove(NodeId(9), NodeId(0)), None);
-    }
-
-    #[test]
-    fn shard_entry_counts_track_per_shard_nnz() {
-        let spec = ShardSpec::new(6, 3);
-        let mut b = ShardedCsrBuilder::new(spec);
-        for &(i, j, v) in &[(0u32, 1u32, 0.2), (1, 0, 0.3), (5, 5, 0.7)] {
-            b.set(NodeId(i), NodeId(j), tv(v)).unwrap();
-        }
-        let sharded = b.build();
-        assert_eq!(sharded.shard_entry_counts(), vec![2, 0, 1]);
-        assert_eq!(
-            sharded.shard_entry_counts().iter().sum::<usize>(),
-            sharded.entry_count()
-        );
     }
 
     #[test]

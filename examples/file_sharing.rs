@@ -23,9 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
         seed: 7,
-        // The sharded engine: identical results to the sequential
-        // reference driver, per-shard CSR state, shard fan-out.
-        engine: EngineKind::Sharded,
+        // The production engine: identical results to the sequential
+        // reference driver; under this full traffic every round
+        // rebuilds per-shard CSR state with a shard fan-out.
+        engine: EngineKind::Incremental,
         rounds: 10,
         ..RunConfig::default()
     };

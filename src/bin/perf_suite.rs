@@ -10,9 +10,9 @@
 //! without naming a package:
 //!
 //! ```text
-//! cargo run --release --bin perf_suite                      # smoke preset (5k nodes, sharded)
-//! cargo run --release --bin perf_suite -- --skewed --engine incremental
-//! cargo run --release --bin perf_suite -- --scale --engine sharded   # 1M nodes
+//! cargo run --release --bin perf_suite                      # smoke preset (5k nodes)
+//! cargo run --release --bin perf_suite -- --skewed          # 1% Zipf traffic, delta rounds
+//! cargo run --release --bin perf_suite -- --scale           # 1M nodes
 //! cargo run --release --bin perf_suite -- --checkpoint-every 2 --out-dir /tmp/run
 //! cargo run --release --bin perf_suite -- --resume /tmp/run/session_store
 //! ```

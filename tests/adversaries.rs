@@ -6,7 +6,7 @@
 //!    (whatever its structural knobs say) is bit-identical to the plain
 //!    honest run: the adversary plumbing costs nothing when unused.
 //! 3. **Engine equivalence** — attacks produce identical results under
-//!    the sequential oracle and the sharded engine (several shard
+//!    the sequential oracle and the incremental engine (several shard
 //!    counts), with and without the defense policy.
 //! 4. **Defenses act** — the robust-aggregation / zero-prior knobs
 //!    measurably reduce what attacks extract or distort.
@@ -80,7 +80,7 @@ proptest! {
     fn same_seed_and_mix_replays_bit_for_bit(
         seed in 0u64..1000,
         pick in (0usize..5, 1u8..=3),
-        engine in 0usize..3,
+        engine in 0..EngineKind::ALL.len(),
     ) {
         // Any engine replaying the attack equals the sequential oracle's
         // independent run — stats, records and residual.
@@ -111,7 +111,7 @@ fn zero_fraction_mix_is_bit_identical_to_honest_run() {
     assert_eq!(a.population, b.population);
     assert_eq!(a.trust, b.trust);
     assert!(b.adversaries.is_none());
-    for engine in [EngineKind::Sequential, EngineKind::Sharded] {
+    for engine in EngineKind::ALL {
         model::check_against(honest, zeroed.with_engine(engine), &[Run(5)]);
     }
 }
@@ -129,7 +129,7 @@ fn engines_agree_bit_for_bit_under_attack() {
     };
     for defense in [DefensePolicy::none(), DefensePolicy::defended()] {
         let config = scenario_config(23, mix).with_defense(defense);
-        let shards = [1, 4, 16].map(|shards| (EngineKind::Sharded, shards));
+        let shards = [1, 4, 16].map(|shards| (EngineKind::Incremental, shards));
         model::check_each(config, &shards, &[Run(6)]);
     }
 }

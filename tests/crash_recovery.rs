@@ -108,8 +108,8 @@ fn kill_and_resume_with_audit_strikes_in_flight() {
 fn resume_restores_aggregates_and_residual_exactly() {
     // The model compares every aggregated run (the records) and the
     // honest residual after each op; killed at round 3 of 4.
-    let cfg = config(Sharded, "collusion", "lossy", 9);
-    check(cfg, &kill_at(3, Sharded));
+    let cfg = config(Incremental, "collusion", "lossy", 9);
+    check(cfg, &kill_at(3, Incremental));
 }
 
 #[test]
@@ -152,7 +152,7 @@ proptest! {
     /// audits) ends, and passes every step, bit-identical to the oracle.
     #[test]
     fn kill_resume_property(
-        axes in (0usize..3, 0usize..4, 0usize..6, 0usize..4),
+        axes in (0..EngineKind::ALL.len(), 0usize..4, 0usize..6, 0usize..4),
         shape in (0usize..3, 0usize..2, 0usize..2),
         seed in 0u64..1000,
         ops_seed in 0u64..u64::MAX,

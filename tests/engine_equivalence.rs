@@ -1,10 +1,11 @@
-//! The sharded and incremental round engines are pure optimisations:
-//! for the same pinned seeds they must produce **exactly** the
-//! sequential oracle's results — same service counters, same reputation
-//! means, same per-node records (aggregated runs included) — at every
-//! thread count, every shard count, every traffic activity fraction,
-//! with and without an adversarial mix. Each row is a fixed sequence of
-//! the session model (`tests/model/mod.rs`).
+//! The incremental engine is a pure optimisation: for the same pinned
+//! seeds both its rebuild round (full traffic) and its delta round
+//! (gated traffic) must produce **exactly** the sequential oracle's
+//! results — same service counters, same reputation means, same
+//! per-node records (aggregated runs included) — at every thread count,
+//! every shard count, every traffic activity fraction, with and without
+//! an adversarial mix. Each row is a fixed sequence of the session
+//! model (`tests/model/mod.rs`).
 
 mod model;
 
@@ -54,6 +55,9 @@ fn engines_match_bitwise_under_real_gossip_aggregation() {
     let mut config = base(13).with_aggregation(AggregationMode::Gossip);
     (config.nodes, config.xi) = (40, 1e-5);
     check_each(config, &ACCELERATED, &rotating_threads(3));
+    // The delta round's gossip arm.
+    let gated = config.with_traffic(everyone_gated());
+    check_each(gated, &[(Incremental, AUTO)], &rotating_threads(3));
 }
 
 #[test]
@@ -113,23 +117,24 @@ fn engines_match_bitwise_with_audits_convicting() {
 
 #[test]
 fn engines_match_bitwise_when_audit_logs_fill() {
-    // Found by `kill_resume_property`: refused free riders leave rows
-    // clean while their full report logs still change when re-recorded
-    // (evicted subjects come back under the new round).
+    // Found by `kill_resume_property`: in the delta round, refused free
+    // riders leave rows clean while their full report logs still change
+    // when re-recorded (evicted subjects come back under the new round).
+    // Gated traffic under which everyone requests keeps it the delta
+    // round.
     let mut audit = AuditPolicy::standard();
     audit.audit_rate = 0.2;
-    check(
-        base(3).with_audit(audit).with_engine(Incremental),
-        &[Run(3)],
-    );
+    let config = base(3).with_audit(audit).with_traffic(everyone_gated());
+    check(config.with_engine(Incremental), &[Run(3)]);
 }
 
 #[test]
 fn engines_match_bitwise_with_one_hot_shard() {
-    // Skew stress for the cost-weighted scheduler: Zipf s = 1.5 over a
-    // thin activity fraction concentrates almost all traffic on the
-    // lowest node ids — with 16 shards that is ONE hot shard while the
-    // rest idle. The weighted stealing schedule must not change a bit.
+    // Skew stress for the shard fan-out: Zipf s = 1.5 over a thin
+    // activity fraction concentrates almost all traffic on the lowest
+    // node ids — with 16 shards that is ONE hot shard while the rest
+    // idle. Work stealing between the pool's workers must not change a
+    // bit.
     let traffic = TrafficModel::full().with_activity(0.1).with_zipf(1.5);
     let config = base(61).with_traffic(traffic.with_flash(3, 4.0));
     check_each(config, &ACCELERATED, &rotating_threads(6));
@@ -149,9 +154,12 @@ fn incremental_engine_matches_under_whitewash_purges() {
 
 #[test]
 fn sharded_engine_is_reproducible_across_repeat_runs() {
-    // Two runs of each engine, every one equal to the deterministic oracle.
-    let twice = [(Sharded, 4), (Incremental, 4)].repeat(2);
-    check_each(base(77), &twice, &[Run(4)]);
+    // Two runs of the rebuild round, then two of the delta round, every
+    // one equal to the deterministic oracle.
+    let twice = [(Incremental, 4); 2];
+    for traffic in [TrafficModel::full(), everyone_gated()] {
+        check_each(base(77).with_traffic(traffic), &twice, &[Run(4)]);
+    }
 }
 
 #[test]
@@ -202,13 +210,16 @@ mod steal_order {
 #[test]
 fn sharded_engine_handles_shard_count_above_node_count() {
     // 40 nodes, 64 shards: most shards own a single row, trailing
-    // shards own none. Still bit-equal to the oracle.
+    // shards own none. Still bit-equal to the oracle, in the rebuild
+    // round and in the delta round.
     let config = RunConfig {
         nodes: 40,
         ..base(19)
     };
-    let candidates = [(Sharded, 64), (Incremental, 64)];
-    check_each(config, &candidates, &[Threads(2), Run(3)]);
+    for traffic in [TrafficModel::full(), everyone_gated()] {
+        let config = config.with_traffic(traffic);
+        check_each(config, &[(Incremental, 64)], &[Threads(2), Run(3)]);
+    }
 }
 
 #[test]

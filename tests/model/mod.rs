@@ -19,7 +19,7 @@
 use differential_gossip::gossip::EngineKind;
 use differential_gossip::graph::NodeId;
 use differential_gossip::sim::kernel::TransactionRecord;
-use differential_gossip::sim::{RunConfig, RunSession};
+use differential_gossip::sim::{RunConfig, RunSession, TrafficModel};
 use differential_gossip::store::{first_divergence, Store};
 use differential_gossip::trust::prelude::TransactionOutcome;
 use rand::{Rng, SeedableRng};
@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-pub use EngineKind::{Incremental, Sequential, Sharded};
+pub use EngineKind::{Incremental, Sequential};
 pub use Op::*;
 
 /// `shard_count` 0: the deterministic auto partition.
@@ -40,15 +40,22 @@ pub const AUTO: usize = 0;
 /// or two, so work stealing migrates real blocks).
 pub const SHARDS: [usize; 4] = [AUTO, 1, 16, 64];
 
-/// The accelerated engine configurations an equivalence row pins to the
-/// oracle: the incremental engine, and the sharded engine at 1, 16 and
-/// 64 shards.
+/// The production engine configurations an equivalence row pins to the
+/// oracle: the incremental engine at every shard count of [`SHARDS`].
 pub const ACCELERATED: [(EngineKind, usize); 4] = [
     (Incremental, AUTO),
-    (Sharded, 1),
-    (Sharded, 16),
-    (Sharded, 64),
+    (Incremental, 1),
+    (Incremental, 16),
+    (Incremental, 64),
 ];
+
+/// A gated traffic model under which every node still requests every
+/// round (its one flash round, which thins, is a million rounds away):
+/// it sends the incremental engine down its delta round on a row that
+/// full traffic would send down the rebuild round.
+pub fn everyone_gated() -> TrafficModel {
+    TrafficModel::full().with_flash(1_000_000, 0.5)
+}
 
 /// One ingested transaction report: `(requester, provider, quality)`,
 /// `None` for a refusal.
@@ -144,7 +151,10 @@ pub fn random_ops(seed: u64, nodes: usize) -> Vec<Op> {
             ),
             6 => Checkpoint,
             7 | 8 => Crash {
-                resume_as: (EngineKind::ALL[pick(3)], SHARDS[pick(4)]),
+                resume_as: (
+                    EngineKind::ALL[pick(EngineKind::ALL.len())],
+                    SHARDS[pick(4)],
+                ),
             },
             _ => Threads([1, 2, 8][pick(3)]),
         })
