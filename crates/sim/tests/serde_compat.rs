@@ -164,8 +164,32 @@ fn a_store_written_in_format_v2_resumes_bit_identically() {
     // under audit with two convictions already in, `run_to(3)` + full
     // epoch, `run_to(4)` + delta. Every record carries the
     // reputation-table section format 3 dropped.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v2");
-    let dir = std::env::temp_dir().join(format!("dg_store_v2_{}", std::process::id()));
+    resumes_bit_identically("store-v2", 2);
+}
+
+#[test]
+fn a_store_written_in_format_v3_resumes_bit_identically() {
+    // `fixtures/store-v3` was written by the last commit that spoke
+    // format 3 (a5d9335), from the same run as `store-v2`: the config
+    // read back from that fixture, `run_to(3)` + full epoch,
+    // `run_to(4)` + delta —
+    //     let v2 = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v2");
+    //     let mut s = RunSession::new(*RunSession::resume(&v2)?.config())?;
+    //     s.run_to(3)?; s.checkpoint(out)?; s.run_to(4)?; s.checkpoint(out)?;
+    // Its frames carry format 3's FNV-1a digest.
+    resumes_bit_identically("store-v3", 3);
+}
+
+/// Copy `fixtures/<fixture>` (an epoch at round 3 plus a delta at round
+/// 4, written in format `version`), resume it, and require the finished
+/// run to be bit-equal to a straight one; then append one checkpoint —
+/// a current-format delta on the older chain (frames carry their own
+/// version) — and require that mixed chain to load the same state.
+fn resumes_bit_identically(fixture: &str, version: u32) {
+    let source = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    let dir = std::env::temp_dir().join(format!("dg_{fixture}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(dir.join("epoch-3")).unwrap();
     for file in [
@@ -175,7 +199,7 @@ fn a_store_written_in_format_v2_resumes_bit_identically() {
         "epoch-3/header.json",
         "epoch-3/shard-0.bin",
     ] {
-        std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+        std::fs::copy(source.join(file), dir.join(file)).unwrap();
     }
     assert_eq!(
         Store::open(&dir)
@@ -183,7 +207,7 @@ fn a_store_written_in_format_v2_resumes_bit_identically() {
             .unwrap()
             .header
             .format_version,
-        2
+        version
     );
 
     let mut resumed = RunSession::resume(&dir).unwrap();
@@ -199,11 +223,13 @@ fn a_store_written_in_format_v2_resumes_bit_identically() {
         None
     );
 
-    // One more checkpoint is a format-3 delta on the format-2 chain
-    // (frames carry their own version), and that loads too.
     assert_eq!(resumed.checkpoint(&dir).unwrap(), CheckpointKind::Delta);
-    let header = Store::open(&dir).load_latest().unwrap().header;
-    assert_eq!((header.format_version, header.base_round), (3, Some(4)));
+    let store = Store::open(&dir);
+    let header = store.load_latest().unwrap().header;
+    assert_eq!((header.format_version, header.base_round), (4, Some(4)));
+    // The commit record is restamped, so an older build refuses the
+    // mixed chain at its head.
+    assert_eq!(store.head().unwrap().unwrap().format_version, 4);
     let again = RunSession::resume(&dir).unwrap();
     assert_eq!(again.stats(), straight.stats());
     assert_eq!(

@@ -1,8 +1,10 @@
 //! Binary framing shared by every `.bin` snapshot file.
 //!
 //! A framed file is `MAGIC (8) ‖ kind (1) ‖ version (4, LE) ‖
-//! payload_len (8, LE) ‖ payload ‖ digest (8, LE)`, where the digest is
-//! FNV-1a-64 over everything before it. The frame makes the three
+//! payload_len (8, LE) ‖ payload ‖ digest (8, LE)`, where the digest
+//! covers everything before it and is chosen by the frame's own version
+//! field ([`frame_digest`]): XXH64 from format 4 on, FNV-1a-64 in the
+//! format 1–3 frames older builds wrote. The frame makes the three
 //! corruption modes the store must survive cheap to detect: truncation
 //! (length check), garbling (digest check) and cross-wiring a file into
 //! the wrong slot (kind tag). Payload decoding on top of the frame goes
@@ -29,7 +31,13 @@ use std::path::Path;
 ///   the estimators and the aggregated run (a mirror of the estimators
 ///   that nothing read). Version-1 and -2 payloads decode with that
 ///   section length-checked and skipped.
-pub const FORMAT_VERSION: u32 = 3;
+/// - 4: the frame digest becomes XXH64 (chosen per frame by its own
+///   version field, so older frames keep FNV-1a-64); the
+///   payload layout is version 3's, byte for byte.
+pub const FORMAT_VERSION: u32 = 4;
+
+/// The first format whose frames carry an XXH64 digest.
+const XXH64_SINCE: u32 = 4;
 
 /// Leading magic of every framed snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"DGSNAP01";
@@ -59,9 +67,9 @@ impl FrameKind {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty to
-/// catch torn writes and bit rot (this is an integrity check, not an
-/// adversarial MAC).
+/// FNV-1a 64-bit over `bytes` — the digest of format 1–3 frames. It is
+/// one xor and one multiply per byte, each waiting on the last, so it
+/// runs at about a byte per multiply latency.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_more(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -76,15 +84,111 @@ fn fnv1a64_more(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The digest a frame carries after its payload: FNV-1a-64 over the
-/// prelude and the payload, each hashed where it lies.
+const XXH_PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// The little-endian `u64` in the first 8 bytes of `bytes`.
+fn read_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME64_1)
+}
+
+fn xxh64_merge(hash: u64, acc: u64) -> u64 {
+    (hash ^ xxh64_round(0, acc))
+        .wrapping_mul(XXH_PRIME64_1)
+        .wrapping_add(XXH_PRIME64_4)
+}
+
+/// XXH64 of `bytes` under `seed` — the published algorithm (four
+/// independent lanes over 8-byte words, then the 8/4/1-byte tail and the
+/// avalanche), the digest of format-4 frames. Like FNV-1a it is an
+/// integrity check against torn writes and bit rot, not an adversarial
+/// MAC; unlike it, the lanes do not wait on each other.
+pub(crate) fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let mut acc = [
+            seed.wrapping_add(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_2),
+            seed.wrapping_add(XXH_PRIME64_2),
+            seed,
+            seed.wrapping_sub(XXH_PRIME64_1),
+        ];
+        for stripe in stripes {
+            for (lane, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh64_round(*lane, read_u64(word));
+            }
+        }
+        let hash = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(hash, |hash, &lane| xxh64_merge(hash, lane))
+    } else {
+        seed.wrapping_add(XXH_PRIME64_5)
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        hash = (hash ^ xxh64_round(0, read_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME64_1)
+            .wrapping_add(XXH_PRIME64_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        hash = (hash ^ u64::from(word).wrapping_mul(XXH_PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME64_2)
+            .wrapping_add(XXH_PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME64_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_PRIME64_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_PRIME64_3);
+    hash ^ (hash >> 32)
+}
+
+/// The format version a frame's prelude declares.
+pub(crate) fn prelude_version(prelude: &[u8; PRELUDE_LEN]) -> u32 {
+    u32::from_le_bytes([prelude[9], prelude[10], prelude[11], prelude[12]])
+}
+
+/// The digest a frame carries after its payload, chosen by the frame's
+/// own version — never the reader's, so a store whose chain mixes
+/// formats verifies frame by frame. Format 4 on: XXH64 of the payload,
+/// seeded with the XXH64 of the prelude. Formats 1–3: FNV-1a-64 over
+/// the prelude and the payload laid end to end. Each piece is hashed
+/// where it lies. The only place a digest is chosen.
 pub(crate) fn frame_digest(prelude: &[u8; PRELUDE_LEN], payload: &[u8]) -> u64 {
-    fnv1a64_more(fnv1a64(prelude), payload)
+    if prelude_version(prelude) >= XXH64_SINCE {
+        xxh64(payload, xxh64(prelude, 0))
+    } else {
+        fnv1a64_more(fnv1a64(prelude), payload)
+    }
 }
 
 /// The two pieces a frame puts around `payload` — the prelude and the
 /// little-endian digest trailer. The one encoder of the layout, for
-/// files ([`write_frame`]) and streams ([`crate::wire::write_wire_frame`]).
+/// files ([`write_frame`]) and streams ([`crate::wire::write_wire_frame`]);
+/// it always writes the current [`FORMAT_VERSION`].
 pub(crate) fn seal(kind: u8, payload: &[u8]) -> ([u8; PRELUDE_LEN], [u8; 8]) {
     let mut prelude = [0u8; PRELUDE_LEN];
     prelude[..8].copy_from_slice(&MAGIC);
@@ -355,4 +459,40 @@ impl<'a> ByteReader<'a> {
 /// Wrap a `ByteReader` reason into a `Corrupt` error for `path`.
 pub(crate) fn corrupt_at(path: &Path, reason: String) -> StoreError {
     corrupt(path, reason)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b"", 0), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a", 0), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc", 0), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one stripe, then the 4- and 1-byte tails.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition", 0),
+            0xfbce_a83c_8a37_8bf1
+        );
+        assert_eq!(xxh64(b"xxhash", 20_141_025), 0xb559_b98d_844e_0635);
+    }
+
+    #[test]
+    fn xxh64_separates_every_length_and_every_bit_flip() {
+        // 0..=100 bytes: no stripe, one to three 32-byte stripes, and
+        // every mix of the 8-, 4- and 1-byte tails.
+        let bytes: Vec<u8> = (0..1024u32).map(|i| (i * 131 + 7) as u8).collect();
+        let by_length: HashSet<u64> = (0..=100).map(|n| xxh64(&bytes[..n], 0)).collect();
+        assert_eq!(by_length.len(), 101);
+        let whole = xxh64(&bytes, 0);
+        let mut flipped = bytes.clone();
+        for bit in 0..flipped.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(xxh64(&flipped, 0), whole, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_ne!(xxh64(&bytes, 1), whole, "the seed must enter the digest");
+    }
 }

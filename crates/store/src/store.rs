@@ -16,7 +16,8 @@ use std::path::{Path, PathBuf};
 /// intact and the half-written files unreachable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Head {
-    /// Format version of the commit record itself.
+    /// Format version of the commit record itself — the writing build's,
+    /// restamped by every commit (a chain may hold older frames below).
     pub format_version: u32,
     /// Round of the current full epoch (`epoch-<round>/`).
     pub base_round: u64,
@@ -282,6 +283,9 @@ impl Store {
             &w.into_bytes(),
         )?;
         write_json(&self.delta_header_path(header.round), "header", header)?;
+        // The commit is this build's, whatever format the chain began
+        // in: an older build then refuses the store at its `HEAD.json`.
+        head.format_version = FORMAT_VERSION;
         head.delta_rounds.push(header.round);
         write_json(&self.head_path(), "HEAD", &head)
     }

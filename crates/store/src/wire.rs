@@ -4,17 +4,19 @@
 //!
 //! A wire frame is byte-identical to a framed snapshot file: `MAGIC
 //! (8) ‖ kind (1) ‖ version (4, LE) ‖ payload_len (8, LE) ‖ payload ‖
-//! digest (8, LE)` with the digest FNV-1a-64 over everything before
-//! it, so one decoder discipline covers disk and network. The `kind`
-//! byte is caller-defined here (protocols carve their own tag space);
-//! the version is stamped from [`crate::FORMAT_VERSION`]
-//! and checked on read, and a declared payload length above the
+//! digest (8, LE)` with the digest over everything before it, so one
+//! decoder discipline covers disk and network. The `kind` byte is
+//! caller-defined here (protocols carve their own tag space); the
+//! version is stamped from [`crate::FORMAT_VERSION`] and checked on
+//! read, and it picks the digest the frame is verified with: XXH64 for
+//! the format-4 frames this build writes, FNV-1a-64 for a format 1–3
+//! frame an older peer sent. A declared payload length above the
 //! caller's bound is rejected *before* any allocation, so a garbled or
 //! hostile length cannot balloon memory.
 
 use std::io::{Read, Write};
 
-use crate::codec::{frame_digest, seal, FORMAT_VERSION, MAGIC, PRELUDE_LEN};
+use crate::codec::{frame_digest, prelude_version, seal, FORMAT_VERSION, MAGIC, PRELUDE_LEN};
 
 /// How reading a wire frame can fail.
 #[derive(Debug)]
@@ -90,7 +92,7 @@ pub(crate) fn read_versioned_frame<R: Read>(
         ));
     }
     let kind = prelude[8];
-    let version = u32::from_le_bytes([prelude[9], prelude[10], prelude[11], prelude[12]]);
+    let version = prelude_version(&prelude);
     if version > FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion {
             found: version,
@@ -122,7 +124,7 @@ pub(crate) fn read_versioned_frame<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::fnv1a64;
+    use crate::codec::{fnv1a64, xxh64};
 
     #[test]
     fn frame_round_trips() {
@@ -179,20 +181,69 @@ mod tests {
         ));
     }
 
+    /// `buf`, one frame, restamped as format `version` and sealed with
+    /// `digest(prelude, payload)`.
+    fn restamp(
+        mut buf: Vec<u8>,
+        version: u32,
+        digest: impl Fn(&[u8; PRELUDE_LEN], &[u8]) -> u64,
+    ) -> Vec<u8> {
+        buf[9..13].copy_from_slice(&version.to_le_bytes());
+        let body_end = buf.len() - 8;
+        let prelude: [u8; PRELUDE_LEN] = buf[..PRELUDE_LEN].try_into().unwrap();
+        let sealed = digest(&prelude, &buf[PRELUDE_LEN..body_end]);
+        buf[body_end..].copy_from_slice(&sealed.to_le_bytes());
+        buf
+    }
+
+    fn read(buf: &[u8]) -> Result<(u8, u32, Vec<u8>), WireError> {
+        read_versioned_frame(&mut std::io::Cursor::new(buf), 1 << 20)
+    }
+
     #[test]
     fn future_version_rejected() {
         let mut buf = Vec::new();
         write_wire_frame(&mut buf, 3, b"x").unwrap();
-        let future = (FORMAT_VERSION + 1).to_le_bytes();
-        buf[9..13].copy_from_slice(&future);
-        // Re-seal the digest so only the version is "wrong".
-        let body_end = buf.len() - 8;
-        let digest = fnv1a64(&buf[..body_end]).to_le_bytes();
-        buf[body_end..].copy_from_slice(&digest);
-        let mut cursor = std::io::Cursor::new(&buf);
+        // Re-sealed with the current digest, so only the version is
+        // "wrong".
+        let buf = restamp(buf, FORMAT_VERSION + 1, |prelude, payload| {
+            xxh64(payload, xxh64(prelude, 0))
+        });
         assert!(matches!(
-            read_wire_frame(&mut cursor, 1 << 20),
-            Err(WireError::UnsupportedVersion { .. })
+            read(&buf),
+            Err(WireError::UnsupportedVersion { found, supported })
+                if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
+        ));
+    }
+
+    #[test]
+    fn the_digest_follows_the_frame_version_not_the_reader() {
+        let fnv = |prelude: &[u8; PRELUDE_LEN], payload: &[u8]| {
+            let mut body = prelude.to_vec();
+            body.extend_from_slice(payload);
+            fnv1a64(&body)
+        };
+        let xxh = |prelude: &[u8; PRELUDE_LEN], payload: &[u8]| xxh64(payload, xxh64(prelude, 0));
+        let mut buf = Vec::new();
+        write_wire_frame(&mut buf, 5, b"a frame from another build").unwrap();
+        // What this build writes is format 4 under XXH64.
+        assert_eq!(buf, restamp(buf.clone(), 4, xxh));
+        for old in 1..4 {
+            // An older build's frame (FNV-1a) verifies...
+            let (kind, version, payload) = read(&restamp(buf.clone(), old, fnv)).unwrap();
+            assert_eq!((kind, version), (5, old));
+            assert_eq!(payload, b"a frame from another build");
+            // ...and the same bytes under the current digest do not.
+            assert!(matches!(
+                read(&restamp(buf.clone(), old, xxh)),
+                Err(WireError::Corrupt(_))
+            ));
+        }
+        // The mirror case: a format-4 frame must carry XXH64.
+        assert_eq!(read(&restamp(buf.clone(), 4, xxh)).unwrap().1, 4);
+        assert!(matches!(
+            read(&restamp(buf, 4, fnv)),
+            Err(WireError::Corrupt(_))
         ));
     }
 }
