@@ -1,15 +1,16 @@
 //! Faulty-network runtime pins: a zero-fault `FaultyNetwork` is
 //! bit-identical to the reliable transport, pinned-seed faulty runs are
-//! reproducible, 100 % loss degrades gracefully, and the mass ledger
-//! closes exactly.
+//! reproducible, 100 % loss degrades gracefully, the mass ledger closes
+//! exactly, and every preset's outcome bits are pinned as goldens.
 
 use differential_gossip::gossip::profile::NetworkProfile;
-use differential_gossip::gossip::GossipPair;
+use differential_gossip::gossip::{AdversaryMix, GossipPair};
 use differential_gossip::graph::pa::{preferential_attachment, PaConfig};
-use differential_gossip::graph::Graph;
+use differential_gossip::graph::{Graph, NodeId};
+use differential_gossip::p2p::transport::{Envelope, PeerMsg};
 use differential_gossip::p2p::{
-    run_distributed, run_with_transport, DistributedConfig, DistributedOutcome, FaultyNetwork,
-    Network,
+    resume_distributed, run_distributed, run_with_transport, DistributedConfig, DistributedOutcome,
+    FaultyNetwork, Network,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -211,6 +212,167 @@ fn partitioned_network_heals_and_converges() {
     for (i, e) in out.estimates.iter().enumerate() {
         assert!((e - mean).abs() < 1e-2, "peer {i}: {e} vs {mean}");
     }
+}
+
+/// A digest of every bit of `out` the goldens pin: pairs, estimates,
+/// active rounds, audits answered and every `MassLedger` field (64-bit
+/// words folded FNV-1a style).
+fn outcome_digest(out: &DistributedOutcome) -> u64 {
+    let l = &out.ledger;
+    let pair_bits = |p: &GossipPair| [p.value.to_bits(), p.weight.to_bits()];
+    out.pairs
+        .iter()
+        .flat_map(pair_bits)
+        .chain(out.estimates.iter().map(|e| e.to_bits()))
+        .chain(out.active_rounds.iter().copied())
+        .chain(out.audits_answered.iter().copied())
+        .chain(
+            [l.lost, l.duplicated, l.recredited]
+                .iter()
+                .flat_map(pair_bits),
+        )
+        .chain([
+            l.shares_lost,
+            l.shares_duplicated,
+            l.shares_recredited,
+            l.announces_lost,
+        ])
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The golden rows: every preset × {no mix, slander 0.2} × seeds
+/// {3, 21, 77} on one 60-node PA graph, one run with audit probes
+/// injected before round 0, and one run checkpointed after 6 rounds and
+/// resumed.
+fn golden_rows() -> Vec<(String, DistributedOutcome)> {
+    let graph = pa_graph(60, 2, 8);
+    let config = |seed: u64, profile: NetworkProfile, adversary: AdversaryMix| DistributedConfig {
+        xi: 1e-4,
+        seed,
+        max_rounds: 5_000,
+        profile,
+        adversary,
+        ..DistributedConfig::default()
+    };
+    let slander = AdversaryMix {
+        slander_fraction: 0.2,
+        ..AdversaryMix::none()
+    };
+    let rt = runtime();
+    let mut rows = Vec::new();
+    for name in NetworkProfile::PRESETS {
+        let profile = NetworkProfile::parse(name).expect("preset");
+        for (mix, adversary) in [("none", AdversaryMix::none()), ("slander", slander)] {
+            for seed in [3, 21, 77] {
+                let out = rt
+                    .block_on(run_distributed(
+                        &graph,
+                        config(seed, profile, adversary),
+                        averaging_initial(60, seed),
+                    ))
+                    .expect("run");
+                rows.push((format!("{name}/{mix}/{seed}"), out));
+            }
+        }
+    }
+
+    let lossy = config(21, NetworkProfile::lossy(), AdversaryMix::none());
+    let net = FaultyNetwork::new(60, lossy.profile, lossy.seed, lossy.max_rounds as u64);
+    for (i, target) in [0u32, 5, 17].into_iter().enumerate() {
+        let probe = Envelope {
+            from: NodeId(graph.neighbours(NodeId(target))[0]),
+            seq: u64::MAX - i as u64,
+            deliver_at: 0,
+            msg: PeerMsg::AuditProbe { nonce: i as u64 },
+        };
+        net.sender(NodeId(target)).send(probe).expect("inject");
+    }
+    let out = rt
+        .block_on(run_with_transport(
+            &graph,
+            lossy,
+            averaging_initial(60, 21),
+            net,
+        ))
+        .expect("probed run");
+    rows.push(("lossy/probed/21".into(), out));
+
+    let first = config(77, NetworkProfile::lossy(), slander);
+    let partial = rt
+        .block_on(run_distributed(
+            &graph,
+            DistributedConfig {
+                max_rounds: 6,
+                ..first
+            },
+            averaging_initial(60, 77),
+        ))
+        .expect("first segment");
+    let out = rt
+        .block_on(resume_distributed(
+            &graph,
+            first,
+            partial.checkpoint(first.seed),
+        ))
+        .expect("resumed segment");
+    rows.push(("lossy/slander/77/resumed".into(), out));
+    rows
+}
+
+/// The p2p deployment's outcomes, pinned bit for bit as they were when
+/// every peer ran as its own task on the tokio runtime: a change to how
+/// peers are driven must not move one bit of any row.
+#[test]
+fn p2p_outcomes_match_the_tokio_runtime() {
+    const GOLDEN: &[(&str, usize, bool, u64)] = &[
+        ("lossless/none/3", 67, true, 0xead4000a9666bf51),
+        ("lossless/none/21", 79, true, 0x92d671f99b0cfcd7),
+        ("lossless/none/77", 74, true, 0xba083284c87b4d6b),
+        ("lossless/slander/3", 68, true, 0xf1ebd78aaed68d68),
+        ("lossless/slander/21", 77, true, 0x803f54da170b872b),
+        ("lossless/slander/77", 83, true, 0x4d2ff5a564cc6d49),
+        ("lossy/none/3", 112, true, 0x6c9af4d60644e240),
+        ("lossy/none/21", 111, true, 0xd18041def7bc8419),
+        ("lossy/none/77", 118, true, 0xad110cd929a5341d),
+        ("lossy/slander/3", 159, true, 0x1e287b987f8c386f),
+        ("lossy/slander/21", 100, true, 0x30e4084e5f800826),
+        ("lossy/slander/77", 122, true, 0xd0a2982bb6ed535e),
+        ("partitioned/none/3", 83, true, 0x3936e923ad20b246),
+        ("partitioned/none/21", 77, true, 0x3949f6adbd3abee3),
+        ("partitioned/none/77", 75, true, 0x51ac7d2bf54ddbe8),
+        ("partitioned/slander/3", 78, true, 0x3a16c77ed8c804e1),
+        ("partitioned/slander/21", 95, true, 0x6788a6c7f8f26440),
+        ("partitioned/slander/77", 98, true, 0x15f10e00429378de),
+        ("churning/none/3", 107, true, 0x2ec5883f2b352867),
+        ("churning/none/21", 180, true, 0xc864581626124863),
+        ("churning/none/77", 189, true, 0xfeea9a3f4635bc11),
+        ("churning/slander/3", 118, true, 0x89811ff05b0353c4),
+        ("churning/slander/21", 152, true, 0xc5fcef02b30d5a85),
+        ("churning/slander/77", 153, true, 0xa9418cb13453d2de),
+        ("lossy/probed/21", 125, true, 0x6f9e7793adc27028),
+        ("lossy/slander/77/resumed", 140, true, 0xf4113134bdea6c3d),
+    ];
+    let rows = golden_rows();
+    let got: Vec<(&str, usize, bool, u64)> = rows
+        .iter()
+        .map(|(label, out)| {
+            (
+                label.as_str(),
+                out.rounds,
+                out.converged,
+                outcome_digest(out),
+            )
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(label, rounds, converged, digest)| {
+            format!("        ({label:?}, {rounds}, {converged}, {digest:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "p2p outcomes moved; this run's rows:\n{table}");
 }
 
 /// Churn keeps the run reproducible and mass-conserving (crashed nodes
