@@ -463,8 +463,7 @@ fn byzantine_check(
         adversary: mix,
         ..DistributedConfig::default()
     };
-    let runtime = tokio::runtime::Builder::new_multi_thread().build()?;
-    let out = runtime.block_on(run_distributed(&substrate.graph, config, initial))?;
+    let out = run_distributed(&substrate.graph, config, initial)?;
 
     let expected = out.ledger.expected_total(out.initial_total);
     let actual = out.total_pair();

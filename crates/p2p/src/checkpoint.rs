@@ -1,4 +1,4 @@
-//! Durable checkpoints for the asynchronous deployment.
+//! Durable checkpoints for the peer deployment.
 //!
 //! A push-sum run's whole cross-round state is its per-peer gossip
 //! pairs — everything else (fanouts, fault streams) is derived from the
@@ -11,7 +11,7 @@
 //! ## Resume semantics
 //!
 //! Unlike the synchronous round engines — whose kill-and-resume runs
-//! are **bit-identical** to straight runs — the asynchronous
+//! are **bit-identical** to straight runs — the peer deployment's
 //! continuation is *statistical*: peers draw fresh ChaCha8 streams from
 //! a continuation seed (mixed from the config seed and the rounds
 //! already executed), because mid-run RNG states are deliberately not
@@ -147,7 +147,7 @@ fn continuation_seed(seed: u64, rounds_done: u64) -> u64 {
 /// segment (not the combined total). Byzantine falsification is **not**
 /// re-applied — the checkpointed pairs already carry it. See the module
 /// docs for what is exact versus statistical about the continuation.
-pub async fn resume_distributed(
+pub fn resume_distributed(
     graph: &Graph,
     config: DistributedConfig,
     checkpoint: GossipCheckpoint,
@@ -171,8 +171,7 @@ pub async fn resume_distributed(
             Network::new(n),
             stream_seed,
             checkpoint.initial_total,
-        )
-        .await?
+        )?
     } else {
         let transport = FaultyNetwork::new(n, profile, stream_seed, config.max_rounds as u64);
         run_segment(
@@ -182,8 +181,7 @@ pub async fn resume_distributed(
             transport,
             stream_seed,
             checkpoint.initial_total,
-        )
-        .await?
+        )?
     };
 
     let mut ledger = checkpoint.ledger;
@@ -222,8 +220,8 @@ mod tests {
         std::env::temp_dir().join(format!("dg_gossip_ckpt_{tag}_{}.bin", std::process::id()))
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn checkpoint_save_load_round_trips_bit_exact() {
+    #[test]
+    fn checkpoint_save_load_round_trips_bit_exact() {
         let g = generators::complete(10);
         let values: Vec<f64> = (0..10).map(|i| i as f64 / 9.0).collect();
         let config = DistributedConfig {
@@ -231,9 +229,7 @@ mod tests {
             xi: 1e-12,
             ..DistributedConfig::default()
         };
-        let out = run_distributed(&g, config, averaging_initial(&values))
-            .await
-            .unwrap();
+        let out = run_distributed(&g, config, averaging_initial(&values)).unwrap();
         let ckpt = out.checkpoint(config.seed);
         let path = temp_file("roundtrip");
         ckpt.save(&path).unwrap();
@@ -242,8 +238,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn resumed_run_converges_to_the_conserved_mean() {
+    #[test]
+    fn resumed_run_converges_to_the_conserved_mean() {
         let g = generators::complete(16);
         let values: Vec<f64> = (0..16).map(|i| i as f64 / 15.0).collect();
         let mean = values.iter().sum::<f64>() / 16.0;
@@ -258,16 +254,13 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         assert!(!partial.converged);
         let ckpt = partial.checkpoint(0);
 
         // ...and resume to completion: push-sum conserves mass, so the
         // limit is the same mean a straight run reaches.
-        let resumed = resume_distributed(&g, DistributedConfig::default(), ckpt)
-            .await
-            .unwrap();
+        let resumed = resume_distributed(&g, DistributedConfig::default(), ckpt).unwrap();
         assert!(
             resumed.converged,
             "resume hit the cap at {}",
@@ -285,8 +278,8 @@ mod tests {
             .all(|(total, first)| total >= first));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn resume_is_deterministic() {
+    #[test]
+    fn resume_is_deterministic() {
         let g = generators::complete(12);
         let values: Vec<f64> = (0..12).map(|i| ((i * 5) % 7) as f64 / 7.0).collect();
         let partial = run_distributed(
@@ -298,20 +291,15 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         let ckpt = partial.checkpoint(0);
-        let a = resume_distributed(&g, DistributedConfig::default(), ckpt.clone())
-            .await
-            .unwrap();
-        let b = resume_distributed(&g, DistributedConfig::default(), ckpt)
-            .await
-            .unwrap();
+        let a = resume_distributed(&g, DistributedConfig::default(), ckpt.clone()).unwrap();
+        let b = resume_distributed(&g, DistributedConfig::default(), ckpt).unwrap();
         assert_eq!(a, b);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn mass_ledger_balances_across_restart_on_lossy_transport() {
+    #[test]
+    fn mass_ledger_balances_across_restart_on_lossy_transport() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let g = pa::preferential_attachment(pa::PaConfig { nodes: 50, m: 2 }, &mut rng).unwrap();
         let values: Vec<f64> = (0..50).map(|i| ((i * 7) % 13) as f64 / 13.0).collect();
@@ -322,9 +310,7 @@ mod tests {
             profile: NetworkProfile::lossy(),
             ..DistributedConfig::default()
         };
-        let partial = run_distributed(&g, config, averaging_initial(&values))
-            .await
-            .unwrap();
+        let partial = run_distributed(&g, config, averaging_initial(&values)).unwrap();
         let ckpt = partial.checkpoint(config.seed);
 
         // Persist through the store codec mid-way, like a real restart.
@@ -341,7 +327,6 @@ mod tests {
             },
             ckpt,
         )
-        .await
         .unwrap();
         assert!(resumed.converged, "lossy resume hit the cap");
         // The merged ledger balances against the original initial
@@ -363,8 +348,8 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn resume_rejects_mismatched_network_size() {
+    #[test]
+    fn resume_rejects_mismatched_network_size() {
         let g = generators::complete(6);
         let ckpt = GossipCheckpoint {
             rounds: 1,
@@ -374,7 +359,7 @@ mod tests {
             active_rounds: vec![0; 5],
             ledger: MassLedger::default(),
         };
-        let err = resume_distributed(&g, DistributedConfig::default(), ckpt).await;
+        let err = resume_distributed(&g, DistributedConfig::default(), ckpt);
         assert!(matches!(
             err,
             Err(DistributedError::Gossip(
@@ -383,8 +368,8 @@ mod tests {
         ));
     }
 
-    #[tokio::test]
-    async fn truncated_checkpoint_file_is_a_typed_error() {
+    #[test]
+    fn truncated_checkpoint_file_is_a_typed_error() {
         let g = generators::complete(8);
         let values = vec![0.5; 8];
         let out = run_distributed(
@@ -396,7 +381,6 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         let path = temp_file("trunc");
         out.checkpoint(0).save(&path).unwrap();

@@ -1,9 +1,11 @@
-//! # dg-p2p — asynchronous peer deployment
+//! # dg-p2p — the peer deployment
 //!
 //! The synchronous engines in [`dg_gossip`] are ideal for experiments;
 //! this crate shows the same protocol running as it would in a real
-//! deployment: **one tokio task per peer**, communicating only through
-//! message channels, over a pluggable [`transport::Transport`] backend:
+//! deployment: **every peer is its own state machine**, holding only its
+//! own pair, RNG stream and view of its neighbours, and peers learn about
+//! each other only through messages, over a pluggable
+//! [`transport::Transport`] backend:
 //!
 //! * [`transport::Network`] — reliable in-memory mailboxes (the paper's
 //!   "reliable bit pipe between sender and receiver" assumption);
@@ -14,18 +16,18 @@
 //!   injected by faults is tallied exactly in a
 //!   [`transport::MassLedger`] and surfaced on the run outcome.
 //!
-//! Rounds are paced by a lightweight coordinator that plays the role of
-//! the paper's discrete clock ("time is discrete; every node knows about
-//! the starting time of gossip"): it ticks, waits for every peer to have
-//! sent its shares, then lets peers commit their inboxes. Peer-to-peer
-//! traffic (gossip shares, convergence announcements) never touches the
-//! coordinator.
+//! The runner plays the paper's discrete clock ("time is discrete; every
+//! node knows about the starting time of gossip") on one thread, in the
+//! style of a deterministic simulation: each round every peer *ticks*
+//! (pushes its shares into the other peers' inboxes), then every peer
+//! *commits* (processes what has arrived). Nothing but envelopes passes
+//! between peers.
 //!
 //! Every random decision — neighbour sampling, link faults, churn — is
 //! drawn from ChaCha8 streams derived per node / per link with
 //! [`dg_gossip::node_stream_seed`], and peers commit their inboxes in
 //! sorted `(deliver_at, from, seq)` order, so a `(config, seed)` pair
-//! reproduces bit-identical outcomes at any thread count, faulty or not.
+//! reproduces bit-identical outcomes, faulty or not.
 //!
 //! On the reliable backend the final estimates are bit-for-bit the
 //! push-sum limit, so integration tests cross-check this deployment
@@ -43,7 +45,7 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod peer;
+mod peer;
 pub mod runner;
 pub mod transport;
 

@@ -1,6 +1,8 @@
-//! Coordinator: spawns the peer tasks, paces rounds, collects results.
+//! The round clock: builds one peer state machine per node, drives
+//! every round as a tick phase then a commit phase on the calling
+//! thread, and collects the results.
 
-use crate::peer::{run_peer, Ctrl, PeerSetup, Status};
+use crate::peer::Peer;
 use crate::transport::{FaultyNetwork, MassLedger, Network, Transport};
 use dg_gossip::pair::GossipPair;
 use dg_gossip::profile::NetworkProfile;
@@ -8,8 +10,8 @@ use dg_gossip::{node_stream_seed, AdversaryMix, FanoutPolicy, GossipError};
 use dg_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 use thiserror::Error;
-use tokio::sync::mpsc;
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -102,16 +104,12 @@ pub enum DistributedError {
     #[error(transparent)]
     Gossip(#[from] GossipError),
 
-    /// A peer task died (channel closed unexpectedly).
-    #[error("peer channel closed unexpectedly")]
-    PeerDied,
-
     /// Reading or writing a gossip checkpoint failed.
     #[error(transparent)]
     Store(#[from] dg_store::StoreError),
 }
 
-/// Run differential push gossip as one tokio task per peer, deploying
+/// Run differential push gossip as one state machine per peer, deploying
 /// over the transport backend selected by `config.profile`: the reliable
 /// [`Network`] for [`NetworkProfile::lossless`], the [`FaultyNetwork`]
 /// runtime otherwise.
@@ -119,7 +117,7 @@ pub enum DistributedError {
 /// `initial[i]` is peer `i`'s starting gossip pair (use
 /// [`GossipPair::originator`] on every node for averaging, or a single
 /// originator for sum mode, exactly as with the synchronous engine).
-pub async fn run_distributed(
+pub fn run_distributed(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
@@ -127,10 +125,10 @@ pub async fn run_distributed(
     let profile = config.profile.validated()?;
     let n = graph.node_count();
     if profile.is_reliable() {
-        run_with_transport(graph, config, initial, Network::new(n)).await
+        run_with_transport(graph, config, initial, Network::new(n))
     } else {
         let transport = FaultyNetwork::new(n, profile, config.seed, config.max_rounds as u64);
-        run_with_transport(graph, config, initial, transport).await
+        run_with_transport(graph, config, initial, transport)
     }
 }
 
@@ -139,7 +137,7 @@ pub async fn run_distributed(
 /// [`run_distributed`] is the convenience wrapper that picks the backend
 /// from the profile; tests use this entry point to pin, e.g., that a
 /// zero-fault [`FaultyNetwork`] is bit-identical to [`Network`].
-pub async fn run_with_transport<T: Transport>(
+pub fn run_with_transport<T: Transport>(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
@@ -174,16 +172,15 @@ pub async fn run_with_transport<T: Transport>(
         config.seed,
         initial_total,
     )
-    .await
 }
 
-/// The segment core every entry point funnels into: drive the peer
-/// tasks over already-prepared inputs. Fresh runs arrive here with
+/// The segment core every entry point funnels into: drive the peers
+/// over already-prepared inputs. Fresh runs arrive here with
 /// falsified inputs and `stream_seed == config.seed`; resumed runs
 /// ([`crate::checkpoint::resume_distributed`]) arrive with the
 /// checkpointed pairs, the *original* falsified total (so the mass
 /// invariant spans the restart) and a continuation stream seed.
-pub(crate) async fn run_segment<T: Transport>(
+pub(crate) fn run_segment<T: Transport>(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
@@ -194,94 +191,52 @@ pub(crate) async fn run_segment<T: Transport>(
     let n = graph.node_count();
     let fanouts = config.fanout.resolve(graph)?;
 
-    let receivers = transport.take_receivers();
+    let mut inboxes = transport.take_inboxes();
     let availability = transport.availability();
-    let (status_tx, mut status_rx) = mpsc::unbounded_channel::<Status>();
+    let mut peers: Vec<Peer> = (0..n)
+        .map(|i| {
+            let id = NodeId(i as u32);
+            let neighbours: Vec<NodeId> = graph.neighbours(id).iter().map(|&w| NodeId(w)).collect();
+            Peer::new(
+                id,
+                transport.links(id, &neighbours),
+                fanouts[i],
+                initial[i],
+                config.xi,
+                ChaCha8Rng::seed_from_u64(node_stream_seed(stream_seed, i as u32)),
+                Arc::clone(&availability),
+            )
+        })
+        .collect();
 
-    let mut ctrl_txs = Vec::with_capacity(n);
-    for (i, mailbox) in receivers.into_iter().enumerate() {
-        let id = NodeId(i as u32);
-        let neighbours: Vec<NodeId> = graph.neighbours(id).iter().map(|&w| NodeId(w)).collect();
-        let links = transport.links(id, &neighbours);
-        let (ctrl_tx, ctrl_rx) = mpsc::unbounded_channel::<Ctrl>();
-        ctrl_txs.push(ctrl_tx);
-        let setup = PeerSetup {
-            id,
-            neighbours,
-            fanout: fanouts[i],
-            initial: initial[i],
-            xi: config.xi,
-            rng: ChaCha8Rng::seed_from_u64(node_stream_seed(stream_seed, i as u32)),
-            availability: availability.clone(),
-        };
-        let status = status_tx.clone();
-        tokio::spawn(run_peer(setup, ctrl_rx, mailbox, links, status));
-    }
-    drop(status_tx);
-
+    // The paper's discrete clock as a barrier: every peer sends, then
+    // every peer commits.
     let mut rounds = 0;
     let mut converged = false;
-    while rounds < config.max_rounds {
-        // Phase 1: everyone sends.
-        for tx in &ctrl_txs {
-            tx.send(Ctrl::Tick)
-                .map_err(|_| DistributedError::PeerDied)?;
-        }
-        for _ in 0..n {
-            match status_rx.recv().await {
-                Some(Status::SendDone(_)) => {}
-                _ => return Err(DistributedError::PeerDied),
-            }
-        }
-        // Phase 2: everyone commits.
-        for tx in &ctrl_txs {
-            tx.send(Ctrl::Commit)
-                .map_err(|_| DistributedError::PeerDied)?;
+    while rounds < config.max_rounds && !converged {
+        for peer in &mut peers {
+            peer.tick(&mut inboxes);
         }
         let mut all_stopped = true;
-        for _ in 0..n {
-            match status_rx.recv().await {
-                Some(Status::Committed { stopped, .. }) => all_stopped &= stopped,
-                _ => return Err(DistributedError::PeerDied),
-            }
+        for peer in &mut peers {
+            all_stopped &= peer.commit(&mut inboxes);
         }
         rounds += 1;
-        if all_stopped {
-            converged = true;
-            break;
-        }
+        converged = all_stopped;
     }
 
-    // Shut down and collect; ledgers merge in node order so the
-    // floating-point totals are deterministic.
-    for tx in &ctrl_txs {
-        tx.send(Ctrl::Finish)
-            .map_err(|_| DistributedError::PeerDied)?;
-    }
-    let mut pairs = vec![GossipPair::ZERO; n];
-    let mut active = vec![0u64; n];
-    let mut audits = vec![0u64; n];
-    let mut ledgers = vec![MassLedger::default(); n];
-    for _ in 0..n {
-        match status_rx.recv().await {
-            Some(Status::Final {
-                node,
-                pair,
-                active_rounds,
-                ledger,
-                audits_answered,
-            }) => {
-                pairs[node.index()] = pair;
-                active[node.index()] = active_rounds;
-                audits[node.index()] = audits_answered;
-                ledgers[node.index()] = ledger;
-            }
-            _ => return Err(DistributedError::PeerDied),
-        }
-    }
+    // Ledgers merge in node order so the floating-point totals are
+    // deterministic.
+    let mut pairs = Vec::with_capacity(n);
+    let mut active_rounds = Vec::with_capacity(n);
+    let mut audits_answered = Vec::with_capacity(n);
     let mut ledger = MassLedger::default();
-    for l in &ledgers {
-        ledger.merge(l);
+    for (peer, inbox) in peers.into_iter().zip(inboxes) {
+        let last = peer.finish(inbox);
+        pairs.push(last.pair);
+        active_rounds.push(last.active_rounds);
+        audits_answered.push(last.audits_answered);
+        ledger.merge(&last.ledger);
     }
 
     let estimates = pairs.iter().map(GossipPair::ratio).collect();
@@ -290,8 +245,8 @@ pub(crate) async fn run_segment<T: Transport>(
         converged,
         estimates,
         pairs,
-        active_rounds: active,
-        audits_answered: audits,
+        active_rounds,
+        audits_answered,
         ledger,
         initial_total,
     })
@@ -307,14 +262,13 @@ mod tests {
         values.iter().map(|&v| GossipPair::originator(v)).collect()
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn distributed_average_on_complete_graph() {
+    #[test]
+    fn distributed_average_on_complete_graph() {
         let g = generators::complete(16);
         let values: Vec<f64> = (0..16).map(|i| i as f64 / 15.0).collect();
         let mean = values.iter().sum::<f64>() / 16.0;
-        let out = run_distributed(&g, DistributedConfig::default(), averaging_initial(&values))
-            .await
-            .unwrap();
+        let out =
+            run_distributed(&g, DistributedConfig::default(), averaging_initial(&values)).unwrap();
         assert!(out.converged, "did not converge in {} rounds", out.rounds);
         assert!(out.ledger.is_clean());
         for (i, e) in out.estimates.iter().enumerate() {
@@ -322,23 +276,22 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn distributed_average_on_pa_graph() {
+    #[test]
+    fn distributed_average_on_pa_graph() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let g = pa::preferential_attachment(pa::PaConfig { nodes: 120, m: 2 }, &mut rng).unwrap();
         let values: Vec<f64> = (0..120).map(|i| ((i * 13) % 29) as f64 / 29.0).collect();
         let mean = values.iter().sum::<f64>() / 120.0;
-        let out = run_distributed(&g, DistributedConfig::default(), averaging_initial(&values))
-            .await
-            .unwrap();
+        let out =
+            run_distributed(&g, DistributedConfig::default(), averaging_initial(&values)).unwrap();
         assert!(out.converged);
         for e in &out.estimates {
             assert!((e - mean).abs() < 1e-2, "{e} vs {mean}");
         }
     }
 
-    #[tokio::test]
-    async fn mass_is_conserved_in_distributed_run() {
+    #[test]
+    fn mass_is_conserved_in_distributed_run() {
         let g = generators::ring(12).unwrap();
         let values: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let total: f64 = values.iter().sum();
@@ -351,7 +304,6 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         let mass = out.total_pair();
         assert!(
@@ -366,11 +318,10 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn wrong_initial_size_is_rejected() {
+    #[test]
+    fn wrong_initial_size_is_rejected() {
         let g = generators::complete(4);
-        let err =
-            run_distributed(&g, DistributedConfig::default(), vec![GossipPair::ZERO; 3]).await;
+        let err = run_distributed(&g, DistributedConfig::default(), vec![GossipPair::ZERO; 3]);
         assert!(matches!(
             err,
             Err(DistributedError::Gossip(
@@ -379,8 +330,8 @@ mod tests {
         ));
     }
 
-    #[tokio::test]
-    async fn invalid_profile_is_rejected() {
+    #[test]
+    fn invalid_profile_is_rejected() {
         let g = generators::complete(4);
         let mut profile = NetworkProfile::lossless();
         profile.loss = 2.0;
@@ -391,16 +342,15 @@ mod tests {
                 ..DistributedConfig::default()
             },
             vec![GossipPair::originator(0.5); 4],
-        )
-        .await;
+        );
         assert!(matches!(
             err,
             Err(DistributedError::Gossip(GossipError::InvalidProfile(_)))
         ));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn quiescent_peers_stop_pushing() {
+    #[test]
+    fn quiescent_peers_stop_pushing() {
         // Uniform values converge almost immediately; active rounds should
         // be far below the cap for every peer.
         let g = generators::complete(10);
@@ -413,14 +363,13 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         assert!(out.converged);
         assert!(out.active_rounds.iter().all(|&a| a < 20));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn byzantine_peers_bias_the_average_within_the_fraction_bound() {
+    #[test]
+    fn byzantine_peers_bias_the_average_within_the_fraction_bound() {
         let g = generators::complete(20);
         let values = vec![0.5; 20];
         let honest_mean = 0.5;
@@ -434,9 +383,7 @@ mod tests {
         };
         let byzantine = config.byzantine_peers(20);
         assert_eq!(byzantine.len(), 4);
-        let out = run_distributed(&g, config, averaging_initial(&values))
-            .await
-            .unwrap();
+        let out = run_distributed(&g, config, averaging_initial(&values)).unwrap();
         assert!(out.converged);
         // The run conserves the *falsified* mass exactly...
         assert!((out.initial_total.value - (16.0 * 0.5 + 4.0)).abs() < 1e-12);
@@ -453,13 +400,12 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn zero_adversary_mix_is_bit_identical() {
+    #[test]
+    fn zero_adversary_mix_is_bit_identical() {
         let g = generators::complete(12);
         let values: Vec<f64> = (0..12).map(|i| i as f64 / 11.0).collect();
-        let honest = run_distributed(&g, DistributedConfig::default(), averaging_initial(&values))
-            .await
-            .unwrap();
+        let honest =
+            run_distributed(&g, DistributedConfig::default(), averaging_initial(&values)).unwrap();
         let with_zero_mix = run_distributed(
             &g,
             DistributedConfig {
@@ -473,38 +419,34 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         assert_eq!(honest, with_zero_mix);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn injected_audit_probes_are_answered_and_massless() {
+    #[test]
+    fn injected_audit_probes_are_answered_and_massless() {
         let g = generators::complete(8);
         let values: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
         let config = DistributedConfig::default();
-        let base = run_with_transport(&g, config, averaging_initial(&values), Network::new(8))
-            .await
-            .unwrap();
+        let base =
+            run_with_transport(&g, config, averaging_initial(&values), Network::new(8)).unwrap();
         assert_eq!(base.audits_answered, vec![0; 8]);
 
         // Same run, but neighbour 1 spot-checks peer 0 three times before
         // round 0 commits.
-        let net = Network::new(8);
-        let auditor = net.sender(NodeId(0));
+        let mut net = Network::new(8);
         for nonce in 0..3u64 {
-            auditor
-                .send(Envelope {
+            net.inject(
+                NodeId(0),
+                Envelope {
                     from: NodeId(1),
                     seq: u64::MAX - nonce,
                     deliver_at: 0,
                     msg: PeerMsg::AuditProbe { nonce },
-                })
-                .unwrap();
+                },
+            );
         }
-        let out = run_with_transport(&g, config, averaging_initial(&values), net)
-            .await
-            .unwrap();
+        let out = run_with_transport(&g, config, averaging_initial(&values), net).unwrap();
         assert_eq!(out.audits_answered[0], 3, "peer 0 attests every probe");
         assert_eq!(out.audits_answered[1..], base.audits_answered[1..]);
         // Audit traffic carries no gossip mass: the probed run is
@@ -515,8 +457,8 @@ mod tests {
         assert_eq!(out.rounds, base.rounds);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn audit_probes_on_faulty_transport_leave_mass_accounting_exact() {
+    #[test]
+    fn audit_probes_on_faulty_transport_leave_mass_accounting_exact() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let g = pa::preferential_attachment(pa::PaConfig { nodes: 60, m: 2 }, &mut rng).unwrap();
         let values: Vec<f64> = (0..60).map(|i| ((i * 7) % 13) as f64 / 13.0).collect();
@@ -527,22 +469,21 @@ mod tests {
             profile: NetworkProfile::lossy(),
             ..DistributedConfig::default()
         };
-        let net = FaultyNetwork::new(60, NetworkProfile::lossy(), 21, 5_000);
+        let mut net = FaultyNetwork::new(60, NetworkProfile::lossy(), 21, 5_000);
         let targets = [0u32, 5, 17];
         for (i, &target) in targets.iter().enumerate() {
             let from = NodeId(g.neighbours(NodeId(target))[0]);
-            net.sender(NodeId(target))
-                .send(Envelope {
+            net.inject(
+                NodeId(target),
+                Envelope {
                     from,
                     seq: u64::MAX - i as u64,
                     deliver_at: 0,
                     msg: PeerMsg::AuditProbe { nonce: i as u64 },
-                })
-                .unwrap();
+                },
+            );
         }
-        let out = run_with_transport(&g, config, averaging_initial(&values), net)
-            .await
-            .unwrap();
+        let out = run_with_transport(&g, config, averaging_initial(&values), net).unwrap();
         assert!(out.converged, "probed lossy run hit the cap");
         for &t in &targets {
             assert_eq!(out.audits_answered[t as usize], 1, "target {t}");
@@ -566,8 +507,8 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn lossy_profile_still_converges_and_ledger_closes() {
+    #[test]
+    fn lossy_profile_still_converges_and_ledger_closes() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let g = pa::preferential_attachment(pa::PaConfig { nodes: 60, m: 2 }, &mut rng).unwrap();
         let values: Vec<f64> = (0..60).map(|i| ((i * 7) % 13) as f64 / 13.0).collect();
@@ -582,7 +523,6 @@ mod tests {
             },
             averaging_initial(&values),
         )
-        .await
         .unwrap();
         assert!(out.converged, "lossy run hit the cap");
         assert!(

@@ -2,9 +2,9 @@
 //!
 //! Two backends implement the [`Transport`] trait:
 //!
-//! * [`Network`] — the reliable backend: per-peer unbounded in-memory
-//!   mailboxes, every message delivered exactly once in its send round
-//!   (the paper's "reliable bit pipe" assumption);
+//! * [`Network`] — the reliable backend: every message delivered
+//!   exactly once into the receiver's inbox in its send round (the
+//!   paper's "reliable bit pipe" assumption);
 //! * [`FaultyNetwork`] — the unreliable-network runtime: every link
 //!   applies seeded, per-link message **loss**, bounded random **delay**
 //!   (which reorders messages), **duplication**, and consults a
@@ -20,7 +20,8 @@
 //! reproducible and placement-independent. Delivery *processing* order is
 //! made deterministic by the peer (messages are committed in sorted
 //! `(deliver_at, from, seq)` order), so a pinned `(profile, seed)` run
-//! produces bit-identical outcomes regardless of thread scheduling.
+//! produces bit-identical outcomes whatever order envelopes reach an
+//! inbox in.
 //!
 //! Mass accounting: a lost gossip share is genuinely gone (there is no
 //! acknowledgement to recredit from, unlike the synchronous
@@ -36,7 +37,6 @@ use dg_graph::NodeId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use tokio::sync::mpsc;
 
 /// Salt folded into the base seed for per-link fault streams.
 const LINK_SALT: u64 = 0x6C69_6E6B_FA17_0001;
@@ -100,11 +100,6 @@ pub struct Envelope {
     pub msg: PeerMsg,
 }
 
-/// Handle for sending envelopes to one peer.
-pub type Mailbox = mpsc::UnboundedSender<Envelope>;
-/// A peer's receiving end.
-pub type Inbox = mpsc::UnboundedReceiver<Envelope>;
-
 /// What the transport did with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
@@ -119,9 +114,6 @@ pub enum SendOutcome {
     /// Dropped silently (`detect_loss = false`, UDP semantics) — for
     /// shares, mass is gone.
     Lost,
-    /// The destination hung up (it already finished); the protocol's
-    /// loss rule applies and the sender re-credits the share to itself.
-    Closed,
 }
 
 /// Exact accounting of the mass a faulty network destroyed or injected
@@ -272,6 +264,14 @@ impl LinkFaults {
             SendOutcome::Lost
         }
     }
+
+    fn delay(&mut self) -> u64 {
+        if self.max_delay > 0 {
+            self.rng.random_range(0..=self.max_delay)
+        } else {
+            0
+        }
+    }
 }
 
 /// Sender-side handle for one directed link, with the backend's fault
@@ -279,7 +279,6 @@ impl LinkFaults {
 #[derive(Debug)]
 pub struct PeerLink {
     dst: NodeId,
-    tx: Mailbox,
     faults: Option<LinkFaults>,
 }
 
@@ -289,21 +288,27 @@ impl PeerLink {
         self.dst
     }
 
-    /// Send `msg` from `from` during `round`; `seq` is the sender's
-    /// monotone message counter. Returns what the transport did so the
-    /// sender can keep its [`MassLedger`] exact.
-    pub fn send(&mut self, from: NodeId, seq: u64, round: u64, msg: PeerMsg) -> SendOutcome {
+    /// Send `msg` from `from` during `round` into `inboxes[dst]`; `seq`
+    /// is the sender's monotone message counter. Returns what the
+    /// transport did so the sender can keep its [`MassLedger`] exact.
+    pub fn send(
+        &mut self,
+        inboxes: &mut [Vec<Envelope>],
+        from: NodeId,
+        seq: u64,
+        round: u64,
+        msg: PeerMsg,
+    ) -> SendOutcome {
+        let inbox = &mut inboxes[self.dst.index()];
+        let env = Envelope {
+            from,
+            seq,
+            deliver_at: round,
+            msg,
+        };
         let Some(faults) = &mut self.faults else {
-            let env = Envelope {
-                from,
-                seq,
-                deliver_at: round,
-                msg,
-            };
-            return match self.tx.send(env) {
-                Ok(()) => SendOutcome::Delivered,
-                Err(_) => SendOutcome::Closed,
-            };
+            inbox.push(env);
+            return SendOutcome::Delivered;
         };
         if !faults.availability.link_open(from, self.dst, round) {
             return faults.drop_outcome();
@@ -311,37 +316,18 @@ impl PeerLink {
         if faults.loss > 0.0 && faults.rng.random::<f64>() < faults.loss {
             return faults.drop_outcome();
         }
-        let delay = if faults.max_delay > 0 {
-            faults.rng.random_range(0..=faults.max_delay)
-        } else {
-            0
-        };
+        let delay = faults.delay();
         let duplicate = faults.duplicate > 0.0 && faults.rng.random::<f64>() < faults.duplicate;
-        let env = Envelope {
-            from,
-            seq,
+        inbox.push(Envelope {
             deliver_at: round + delay,
-            msg,
-        };
-        if self.tx.send(env).is_err() {
-            return SendOutcome::Closed;
-        }
+            ..env
+        });
         if duplicate {
-            let delay2 = if faults.max_delay > 0 {
-                faults.rng.random_range(0..=faults.max_delay)
-            } else {
-                0
-            };
-            if self
-                .tx
-                .send(Envelope {
-                    deliver_at: round + delay2,
-                    ..env
-                })
-                .is_ok()
-            {
-                return SendOutcome::Duplicated;
-            }
+            inbox.push(Envelope {
+                deliver_at: round + faults.delay(),
+                ..env
+            });
+            return SendOutcome::Duplicated;
         }
         SendOutcome::Delivered
     }
@@ -349,7 +335,7 @@ impl PeerLink {
 
 /// A message transport the peer runner can deploy over: hands out
 /// sender-side [`PeerLink`]s, the [`Availability`] schedule peers consult
-/// before acting, and the per-peer receiving mailboxes.
+/// before acting, and the per-peer inboxes.
 pub trait Transport {
     /// Sender-side links from `src` to each of `neighbours` (same order).
     fn links(&self, src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink>;
@@ -357,53 +343,32 @@ pub trait Transport {
     /// The up/down schedule (always-up on reliable backends).
     fn availability(&self) -> Arc<Availability>;
 
-    /// Take ownership of every receiver (called once, when spawning the
-    /// peer tasks). Panics if called twice.
-    fn take_receivers(&mut self) -> Vec<Inbox>;
+    /// Take every peer's inbox, holding whatever was injected before the
+    /// run (called once, when the runner builds the peers).
+    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>>;
 }
 
-fn make_channels(n: usize) -> (Vec<Mailbox>, Vec<Inbox>) {
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::unbounded_channel();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    (senders, receivers)
-}
-
-fn take_receivers_once(receivers: &mut Vec<Inbox>, senders: &[Mailbox]) -> Vec<Inbox> {
-    assert!(
-        !receivers.is_empty() || senders.is_empty(),
-        "receivers already taken"
-    );
-    std::mem::take(receivers)
-}
-
-/// The reliable backend: unbounded in-memory mailboxes, no loss, no
-/// reordering within a pair, delivery in the send round.
+/// The reliable backend: no loss, no reordering within a pair, delivery
+/// in the send round.
 #[derive(Debug)]
 pub struct Network {
-    senders: Vec<Mailbox>,
-    receivers: Vec<Inbox>,
+    inboxes: Vec<Vec<Envelope>>,
     availability: Arc<Availability>,
 }
 
 impl Network {
-    /// Create mailboxes for `n` peers.
+    /// The transport for `n` peers.
     pub fn new(n: usize) -> Self {
-        let (senders, receivers) = make_channels(n);
         Self {
-            senders,
-            receivers,
+            inboxes: vec![Vec::new(); n],
             availability: Arc::new(Availability::always_up(n)),
         }
     }
 
-    /// Raw sender handle for `peer` (tests drive mailboxes directly).
-    pub fn sender(&self, peer: NodeId) -> Mailbox {
-        self.senders[peer.index()].clone()
+    /// Place `envelope` in `peer`'s inbox before the run (tests and
+    /// auditors inject probes this way).
+    pub fn inject(&mut self, peer: NodeId, envelope: Envelope) {
+        self.inboxes[peer.index()].push(envelope);
     }
 }
 
@@ -411,11 +376,7 @@ impl Transport for Network {
     fn links(&self, _src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink> {
         neighbours
             .iter()
-            .map(|&dst| PeerLink {
-                dst,
-                tx: self.senders[dst.index()].clone(),
-                faults: None,
-            })
+            .map(|&dst| PeerLink { dst, faults: None })
             .collect()
     }
 
@@ -423,17 +384,16 @@ impl Transport for Network {
         Arc::clone(&self.availability)
     }
 
-    fn take_receivers(&mut self) -> Vec<Inbox> {
-        take_receivers_once(&mut self.receivers, &self.senders)
+    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>> {
+        std::mem::take(&mut self.inboxes)
     }
 }
 
-/// The unreliable-network runtime: same mailbox plumbing as [`Network`],
-/// but every link injects the faults described by a [`NetworkProfile`].
+/// The unreliable-network runtime: the same inboxes as [`Network`], but
+/// every link injects the faults described by a [`NetworkProfile`].
 #[derive(Debug)]
 pub struct FaultyNetwork {
-    senders: Vec<Mailbox>,
-    receivers: Vec<Inbox>,
+    inboxes: Vec<Vec<Envelope>>,
     profile: NetworkProfile,
     seed: u64,
     availability: Arc<Availability>,
@@ -444,10 +404,8 @@ impl FaultyNetwork {
     /// churn schedule (pass the run's round cap); `seed` pins every fault
     /// decision.
     pub fn new(n: usize, profile: NetworkProfile, seed: u64, horizon: u64) -> Self {
-        let (senders, receivers) = make_channels(n);
         Self {
-            senders,
-            receivers,
+            inboxes: vec![Vec::new(); n],
             profile,
             seed,
             availability: Arc::new(Availability::generate(n, horizon, &profile, seed)),
@@ -459,10 +417,11 @@ impl FaultyNetwork {
         &self.profile
     }
 
-    /// Raw sender handle for `peer` (tests and auditors inject envelopes
-    /// directly; injected traffic bypasses the link fault model).
-    pub fn sender(&self, peer: NodeId) -> Mailbox {
-        self.senders[peer.index()].clone()
+    /// Place `envelope` in `peer`'s inbox before the run (tests and
+    /// auditors inject probes this way; injected traffic bypasses the
+    /// link fault model).
+    pub fn inject(&mut self, peer: NodeId, envelope: Envelope) {
+        self.inboxes[peer.index()].push(envelope);
     }
 }
 
@@ -475,7 +434,6 @@ impl Transport for FaultyNetwork {
                     node_stream_seed(node_stream_seed(self.seed ^ LINK_SALT, src.0), dst.0);
                 PeerLink {
                     dst,
-                    tx: self.senders[dst.index()].clone(),
                     faults: Some(LinkFaults {
                         loss: self.profile.loss,
                         duplicate: self.profile.duplicate,
@@ -493,8 +451,8 @@ impl Transport for FaultyNetwork {
         Arc::clone(&self.availability)
     }
 
-    fn take_receivers(&mut self) -> Vec<Inbox> {
-        take_receivers_once(&mut self.receivers, &self.senders)
+    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>> {
+        std::mem::take(&mut self.inboxes)
     }
 }
 
@@ -510,46 +468,34 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn reliable_mailboxes_deliver_in_order() {
+    #[test]
+    fn reliable_mailboxes_deliver_in_order() {
         let mut net = Network::new(2);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        let mut rxs = net.take_receivers();
-        let mut rx_b = rxs.pop().unwrap();
+        let mut inboxes = net.take_inboxes();
 
         assert_eq!(
-            links[0].send(NodeId(0), 1, 0, share(0.5)),
+            links[0].send(&mut inboxes, NodeId(0), 1, 0, share(0.5)),
             SendOutcome::Delivered
         );
         assert_eq!(
-            links[0].send(NodeId(0), 2, 0, PeerMsg::Announce { converged: true }),
+            links[0].send(
+                &mut inboxes,
+                NodeId(0),
+                2,
+                0,
+                PeerMsg::Announce { converged: true }
+            ),
             SendOutcome::Delivered
         );
 
-        let first = rx_b.recv().await.unwrap();
+        let [first, second] = &inboxes[1][..] else {
+            panic!("expected two envelopes, got {:?}", inboxes[1]);
+        };
         assert_eq!(first.msg, share(0.5));
         assert_eq!((first.from, first.seq, first.deliver_at), (NodeId(0), 1, 0));
-        let second = rx_b.recv().await.unwrap();
         assert!(matches!(second.msg, PeerMsg::Announce { converged: true }));
-    }
-
-    #[test]
-    #[should_panic(expected = "receivers already taken")]
-    fn double_take_panics() {
-        let mut net = Network::new(1);
-        let _ = net.take_receivers();
-        let _ = net.take_receivers();
-    }
-
-    #[test]
-    fn closed_destination_reported() {
-        let mut net = Network::new(2);
-        let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        drop(net.take_receivers());
-        assert_eq!(
-            links[0].send(NodeId(0), 1, 0, share(0.1)),
-            SendOutcome::Closed
-        );
+        assert!(inboxes[0].is_empty());
     }
 
     #[test]
@@ -558,10 +504,12 @@ mod tests {
         profile.loss = 0.3;
         let mut net = FaultyNetwork::new(2, profile, 7, 1000);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        let _rxs = net.take_receivers();
+        let mut inboxes = net.take_inboxes();
         // detect_loss = true (the presets' default): drops bounce.
         let lost = (0..20_000)
-            .filter(|&i| links[0].send(NodeId(0), i, 0, share(0.5)) == SendOutcome::Bounced)
+            .filter(|&i| {
+                links[0].send(&mut inboxes, NodeId(0), i, 0, share(0.5)) == SendOutcome::Bounced
+            })
             .count();
         let rate = lost as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
@@ -574,9 +522,9 @@ mod tests {
         profile.detect_loss = false;
         let mut net = FaultyNetwork::new(2, profile, 7, 1000);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        let _rxs = net.take_receivers();
+        let mut inboxes = net.take_inboxes();
         assert_eq!(
-            links[0].send(NodeId(0), 1, 0, share(0.5)),
+            links[0].send(&mut inboxes, NodeId(0), 1, 0, share(0.5)),
             SendOutcome::Lost
         );
     }
@@ -590,35 +538,33 @@ mod tests {
         let outcomes = |seed: u64| -> Vec<SendOutcome> {
             let mut net = FaultyNetwork::new(2, profile, seed, 100);
             let mut links = net.links(NodeId(0), &[NodeId(1)]);
-            let _rxs = net.take_receivers();
+            let mut inboxes = net.take_inboxes();
             (0..200)
-                .map(|i| links[0].send(NodeId(0), i, i, share(0.5)))
+                .map(|i| links[0].send(&mut inboxes, NodeId(0), i, i, share(0.5)))
                 .collect()
         };
         assert_eq!(outcomes(3), outcomes(3));
         assert_ne!(outcomes(3), outcomes(4));
     }
 
-    #[tokio::test]
-    async fn delay_is_bounded_and_duplication_doubles() {
+    #[test]
+    fn delay_is_bounded_and_duplication_doubles() {
         let mut profile = NetworkProfile::lossless();
         profile.max_delay = 3;
         profile.duplicate = 0.999_999; // effectively always duplicate
         let mut net = FaultyNetwork::new(2, profile, 11, 100);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        let mut rxs = net.take_receivers();
-        let mut rx = rxs.pop().unwrap();
+        let mut inboxes = net.take_inboxes();
 
         assert_eq!(
-            links[0].send(NodeId(0), 1, 10, share(0.5)),
+            links[0].send(&mut inboxes, NodeId(0), 1, 10, share(0.5)),
             SendOutcome::Duplicated
         );
-        for _ in 0..2 {
-            let env = rx.recv().await.unwrap();
+        assert_eq!(inboxes[1].len(), 2, "exactly two copies");
+        for env in &inboxes[1] {
             assert!((10..=13).contains(&env.deliver_at), "{}", env.deliver_at);
             assert_eq!(env.seq, 1);
         }
-        assert!(rx.try_recv().is_err(), "exactly two copies");
     }
 
     #[test]
@@ -701,10 +647,10 @@ mod tests {
     fn lossless_faulty_transport_reports_reliable_outcomes() {
         let mut net = FaultyNetwork::new(2, NetworkProfile::lossless(), 1, 100);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
-        let _rxs = net.take_receivers();
+        let mut inboxes = net.take_inboxes();
         for i in 0..100 {
             assert_eq!(
-                links[0].send(NodeId(0), i, i, share(0.5)),
+                links[0].send(&mut inboxes, NodeId(0), i, i, share(0.5)),
                 SendOutcome::Delivered
             );
         }

@@ -8,7 +8,7 @@
 //!   answer queries straight from the shared [`SnapshotCell`] — they
 //!   clone an `Arc` per request and never touch the engine, so readers
 //!   cannot block a round and a round cannot tear a read. Ingest
-//!   submissions go into the bounded [`tokio::sync::mpsc`] channel via
+//!   submissions go into the bounded [`std::sync::mpsc::sync_channel`] via
 //!   `try_send`: a full channel answers [`Response::Busy`] — typed
 //!   shedding, never blocking the handler, never dropping silently
 //!   (every shed is counted into the next round's
@@ -30,10 +30,9 @@ use dg_trust::SnapshotCell;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::mpsc;
-use tokio::sync::mpsc::error::TrySendError;
 
 /// How the server listens and sheds.
 #[derive(Debug, Clone)]
@@ -92,10 +91,10 @@ impl From<SessionError> for ServeError {
 /// A running reputation service (see the module docs).
 pub struct Server {
     session: ServeSession,
-    ingest_rx: mpsc::Receiver<IngestReport>,
+    ingest_rx: Receiver<IngestReport>,
     /// Kept so the channel never reports "all senders dropped" while
     /// the server lives; handlers clone it.
-    _ingest_tx: mpsc::Sender<IngestReport>,
+    _ingest_tx: SyncSender<IngestReport>,
     shed: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
@@ -114,7 +113,7 @@ impl Server {
         // Non-blocking accept so shutdown is a flag check away.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (ingest_tx, ingest_rx) = mpsc::channel(opts.ingest_capacity.max(1));
+        let (ingest_tx, ingest_rx) = sync_channel(opts.ingest_capacity.max(1));
         let shed = Arc::new(AtomicU64::new(0));
         let shutdown = Arc::new(AtomicBool::new(false));
         let cell = session.snapshots();
@@ -195,7 +194,7 @@ impl Drop for Server {
 fn accept_loop(
     listener: TcpListener,
     cell: Arc<SnapshotCell>,
-    tx: mpsc::Sender<IngestReport>,
+    tx: SyncSender<IngestReport>,
     shed: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     nodes: usize,
@@ -227,7 +226,7 @@ fn accept_loop(
 fn handle_connection(
     stream: TcpStream,
     cell: Arc<SnapshotCell>,
-    tx: mpsc::Sender<IngestReport>,
+    tx: SyncSender<IngestReport>,
     shed: Arc<AtomicU64>,
     nodes: usize,
 ) -> std::io::Result<()> {
@@ -266,7 +265,7 @@ fn handle_connection(
 fn respond(
     request: &Request,
     cell: &SnapshotCell,
-    tx: &mpsc::Sender<IngestReport>,
+    tx: &SyncSender<IngestReport>,
     shed: &AtomicU64,
     nodes: usize,
 ) -> Response {
@@ -328,7 +327,7 @@ fn respond(
                     shed.fetch_add(1, Ordering::AcqRel);
                     Response::Busy
                 }
-                Err(TrySendError::Closed(_)) => Response::Error {
+                Err(TrySendError::Disconnected(_)) => Response::Error {
                     message: "server shutting down".into(),
                 },
             }

@@ -17,59 +17,53 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .build()?;
-    runtime.block_on(async {
-        let n: usize = std::env::args()
-            .nth(1)
-            .map(|a| a.parse().expect("node count"))
-            .unwrap_or(200);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let graph = preferential_attachment(PaConfig { nodes: n, m: 2 }, &mut rng)?;
-        let values: Vec<f64> = (0..n).map(|i| ((i * 17) % 101) as f64 / 101.0).collect();
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let initial: Vec<GossipPair> = values.iter().map(|&v| GossipPair::originator(v)).collect();
+    let n: usize = std::env::args()
+        .nth(1)
+        .map(|a| a.parse().expect("node count"))
+        .unwrap_or(200);
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let graph = preferential_attachment(PaConfig { nodes: n, m: 2 }, &mut rng)?;
+    let values: Vec<f64> = (0..n).map(|i| ((i * 17) % 101) as f64 / 101.0).collect();
+    let mean = values.iter().sum::<f64>() / n as f64;
+    let initial: Vec<GossipPair> = values.iter().map(|&v| GossipPair::originator(v)).collect();
 
-        println!("{n}-peer PA overlay, xi = 1e-5, seed 11; true mean {mean:.6}\n");
+    println!("{n}-peer PA overlay, xi = 1e-5, seed 11; true mean {mean:.6}\n");
+    println!(
+        "{:<12} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9}",
+        "profile", "rounds", "converged", "worst-err", "bounced", "dup", "ann-drop"
+    );
+    for name in NetworkProfile::PRESETS {
+        let profile = NetworkProfile::parse(name).expect("preset");
+        let outcome = run_distributed(
+            &graph,
+            DistributedConfig {
+                xi: 1e-5,
+                seed: 11,
+                max_rounds: 10_000,
+                profile,
+                ..DistributedConfig::default()
+            },
+            initial.clone(),
+        )?;
+        let worst = outcome
+            .estimates
+            .iter()
+            .map(|e| (e - mean).abs())
+            .fold(0.0f64, f64::max);
         println!(
-            "{:<12} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9}",
-            "profile", "rounds", "converged", "worst-err", "bounced", "dup", "ann-drop"
+            "{:<12} {:>6} {:>10} {:>10.2e} {:>9} {:>9} {:>9}",
+            name,
+            outcome.rounds,
+            outcome.converged,
+            worst,
+            outcome.ledger.shares_recredited,
+            outcome.ledger.shares_duplicated,
+            outcome.ledger.announces_lost,
         );
-        for name in NetworkProfile::PRESETS {
-            let profile = NetworkProfile::parse(name).expect("preset");
-            let outcome = run_distributed(
-                &graph,
-                DistributedConfig {
-                    xi: 1e-5,
-                    seed: 11,
-                    max_rounds: 10_000,
-                    profile,
-                    ..DistributedConfig::default()
-                },
-                initial.clone(),
-            )
-            .await?;
-            let worst = outcome
-                .estimates
-                .iter()
-                .map(|e| (e - mean).abs())
-                .fold(0.0f64, f64::max);
-            println!(
-                "{:<12} {:>6} {:>10} {:>10.2e} {:>9} {:>9} {:>9}",
-                name,
-                outcome.rounds,
-                outcome.converged,
-                worst,
-                outcome.ledger.shares_recredited,
-                outcome.ledger.shares_duplicated,
-                outcome.ledger.announces_lost,
-            );
-        }
-        println!(
-            "\nEvery run's mass accounting closes exactly: \
-             final = initial - lost + duplicated (see `MassLedger`)."
-        );
-        Ok(())
-    })
+    }
+    println!(
+        "\nEvery run's mass accounting closes exactly: \
+         final = initial - lost + duplicated (see `MassLedger`)."
+    );
+    Ok(())
 }

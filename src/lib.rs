@@ -17,7 +17,7 @@
 //! * [`gossip`] — push / pull / push-pull / differential gossip engines,
 //! * [`core`] — the paper's four aggregation algorithms and collusion model,
 //! * [`sim`] — scenario runner, workloads, metrics, baselines,
-//! * [`p2p`] — tokio-based asynchronous peer deployment,
+//! * [`p2p`] — the peer deployment: one state machine per peer,
 //! * [`store`] — durable epoch/delta snapshots behind crash recovery,
 //! * [`serve`] — reputation-as-a-service: TCP query/ingest endpoints
 //!   over round-atomic snapshots.

@@ -5,8 +5,8 @@
 //!
 //! The asynchronous deployment's restart contract is different — the
 //! continuation is statistical, not bitwise (see
-//! `differential_gossip::p2p::checkpoint`) — so what the tokio tests
-//! here pin is the part that *is* exact: resume determinism and the
+//! `differential_gossip::p2p::checkpoint`) — so what the peer-deployment
+//! tests here pin is the part that *is* exact: resume determinism and the
 //! mass-conservation ledger balancing across the restart.
 
 mod model;
@@ -177,7 +177,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Hostile bytes never panic the store (ROADMAP 6(a)): flip any one
+    /// Hostile bytes never panic the store: flip any one
     /// byte of a shard, a delta, an epoch or delta header or `HEAD.json`
     /// and `load_latest` answers with a typed error — always one for the
     /// framed files, whose digest covers every byte — or, where the JSON
@@ -231,8 +231,8 @@ proptest! {
     }
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn distributed_mass_ledger_balances_across_restart() {
+#[test]
+fn distributed_mass_ledger_balances_across_restart() {
     use differential_gossip::graph::pa;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -251,9 +251,7 @@ async fn distributed_mass_ledger_balances_across_restart() {
         profile: NetworkProfile::lossy(),
         ..DistributedConfig::default()
     };
-    let partial = run_distributed(&graph, config, initial)
-        .await
-        .expect("first segment");
+    let partial = run_distributed(&graph, config, initial).expect("first segment");
     let ckpt = partial.checkpoint(config.seed);
 
     // Restart: persist through the store codec, reload, resume.
@@ -270,7 +268,6 @@ async fn distributed_mass_ledger_balances_across_restart() {
         },
         ckpt,
     )
-    .await
     .expect("resumed segment");
 
     // The conservation invariant spans the restart: the surviving mass
@@ -286,8 +283,8 @@ async fn distributed_mass_ledger_balances_across_restart() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn distributed_resume_is_deterministic_after_restart() {
+#[test]
+fn distributed_resume_is_deterministic_after_restart() {
     use differential_gossip::graph::generators;
 
     let graph = generators::complete(12);
@@ -300,21 +297,15 @@ async fn distributed_resume_is_deterministic_after_restart() {
         max_rounds: 3,
         ..DistributedConfig::default()
     };
-    let partial = run_distributed(&graph, config, initial)
-        .await
-        .expect("first segment");
+    let partial = run_distributed(&graph, config, initial).expect("first segment");
     let ckpt = partial.checkpoint(config.seed);
 
     let resume_cfg = DistributedConfig {
         max_rounds: 40,
         ..config
     };
-    let a = resume_distributed(&graph, resume_cfg, ckpt.clone())
-        .await
-        .expect("first resume");
-    let b = resume_distributed(&graph, resume_cfg, ckpt)
-        .await
-        .expect("second resume");
+    let a = resume_distributed(&graph, resume_cfg, ckpt.clone()).expect("first resume");
+    let b = resume_distributed(&graph, resume_cfg, ckpt).expect("second resume");
     assert_eq!(
         a, b,
         "resuming the same snapshot twice must be bit-identical"

@@ -1,4 +1,4 @@
-//! The tokio peer deployment and the synchronous engine implement the
+//! The peer deployment and the synchronous engine implement the
 //! same protocol: both must converge to the same push-sum limit.
 
 use differential_gossip::gossip::{GossipConfig, GossipPair, ScalarGossip};
@@ -7,8 +7,8 @@ use differential_gossip::p2p::{run_distributed, DistributedConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn distributed_and_sync_agree_on_the_limit() {
+#[test]
+fn distributed_and_sync_agree_on_the_limit() {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let graph =
         preferential_attachment(PaConfig { nodes: 150, m: 2 }, &mut rng).expect("valid PA config");
@@ -33,7 +33,6 @@ async fn distributed_and_sync_agree_on_the_limit() {
         },
         initial,
     )
-    .await
     .expect("distributed run");
 
     assert!(sync_out.converged, "sync did not converge");
@@ -48,8 +47,8 @@ async fn distributed_and_sync_agree_on_the_limit() {
     assert!(dist_worst < 1e-4, "distributed worst error {dist_worst}");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn distributed_single_originator_sum_mode() {
+#[test]
+fn distributed_single_originator_sum_mode() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let graph =
         preferential_attachment(PaConfig { nodes: 80, m: 2 }, &mut rng).expect("valid PA config");
@@ -76,7 +75,6 @@ async fn distributed_single_originator_sum_mode() {
         },
         initial,
     )
-    .await
     .expect("distributed run");
     assert!(out.converged);
     for (i, e) in out.estimates.iter().enumerate() {
@@ -84,8 +82,8 @@ async fn distributed_single_originator_sum_mode() {
     }
 }
 
-#[tokio::test]
-async fn distributed_mass_conservation_holds_mid_run() {
+#[test]
+fn distributed_mass_conservation_holds_mid_run() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let graph =
         preferential_attachment(PaConfig { nodes: 60, m: 2 }, &mut rng).expect("valid PA config");
@@ -104,7 +102,6 @@ async fn distributed_mass_conservation_holds_mid_run() {
         },
         initial,
     )
-    .await
     .expect("distributed run");
     let mass: f64 = out.pairs.iter().map(|p| p.value).sum();
     let weight: f64 = out.pairs.iter().map(|p| p.weight).sum();

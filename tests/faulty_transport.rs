@@ -27,13 +27,6 @@ fn averaging_initial(n: usize, seed: u64) -> Vec<GossipPair> {
         .collect()
 }
 
-fn runtime() -> tokio::runtime::Runtime {
-    tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .build()
-        .expect("runtime")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -54,17 +47,14 @@ proptest! {
             max_rounds: 2_000,
             ..DistributedConfig::default()
         };
-        let rt = runtime();
-        let reliable = rt
-            .block_on(run_with_transport(
+        let reliable = run_with_transport(
                 &graph,
                 config,
                 initial.clone(),
                 Network::new(nodes),
-            ))
+            )
             .expect("reliable run");
-        let faulty_lossless = rt
-            .block_on(run_with_transport(
+        let faulty_lossless = run_with_transport(
                 &graph,
                 config,
                 initial,
@@ -74,7 +64,7 @@ proptest! {
                     config.seed,
                     config.max_rounds as u64,
                 ),
-            ))
+            )
             .expect("faulty run");
         prop_assert_eq!(reliable, faulty_lossless);
     }
@@ -87,19 +77,18 @@ proptest! {
 fn pinned_seed_faulty_runs_are_identical() {
     let graph = pa_graph(100, 2, 12);
     let run = |profile: NetworkProfile| -> DistributedOutcome {
-        runtime()
-            .block_on(run_distributed(
-                &graph,
-                DistributedConfig {
-                    xi: 1e-4,
-                    seed: 77,
-                    max_rounds: 3_000,
-                    profile,
-                    ..DistributedConfig::default()
-                },
-                averaging_initial(100, 12),
-            ))
-            .expect("faulty run")
+        run_distributed(
+            &graph,
+            DistributedConfig {
+                xi: 1e-4,
+                seed: 77,
+                max_rounds: 3_000,
+                profile,
+                ..DistributedConfig::default()
+            },
+            averaging_initial(100, 12),
+        )
+        .expect("faulty run")
     };
     for profile in [
         NetworkProfile::lossy(),
@@ -122,19 +111,18 @@ fn total_loss_with_detection_terminates_at_cap() {
     let total: GossipPair = initial.iter().copied().sum();
     let mut profile = NetworkProfile::lossless();
     profile.loss = 1.0;
-    let out = runtime()
-        .block_on(run_distributed(
-            &graph,
-            DistributedConfig {
-                xi: 1e-4,
-                seed: 5,
-                max_rounds: 50,
-                profile,
-                ..DistributedConfig::default()
-            },
-            initial,
-        ))
-        .expect("run");
+    let out = run_distributed(
+        &graph,
+        DistributedConfig {
+            xi: 1e-4,
+            seed: 5,
+            max_rounds: 50,
+            profile,
+            ..DistributedConfig::default()
+        },
+        initial,
+    )
+    .expect("run");
     assert_eq!(out.rounds, 50, "must exhaust the round cap");
     assert!(!out.converged, "total blackout cannot converge");
     assert!(out.ledger.shares_recredited > 0);
@@ -155,19 +143,18 @@ fn total_undetected_loss_surfaces_destroyed_mass() {
     let mut profile = NetworkProfile::lossless();
     profile.loss = 1.0;
     profile.detect_loss = false;
-    let out = runtime()
-        .block_on(run_distributed(
-            &graph,
-            DistributedConfig {
-                xi: 1e-4,
-                seed: 5,
-                max_rounds: 50,
-                profile,
-                ..DistributedConfig::default()
-            },
-            initial,
-        ))
-        .expect("run");
+    let out = run_distributed(
+        &graph,
+        DistributedConfig {
+            xi: 1e-4,
+            seed: 5,
+            max_rounds: 50,
+            profile,
+            ..DistributedConfig::default()
+        },
+        initial,
+    )
+    .expect("run");
     assert_eq!(out.rounds, 50);
     assert!(!out.converged);
     assert!(out.ledger.shares_lost > 0);
@@ -189,19 +176,18 @@ fn partitioned_network_heals_and_converges() {
     let graph = pa_graph(80, 2, 9);
     let initial = averaging_initial(80, 9);
     let mean = initial.iter().map(|p| p.value).sum::<f64>() / 80.0;
-    let out = runtime()
-        .block_on(run_distributed(
-            &graph,
-            DistributedConfig {
-                xi: 1e-5,
-                seed: 33,
-                max_rounds: 5_000,
-                profile: NetworkProfile::partitioned(),
-                ..DistributedConfig::default()
-            },
-            initial,
-        ))
-        .expect("run");
+    let out = run_distributed(
+        &graph,
+        DistributedConfig {
+            xi: 1e-5,
+            seed: 33,
+            max_rounds: 5_000,
+            profile: NetworkProfile::partitioned(),
+            ..DistributedConfig::default()
+        },
+        initial,
+    )
+    .expect("run");
     assert!(out.converged, "partition must heal within the cap");
     let window = NetworkProfile::partitioned().partition.expect("preset");
     assert!(
@@ -260,26 +246,24 @@ fn golden_rows() -> Vec<(String, DistributedOutcome)> {
         slander_fraction: 0.2,
         ..AdversaryMix::none()
     };
-    let rt = runtime();
     let mut rows = Vec::new();
     for name in NetworkProfile::PRESETS {
         let profile = NetworkProfile::parse(name).expect("preset");
         for (mix, adversary) in [("none", AdversaryMix::none()), ("slander", slander)] {
             for seed in [3, 21, 77] {
-                let out = rt
-                    .block_on(run_distributed(
-                        &graph,
-                        config(seed, profile, adversary),
-                        averaging_initial(60, seed),
-                    ))
-                    .expect("run");
+                let out = run_distributed(
+                    &graph,
+                    config(seed, profile, adversary),
+                    averaging_initial(60, seed),
+                )
+                .expect("run");
                 rows.push((format!("{name}/{mix}/{seed}"), out));
             }
         }
     }
 
     let lossy = config(21, NetworkProfile::lossy(), AdversaryMix::none());
-    let net = FaultyNetwork::new(60, lossy.profile, lossy.seed, lossy.max_rounds as u64);
+    let mut net = FaultyNetwork::new(60, lossy.profile, lossy.seed, lossy.max_rounds as u64);
     for (i, target) in [0u32, 5, 17].into_iter().enumerate() {
         let probe = Envelope {
             from: NodeId(graph.neighbours(NodeId(target))[0]),
@@ -287,42 +271,30 @@ fn golden_rows() -> Vec<(String, DistributedOutcome)> {
             deliver_at: 0,
             msg: PeerMsg::AuditProbe { nonce: i as u64 },
         };
-        net.sender(NodeId(target)).send(probe).expect("inject");
+        net.inject(NodeId(target), probe);
     }
-    let out = rt
-        .block_on(run_with_transport(
-            &graph,
-            lossy,
-            averaging_initial(60, 21),
-            net,
-        ))
-        .expect("probed run");
+    let out =
+        run_with_transport(&graph, lossy, averaging_initial(60, 21), net).expect("probed run");
     rows.push(("lossy/probed/21".into(), out));
 
     let first = config(77, NetworkProfile::lossy(), slander);
-    let partial = rt
-        .block_on(run_distributed(
-            &graph,
-            DistributedConfig {
-                max_rounds: 6,
-                ..first
-            },
-            averaging_initial(60, 77),
-        ))
-        .expect("first segment");
-    let out = rt
-        .block_on(resume_distributed(
-            &graph,
-            first,
-            partial.checkpoint(first.seed),
-        ))
-        .expect("resumed segment");
+    let partial = run_distributed(
+        &graph,
+        DistributedConfig {
+            max_rounds: 6,
+            ..first
+        },
+        averaging_initial(60, 77),
+    )
+    .expect("first segment");
+    let out =
+        resume_distributed(&graph, first, partial.checkpoint(first.seed)).expect("resumed segment");
     rows.push(("lossy/slander/77/resumed".into(), out));
     rows
 }
 
 /// The p2p deployment's outcomes, pinned bit for bit as they were when
-/// every peer ran as its own task on the tokio runtime: a change to how
+/// every peer ran as its own task on an async runtime: a change to how
 /// peers are driven must not move one bit of any row.
 #[test]
 fn p2p_outcomes_match_the_tokio_runtime() {
@@ -382,19 +354,18 @@ fn churning_network_conserves_mass() {
     let graph = pa_graph(60, 2, 4);
     let initial = averaging_initial(60, 4);
     let total: GossipPair = initial.iter().copied().sum();
-    let out = runtime()
-        .block_on(run_distributed(
-            &graph,
-            DistributedConfig {
-                xi: 1e-4,
-                seed: 13,
-                max_rounds: 4_000,
-                profile: NetworkProfile::churning(),
-                ..DistributedConfig::default()
-            },
-            initial,
-        ))
-        .expect("run");
+    let out = run_distributed(
+        &graph,
+        DistributedConfig {
+            xi: 1e-4,
+            seed: 13,
+            max_rounds: 4_000,
+            profile: NetworkProfile::churning(),
+            ..DistributedConfig::default()
+        },
+        initial,
+    )
+    .expect("run");
     let mass = out.total_pair();
     let expected = out.ledger.expected_total(total);
     assert!((mass.value - expected.value).abs() < 1e-9);

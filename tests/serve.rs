@@ -550,7 +550,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Hostile bytes never panic a wire decoder (ROADMAP 6(a)): an
+    /// Hostile bytes never panic a wire decoder: an
     /// arbitrary stream, an arbitrary payload sealed in a well-formed
     /// frame (a checksum is no defence against a client that computes
     /// it), and every single-byte mutation or truncation of a valid
