@@ -24,9 +24,9 @@
 //!   The figure/table binaries measure the gossip layer itself, which
 //!   is engine-independent — they accept and ignore the flag. Results
 //!   never depend on it (see `tests/engine_equivalence.rs`),
-//! * `--shards <usize>` — shard count for the incremental engine (0 =
-//!   the deterministic auto partition; results are bit-identical either
-//!   way),
+//! * `--shards <usize>` — shard count for the incremental engine,
+//!   capped at the node count (0 = the deterministic auto partition;
+//!   results are bit-identical either way),
 //! * `--profile <lossless|lossy|partitioned|churning>` — network fault
 //!   profile of the `perf_suite` run (`degradation` sweeps all four
 //!   itself),

@@ -291,7 +291,7 @@ impl<'g> ReputationSystem<'g> {
             }
             let k = NodeId(k);
             if self.trust.row_len(k) <= nbrs.len() {
-                for (j, t) in self.trust.row(k) {
+                for &(j, t) in self.trust.row(k) {
                     if let Ok(p) = nbrs.binary_search(&j.0) {
                         out[p] += w1 * t.get();
                     }
@@ -368,15 +368,11 @@ impl<'g> ReputationSystem<'g> {
 /// every node estimates each *neighbour*'s quality exactly (the
 /// no-estimation-noise limit, handy for analytical tests).
 pub fn trust_from_qualities(graph: &Graph, qualities: &[f64]) -> TrustMatrix {
-    let mut m = TrustMatrix::new(graph.node_count());
-    for v in graph.nodes() {
-        for &w in graph.neighbours(v) {
-            let w = NodeId(w);
-            m.set(v, w, TrustValue::saturating(qualities[w.index()]))
-                .expect("ids from graph are in range");
-        }
-    }
-    m
+    let rows = graph.nodes().map(|v| {
+        let neighbours = graph.neighbours(v).iter();
+        neighbours.map(|&w| (NodeId(w), TrustValue::saturating(qualities[w as usize])))
+    });
+    TrustMatrix::from_rows(graph.node_count(), rows).expect("ids from graph are in range")
 }
 
 #[cfg(test)]
@@ -449,8 +445,8 @@ mod tests {
     }
 
     /// `y_hat_row` is the per-slot `y_hat_from_weights`, bit for bit, at
-    /// every observer of a star with one extra leaf–leaf edge, on both
-    /// matrix backends and under a weight law with all-zero excess.
+    /// every observer of a star with one extra leaf–leaf edge, at one
+    /// shard and at three, and under a weight law with all-zero excess.
     #[test]
     fn y_hat_row_equals_the_per_slot_sum() {
         // Hub 0 over leaves 1..=6, plus the edge 1–2.
@@ -460,8 +456,7 @@ mod tests {
         }
         builder.add_edge(1u32, 2u32).unwrap();
         let g = builder.build();
-        let mut m = TrustMatrix::new(7);
-        for (i, j, t) in [
+        let cells = [
             // The hub's row: a zero trust value (excess weight 0), and
             // no opinion of leaf 5 or 6.
             (0, 1, 1.0),
@@ -479,16 +474,16 @@ mod tests {
             (2, 5, 0.3),
             (4, 0, 0.2),
             (4, 6, 1.0),
-        ] {
-            m.set(NodeId(i), NodeId(j), tv(t)).unwrap();
-        }
-        // Both branches: the hub iterates the (shorter) leaf rows; leaf
-        // 1 searches the (longer) hub row.
-        assert!(m.row_len(NodeId(1)) < g.degree(NodeId(0)));
-        assert!(m.row_len(NodeId(0)) > g.degree(NodeId(1)));
-        let mut sharded = m.clone();
-        sharded.shard(dg_trust::ShardSpec::new(7, 3));
-        for trust in [m, sharded] {
+        ];
+        for shards in [1, 3] {
+            let mut trust = TrustMatrix::with_spec(dg_trust::ShardSpec::new(7, shards));
+            for (i, j, t) in cells {
+                trust.set(NodeId(i), NodeId(j), tv(t)).unwrap();
+            }
+            // Both branches: the hub iterates the (shorter) leaf rows;
+            // leaf 1 searches the (longer) hub row.
+            assert!(trust.row_len(NodeId(1)) < g.degree(NodeId(0)));
+            assert!(trust.row_len(NodeId(0)) > g.degree(NodeId(1)));
             for weights in [
                 WeightParams::new(2.0, 1.5).unwrap(),
                 WeightParams::neutral(),

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// bit-for-bit equal regardless of thread count and shard count.
 /// `Sequential` is the reference map-based driver every suite compares
 /// against; `Incremental` is the production engine, whose traffic model
-/// picks its round: a rebuild into per-shard CSR blocks under full
+/// picks its round: a rebuild into per-shard row slabs under full
 /// traffic, a delta round that re-derives only the rows and aggregates
 /// the round touched under any gated traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -21,7 +21,7 @@ pub enum EngineKind {
     /// Reference single-stream driver over map-based state.
     #[default]
     Sequential,
-    /// The production engine: sharded CSR state (shard count: the
+    /// The production engine: sharded trust state (shard count: the
     /// simulator's `RunConfig::shard_count`), rebuilt every round under
     /// full traffic and maintained by dirty-row deltas and cached
     /// per-subject aggregates otherwise, so a skewed round costs

@@ -20,7 +20,7 @@
 //! Callers build the initial state as one [`GossipVector`] map per node
 //! and [`VectorOutcome::state`] hands maps back, but the engine holds no
 //! map: every node's vector lives in one arena — the "sorted runs over
-//! one arena" layout of `dg_trust::csr`. Node `i` owns the span
+//! one arena" layout of a freshly filled `dg_trust::RowSlab`. Node `i` owns the span
 //! `offsets[i]..offsets[i + 1]` of a `subjects` array (ascending ids)
 //! and of a parallel array of [`VectorEntry`]. Ids sit apart from the
 //! masses because a merge first walks ids alone to size its result; the

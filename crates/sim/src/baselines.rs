@@ -68,6 +68,7 @@ pub fn eigentrust(
             let observer = NodeId(i as u32);
             let row: Vec<(usize, f64)> = trust
                 .row(observer)
+                .iter()
                 .map(|(j, t)| (j.index(), t.get()))
                 .collect();
             let sum: f64 = row.iter().map(|(_, t)| t).sum();

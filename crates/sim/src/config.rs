@@ -46,19 +46,16 @@ pub struct RunConfig {
     /// matrix the way the paper's Section 5.2 analysis assumes.
     pub far_partners: usize,
     // --- execution knobs ---
-    /// Execution engine for the round loop (see [`EngineKind`]). With
-    /// [`EngineKind::Incremental`] the built trust matrix is partitioned
-    /// into the sharded backend
-    /// ([`ShardSpec::auto`](dg_trust::ShardSpec::auto)), so no
-    /// monolithic arena survives scenario construction. Does **not**
-    /// affect the generated topology, population or trust values.
+    /// Execution engine for the round loop (see [`EngineKind`]). Does
+    /// **not** affect the generated topology, population or trust
+    /// values, nor how the scenario's trust matrix is stored.
     pub engine: EngineKind,
     /// Shard count for [`EngineKind::Incremental`] (ignored by the
-    /// sequential driver). `0` — the default — selects the
-    /// deterministic auto partition, one shard per
-    /// [`ShardSpec::AUTO_CHUNK`](dg_trust::ShardSpec::AUTO_CHUNK) nodes.
-    /// Results are bit-identical for **every** value; this is purely a
-    /// memory/parallelism knob.
+    /// sequential driver), capped at the node count. `0` — the
+    /// default — selects the deterministic auto partition, one shard
+    /// per [`ShardSpec::AUTO_CHUNK`](dg_trust::ShardSpec::AUTO_CHUNK)
+    /// nodes. Results are bit-identical for **every** value; this is
+    /// purely a memory/parallelism knob.
     pub shard_count: usize,
     /// Network fault profile (see [`NetworkProfile`]). Does **not**
     /// affect the generated topology, population or trust values — it

@@ -6,11 +6,11 @@
 //! Both rounds open with the same transact phase (a fan-out over index
 //! blocks of the node states). Under full traffic — the paper's workload
 //! — every row changes every round, so the rebuild round keeps nothing:
-//! it emits every row into one rectangular `CsrBuilder` per [`ShardSpec`]
-//! shard, in parallel over shards, assembles them zero-copy into a
-//! [`ShardedCsr`]-backed [`TrustMatrix`] and runs the oracle's
-//! `closed_form_row` sweep (or the gossip) over it. It never allocates
-//! the persistent matrix, the column postings or the arenas below.
+//! it pushes every row onto one [`RowSlab`] per [`ShardSpec`] shard, in
+//! parallel over shards, assembles the slabs without a copy into a
+//! [`TrustMatrix`] and runs the oracle's `closed_form_row` sweep (or
+//! the gossip) over it. It never allocates the persistent matrix, the
+//! column postings or the arenas below.
 //!
 //! Under realistic skewed traffic most rows don't change: a node that
 //! issued no requests folds no records, so its estimators, its trust
@@ -18,11 +18,10 @@
 //! exactly last round's. The delta round keeps all of that state *alive
 //! across rounds* and recomputes only what moved:
 //!
-//! * the trust matrix persists in the sharded CSR backend;
-//!   [`TrustMatrix::replace_rows`] rebuilds only the shards owning a
-//!   **dirty row** — an observer that folded fresh records, an
-//!   adversary (their distortions are round-keyed), or a node touched
-//!   by last round's whitewash purge;
+//! * the trust matrix persists; [`TrustMatrix::replace_rows`] rewrites
+//!   only the **dirty rows**, `O(row)` each — an observer that folded
+//!   fresh records, an adversary (their distortions are round-keyed),
+//!   or a node touched by last round's whitewash purge;
 //! * a [`SubjectAggregateCache`] mirrors the matrix column-wise and
 //!   delta-maintains the per-subject `(Σ t_ij, N_d)` aggregates: dirty
 //!   subjects recompute through the *same* robust kernel as the
@@ -89,9 +88,7 @@ use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_graph::NodeId;
 use dg_store::NodeRecord;
-use dg_trust::{
-    CsrBuilder, CsrStorage, ShardSpec, ShardedCsr, SubjectAggregateCache, TrustMatrix, TrustValue,
-};
+use dg_trust::{RowSlab, ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -106,8 +103,8 @@ pub struct IncrementalRoundEngine {
 /// What the delta round keeps alive across rounds — all of it derived
 /// from the core's records, none of it in a checkpoint.
 struct DeltaState {
-    /// The persistent trust matrix (sharded CSR backend); rows are
-    /// replaced in place each round via [`TrustMatrix::replace_rows`].
+    /// The persistent trust matrix; dirty rows are replaced each round
+    /// via [`TrustMatrix::replace_rows`].
     trust: TrustMatrix,
     /// Column-postings mirror of `trust` with delta-maintained
     /// per-subject report aggregates.
@@ -443,10 +440,9 @@ fn transact_blocks(core: &mut EngineCore, round_seed: u64) -> (ServiceDelta, Vec
     (delta, folded)
 }
 
-/// The rebuild round after [`transact_blocks`]: every row is emitted
-/// into its shard's rectangular CSR block, in parallel over shards, and
-/// phase 3 runs whole over the assembled matrix, which the round then
-/// drops.
+/// The rebuild round after [`transact_blocks`]: every row is pushed
+/// onto its shard's [`RowSlab`], in parallel over shards, and phase 3
+/// runs whole over the assembled matrix, which the round then drops.
 fn rebuild_round(
     core: &mut EngineCore,
     delta: ServiceDelta,
@@ -471,11 +467,11 @@ fn rebuild_round(
         .into_par_iter()
         .map(|(s, shard)| {
             let range = spec.range(s);
-            let mut builder = CsrBuilder::rectangular(shard.len(), n);
+            let mut slab = RowSlab::default();
             let mut emitted = Vec::new();
             let first = ingest.partition_point(|(r, _)| r.0 < range.start);
             let mut batches = ingest[first..].iter().peekable();
-            for (local, (i, state)) in range.zip(shard).enumerate() {
+            for (i, state) in range.zip(shard) {
                 let node = NodeId(i);
                 let records = batches
                     .next_if(|(r, _)| *r == node)
@@ -484,18 +480,15 @@ fn rebuild_round(
                 if changed {
                     emitted.push(node);
                 }
-                builder
-                    .extend_row(NodeId(local as u32), row)
-                    .expect("estimator keys are in range");
+                slab.push_row(row);
             }
-            (builder.build(), emitted)
+            (slab, emitted)
         })
         .collect();
     core.nodes = nodes;
-    let (parts, emitted): (Vec<CsrStorage>, Vec<Vec<NodeId>>) = built.into_iter().unzip();
+    let (slabs, emitted): (Vec<RowSlab>, Vec<Vec<NodeId>>) = built.into_iter().unzip();
     core.marks.mark_all(emitted.into_iter().flatten());
-    let parts = ShardedCsr::from_parts(spec, parts).expect("shards built to spec");
-    let trust = TrustMatrix::from_sharded(parts);
+    let trust = TrustMatrix::from_slabs(spec, slabs).expect("estimator keys are in range");
     let report_entries = trust.entry_count() as u64;
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
@@ -537,8 +530,7 @@ impl DeltaState {
     fn new(core: &EngineCore) -> Self {
         let (scenario, config) = (&core.scenario, &core.config);
         let n = scenario.graph.node_count();
-        let mut trust = TrustMatrix::new(n);
-        trust.shard(ShardSpec::configured(n, config.shard_count));
+        let trust = TrustMatrix::with_spec(ShardSpec::configured(n, config.shard_count));
         let patches = matches!(config.aggregation, AggregationMode::ClosedForm)
             && matches!(config.scope, AggregationScope::Neighbourhood);
         // Contents are irrelevant until the first (unprimed) round has
@@ -768,12 +760,12 @@ impl DeltaState {
             if emitted {
                 core.marks.mark(i);
             }
-            let old: Vec<(NodeId, TrustValue)> = self.trust.row(i).collect();
-            if rows_identical(&old, &row) {
+            let old = self.trust.row(i);
+            if rows_identical(old, &row) {
                 continue;
             }
-            diff_changed_entries(i, &old, &row, &mut changed_pairs);
-            self.cache.apply_row_diff(i, &old, &row);
+            diff_changed_entries(i, old, &row, &mut changed_pairs);
+            self.cache.apply_row_diff(i, old, &row);
             replacements.push((i, row));
         }
         core.nodes = nodes;

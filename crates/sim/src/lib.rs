@@ -31,8 +31,8 @@
 //!   rows, the round epilogue) and all bookkeeping (records, restore,
 //!   ingest queueing) has exactly one implementation;
 //! * [`incremental`] — the production engine: under full traffic a
-//!   rebuild round whose rows go straight into per-shard CSR blocks;
-//!   under gated traffic a delta round over a persistent sharded trust
+//!   rebuild round whose rows go straight into per-shard row slabs;
+//!   under gated traffic a delta round over a persistent trust
 //!   matrix, dirty-row replacement, delta-maintained subject aggregates
 //!   and patched Eq. (6) rows — bit-identical to the sequential oracle
 //!   at any shard count, thread count and activity fraction;

@@ -24,9 +24,9 @@
 //!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine),
 //!   the production engine. Under full traffic every round rebuilds:
 //!   nodes are partitioned into contiguous shards
-//!   ([`RunConfig::shard_count`]), each emitting its own CSR block,
+//!   ([`RunConfig::shard_count`]), each filling its own row slab,
 //!   with a rayon fan-out over shards. Under gated traffic
-//!   ([`RunConfig::traffic`]) it keeps sharded trust state, dirty-row
+//!   ([`RunConfig::traffic`]) it keeps the trust matrix, dirty-row
 //!   tracking and delta-maintained aggregates across rounds, so a
 //!   round costs `O(dirty)` instead of `O(N)`. The traffic model
 //!   chooses; there is no option.
@@ -251,7 +251,7 @@ fn rate(served: u64, refused: u64) -> f64 {
 /// layer (session, bench CLI, perf suite) routes through.
 ///
 /// The checkpoint is the store's [`NodeRecord`] list itself.
-/// Engine-internal acceleration state — CSR matrices, aggregate caches,
+/// Engine-internal acceleration state — trust matrices, aggregate caches,
 /// cached weights — is deliberately *not* part of it: it is
 /// deterministically reconstructible, so any engine can restore any
 /// engine's records and the resumed trajectory stays bit-identical
@@ -287,9 +287,9 @@ pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn Roun
 }
 
 /// The sequential reference driver: one inline pass over nodes per
-/// phase, dynamic map-backed trust storage — deliberately the simplest
-/// possible composition of the kernel phases, the yardstick the
-/// production engine is pinned against.
+/// phase, rows pushed in order onto a fresh matrix each round —
+/// deliberately the simplest possible composition of the kernel
+/// phases, the yardstick the production engine is pinned against.
 struct SequentialRounds {
     core: EngineCore,
     /// The tiled subject-sum sweep inside dg-trust fans out on the
@@ -319,17 +319,16 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     // Phases 1 + 2: transact (drawing outcomes straight into the
     // requester's estimators), then fold ingest and emit the row —
     // inline, one node at a time, but on the same per-node streams and
-    // kernel phases as the production engine. Rows go into the dynamic
-    // map backend, one point insertion per entry.
+    // kernel phases as the production engine. Rows are pushed in
+    // ascending order onto the matrix's slabs.
     let mut delta = ServiceDelta::default();
     let mut nodes = std::mem::take(&mut core.nodes);
     let mut marks = std::mem::take(&mut core.marks);
-    let mut trust = TrustMatrix::new(n);
     let mut pending = std::mem::take(&mut core.pending_ingest)
         .into_iter()
         .peekable();
     let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
-    for requester in scenario.graph.nodes() {
+    let rows = scenario.graph.nodes().map(|requester| {
         let state = &mut nodes[requester.index()];
         let mut touched = false;
         if requesters.next_if_eq(&requester).is_some() {
@@ -345,12 +344,9 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
         if touched || emitted {
             marks.mark(requester);
         }
-        for (j, report) in row {
-            trust
-                .set(requester, j, report)
-                .expect("estimator keys are in range");
-        }
-    }
+        row
+    });
+    let trust = TrustMatrix::from_rows(n, rows).expect("estimator keys are in range");
     drop(requesters); // ends its borrow of `core`
     core.nodes = nodes;
     core.marks = marks;

@@ -11,7 +11,6 @@ use crate::config::RunConfig;
 use dg_core::behavior::{Behavior, Population};
 use dg_core::reputation::{trust_from_qualities, ReputationSystem};
 use dg_core::CoreError;
-use dg_gossip::EngineKind;
 use dg_graph::{pa, Graph};
 use dg_trust::{TrustMatrix, WeightParams};
 use rand::Rng;
@@ -126,15 +125,6 @@ impl Scenario {
                 &mut trust,
                 &mut rng,
             );
-        }
-
-        match config.engine {
-            // The gossip algorithms read the oracle's substrate as built.
-            EngineKind::Sequential => {}
-            // The production engine partitions everything it owns; the
-            // substrate follows the same partition so no monolithic
-            // arena exists anywhere in such a run.
-            EngineKind::Incremental => trust.shard(dg_trust::ShardSpec::auto(config.nodes)),
         }
 
         let weights = WeightParams::new(config.weight_a, config.weight_b)?;

@@ -615,6 +615,32 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_is_capped_at_the_node_count() {
+        let config = RunConfig::with_nodes(40)
+            .with_seed(7)
+            .with_rounds(2)
+            .with_engine(EngineKind::Incremental)
+            .with_shards(usize::MAX);
+        let dir = temp_dir("shard_cap");
+        let mut session = RunSession::new(config).unwrap();
+        session.run_to(1).unwrap();
+        assert_eq!(session.checkpoint(&dir).unwrap(), CheckpointKind::Full);
+        let files = std::fs::read_dir(Store::open(&dir).epoch_dir(1)).unwrap();
+        let shard_files = files
+            .filter(|f| {
+                f.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .starts_with("shard-")
+            })
+            .count();
+        assert!((1..=40).contains(&shard_files), "{shard_files} shard files");
+        assert_eq!(RunSession::resume(&dir).unwrap().round(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_from_empty_dir_is_a_typed_error() {
         let dir = temp_dir("empty");
         std::fs::create_dir_all(&dir).unwrap();

@@ -42,19 +42,16 @@ pub fn estimate_trust<R: Rng + ?Sized>(
     ewma_rate: f64,
     rng: &mut R,
 ) -> TrustMatrix {
-    let mut trust = TrustMatrix::new(graph.node_count());
-    for i in graph.nodes() {
+    let rows = graph.nodes().map(|i| {
         let mut state = NodeState::default();
         for &j in graph.neighbours(i) {
             let provider = NodeId(j);
             let behavior = population.behavior(provider);
             state.observe(provider, behavior, transactions_per_edge, ewma_rate, rng);
         }
-        for (j, t) in state.trust_row() {
-            trust.set(i, j, t).expect("graph ids are in range");
-        }
-    }
-    trust
+        state.trust_row()
+    });
+    TrustMatrix::from_rows(graph.node_count(), rows).expect("graph ids are in range")
 }
 
 /// Add *far* interactions: each node additionally rates `partners`

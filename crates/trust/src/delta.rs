@@ -228,7 +228,7 @@ mod tests {
     }
 
     fn row_of(m: &TrustMatrix, i: NodeId) -> Vec<(NodeId, TrustValue)> {
-        m.row(i).collect()
+        m.row(i).to_vec()
     }
 
     #[test]
@@ -324,7 +324,7 @@ mod tests {
                         _ => run.push((NodeId(j), tv(v))),
                     }
                 }
-                let old: Vec<_> = m.row(observer).collect();
+                let old = m.row(observer).to_vec();
                 cache.apply_row_diff(observer, &old, &run);
                 m.replace_rows(&[(observer, run)]).unwrap();
                 if refresh_now == 1 {

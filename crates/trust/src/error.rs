@@ -34,17 +34,6 @@ pub enum TrustError {
         n: usize,
     },
 
-    /// Shard parts did not match the partition they were assembled
-    /// under (wrong shard count, or a shard covering the wrong number
-    /// of rows).
-    #[error("shard shape mismatch: expected {expected}, got {got}")]
-    ShardMismatch {
-        /// What the `ShardSpec` requires.
-        expected: usize,
-        /// What was supplied.
-        got: usize,
-    },
-
     /// A bulk row replacement violated its ordering contract: replaced
     /// rows must be sorted by ascending observer without duplicates,
     /// and every replacement run sorted by ascending subject.

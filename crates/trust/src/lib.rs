@@ -8,7 +8,10 @@
 //!
 //! * [`TrustValue`] — a validated `[0, 1]` trust score,
 //! * [`TrustMatrix`] — the sparse `N × N` matrix of direct-interaction
-//!   trust values (`t_ij`), row-indexed by the observing node,
+//!   trust values (`t_ij`), row-indexed by the observing node: one
+//!   store, a [`ShardSpec`] partition of the rows into contiguous
+//!   ranges with one [`RowSlab`] (a cell arena plus a span per row)
+//!   each,
 //! * [`estimator`] — the transaction-outcome driven EWMA estimator that
 //!   produces `t_ij` from a synthetic file-sharing workload (our
 //!   substitution for the paper's reference \[20\] and its unpublished
@@ -16,10 +19,6 @@
 //!   transactions"),
 //! * [`weights`] — the neighbour-opinion weight law `w_Ii = a^(b·t_Ii)`
 //!   of Eq. (2), with the paper's `w ≥ 1` invariant,
-//! * [`sharded`] — the sharded CSR container behind the frozen
-//!   [`TrustMatrix`] backend: contiguous row ranges, one shard-local
-//!   CSR each, with a cross-shard subject-sum merge that is
-//!   bit-identical to the dynamic backend for any shard count,
 //! * [`delta`] — the column-postings mirror with delta-maintained
 //!   per-subject aggregates behind the incremental engine: dirty
 //!   subjects recompute through the same kernel as the from-scratch
@@ -46,25 +45,21 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod csr;
 pub mod delta;
 pub mod error;
 pub mod estimator;
 pub mod matrix;
 pub mod robust;
-pub mod sharded;
 pub mod snapshot;
 mod tiled;
 pub mod value;
 pub mod weights;
 
 pub use audit::{audit_targets, AuditPolicy, ReportLog, ReportLogEntry};
-pub use csr::{CsrBuilder, CsrStorage};
 pub use delta::SubjectAggregateCache;
 pub use error::TrustError;
-pub use matrix::TrustMatrix;
+pub use matrix::{RowSlab, ShardSpec, TrustMatrix};
 pub use robust::RobustAggregation;
-pub use sharded::{ShardSpec, ShardedCsr, ShardedCsrBuilder};
 pub use snapshot::{RankIndex, ReputationSnapshot, SnapshotCell};
 pub use value::TrustValue;
 pub use weights::WeightParams;
