@@ -6,9 +6,9 @@
 use dg_gossip::{AdversaryMix, EngineKind, NetworkProfile};
 use dg_sim::rounds::DefensePolicy;
 use dg_sim::{CheckpointKind, RunConfig, RunSession, TrafficModel};
-use dg_store::{first_divergence, Store};
+use dg_store::{first_divergence, same, Cut, Store, StoreError, FORMAT_VERSION};
 use dg_trust::audit::AuditPolicy;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Exactly what the commit before `RunConfig` became the only config
 /// serialized for [`written_config`] — the snapshot-header contract. It
@@ -237,6 +237,124 @@ fn resumes_bit_identically(fixture: &str, version: u32) {
         None
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// An empty scratch directory for `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dg_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn copy_store(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_store(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Run `config` from the start into `dir`, checkpointing at each of
+/// `rounds`.
+fn write_store(config: RunConfig, rounds: &[usize], dir: &Path) {
+    let mut session = RunSession::new(config).unwrap();
+    for &round in rounds {
+        session.run_to(round).unwrap();
+        session.checkpoint(dir).unwrap();
+    }
+}
+
+#[test]
+fn a_fresh_store_is_the_same_as_the_v3_fixture_and_not_the_v2_one() {
+    // `store-v3`'s own recipe in this build's format: every byte but
+    // each frame's version and digest and each header's
+    // `format_version` comes out as format 3 wrote it.
+    let v3 = fixture("store-v3");
+    let dir = scratch("fresh_store");
+    write_store(*RunSession::resume(&v3).unwrap().config(), &[3, 4], &dir);
+    assert_eq!(same(&v3, &dir).unwrap(), Some((3, FORMAT_VERSION)));
+    // Format 3 dropped a section that every format-2 record carries.
+    match same(&fixture("store-v2"), &dir) {
+        Err(StoreError::Differs { path, .. }) => assert!(path.ends_with("delta-4.bin"), "{path}"),
+        other => panic!("store-v2 compared {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_cut_store_resumes_and_rewrites_what_was_cut_byte_for_byte() {
+    // An epoch at round 3 and deltas at rounds 4 and 5.
+    let written = scratch("cut_written");
+    write_store(written_config().with_rounds(6), &[3, 4, 5], &written);
+
+    let last = scratch("cut_last_delta");
+    copy_store(&written, &last);
+    assert_eq!(
+        Store::open(&last).cut(Cut::LastDelta).unwrap(),
+        vec![(5, 1)]
+    );
+    let head = Store::open(&last).head().unwrap().unwrap();
+    assert_eq!(
+        (head.format_version, head.delta_rounds),
+        (FORMAT_VERSION, vec![4])
+    );
+    assert!(!last.join("delta-5.bin").exists() && !last.join("delta-5.json").exists());
+    let mut resumed = RunSession::resume(&last).unwrap();
+    resumed.run_to(5).unwrap();
+    assert_eq!(resumed.checkpoint(&last).unwrap(), CheckpointKind::Delta);
+    for file in ["HEAD.json", "delta-5.bin", "delta-5.json"] {
+        let bytes = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
+        assert!(bytes(&written) == bytes(&last), "{file} was not rewritten");
+    }
+
+    // Back to the epoch, then a checkpoint every round: every delta.
+    let epoch = scratch("cut_to_epoch");
+    copy_store(&written, &epoch);
+    assert_eq!(
+        Store::open(&epoch).cut(Cut::ToEpoch).unwrap(),
+        vec![(4, 1), (5, 1)]
+    );
+    let mut resumed = RunSession::resume(&epoch).unwrap();
+    assert_eq!(resumed.round(), 3);
+    for round in [4, 5] {
+        resumed.run_to(round).unwrap();
+        resumed.checkpoint(&epoch).unwrap();
+    }
+    assert_eq!(
+        same(&written, &epoch).unwrap(),
+        Some((FORMAT_VERSION, FORMAT_VERSION))
+    );
+    for dir in [written, last, epoch] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+#[test]
+fn a_cut_v3_store_keeps_format_3_until_the_resume_commits() {
+    let v3 = fixture("store-v3");
+    let cut = scratch("cut_v3");
+    copy_store(&v3, &cut);
+    assert_eq!(Store::open(&cut).cut(Cut::LastDelta).unwrap(), vec![(4, 1)]);
+    assert_eq!(Store::open(&cut).head().unwrap().unwrap().format_version, 3);
+    let mut resumed = RunSession::resume(&cut).unwrap();
+    assert_eq!(resumed.round(), 3);
+    resumed.run_to(4).unwrap();
+    assert_eq!(resumed.checkpoint(&cut).unwrap(), CheckpointKind::Delta);
+    // The delta comes back in this build's format, else as format 3
+    // wrote it.
+    assert_eq!(same(&v3, &cut).unwrap(), Some((3, FORMAT_VERSION)));
+    std::fs::remove_dir_all(&cut).unwrap();
 }
 
 /// Remove `"field":{...}` (brace-matched) plus one adjoining comma from

@@ -199,7 +199,7 @@ pub(crate) fn seal(kind: u8, payload: &[u8]) -> ([u8; PRELUDE_LEN], [u8; 8]) {
     (prelude, digest.to_le_bytes())
 }
 
-fn io_err(path: &Path, source: std::io::Error) -> StoreError {
+pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     StoreError::Io {
         path: path.display().to_string(),
         source,

@@ -71,4 +71,19 @@ pub enum StoreError {
         /// Which link broke.
         reason: String,
     },
+    /// Two stores (or files) [`same`](crate::same) compared are not the
+    /// same: the first file at which they disagree.
+    #[error("{path} differs: {reason}")]
+    Differs {
+        /// The second side's file (or the file only one side holds).
+        path: String,
+        /// How it differs.
+        reason: String,
+    },
+    /// [`Store::cut`](crate::Store::cut) found no delta to drop.
+    #[error("no delta to cut in {dir}: HEAD.json names only the epoch")]
+    NoDelta {
+        /// The checkpoint directory.
+        dir: String,
+    },
 }

@@ -48,6 +48,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod codec;
+mod compare;
 mod error;
 mod gossip;
 mod records;
@@ -55,10 +56,11 @@ mod store;
 pub mod wire;
 
 pub use codec::{ByteReader, ByteWriter, FORMAT_VERSION};
+pub use compare::same;
 pub use error::StoreError;
 pub use gossip::{read_gossip, write_gossip, GossipRecord, LedgerRecord};
 pub use records::{
     changed, diff_changed, first_divergence, AuditEntryRecord, EstimatorRecord, NodeRecord,
     SnapshotHeader,
 };
-pub use store::{Head, Snapshot, Store};
+pub use store::{Cut, Head, Snapshot, Store};

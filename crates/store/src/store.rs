@@ -1,7 +1,8 @@
 //! The checkpoint directory: epoch + delta layout, atomic commit via
 //! `HEAD.json`, parallel shard i/o and chain-validated loading.
 
-use crate::codec::{corrupt_at, read_frame, write_atomic, write_frame, ByteReader, ByteWriter};
+use crate::codec::{corrupt_at, io_err, read_frame, write_atomic, write_frame};
+use crate::codec::{ByteReader, ByteWriter};
 use crate::codec::{FrameKind, FORMAT_VERSION};
 use crate::records::{decode_records, encode_records, NodeRecord, SnapshotHeader};
 use crate::StoreError;
@@ -396,6 +397,60 @@ impl Store {
         }
         Ok(Snapshot { header, records })
     }
+
+    /// Drop trailing delta checkpoints, so that a resume from what is
+    /// left rewrites them. `HEAD.json` is committed first, keeping its
+    /// `format_version`; only then are the dropped `delta-<r>.{bin,json}`
+    /// removed, so a crash in between leaves orphan files, never a chain
+    /// that names a missing delta. Returns `(round, span)` per dropped
+    /// delta, ascending, where span is its header's `round − base_round`
+    /// (the checkpoint interval that rewrites it); every dropped delta's
+    /// header must read. A dropped `.bin` already gone is not an error.
+    pub fn cut(&self, to: Cut) -> Result<Vec<(u64, u64)>, StoreError> {
+        let dir = || self.root.display().to_string();
+        let mut head = self
+            .head()?
+            .ok_or_else(|| StoreError::NoSnapshot { dir: dir() })?;
+        let keep = match to {
+            Cut::LastDelta => head.delta_rounds.len().saturating_sub(1),
+            Cut::ToEpoch => 0,
+        };
+        let dropped = head.delta_rounds.split_off(keep);
+        if dropped.is_empty() {
+            return Err(StoreError::NoDelta { dir: dir() });
+        }
+        let mut spans = Vec::new();
+        for &round in &dropped {
+            let path = self.delta_header_path(round);
+            let header = self.read_header(&path)?;
+            let span = header
+                .base_round
+                .and_then(|base| header.round.checked_sub(base));
+            let span = span.ok_or_else(|| corrupt_at(&path, "no base round below it".into()))?;
+            spans.push((round, span));
+        }
+        write_json(&self.head_path(), "HEAD", &head)?;
+        for round in dropped {
+            for path in [self.delta_bin_path(round), self.delta_header_path(round)] {
+                match std::fs::remove_file(&path) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                        return Err(io_err(&path, e))
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(spans)
+    }
+}
+
+/// How far [`Store::cut`] goes back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cut {
+    /// Drop the last delta.
+    LastDelta,
+    /// Drop every delta, back to the epoch.
+    ToEpoch,
 }
 
 #[cfg(test)]
@@ -657,5 +712,54 @@ mod tests {
             .write_epoch(&header(0, 3, vec![(0, 2)]), &records(3, 0.5))
             .unwrap_err();
         assert!(matches!(err, StoreError::Invalid { .. }));
+    }
+
+    #[test]
+    fn cut_commits_the_shorter_chain_then_removes_its_deltas() {
+        let root = temp_root("cut");
+        let store = Store::open(&root);
+        let base = records(6, 0.5);
+        store
+            .write_epoch(&header(2, 6, vec![(0, 3), (3, 6)]), &base)
+            .unwrap();
+        for (round, base_round) in [(4, 2), (5, 4), (8, 5)] {
+            let mut h = header(round, 6, vec![(0, 3), (3, 6)]);
+            h.base_round = Some(base_round);
+            store.write_delta(&h, &[record(1, round as f64)]).unwrap();
+        }
+        // A chain an older build committed keeps its format.
+        let mut head = store.head().unwrap().unwrap();
+        head.format_version = 3;
+        write_json(&store.head_path(), "HEAD", &head).unwrap();
+
+        // A delta header that cannot be read stops the cut before the
+        // commit.
+        let header_8 = std::fs::read(store.delta_header_path(8)).unwrap();
+        std::fs::remove_file(store.delta_header_path(8)).unwrap();
+        let err = store.cut(Cut::LastDelta).unwrap_err();
+        assert!(matches!(err, StoreError::Missing { .. }), "{err}");
+        assert_eq!(store.head().unwrap().unwrap(), head);
+        std::fs::write(store.delta_header_path(8), header_8).unwrap();
+
+        assert_eq!(store.cut(Cut::LastDelta).unwrap(), vec![(8, 3)]);
+        let cut = store.head().unwrap().unwrap();
+        assert_eq!((cut.format_version, cut.delta_rounds), (3, vec![4, 5]));
+        assert!(!store.delta_bin_path(8).exists());
+        assert!(!store.delta_header_path(8).exists());
+        assert_eq!(store.load_latest().unwrap().header.round, 5);
+
+        // A delta file already gone does not stop the cut.
+        std::fs::remove_file(store.delta_bin_path(4)).unwrap();
+        assert_eq!(store.cut(Cut::ToEpoch).unwrap(), vec![(4, 2), (5, 1)]);
+        assert_eq!(store.load_latest().unwrap().records, base);
+        assert!(!store.delta_header_path(4).exists());
+        assert!(!store.delta_bin_path(5).exists());
+        for to in [Cut::LastDelta, Cut::ToEpoch] {
+            let err = store.cut(to).unwrap_err();
+            assert!(matches!(err, StoreError::NoDelta { .. }), "{err}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+        let err = store.cut(Cut::ToEpoch).unwrap_err();
+        assert!(matches!(err, StoreError::NoSnapshot { .. }), "{err}");
     }
 }
