@@ -91,8 +91,6 @@ impl ChurnProfile {
 ///
 /// let lossy = NetworkProfile::lossy();
 /// assert_eq!(lossy.label(), "lossy");
-/// assert!(!lossy.is_reliable());
-/// assert!(NetworkProfile::lossless().is_reliable());
 ///
 /// // Presets parse from their CLI labels; knobs stay adjustable.
 /// let mut custom = NetworkProfile::parse("churning").unwrap();
@@ -232,16 +230,6 @@ impl NetworkProfile {
         self.max_delay > 0 || self.duplicate > 0.0 || self.partition.is_some()
     }
 
-    /// Whether the profile injects no faults at all (the runtime then
-    /// uses the plain reliable transport).
-    pub fn is_reliable(&self) -> bool {
-        self.loss == 0.0
-            && self.duplicate == 0.0
-            && self.max_delay == 0
-            && !self.churn.is_enabled()
-            && self.partition.is_none()
-    }
-
     /// Validate every knob.
     pub fn validated(self) -> Result<Self, GossipError> {
         if !self.loss.is_finite() || !(0.0..=1.0).contains(&self.loss) {
@@ -304,12 +292,8 @@ mod tests {
     }
 
     #[test]
-    fn lossless_is_reliable_and_default() {
-        assert!(NetworkProfile::lossless().is_reliable());
+    fn lossless_is_the_default() {
         assert_eq!(NetworkProfile::default(), NetworkProfile::lossless());
-        assert!(!NetworkProfile::lossy().is_reliable());
-        assert!(!NetworkProfile::partitioned().is_reliable());
-        assert!(!NetworkProfile::churning().is_reliable());
     }
 
     #[test]

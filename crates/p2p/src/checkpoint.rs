@@ -4,8 +4,9 @@
 //! pairs — everything else (fanouts, fault streams) is derived from the
 //! config. [`GossipCheckpoint`] freezes that state plus the run's
 //! accounting history (the [`MassLedger`], active-round counters and
-//! the falsified initial total), persists it through the `dg-store`
-//! framed codec ([`dg_store::write_gossip`]), and
+//! the falsified initial total), persists it as a `dg-store` `gossip`
+//! frame ([`dg_store::write_gossip`]) whose payload
+//! [`GossipCheckpoint::save`] lays out itself, and
 //! [`resume_distributed`] continues the run from it.
 //!
 //! ## Resume semantics
@@ -28,11 +29,11 @@
 //!   or not.
 
 use crate::runner::{run_segment, DistributedConfig, DistributedError, DistributedOutcome};
-use crate::transport::{FaultyNetwork, MassLedger, Network};
+use crate::transport::{FaultyNetwork, MassLedger};
 use dg_gossip::pair::GossipPair;
 use dg_gossip::GossipError;
 use dg_graph::Graph;
-use dg_store::{read_gossip, write_gossip, GossipRecord, LedgerRecord, StoreError};
+use dg_store::{read_gossip, write_gossip, ByteReader, ByteWriter, StoreError};
 use std::path::Path;
 
 /// Frozen state of a distributed run after some number of rounds.
@@ -56,55 +57,92 @@ pub struct GossipCheckpoint {
 }
 
 impl GossipCheckpoint {
-    /// Persist to a framed, checksummed snapshot file.
+    /// Persist to a framed, checksummed snapshot file. The payload is,
+    /// little-endian: `rounds`, `seed`, `initial_total`, the ledger's
+    /// `lost`, `duplicated` and `recredited` pairs and its four counters,
+    /// then the `u32`-counted `pairs` and `active_rounds` (a pair is its
+    /// value then its weight, as raw `f64` bits).
     pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        write_gossip(path, &self.to_record())
+        let mut w = ByteWriter::new();
+        w.put_u64(self.rounds as u64);
+        w.put_u64(self.seed);
+        put_pair(&mut w, self.initial_total);
+        let l = &self.ledger;
+        for pair in [l.lost, l.duplicated, l.recredited] {
+            put_pair(&mut w, pair);
+        }
+        for count in [
+            l.shares_lost,
+            l.shares_duplicated,
+            l.shares_recredited,
+            l.announces_lost,
+        ] {
+            w.put_u64(count);
+        }
+        w.put_u32(self.pairs.len() as u32);
+        for &pair in &self.pairs {
+            put_pair(&mut w, pair);
+        }
+        w.put_u32(self.active_rounds.len() as u32);
+        for &rounds in &self.active_rounds {
+            w.put_u64(rounds);
+        }
+        write_gossip(path, &w.into_bytes())
     }
 
     /// Load a checkpoint saved by [`save`](Self::save). Truncated or
     /// garbled files surface as typed [`StoreError`]s, never a panic.
     pub fn load(path: &Path) -> Result<Self, StoreError> {
-        Ok(Self::from_record(read_gossip(path)?))
+        let payload = read_gossip(path)?;
+        Self::decode(&mut ByteReader::new(&payload)).map_err(|reason| StoreError::Corrupt {
+            path: path.display().to_string(),
+            reason,
+        })
     }
 
-    fn to_record(&self) -> GossipRecord {
-        GossipRecord {
-            rounds: self.rounds as u64,
-            seed: self.seed,
-            initial_total: (self.initial_total.value, self.initial_total.weight),
-            pairs: self.pairs.iter().map(|p| (p.value, p.weight)).collect(),
-            active_rounds: self.active_rounds.clone(),
-            ledger: LedgerRecord {
-                lost: (self.ledger.lost.value, self.ledger.lost.weight),
-                duplicated: (self.ledger.duplicated.value, self.ledger.duplicated.weight),
-                recredited: (self.ledger.recredited.value, self.ledger.recredited.weight),
-                shares_lost: self.ledger.shares_lost,
-                shares_duplicated: self.ledger.shares_duplicated,
-                shares_recredited: self.ledger.shares_recredited,
-                announces_lost: self.ledger.announces_lost,
-            },
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let rounds = r.get_u64("rounds")? as usize;
+        let seed = r.get_u64("seed")?;
+        let initial_total = get_pair(r, "initial total")?;
+        let ledger = MassLedger {
+            lost: get_pair(r, "lost mass")?,
+            duplicated: get_pair(r, "duplicated mass")?,
+            recredited: get_pair(r, "recredited mass")?,
+            shares_lost: r.get_u64("shares lost")?,
+            shares_duplicated: r.get_u64("shares duplicated")?,
+            shares_recredited: r.get_u64("shares recredited")?,
+            announces_lost: r.get_u64("announces lost")?,
+        };
+        let pairs = (0..r.get_len("pair list", 16)?)
+            .map(|_| get_pair(r, "pair"))
+            .collect::<Result<_, _>>()?;
+        let active_rounds = (0..r.get_len("active-round list", 8)?)
+            .map(|_| r.get_u64("active rounds"))
+            .collect::<Result<_, _>>()?;
+        if !r.is_empty() {
+            return Err("trailing bytes after gossip checkpoint".into());
         }
+        Ok(Self {
+            rounds,
+            seed,
+            initial_total,
+            pairs,
+            active_rounds,
+            ledger,
+        })
     }
+}
 
-    fn from_record(record: GossipRecord) -> Self {
-        let pair = |(value, weight): (f64, f64)| GossipPair { value, weight };
-        Self {
-            rounds: record.rounds as usize,
-            seed: record.seed,
-            initial_total: pair(record.initial_total),
-            pairs: record.pairs.into_iter().map(pair).collect(),
-            active_rounds: record.active_rounds,
-            ledger: MassLedger {
-                lost: pair(record.ledger.lost),
-                duplicated: pair(record.ledger.duplicated),
-                recredited: pair(record.ledger.recredited),
-                shares_lost: record.ledger.shares_lost,
-                shares_duplicated: record.ledger.shares_duplicated,
-                shares_recredited: record.ledger.shares_recredited,
-                announces_lost: record.ledger.announces_lost,
-            },
-        }
-    }
+fn put_pair(w: &mut ByteWriter, pair: GossipPair) {
+    w.put_f64(pair.value);
+    w.put_f64(pair.weight);
+}
+
+fn get_pair(r: &mut ByteReader<'_>, what: &str) -> Result<GossipPair, String> {
+    Ok(GossipPair {
+        value: r.get_f64(what)?,
+        weight: r.get_f64(what)?,
+    })
 }
 
 impl DistributedOutcome {
@@ -163,26 +201,15 @@ pub fn resume_distributed(
         .into());
     }
     let stream_seed = continuation_seed(config.seed, checkpoint.rounds as u64);
-    let segment = if profile.is_reliable() {
-        run_segment(
-            graph,
-            config,
-            checkpoint.pairs,
-            Network::new(n),
-            stream_seed,
-            checkpoint.initial_total,
-        )?
-    } else {
-        let transport = FaultyNetwork::new(n, profile, stream_seed, config.max_rounds as u64);
-        run_segment(
-            graph,
-            config,
-            checkpoint.pairs,
-            transport,
-            stream_seed,
-            checkpoint.initial_total,
-        )?
-    };
+    let transport = FaultyNetwork::new(n, profile, stream_seed, config.max_rounds as u64);
+    let segment = run_segment(
+        graph,
+        config,
+        checkpoint.pairs,
+        transport,
+        stream_seed,
+        checkpoint.initial_total,
+    )?;
 
     let mut ledger = checkpoint.ledger;
     ledger.merge(&segment.ledger);
@@ -231,10 +258,22 @@ mod tests {
         };
         let out = run_distributed(&g, config, averaging_initial(&values)).unwrap();
         let ckpt = out.checkpoint(config.seed);
+        let mut signed_zero = ckpt.clone();
+        signed_zero.pairs[1].value = -0.0;
+        // `PartialEq` calls -0.0 equal to 0.0; the bits must survive too.
+        let bits = |c: &GossipCheckpoint| -> Vec<(u64, u64)> {
+            c.pairs
+                .iter()
+                .map(|p| (p.value.to_bits(), p.weight.to_bits()))
+                .collect()
+        };
         let path = temp_file("roundtrip");
-        ckpt.save(&path).unwrap();
-        let back = GossipCheckpoint::load(&path).unwrap();
-        assert_eq!(back, ckpt);
+        for ckpt in [ckpt, signed_zero] {
+            ckpt.save(&path).unwrap();
+            let back = GossipCheckpoint::load(&path).unwrap();
+            assert_eq!(back, ckpt);
+            assert_eq!(bits(&back), bits(&ckpt));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -385,10 +424,23 @@ mod tests {
         let path = temp_file("trunc");
         out.checkpoint(0).save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        // Cut at every eighth of the file, the half among them.
+        for eighth in 0..8 {
+            std::fs::write(&path, &bytes[..bytes.len() * eighth / 8]).unwrap();
+            match GossipCheckpoint::load(&path) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("cut at {eighth}/8: expected Corrupt, got {other:?}"),
+            }
+        }
+        // A sound frame around a short payload fails in the decoder.
+        std::fs::write(&path, &bytes).unwrap();
+        let payload = read_gossip(&path).unwrap();
+        write_gossip(&path, &payload[..payload.len() - 1]).unwrap();
         match GossipCheckpoint::load(&path) {
-            Err(StoreError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+            Err(StoreError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("active"), "{reason}")
+            }
+            other => panic!("short payload: expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -4,7 +4,7 @@
 //! [`Peer::commit`] processes what has arrived, [`Peer::finish`] ends
 //! the run.
 //!
-//! The peer never sees the transport backend: it pushes through
+//! The peer never sees the transport: it pushes through
 //! sender-side [`PeerLink`]s (which may drop, delay or duplicate
 //! messages) into the runner's per-peer inboxes, and keeps its own
 //! [`MassLedger`] exact from the [`SendOutcome`]s it observes. Delayed
@@ -45,7 +45,7 @@ pub(crate) struct Peer {
     fanout: usize,
     convergence: Convergence,
     rng: ChaCha8Rng,
-    /// Up/down schedule (always-up on the reliable transport). A down
+    /// Up/down schedule (always up without churn or partitions). A down
     /// peer neither pushes nor processes its inbox; its pair survives
     /// the outage (fail-stop with state persistence).
     availability: Arc<Availability>,
@@ -237,8 +237,8 @@ impl Peer {
         // pushing, drains its gossip weight into quiescent peers and
         // becomes the next casualty (convergence-detection death
         // cascade). The runner ends the run in the first round every peer
-        // is stopped, so the repetition is bounded. (On the reliable
-        // transport the retransmissions are redundant but harmless.)
+        // is stopped, so the repetition is bounded. (Over lossless
+        // links the retransmissions are redundant but harmless.)
         if up && (changed || self.announced) {
             let msg = PeerMsg::Announce {
                 converged: self.announced,

@@ -3,7 +3,7 @@
 //! thread, and collects the results.
 
 use crate::peer::Peer;
-use crate::transport::{FaultyNetwork, MassLedger, Network, Transport};
+use crate::transport::{FaultyNetwork, MassLedger};
 use dg_gossip::pair::GossipPair;
 use dg_gossip::profile::NetworkProfile;
 use dg_gossip::{node_stream_seed, AdversaryMix, FanoutPolicy, GossipError};
@@ -28,15 +28,15 @@ pub struct DistributedConfig {
     /// placement-independent. Fault streams (per-link, per-node churn)
     /// derive from the same base seed under distinct salts.
     pub seed: u64,
-    /// Network fault profile. [`NetworkProfile::lossless`] (the default)
-    /// deploys over the reliable [`Network`]; anything else deploys over
-    /// the [`FaultyNetwork`] runtime.
+    /// Network fault profile the run's [`FaultyNetwork`] injects.
+    /// [`NetworkProfile::lossless`] (the default) is the paper's reliable
+    /// network: no link drops, delays or duplicates anything.
     pub profile: NetworkProfile,
     /// Adversarial mix: the total adversary fraction maps onto
     /// *byzantine* peers — selected deterministically from `seed` via
     /// [`AdversaryMix::byzantine_peers`] — that falsify their gossip
     /// input to the maximal lie (ratio 1) before the run starts.
-    /// Composes with any transport, reliable or faulty; the
+    /// Composes with any profile, lossless or faulty; the
     /// [`MassLedger`] invariant is checked against the *falsified*
     /// initial total ([`DistributedOutcome::initial_total`]).
     pub adversary: AdversaryMix,
@@ -80,7 +80,7 @@ pub struct DistributedOutcome {
     /// unless an auditor injected probes into the run).
     pub audits_answered: Vec<u64>,
     /// Exact accounting of mass destroyed / injected by the transport
-    /// (all-zero on the reliable backend). The push-sum invariant under
+    /// (all-zero under the lossless profile). The push-sum invariant under
     /// faults is `Σ pairs = Σ initial − lost + duplicated`; use
     /// [`DistributedOutcome::total_pair`] to check it.
     pub ledger: MassLedger,
@@ -103,16 +103,11 @@ pub enum DistributedError {
     /// Configuration / fan-out resolution failed.
     #[error(transparent)]
     Gossip(#[from] GossipError),
-
-    /// Reading or writing a gossip checkpoint failed.
-    #[error(transparent)]
-    Store(#[from] dg_store::StoreError),
 }
 
-/// Run differential push gossip as one state machine per peer, deploying
-/// over the transport backend selected by `config.profile`: the reliable
-/// [`Network`] for [`NetworkProfile::lossless`], the [`FaultyNetwork`]
-/// runtime otherwise.
+/// Run differential push gossip as one state machine per peer, over a
+/// [`FaultyNetwork`] injecting `config.profile` with fault streams seeded
+/// from `config.seed`.
 ///
 /// `initial[i]` is peer `i`'s starting gossip pair (use
 /// [`GossipPair::originator`] on every node for averaging, or a single
@@ -123,25 +118,25 @@ pub fn run_distributed(
     initial: Vec<GossipPair>,
 ) -> Result<DistributedOutcome, DistributedError> {
     let profile = config.profile.validated()?;
-    let n = graph.node_count();
-    if profile.is_reliable() {
-        run_with_transport(graph, config, initial, Network::new(n))
-    } else {
-        let transport = FaultyNetwork::new(n, profile, config.seed, config.max_rounds as u64);
-        run_with_transport(graph, config, initial, transport)
-    }
+    let transport = FaultyNetwork::new(
+        graph.node_count(),
+        profile,
+        config.seed,
+        config.max_rounds as u64,
+    );
+    run_with_transport(graph, config, initial, transport)
 }
 
-/// Run the peer deployment over an explicit [`Transport`] backend.
+/// Run the peer deployment over an explicit [`FaultyNetwork`].
 ///
-/// [`run_distributed`] is the convenience wrapper that picks the backend
-/// from the profile; tests use this entry point to pin, e.g., that a
-/// zero-fault [`FaultyNetwork`] is bit-identical to [`Network`].
-pub fn run_with_transport<T: Transport>(
+/// [`run_distributed`] is the convenience wrapper that builds it from the
+/// config; tests and auditors use this entry point to inject envelopes
+/// before the run or to seed the fault streams apart from the peers'.
+pub fn run_with_transport(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
-    transport: T,
+    transport: FaultyNetwork,
 ) -> Result<DistributedOutcome, DistributedError> {
     let n = graph.node_count();
     if initial.len() != n {
@@ -180,11 +175,11 @@ pub fn run_with_transport<T: Transport>(
 /// ([`crate::checkpoint::resume_distributed`]) arrive with the
 /// checkpointed pairs, the *original* falsified total (so the mass
 /// invariant spans the restart) and a continuation stream seed.
-pub(crate) fn run_segment<T: Transport>(
+pub(crate) fn run_segment(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
-    mut transport: T,
+    mut transport: FaultyNetwork,
     stream_seed: u64,
     initial_total: GossipPair,
 ) -> Result<DistributedOutcome, DistributedError> {
@@ -428,13 +423,20 @@ mod tests {
         let g = generators::complete(8);
         let values: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
         let config = DistributedConfig::default();
-        let base =
-            run_with_transport(&g, config, averaging_initial(&values), Network::new(8)).unwrap();
+        let lossless = || {
+            FaultyNetwork::new(
+                8,
+                NetworkProfile::lossless(),
+                config.seed,
+                config.max_rounds as u64,
+            )
+        };
+        let base = run_with_transport(&g, config, averaging_initial(&values), lossless()).unwrap();
         assert_eq!(base.audits_answered, vec![0; 8]);
 
         // Same run, but neighbour 1 spot-checks peer 0 three times before
         // round 0 commits.
-        let mut net = Network::new(8);
+        let mut net = lossless();
         for nonce in 0..3u64 {
             net.inject(
                 NodeId(0),

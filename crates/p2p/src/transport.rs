@@ -1,16 +1,13 @@
-//! Pluggable message transports for the peer runtime.
+//! The peer runtime's message transport: [`FaultyNetwork`].
 //!
-//! Two backends implement the [`Transport`] trait:
-//!
-//! * [`Network`] — the reliable backend: every message delivered
-//!   exactly once into the receiver's inbox in its send round (the
-//!   paper's "reliable bit pipe" assumption);
-//! * [`FaultyNetwork`] — the unreliable-network runtime: every link
-//!   applies seeded, per-link message **loss**, bounded random **delay**
-//!   (which reorders messages), **duplication**, and consults a
-//!   precomputed [`Availability`] schedule for node **churn**
-//!   (crash / rejoin) and partition windows, all driven by a
-//!   [`NetworkProfile`].
+//! Every directed link applies seeded, per-link message **loss**,
+//! bounded random **delay** (which reorders messages) and
+//! **duplication**, and consults a precomputed [`Availability`] schedule
+//! for node **churn** (crash / rejoin) and partition windows, all driven
+//! by a [`NetworkProfile`]. The paper's reliable network is the
+//! [`NetworkProfile::lossless`] case: a link that never drops, delays or
+//! duplicates draws nothing from its stream and delivers every envelope
+//! exactly once, in its send round.
 //!
 //! Determinism: every fault decision on link `src → dst` comes from a
 //! private ChaCha8 stream seeded with
@@ -66,8 +63,8 @@ pub enum PeerMsg {
     },
     /// An audit spot-check: the prober challenges the receiver to attest
     /// its current state. Carries **no gossip mass**, so audit traffic
-    /// never moves the [`MassLedger`] — on either transport — no matter
-    /// how the network treats it (lost probes simply go unanswered).
+    /// never moves the [`MassLedger`], whatever the network does to it
+    /// (lost probes simply go unanswered).
     AuditProbe {
         /// Challenge nonce, echoed in the reply.
         nonce: u64,
@@ -117,7 +114,7 @@ pub enum SendOutcome {
 }
 
 /// Exact accounting of the mass a faulty network destroyed or injected
-/// during a run. On the reliable transport every field stays zero.
+/// during a run. Under the lossless profile every field stays zero.
 ///
 /// The closing identity (checked by the test suite):
 /// `Σ final pairs = Σ initial pairs − lost + duplicated`.
@@ -186,15 +183,6 @@ pub struct Availability {
 }
 
 impl Availability {
-    /// Everyone up forever (the reliable schedule).
-    pub fn always_up(n: usize) -> Self {
-        Self {
-            down: vec![Vec::new(); n],
-            partition: None,
-            half: (n as u32).div_ceil(2),
-        }
-    }
-
     /// Sample a schedule for `n` nodes over `horizon` rounds from the
     /// profile's churn knobs. Each node's crash rolls come from a private
     /// ChaCha8 stream (`node_stream_seed(seed ^ CHURN_SALT, node)`), so
@@ -245,7 +233,7 @@ impl Availability {
     }
 }
 
-/// Fault state of one directed link (present only on the faulty backend).
+/// Fault state of one directed link.
 #[derive(Debug)]
 struct LinkFaults {
     loss: f64,
@@ -274,12 +262,12 @@ impl LinkFaults {
     }
 }
 
-/// Sender-side handle for one directed link, with the backend's fault
-/// model baked in. Peers send through these and never see the backend.
+/// Sender-side handle for one directed link, with its fault model baked
+/// in. Peers send through these and never see the transport.
 #[derive(Debug)]
 pub struct PeerLink {
     dst: NodeId,
-    faults: Option<LinkFaults>,
+    faults: LinkFaults,
 }
 
 impl PeerLink {
@@ -299,17 +287,7 @@ impl PeerLink {
         round: u64,
         msg: PeerMsg,
     ) -> SendOutcome {
-        let inbox = &mut inboxes[self.dst.index()];
-        let env = Envelope {
-            from,
-            seq,
-            deliver_at: round,
-            msg,
-        };
-        let Some(faults) = &mut self.faults else {
-            inbox.push(env);
-            return SendOutcome::Delivered;
-        };
+        let faults = &mut self.faults;
         if !faults.availability.link_open(from, self.dst, round) {
             return faults.drop_outcome();
         }
@@ -318,10 +296,14 @@ impl PeerLink {
         }
         let delay = faults.delay();
         let duplicate = faults.duplicate > 0.0 && faults.rng.random::<f64>() < faults.duplicate;
-        inbox.push(Envelope {
+        let inbox = &mut inboxes[self.dst.index()];
+        let env = Envelope {
+            from,
+            seq,
             deliver_at: round + delay,
-            ..env
-        });
+            msg,
+        };
+        inbox.push(env);
         if duplicate {
             inbox.push(Envelope {
                 deliver_at: round + faults.delay(),
@@ -333,64 +315,9 @@ impl PeerLink {
     }
 }
 
-/// A message transport the peer runner can deploy over: hands out
-/// sender-side [`PeerLink`]s, the [`Availability`] schedule peers consult
-/// before acting, and the per-peer inboxes.
-pub trait Transport {
-    /// Sender-side links from `src` to each of `neighbours` (same order).
-    fn links(&self, src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink>;
-
-    /// The up/down schedule (always-up on reliable backends).
-    fn availability(&self) -> Arc<Availability>;
-
-    /// Take every peer's inbox, holding whatever was injected before the
-    /// run (called once, when the runner builds the peers).
-    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>>;
-}
-
-/// The reliable backend: no loss, no reordering within a pair, delivery
-/// in the send round.
-#[derive(Debug)]
-pub struct Network {
-    inboxes: Vec<Vec<Envelope>>,
-    availability: Arc<Availability>,
-}
-
-impl Network {
-    /// The transport for `n` peers.
-    pub fn new(n: usize) -> Self {
-        Self {
-            inboxes: vec![Vec::new(); n],
-            availability: Arc::new(Availability::always_up(n)),
-        }
-    }
-
-    /// Place `envelope` in `peer`'s inbox before the run (tests and
-    /// auditors inject probes this way).
-    pub fn inject(&mut self, peer: NodeId, envelope: Envelope) {
-        self.inboxes[peer.index()].push(envelope);
-    }
-}
-
-impl Transport for Network {
-    fn links(&self, _src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink> {
-        neighbours
-            .iter()
-            .map(|&dst| PeerLink { dst, faults: None })
-            .collect()
-    }
-
-    fn availability(&self) -> Arc<Availability> {
-        Arc::clone(&self.availability)
-    }
-
-    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>> {
-        std::mem::take(&mut self.inboxes)
-    }
-}
-
-/// The unreliable-network runtime: the same inboxes as [`Network`], but
-/// every link injects the faults described by a [`NetworkProfile`].
+/// The message transport: per-peer inboxes, with every link injecting
+/// the faults described by a [`NetworkProfile`] (none, for
+/// [`NetworkProfile::lossless`]).
 #[derive(Debug)]
 pub struct FaultyNetwork {
     inboxes: Vec<Vec<Envelope>>,
@@ -400,8 +327,8 @@ pub struct FaultyNetwork {
 }
 
 impl FaultyNetwork {
-    /// Build the faulty transport for `n` peers. `horizon` bounds the
-    /// churn schedule (pass the run's round cap); `seed` pins every fault
+    /// Build the transport for `n` peers. `horizon` bounds the churn
+    /// schedule (pass the run's round cap); `seed` pins every fault
     /// decision.
     pub fn new(n: usize, profile: NetworkProfile, seed: u64, horizon: u64) -> Self {
         Self {
@@ -412,21 +339,15 @@ impl FaultyNetwork {
         }
     }
 
-    /// The profile this transport injects.
-    pub fn profile(&self) -> &NetworkProfile {
-        &self.profile
-    }
-
     /// Place `envelope` in `peer`'s inbox before the run (tests and
     /// auditors inject probes this way; injected traffic bypasses the
     /// link fault model).
     pub fn inject(&mut self, peer: NodeId, envelope: Envelope) {
         self.inboxes[peer.index()].push(envelope);
     }
-}
 
-impl Transport for FaultyNetwork {
-    fn links(&self, src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink> {
+    /// Sender-side links from `src` to each of `neighbours` (same order).
+    pub(crate) fn links(&self, src: NodeId, neighbours: &[NodeId]) -> Vec<PeerLink> {
         neighbours
             .iter()
             .map(|&dst| {
@@ -434,24 +355,27 @@ impl Transport for FaultyNetwork {
                     node_stream_seed(node_stream_seed(self.seed ^ LINK_SALT, src.0), dst.0);
                 PeerLink {
                     dst,
-                    faults: Some(LinkFaults {
+                    faults: LinkFaults {
                         loss: self.profile.loss,
                         duplicate: self.profile.duplicate,
                         detect_loss: self.profile.detect_loss,
                         max_delay: self.profile.max_delay,
                         rng: ChaCha8Rng::seed_from_u64(link_seed),
                         availability: Arc::clone(&self.availability),
-                    }),
+                    },
                 }
             })
             .collect()
     }
 
-    fn availability(&self) -> Arc<Availability> {
+    /// The up/down schedule every peer consults before acting.
+    pub(crate) fn availability(&self) -> Arc<Availability> {
         Arc::clone(&self.availability)
     }
 
-    fn take_inboxes(&mut self) -> Vec<Vec<Envelope>> {
+    /// Take every peer's inbox, holding whatever was injected before the
+    /// run (called once, when the runner builds the peers).
+    pub(crate) fn take_inboxes(&mut self) -> Vec<Vec<Envelope>> {
         std::mem::take(&mut self.inboxes)
     }
 }
@@ -470,7 +394,7 @@ mod tests {
 
     #[test]
     fn reliable_mailboxes_deliver_in_order() {
-        let mut net = Network::new(2);
+        let mut net = FaultyNetwork::new(2, NetworkProfile::lossless(), 1, 100);
         let mut links = net.links(NodeId(0), &[NodeId(1)]);
         let mut inboxes = net.take_inboxes();
 

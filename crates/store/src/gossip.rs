@@ -1,187 +1,24 @@
-//! A framed continuation record for distributed gossip runs.
+//! The framed file kind for distributed gossip checkpoints.
 //!
-//! The p2p runtime's `MassLedger` and pair vectors are plain
-//! `f64`/`u64` state; this module persists them through the same
-//! magic + version + checksum frame as the node snapshots, so a
-//! distributed run killed mid-protocol can hand its exact mass
-//! accounting to a resumed run (`dg-p2p` owns the conversion to and
-//! from its own types).
+//! `dg-p2p`'s `GossipCheckpoint` lays out its own payload with
+//! [`ByteWriter`](crate::ByteWriter) and reads it back with
+//! [`ByteReader`](crate::ByteReader); this module wraps that payload in
+//! the same magic + version + checksum frame as the node snapshots, so
+//! a distributed run killed mid-protocol can hand its exact mass
+//! accounting to a resumed run.
 
-use crate::codec::{corrupt_at, read_frame, write_frame, ByteReader, ByteWriter, FrameKind};
+use crate::codec::{read_frame, write_frame, FrameKind};
 use crate::StoreError;
 use std::path::Path;
 
-/// The persisted mass-conservation ledger (mirrors `dg-p2p`'s
-/// `MassLedger` field for field; pairs are `(value, weight)`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LedgerRecord {
-    /// Mass dropped by transport faults.
-    pub lost: (f64, f64),
-    /// Mass double-counted by duplicated deliveries.
-    pub duplicated: (f64, f64),
-    /// Mass recredited to senders on detected loss.
-    pub recredited: (f64, f64),
-    /// Share messages dropped.
-    pub shares_lost: u64,
-    /// Share messages duplicated.
-    pub shares_duplicated: u64,
-    /// Share messages recredited.
-    pub shares_recredited: u64,
-    /// Announcements dropped.
-    pub announces_lost: u64,
+/// Write `payload` as a framed `gossip` file (tmp + rename).
+pub fn write_gossip(path: &Path, payload: &[u8]) -> Result<(), StoreError> {
+    write_frame(path, FrameKind::Gossip, payload)
 }
 
-/// A distributed run frozen mid-protocol: everything a continuation
-/// needs to finish the computation and still balance the mass ledger
-/// against the *original* starting total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GossipRecord {
-    /// Gossip rounds already executed.
-    pub rounds: u64,
-    /// The seed the interrupted run was using (resume derives a fresh
-    /// continuation stream from it).
-    pub seed: u64,
-    /// The run's starting `(value, weight)` total, recorded before any
-    /// mass could leak — the invariant anchor across restarts.
-    pub initial_total: (f64, f64),
-    /// Per-peer `(value, weight)` pairs at the kill point.
-    pub pairs: Vec<(f64, f64)>,
-    /// Per-peer count of rounds in which the peer was reachable.
-    pub active_rounds: Vec<u64>,
-    /// Mass accounting accumulated before the kill.
-    pub ledger: LedgerRecord,
-}
-
-/// Write a [`GossipRecord`] as a framed file (tmp + rename).
-pub fn write_gossip(path: &Path, record: &GossipRecord) -> Result<(), StoreError> {
-    let mut w = ByteWriter::new();
-    w.put_u64(record.rounds);
-    w.put_u64(record.seed);
-    w.put_f64(record.initial_total.0);
-    w.put_f64(record.initial_total.1);
-    w.put_f64(record.ledger.lost.0);
-    w.put_f64(record.ledger.lost.1);
-    w.put_f64(record.ledger.duplicated.0);
-    w.put_f64(record.ledger.duplicated.1);
-    w.put_f64(record.ledger.recredited.0);
-    w.put_f64(record.ledger.recredited.1);
-    w.put_u64(record.ledger.shares_lost);
-    w.put_u64(record.ledger.shares_duplicated);
-    w.put_u64(record.ledger.shares_recredited);
-    w.put_u64(record.ledger.announces_lost);
-    w.put_u32(record.pairs.len() as u32);
-    for &(value, weight) in &record.pairs {
-        w.put_f64(value);
-        w.put_f64(weight);
-    }
-    w.put_u32(record.active_rounds.len() as u32);
-    for &rounds in &record.active_rounds {
-        w.put_u64(rounds);
-    }
-    write_frame(path, FrameKind::Gossip, &w.into_bytes())
-}
-
-/// Read a [`GossipRecord`] back, with the frame's full corruption
-/// handling (truncated or garbled file → typed error).
-pub fn read_gossip(path: &Path) -> Result<GossipRecord, StoreError> {
+/// Read a `gossip` file's payload back, with the frame's full
+/// corruption handling (truncated or garbled file → typed error).
+pub fn read_gossip(path: &Path) -> Result<Vec<u8>, StoreError> {
     let (_version, payload) = read_frame(path, FrameKind::Gossip)?;
-    let mut r = ByteReader::new(&payload);
-    let parse = |r: &mut ByteReader<'_>| -> Result<GossipRecord, String> {
-        let rounds = r.get_u64("rounds")?;
-        let seed = r.get_u64("seed")?;
-        let initial_total = (r.get_f64("initial value")?, r.get_f64("initial weight")?);
-        let ledger = LedgerRecord {
-            lost: (r.get_f64("lost value")?, r.get_f64("lost weight")?),
-            duplicated: (
-                r.get_f64("duplicated value")?,
-                r.get_f64("duplicated weight")?,
-            ),
-            recredited: (
-                r.get_f64("recredited value")?,
-                r.get_f64("recredited weight")?,
-            ),
-            shares_lost: r.get_u64("shares lost")?,
-            shares_duplicated: r.get_u64("shares duplicated")?,
-            shares_recredited: r.get_u64("shares recredited")?,
-            announces_lost: r.get_u64("announces lost")?,
-        };
-        let n_pairs = r.get_len("pair list", 16)?;
-        let mut pairs = Vec::with_capacity(n_pairs);
-        for _ in 0..n_pairs {
-            pairs.push((r.get_f64("pair value")?, r.get_f64("pair weight")?));
-        }
-        let n_active = r.get_len("active-round list", 8)?;
-        let mut active_rounds = Vec::with_capacity(n_active);
-        for _ in 0..n_active {
-            active_rounds.push(r.get_u64("active rounds")?);
-        }
-        if !r.is_empty() {
-            return Err("trailing bytes after gossip record".into());
-        }
-        Ok(GossipRecord {
-            rounds,
-            seed,
-            initial_total,
-            pairs,
-            active_rounds,
-            ledger,
-        })
-    };
-    parse(&mut r).map_err(|e| corrupt_at(path, e))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> GossipRecord {
-        GossipRecord {
-            rounds: 17,
-            seed: 42,
-            initial_total: (12.5, 4.0),
-            pairs: vec![(1.0, 0.5), (-0.0, 0.25), (3.5, 0.125)],
-            active_rounds: vec![17, 16, 17],
-            ledger: LedgerRecord {
-                lost: (0.25, 0.125),
-                duplicated: (0.0, 0.0),
-                recredited: (0.0625, 0.03125),
-                shares_lost: 3,
-                shares_duplicated: 0,
-                shares_recredited: 1,
-                announces_lost: 2,
-            },
-        }
-    }
-
-    #[test]
-    fn gossip_record_roundtrip_is_bit_exact() {
-        let dir = std::env::temp_dir().join(format!("dg_store_gossip_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gossip.bin");
-        let record = sample();
-        write_gossip(&path, &record).unwrap();
-        let back = read_gossip(&path).unwrap();
-        assert_eq!(record, back);
-        // -0.0 must survive as -0.0 (PartialEq would call it equal to 0.0).
-        assert_eq!(back.pairs[1].0.to_bits(), (-0.0f64).to_bits());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_gossip_record_is_typed() {
-        let dir = std::env::temp_dir().join(format!("dg_store_gossip_tr_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gossip.bin");
-        write_gossip(&path, &sample()).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        for eighth in 0..8u32 {
-            let cut = (pristine.len() as u64 * u64::from(eighth) / 8) as usize;
-            std::fs::write(&path, &pristine[..cut]).unwrap();
-            assert!(matches!(
-                read_gossip(&path).unwrap_err(),
-                StoreError::Corrupt { .. }
-            ));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    Ok(payload)
 }

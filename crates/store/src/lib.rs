@@ -24,8 +24,9 @@
 //!   [`StoreError`] — never a panic.
 //!
 //! The crate is deliberately independent of the domain crates: it
-//! stores plain [`NodeRecord`]s (raw `f64`/`u64` fields), and `dg-sim`
-//! / `dg-p2p` convert their state to and from them. `f64`s round-trip
+//! stores plain [`NodeRecord`]s (raw `f64`/`u64` fields), which `dg-sim`
+//! converts its state to and from, and frames `dg-p2p`'s checkpoint
+//! payload ([`write_gossip`]) without reading it. `f64`s round-trip
 //! through `to_bits`, so a snapshot preserves state *bit for bit* — the
 //! property the crash-recovery suite (`tests/crash_recovery.rs` at the
 //! workspace root) checks end to end.
@@ -58,7 +59,7 @@ pub mod wire;
 pub use codec::{ByteReader, ByteWriter, FORMAT_VERSION};
 pub use compare::same;
 pub use error::StoreError;
-pub use gossip::{read_gossip, write_gossip, GossipRecord, LedgerRecord};
+pub use gossip::{read_gossip, write_gossip};
 pub use records::{
     changed, diff_changed, first_divergence, AuditEntryRecord, EstimatorRecord, NodeRecord,
     SnapshotHeader,

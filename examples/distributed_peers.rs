@@ -4,9 +4,10 @@
 //! running as separate peers that learn about each other only through
 //! messages — including the convergence-announcement protocol.
 //! The run cross-checks the distributed estimates against the
-//! closed-form average. This example uses the reliable transport; see
-//! `examples/faulty_network.rs` for the same deployment under message
-//! loss, delay, duplication, churn and partitions.
+//! closed-form average. This example runs under the lossless profile
+//! (the paper's reliable network); see `examples/faulty_network.rs` for
+//! the same deployment under message loss, delay, duplication, churn and
+//! partitions.
 //!
 //! Run with:
 //! ```text
