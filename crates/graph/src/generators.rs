@@ -215,6 +215,48 @@ mod tests {
         assert!(random_regular(4, 5, &mut rng).is_err());
     }
 
+    /// FNV-1a over the CSR words: every offset, then every neighbour.
+    fn csr_checksum(g: &Graph) -> u64 {
+        let words = g
+            .offsets()
+            .iter()
+            .chain(g.nodes().flat_map(|v| g.neighbours(v)));
+        words.fold(0xcbf2_9ce4_8422_2325u64, |acc, &w| {
+            (acc ^ w as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The exact adjacency every seeded generator produces, so a change
+    /// to how edges are collected cannot move a single neighbour.
+    #[test]
+    fn generator_csr_bits_are_pinned() {
+        let pa = |m| {
+            let cfg = crate::pa::PaConfig { nodes: 2000, m };
+            crate::pa::preferential_attachment(cfg, &mut ChaCha8Rng::seed_from_u64(42)).unwrap()
+        };
+        assert_eq!(csr_checksum(&pa(2)), 0x5dd5_7429_c16a_5655);
+        assert_eq!(csr_checksum(&pa(3)), 0x9d4f_f6cc_df5f_b105);
+
+        // Seed 3's first shuffle pairs a stub with itself or repeats a
+        // pair, so this pin covers a restart and the draws it consumes.
+        let (n, d, seed) = (60usize, 3usize, 3u64);
+        let mut stubs: Vec<u32> = (0..n as u32)
+            .flat_map(|v| std::iter::repeat(v).take(d))
+            .collect();
+        stubs.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+        let mut pairs: Vec<(u32, u32)> = stubs
+            .chunks_exact(2)
+            .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
+            .collect();
+        pairs.sort_unstable();
+        assert!(pairs.iter().any(|&(a, c)| a == c) || pairs.windows(2).any(|w| w[0] == w[1]));
+        let regular = random_regular(n, d, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+        assert_eq!(csr_checksum(&regular), 0x5ce1_4d6b_822b_238d);
+
+        let er = erdos_renyi(300, 0.02, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
+        assert_eq!(csr_checksum(&er), 0xf0f4_bafc_2d01_4f33);
+    }
+
     #[test]
     fn paper_example_matches_published_degrees_and_fanouts() {
         let g = paper_example();

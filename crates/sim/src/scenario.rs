@@ -276,6 +276,27 @@ mod tests {
         assert_ne!(slow.trust, s.trust);
     }
 
+    /// The substrate `fig5` and `fig6` read: exact neighbour trust plus
+    /// ten far partners per node, every `t_ij` pinned by a checksum.
+    #[test]
+    fn exact_far_trust_bits_are_pinned() {
+        let s = Scenario::build(RunConfig {
+            nodes: 300,
+            far_partners: 10,
+            ..RunConfig::default()
+        })
+        .unwrap();
+        let checksum = s
+            .trust
+            .entries()
+            .fold(0xcbf2_9ce4_8422_2325u64, |acc, (i, j, t)| {
+                (acc ^ ((i.0 as u64) << 32 | j.0 as u64) ^ t.get().to_bits())
+                    .wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(s.trust.entry_count(), 4194);
+        assert_eq!(checksum, 0x7987_e36a_f39e_b01f);
+    }
+
     #[test]
     fn system_builds() {
         let s = Scenario::build(RunConfig::with_nodes(50)).unwrap();
