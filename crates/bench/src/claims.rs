@@ -351,7 +351,7 @@ fn matrix_config(seed: u64, mix: AdversaryMix) -> RunConfig {
 
 fn run_lifecycle(config: RunConfig) -> Result<LifecycleRun, Box<dyn std::error::Error>> {
     let scenario = Arc::new(Scenario::build(config)?);
-    let mut engine = build_engine(Arc::clone(&scenario), &config);
+    let mut engine = build_engine(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     let stats = (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()))

@@ -91,7 +91,9 @@ pub fn random_regular<R: Rng + ?Sized>(
         return Ok(GraphBuilder::new(n).build());
     }
     // Configuration model: pair up half-edges uniformly; restart on a
-    // self loop or parallel edge. For d << n a handful of restarts suffice.
+    // self loop, or on a parallel edge, which the build merges and so
+    // leaves the graph an edge short. For d << n a handful of restarts
+    // suffice.
     'attempt: for _ in 0..1000 {
         let mut stubs: Vec<u32> = (0..n as u32)
             .flat_map(|v| std::iter::repeat(v).take(d))
@@ -99,13 +101,15 @@ pub fn random_regular<R: Rng + ?Sized>(
         stubs.shuffle(rng);
         let mut b = GraphBuilder::new(n);
         for pair in stubs.chunks_exact(2) {
-            let (a, c) = (pair[0], pair[1]);
-            if a == c || b.has_edge(a.into(), c.into()) {
+            if pair[0] == pair[1] {
                 continue 'attempt;
             }
-            b.add_edge(a, c)?;
+            b.add_edge(pair[0], pair[1])?;
         }
-        return Ok(b.build());
+        let g = b.build();
+        if g.edge_count() == n * d / 2 {
+            return Ok(g);
+        }
     }
     Err(GraphError::InvalidParameters(format!(
         "failed to build a {d}-regular graph on {n} nodes after 1000 attempts"

@@ -1,14 +1,13 @@
-//! Immutable CSR graph and mutable adjacency-set builder.
+//! Immutable CSR graph and its edge-list builder.
 //!
 //! The gossip inner loop touches every node's neighbour list once per step,
 //! so the permanent representation is a compressed-sparse-row layout: one
 //! `u32` offset array and one flat neighbour array. Construction goes
-//! through [`GraphBuilder`], which deduplicates edges and rejects self
-//! loops, then freezes into a [`Graph`].
+//! through [`GraphBuilder`], which rejects self loops, collects edges in
+//! one list and sorts, deduplicates and freezes it into a [`Graph`].
 
 use crate::error::GraphError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node in a topology.
@@ -60,41 +59,33 @@ impl serde::__value::MapKey for NodeId {
     }
 }
 
-/// Mutable undirected simple-graph builder backed by adjacency sets.
-///
-/// Used by the generators; deduplicates parallel edges and rejects self
-/// loops so the frozen [`Graph`] is always a simple graph.
+/// Undirected simple-graph builder over one directed edge list, which
+/// [`Self::build`] sorts, deduplicates and counts into CSR: the frozen
+/// [`Graph`] is always a simple graph.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    adjacency: Vec<BTreeSet<u32>>,
+    nodes: usize,
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphBuilder {
     /// Create a builder for `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         Self {
-            adjacency: vec![BTreeSet::new(); n],
+            nodes: n,
+            edges: Vec::new(),
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// Number of (undirected) edges currently present.
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(|s| s.len()).sum::<usize>() / 2
-    }
-
-    /// Add an undirected edge. Idempotent; returns `true` if it was new.
+    /// Add an undirected edge. Idempotent: a repeated edge is merged by
+    /// [`Self::build`].
     pub fn add_edge(
         &mut self,
         a: impl Into<NodeId>,
         b: impl Into<NodeId>,
-    ) -> Result<bool, GraphError> {
+    ) -> Result<(), GraphError> {
         let (a, b) = (a.into(), b.into());
-        let n = self.adjacency.len();
+        let n = self.nodes;
         for id in [a, b] {
             if id.index() >= n {
                 return Err(GraphError::NodeOutOfRange { id: id.0, n });
@@ -103,33 +94,27 @@ impl GraphBuilder {
         if a == b {
             return Err(GraphError::SelfLoop(a.0));
         }
-        let inserted = self.adjacency[a.index()].insert(b.0);
-        self.adjacency[b.index()].insert(a.0);
-        Ok(inserted)
-    }
-
-    /// Whether the edge `{a, b}` exists.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.adjacency
-            .get(a.index())
-            .is_some_and(|s| s.contains(&b.0))
-    }
-
-    /// Current degree of `node` (0 if out of range).
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency.get(node.index()).map_or(0, |s| s.len())
+        self.edges.push((a.0, b.0));
+        self.edges.push((b.0, a.0));
+        Ok(())
     }
 
     /// Freeze into the immutable CSR representation.
-    pub fn build(self) -> Graph {
-        let n = self.adjacency.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbours = Vec::with_capacity(self.adjacency.iter().map(|s| s.len()).sum());
-        offsets.push(0u32);
-        for set in &self.adjacency {
-            neighbours.extend(set.iter().copied());
-            offsets.push(neighbours.len() as u32);
+    pub fn build(mut self) -> Graph {
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        let mut offsets = vec![0u32; self.nodes + 1];
+        for &(a, _) in &self.edges {
+            offsets[a as usize + 1] += 1;
         }
+        let mut total = 0;
+        for offset in &mut offsets {
+            total += *offset;
+            *offset = total;
+        }
+        // Borrowed, so the collect allocates exactly; collecting the
+        // owned list would reuse its allocation, twice the size needed.
+        let neighbours = self.edges.iter().map(|&(_, b)| b).collect();
         Graph {
             offsets,
             neighbours,
@@ -139,9 +124,9 @@ impl GraphBuilder {
 
 /// Immutable undirected simple graph in CSR form.
 ///
-/// Neighbour lists are sorted ascending (a by-product of the
-/// `BTreeSet`-based builder), which [`Graph::has_edge`] exploits with a
-/// binary search.
+/// Neighbour lists are sorted ascending ([`GraphBuilder::build`] sorts
+/// its edge list), which [`Graph::has_edge`] exploits with a binary
+/// search.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Graph {
     offsets: Vec<u32>,
@@ -301,10 +286,13 @@ mod tests {
 
     #[test]
     fn builder_deduplicates_edges() {
-        let mut b = GraphBuilder::new(2);
-        assert!(b.add_edge(0u32, 1u32).unwrap());
-        assert!(!b.add_edge(1u32, 0u32).unwrap());
-        assert_eq!(b.edge_count(), 1);
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0u32, 1u32).unwrap();
+        b.add_edge(1u32, 0u32).unwrap();
+        b.add_edge(0u32, 1u32).unwrap();
+        let g = b.build();
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.offsets(), &[0, 1, 2, 2]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`Graph`] — a compact, immutable CSR adjacency representation tuned for
 //!   the hot gossip loop at `N = 50 000` nodes,
-//! * [`GraphBuilder`] — a mutable adjacency-set builder,
+//! * [`GraphBuilder`] — the edge-list builder every generator uses,
 //! * [`pa::preferential_attachment`] — the PA generator used throughout the
 //!   paper's evaluation,
 //! * [`generators`] — baseline topologies (complete, ring, star,

@@ -36,19 +36,22 @@ pub struct RunConfig {
     pub free_rider_fraction: f64,
     /// Honest quality range `[lo, hi]`.
     pub quality_range: (f64, f64),
-    /// Trust matrix source.
+    /// How [`Scenario::trust`](crate::scenario::Scenario::trust) builds
+    /// the static trust matrix. Shapes only that matrix, which the
+    /// paper's analytic experiments read, never a session's rounds.
     pub trust_source: TrustSource,
     /// Overlay topology family.
     pub topology: Topology,
     /// Additional random *far* interaction partners per node: file-sharing
     /// downloads reach beyond overlay neighbours, so each node also rates
     /// this many uniformly chosen non-neighbours. Densifies the trust
-    /// matrix the way the paper's Section 5.2 analysis assumes.
+    /// matrix the way the paper's Section 5.2 analysis assumes. Like
+    /// [`Self::trust_source`], shapes only that static matrix.
     pub far_partners: usize,
     // --- execution knobs ---
     /// Execution engine for the round loop (see [`EngineKind`]). Does
     /// **not** affect the generated topology, population or trust
-    /// values, nor how the scenario's trust matrix is stored.
+    /// values.
     pub engine: EngineKind,
     /// Shard count for [`EngineKind::Incremental`] (ignored by the
     /// sequential driver), capped at the node count. `0` — the
@@ -215,12 +218,6 @@ impl RunConfig {
     /// Builder-style requests-per-edge override.
     pub fn with_requests_per_edge(mut self, requests_per_edge: u32) -> Self {
         self.requests_per_edge = requests_per_edge;
-        self
-    }
-
-    /// Builder-style trust-source override.
-    pub fn with_trust_source(mut self, trust_source: TrustSource) -> Self {
-        self.trust_source = trust_source;
         self
     }
 

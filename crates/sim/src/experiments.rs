@@ -291,7 +291,7 @@ fn collusion_row(
     let mut rng =
         ChaCha8Rng::seed_from_u64(seed ^ (group_size as u64) << 32 ^ (fraction * 1e6) as u64);
     let assignment = GroupAssignment::assign(n, scheme, &mut rng)?;
-    let view = ColludedAggregates::new(&scenario.trust, &assignment);
+    let view = ColludedAggregates::new(system.trust(), &assignment);
 
     // All subjects: pairs without a defined reference (e.g. colluders
     // nobody honest ever rated) are skipped inside the metric.

@@ -394,7 +394,7 @@ impl IncrementalRoundEngine {
     /// Engine over fresh core state: rebuild rounds under full traffic,
     /// delta rounds under any other traffic model.
     pub(crate) fn new(core: EngineCore) -> Self {
-        let delta = (!core.config.traffic.is_full()).then(|| DeltaState::new(&core));
+        let delta = (!core.scenario.config.traffic.is_full()).then(|| DeltaState::new(&core));
         Self { core, delta }
     }
 }
@@ -450,7 +450,7 @@ fn rebuild_round(
 ) -> Result<RoundStats, CoreError> {
     let scenario = Arc::clone(&core.scenario);
     let n = scenario.graph.node_count();
-    let spec = ShardSpec::configured(n, core.config.shard_count);
+    let spec = ShardSpec::configured(n, core.scenario.config.shard_count);
 
     // Phase 2: emit every row (folding its owner's ingest after the
     // generated outcomes). Shards own contiguous node ranges, so the
@@ -494,12 +494,12 @@ fn rebuild_round(
 
     // Phase 3: aggregate — the oracle's sweep, fanned out over the same
     // shards, one `ŷ` scratch row per shard.
-    match core.config.aggregation {
+    match core.scenario.config.aggregation {
         AggregationMode::ClosedForm => {
-            let scope = core.config.scope;
+            let scope = core.scenario.config.scope;
             let (sums, counts) = system
                 .trust()
-                .robust_subject_sums_and_counts(&core.config.defense.robust);
+                .robust_subject_sums_and_counts(&core.scenario.config.defense.robust);
             let agg = SubjectAggregates::new(&sums, &counts, scope);
             let runs: Vec<Vec<Vec<(NodeId, f64)>>> = (0..spec.shard_count())
                 .into_par_iter()
@@ -528,7 +528,7 @@ impl DeltaState {
     /// `config.shard_count == 0` selects the deterministic auto
     /// partition for the persistent matrix.
     fn new(core: &EngineCore) -> Self {
-        let (scenario, config) = (&core.scenario, &core.config);
+        let (scenario, config) = (&core.scenario, &core.scenario.config);
         let n = scenario.graph.node_count();
         let trust = TrustMatrix::with_spec(ShardSpec::configured(n, config.shard_count));
         let patches = matches!(config.aggregation, AggregationMode::ClosedForm)
@@ -729,7 +729,7 @@ impl DeltaState {
         dirty.extend(ingest.iter().map(|&(i, _)| i));
         dirty.extend(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
-        let audit = core.config.audit;
+        let audit = core.scenario.config.audit;
         if audit.enabled() {
             let logs = (0u32..).zip(&nodes);
             let full = logs.filter(|(_, state)| state.log.entries().len() >= audit.log_capacity);
@@ -774,7 +774,7 @@ impl DeltaState {
             .expect("folded rows are sorted and in range");
         // Subjects whose report column moved, ascending — the only
         // subjects any clean observer needs to re-evaluate.
-        let refreshed = self.cache.refresh(&core.config.defense.robust);
+        let refreshed = self.cache.refresh(&core.scenario.config.defense.robust);
         let replaced: Vec<NodeId> = replacements.iter().map(|&(i, _)| i).collect();
         drop(replacements);
         changed_pairs.sort_unstable();
@@ -783,7 +783,7 @@ impl DeltaState {
         let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
         // Phase 3: aggregate.
-        let (aggregation, scope) = (core.config.aggregation, core.config.scope);
+        let (aggregation, scope) = (core.scenario.config.aggregation, core.scenario.config.scope);
         let frontier = match (aggregation, scope) {
             (AggregationMode::ClosedForm, AggregationScope::Neighbourhood) => {
                 self.patch_frontier(core, &system, &refreshed, &replaced, &changed_pairs)
@@ -846,7 +846,7 @@ impl RoundEngine for IncrementalRoundEngine {
         // records omit it and it starts over, unprimed (see
         // `DeltaState::new`). Queued ingest batches survive the restore,
         // like the core's own restore keeps them.
-        let mut core = EngineCore::new(Arc::clone(&self.core.scenario), self.core.config);
+        let mut core = EngineCore::new(Arc::clone(&self.core.scenario));
         core.restore(round, records)?;
         core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
         *self = Self::new(core);
@@ -901,7 +901,7 @@ mod tests {
         assert!(full.traffic.is_full() && !gated.traffic.is_full());
         let engine = |config: RunConfig| {
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            IncrementalRoundEngine::new(EngineCore::new(scenario, config))
+            IncrementalRoundEngine::new(EngineCore::new(scenario))
         };
         let (mut rebuild, mut patch) = (engine(full), engine(gated));
         for round in 0..4 {
@@ -970,7 +970,7 @@ mod tests {
                     .with_flash(6, 6.0),
             );
         let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-        let mut engine = IncrementalRoundEngine::new(EngineCore::new(scenario, config));
+        let mut engine = IncrementalRoundEngine::new(EngineCore::new(scenario));
         // A round seed under which nobody requests.
         let idle_seed = |core: &EngineCore| {
             (0u64..)

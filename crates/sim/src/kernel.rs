@@ -58,7 +58,6 @@
 //! (The phase primitives are crate-private by design — engines are the
 //! only drivers — so the items above are named, not linked.)
 
-use crate::config::RunConfig;
 use crate::rounds::{AggregationMode, AggregationScope, NewcomerPolicy, RoundStats};
 use crate::scenario::Scenario;
 use crate::session::{node_from_record, node_record, SessionError};
@@ -659,7 +658,6 @@ struct RoundOpening {
 /// state that strategy derives — never anything a checkpoint needs).
 pub struct EngineCore {
     pub(crate) scenario: Arc<Scenario>,
-    pub(crate) config: RunConfig,
     pub(crate) plan: ActivityPlan,
     /// Per-node estimators and audit state, indexed by node id.
     pub(crate) nodes: Vec<NodeState>,
@@ -691,12 +689,11 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Fresh state over a scenario, at round 0.
-    pub(crate) fn new(scenario: Arc<Scenario>, config: RunConfig) -> Self {
+    pub(crate) fn new(scenario: Arc<Scenario>) -> Self {
         let n = scenario.graph.node_count();
         Self {
+            plan: ActivityPlan::new(scenario.config.traffic, n),
             scenario,
-            plan: ActivityPlan::new(config.traffic, n),
-            config,
             nodes: (0..n).map(|_| NodeState::default()).collect(),
             aggregated: vec![Vec::new(); n],
             observer_mean: vec![None; n],
@@ -861,7 +858,7 @@ impl EngineCore {
     /// everyone. Runs without whitewashers or convictable targets expose
     /// nobody, and a node already marked needs no copy.
     pub(crate) fn begin_round(&mut self) {
-        let (policy, n) = (self.config.audit, self.nodes.len());
+        let (policy, n) = (self.scenario.config.audit, self.nodes.len());
         let audit_targets = if policy.enabled() {
             let seed = self.scenario.config.seed;
             audit_targets(seed, self.round as u64, n, policy.audit_rate)
@@ -878,8 +875,8 @@ impl EngineCore {
         candidates.extend(convictable);
         candidates.sort_unstable();
         candidates.dedup();
-        let neighbourhood = self.config.aggregation == AggregationMode::ClosedForm
-            && self.config.scope == AggregationScope::Neighbourhood;
+        let neighbourhood = self.scenario.config.aggregation == AggregationMode::ClosedForm
+            && self.scenario.config.scope == AggregationScope::Neighbourhood;
         let exposed: Vec<NodeId> = if candidates.is_empty() {
             Vec::new()
         } else if neighbourhood {
@@ -976,7 +973,7 @@ impl EngineCore {
         requester: NodeId,
         rng: &mut ChaCha8Rng,
     ) -> ServiceDelta {
-        let (scenario, config, round) = (&*self.scenario, &self.config, self.round as u64);
+        let (scenario, config, round) = (&*self.scenario, &self.scenario.config, self.round as u64);
         let banned = &self.banned;
         let population = &scenario.population;
         let class = if scenario.adversaries.is_adversary(requester) {
@@ -1054,7 +1051,7 @@ impl EngineCore {
         if state.convicted_at.is_some() {
             return (Vec::new(), false);
         }
-        let (config, round) = (&self.config, self.round as u64);
+        let (config, round) = (&self.scenario.config, self.round as u64);
         state.fold_records(ingest, config.ewma_rate);
         let mut changed = !ingest.is_empty();
         let mut row = state.trust_row();
@@ -1089,7 +1086,11 @@ impl EngineCore {
     ) -> Result<(), CoreError> {
         // `VectorGossip` has no departure model and refuses one: rounds
         // under a churning profile gossip over the full membership.
-        let gossip = self.config.gossip_config().with_churn(ChurnModel::none());
+        let gossip = self
+            .scenario
+            .config
+            .gossip_config()
+            .with_churn(ChurnModel::none());
         let out = alg4::run(
             system,
             gossip.validated()?,
@@ -1162,7 +1163,7 @@ impl EngineCore {
             .take()
             .expect("every round opens with `begin_round`");
         let audit = run_audit_phase(
-            &self.config.audit,
+            &self.scenario.config.audit,
             self.round as u64,
             &opening.audit_targets,
             &mut self.nodes,
@@ -1323,6 +1324,7 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
     use crate::rounds::build_engine;
     use crate::session::round_seed;
     use dg_gossip::AdversaryMix;
@@ -1338,7 +1340,7 @@ mod tests {
         requester: NodeId,
         rng: &mut ChaCha8Rng,
     ) -> (Vec<TransactionRecord>, ServiceDelta) {
-        let (scenario, config, round) = (&*core.scenario, &core.config, core.round as u64);
+        let (scenario, config, round) = (&*core.scenario, &core.scenario.config, core.round as u64);
         let mut records = Vec::new();
         let mut delta = ServiceDelta {
             active_requesters: 1,
@@ -1422,7 +1424,7 @@ mod tests {
                 config.defense.newcomer = NewcomerPolicy::ZeroPrior;
             }
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario, &config);
+            let mut engine = build_engine(scenario);
             for round in 0..primed_rounds as u64 {
                 engine.run_round(round_seed(seed, round)).expect("round runs");
             }
@@ -1594,7 +1596,7 @@ mod tests {
             for every in [1, 3] {
                 let label = format!("{label}, commit every {every}");
                 let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-                let mut engine = build_engine(scenario, &config);
+                let mut engine = build_engine(scenario);
                 let (mut washes, mut convictions, mut full_logs) = (0, 0, false);
                 let mut window = MarkWindow::open(engine.as_ref(), &label);
                 for round in 0..30usize {
@@ -1658,7 +1660,7 @@ mod tests {
             // reporter's neighbourhood (so neither its trust weights nor
             // its run move), then an idle round.
             let scenario = Arc::new(Scenario::build(honest).expect("scenario builds"));
-            let mut engine = build_engine(scenario, &honest);
+            let mut engine = build_engine(scenario);
             for round in 0..5u64 {
                 let what = format!("{label}: honest round {round}");
                 let mut window = MarkWindow::commit(engine.as_mut(), &what);
@@ -1698,7 +1700,7 @@ mod tests {
             };
             let config = honest.with_adversary(washers);
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario, &config);
+            let mut engine = build_engine(scenario);
             let core = engine.core();
             let (graph, washers) = (&core.scenario.graph, core.scenario.adversaries.washers());
             let far: Vec<NodeId> = (0..graph.node_count() as u32)
@@ -1773,7 +1775,7 @@ mod tests {
             };
             let config = honest.with_adversary(liars).with_audit(strict);
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario, &config);
+            let mut engine = build_engine(scenario);
             let convicted_unrated = (0..20u64).any(|round| {
                 let what = format!("{label}: liar convicted, round {round}");
                 let mut window = MarkWindow::commit(engine.as_mut(), &what);

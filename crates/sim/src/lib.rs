@@ -1,12 +1,13 @@
-//! # dg-sim — scenarios, workloads, experiments and baselines
+//! # dg-sim — scenarios, workloads, experiments and round engines
 //!
 //! Everything the evaluation (Section 5.3) needs on top of the algorithm
 //! crates:
 //!
 //! * [`config`] — [`RunConfig`], the one serializable description of a
 //!   run that every layer below reads;
-//! * [`scenario`] — reproducible scenario construction: PA topology +
-//!   behaviour population + trust matrix, all from one seeded config;
+//! * [`scenario`] — reproducible scenario construction: topology,
+//!   behaviour population and adversaries from one seeded config, and
+//!   on request the static trust matrix the experiments read;
 //! * [`workload`] — the synthetic file-sharing workload that *estimates*
 //!   the trust matrix through simulated transactions (our substitution
 //!   for the paper's unavailable trace data — see `docs/PAPER_MAP.md`,
@@ -40,9 +41,6 @@
 //!   (sybil rings, collusion cliques, slanderers, whitewashers) compiled
 //!   from an [`AdversaryMix`](dg_gossip::AdversaryMix) and applied by
 //!   the round engines where reports enter the gossip channel;
-//! * [`baselines`] — normal push gossip (GossipTrust-style) comes free
-//!   via [`FanoutPolicy::Uniform`](dg_gossip::FanoutPolicy); this module
-//!   adds an EigenTrust-style power-iteration comparator;
 //! * [`report`] — fixed-width table rendering and JSON-lines output for
 //!   the harness binaries;
 //! * [`serve`] — the serve layer's session: deterministic interleaving
@@ -54,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod baselines;
 pub mod config;
 pub mod experiments;
 pub mod incremental;

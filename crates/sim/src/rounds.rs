@@ -14,8 +14,9 @@
 //! node's first-hand estimators) and **aggregate** (Variation-4
 //! differential gossip, in closed form or by real gossip).
 //!
-//! Two execution engines are available through [`RunConfig::engine`],
-//! each a `run_round` strategy over one shared [`EngineCore`]:
+//! Two execution engines are available through
+//! [`RunConfig::engine`](crate::RunConfig::engine), each a `run_round`
+//! strategy over one shared [`EngineCore`]:
 //!
 //! * [`EngineKind::Sequential`] — the reference driver in this module:
 //!   one inline pass over nodes, the oracle every suite compares
@@ -24,12 +25,12 @@
 //!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine),
 //!   the production engine. Under full traffic every round rebuilds:
 //!   nodes are partitioned into contiguous shards
-//!   ([`RunConfig::shard_count`]), each filling its own row slab,
-//!   with a rayon fan-out over shards. Under gated traffic
-//!   ([`RunConfig::traffic`]) it keeps the trust matrix, dirty-row
-//!   tracking and delta-maintained aggregates across rounds, so a
-//!   round costs `O(dirty)` instead of `O(N)`. The traffic model
-//!   chooses; there is no option.
+//!   ([`RunConfig::shard_count`](crate::RunConfig::shard_count)), each
+//!   filling its own row slab, with a rayon fan-out over shards. Under
+//!   gated traffic ([`RunConfig::traffic`](crate::RunConfig::traffic))
+//!   it keeps the trust matrix, dirty-row tracking and delta-maintained
+//!   aggregates across rounds, so a round costs `O(dirty)` instead of
+//!   `O(N)`. The traffic model chooses; there is no option.
 //!
 //! Every node consumes a private ChaCha8 stream derived from the round
 //! seed, so **both engines produce bit-for-bit identical results at any
@@ -40,7 +41,6 @@
 //! per [`RoundEngine::run_round`]; [`RunSession`](crate::session::RunSession)
 //! is the driver that adds the resumable seed schedule and checkpoints.
 
-use crate::config::RunConfig;
 use crate::kernel::{closed_form_row, Changed, EngineCore, ServiceDelta, SubjectAggregates};
 use crate::scenario::Scenario;
 use crate::session::SessionError;
@@ -273,14 +273,15 @@ pub trait RoundEngine {
     }
 }
 
-/// The single engine factory: build the round engine `config` selects
-/// over an existing (shared) scenario, at round 0. Prefer
+/// The single engine factory: build the round engine the scenario's
+/// own config selects over that (shared) scenario, at round 0. Prefer
 /// [`RunSession`](crate::session::RunSession) unless you need to hold
 /// the scenario or choose the round seeds yourself (the session builds
 /// scenario *and* engine and adds checkpoint / resume).
-pub fn build_engine(scenario: Arc<Scenario>, config: &RunConfig) -> Box<dyn RoundEngine> {
-    let core = EngineCore::new(scenario, *config);
-    match config.engine {
+pub fn build_engine(scenario: Arc<Scenario>) -> Box<dyn RoundEngine> {
+    let engine = scenario.config.engine;
+    let core = EngineCore::new(scenario);
+    match engine {
         EngineKind::Sequential => Box::new(SequentialRounds::new(core)),
         EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(core)),
     }
@@ -354,12 +355,12 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
     // Phase 3: aggregate.
-    match core.config.aggregation {
+    match core.scenario.config.aggregation {
         AggregationMode::ClosedForm => {
             let (sums, counts) = system
                 .trust()
-                .robust_subject_sums_and_counts(&core.config.defense.robust);
-            let scope = core.config.scope;
+                .robust_subject_sums_and_counts(&core.scenario.config.defense.robust);
+            let scope = core.scenario.config.scope;
             let agg = SubjectAggregates::new(&sums, &counts, scope);
             let mut y_hat = Vec::new();
             core.set_runs(
@@ -393,6 +394,7 @@ impl RoundEngine for SequentialRounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
     use crate::workload::TrafficModel;
     use rand::RngCore;
 
@@ -401,7 +403,7 @@ mod tests {
     fn run(config: RunConfig, stream: u64) -> Vec<RoundStats> {
         let scenario = Arc::new(Scenario::build(config).unwrap());
         let mut rng = scenario.gossip_rng(stream);
-        let mut engine = build_engine(scenario, &config);
+        let mut engine = build_engine(scenario);
         (0..config.rounds)
             .map(|_| engine.run_round(rng.next_u64()).unwrap())
             .collect()
@@ -473,7 +475,7 @@ mod tests {
     fn aggregated_lookup_works() {
         let config = RunConfig::with_nodes(30).with_seed(5);
         let scenario = Arc::new(Scenario::build(config).unwrap());
-        let mut engine = build_engine(Arc::clone(&scenario), &config);
+        let mut engine = build_engine(Arc::clone(&scenario));
         assert_eq!(engine.core().aggregated(NodeId(0), NodeId(1)), None);
         engine.run_round(scenario.gossip_rng(4).next_u64()).unwrap();
         // Node 1 is a neighbour of someone, so it has been rated and

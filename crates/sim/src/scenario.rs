@@ -1,10 +1,10 @@
 //! Reproducible scenario construction.
 //!
-//! One seeded [`RunConfig`] deterministically produces a complete
-//! experiment substrate: the PA overlay, the behaviour population
-//! (honest / free-riding peers), and the direct-interaction trust matrix
-//! (either the exact latent qualities or estimates from a simulated
-//! transaction workload).
+//! One seeded [`RunConfig`] deterministically produces what a session's
+//! rounds read: the overlay, the behaviour population (honest /
+//! free-riding peers) and the per-node adversary strategies. The static
+//! trust matrix the paper's analytic experiments read is built only on
+//! request, by [`Scenario::trust`].
 
 use crate::adversary::AdversaryAssignment;
 use crate::config::RunConfig;
@@ -29,7 +29,7 @@ pub enum Topology {
     Complete,
 }
 
-/// How the trust matrix is produced.
+/// How [`Scenario::trust`] produces the static trust matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TrustSource {
     /// Neighbours know each other's latent quality exactly (analytical
@@ -50,8 +50,6 @@ pub struct Scenario {
     pub graph: Graph,
     /// Behaviour profiles.
     pub population: Population,
-    /// Direct-interaction trust matrix.
-    pub trust: TrustMatrix,
     /// Weight law.
     pub weights: WeightParams,
     /// Per-node adversarial strategies compiled from
@@ -59,12 +57,15 @@ pub struct Scenario {
     pub adversaries: AdversaryAssignment,
     /// The config that produced everything.
     pub config: RunConfig,
+    /// The construction stream where the population draws stopped:
+    /// [`Self::trust`] draws from a clone of it.
+    substrate_rng: ChaCha8Rng,
 }
 
 impl Scenario {
     /// Build a scenario from its config (deterministic). Reads the
-    /// substrate knobs, the adversary mix and the engine kind; the
-    /// round-loop and gossip knobs ride along for the engines.
+    /// substrate knobs and the adversary mix; the other knobs ride
+    /// along for the engines.
     pub fn build(config: RunConfig) -> Result<Self, CoreError> {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let graph = match config.topology {
@@ -104,43 +105,50 @@ impl Scenario {
             .map_err(dg_core::CoreError::from)?;
         adversaries.apply_to_population(&mut population);
 
+        let weights = WeightParams::new(config.weight_a, config.weight_b)?;
+        Ok(Self {
+            graph,
+            population,
+            weights,
+            adversaries,
+            config,
+            substrate_rng: rng,
+        })
+    }
+
+    /// The static direct-interaction trust matrix of
+    /// [`RunConfig::trust_source`] plus [`RunConfig::far_partners`], which
+    /// the paper's analytic experiments aggregate. Each call builds it
+    /// from a clone of the construction stream, so every call gives the
+    /// same bits. A session's rounds never read it.
+    pub fn trust(&self) -> TrustMatrix {
+        let (config, mut rng) = (&self.config, self.substrate_rng.clone());
+        let qualities = self.population.latent_qualities();
         let mut trust = match config.trust_source {
-            TrustSource::Exact => trust_from_qualities(&graph, &population.latent_qualities()),
+            TrustSource::Exact => trust_from_qualities(&self.graph, &qualities),
             TrustSource::Workload {
                 transactions_per_edge,
             } => crate::workload::estimate_trust(
-                &graph,
-                &population,
+                &self.graph,
+                &self.population,
                 transactions_per_edge,
                 config.ewma_rate,
                 &mut rng,
             ),
         };
-        if config.far_partners > 0 {
-            let qualities = population.latent_qualities();
-            crate::workload::add_far_interactions(
-                &graph,
-                &qualities,
-                config.far_partners,
-                &mut trust,
-                &mut rng,
-            );
-        }
-
-        let weights = WeightParams::new(config.weight_a, config.weight_b)?;
-        Ok(Self {
-            graph,
-            population,
-            trust,
-            weights,
-            adversaries,
-            config,
-        })
+        crate::workload::add_far_interactions(
+            &self.graph,
+            &qualities,
+            config.far_partners,
+            &mut trust,
+            &mut rng,
+        );
+        trust
     }
 
-    /// The reputation system over this scenario.
+    /// The reputation system over this scenario's [`Self::trust`].
     pub fn system(&self) -> Result<ReputationSystem<'_>, CoreError> {
-        ReputationSystem::new(&self.graph, self.trust.clone(), self.weights)
+        ReputationSystem::new(&self.graph, self.trust(), self.weights)
     }
 
     /// A fresh RNG stream for the gossip phase, decoupled from the
@@ -164,7 +172,7 @@ mod tests {
         let a = Scenario::build(cfg).unwrap();
         let b = Scenario::build(cfg).unwrap();
         assert_eq!(a.graph, b.graph);
-        assert_eq!(a.trust, b.trust);
+        assert_eq!(a.trust(), b.trust());
         assert_eq!(a.population, b.population);
     }
 
@@ -195,10 +203,10 @@ mod tests {
     #[test]
     fn exact_trust_matches_latent_quality() {
         let s = Scenario::build(RunConfig::with_nodes(100)).unwrap();
-        let q = s.population.latent_qualities();
+        let (q, trust) = (s.population.latent_qualities(), s.trust());
         for v in s.graph.nodes() {
             for &w in s.graph.neighbours(v) {
-                let t = s.trust.get(v, NodeId(w)).expect("neighbour entry");
+                let t = trust.get(v, NodeId(w)).expect("neighbour entry");
                 assert!((t.get() - q[w as usize]).abs() < 1e-12);
             }
         }
@@ -214,11 +222,11 @@ mod tests {
             ..RunConfig::default()
         };
         let s = Scenario::build(cfg).unwrap();
-        assert!(s.trust.entry_count() > 0);
+        assert!(s.trust().entry_count() > 0);
         // Estimated trust should correlate with latent quality.
         let q = s.population.latent_qualities();
         let mut diffs = Vec::new();
-        for (_, j, t) in s.trust.entries() {
+        for (_, j, t) in s.trust().entries() {
             diffs.push((t.get() - q[j.index()]).abs());
         }
         let mean_diff = diffs.iter().sum::<f64>() / diffs.len() as f64;
@@ -245,13 +253,13 @@ mod tests {
         };
         let s = Scenario::build(cfg).unwrap();
         let checksum = s
-            .trust
+            .trust()
             .entries()
             .fold(0xcbf2_9ce4_8422_2325u64, |acc, (i, j, t)| {
                 (acc ^ ((i.0 as u64) << 32 | j.0 as u64) ^ t.get().to_bits())
                     .wrapping_mul(0x0100_0000_01b3)
             });
-        assert_eq!(s.trust.entry_count(), 1794);
+        assert_eq!(s.trust().entry_count(), 1794);
         assert_eq!(checksum, 0x8728_4373_078b_aa59);
         // A free rider that served some of the 30 requests, an honest
         // neighbour, and a far partner (exact latent quality).
@@ -260,7 +268,7 @@ mod tests {
             (79, 151, 0x3fea_1c81_4954_7b1d),
             (199, 164, 0x3fdf_d526_e951_4870),
         ] {
-            let t = s.trust.get(NodeId(i), NodeId(j)).expect("pinned entry");
+            let t = s.trust().get(NodeId(i), NodeId(j)).expect("pinned entry");
             assert_eq!(t.get().to_bits(), bits, "t_{{{i},{j}}}");
         }
 
@@ -272,8 +280,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(slow.graph, s.graph);
-        assert_eq!(slow.trust.entry_count(), s.trust.entry_count());
-        assert_ne!(slow.trust, s.trust);
+        assert_eq!(slow.trust().entry_count(), s.trust().entry_count());
+        assert_ne!(slow.trust(), s.trust());
     }
 
     /// The substrate `fig5` and `fig6` read: exact neighbour trust plus
@@ -287,13 +295,13 @@ mod tests {
         })
         .unwrap();
         let checksum = s
-            .trust
+            .trust()
             .entries()
             .fold(0xcbf2_9ce4_8422_2325u64, |acc, (i, j, t)| {
                 (acc ^ ((i.0 as u64) << 32 | j.0 as u64) ^ t.get().to_bits())
                     .wrapping_mul(0x0100_0000_01b3)
             });
-        assert_eq!(s.trust.entry_count(), 4194);
+        assert_eq!(s.trust().entry_count(), 4194);
         assert_eq!(checksum, 0x7987_e36a_f39e_b01f);
     }
 

@@ -24,9 +24,9 @@
 //! [`NodeRecord`] list ([`RunSession::records`]): one record per node
 //! carrying exactly the cross-round state — estimators, audit state,
 //! aggregated run and observer mean — plus the round counter in the
-//! header. Everything else (trust matrix, aggregate caches) is derived
-//! per round and deliberately omitted; `tests/crash_recovery.rs` pins
-//! the equivalence for both engines.
+//! header. Everything else (each round's trust matrix, aggregate caches)
+//! is derived per round from the estimators and deliberately omitted;
+//! `tests/crash_recovery.rs` pins the equivalence for both engines.
 //!
 //! Durability itself lives in the `dg-store` crate: full epochs are
 //! written as per-shard files, and consecutive checkpoints of a mostly
@@ -37,9 +37,10 @@
 //! and its record, and the conversion back validates what it reads: a
 //! store is outside input.
 //!
-//! Underneath, [`Scenario::build`] and [`build_engine`] take the same
-//! [`RunConfig`]; callers that hold the scenario themselves or choose
-//! their own round seeds use those directly and give up resumability.
+//! Underneath, [`Scenario::build`] builds what the rounds read (never
+//! [`Scenario::trust`]) and [`build_engine`] the engine its config
+//! selects; callers that hold the scenario themselves or choose their
+//! own round seeds use those directly and give up resumability.
 
 pub use crate::config::RunConfig;
 use crate::kernel::{row_mean, NodeState};
@@ -256,7 +257,6 @@ pub enum CheckpointKind {
 /// lifecycle and the bit-identity contract.
 pub struct RunSession {
     engine: Box<dyn RoundEngine>,
-    config: RunConfig,
     stats: Vec<RoundStats>,
     /// Store root and round of the last checkpoint *we* wrote or
     /// resumed from (deltas only extend a chain this session owns
@@ -275,8 +275,7 @@ impl RunSession {
         config.adversary.validated()?;
         let scenario = Arc::new(Scenario::build(config)?);
         Ok(Self {
-            engine: build_engine(scenario, &config),
-            config,
+            engine: build_engine(scenario),
             stats: Vec::new(),
             last_checkpoint: None,
         })
@@ -284,7 +283,7 @@ impl RunSession {
 
     /// The config driving this session.
     pub fn config(&self) -> &RunConfig {
-        &self.config
+        &self.engine.core().scenario.config
     }
 
     /// Rounds completed so far.
@@ -352,7 +351,7 @@ impl RunSession {
     /// there); returns the full stats history.
     pub fn run_to(&mut self, round: usize) -> Result<&[RoundStats], SessionError> {
         while self.round() < round {
-            let seed = round_seed(self.config.seed, self.round() as u64);
+            let seed = round_seed(self.config().seed, self.round() as u64);
             let stat = self.engine.run_round(seed)?;
             self.stats.push(stat);
         }
@@ -361,7 +360,7 @@ impl RunSession {
 
     /// Run all configured rounds ([`RunConfig::rounds`]).
     pub fn run(&mut self) -> Result<&[RoundStats], SessionError> {
-        self.run_to(self.config.rounds)
+        self.run_to(self.config().rounds)
     }
 
     /// Persist the current state into the store at `dir`.
@@ -384,11 +383,11 @@ impl RunSession {
         let store = Store::open(dir);
         let head = store.head()?;
 
-        let spec = ShardSpec::configured(self.config.nodes, self.config.shard_count);
+        let spec = ShardSpec::configured(self.config().nodes, self.config().shard_count);
         let mut header = SnapshotHeader {
             format_version: dg_store::FORMAT_VERSION,
             round,
-            nodes: self.config.nodes as u64,
+            nodes: self.config().nodes as u64,
             shard_ranges: (0..spec.shard_count())
                 .map(|s| {
                     let r = spec.range(s);
@@ -396,8 +395,8 @@ impl RunSession {
                 })
                 .collect(),
             base_round: None,
-            engine: format!("{:?}", self.config.engine),
-            config_json: serde_json::to_string(&self.config).map_err(|e| {
+            engine: format!("{:?}", self.config().engine),
+            config_json: serde_json::to_string(&self.config()).map_err(|e| {
                 SessionError::Snapshot {
                     reason: format!("config serialization failed: {e}"),
                 }
@@ -543,7 +542,7 @@ mod tests {
         session.run().unwrap();
 
         let scenario = Arc::new(Scenario::build(config).unwrap());
-        let mut engine = build_engine(scenario, &config);
+        let mut engine = build_engine(scenario);
         for r in 0..config.rounds {
             engine.run_round(round_seed(config.seed, r as u64)).unwrap();
         }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scheme = CollusionScheme::new(0.3, 5)?;
     let mut rng = scenario.gossip_rng(3);
     let assignment = GroupAssignment::assign(n, scheme, &mut rng)?;
-    let view = ColludedAggregates::new(&scenario.trust, &assignment);
+    let view = ColludedAggregates::new(system.trust(), &assignment);
     println!(
         "{} peers, {} colluders in {} groups of ≤5\n",
         n,

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.graph.edge_count()
     );
 
-    let mut engine = build_engine(Arc::clone(&scenario), &config);
+    let mut engine = build_engine(Arc::clone(&scenario));
     println!("engine: {}\n", config.engine.label());
     let mut rng = scenario.gossip_rng(1);
 

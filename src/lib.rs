@@ -16,7 +16,7 @@
 //! * [`trust`] — trust values, sparse trust matrices, the EWMA estimator, weights,
 //! * [`gossip`] — push / pull / push-pull / differential gossip engines,
 //! * [`core`] — the paper's four aggregation algorithms and collusion model,
-//! * [`sim`] — scenario runner, workloads, metrics, baselines,
+//! * [`sim`] — scenario runner, workloads, round engines, experiments,
 //! * [`p2p`] — the peer deployment: one state machine per peer,
 //! * [`store`] — durable epoch/delta snapshots behind crash recovery,
 //! * [`serve`] — reputation-as-a-service: TCP query/ingest endpoints

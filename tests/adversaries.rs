@@ -48,7 +48,7 @@ fn scenario_config(seed: u64, mix: AdversaryMix) -> RunConfig {
 /// drawn from gossip stream 2.
 fn drive(config: RunConfig) -> (Arc<Scenario>, Box<dyn RoundEngine>, Vec<RoundStats>) {
     let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut engine = build_engine(Arc::clone(&scenario), &config);
+    let mut engine = build_engine(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     let stats = (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()).expect("round runs"))
@@ -109,7 +109,7 @@ fn zero_fraction_mix_is_bit_identical_to_honest_run() {
     let b = Scenario::build(zeroed).unwrap();
     assert_eq!(a.graph, b.graph);
     assert_eq!(a.population, b.population);
-    assert_eq!(a.trust, b.trust);
+    assert_eq!(a.trust(), b.trust());
     assert!(b.adversaries.is_none());
     for engine in EngineKind::ALL {
         model::check_against(honest, zeroed.with_engine(engine), &[Run(5)]);

@@ -63,7 +63,7 @@ fn scenarios_are_bit_reproducible() {
     let a = Scenario::build(cfg).expect("scenario");
     let b = Scenario::build(cfg).expect("scenario");
     assert_eq!(a.graph, b.graph);
-    assert_eq!(a.trust, b.trust);
+    assert_eq!(a.trust(), b.trust());
     assert_eq!(a.population, b.population);
 }
 

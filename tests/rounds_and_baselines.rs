@@ -1,12 +1,18 @@
 //! Integration: the multi-round incentive lifecycle and the EigenTrust
 //! baseline, cross-checked against differential gossip trust.
+//!
+//! Normal push gossip (GossipTrust-style, the paper's \[17\]) needs no
+//! baseline code: run any engine with `FanoutPolicy::Uniform(1)`.
+//! EigenTrust (the paper's \[13\]), the classic global reputation scheme
+//! built on pre-trusted peers, lives here beside the one test that reads
+//! it, as centralised power iteration.
 
 use differential_gossip::core::behavior::Behavior;
-use differential_gossip::graph::NodeId;
-use differential_gossip::sim::baselines::{eigentrust, EigenTrustConfig};
+use differential_gossip::graph::{generators, NodeId};
 use differential_gossip::sim::rounds::{AggregationMode, RoundStats};
 use differential_gossip::sim::scenario::TrustSource;
 use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use differential_gossip::trust::{TrustMatrix, TrustValue};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -14,7 +20,7 @@ use std::sync::Arc;
 /// drawn from gossip stream `stream`.
 fn run_rounds(config: RunConfig, stream: u64) -> Vec<RoundStats> {
     let s = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut engine = build_engine(Arc::clone(&s), &config);
+    let mut engine = build_engine(Arc::clone(&s));
     let mut rng = s.gossip_rng(stream);
     (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()).expect("round"))
@@ -110,7 +116,7 @@ fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
     let mut by_quality: Vec<usize> = (0..80).collect();
     by_quality.sort_by(|&a, &b| qualities[b].total_cmp(&qualities[a]));
     let pretrusted = [NodeId(by_quality[0] as u32), NodeId(by_quality[1] as u32)];
-    let et = eigentrust(s.trust(), &pretrusted, &EigenTrustConfig::default());
+    let et = eigentrust(system.trust(), &pretrusted, &EigenTrustConfig::default());
     assert!(et.converged);
 
     // Both systems should put the average free rider clearly below the
@@ -145,12 +151,156 @@ fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
     );
 }
 
-trait TrustAccess {
-    fn trust(&self) -> &differential_gossip::trust::TrustMatrix;
+/// EigenTrust configuration.
+struct EigenTrustConfig {
+    /// Blending weight towards the pre-trusted distribution (the paper's
+    /// `a` in `t = (1−a)·Cᵀt + a·p`).
+    alpha: f64,
+    /// Iteration cap.
+    max_iterations: usize,
+    /// L1 convergence threshold.
+    epsilon: f64,
 }
 
-impl TrustAccess for Scenario {
-    fn trust(&self) -> &differential_gossip::trust::TrustMatrix {
-        &self.trust
+impl Default for EigenTrustConfig {
+    fn default() -> Self {
+        Self {
+            alpha: 0.1,
+            max_iterations: 1000,
+            epsilon: 1e-10,
+        }
     }
+}
+
+/// Result of an EigenTrust computation.
+struct EigenTrustOutcome {
+    /// Global trust vector (sums to 1).
+    scores: Vec<f64>,
+    /// Whether the L1 delta fell below epsilon.
+    converged: bool,
+}
+
+/// Run EigenTrust power iteration over the (row-normalised) trust matrix.
+///
+/// Rows with no opinions fall back to the pre-trusted distribution, as in
+/// the original algorithm. `pretrusted` must be non-empty; it also seeds
+/// the initial vector.
+fn eigentrust(
+    trust: &TrustMatrix,
+    pretrusted: &[NodeId],
+    config: &EigenTrustConfig,
+) -> EigenTrustOutcome {
+    let n = trust.node_count();
+    assert!(!pretrusted.is_empty(), "EigenTrust needs pre-trusted peers");
+    let mut p = vec![0.0; n];
+    for &v in pretrusted {
+        p[v.index()] = 1.0 / pretrusted.len() as f64;
+    }
+
+    // Row-normalised local trust.
+    let rows: Vec<Vec<(usize, f64)>> = (0..n)
+        .map(|i| {
+            let observer = NodeId(i as u32);
+            let row: Vec<(usize, f64)> = trust
+                .row(observer)
+                .iter()
+                .map(|(j, t)| (j.index(), t.get()))
+                .collect();
+            let sum: f64 = row.iter().map(|(_, t)| t).sum();
+            if sum > 0.0 {
+                row.into_iter().map(|(j, t)| (j, t / sum)).collect()
+            } else {
+                // Empty (or all-zero) rows: the update below substitutes `p`.
+                Vec::new()
+            }
+        })
+        .collect();
+
+    let mut t = p.clone();
+    let mut iterations = 0;
+    let mut converged = false;
+    while iterations < config.max_iterations {
+        let mut next = vec![0.0; n];
+        for i in 0..n {
+            if rows[i].is_empty() {
+                // No opinions: this node's mass flows to pre-trusted peers.
+                for (k, &pk) in p.iter().enumerate() {
+                    next[k] += t[i] * pk;
+                }
+            } else {
+                for &(j, c) in &rows[i] {
+                    next[j] += t[i] * c;
+                }
+            }
+        }
+        for (k, v) in next.iter_mut().enumerate() {
+            *v = (1.0 - config.alpha) * *v + config.alpha * p[k];
+        }
+        let delta: f64 = next.iter().zip(&t).map(|(a, b)| (a - b).abs()).sum();
+        t = next;
+        iterations += 1;
+        if delta < config.epsilon {
+            converged = true;
+            break;
+        }
+    }
+
+    EigenTrustOutcome {
+        scores: t,
+        converged,
+    }
+}
+
+fn tv(v: f64) -> TrustValue {
+    TrustValue::new(v).unwrap()
+}
+
+#[test]
+fn scores_form_a_distribution() {
+    let g = generators::complete(6);
+    let mut m = TrustMatrix::new(6);
+    for a in g.nodes() {
+        for &b in g.neighbours(a) {
+            m.set(a, NodeId(b), tv(0.5 + 0.08 * b as f64)).unwrap();
+        }
+    }
+    let out = eigentrust(&m, &[NodeId(0)], &EigenTrustConfig::default());
+    assert!(out.converged);
+    let sum: f64 = out.scores.iter().sum();
+    assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
+    assert!(out.scores.iter().all(|&s| s >= 0.0));
+}
+
+#[test]
+fn well_served_node_outranks_leech() {
+    // Nodes 0..4 rate node 1 high and node 3 low.
+    let g = generators::complete(5);
+    let mut m = TrustMatrix::new(5);
+    for a in g.nodes() {
+        for &b in g.neighbours(a) {
+            let t = match b {
+                1 => 0.95,
+                3 => 0.05,
+                _ => 0.5,
+            };
+            m.set(a, NodeId(b), tv(t)).unwrap();
+        }
+    }
+    let out = eigentrust(&m, &[NodeId(0)], &EigenTrustConfig::default());
+    assert!(out.scores[1] > out.scores[3] * 3.0);
+}
+
+#[test]
+fn empty_matrix_falls_back_to_pretrusted() {
+    let m = TrustMatrix::new(4);
+    let out = eigentrust(&m, &[NodeId(2)], &EigenTrustConfig::default());
+    assert!(out.converged);
+    assert!(out.scores[2] > 0.99);
+}
+
+#[test]
+#[should_panic(expected = "pre-trusted")]
+fn requires_pretrusted_peers() {
+    let m = TrustMatrix::new(3);
+    eigentrust(&m, &[], &EigenTrustConfig::default());
 }
