@@ -841,15 +841,16 @@ impl RoundEngine for IncrementalRoundEngine {
         &mut self.core
     }
 
-    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
-        // Rebuild from scratch: the delta state is derived, so the
-        // records omit it and it starts over, unprimed (see
-        // `DeltaState::new`). Queued ingest batches survive the restore,
-        // like the core's own restore keeps them.
-        let mut core = EngineCore::new(Arc::clone(&self.core.scenario));
-        core.restore(round, records)?;
-        core.pending_ingest = std::mem::take(&mut self.core.pending_ingest);
-        *self = Self::new(core);
+    fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
+        // The core refuses before it changes anything, so the delta
+        // state is touched only once the records are accepted. It is
+        // derived, so the records omit it: the stale one is dropped
+        // first, then it starts over, unprimed (see `DeltaState::new`).
+        self.core.restore(round, records)?;
+        if let Some(stale) = self.delta.take() {
+            drop(stale);
+            self.delta = Some(DeltaState::new(&self.core));
+        }
         Ok(())
     }
 
@@ -908,11 +909,9 @@ mod tests {
             if round == 2 {
                 let records = rebuild.core.records();
                 rebuild
-                    .restore(round, &records)
+                    .restore(round, records.clone())
                     .expect("own records restore");
-                patch
-                    .restore(round, &records)
-                    .expect("same records restore");
+                patch.restore(round, records).expect("same records restore");
                 assert!(!delta(&patch).primed && !delta(&patch).pending_dirty.is_empty());
             }
             let seed = round_seed(full.seed, round as u64);
@@ -1016,9 +1015,7 @@ mod tests {
                 // maintained state must be exact before and after.
                 20 => {
                     let records = engine.core.records();
-                    engine
-                        .restore(round, &records)
-                        .expect("own records restore");
+                    engine.restore(round, records).expect("own records restore");
                     assert!(!delta(&engine).primed);
                     assert!(engine.core.maintained_state_is_exact(), "after restore");
                 }

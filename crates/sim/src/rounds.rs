@@ -266,9 +266,13 @@ pub trait RoundEngine {
     /// Replace the engine's cross-round state with `records` (written
     /// by this engine or any other), about to run `round`. Fails with
     /// [`SessionError::Snapshot`], leaving the engine untouched, if the
-    /// records do not fit the scenario. Engines that keep derived state
-    /// across rounds override this to reset it.
-    fn restore(&mut self, round: usize, records: &[NodeRecord]) -> Result<(), SessionError> {
+    /// records do not fit the scenario. The restore is in place, into
+    /// the engine's own [`EngineCore`]: it checks every record, copies
+    /// each into the core and frees the records, so it holds the records
+    /// and one engine. Engines that keep derived state across
+    /// rounds override this to rebuild it once the records are
+    /// accepted.
+    fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
         self.core_mut().restore(round, records)
     }
 }

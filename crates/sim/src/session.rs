@@ -49,7 +49,9 @@ use crate::scenario::Scenario;
 use dg_core::CoreError;
 use dg_gossip::GossipError;
 use dg_graph::NodeId;
-use dg_store::{AuditEntryRecord, EstimatorRecord, NodeRecord, SnapshotHeader, Store, StoreError};
+use dg_store::{
+    AuditEntryRecord, EstimatorRecord, NodeRecord, Snapshot, SnapshotHeader, Store, StoreError,
+};
 use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::EwmaEstimator;
 use dg_trust::{ShardSpec, TrustValue};
@@ -144,18 +146,18 @@ pub(crate) fn node_record(
 /// aggregated run and its observer mean.
 pub(crate) type NodeParts = (NodeState, Vec<(NodeId, f64)>, Option<f64>);
 
-/// The inverse of [`node_record`] for node `node` of `nodes`. A record
-/// comes from disk, so everything the round loop would index, search or
-/// feed into admission arithmetic is checked first: every id list
-/// strictly ascending (the run and the audit log are binary-searched)
-/// and below `nodes`, rates in `[0, 1]`, run values and the mean finite,
-/// the mean exactly its run's [`row_mean`].
-/// Records this crate wrote pass unchanged, bit for bit.
-pub(crate) fn node_from_record(
+/// Whether `record` can be node `node` of `nodes`. A record comes from
+/// disk, so everything the round loop would index, search or feed into
+/// admission arithmetic is checked before [`node_from_record`] reads
+/// it: every id list strictly ascending (the run and the audit log are
+/// binary-searched) and below `nodes`, rates in `[0, 1]`, run values
+/// and the mean finite, the mean exactly its run's [`row_mean`].
+/// Records this crate wrote pass.
+pub(crate) fn check_record(
     node: usize,
     record: &NodeRecord,
     nodes: usize,
-) -> Result<NodeParts, SessionError> {
+) -> Result<(), SessionError> {
     let bad = |what: String| SessionError::Snapshot {
         reason: format!("node {node}: {what}"),
     };
@@ -192,7 +194,21 @@ pub(crate) fn node_from_record(
     if record.mean.is_some_and(|m| !m.is_finite()) {
         return Err(bad(format!("observer mean {:?}", record.mean)));
     }
+    // Rounds keep the mean equal to its run's, and delta checkpoints
+    // rely on it: a mean never moves without its run.
+    if record.mean.map(f64::to_bits) != row_mean(&record.run).map(f64::to_bits) {
+        return Err(bad(format!(
+            "observer mean {:?} is not the mean of its run",
+            record.mean
+        )));
+    }
+    Ok(())
+}
 
+/// The inverse of [`node_record`], for a record [`check_record`]
+/// accepted: copied into fresh allocations (the record's own buffers
+/// are not adopted), bit for bit.
+pub(crate) fn node_from_record(record: &NodeRecord) -> NodeParts {
     // `saturating` is the identity for every value an estimator can
     // hold, so written records round-trip bit for bit.
     let estimator = |e: &EstimatorRecord| {
@@ -214,20 +230,12 @@ pub(crate) fn node_from_record(
         strikes: record.strikes,
         convicted_at: record.convicted_at,
     };
-    let run: Vec<(NodeId, f64)> = record
+    let run = record
         .run
         .iter()
         .map(|&(j, rep)| (NodeId(j), rep))
         .collect();
-    // Rounds keep the mean equal to its run's, and delta checkpoints
-    // rely on it: a mean never moves without its run.
-    if record.mean.map(f64::to_bits) != row_mean(&run).map(f64::to_bits) {
-        return Err(bad(format!(
-            "observer mean {:?} is not the mean of its run",
-            record.mean
-        )));
-    }
-    Ok((state, run, record.mean))
+    (state, run, record.mean)
 }
 
 /// The first id that breaks "strictly ascending and below `nodes`".
@@ -370,11 +378,11 @@ impl RunSession {
     /// is not the one this session last wrote or resumed); in between,
     /// consecutive checkpoints persist only the node records that
     /// changed since the last one, as a delta on the chain: the nodes
-    /// the engine marked, encoded one at a time from live state (no
-    /// full record list, no diff). A round's marks are exactly the
-    /// records it changed; over several rounds they may include one a
-    /// later round put back to its committed bits, which the delta then
-    /// rewrites unchanged. The marks clear only once the commit
+    /// the engine marked. Either kind encodes one record at a time from
+    /// live state (no full record list, no diff). A round's marks are
+    /// exactly the records it changed; over several rounds they may
+    /// include one a later round put back to its committed bits, which
+    /// the delta then rewrites unchanged. The marks clear only once the commit
     /// succeeds, so a failed checkpoint can simply be retried.
     /// Checkpointing the same round twice rewrites a full epoch
     /// idempotently.
@@ -430,7 +438,7 @@ impl RunSession {
             store.write_delta(&header, core.marked_records())?;
             CheckpointKind::Delta
         } else {
-            store.write_epoch(&header, &core.records())?;
+            store.write_epoch_with(&header, |node| core.record(NodeId(node)))?;
             CheckpointKind::Full
         };
         // Committed: the marks restart from this state. A failed write
@@ -445,39 +453,35 @@ impl RunSession {
     /// The config (and stats history) come out of the snapshot header,
     /// the scenario is rebuilt deterministically from the config's
     /// seed, and the engine state is restored record-for-record — the
-    /// resumed session continues the run bit-for-bit.
+    /// resumed session continues the run bit-for-bit. The resume holds
+    /// the loaded records and one engine: the records are restored in
+    /// place into the engine just built and freed once it holds them.
     pub fn resume(dir: &Path) -> Result<Self, SessionError> {
-        let snapshot = Store::open(dir).load_latest()?;
+        let Snapshot { header, records } = Store::open(dir).load_latest()?;
         let config: RunConfig =
-            serde_json::from_str(&snapshot.header.config_json).map_err(|e| {
-                SessionError::Snapshot {
-                    reason: format!("snapshot header carries no usable RunConfig: {e}"),
-                }
+            serde_json::from_str(&header.config_json).map_err(|e| SessionError::Snapshot {
+                reason: format!("snapshot header carries no usable RunConfig: {e}"),
             })?;
-        if snapshot.header.nodes != config.nodes as u64 {
+        if header.nodes != config.nodes as u64 {
             return Err(SessionError::Snapshot {
                 reason: format!(
                     "header says {} nodes but its config says {}",
-                    snapshot.header.nodes, config.nodes
+                    header.nodes, config.nodes
                 ),
             });
         }
-        let stats: Vec<RoundStats> = if snapshot.header.stats_json.is_empty() {
+        let stats: Vec<RoundStats> = if header.stats_json.is_empty() {
             Vec::new()
         } else {
-            serde_json::from_str(&snapshot.header.stats_json).map_err(|e| {
-                SessionError::Snapshot {
-                    reason: format!("snapshot header carries unreadable stats: {e}"),
-                }
+            serde_json::from_str(&header.stats_json).map_err(|e| SessionError::Snapshot {
+                reason: format!("snapshot header carries unreadable stats: {e}"),
             })?
         };
 
         let mut session = Self::new(config)?;
-        session
-            .engine
-            .restore(snapshot.header.round as usize, &snapshot.records)?;
+        session.engine.restore(header.round as usize, records)?;
         session.stats = stats;
-        session.last_checkpoint = Some((dir.to_path_buf(), snapshot.header.round));
+        session.last_checkpoint = Some((dir.to_path_buf(), header.round));
         Ok(session)
     }
 }
@@ -485,6 +489,8 @@ impl RunSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rounds::AggregationScope;
+    use crate::workload::TrafficModel;
     use dg_gossip::EngineKind;
     use dg_store::first_divergence;
 
@@ -681,12 +687,43 @@ mod tests {
     }
 
     #[test]
+    fn a_full_epoch_checkpoint_writes_the_bytes_of_write_epoch() {
+        let config = small_config()
+            .with_engine(EngineKind::Incremental)
+            .with_shards(3);
+        let (streamed, sliced) = (temp_dir("epoch_streamed"), temp_dir("epoch_sliced"));
+        let mut session = RunSession::new(config).unwrap();
+        session.run_to(2).unwrap();
+        assert_eq!(session.checkpoint(&streamed).unwrap(), CheckpointKind::Full);
+        let header = Store::open(&streamed).load_latest().unwrap().header;
+        assert_eq!(header.shard_ranges.len(), 3);
+        Store::open(&sliced)
+            .write_epoch(&header, &session.records())
+            .unwrap();
+        let versions = dg_store::same(&sliced, &streamed).unwrap();
+        let ours = dg_store::FORMAT_VERSION;
+        assert_eq!(versions, Some((ours, ours)), "one format: byte for byte");
+        for dir in [streamed, sliced] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
     fn restore_rejects_records_the_round_loop_cannot_run_on() {
-        let config = small_config().with_engine(EngineKind::Incremental);
+        // Gated traffic in neighbourhood scope takes the delta round,
+        // whose derived state — matrix, column cache, arenas, pending
+        // rows — carries across rounds; a refusal must not touch it.
+        let config = small_config()
+            .with_engine(EngineKind::Incremental)
+            .with_traffic(TrafficModel::full().with_activity(0.5))
+            .with_scope(AggregationScope::Neighbourhood);
         let mut session = RunSession::new(config).unwrap();
         session.run_to(2).unwrap();
         let good = session.records();
-        let node = good.iter().position(|r| r.run.len() >= 2).unwrap();
+        let node = good
+            .iter()
+            .position(|r| r.run.len() >= 2 && !r.estimators.is_empty())
+            .unwrap();
         let audit = AuditEntryRecord {
             subject: 1,
             round: 1,
@@ -722,7 +759,7 @@ mod tests {
                 },
             ];
             damage(&mut records[node]);
-            match session.engine.restore(2, &records) {
+            match session.engine.restore(2, records) {
                 Err(SessionError::Snapshot { reason }) => assert!(
                     reason.contains(&format!("node {node}: ")) && reason.contains(expect),
                     "{expect:?} not named in {reason:?}"
@@ -730,15 +767,27 @@ mod tests {
                 other => panic!("{expect}: expected a Snapshot error, got {other:?}"),
             }
         }
-        match session.engine.restore(2, &good[1..]) {
+        match session.engine.restore(2, good[1..].to_vec()) {
             Err(SessionError::Snapshot { reason }) => assert!(reason.contains("79 node records")),
             other => panic!("short record list: got {other:?}"),
         }
-        // Every refusal left the engine as it was, and the undamaged
-        // records are accepted.
+        // Every refusal left the engine as it was: its records, and the
+        // derived state the next rounds run on. A refusal that half
+        // rebuilt the delta state moves the bits of the rounds after it.
         let changed = first_divergence(&good, &session.records());
         assert_eq!(changed, None, "changed by a refused restore");
-        session.engine.restore(2, &good).unwrap();
+        let mut twin = RunSession::new(config).unwrap();
+        session.run_to(4).unwrap();
+        twin.run_to(4).unwrap();
+        assert_eq!(
+            format!("{:?}", session.stats()),
+            format!("{:?}", twin.stats()),
+            "rounds after a refused restore"
+        );
+        let diverged = first_divergence(&twin.records(), &session.records());
+        assert_eq!(diverged, None, "records after a refused restore");
+        // The undamaged records are accepted.
+        session.engine.restore(2, good.clone()).unwrap();
         let changed = first_divergence(&good, &session.records());
         assert_eq!(changed, None, "changed by its own records");
     }

@@ -461,6 +461,21 @@ pub(crate) fn corrupt_at(path: &Path, reason: String) -> StoreError {
     corrupt(path, reason)
 }
 
+/// The text of the JSON file `path` read as `bytes`; a file that is not
+/// UTF-8 is corrupt at the byte where the text breaks.
+pub(crate) fn json_text<'a>(
+    path: &Path,
+    what: &str,
+    bytes: &'a [u8],
+) -> Result<&'a str, StoreError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        corrupt(
+            path,
+            format!("{what} is not UTF-8 at byte {}: {e}", e.valid_up_to()),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

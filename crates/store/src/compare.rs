@@ -1,7 +1,7 @@
 //! The store-compatibility rule: when two checkpoint directories (or
 //! two files), written by two builds, hold the same store.
 
-use crate::codec::{corrupt_at, io_err};
+use crate::codec::{corrupt_at, io_err, json_text};
 use crate::wire::read_versioned_frame;
 use crate::{Store, StoreError};
 use std::collections::BTreeSet;
@@ -57,7 +57,7 @@ fn split_json(path: &Path, bytes: &[u8]) -> Result<(u32, Vec<u8>), StoreError> {
     struct Versioned {
         format_version: u32,
     }
-    let text = std::str::from_utf8(bytes).unwrap_or_default();
+    let text = json_text(path, "header", bytes)?;
     let undecodable = |e: serde_json::Error| corrupt_at(path, format!("undecodable header: {e}"));
     let version = serde_json::from_str::<Versioned>(text).map_err(undecodable)?;
     let mut rest = serde_json::from_str(text).map_err(undecodable)?;

@@ -1,7 +1,7 @@
 //! The checkpoint directory: epoch + delta layout, atomic commit via
 //! `HEAD.json`, parallel shard i/o and chain-validated loading.
 
-use crate::codec::{corrupt_at, io_err, read_frame, write_atomic, write_frame};
+use crate::codec::{corrupt_at, io_err, json_text, read_frame, write_atomic, write_frame};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::codec::{FrameKind, FORMAT_VERSION};
 use crate::records::{decode_records, encode_records, NodeRecord, SnapshotHeader};
@@ -51,7 +51,8 @@ fn read_json<T: Deserialize>(
             })
         }
     };
-    let value: T = serde_json::from_str(std::str::from_utf8(&bytes).unwrap_or_default())
+    let text = json_text(path, what, &bytes)?;
+    let value: T = serde_json::from_str(text)
         .map_err(|e| corrupt_at(path, format!("undecodable {what}: {e}")))?;
     let found = version(&value);
     if found > FORMAT_VERSION {
@@ -62,6 +63,12 @@ fn read_json<T: Deserialize>(
         });
     }
     Ok(Some(value))
+}
+
+fn not_dense() -> StoreError {
+    StoreError::Invalid {
+        reason: "records must be dense and sorted (record i is node i)".into(),
+    }
 }
 
 /// Write `value` as pretty JSON at `path`, atomically.
@@ -158,10 +165,12 @@ impl Store {
             .enumerate()
             .any(|(i, r)| r.node as usize != i)
         {
-            return Err(StoreError::Invalid {
-                reason: "records must be dense and sorted (record i is node i)".into(),
-            });
+            return Err(not_dense());
         }
+        Ok(())
+    }
+
+    fn validate_shards(header: &SnapshotHeader) -> Result<(), StoreError> {
         let mut expected_start = 0u64;
         for &(start, end) in &header.shard_ranges {
             if start != expected_start || end < start {
@@ -194,15 +203,33 @@ impl Store {
         })
     }
 
-    /// Write a full epoch checkpoint: one framed file per shard range
-    /// (written in parallel), the header, then the `HEAD.json` commit.
-    /// Resets the delta chain — subsequent deltas extend this epoch.
+    /// Write a full epoch checkpoint of `records` (record `i` is node
+    /// `i`): one framed file per shard range (written in parallel), the
+    /// header, then the `HEAD.json` commit. Resets the delta chain —
+    /// subsequent deltas extend this epoch. Nothing is written unless
+    /// the records match the header.
     pub fn write_epoch(
         &self,
         header: &SnapshotHeader,
         records: &[NodeRecord],
     ) -> Result<(), StoreError> {
         Self::validate_records(header, records)?;
+        self.write_epoch_with(header, |node| &records[node as usize])
+    }
+
+    /// [`write_epoch`](Self::write_epoch) from records built one at a
+    /// time: `record(i)` is node `i`'s record, called once per node in
+    /// node order within each shard (shards run in parallel) and
+    /// encoded as it arrives, so no list of records is ever held. The
+    /// files are byte-identical to `write_epoch` of the same records; a
+    /// record that names another node fails with
+    /// [`StoreError::Invalid`] before `HEAD.json` moves.
+    pub fn write_epoch_with<R: Borrow<NodeRecord>>(
+        &self,
+        header: &SnapshotHeader,
+        record: impl Fn(u32) -> R + Sync,
+    ) -> Result<(), StoreError> {
+        Self::validate_shards(header)?;
         let dir = self.epoch_dir(header.round);
         std::fs::create_dir_all(&dir).map_err(|e| StoreError::Io {
             path: dir.display().to_string(),
@@ -214,7 +241,16 @@ impl Store {
             .into_par_iter()
             .map(|(i, (start, end))| {
                 let mut w = ByteWriter::new();
-                encode_records(&mut w, &records[start as usize..end as usize]);
+                let mut dense = true;
+                let shard = (start as u32..end as u32).map(|node| {
+                    let r = record(node);
+                    dense &= r.borrow().node == node;
+                    r
+                });
+                encode_records(&mut w, shard);
+                if !dense {
+                    return Err(not_dense());
+                }
                 write_frame(
                     &dir.join(format!("shard-{i}.bin")),
                     FrameKind::Shard,
@@ -576,6 +612,71 @@ mod tests {
         assert_eq!(owned, borrowed, "delta files differ");
         assert_eq!(from_owned, from_borrowed);
         assert!(from_owned.records[4].bits_eq(&record(4, -0.0)));
+    }
+
+    #[test]
+    fn a_streamed_epoch_writes_the_bytes_of_the_slice_form() {
+        let h = header(3, 10, vec![(0, 4), (4, 8), (8, 10)]);
+        let recs = records(10, 0.125);
+        let (sliced, streamed) = (temp_root("epoch_slice"), temp_root("epoch_stream"));
+        Store::open(&sliced).write_epoch(&h, &recs).unwrap();
+        // Owned records built one at a time, as a session streams them
+        // out of live state.
+        Store::open(&streamed)
+            .write_epoch_with(&h, |node| record(node, 0.125 + f64::from(node)))
+            .unwrap();
+        // One format on both sides: `same` is byte equality of every
+        // file — the three shards, `header.json` and `HEAD.json`.
+        let versions = crate::same(&sliced, &streamed).unwrap();
+        assert_eq!(versions, Some((FORMAT_VERSION, FORMAT_VERSION)));
+        let epoch = Store::open(&streamed).epoch_dir(3);
+        assert!((0..3).all(|i| epoch.join(format!("shard-{i}.bin")).is_file()));
+
+        // A record that names the wrong node is refused, and the
+        // commit does not move.
+        let err = Store::open(&streamed)
+            .write_epoch_with(&header(4, 10, vec![(0, 10)]), |node| {
+                record(node.min(8), 0.5)
+            })
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        let head = Store::open(&streamed).head().unwrap().unwrap();
+        assert_eq!(head.latest_round(), 3);
+        for root in [sliced, streamed] {
+            std::fs::remove_dir_all(root).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_json_file_that_is_not_utf8_is_corrupt_at_its_byte() {
+        let root = temp_root("not_utf8");
+        let store = Store::open(&root);
+        store
+            .write_epoch(&header(1, 2, vec![(0, 2)]), &records(2, 0.5))
+            .unwrap();
+        for path in [store.epoch_dir(1).join("header.json"), store.head_path()] {
+            let pristine = std::fs::read(&path).unwrap();
+            let mut garbled = pristine.clone();
+            let at = garbled.len() / 2;
+            garbled[at] = 0xFF;
+            std::fs::write(&path, &garbled).unwrap();
+            match store.load_latest().unwrap_err() {
+                StoreError::Corrupt {
+                    path: named,
+                    reason,
+                } => {
+                    assert_eq!(named, path.display().to_string());
+                    assert!(
+                        reason.contains(&format!("is not UTF-8 at byte {at}")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("expected Corrupt, got {other}"),
+            }
+            std::fs::write(&path, &pristine).unwrap();
+        }
+        store.load_latest().unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
