@@ -18,7 +18,7 @@
 use crate::error::CoreError;
 use crate::reputation::ReputationSystem;
 use dg_gossip::vector::{GossipVector, VectorEntry, VectorGossip};
-use dg_gossip::{GossipConfig, GossipPair, ScalarGossip};
+use dg_gossip::{GossipConfig, GossipPair};
 use dg_graph::NodeId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -79,11 +79,14 @@ pub mod alg1 {
         for (i, t) in system.trust().column(subject) {
             initial[i.index()] = GossipPair::originator(t.get());
         }
-        let out = ScalarGossip::new(system.graph(), config, initial)?.run(rng);
+        let out = VectorGossip::one_subject(system.graph(), config, initial)?.run(rng);
         let estimates = out
-            .pairs
+            .state
             .iter()
-            .map(|p| (p.weight > 0.0).then(|| p.ratio().clamp(0.0, 1.0)))
+            .map(|vec| {
+                let pair = vec.get(&0).filter(|e| e.weight > 0.0);
+                pair.map(|e| e.ratio().clamp(0.0, 1.0))
+            })
             .collect();
         Ok(SingleOutcome {
             estimates,

@@ -100,7 +100,7 @@ pub struct GossipConfig {
     /// `converged = false` instead of spinning forever.
     pub max_steps: usize,
     /// Whether convergence announcements are *sticky* (the paper's
-    /// literal protocol: once announced, never revoked) in both engines.
+    /// literal protocol: once announced, never revoked).
     /// Safe — and faster to quiesce — when every node starts with
     /// positive gossip weight (averaging mode); the default `false`
     /// revokes, for the reason the [`protocol`](crate::protocol) docs give.

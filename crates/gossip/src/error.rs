@@ -30,10 +30,9 @@ pub enum GossipError {
     #[error("gossip weights must be non-negative and finite, got {0}")]
     InvalidWeight(f64),
 
-    /// [`VectorGossip`](crate::VectorGossip) has no departure model; it
-    /// refuses a churn setting instead of ignoring it.
-    #[error("the vector engine does not model churn: pass ChurnModel::none()")]
-    ChurnNotModelled,
+    /// Departure probability outside `[0, 1)`.
+    #[error("departure probability {0} outside [0, 1)")]
+    InvalidDepartureProbability(f64),
 
     /// A network fault profile failed validation.
     #[error("invalid network profile: {0}")]

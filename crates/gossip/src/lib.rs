@@ -3,15 +3,16 @@
 //! Implements the paper's **differential push gossip** (Section 4.1.1) and
 //! the baselines it is measured against:
 //!
-//! * [`scalar::ScalarGossip`] — push-sum averaging of a single quantity
-//!   per node (the gossip pair `(y, g)`);
-//! * [`vector::VectorGossip`] — the simultaneous all-subjects variant
-//!   (Variations 3/4) exchanging gossip *trios* `(subject, y, g)` plus
-//!   counts;
+//! * [`vector::VectorGossip`] — the one push-sum engine: the
+//!   simultaneous all-subjects variant (Variations 3/4) exchanging gossip
+//!   *trios* `(subject, y, g)` plus counts, and, with one subject
+//!   ([`VectorGossip::one_subject`]), Algorithm 1's averaging of a single
+//!   gossip pair `(y, g)` per node; it models loss and churn;
 //! * [`protocol::Convergence`] — the paper's convergence protocol, driven
-//!   by both engines and the `dg-p2p` peer: movement against the error
-//!   bound `ξ` (`Nξ` for vectors, Eq. (7)), *announcements* to neighbours,
-//!   and stopping once a node **and all its neighbours** have announced;
+//!   by the engine and the `dg-p2p` peer: movement against the error
+//!   bound `ξ` per subject gossiped (`Nξ` for `N` subjects, Eq. (7)),
+//!   *announcements* to neighbours, and stopping once a node **and all
+//!   its neighbours** have announced;
 //! * [`spread`] — rumor-spreading engines (push / pull / push-pull /
 //!   differential push) used to check Theorem 5.1 empirically;
 //! * [`fanout::FanoutPolicy`] — uniform `p`-push vs. the paper's
@@ -21,7 +22,7 @@
 //!   hand their pair over to a neighbour);
 //! * [`profile::NetworkProfile`] — the shared fault-profile vocabulary
 //!   (`lossless` / `lossy` / `partitioned` / `churning` presets plus
-//!   custom knobs) consumed both by the synchronous engines here (mapped
+//!   custom knobs) consumed both by the synchronous engine here (mapped
 //!   onto [`loss`]'s models) and, at full fidelity, by `dg-p2p`'s faulty
 //!   transport;
 //! * [`potential::PotentialTracker`] — the contribution-vector potential
@@ -33,8 +34,8 @@
 //!
 //! The fundamental push-sum invariant — `Σ_i y_i` and `Σ_i g_i` are
 //! constant across steps — is preserved by every code path here,
-//! including packet loss and churn. Engines `debug_assert!` it each step
-//! and the test suite checks it property-based. (The *asynchronous*
+//! including packet loss and churn. The engine `debug_assert!`s it each
+//! step and the test suite checks it property-based. (The *asynchronous*
 //! faulty transport in `dg-p2p` can genuinely destroy or inject mass —
 //! UDP-like loss and duplication have no acknowledgement to recredit
 //! from — and surfaces the exact deficit through a per-run mass ledger
@@ -63,7 +64,7 @@ pub use error::GossipError;
 pub use fanout::FanoutPolicy;
 pub use pair::{GossipPair, RATIO_SENTINEL};
 pub use profile::NetworkProfile;
-pub use scalar::{ScalarGossip, ScalarOutcome};
+pub use scalar::ScalarGossip;
 pub use vector::{VectorGossip, VectorOutcome};
 
 /// Convenience prelude.
@@ -73,7 +74,6 @@ pub mod prelude {
     pub use crate::loss::LossModel;
     pub use crate::metrics::MessageStats;
     pub use crate::pair::GossipPair;
-    pub use crate::scalar::{ScalarGossip, ScalarOutcome};
     pub use crate::spread::{self, SpreadProtocol};
     pub use crate::vector::{VectorGossip, VectorOutcome};
 }

@@ -70,7 +70,9 @@ impl ChurnModel {
     /// Validated constructor; `p ∈ [0, 1)`.
     pub fn new(departure_probability: f64, max_departures: usize) -> Result<Self, GossipError> {
         if !departure_probability.is_finite() || !(0.0..1.0).contains(&departure_probability) {
-            return Err(GossipError::InvalidLossProbability(departure_probability));
+            return Err(GossipError::InvalidDepartureProbability(
+                departure_probability,
+            ));
         }
         Ok(Self {
             departure_probability,
@@ -111,6 +113,18 @@ mod tests {
         assert!(LossModel::new(1.0).is_err());
         assert!(LossModel::new(-0.1).is_err());
         assert!(LossModel::new(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn each_probability_names_itself_when_refused() {
+        assert_eq!(
+            LossModel::new(1.5).unwrap_err().to_string(),
+            "loss probability 1.5 outside [0, 1)"
+        );
+        assert_eq!(
+            ChurnModel::new(1.5, 10).unwrap_err().to_string(),
+            "departure probability 1.5 outside [0, 1)"
+        );
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //!   statistic: messages divided by the nodes *actively gossiping* that
 //!   step (≈ the mean differential fan-out, 1.1–1.2 on PA graphs).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-run message statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MessageStats {
     /// Messages sent in each completed step (network pushes only).
     pub per_step: Vec<u64>,

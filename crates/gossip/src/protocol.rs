@@ -1,7 +1,6 @@
 //! The convergence protocol of Section 4.1.1, stated once:
-//! [`ScalarGossip`](crate::scalar::ScalarGossip),
 //! [`VectorGossip`](crate::vector::VectorGossip) and the `dg-p2p` peer
-//! drive it, and none of them compares a movement with `ξ` or derives
+//! drive it, and neither compares a movement with `ξ` or derives
 //! quiescence itself.
 //!
 //! In a step where a node heard from **someone other than itself** (the
@@ -38,15 +37,16 @@ pub struct Convergence {
 }
 
 impl Convergence {
-    /// The rule for tolerance `ξ` — and the one place that chooses the
-    /// bound: `ξ` for a node that tracks one ratio (`vector_network:
-    /// None`; Algorithm 1, the peer), `N·ξ` for one that sums the
-    /// movement of every ratio in its vector on a network of `N` nodes
-    /// (Eq. (7), `Σ_j |r_j(n) − r_j(n−1)| ≤ N·ξ`, whatever the vector
-    /// holds).
-    pub fn new(xi: f64, sticky: bool, vector_network: Option<usize>) -> Self {
-        let bound = vector_network.map_or(xi, |n| n as f64 * xi);
-        Self { bound, sticky }
+    /// The rule for tolerance `ξ` when a node sums the movement of
+    /// `subjects` ratios: the bound is `subjects·ξ` (Eq. (7),
+    /// `Σ_j |r_j(n) − r_j(n−1)| ≤ N·ξ` with `N` subjects). The caller
+    /// states the count: 1 for a one-subject run and the peer, the network
+    /// size for [`VectorGossip::new`](crate::vector::VectorGossip::new).
+    pub fn new(xi: f64, sticky: bool, subjects: usize) -> Self {
+        Self {
+            bound: subjects as f64 * xi,
+            sticky,
+        }
     }
 
     /// The node's announcement after a step in which it heard from
@@ -71,8 +71,8 @@ mod tests {
 
     #[test]
     fn observe_announces_within_the_bound_and_revokes_unless_sticky() {
-        let revocable = Convergence::new(1e-3, false, None);
-        let sticky = Convergence::new(1e-3, true, None);
+        let revocable = Convergence::new(1e-3, false, 1);
+        let sticky = Convergence::new(1e-3, true, 1);
         // (announced before, movement) -> (revocable, sticky)
         for (before, movement, expect) in [
             (false, 1e-3, (true, true)), // the bound itself is within
@@ -91,9 +91,9 @@ mod tests {
 
     #[test]
     fn bounds_are_xi_and_n_xi() {
-        let scalar = Convergence::new(1e-4, false, None);
+        let scalar = Convergence::new(1e-4, false, 1);
         assert_eq!(scalar.bound.to_bits(), 1e-4f64.to_bits());
-        let vector = Convergence::new(1e-4, false, Some(50_000));
+        let vector = Convergence::new(1e-4, false, 50_000);
         assert_eq!(vector.bound.to_bits(), (50_000.0 * 1e-4f64).to_bits());
         assert!(vector.observe(false, 5.0) && !vector.observe(false, 5.1));
     }
@@ -123,7 +123,7 @@ mod tests {
         };
         assert_eq!(stopped([true, false, true]), [false; 3]);
         assert_eq!(stopped([true, true, true]), [true; 3]);
-        let rule = Convergence::new(1e-6, false, None);
+        let rule = Convergence::new(1e-6, false, 1);
         let b = rule.observe(true, 1e-3);
         assert_eq!(stopped([true, b, true]), [false; 3]);
     }

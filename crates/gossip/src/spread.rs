@@ -12,10 +12,9 @@ use crate::fanout::FanoutPolicy;
 use dg_graph::{Graph, NodeId};
 use rand::seq::index::sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Rumor-spreading protocol variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpreadProtocol {
     /// Informed nodes push to one random neighbour per step.
     Push,
@@ -41,7 +40,7 @@ impl SpreadProtocol {
 }
 
 /// Result of a spreading run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpreadOutcome {
     /// Steps until everyone was informed (or the cap).
     pub steps: usize,

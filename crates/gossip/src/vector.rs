@@ -57,31 +57,31 @@
 //! current arena's entries: the new run is compared with the old one
 //! where it is built, and nothing is kept between steps.
 //!
-//! ## What this engine does not model
+//! ## One subject, and churn
 //!
-//! Churn: no node ever departs. [`GossipConfig::loss`] and
-//! [`GossipConfig::sticky_announcements`] are honoured;
-//! [`GossipConfig::churn`] is **refused** — [`VectorGossip::new`] fails
-//! with [`GossipError::ChurnNotModelled`] rather than drop it, so a
-//! caller whose config may carry one (`RunConfig::gossip_config()` fills
-//! it from the network profile) clears it where it calls. Only
-//! [`ScalarGossip`](crate::scalar::ScalarGossip) models departures.
+//! [`VectorGossip::one_subject`] is Algorithm 1's diffusion core: every
+//! node holds subject `0`, even at zero mass (so it still pushes), and
+//! movement is held to `ξ`. [`GossipConfig::churn`] is drawn at step
+//! start, present nodes ascending, until `max_departures`: a departing
+//! node's vector is summed into its first present neighbour's (else the
+//! lowest-id survivor's), whose movement that step is measured from its
+//! vector before. A node whose neighbours have all gone hands over too,
+//! uncapped (overlay repair). A departed node keeps an empty run, counts
+//! as announced, and a push to it bounces without a loss draw.
 
 use crate::config::GossipConfig;
 use crate::error::GossipError;
-use crate::loss::ChurnModel;
 use crate::metrics::MessageStats;
-use crate::pair::RATIO_SENTINEL;
+use crate::pair::{GossipPair, RATIO_SENTINEL};
 use crate::protocol::Convergence;
 use dg_graph::{Graph, NodeId};
 use rand::seq::index::sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Per-subject gossip state at one node: value, weight and count masses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VectorEntry {
     /// Gossip value mass `y`.
     pub value: f64,
@@ -148,11 +148,11 @@ impl VectorEntry {
 pub type GossipVector = BTreeMap<u32, VectorEntry>;
 
 /// Result of a completed vector gossip run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorOutcome {
     /// Gossip steps executed.
     pub steps: usize,
-    /// Whether every node stopped within the step budget.
+    /// Whether every present node stopped within the step budget.
     pub converged: bool,
     /// Final per-node vectors.
     pub state: Vec<GossipVector>,
@@ -160,6 +160,8 @@ pub struct VectorOutcome {
     pub stats: MessageStats,
     /// Total entries shipped across the run (communication complexity).
     pub entries_sent: u64,
+    /// Nodes still present at the end (false = departed by churn).
+    pub present: Vec<bool>,
 }
 
 impl VectorOutcome {
@@ -177,6 +179,18 @@ impl VectorOutcome {
         self.state[node.index()]
             .get(&subject.0)
             .and_then(VectorEntry::count_estimate)
+    }
+
+    /// Maximum absolute deviation of present nodes' `subject` ratios from
+    /// `reference` (the sentinel ratio where a node has no weight).
+    pub fn max_error(&self, subject: u32, reference: f64) -> f64 {
+        self.state
+            .iter()
+            .zip(&self.present)
+            .filter(|(_, &p)| p)
+            .map(|(vec, _)| vec.get(&subject).map_or(RATIO_SENTINEL, VectorEntry::ratio))
+            .map(|ratio| (ratio - reference).abs())
+            .fold(0.0, f64::max)
     }
 }
 
@@ -319,7 +333,8 @@ impl Arena {
     }
 }
 
-/// Vector push-sum gossip engine (Variations 3 and 4).
+/// Vector push-sum gossip engine (Variations 3 and 4, and Algorithm 1's
+/// one-subject core).
 #[derive(Debug, Clone)]
 pub struct VectorGossip<'g> {
     graph: &'g Graph,
@@ -330,6 +345,8 @@ pub struct VectorGossip<'g> {
     state: Arena,
     /// The arena the step under way appends to; swapped with `state`.
     next: Arena,
+    /// The state a step in which some node departed started from.
+    prior: Arena,
     /// This step's delivered pushes as `(receiver, sender)`, in sender order.
     delivered: Vec<(u32, u32)>,
     /// `delivered` bucketed by receiver: `r` heard from
@@ -340,38 +357,86 @@ pub struct VectorGossip<'g> {
     /// (once, plus once per lost push); 0 for a node that pushes nothing
     /// and keeps its vector whole.
     kept_shares: Vec<usize>,
+    /// A departed node is announced and stopped for good.
     announced: Vec<bool>,
     stopped: Vec<bool>,
+    present: Vec<bool>,
+    survivors: usize,
+    departures: usize,
     step: usize,
     stats: MessageStats,
     entries_sent: u64,
 }
 
 impl<'g> VectorGossip<'g> {
-    /// Create an engine with per-node initial vectors; a config that asks
-    /// for churn is refused ([`GossipError::ChurnNotModelled`]).
+    /// Create an engine with per-node initial vectors, each node's
+    /// movement held to `N·ξ` (Eq. (7)).
     pub fn new(
         graph: &'g Graph,
         config: GossipConfig,
         initial: Vec<GossipVector>,
     ) -> Result<Self, GossipError> {
+        Self::build(
+            graph,
+            config,
+            Arena::from_maps(&initial),
+            graph.node_count(),
+        )
+    }
+
+    /// Create a one-subject engine (Algorithm 1's diffusion core): node
+    /// `i` gossips `initial[i]` as subject `0`, its movement held to `ξ`.
+    pub fn one_subject(
+        graph: &'g Graph,
+        config: GossipConfig,
+        initial: Vec<GossipPair>,
+    ) -> Result<Self, GossipError> {
+        let state = Arena {
+            offsets: (0..=initial.len()).collect(),
+            subjects: vec![0; initial.len()],
+            entries: initial
+                .iter()
+                .map(|p| VectorEntry {
+                    value: p.value,
+                    weight: p.weight,
+                    count: 0.0,
+                })
+                .collect(),
+        };
+        Self::build(graph, config, state, 1)
+    }
+
+    /// A one-subject **average** where every node is an originator of its
+    /// own value (gossip weight 1 everywhere) — the setting of Theorem 5.2.
+    pub fn average(
+        graph: &'g Graph,
+        config: GossipConfig,
+        values: &[f64],
+    ) -> Result<Self, GossipError> {
+        let initial = values.iter().map(|&v| GossipPair::originator(v)).collect();
+        Self::one_subject(graph, config, initial)
+    }
+
+    fn build(
+        graph: &'g Graph,
+        config: GossipConfig,
+        state: Arena,
+        subjects: usize,
+    ) -> Result<Self, GossipError> {
         let config = config.validated()?;
-        if config.churn != ChurnModel::none() {
-            return Err(GossipError::ChurnNotModelled);
-        }
         let n = graph.node_count();
-        if initial.len() != n {
+        if state.offsets.len() != n + 1 {
             return Err(GossipError::StateSizeMismatch {
-                given: initial.len(),
+                given: state.offsets.len() - 1,
                 expected: n,
             });
         }
-        for vec in &initial {
-            for e in vec.values() {
-                if !e.weight.is_finite() || e.weight < 0.0 {
-                    return Err(GossipError::InvalidWeight(e.weight));
-                }
-            }
+        if let Some(e) = state
+            .entries
+            .iter()
+            .find(|e| !e.weight.is_finite() || e.weight < 0.0)
+        {
+            return Err(GossipError::InvalidWeight(e.weight));
         }
         let mut fanouts = config.fanout.resolve(graph)?;
         for (k, node) in fanouts.iter_mut().zip(graph.nodes()) {
@@ -380,16 +445,20 @@ impl<'g> VectorGossip<'g> {
         Ok(Self {
             graph,
             config,
-            convergence: Convergence::new(config.xi, config.sticky_announcements, Some(n)),
+            convergence: Convergence::new(config.xi, config.sticky_announcements, subjects),
             fanouts,
-            state: Arena::from_maps(&initial),
+            state,
             next: Arena::from_maps(&[]),
+            prior: Arena::from_maps(&[]),
             delivered: Vec::new(),
             inbox_offsets: Vec::new(),
             inbox_senders: Vec::new(),
             kept_shares: vec![0; n],
             announced: vec![false; n],
             stopped: vec![false; n],
+            present: vec![true; n],
+            survivors: n,
+            departures: 0,
             step: 0,
             stats: MessageStats::new(n),
             entries_sent: 0,
@@ -401,9 +470,22 @@ impl<'g> VectorGossip<'g> {
         self.step
     }
 
-    /// Whether every node has stopped.
+    /// Whether every present node has stopped.
     pub fn all_stopped(&self) -> bool {
         self.stopped.iter().all(|&s| s)
+    }
+
+    /// Every node's current `subject` ratio (the sentinel where it holds
+    /// no weight).
+    pub fn ratios(&self, subject: u32) -> Vec<f64> {
+        (0..self.graph.node_count())
+            .map(|i| {
+                let (subjects, entries) = self.state.run(i);
+                subjects
+                    .binary_search(&subject)
+                    .map_or(RATIO_SENTINEL, |at| entries[at].ratio())
+            })
+            .collect()
     }
 
     /// Total per-subject `(Σ y, Σ g, Σ count)` masses — conserved across
@@ -419,11 +501,78 @@ impl<'g> VectorGossip<'g> {
         totals
     }
 
+    /// This step's departures (see the module docs). If any node left,
+    /// `prior` takes the state the step started from and this is true.
+    #[cold]
+    #[inline(never)]
+    fn apply_churn<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        let churn = self.config.churn;
+        let n = self.graph.node_count();
+        let mut maps = Vec::new();
+        for i in 0..n {
+            if !self.present[i] || self.departures >= churn.max_departures || !churn.departs(rng) {
+                continue;
+            }
+            // Keep at least one node so mass has somewhere to live.
+            if self.survivors <= 1 {
+                break;
+            }
+            let heir = self
+                .graph
+                .neighbours(NodeId(i as u32))
+                .iter()
+                .map(|&w| w as usize)
+                .find(|&w| self.present[w])
+                .unwrap_or_else(|| self.lowest_survivor_but(i));
+            self.depart(&mut maps, i, heir);
+            self.departures += 1;
+        }
+        // Overlay repair: a node whose every neighbour departed could
+        // never hear again.
+        while self.survivors > 1 {
+            let stranded = (0..n).find(|&i| {
+                let neighbours = self.graph.neighbours(NodeId(i as u32));
+                self.present[i]
+                    && !neighbours.is_empty()
+                    && neighbours.iter().all(|&w| !self.present[w as usize])
+            });
+            let Some(i) = stranded else { break };
+            self.depart(&mut maps, i, self.lowest_survivor_but(i));
+        }
+        if maps.is_empty() {
+            return false;
+        }
+        self.prior = std::mem::replace(&mut self.state, Arena::from_maps(&maps));
+        true
+    }
+
+    fn lowest_survivor_but(&self, node: usize) -> usize {
+        (0..self.graph.node_count())
+            .find(|&w| w != node && self.present[w])
+            .expect("another node survives")
+    }
+
+    /// `node` leaves, its vector summed into `heir`'s in `maps` — the
+    /// step's state as maps, taken from the arena at the first departure.
+    fn depart(&mut self, maps: &mut Vec<GossipVector>, node: usize, heir: usize) {
+        if maps.is_empty() {
+            *maps = self.state.to_maps();
+        }
+        for (j, e) in std::mem::take(&mut maps[node]) {
+            maps[heir].entry(j).or_default().add(e);
+        }
+        self.present[node] = false;
+        self.announced[node] = true;
+        self.stopped[node] = true;
+        self.survivors -= 1;
+    }
+
     /// Execute one gossip step; returns messages sent.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         #[cfg(debug_assertions)]
         let mass_before = self.total_mass();
 
+        let churned = self.config.churn.departure_probability() != 0.0 && self.apply_churn(rng);
         let n = self.graph.node_count();
         let mut messages = 0u64;
         let mut active = 0u64;
@@ -450,10 +599,10 @@ impl<'g> VectorGossip<'g> {
             self.entries_sent += (len * k) as u64;
             let mut kept = 1;
             for idx in targets {
-                if self.config.loss.drops(rng) {
+                let target = neighbours[idx];
+                if !self.present[target as usize] || self.config.loss.drops(rng) {
                     kept += 1;
                 } else {
-                    let target = neighbours[idx];
                     self.delivered.push((target, i as u32));
                     self.inbox_offsets[target as usize + 2] += 1;
                 }
@@ -479,7 +628,9 @@ impl<'g> VectorGossip<'g> {
 
         // Pass 2, receivers ascending: merge what each one heard with
         // what it kept, in the order the module docs fix, and hand the
-        // convergence protocol Eq. (7)'s summed movement.
+        // convergence protocol Eq. (7)'s summed movement, measured from
+        // the state the step started from.
+        let before = if churned { &self.prior } else { &self.state };
         self.next.clear();
         let mut r = 0;
         while r < n {
@@ -497,7 +648,7 @@ impl<'g> VectorGossip<'g> {
                 continue;
             }
             let senders = &self.inbox_senders[self.inbox_offsets[r]..self.inbox_offsets[r + 1]];
-            let (old_subjects, old_entries) = self.state.run(r);
+            let (own_subjects, own_entries) = self.state.run(r);
             let above = senders.partition_point(|&s| (s as usize) < r);
             let hear = |next: &mut Arena, heard: &[u32]| {
                 for &s in heard {
@@ -507,10 +658,10 @@ impl<'g> VectorGossip<'g> {
             };
             hear(&mut self.next, &senders[..above]);
             match self.kept_shares[r] {
-                0 => self.next.accumulate(old_subjects, old_entries, 1, 1),
+                0 => self.next.accumulate(own_subjects, own_entries, 1, 1),
                 kept => self
                     .next
-                    .accumulate(old_subjects, old_entries, self.fanouts[r] + 1, kept),
+                    .accumulate(own_subjects, own_entries, self.fanouts[r] + 1, kept),
             }
             hear(&mut self.next, &senders[above..]);
             self.next.close_run();
@@ -518,6 +669,7 @@ impl<'g> VectorGossip<'g> {
             if !senders.is_empty() {
                 // A node never lets go of a subject, so the old run is a
                 // subsequence of the new one.
+                let (old_subjects, old_entries) = before.run(r);
                 let (new_subjects, new_entries) = self.next.run(r);
                 let mut total_move = 0.0;
                 let mut old = 0;
@@ -537,6 +689,9 @@ impl<'g> VectorGossip<'g> {
         std::mem::swap(&mut self.state, &mut self.next);
 
         for i in 0..n {
+            if !self.present[i] {
+                continue;
+            }
             let neighbours = self.graph.neighbours(NodeId(i as u32));
             self.stopped[i] = Convergence::quiescent(
                 self.announced[i],
@@ -575,6 +730,7 @@ impl<'g> VectorGossip<'g> {
             state: self.state.to_maps(),
             stats: self.stats,
             entries_sent: self.entries_sent,
+            present: self.present,
         }
     }
 }
@@ -583,7 +739,7 @@ impl<'g> VectorGossip<'g> {
 mod tests {
     use super::*;
     use crate::fanout::FanoutPolicy;
-    use crate::loss::LossModel;
+    use crate::loss::{ChurnModel, LossModel};
     use dg_graph::{generators, pa, GraphBuilder};
     use proptest::prelude::*;
     use rand::{RngCore, SeedableRng};
@@ -591,6 +747,20 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    fn mean(values: &[f64]) -> f64 {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+
+    fn pa_graph(nodes: usize, seed: u64) -> Graph {
+        pa::preferential_attachment(pa::PaConfig { nodes, m: 2 }, &mut rng(seed)).unwrap()
+    }
+
+    fn averaged(g: &Graph, config: GossipConfig, values: &[f64], seed: u64) -> VectorOutcome {
+        VectorGossip::average(g, config, values)
+            .unwrap()
+            .run(&mut rng(seed))
     }
 
     /// Build Variation-3 style initial vectors: `opinions[i]` is the list
@@ -610,16 +780,130 @@ mod tests {
             VectorGossip::new(&g, GossipConfig::default(), vec![GossipVector::new(); 2]),
             Err(GossipError::StateSizeMismatch { .. })
         ));
+        assert!(matches!(
+            VectorGossip::one_subject(&g, GossipConfig::default(), vec![GossipPair::ZERO; 2]),
+            Err(GossipError::StateSizeMismatch {
+                given: 2,
+                expected: 3
+            })
+        ));
     }
 
     #[test]
-    fn refuses_churn_instead_of_ignoring_it() {
-        let g = generators::complete(3);
-        let churning = GossipConfig::default().with_churn(ChurnModel::new(0.01, 1).unwrap());
+    fn rejects_negative_weight() {
+        let g = generators::complete(2);
+        let bad = GossipPair {
+            value: 0.0,
+            weight: -1.0,
+        };
         assert_eq!(
-            VectorGossip::new(&g, churning, vec![GossipVector::new(); 3]).err(),
-            Some(GossipError::ChurnNotModelled)
+            VectorGossip::one_subject(&g, GossipConfig::default(), vec![bad, GossipPair::ZERO])
+                .err(),
+            Some(GossipError::InvalidWeight(-1.0))
         );
+        let mut init = vec![GossipVector::new(); 2];
+        init[1].insert(4, VectorEntry::passive(0.5));
+        init[1].get_mut(&4).unwrap().weight = f64::INFINITY;
+        assert_eq!(
+            VectorGossip::new(&g, GossipConfig::default(), init).err(),
+            Some(GossipError::InvalidWeight(f64::INFINITY))
+        );
+    }
+
+    #[test]
+    fn one_subject_averaging_converges_to_the_mean() {
+        let g = generators::complete(20);
+        let values: Vec<f64> = (0..20).map(|i| i as f64 / 19.0).collect();
+        let out = averaged(&g, GossipConfig::differential(1e-6).unwrap(), &values, 1);
+        assert!(out.converged);
+        let error = out.max_error(0, mean(&values));
+        assert!(error < 1e-3, "complete graph: max error {error}");
+
+        let g = pa_graph(300, 2);
+        let values: Vec<f64> = (0..300).map(|i| (i % 10) as f64 / 10.0).collect();
+        let out = averaged(&g, GossipConfig::differential(1e-7).unwrap(), &values, 3);
+        assert!(out.converged);
+        let error = out.max_error(0, mean(&values));
+        assert!(error < 1e-3, "PA graph: max error {error}");
+    }
+
+    #[test]
+    fn normal_push_also_converges_but_differential_is_not_slower_on_pa() {
+        let g = pa_graph(500, 4);
+        let values: Vec<f64> = (0..500).map(|i| ((i * 7) % 13) as f64 / 13.0).collect();
+        let diff = averaged(&g, GossipConfig::differential(1e-8).unwrap(), &values, 5);
+        let push = averaged(&g, GossipConfig::normal_push(1e-8).unwrap(), &values, 5);
+        assert!(diff.converged && push.converged);
+        // Differential should not need more steps than normal push on a
+        // power-law graph (usually strictly fewer).
+        assert!(
+            diff.steps <= push.steps + 2,
+            "differential {} vs push {}",
+            diff.steps,
+            push.steps
+        );
+    }
+
+    #[test]
+    fn converges_under_packet_loss() {
+        let g = pa_graph(200, 9);
+        let values: Vec<f64> = (0..200).map(|i| ((i % 5) as f64) / 5.0).collect();
+        let config = GossipConfig::differential(1e-6).unwrap();
+        let lossless = averaged(&g, config, &values, 10);
+        let lossy = averaged(
+            &g,
+            config.with_loss(LossModel::new(0.2).unwrap()),
+            &values,
+            10,
+        );
+        assert!(lossless.converged && lossy.converged);
+        assert!(lossy.max_error(0, mean(&values)) < 1e-2);
+        // Fig. 4: loss costs extra steps, but only a modest number.
+        assert!(lossy.steps >= lossless.steps);
+    }
+
+    #[test]
+    fn uniform_one_push_sends_one_message_per_node_per_step() {
+        let g = generators::complete(10);
+        let mut engine =
+            VectorGossip::average(&g, GossipConfig::normal_push(1e-6).unwrap(), &[0.5; 10])
+                .unwrap();
+        assert_eq!(engine.step(&mut rng(12)), 10);
+    }
+
+    #[test]
+    fn max_steps_cap_reports_non_convergence() {
+        let g = generators::ring(50).unwrap();
+        let values: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        let config = GossipConfig::differential(1e-12).unwrap().with_max_steps(3);
+        let out = averaged(&g, config, &values, 13);
+        assert!(!out.converged);
+        assert_eq!(out.steps, 3);
+    }
+
+    #[test]
+    fn stopped_network_stays_quiescent() {
+        let g = generators::complete(8);
+        // Already uniform: every ratio is 0.25 forever, so convergence is
+        // detected as soon as the |S| > 1 condition is met once.
+        let out = averaged(
+            &g,
+            GossipConfig::differential(1e-4).unwrap(),
+            &[0.25; 8],
+            14,
+        );
+        assert!(out.converged);
+        assert!(out.steps <= 4, "steps {}", out.steps);
+        assert!(out.max_error(0, 0.25) < 1e-12);
+    }
+
+    #[test]
+    fn tighter_tolerance_needs_at_least_as_many_steps() {
+        let g = pa_graph(200, 15);
+        let values: Vec<f64> = (0..200).map(|i| ((i * 31) % 17) as f64 / 17.0).collect();
+        let loose = averaged(&g, GossipConfig::differential(1e-2).unwrap(), &values, 16);
+        let tight = averaged(&g, GossipConfig::differential(1e-8).unwrap(), &values, 16);
+        assert!(tight.steps >= loose.steps);
     }
 
     /// Two engines in lockstep on one stream are identical until the
@@ -697,24 +981,51 @@ mod tests {
         }
     }
 
+    /// Per subject, across lossless, lossy and churning steps, for a
+    /// sparse vector state and a one-subject average.
     #[test]
     fn mass_conserved_per_subject() {
-        let g = pa::preferential_attachment(pa::PaConfig { nodes: 60, m: 2 }, &mut rng(3)).unwrap();
+        let g = pa_graph(60, 3);
         let opinions = [(0, 1, 0.4), (2, 1, 0.9), (5, 30, 0.7)];
         let init = initial_from_opinions(60, &opinions);
-        let mut engine =
-            VectorGossip::new(&g, GossipConfig::differential(1e-6).unwrap(), init).unwrap();
-        let before = engine.total_mass();
-        let mut rng = rng(4);
-        for _ in 0..30 {
-            engine.step(&mut rng);
-        }
-        let after = engine.total_mass();
-        for (j, b) in &before {
-            let a = &after[j];
-            assert!((b.0 - a.0).abs() < 1e-9, "value mass subject {j}");
-            assert!((b.1 - a.1).abs() < 1e-9, "weight mass subject {j}");
-            assert!((b.2 - a.2).abs() < 1e-9, "count mass subject {j}");
+        let values: Vec<GossipPair> = (0..60)
+            .map(|i| GossipPair::originator(i as f64 / 59.0))
+            .collect();
+        let plain = GossipConfig::differential(1e-6).unwrap();
+        for config in [
+            plain,
+            plain.with_loss(LossModel::new(0.3).unwrap()),
+            plain.with_churn(ChurnModel::new(0.05, 10).unwrap()),
+        ] {
+            for mut engine in [
+                VectorGossip::new(&g, config, init.clone()).unwrap(),
+                VectorGossip::one_subject(&g, config, values.clone()).unwrap(),
+            ] {
+                let before = engine.total_mass();
+                // One RNG across the whole run: a fresh seed per step
+                // would replay the same draws every step, and churn could
+                // never trigger.
+                let mut rng = rng(4);
+                for _ in 0..30 {
+                    engine.step(&mut rng);
+                }
+                let after = engine.total_mass();
+                for (j, b) in &before {
+                    let a = &after[j];
+                    assert!((b.0 - a.0).abs() < 1e-9, "value mass subject {j}");
+                    assert!((b.1 - a.1).abs() < 1e-9, "weight mass subject {j}");
+                    assert!((b.2 - a.2).abs() < 1e-9, "count mass subject {j}");
+                }
+                // Departures are capped; the overlay repair is not.
+                let departed = engine.present.iter().filter(|&&p| !p).count();
+                assert_eq!(engine.survivors, 60 - departed);
+                if config.churn == ChurnModel::none() {
+                    assert_eq!(departed, 0);
+                } else {
+                    assert!(engine.departures > 0 && engine.departures <= 10);
+                    assert!(departed >= engine.departures);
+                }
+            }
         }
     }
 
@@ -738,6 +1049,17 @@ mod tests {
             let count = out.count_estimate(NodeId(v), NodeId(7)).unwrap();
             assert!((count - 3.0).abs() < 1e-2, "node {v}: {count}");
         }
+
+        // Algorithm 1's sum mode on the one-subject path: one node holds
+        // the unit weight and value 0.6, everybody else `ZERO`.
+        let g = generators::complete(10);
+        let mut initial = vec![GossipPair::ZERO; 10];
+        initial[3] = GossipPair::originator(0.6);
+        let out = VectorGossip::one_subject(&g, GossipConfig::differential(1e-9).unwrap(), initial)
+            .unwrap()
+            .run(&mut rng(6));
+        assert!(out.converged);
+        assert!(out.max_error(0, 0.6) < 1e-4, "state {:?}", out.state);
     }
 
     #[test]
@@ -765,17 +1087,76 @@ mod tests {
         assert!(per_step_big > per_step_small);
     }
 
+    /// The departures of the scalar engine this one absorbed, over maps:
+    /// survivors recounted for every departure, an heir's map summed as
+    /// its own entries, then the departed node's.
+    fn map_churn(
+        graph: &Graph,
+        churn: ChurnModel,
+        present: &mut [bool],
+        departures: &mut usize,
+        state: &mut [GossipVector],
+        rng: &mut ChaCha8Rng,
+    ) {
+        if churn.departure_probability() == 0.0 {
+            return;
+        }
+        let n = state.len();
+        let hand_over = |state: &mut [GossipVector], from: usize, to: usize| {
+            let departed = std::mem::take(&mut state[from]);
+            let mut merged = GossipVector::new();
+            for (&j, e) in state[to].iter().chain(&departed) {
+                merged.entry(j).or_default().add(*e);
+            }
+            state[to] = merged;
+        };
+        let survivors = |present: &[bool]| present.iter().filter(|&&p| p).count();
+        for i in 0..n {
+            if !present[i] || *departures >= churn.max_departures || !churn.departs(rng) {
+                continue;
+            }
+            if survivors(present) <= 1 {
+                break;
+            }
+            let heir = graph
+                .neighbours(NodeId(i as u32))
+                .iter()
+                .map(|&w| w as usize)
+                .find(|&w| present[w])
+                .or_else(|| (0..n).find(|&w| w != i && present[w]));
+            if let Some(heir) = heir {
+                hand_over(state, i, heir);
+                present[i] = false;
+                *departures += 1;
+            }
+        }
+        while survivors(present) > 1 {
+            let stranded = (0..n).find(|&i| {
+                let neighbours = graph.neighbours(NodeId(i as u32));
+                present[i]
+                    && !neighbours.is_empty()
+                    && neighbours.iter().all(|&w| !present[w as usize])
+            });
+            let Some(i) = stranded else { break };
+            let heir = (0..n).find(|&w| w != i && present[w]).unwrap();
+            hand_over(state, i, heir);
+            present[i] = false;
+        }
+    }
+
     /// The mass movement of the map-based `step` this engine replaced,
     /// kept as the reference: one `BTreeMap` inbox per node, every share
-    /// added to its cell as the sender loop reaches it. It takes the
-    /// stopped flags as given — the stopping rule is not copied here;
-    /// `whole_runs_are_pinned_to_the_map_engine` covers that half.
+    /// added to its cell as the sender loop reaches it, a push to a
+    /// departed node bounced without a loss draw. It takes the stopped
+    /// and present flags as given — the stopping rule is not copied
+    /// here; `whole_runs_are_pinned_to_the_map_engine` covers that half.
     /// Returns the new state, the messages and the entries sent.
     fn map_step(
         graph: &Graph,
         fanouts: &[usize],
         loss: LossModel,
         stopped: &[bool],
+        present: &[bool],
         state: &[GossipVector],
         rng: &mut ChaCha8Rng,
     ) -> (Vec<GossipVector>, u64, u64) {
@@ -799,7 +1180,10 @@ mod tests {
                 .collect();
             messages += k as u64;
             entries_sent += (current.len() * k) as u64;
-            let lost: Vec<bool> = targets.iter().map(|_| loss.drops(rng)).collect();
+            let lost: Vec<bool> = targets
+                .iter()
+                .map(|&target| !present[target] || loss.drops(rng))
+                .collect();
             for (&j, e) in current {
                 let share = e.share(k + 1);
                 inbox[i].entry(j).or_default().add(share);
@@ -826,8 +1210,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every step of the flat engine lands on the bits of the map
-        /// inbox and leaves the RNG where the map engine left it.
+        /// Every step of the flat engine — departures included — lands on
+        /// the bits of the map inbox and leaves the RNG where the map
+        /// engine left it.
         #[test]
         fn flat_step_matches_the_map_inbox_bit_for_bit(
             nodes in 5usize..60,
@@ -836,6 +1221,7 @@ mod tests {
             subjects in 1u32..13,
             opinions in proptest::collection::vec((0usize..60, 0u32..12, -1.0f64..1.0, 0usize..2), 1..150),
             lossy in 0usize..2,
+            churning in 0usize..2,
             push in 0usize..4,
             xi_exponent in 2i32..9,
             seed in 0u64..1000,
@@ -867,21 +1253,30 @@ mod tests {
                 0 => FanoutPolicy::Differential,
                 p => FanoutPolicy::Uniform(p),
             };
+            let churn = if churning == 1 {
+                ChurnModel::new(0.05, nodes / 3).unwrap()
+            } else {
+                ChurnModel::none()
+            };
             let config = GossipConfig::differential(10f64.powi(-xi_exponent))
                 .unwrap()
                 .with_loss(loss)
+                .with_churn(churn)
                 .with_fanout(fanout);
             let fanouts = fanout.resolve(&graph).unwrap();
 
             let mut engine = VectorGossip::new(&graph, config, state.clone()).unwrap();
             let (mut flat_rng, mut map_rng) = (rng(seed), rng(seed));
+            let (mut present, mut departures) = (vec![true; nodes], 0);
             let mut entries_sent = 0;
             for step in 0..40 {
+                map_churn(&graph, churn, &mut present, &mut departures, &mut state, &mut map_rng);
                 let (next, messages, entries) =
-                    map_step(&graph, &fanouts, loss, &engine.stopped, &state, &mut map_rng);
+                    map_step(&graph, &fanouts, loss, &engine.stopped, &present, &state, &mut map_rng);
                 state = next;
                 entries_sent += entries;
                 prop_assert_eq!(engine.step(&mut flat_rng), messages, "messages, step {}", step);
+                prop_assert_eq!(&engine.present, &present, "present, step {}", step);
                 prop_assert_eq!(engine.entries_sent, entries_sent, "entries, step {}", step);
                 prop_assert_eq!(bits(&engine.state.to_maps()), bits(&state), "state, step {}", step);
                 prop_assert_eq!(flat_rng.next_u64(), map_rng.next_u64(), "rng, step {}", step);

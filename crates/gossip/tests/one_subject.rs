@@ -6,7 +6,7 @@
 //! Table 1 pin folds every node's ratio after every step instead.
 
 use dg_gossip::loss::{ChurnModel, LossModel};
-use dg_gossip::{FanoutPolicy, GossipConfig, GossipPair, ScalarGossip, ScalarOutcome};
+use dg_gossip::{FanoutPolicy, GossipConfig, GossipPair, VectorGossip, VectorOutcome};
 use dg_graph::{generators, pa, Graph, GraphBuilder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -24,9 +24,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// `(steps, converged, messages, active node-steps, fold, departed)`.
 type Pin = (usize, bool, u64, u64, u64, usize);
 
-fn pin(out: &ScalarOutcome) -> Pin {
+fn pin(out: &VectorOutcome) -> Pin {
     let mut fold = FNV_OFFSET;
-    for (pair, &present) in out.pairs.iter().zip(&out.present) {
+    for (vec, &present) in out.state.iter().zip(&out.present) {
+        let pair = vec.get(&0).copied().unwrap_or_default();
         for word in [
             pair.value.to_bits(),
             pair.weight.to_bits(),
@@ -46,7 +47,7 @@ fn pin(out: &ScalarOutcome) -> Pin {
 }
 
 fn run(graph: &Graph, config: GossipConfig, initial: Vec<GossipPair>, seed: u64) -> Pin {
-    pin(&ScalarGossip::new(graph, config, initial)
+    pin(&VectorGossip::one_subject(graph, config, initial)
         .unwrap()
         .run(&mut rng(seed)))
 }
@@ -178,12 +179,12 @@ fn table1_rows_are_pinned_to_the_scalar_engine() {
         .collect();
     let config = GossipConfig::differential(1e-6).unwrap().with_max_steps(10);
     let pairs = initial.iter().map(|&v| GossipPair::originator(v)).collect();
-    let mut engine = ScalarGossip::new(&graph, config, pairs).unwrap();
+    let mut engine = VectorGossip::one_subject(&graph, config, pairs).unwrap();
     let mut rng = rng(10);
     let mut fold = FNV_OFFSET;
     for _ in 0..10 {
         engine.step(&mut rng);
-        for ratio in engine.ratios() {
+        for ratio in engine.ratios(0) {
             fold = fnv(fold, ratio.to_bits());
         }
     }

@@ -30,8 +30,8 @@
 //!
 //! Under the lossless profile the final estimates are bit-for-bit the
 //! push-sum limit, so integration tests cross-check this deployment
-//! against the synchronous [`ScalarGossip`](dg_gossip::ScalarGossip)
-//! engine; `tests/faulty_transport.rs` pins the faulty runtime's
+//! against a one-subject run of the synchronous
+//! [`VectorGossip`](dg_gossip::VectorGossip::one_subject) engine; `tests/faulty_transport.rs` pins the faulty runtime's
 //! determinism and mass accounting.
 
 //! A run can be frozen mid-flight and continued after a process

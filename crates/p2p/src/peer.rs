@@ -92,7 +92,7 @@ impl Peer {
             slot,
             fanout,
             // Announcements always revoke here, as in the engines' default.
-            convergence: Convergence::new(xi, false, None),
+            convergence: Convergence::new(xi, false, 1),
             rng,
             availability,
             pair: initial,

@@ -7,8 +7,8 @@
 //! stream so results stay reproducible regardless of thread scheduling.
 //!
 //! **Measurement mode for Figs. 3/4 and Table 2.** The evaluation
-//! measures the diffusion cost of the gossip layer itself. We run the
-//! scalar engine in the Theorem 5.2 setting (every node an originator of
+//! measures the diffusion cost of the gossip layer itself. We run a
+//! one-subject gossip in the Theorem 5.2 setting (every node an originator of
 //! its own value — the "reputations of all the nodes pushed
 //! simultaneously" workload collapses to this per subject, and the paper
 //! notes all four variants share the same time complexity). Step counts
@@ -24,7 +24,7 @@ use dg_gossip::loss::LossModel;
 use dg_gossip::potential::PotentialTracker;
 use dg_gossip::profile::NetworkProfile;
 use dg_gossip::spread::{self, SpreadProtocol};
-use dg_gossip::{FanoutPolicy, GossipConfig, ScalarGossip};
+use dg_gossip::{FanoutPolicy, GossipConfig, VectorGossip};
 use dg_graph::{generators, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -79,7 +79,7 @@ fn run_steps_once(
     }
     .with_sticky_announcements();
     let mut rng = scenario.gossip_rng(1);
-    let out = ScalarGossip::average(&scenario.graph, config, &values)?.run(&mut rng);
+    let out = VectorGossip::average(&scenario.graph, config, &values)?.run(&mut rng);
     Ok(StepsRow {
         nodes,
         xi,
@@ -178,7 +178,7 @@ fn degradation_row(
     .validated()?
     .with_sticky_announcements();
     let mut rng = scenario.gossip_rng(1);
-    let out = ScalarGossip::average(&scenario.graph, config, &values)?.run(&mut rng);
+    let out = VectorGossip::average(&scenario.graph, config, &values)?.run(&mut rng);
     Ok(DegradationRow {
         nodes,
         xi,
@@ -187,7 +187,7 @@ fn degradation_row(
         churn: profile.churn.crash_probability,
         steps: out.steps,
         converged: out.converged,
-        residual_error: out.max_error(mean),
+        residual_error: out.max_error(0, mean),
     })
 }
 
@@ -376,11 +376,11 @@ pub fn example_trace(iterations: usize, seed: u64) -> Result<ExampleTrace, CoreE
     let target = initial.iter().sum::<f64>() / initial.len() as f64;
 
     let config = GossipConfig::differential(1e-6)?.with_max_steps(iterations);
-    let mut engine = ScalarGossip::average(&graph, config, &initial)?;
+    let mut engine = VectorGossip::average(&graph, config, &initial)?;
     let mut rows = Vec::with_capacity(iterations);
     for _ in 0..iterations {
         engine.step(&mut rng);
-        rows.push(engine.ratios());
+        rows.push(engine.ratios(0));
     }
     Ok(ExampleTrace {
         degrees: graph.degrees(),

@@ -1091,8 +1091,9 @@ impl EngineCore {
         system: &ReputationSystem<'_>,
         round_seed: u64,
     ) -> Result<(), CoreError> {
-        // `VectorGossip` has no departure model and refuses one: rounds
-        // under a churning profile gossip over the full membership.
+        // Round-loop membership is the population: departures in rounds
+        // are parked, so the gossip runs over the full membership and
+        // the profile's churn is cleared here.
         let gossip = self
             .scenario
             .config

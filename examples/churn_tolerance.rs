@@ -11,7 +11,7 @@
 //! ```
 
 use differential_gossip::gossip::loss::{ChurnModel, LossModel};
-use differential_gossip::gossip::{GossipConfig, ScalarGossip};
+use differential_gossip::gossip::{GossipConfig, VectorGossip};
 use differential_gossip::graph::pa::{preferential_attachment, PaConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,14 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (label, config) in variants {
         let mut run_rng = ChaCha8Rng::seed_from_u64(77);
-        let out = ScalarGossip::average(&graph, config, &values)?.run(&mut run_rng);
+        let out = VectorGossip::average(&graph, config, &values)?.run(&mut run_rng);
         let survivors = out.present.iter().filter(|&&p| p).count();
         println!(
             "{:<46}  {:>6}  {:>10}  {:>12.2e}",
             label,
             out.steps,
             survivors,
-            out.max_error(mean)
+            out.max_error(0, mean)
         );
     }
     println!("\nloss and churn cost steps, never correctness: mass is conserved.");

@@ -6,7 +6,7 @@ use differential_gossip::core::collusion::{
     average_rms_error, theory, ColludedAggregates, CollusionScheme, GroupAssignment,
 };
 use differential_gossip::core::reputation::{trust_from_qualities, ReputationSystem};
-use differential_gossip::gossip::{FanoutPolicy, GossipConfig, ScalarGossip};
+use differential_gossip::gossip::{FanoutPolicy, GossipConfig, VectorGossip};
 use differential_gossip::graph::{generators, pa, GraphBuilder, NodeId};
 use differential_gossip::trust::WeightParams;
 use proptest::prelude::*;
@@ -52,13 +52,13 @@ proptest! {
         let vals = &values[..nodes];
         let config = GossipConfig::differential(1e-4).unwrap()
             .with_loss(differential_gossip::gossip::loss::LossModel::new(loss).unwrap());
-        let mut engine = ScalarGossip::average(&graph, config, vals).unwrap();
-        let before = engine.total_mass();
+        let mut engine = VectorGossip::average(&graph, config, vals).unwrap();
+        let before = engine.total_mass()[&0];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..25 {
             engine.step(&mut rng);
         }
-        let after = engine.total_mass();
+        let after = engine.total_mass()[&0];
         prop_assert!((before.0 - after.0).abs() < 1e-7);
         prop_assert!((before.1 - after.1).abs() < 1e-7);
     }
@@ -73,7 +73,7 @@ proptest! {
         let graph = arbitrary_connected_graph(nodes, &edges);
         let vals = &values[..nodes];
         let mean = vals.iter().sum::<f64>() / nodes as f64;
-        let out = ScalarGossip::average(
+        let out = VectorGossip::average(
             &graph,
             GossipConfig::differential(1e-9).unwrap(),
             vals,
@@ -81,7 +81,7 @@ proptest! {
         .unwrap()
         .run(&mut ChaCha8Rng::seed_from_u64(seed));
         prop_assert!(out.converged);
-        prop_assert!(out.max_error(mean) < 1e-3, "max error {}", out.max_error(mean));
+        prop_assert!(out.max_error(0, mean) < 1e-3, "max error {}", out.max_error(0, mean));
     }
 
     #[test]
