@@ -1382,4 +1382,53 @@ mod tests {
         assert_eq!(lossy, (189, 11_744, 678_682, 0x95ec_2d18_ebc4_59a8));
         assert_eq!(uniform, (104, 12_460, 831_608, 0xdce4_676c_2973_bd20));
     }
+
+    /// Multi-subject runs under 30% loss and capped churn, revocable and
+    /// sticky: departures announce nodes outside any observation and
+    /// strand neighbourhoods, so these are the runs the stopping rule's
+    /// bookkeeping is most exposed on. Each pin is [`run_pin`], whether
+    /// the run converged, the departed count and an FNV fold of `present`.
+    #[test]
+    fn churning_lossy_runs_are_pinned() {
+        let g =
+            pa::preferential_attachment(pa::PaConfig { nodes: 90, m: 2 }, &mut rng(19)).unwrap();
+        let config = GossipConfig::differential(1e-6)
+            .unwrap()
+            .with_loss(LossModel::new(0.3).unwrap())
+            .with_churn(ChurnModel::new(0.05, 20).unwrap());
+        let run = |config| {
+            let out = VectorGossip::new(&g, config, neighbour_ratings(&g, true))
+                .unwrap()
+                .run(&mut rng(20));
+            let present = out
+                .present
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |fold, &p| {
+                    (fold ^ u64::from(p)).wrapping_mul(0x0100_0000_01b3)
+                });
+            let departed = out.present.iter().filter(|&&p| !p).count();
+            (run_pin(&out), out.converged, departed, present)
+        };
+        let revocable = run(config);
+        let sticky = run(config.with_sticky_announcements());
+
+        assert_eq!(
+            revocable,
+            (
+                (582, 37_892, 3_355_372, 0xeb52_a61b_9985_6842),
+                true,
+                23,
+                0xddf1_5ff4_a5a9_c3da
+            )
+        );
+        assert_eq!(
+            sticky,
+            (
+                (318, 17_700, 1_534_579, 0x42ac_27fd_4b85_a3c8),
+                true,
+                23,
+                0x1c65_16e6_d82d_7a28
+            )
+        );
+    }
 }
