@@ -134,11 +134,6 @@ impl GroupAssignment {
         self.member_of[node.index()].is_some()
     }
 
-    /// Group index of `node`, if colluding.
-    pub fn group_of(&self, node: NodeId) -> Option<u32> {
-        self.member_of[node.index()]
-    }
-
     /// Whether `a` and `b` collude together.
     pub fn same_group(&self, a: NodeId, b: NodeId) -> bool {
         match (self.member_of[a.index()], self.member_of[b.index()]) {

@@ -22,12 +22,18 @@
 //! the paper's literal latch — safe, and faster, when every node starts
 //! with positive weight. (See `docs/PAPER_MAP.md`, "Convergence protocol".)
 //!
-//! **Quiescence is derived every step, never latched**, so a neighbour's
-//! revocation re-activates a stopped node. A latch would let a lone
-//! unconverged node drain its pair into permanently-stopped neighbours
-//! forever — it can never satisfy `|S| > 1` if nobody pushes back —
-//! underflowing its gossip weight; derived, it keeps its whole
-//! neighbourhood active until it can hear, converge and announce.
+//! **Quiescence is derived, never latched**, so a neighbour's revocation
+//! re-activates a stopped node. A latch would let a lone unconverged
+//! node drain its pair into permanently-stopped neighbours forever — it
+//! can never satisfy `|S| > 1` if nobody pushes back — underflowing its
+//! gossip weight; derived, it keeps its whole neighbourhood active until
+//! it can hear, converge and announce. `VectorGossip` maintains the
+//! derivation rather than redoing it over every node each step: it
+//! counts each node's unannounced neighbours, updates the counts when an
+//! announcement flips, and re-derives [`Convergence::quiescent`] only
+//! for the flipped node and its neighbours, passing the neighbours'
+//! flags folded into one. The flags it gets are the ones a full scan
+//! would, so the rule is still stated only here.
 
 /// The stopping rule: a movement bound and whether announcements latch.
 #[derive(Debug, Clone, Copy)]

@@ -28,34 +28,48 @@
 //! an entry together (`share`, `add`, `ratio`), so splitting them would
 //! buy no locality and would write that arithmetic a second time. A
 //! step reads the current arena and appends every node's new vector to
-//! a second one; the two swap, and with the per-step scratch (delivered
-//! pushes bucketed by receiver, each sender's kept shares) they are
-//! owned by the engine and reused, so a steady-state step allocates
-//! only what `rand::seq::index::sample` does.
+//! a second one; the two swap. Beside them the engine keeps, per node,
+//! its announcement, how many of its neighbours have not announced, and
+//! its stopped flag, and two sets of one bit per node: the senders
+//! (nodes with a run, not stopped, with fan-out > 0), kept up to date
+//! across steps, and this step's receivers. All of it, with the per-step
+//! scratch (delivered pushes bucketed by receiver, each sender's kept
+//! shares, the nodes whose announcement flipped), is owned by the engine
+//! and reused, so a steady-state step allocates only what
+//! `rand::seq::index::sample` does.
+//!
+//! A step's bookkeeping costs what it touches, not `N + E`: pass 1 walks
+//! the sender set, the bucketing and pass 2 visit only the nodes that
+//! pushed or heard, and stopped flags are re-derived only for a node
+//! whose announcement flipped and its neighbours, so
+//! [`VectorGossip::all_stopped`] reads a count. What still spans the
+//! network is the walk over the two sets' words (`N/64`) and the copy of
+//! the untouched stretches into the next arena, in bulk.
 //!
 //! ## Accumulation order
 //!
-//! A step is pull-based. Pass 1 visits senders in ascending id, draws
-//! each one's targets and then its losses — the only RNG use — and
-//! buckets the delivered pushes by receiver; a counting sort keeps a
-//! bucket's senders ascending. Pass 2 builds each receiver's new vector
-//! at the tail of the next arena by merging sorted runs into it, and
-//! floating-point addition does not reassociate, so the order is part
-//! of the result: senders below the receiver (ascending), then the
-//! receiver's own kept piece — its whole vector when it is stopped or
-//! has nobody to push to, otherwise its `1/(k+1)` share added once plus
-//! once per lost push — then senders above it, every subject starting
-//! from `0.0`. That is the order in which a per-cell
-//! `inbox[target][subject] += share` loop over ascending senders sums,
-//! so states are bit-identical to such a map-based engine (the test
-//! oracle is one; whole runs are pinned to the one this engine
-//! replaced). A stretch of nodes that nothing reached and that pushed
-//! nothing — most of the network, once it quiesces — is copied across
-//! in one piece, each mass as the `0.0 + e` a lone contribution sums to.
+//! A step is pull-based. Pass 1 visits the senders in ascending id,
+//! draws each one's targets and then its losses — the only RNG use — and
+//! buckets the delivered pushes by receiver; a counting sort over the
+//! receivers keeps a bucket's senders ascending. Pass 2 builds the new
+//! vector of each node that pushed or heard at the tail of the next
+//! arena by merging sorted runs into it, and floating-point addition
+//! does not reassociate, so the order is part of the result: senders
+//! below the node (ascending), then its own kept piece — its whole
+//! vector when it is stopped or has nobody to push to, otherwise its
+//! `1/(k+1)` share added once plus once per lost push — then senders
+//! above it, every subject starting from `0.0`. That is the order in
+//! which a per-cell `inbox[target][subject] += share` loop over
+//! ascending senders sums, so states are bit-identical to such a
+//! map-based engine (the test oracle is one; whole runs are pinned to
+//! the one this engine replaced). A stretch of nodes that nothing
+//! reached and that pushed nothing — most of the network, once it
+//! quiesces — is copied across in one piece, each mass as the `0.0 + e`
+//! a lone contribution sums to.
 //!
 //! Eq. (7) needs last step's ratios, and those are `ratio()` of the
 //! current arena's entries: the new run is compared with the old one
-//! where it is built, and nothing is kept between steps.
+//! where it is built, and no ratio is kept between steps.
 //!
 //! ## One subject, and churn
 //!
@@ -333,6 +347,53 @@ impl Arena {
     }
 }
 
+/// A set of node ids, one bit per node.
+#[derive(Debug, Clone)]
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn contains(&self, node: usize) -> bool {
+        self.words[node / 64] >> (node % 64) & 1 == 1
+    }
+
+    fn set(&mut self, node: usize, member: bool) {
+        let bit = 1 << (node % 64);
+        if member {
+            self.words[node / 64] |= bit;
+        } else {
+            self.words[node / 64] &= !bit;
+        }
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(at, &word)| members(at, word))
+    }
+}
+
+/// The nodes a set's `at`-th word holds, ascending. Walking a set word by
+/// word leaves the caller free to change the engine as it goes.
+fn members(at: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            at * 64 + bit
+        })
+    })
+}
+
 /// Vector push-sum gossip engine (Variations 3 and 4, and Algorithm 1's
 /// one-subject core).
 #[derive(Debug, Clone)]
@@ -347,19 +408,34 @@ pub struct VectorGossip<'g> {
     next: Arena,
     /// The state a step in which some node departed started from.
     prior: Arena,
+    /// Who pushes next step: a node with a run, not stopped, and with
+    /// fan-out > 0. Re-derived for a node wherever one of the three can
+    /// have changed.
+    senders: NodeSet,
+    /// Whom a push reached this step; empty between steps.
+    receivers: NodeSet,
     /// This step's delivered pushes as `(receiver, sender)`, in sender order.
     delivered: Vec<(u32, u32)>,
-    /// `delivered` bucketed by receiver: `r` heard from
-    /// `inbox_senders[inbox_offsets[r]..inbox_offsets[r + 1]]`, ascending.
-    inbox_offsets: Vec<usize>,
+    /// `delivered` bucketed by receiver into `inbox_senders`, receivers
+    /// ascending and each one's senders ascending. `inbox_ends[r]` holds
+    /// `r`'s count after pass 1 and its bucket's end after the scatter
+    /// (its start is the previous receiver's end); zero between steps.
+    inbox_ends: Vec<usize>,
     inbox_senders: Vec<u32>,
     /// How many times a pushing node adds its own share back this step
-    /// (once, plus once per lost push); 0 for a node that pushes nothing
-    /// and keeps its vector whole.
+    /// (once, plus once per lost push); zero between steps.
     kept_shares: Vec<usize>,
     /// A departed node is announced and stopped for good.
     announced: Vec<bool>,
+    /// Per node, how many of its neighbours have not announced.
+    unannounced: Vec<u32>,
+    /// Nodes whose announcement flipped since their own and their
+    /// neighbours' stopped flags were last derived; every node before the
+    /// first step.
+    unsettled: Vec<u32>,
     stopped: Vec<bool>,
+    /// Nodes not stopped.
+    running: usize,
     present: Vec<bool>,
     survivors: usize,
     departures: usize,
@@ -442,7 +518,7 @@ impl<'g> VectorGossip<'g> {
         for (k, node) in fanouts.iter_mut().zip(graph.nodes()) {
             *k = (*k).min(graph.degree(node));
         }
-        Ok(Self {
+        let mut engine = Self {
             graph,
             config,
             convergence: Convergence::new(config.xi, config.sticky_announcements, subjects),
@@ -450,19 +526,28 @@ impl<'g> VectorGossip<'g> {
             state,
             next: Arena::from_maps(&[]),
             prior: Arena::from_maps(&[]),
+            senders: NodeSet::new(n),
+            receivers: NodeSet::new(n),
             delivered: Vec::new(),
-            inbox_offsets: Vec::new(),
+            inbox_ends: vec![0; n],
             inbox_senders: Vec::new(),
             kept_shares: vec![0; n],
             announced: vec![false; n],
+            unannounced: graph.nodes().map(|v| graph.degree(v) as u32).collect(),
+            unsettled: (0..n as u32).collect(),
             stopped: vec![false; n],
+            running: n,
             present: vec![true; n],
             survivors: n,
             departures: 0,
             step: 0,
             stats: MessageStats::new(n),
             entries_sent: 0,
-        })
+        };
+        for i in 0..n {
+            engine.refresh_sender(i);
+        }
+        Ok(engine)
     }
 
     /// Steps executed so far.
@@ -472,7 +557,7 @@ impl<'g> VectorGossip<'g> {
 
     /// Whether every present node has stopped.
     pub fn all_stopped(&self) -> bool {
-        self.stopped.iter().all(|&s| s)
+        self.running == 0
     }
 
     /// Every node's current `subject` ratio (the sentinel where it holds
@@ -543,6 +628,10 @@ impl<'g> VectorGossip<'g> {
             return false;
         }
         self.prior = std::mem::replace(&mut self.state, Arena::from_maps(&maps));
+        // Departed nodes' runs emptied and heirs' filled.
+        for i in 0..n {
+            self.refresh_sender(i);
+        }
         true
     }
 
@@ -562,9 +651,52 @@ impl<'g> VectorGossip<'g> {
             maps[heir].entry(j).or_default().add(e);
         }
         self.present[node] = false;
-        self.announced[node] = true;
-        self.stopped[node] = true;
+        if !self.announced[node] {
+            self.flip(node);
+        }
+        if !self.stopped[node] {
+            self.stopped[node] = true;
+            self.running -= 1;
+        }
         self.survivors -= 1;
+    }
+
+    /// Flip `node`'s announcement. Its neighbours' counts follow at once;
+    /// the stopped flags around it are re-derived when the step ends.
+    fn flip(&mut self, node: usize) {
+        let announced = !self.announced[node];
+        self.announced[node] = announced;
+        for &w in self.graph.neighbours(NodeId(node as u32)) {
+            let count = &mut self.unannounced[w as usize];
+            *count = if announced { *count - 1 } else { *count + 1 };
+        }
+        self.unsettled.push(node as u32);
+    }
+
+    /// Re-derive whether present `node` is stopped — its neighbours'
+    /// flags folded into one, "all announced" — and whether it pushes.
+    fn settle(&mut self, node: usize) {
+        if !self.present[node] {
+            return;
+        }
+        let neighbours =
+            (self.graph.degree(NodeId(node as u32)) > 0).then_some(self.unannounced[node] == 0);
+        let stopped = Convergence::quiescent(self.announced[node], neighbours.into_iter());
+        if stopped != self.stopped[node] {
+            self.stopped[node] = stopped;
+            if stopped {
+                self.running -= 1;
+            } else {
+                self.running += 1;
+            }
+        }
+        self.refresh_sender(node);
+    }
+
+    fn refresh_sender(&mut self, node: usize) {
+        let sends =
+            !self.stopped[node] && self.fanouts[node] > 0 && !self.state.run(node).0.is_empty();
+        self.senders.set(node, sends);
     }
 
     /// Execute one gossip step; returns messages sent.
@@ -578,125 +710,134 @@ impl<'g> VectorGossip<'g> {
         let mut active = 0u64;
 
         // Pass 1, senders ascending: who pushes to whom, and which
-        // pushes bounce. Nodes with nothing to say draw nothing. Each
-        // receiver's deliveries are counted two slots up (see below).
+        // pushes bounce. Nodes with nothing to say draw nothing.
         self.delivered.clear();
-        self.inbox_offsets.clear();
-        self.inbox_offsets.resize(n + 2, 0);
-        for i in 0..n {
-            self.kept_shares[i] = 0;
-            let len = self.state.run(i).0.len();
-            let k = self.fanouts[i];
-            if len == 0 || self.stopped[i] || k == 0 {
-                continue;
-            }
+        for i in self.senders.iter() {
             active += 1;
             // Choose targets once per node; the whole vector travels in
             // one message per target.
+            let k = self.fanouts[i];
             let neighbours = self.graph.neighbours(NodeId(i as u32));
             let targets = sample(rng, neighbours.len(), k);
             messages += k as u64;
-            self.entries_sent += (len * k) as u64;
+            self.entries_sent += (self.state.run(i).0.len() * k) as u64;
             let mut kept = 1;
             for idx in targets {
-                let target = neighbours[idx];
-                if !self.present[target as usize] || self.config.loss.drops(rng) {
+                let target = neighbours[idx] as usize;
+                if !self.present[target] || self.config.loss.drops(rng) {
                     kept += 1;
                 } else {
-                    self.delivered.push((target, i as u32));
-                    self.inbox_offsets[target as usize + 2] += 1;
+                    self.delivered.push((target as u32, i as u32));
+                    self.inbox_ends[target] += 1;
+                    self.receivers.set(target, true);
                 }
             }
             self.kept_shares[i] = kept;
         }
 
-        // Bucket the delivered pushes by receiver. A stable counting
-        // sort: pass 1 ran in sender order, so senders stay ascending
-        // inside a bucket. With the counts two slots up, the scatter can
-        // use slot `r + 1` as bucket `r`'s cursor and leave it at the
-        // bucket's end, which is bucket `r + 1`'s start.
-        for r in 2..n + 2 {
-            self.inbox_offsets[r] += self.inbox_offsets[r - 1];
+        // Bucket the delivered pushes by receiver: a stable counting sort
+        // over the receivers alone. Pass 1 ran in sender order, so senders
+        // stay ascending inside a bucket. Each receiver's count becomes
+        // its bucket's start, the scatter's cursor, which the scatter
+        // leaves at the bucket's end.
+        let mut end = 0;
+        for r in self.receivers.iter() {
+            let count = self.inbox_ends[r];
+            self.inbox_ends[r] = end;
+            end += count;
         }
         self.inbox_senders.clear();
         self.inbox_senders.resize(self.delivered.len(), 0);
         for &(r, sender) in &self.delivered {
-            let cursor = &mut self.inbox_offsets[r as usize + 1];
+            let cursor = &mut self.inbox_ends[r as usize];
             self.inbox_senders[*cursor] = sender;
             *cursor += 1;
         }
 
-        // Pass 2, receivers ascending: merge what each one heard with
-        // what it kept, in the order the module docs fix, and hand the
-        // convergence protocol Eq. (7)'s summed movement, measured from
-        // the state the step started from.
-        let before = if churned { &self.prior } else { &self.state };
+        // Pass 2, the nodes that pushed or heard, ascending: merge what
+        // each one heard with what it kept, in the order the module docs
+        // fix, and hand the convergence protocol Eq. (7)'s summed
+        // movement, measured from the state the step started from. The
+        // stretches between them — most of the network, once it
+        // quiesces — carry over in one piece.
         self.next.clear();
-        let mut r = 0;
-        while r < n {
-            // A stretch of nodes nothing came in to and nothing went out
-            // of — most of the network, once it quiesces — carries over
-            // in one piece.
-            let idle = (r..n)
-                .take_while(|&i| {
-                    self.inbox_offsets[i] == self.inbox_offsets[i + 1] && self.kept_shares[i] == 0
-                })
-                .count();
-            if idle > 0 {
-                self.next.carry_over(&self.state, r..r + idle);
-                r += idle;
-                continue;
-            }
-            let senders = &self.inbox_senders[self.inbox_offsets[r]..self.inbox_offsets[r + 1]];
-            let (own_subjects, own_entries) = self.state.run(r);
-            let above = senders.partition_point(|&s| (s as usize) < r);
-            let hear = |next: &mut Arena, heard: &[u32]| {
-                for &s in heard {
-                    let (subjects, entries) = self.state.run(s as usize);
-                    next.accumulate(subjects, entries, self.fanouts[s as usize] + 1, 1);
+        let (mut built, mut bucket_start) = (0, 0);
+        for at in 0..self.senders.words.len() {
+            for r in members(at, self.senders.words[at] | self.receivers.words[at]) {
+                if built < r {
+                    self.next.carry_over(&self.state, built..r);
                 }
-            };
-            hear(&mut self.next, &senders[..above]);
-            match self.kept_shares[r] {
-                0 => self.next.accumulate(own_subjects, own_entries, 1, 1),
-                kept => self
-                    .next
-                    .accumulate(own_subjects, own_entries, self.fanouts[r] + 1, kept),
-            }
-            hear(&mut self.next, &senders[above..]);
-            self.next.close_run();
+                built = r + 1;
+                let mut bucket = 0..0;
+                if self.receivers.contains(r) {
+                    bucket = bucket_start..std::mem::take(&mut self.inbox_ends[r]);
+                    bucket_start = bucket.end;
+                }
+                let senders = &self.inbox_senders[bucket];
+                let (own_subjects, own_entries) = self.state.run(r);
+                let above = senders.partition_point(|&s| (s as usize) < r);
+                let hear = |next: &mut Arena, heard: &[u32]| {
+                    for &s in heard {
+                        let (subjects, entries) = self.state.run(s as usize);
+                        next.accumulate(subjects, entries, self.fanouts[s as usize] + 1, 1);
+                    }
+                };
+                hear(&mut self.next, &senders[..above]);
+                match std::mem::take(&mut self.kept_shares[r]) {
+                    0 => self.next.accumulate(own_subjects, own_entries, 1, 1),
+                    kept => {
+                        self.next
+                            .accumulate(own_subjects, own_entries, self.fanouts[r] + 1, kept)
+                    }
+                }
+                hear(&mut self.next, &senders[above..]);
+                self.next.close_run();
 
-            if !senders.is_empty() {
-                // A node never lets go of a subject, so the old run is a
-                // subsequence of the new one.
-                let (old_subjects, old_entries) = before.run(r);
-                let (new_subjects, new_entries) = self.next.run(r);
-                let mut total_move = 0.0;
-                let mut old = 0;
-                for (&j, e) in new_subjects.iter().zip(new_entries) {
-                    let prev = if old_subjects.get(old) == Some(&j) {
-                        old += 1;
-                        old_entries[old - 1].ratio()
-                    } else {
-                        RATIO_SENTINEL
-                    };
-                    total_move += (e.ratio() - prev).abs();
+                if !senders.is_empty() {
+                    // A node never lets go of a subject, so the old run is
+                    // a subsequence of the new one.
+                    let before = if churned { &self.prior } else { &self.state };
+                    let (old_subjects, old_entries) = before.run(r);
+                    let (new_subjects, new_entries) = self.next.run(r);
+                    let mut total_move = 0.0;
+                    let mut old = 0;
+                    for (&j, e) in new_subjects.iter().zip(new_entries) {
+                        let prev = if old_subjects.get(old) == Some(&j) {
+                            old += 1;
+                            old_entries[old - 1].ratio()
+                        } else {
+                            RATIO_SENTINEL
+                        };
+                        total_move += (e.ratio() - prev).abs();
+                    }
+                    if self.convergence.observe(self.announced[r], total_move) != self.announced[r]
+                    {
+                        self.flip(r);
+                    }
                 }
-                self.announced[r] = self.convergence.observe(self.announced[r], total_move);
             }
-            r += 1;
+        }
+        if built < n {
+            self.next.carry_over(&self.state, built..n);
         }
         std::mem::swap(&mut self.state, &mut self.next);
 
-        for i in 0..n {
-            if !self.present[i] {
-                continue;
+        // Quiescence, maintained: only a node whose announcement flipped
+        // and its neighbours can have started or stopped, and a receiver
+        // may hold its first run and start pushing.
+        let graph = self.graph;
+        for at in 0..self.unsettled.len() {
+            let node = self.unsettled[at] as usize;
+            self.settle(node);
+            for &w in graph.neighbours(NodeId(node as u32)) {
+                self.settle(w as usize);
             }
-            let neighbours = self.graph.neighbours(NodeId(i as u32));
-            self.stopped[i] = Convergence::quiescent(
-                self.announced[i],
-                neighbours.iter().map(|&w| self.announced[w as usize]),
-            );
+        }
+        self.unsettled.clear();
+        for at in 0..self.receivers.words.len() {
+            for r in members(at, std::mem::take(&mut self.receivers.words[at])) {
+                self.refresh_sender(r);
+            }
         }
 
         self.step += 1;
@@ -1148,9 +1289,10 @@ mod tests {
     /// kept as the reference: one `BTreeMap` inbox per node, every share
     /// added to its cell as the sender loop reaches it, a push to a
     /// departed node bounced without a loss draw. It takes the stopped
-    /// and present flags as given — the stopping rule is not copied
-    /// here; `whole_runs_are_pinned_to_the_map_engine` covers that half.
-    /// Returns the new state, the messages and the entries sent.
+    /// and present flags as given: `stopping_rule_from_scratch` checks
+    /// the engine's stopped flags, and `whole_runs_are_pinned_to_the_map_engine`
+    /// the runs they make. Returns the new state, the messages and the
+    /// entries sent.
     fn map_step(
         graph: &Graph,
         fanouts: &[usize],
@@ -1196,6 +1338,42 @@ mod tests {
         (inbox, messages, entries_sent)
     }
 
+    /// What the engine maintains from flips, derived from scratch as
+    /// a step that scans every node would: each stopped flag from
+    /// `announced` (a departed node announced and stopped), whether all
+    /// stopped, and the sender set. `Err` names the first that differs.
+    fn stopping_rule_from_scratch(engine: &VectorGossip) -> Result<(), String> {
+        let g = engine.graph;
+        let stopped: Vec<bool> = g
+            .nodes()
+            .map(|v| {
+                let announced = engine.announced[v.index()];
+                if !engine.present[v.index()] {
+                    return announced;
+                }
+                let neighbours = g
+                    .neighbours(v)
+                    .iter()
+                    .map(|&w| engine.announced[w as usize]);
+                Convergence::quiescent(announced, neighbours)
+            })
+            .collect();
+        if engine.stopped != stopped {
+            return Err(format!("stopped {:?}, derived {stopped:?}", engine.stopped));
+        }
+        if engine.all_stopped() != stopped.iter().all(|&s| s) {
+            return Err(format!("all_stopped() {}", engine.all_stopped()));
+        }
+        let senders: Vec<usize> = (0..g.node_count())
+            .filter(|&i| !stopped[i] && engine.fanouts[i] > 0 && !engine.state.run(i).0.is_empty())
+            .collect();
+        let maintained: Vec<usize> = engine.senders.iter().collect();
+        if maintained != senders {
+            return Err(format!("senders {maintained:?}, derived {senders:?}"));
+        }
+        Ok(())
+    }
+
     fn bits(state: &[GossipVector]) -> Vec<Vec<(u32, [u64; 3])>> {
         state
             .iter()
@@ -1211,8 +1389,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every step of the flat engine — departures included — lands on
-        /// the bits of the map inbox and leaves the RNG where the map
-        /// engine left it.
+        /// the bits of the map inbox, leaves the RNG where the map engine
+        /// left it, and leaves the stopping rule's flags and the sender
+        /// set as a from-scratch derivation has them.
         #[test]
         fn flat_step_matches_the_map_inbox_bit_for_bit(
             nodes in 5usize..60,
@@ -1280,6 +1459,9 @@ mod tests {
                 prop_assert_eq!(engine.entries_sent, entries_sent, "entries, step {}", step);
                 prop_assert_eq!(bits(&engine.state.to_maps()), bits(&state), "state, step {}", step);
                 prop_assert_eq!(flat_rng.next_u64(), map_rng.next_u64(), "rng, step {}", step);
+                if let Err(diff) = stopping_rule_from_scratch(&engine) {
+                    prop_assert!(false, "step {}: {}", step, diff);
+                }
             }
         }
     }

@@ -4,7 +4,8 @@
 //! so the permanent representation is a compressed-sparse-row layout: one
 //! `u32` offset array and one flat neighbour array. Construction goes
 //! through [`GraphBuilder`], which rejects self loops, collects edges in
-//! one list and sorts, deduplicates and freezes it into a [`Graph`].
+//! one list and buckets, sorts, deduplicates and freezes it into a
+//! [`Graph`].
 
 use crate::error::GraphError;
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,7 @@ impl serde::__value::MapKey for NodeId {
 }
 
 /// Undirected simple-graph builder over one directed edge list, which
-/// [`Self::build`] sorts, deduplicates and counts into CSR: the frozen
+/// [`Self::build`] buckets, sorts and deduplicates into CSR: the frozen
 /// [`Graph`] is always a simple graph.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -99,22 +100,46 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Freeze into the immutable CSR representation.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut offsets = vec![0u32; self.nodes + 1];
+    /// Freeze into the immutable CSR representation: bucket the directed
+    /// edges by source with a counting sort, then sort and deduplicate
+    /// each row where it lies.
+    pub fn build(self) -> Graph {
+        let n = self.nodes;
+        // Counts sit two slots up, so the scatter can use slot `a + 1` as
+        // row `a`'s cursor and leave it at the row's end, which is row
+        // `a + 1`'s start: `offsets[..=n]` then delimits every row.
+        let mut offsets = vec![0u32; n + 2];
         for &(a, _) in &self.edges {
-            offsets[a as usize + 1] += 1;
+            offsets[a as usize + 2] += 1;
         }
-        let mut total = 0;
-        for offset in &mut offsets {
-            total += *offset;
-            *offset = total;
+        for i in 2..n + 2 {
+            offsets[i] += offsets[i - 1];
         }
-        // Borrowed, so the collect allocates exactly; collecting the
-        // owned list would reuse its allocation, twice the size needed.
-        let neighbours = self.edges.iter().map(|&(_, b)| b).collect();
+        let mut neighbours = vec![0u32; self.edges.len()];
+        for &(a, b) in &self.edges {
+            let cursor = &mut offsets[a as usize + 1];
+            neighbours[*cursor as usize] = b;
+            *cursor += 1;
+        }
+        offsets.truncate(n + 1);
+        // Each row sorted, its repeats dropped and the row moved down
+        // over the repeats dropped before it.
+        let mut kept = 0;
+        for i in 0..n {
+            let row = offsets[i] as usize..offsets[i + 1] as usize;
+            offsets[i] = kept as u32;
+            neighbours[row.clone()].sort_unstable();
+            for at in row {
+                let b = neighbours[at];
+                if kept == offsets[i] as usize || neighbours[kept - 1] != b {
+                    neighbours[kept] = b;
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept as u32;
+        neighbours.truncate(kept);
+        neighbours.shrink_to_fit();
         Graph {
             offsets,
             neighbours,
@@ -251,6 +276,9 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn path3() -> Graph {
         let mut b = GraphBuilder::new(3);
@@ -293,6 +321,31 @@ mod tests {
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.offsets(), &[0, 1, 2, 2]);
+    }
+
+    /// Rows bucketed, sorted and deduplicated in place read as the sorted,
+    /// deduplicated directed edge list, on a list dense with repeats in
+    /// both directions and with isolated nodes at both ends.
+    #[test]
+    fn build_matches_the_sorted_deduplicated_edge_list() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut b = GraphBuilder::new(45);
+        let mut reference = BTreeSet::new();
+        for _ in 0..600 {
+            let (a, c) = (rng.random_range(1..41u32), rng.random_range(1..41u32));
+            if a != c {
+                b.add_edge(a, c).unwrap();
+                reference.extend([(a, c), (c, a)]);
+            }
+        }
+        let g = b.build();
+        let rows: Vec<(u32, u32)> = g
+            .nodes()
+            .flat_map(|a| g.neighbours(a).iter().map(move |&c| (a.0, c)))
+            .collect();
+        assert_eq!(rows, reference.into_iter().collect::<Vec<_>>());
+        assert_eq!(g.offsets().len(), 46);
+        assert_eq!(g.degree(NodeId(0)) + g.degree(NodeId(44)), 0);
     }
 
     #[test]

@@ -579,17 +579,6 @@ impl AdversaryAssignment {
     pub fn cartels(&self) -> &[StealthCartel] {
         &self.cartels
     }
-
-    /// All stealth-cartel member ids, ascending.
-    pub fn stealth_members(&self) -> Vec<NodeId> {
-        let mut members: Vec<NodeId> = self
-            .cartels
-            .iter()
-            .flat_map(|c| c.members.iter().copied())
-            .collect();
-        members.sort_unstable();
-        members
-    }
 }
 
 #[cfg(test)]

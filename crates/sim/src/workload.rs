@@ -290,11 +290,6 @@ impl ActivityPlan {
         }
     }
 
-    /// The model this plan was compiled from.
-    pub fn model(&self) -> TrafficModel {
-        self.model
-    }
-
     /// Whether this round is a flash-crowd round.
     pub fn is_flash_round(&self, round: u64) -> bool {
         self.model.flash_interval > 0 && (round + 1) % self.model.flash_interval as u64 == 0

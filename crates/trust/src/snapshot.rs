@@ -165,11 +165,6 @@ impl ReputationSnapshot {
         self.round
     }
 
-    /// Number of subjects (scored or not).
-    pub fn subject_count(&self) -> usize {
-        self.reps.len()
-    }
-
     /// Number of scored subjects.
     pub fn scored_count(&self) -> usize {
         self.rank.len()

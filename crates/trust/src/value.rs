@@ -63,12 +63,6 @@ impl TrustValue {
         };
         TrustValue(self.0 + rate * (target.0 - self.0))
     }
-
-    /// Absolute difference of two trust values (used by the `Δ`-triggered
-    /// neighbour re-push of Algorithm 2).
-    pub fn abs_diff(self, other: TrustValue) -> f64 {
-        (self.0 - other.0).abs()
-    }
 }
 
 impl TryFrom<f64> for TrustValue {
