@@ -60,7 +60,7 @@ impl Behavior {
     }
 
     /// Sample one transaction outcome quality delivered by this peer.
-    pub fn sample_quality<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_quality<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             Behavior::Honest { quality } | Behavior::Colluder { quality, .. } => {
                 // Mild multiplicative noise around the latent quality.

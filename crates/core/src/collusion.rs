@@ -100,8 +100,9 @@ impl GroupAssignment {
         Ok(Self { member_of, groups })
     }
 
-    /// Build from explicit groups (used by tests and custom scenarios).
-    pub fn from_groups(n: usize, groups: Vec<Vec<NodeId>>) -> Result<Self, CoreError> {
+    /// Build from explicit groups: the tests' fixture builder.
+    #[cfg(test)]
+    pub(crate) fn from_groups(n: usize, groups: Vec<Vec<NodeId>>) -> Result<Self, CoreError> {
         let mut member_of = vec![None; n];
         for (gid, members) in groups.iter().enumerate() {
             for &m in members {
@@ -135,7 +136,7 @@ impl GroupAssignment {
     }
 
     /// Whether `a` and `b` collude together.
-    pub fn same_group(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn same_group(&self, a: NodeId, b: NodeId) -> bool {
         match (self.member_of[a.index()], self.member_of[b.index()]) {
             (Some(x), Some(y)) => x == y,
             _ => false,
@@ -152,14 +153,9 @@ impl GroupAssignment {
         self.groups.len()
     }
 
-    /// Members of a group.
-    pub fn group_members(&self, group: u32) -> &[NodeId] {
-        &self.groups[group as usize]
-    }
-
     /// Group-mates of `node` excluding itself (empty for honest nodes and
     /// lone colluders).
-    pub fn group_mates(&self, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn group_mates(&self, node: NodeId) -> Vec<NodeId> {
         match self.member_of[node.index()] {
             Some(g) => self.groups[g as usize]
                 .iter()
@@ -194,7 +190,7 @@ impl<'a> ColludedAggregates<'a> {
     /// * colluding `i` that rated `j`: 1 for a group-mate, 0 otherwise;
     /// * colluding `i` that did *not* rate `j`: an injected endorsement
     ///   (1) when `j` is a group-mate, nothing otherwise.
-    pub fn gossip_report(&self, i: NodeId, j: NodeId) -> Option<f64> {
+    pub(crate) fn gossip_report(&self, i: NodeId, j: NodeId) -> Option<f64> {
         if i == j {
             return None; // nobody gossips feedback about itself
         }
@@ -345,6 +341,8 @@ where
 pub mod theory {
     /// Eq. (12): ΔR with plain gossip aggregation,
     /// `ΔR_old = −GC/N² + Σ_{i∈C} t_ij / N`.
+    ///
+    /// Public with no caller yet: ROADMAP item 17 either checks it against a run or deletes it.
     pub fn delta_r_old(n: usize, c: usize, g: usize, colluder_trust_sum: f64) -> f64 {
         let n = n as f64;
         -((g * c) as f64) / (n * n) + colluder_trust_sum / n
@@ -357,6 +355,8 @@ pub mod theory {
     }
 
     /// Eq. (17): `ΔR_new = shrink · ΔR_old`.
+    ///
+    /// Public with no caller yet: ROADMAP item 17 either checks it against a run or deletes it.
     pub fn delta_r_new(
         n: usize,
         c: usize,
@@ -398,10 +398,10 @@ mod tests {
         let a = GroupAssignment::assign(100, scheme, &mut rng(1)).unwrap();
         assert_eq!(a.colluder_count(), 30);
         assert_eq!(a.group_count(), 8); // ceil(30/4)
-        for g in 0..7u32 {
-            assert_eq!(a.group_members(g).len(), 4);
+        for g in 0..7 {
+            assert_eq!(a.groups[g].len(), 4);
         }
-        assert_eq!(a.group_members(7).len(), 2);
+        assert_eq!(a.groups[7].len(), 2);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl<'g> ReputationSystem<'g> {
         &self.trust
     }
 
-    /// Mutable trust matrix (workloads update it between gossip rounds).
-    pub fn trust_mut(&mut self) -> &mut TrustMatrix {
-        &mut self.trust
-    }
-
     /// Consume the system and hand the trust matrix back. Round engines
     /// that keep the matrix alive across rounds (the incremental delta
     /// path) construct a system per aggregation phase and recover their
@@ -86,7 +81,7 @@ impl<'g> ReputationSystem<'g> {
 
     /// `w_Ik` — the weight observer `I` gives to node `k`'s opinion,
     /// from `I`'s direct trust in `k` (1 for strangers).
-    pub fn weight_of(&self, observer: NodeId, k: NodeId) -> f64 {
+    pub(crate) fn weight_of(&self, observer: NodeId, k: NodeId) -> f64 {
         self.weights.weight(self.trust.get_or_zero(observer, k))
     }
 

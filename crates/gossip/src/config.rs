@@ -131,17 +131,6 @@ impl GossipConfig {
         .validated()
     }
 
-    /// Normal (uniform, 1-push) push gossip with tolerance `xi` — the
-    /// GossipTrust-style baseline.
-    pub fn normal_push(xi: f64) -> Result<Self, GossipError> {
-        Self {
-            xi,
-            fanout: FanoutPolicy::Uniform(1),
-            ..Self::default()
-        }
-        .validated()
-    }
-
     /// Builder-style: set the loss model.
     pub fn with_loss(mut self, loss: LossModel) -> Self {
         self.loss = loss;
@@ -217,12 +206,6 @@ mod tests {
         assert!(GossipConfig::differential(-1.0).is_err());
         assert!(GossipConfig::differential(f64::NAN).is_err());
         assert!(GossipConfig::differential(1e-5).is_ok());
-    }
-
-    #[test]
-    fn normal_push_uses_uniform_one() {
-        let c = GossipConfig::normal_push(1e-3).unwrap();
-        assert_eq!(c.fanout, FanoutPolicy::Uniform(1));
     }
 
     #[test]

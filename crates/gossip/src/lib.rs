@@ -62,7 +62,7 @@ pub use adversary::AdversaryMix;
 pub use config::{node_stream_seed, EngineKind, GossipConfig};
 pub use error::GossipError;
 pub use fanout::FanoutPolicy;
-pub use pair::{GossipPair, RATIO_SENTINEL};
+pub use pair::GossipPair;
 pub use profile::NetworkProfile;
 pub use scalar::ScalarGossip;
 pub use vector::{VectorGossip, VectorOutcome};

@@ -95,7 +95,7 @@ impl ChurnModel {
 
     /// Sample whether a node departs this step.
     #[inline]
-    pub fn departs<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn departs<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.departure_probability > 0.0 && rng.random::<f64>() < self.departure_probability
     }
 }

@@ -36,7 +36,7 @@ impl MessageStats {
     }
 
     /// Record a completed step.
-    pub fn record_step(&mut self, messages: u64, active_nodes: u64) {
+    pub(crate) fn record_step(&mut self, messages: u64, active_nodes: u64) {
         self.per_step.push(messages);
         self.active_per_step.push(active_nodes);
     }

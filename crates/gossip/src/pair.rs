@@ -10,12 +10,12 @@ use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// The paper's sentinel ratio for nodes whose gossip weight is still zero.
-pub const RATIO_SENTINEL: f64 = 10.0;
+pub(crate) const RATIO_SENTINEL: f64 = 10.0;
 
 /// A push-sum gossip pair `(y, g)`.
 ///
 /// ```
-/// use dg_gossip::{GossipPair, RATIO_SENTINEL};
+/// use dg_gossip::GossipPair;
 ///
 /// // An originator carries its value with unit gossip weight …
 /// let p = GossipPair::originator(0.6);
@@ -30,7 +30,7 @@ pub const RATIO_SENTINEL: f64 = 10.0;
 /// assert!((reassembled.weight - p.weight).abs() < 1e-12);
 ///
 /// // Zero-weight pairs report the paper's sentinel ratio u = 10.
-/// assert_eq!(GossipPair::passive(0.6).ratio(), RATIO_SENTINEL);
+/// assert_eq!(GossipPair::passive(0.6).ratio(), 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct GossipPair {

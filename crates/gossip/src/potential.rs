@@ -75,6 +75,8 @@ impl<'g> PotentialTracker<'g> {
     /// Maximum relative contribution imbalance
     /// `max_{i,j} |c_{n,i,j}/‖c_{n,·,j}‖₁ − 1/N|` (the ξ-uniformity of
     /// Theorem 5.2). `None` while some node still has zero weight.
+    ///
+    /// Public with no caller yet: ROADMAP item 17 either checks it against a run or deletes it.
     pub fn max_imbalance(&self) -> Option<f64> {
         let n = self.node_count() as f64;
         let mut worst: f64 = 0.0;

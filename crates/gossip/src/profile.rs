@@ -15,8 +15,8 @@
 //!   are *surfaced* through a per-run ledger instead of silently skewing
 //!   estimates;
 //! * the **synchronous engines** in this crate map the profile onto
-//!   [`LossModel`] / [`ChurnModel`] via [`NetworkProfile::sync_loss_model`]
-//!   and [`NetworkProfile::sync_churn_model`] — the paper's
+//!   [`LossModel`] / [`ChurnModel`] via `NetworkProfile::sync_loss_model`
+//!   and `NetworkProfile::sync_churn_model` — the paper's
 //!   detect-and-recredit loss semantics (mass conserved) and
 //!   permanent-departure churn. Delay, duplication and partitions have no
 //!   synchronous analogue and are ignored there; experiments that need
@@ -72,7 +72,7 @@ pub struct ChurnProfile {
 
 impl ChurnProfile {
     /// No churn.
-    pub const NONE: ChurnProfile = ChurnProfile {
+    pub(crate) const NONE: ChurnProfile = ChurnProfile {
         crash_probability: 0.0,
         min_downtime: 0,
         max_downtime: 0,
@@ -219,17 +219,6 @@ impl NetworkProfile {
         }
     }
 
-    /// Whether this profile carries faults only the p2p transport can
-    /// model — delay, duplication, partition windows. The synchronous
-    /// engines' view ([`sync_loss_model`](Self::sync_loss_model) /
-    /// [`sync_churn_model`](Self::sync_churn_model)) ignores these, so
-    /// synchronous measurements under such a profile reflect its
-    /// loss/churn knobs only; callers should surface that to avoid
-    /// e.g. reporting a partition as free.
-    pub fn has_transport_only_faults(&self) -> bool {
-        self.max_delay > 0 || self.duplicate > 0.0 || self.partition.is_some()
-    }
-
     /// Validate every knob.
     pub fn validated(self) -> Result<Self, GossipError> {
         if !self.loss.is_finite() || !(0.0..=1.0).contains(&self.loss) {
@@ -264,14 +253,14 @@ impl NetworkProfile {
     /// The synchronous-engine view of this profile's loss: the paper's
     /// detect-and-recredit [`LossModel`] (mass conserved). Clamped below
     /// `1.0` because the synchronous model requires `p < 1`.
-    pub fn sync_loss_model(&self) -> LossModel {
+    pub(crate) fn sync_loss_model(&self) -> LossModel {
         LossModel::new(self.loss.min(MAX_SYNC_LOSS)).expect("clamped loss is valid")
     }
 
     /// The synchronous-engine view of this profile's churn: permanent
     /// departures with pair hand-over, capped at `max_departures` so long
     /// runs keep a populated network.
-    pub fn sync_churn_model(&self, max_departures: usize) -> ChurnModel {
+    pub(crate) fn sync_churn_model(&self, max_departures: usize) -> ChurnModel {
         ChurnModel::new(self.churn.crash_probability, max_departures)
             .expect("validated crash probability is a valid departure probability")
     }
@@ -345,17 +334,6 @@ mod tests {
         assert!(w.cuts(2));
         assert!(w.cuts(3));
         assert!(!w.cuts(4));
-    }
-
-    #[test]
-    fn transport_only_fault_detection() {
-        assert!(!NetworkProfile::lossless().has_transport_only_faults());
-        assert!(NetworkProfile::lossy().has_transport_only_faults()); // delay + dup
-        assert!(NetworkProfile::partitioned().has_transport_only_faults());
-        assert!(NetworkProfile::churning().has_transport_only_faults()); // 1-round delay
-        let mut loss_only = NetworkProfile::lossless();
-        loss_only.loss = 0.3;
-        assert!(!loss_only.has_transport_only_faults());
     }
 
     #[test]

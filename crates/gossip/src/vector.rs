@@ -704,7 +704,12 @@ impl<'g> VectorGossip<'g> {
         #[cfg(debug_assertions)]
         let mass_before = self.total_mass();
 
-        let churned = self.config.churn.departure_probability() != 0.0 && self.apply_churn(rng);
+        // At the cap nothing departs and draws nothing, and the last
+        // churning step's repair left no node stranded: skip the walk.
+        let churn = self.config.churn;
+        let churned = churn.departure_probability() != 0.0
+            && self.departures < churn.max_departures
+            && self.apply_churn(rng);
         let n = self.graph.node_count();
         let mut messages = 0u64;
         let mut active = 0u64;
@@ -973,7 +978,10 @@ mod tests {
         let g = pa_graph(500, 4);
         let values: Vec<f64> = (0..500).map(|i| ((i * 7) % 13) as f64 / 13.0).collect();
         let diff = averaged(&g, GossipConfig::differential(1e-8).unwrap(), &values, 5);
-        let push = averaged(&g, GossipConfig::normal_push(1e-8).unwrap(), &values, 5);
+        let normal = GossipConfig::differential(1e-8)
+            .unwrap()
+            .with_fanout(FanoutPolicy::Uniform(1));
+        let push = averaged(&g, normal, &values, 5);
         assert!(diff.converged && push.converged);
         // Differential should not need more steps than normal push on a
         // power-law graph (usually strictly fewer).
@@ -1006,9 +1014,10 @@ mod tests {
     #[test]
     fn uniform_one_push_sends_one_message_per_node_per_step() {
         let g = generators::complete(10);
-        let mut engine =
-            VectorGossip::average(&g, GossipConfig::normal_push(1e-6).unwrap(), &[0.5; 10])
-                .unwrap();
+        let config = GossipConfig::differential(1e-6)
+            .unwrap()
+            .with_fanout(FanoutPolicy::Uniform(1));
+        let mut engine = VectorGossip::average(&g, config, &[0.5; 10]).unwrap();
         assert_eq!(engine.step(&mut rng(12)), 10);
     }
 

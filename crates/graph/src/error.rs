@@ -21,13 +21,4 @@ pub enum GraphError {
     /// Generator parameters were inconsistent (e.g. `m >= n`).
     #[error("invalid generator parameters: {0}")]
     InvalidParameters(String),
-
-    /// The requested topology requires more edges than the node count allows.
-    #[error("requested degree {degree} impossible with {n} nodes")]
-    DegreeTooLarge {
-        /// Requested per-node degree.
-        degree: usize,
-        /// Number of nodes.
-        n: usize,
-    },
 }

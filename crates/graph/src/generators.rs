@@ -1,15 +1,13 @@
-//! Baseline topologies: complete, ring, star, Erdős–Rényi, random-regular,
-//! and the paper's 10-node example network (Fig. 2 / Table 1).
+//! Baseline topologies: complete, ring, star, and the paper's 10-node
+//! example network (Fig. 2 / Table 1).
 //!
 //! The complete graph is the setting analysed by Kempe et al. (the paper's
-//! reference \[21\] and the substrate of GossipTrust \[17\]); the others are
-//! used by tests and by the convergence-ablation experiment to contrast
-//! differential push on power-law vs. regular topologies.
+//! reference \[21\] and the substrate of GossipTrust \[17\]) and the
+//! simulator's `Complete` topology; ring and star serve tests and
+//! examples.
 
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
@@ -50,70 +48,6 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
         b.add_edge(0u32, leaf)?;
     }
     Ok(b.build())
-}
-
-/// Erdős–Rényi `G(n, p)`.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(GraphError::InvalidParameters(format!(
-            "edge probability {p} outside [0, 1]"
-        )));
-    }
-    let mut b = GraphBuilder::new(n);
-    for a in 0..n as u32 {
-        for c in (a + 1)..n as u32 {
-            if rng.random::<f64>() < p {
-                b.add_edge(a, c)?;
-            }
-        }
-    }
-    Ok(b.build())
-}
-
-/// Random `d`-regular graph via the configuration model with restarts.
-///
-/// `n·d` must be even and `d < n`. Used by the convergence ablation to
-/// compare differential push on a homogeneous-degree topology.
-pub fn random_regular<R: Rng + ?Sized>(
-    n: usize,
-    d: usize,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
-    if d >= n {
-        return Err(GraphError::DegreeTooLarge { degree: d, n });
-    }
-    if (n * d) % 2 != 0 {
-        return Err(GraphError::InvalidParameters(
-            "n * d must be even for a d-regular graph".into(),
-        ));
-    }
-    if d == 0 {
-        return Ok(GraphBuilder::new(n).build());
-    }
-    // Configuration model: pair up half-edges uniformly; restart on a
-    // self loop, or on a parallel edge, which the build merges and so
-    // leaves the graph an edge short. For d << n a handful of restarts
-    // suffice.
-    'attempt: for _ in 0..1000 {
-        let mut stubs: Vec<u32> = (0..n as u32)
-            .flat_map(|v| std::iter::repeat(v).take(d))
-            .collect();
-        stubs.shuffle(rng);
-        let mut b = GraphBuilder::new(n);
-        for pair in stubs.chunks_exact(2) {
-            if pair[0] == pair[1] {
-                continue 'attempt;
-            }
-            b.add_edge(pair[0], pair[1])?;
-        }
-        let g = b.build();
-        if g.edge_count() == n * d / 2 {
-            return Ok(g);
-        }
-    }
-    Err(GraphError::InvalidParameters(format!(
-        "failed to build a {d}-regular graph on {n} nodes after 1000 attempts"
-    )))
 }
 
 /// The 10-node example network of the paper's Fig. 2 / Table 1.
@@ -166,7 +100,6 @@ pub const PAPER_EXAMPLE_FANOUTS: [usize; 10] = [1, 1, 3, 1, 1, 1, 1, 1, 1, 1];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
     use crate::graph::NodeId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -194,31 +127,6 @@ mod tests {
         assert!(star(1).is_err());
     }
 
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let empty = erdos_renyi(10, 0.0, &mut rng).unwrap();
-        assert_eq!(empty.edge_count(), 0);
-        let full = erdos_renyi(10, 1.0, &mut rng).unwrap();
-        assert_eq!(full.edge_count(), 45);
-        assert!(erdos_renyi(10, 1.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn random_regular_is_regular_and_connected() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let g = random_regular(100, 4, &mut rng).unwrap();
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-        assert!(analysis::is_connected(&g));
-    }
-
-    #[test]
-    fn random_regular_rejects_odd_total() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(random_regular(5, 3, &mut rng).is_err());
-        assert!(random_regular(4, 5, &mut rng).is_err());
-    }
-
     /// FNV-1a over the CSR words: every offset, then every neighbour.
     fn csr_checksum(g: &Graph) -> u64 {
         let words = g
@@ -240,25 +148,6 @@ mod tests {
         };
         assert_eq!(csr_checksum(&pa(2)), 0x5dd5_7429_c16a_5655);
         assert_eq!(csr_checksum(&pa(3)), 0x9d4f_f6cc_df5f_b105);
-
-        // Seed 3's first shuffle pairs a stub with itself or repeats a
-        // pair, so this pin covers a restart and the draws it consumes.
-        let (n, d, seed) = (60usize, 3usize, 3u64);
-        let mut stubs: Vec<u32> = (0..n as u32)
-            .flat_map(|v| std::iter::repeat(v).take(d))
-            .collect();
-        stubs.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-        let mut pairs: Vec<(u32, u32)> = stubs
-            .chunks_exact(2)
-            .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
-            .collect();
-        pairs.sort_unstable();
-        assert!(pairs.iter().any(|&(a, c)| a == c) || pairs.windows(2).any(|w| w[0] == w[1]));
-        let regular = random_regular(n, d, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-        assert_eq!(csr_checksum(&regular), 0x5ce1_4d6b_822b_238d);
-
-        let er = erdos_renyi(300, 0.02, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-        assert_eq!(csr_checksum(&er), 0xf0f4_bafc_2d01_4f33);
     }
 
     #[test]
@@ -269,6 +158,6 @@ mod tests {
         assert_eq!(degrees, PAPER_EXAMPLE_DEGREES.to_vec());
         let fanouts = g.differential_fanouts();
         assert_eq!(fanouts, PAPER_EXAMPLE_FANOUTS.to_vec());
-        assert!(analysis::is_connected(&g));
+        assert!(g.is_connected());
     }
 }

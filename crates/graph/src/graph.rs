@@ -152,7 +152,7 @@ impl GraphBuilder {
 /// Neighbour lists are sorted ascending ([`GraphBuilder::build`] sorts
 /// its edge list), which [`Graph::has_edge`] exploits with a binary
 /// search.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<u32>,
     neighbours: Vec<u32>,
@@ -226,20 +226,12 @@ impl Graph {
         self.nodes().map(|v| self.degree(v)).collect()
     }
 
-    /// Mean degree over all nodes (0.0 for the empty graph).
-    pub fn average_degree(&self) -> f64 {
-        if self.node_count() == 0 {
-            return 0.0;
-        }
-        self.neighbours.len() as f64 / self.node_count() as f64
-    }
-
     /// Average degree of the *neighbours* of `node`.
     ///
     /// This is the denominator of the paper's differential-push fan-out
     /// `k_i = round(deg(i) / avg-neighbour-degree)`. Returns `None` for an
     /// isolated node.
-    pub fn average_neighbour_degree(&self, node: NodeId) -> Option<f64> {
+    pub(crate) fn average_neighbour_degree(&self, node: NodeId) -> Option<f64> {
         let ns = self.neighbours(node);
         if ns.is_empty() {
             return None;
@@ -253,7 +245,7 @@ impl Graph {
     /// `k_i = round(deg(i) / avg-neighbour-degree)` rounded to the nearest
     /// integer when the ratio is ≥ 1, and clamped to 1 otherwise (isolated
     /// nodes also get 1 so the engine can still self-push and retain mass).
-    pub fn differential_fanout(&self, node: NodeId) -> usize {
+    pub(crate) fn differential_fanout(&self, node: NodeId) -> usize {
         match self.average_neighbour_degree(node) {
             None => 1,
             Some(avg) => {
@@ -270,6 +262,27 @@ impl Graph {
     /// Precomputed fan-outs for every node (hot-loop helper).
     pub fn differential_fanouts(&self) -> Vec<usize> {
         self.nodes().map(|v| self.differential_fanout(v)).collect()
+    }
+
+    /// Whether every node is reachable from node 0 (vacuously true for
+    /// ≤ 1 node): the generators' tests assert that what they build is
+    /// one component, since gossip mass cannot cross components.
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
+        let mut seen = vec![false; self.node_count()];
+        let mut stack = Vec::new();
+        if let Some(first) = seen.first_mut() {
+            *first = true;
+            stack.push(0);
+        }
+        while let Some(v) = stack.pop() {
+            for &w in self.neighbours(NodeId(v)) {
+                if !std::mem::replace(&mut seen[w as usize], true) {
+                    stack.push(w);
+                }
+            }
+        }
+        seen.into_iter().all(|s| s)
     }
 }
 
@@ -366,9 +379,8 @@ mod tests {
     }
 
     #[test]
-    fn average_degree_and_neighbour_degree() {
+    fn average_neighbour_degree() {
         let g = path3();
-        assert!((g.average_degree() - 4.0 / 3.0).abs() < 1e-12);
         // Node 1 has neighbours 0 and 2, each of degree 1.
         assert_eq!(g.average_neighbour_degree(NodeId(1)), Some(1.0));
         // Node 0's single neighbour (1) has degree 2.
@@ -406,10 +418,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let g = path3();
-        let s = serde_json::to_string(&g).unwrap();
-        let back: Graph = serde_json::from_str(&s).unwrap();
-        assert_eq!(g, back);
+    fn connectivity_of_split_whole_and_empty_graphs() {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0u32, 1u32).unwrap();
+        b.add_edge(2u32, 3u32).unwrap();
+        assert!(!b.build().is_connected());
+        assert!(path3().is_connected());
+        assert!(GraphBuilder::new(0).build().is_connected());
     }
 }

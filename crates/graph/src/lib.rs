@@ -10,20 +10,15 @@
 //! * [`GraphBuilder`] — the edge-list builder every generator uses,
 //! * [`pa::preferential_attachment`] — the PA generator used throughout the
 //!   paper's evaluation,
-//! * [`generators`] — baseline topologies (complete, ring, star,
-//!   Erdős–Rényi, random-regular, and the 10-node example of the paper's
-//!   Fig. 2),
-//! * [`degree`] — degree statistics and a power-law exponent estimator,
-//! * [`analysis`] — BFS distances and the connectivity check the
-//!   generators' tests use.
+//! * [`generators`] — baseline topologies (complete, ring, star, and the
+//!   10-node example of the paper's Fig. 2).
 //!
-//! All generators are deterministic given an explicit RNG, which keeps every
-//! experiment in the repository reproducible bit-for-bit.
+//! The PA generator is deterministic given an explicit RNG and the baselines
+//! draw nothing, which keeps every experiment in the repository
+//! reproducible bit-for-bit.
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
-pub mod degree;
 pub mod error;
 pub mod generators;
 pub mod graph;
@@ -34,8 +29,6 @@ pub use graph::{Graph, GraphBuilder, NodeId};
 
 /// Convenience prelude re-exporting the items almost every consumer needs.
 pub mod prelude {
-    pub use crate::analysis;
-    pub use crate::degree::{self, DegreeStats};
     pub use crate::generators;
     pub use crate::graph::{Graph, GraphBuilder, NodeId};
     pub use crate::pa::{self, PaConfig};

@@ -16,10 +16,9 @@
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the PA process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaConfig {
     /// Total number of nodes `N`.
     pub nodes: usize,
@@ -101,14 +100,6 @@ pub fn preferential_attachment<R: Rng + ?Sized>(
     Ok(builder.build())
 }
 
-/// Expected number of edges of `G^m_N` built by [`preferential_attachment`]:
-/// the seed clique contributes `m(m+1)/2`, each of the remaining
-/// `N − (m+1)` arrivals contributes exactly `m`.
-pub fn expected_edges(config: PaConfig) -> usize {
-    let PaConfig { nodes, m } = config;
-    m * (m + 1) / 2 + m * (nodes - m - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +108,13 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Expected number of edges of `G^m_N`: the seed clique contributes
+    /// `m(m+1)/2`, each of the remaining `N − (m+1)` arrivals exactly `m`.
+    fn expected_edges(config: PaConfig) -> usize {
+        let PaConfig { nodes, m } = config;
+        m * (m + 1) / 2 + m * (nodes - m - 1)
     }
 
     #[test]
@@ -147,7 +145,7 @@ mod tests {
     #[test]
     fn graph_is_connected() {
         let g = preferential_attachment(PaConfig { nodes: 500, m: 2 }, &mut rng(3)).unwrap();
-        assert!(crate::analysis::is_connected(&g));
+        assert!(g.is_connected());
     }
 
     #[test]
@@ -173,5 +171,25 @@ mod tests {
         let g = preferential_attachment(PaConfig { nodes: 2000, m: 2 }, &mut rng(11)).unwrap();
         let max_deg = g.nodes().map(|v| g.degree(v)).max().unwrap();
         assert!(max_deg > 20, "expected a hub, max degree {max_deg}");
+    }
+
+    /// The paper's one assumption about the overlay: its degree tail is a
+    /// power law `P(d) ∝ d^{-γ}`. Asymptotically PA gives `γ = 3`; finite
+    /// instances land roughly in [2, 4]. `γ` is the Clauset–Shalizi–Newman
+    /// maximum-likelihood estimate over degrees `≥ d_min`:
+    /// `γ̂ = 1 + n · (Σ ln(d_i / (d_min − ½)))⁻¹`.
+    #[test]
+    fn degree_tail_is_a_power_law() {
+        let g = preferential_attachment(PaConfig { nodes: 5000, m: 2 }, &mut rng(5)).unwrap();
+        let d_min = 3;
+        let shift = d_min as f64 - 0.5;
+        let tail: Vec<f64> = g
+            .degrees()
+            .into_iter()
+            .filter(|&d| d >= d_min)
+            .map(|d| (d as f64 / shift).ln())
+            .collect();
+        let gamma = 1.0 + tail.len() as f64 / tail.iter().sum::<f64>();
+        assert!((1.8..4.5).contains(&gamma), "gamma = {gamma}");
     }
 }

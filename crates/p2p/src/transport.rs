@@ -2,7 +2,7 @@
 //!
 //! Every directed link applies seeded, per-link message **loss**,
 //! bounded random **delay** (which reorders messages) and
-//! **duplication**, and consults a precomputed [`Availability`] schedule
+//! **duplication**, and consults a precomputed `Availability` schedule
 //! for node **churn** (crash / rejoin) and partition windows, all driven
 //! by a [`NetworkProfile`]. The paper's reliable network is the
 //! [`NetworkProfile::lossless`] case: a link that never drops, delays or
@@ -99,7 +99,7 @@ pub struct Envelope {
 
 /// What the transport did with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
+pub(crate) enum SendOutcome {
     /// Exactly one copy handed over (possibly delayed).
     Delivered,
     /// Two copies handed over — mass was injected.
@@ -173,7 +173,7 @@ impl MassLedger {
 /// Per-node up/down schedule plus partition windows, materialised up
 /// front so every link agrees on who is reachable in which round.
 #[derive(Debug)]
-pub struct Availability {
+pub(crate) struct Availability {
     /// Per node: sorted, disjoint `[down_from, up_at)` intervals.
     down: Vec<Vec<(u64, u64)>>,
     /// Optional two-halves partition window.
@@ -214,7 +214,7 @@ impl Availability {
     }
 
     /// Whether `node` is up in `round`.
-    pub fn is_up(&self, node: NodeId, round: u64) -> bool {
+    pub(crate) fn is_up(&self, node: NodeId, round: u64) -> bool {
         self.down[node.index()]
             .iter()
             .all(|&(from, until)| !(from..until).contains(&round))
@@ -222,7 +222,7 @@ impl Availability {
 
     /// Whether a message can travel `a → b` in `round`: both endpoints up
     /// and no partition window cutting between their halves.
-    pub fn link_open(&self, a: NodeId, b: NodeId, round: u64) -> bool {
+    pub(crate) fn link_open(&self, a: NodeId, b: NodeId, round: u64) -> bool {
         if !self.is_up(a, round) || !self.is_up(b, round) {
             return false;
         }
@@ -265,14 +265,14 @@ impl LinkFaults {
 /// Sender-side handle for one directed link, with its fault model baked
 /// in. Peers send through these and never see the transport.
 #[derive(Debug)]
-pub struct PeerLink {
+pub(crate) struct PeerLink {
     dst: NodeId,
     faults: LinkFaults,
 }
 
 impl PeerLink {
     /// The destination peer.
-    pub fn dst(&self) -> NodeId {
+    pub(crate) fn dst(&self) -> NodeId {
         self.dst
     }
 

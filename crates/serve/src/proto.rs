@@ -25,10 +25,10 @@ pub const KIND_REQUEST: u8 = 0x21;
 pub const KIND_RESPONSE: u8 = 0x22;
 
 /// Requests are small and fixed-shape; anything longer is garbage.
-pub const MAX_REQUEST_PAYLOAD: usize = 1024;
+pub(crate) const MAX_REQUEST_PAYLOAD: usize = 1024;
 /// Responses are bounded by `top_k` over the scored subjects
 /// (12 bytes per entry); 64 MiB covers five million entries.
-pub const MAX_RESPONSE_PAYLOAD: usize = 64 << 20;
+pub(crate) const MAX_RESPONSE_PAYLOAD: usize = 64 << 20;
 
 /// One client request.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,7 +3,7 @@
 //! [`AdversaryMix`] says *how much* of the
 //! population attacks; this module says *what each attacker does*. At
 //! [`Scenario::build`](crate::Scenario::build) time the mix is compiled
-//! into an [`AdversaryAssignment`]: a per-node [`Role`] plus the
+//! into an [`AdversaryAssignment`]: a per-node `Role` plus the
 //! concrete [`Strategy`] instances (sybil rings with their spawn
 //! schedules, collusion cliques, the slander and whitewash parameters).
 //! The round engines then consult the assignment at three points:
@@ -13,7 +13,7 @@
 //!    counted in their own service-statistics class;
 //! 2. **report** — each node's estimated trust row passes through its
 //!    strategy's [`Strategy::distort_row`] before entering the gossip
-//!    channel ([`AdversaryAssignment::distort_row`]);
+//!    channel (`AdversaryAssignment::distort_row`);
 //! 3. **wash** — after aggregation, whitewashers whose network-wide mean
 //!    reputation fell below their personal threshold discard their
 //!    identity ([`AdversaryAssignment::washes`]); the engines then purge
@@ -22,7 +22,7 @@
 //! Determinism: every stochastic attack parameter (sybil activation
 //! rounds, personal wash thresholds) is drawn from a *per-adversary*
 //! ChaCha8 stream derived from the scenario seed with
-//! [`adversary_stream_seed`] / [`node_stream_seed`], and runtime
+//! `adversary_stream_seed` / [`node_stream_seed`], and runtime
 //! distortion gets a per-adversary per-round stream. Honest nodes
 //! consume no adversary randomness at all, so a zero-fraction mix is
 //! bit-identical to an honest run (pinned by `tests/adversaries.rs`).
@@ -49,13 +49,13 @@ const ROUND_SALT: u64 = 0xAD5E_11AE_5EED_0003;
 /// The per-adversary ChaCha8 stream seed for runtime decisions in
 /// `round` — distinct per (seed, round, node), so adversary randomness
 /// never perturbs honest streams and attack runs replay bit-for-bit.
-pub fn adversary_stream_seed(seed: u64, round: u64, node: u32) -> u64 {
+pub(crate) fn adversary_stream_seed(seed: u64, round: u64, node: u32) -> u64 {
     node_stream_seed(seed ^ ROUND_SALT.wrapping_mul(round.wrapping_add(1)), node)
 }
 
 /// The role a node plays in the adversarial population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Role {
+pub(crate) enum Role {
     /// Follows the protocol.
     #[default]
     Honest,
@@ -109,7 +109,7 @@ pub trait Strategy {
 
 /// The honest "strategy": report exactly what was estimated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HonestStrategy;
+pub(crate) struct HonestStrategy;
 
 impl Strategy for HonestStrategy {
     fn label(&self) -> &'static str {
@@ -129,7 +129,7 @@ impl Strategy for HonestStrategy {
 /// A sybil ring: leech identities that endorse every active ring-mate
 /// at 1, bad-mouth every rated outsider at 0, and spawn over time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SybilRing {
+pub(crate) struct SybilRing {
     /// Ring members, ascending.
     pub members: Vec<NodeId>,
     /// Round at which each member (aligned with `members`) activates.
@@ -188,7 +188,7 @@ impl Strategy for SybilRing {
 /// (replacing any honest opinion and injecting endorsements they never
 /// earned), leaving reports about outsiders intact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CollusionClique {
+pub(crate) struct CollusionClique {
     /// Clique members, ascending.
     pub members: Vec<NodeId>,
 }
@@ -218,7 +218,7 @@ impl Strategy for CollusionClique {
 /// A slanderer: serves honestly but multiplies every report it gossips
 /// by `factor` (0 = full bad-mouthing).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Slanderer {
+pub(crate) struct Slanderer {
     /// Surviving fraction of the honest report.
     pub factor: f64,
 }
@@ -247,7 +247,7 @@ impl Strategy for Slanderer {
 /// whitewasher reports honestly (its lie is identity churn, not
 /// slander).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Whitewasher {
+pub(crate) struct Whitewasher {
     /// Personal wash threshold (jittered per washer at build time).
     pub threshold: f64,
 }
@@ -274,7 +274,7 @@ impl Strategy for Whitewasher {
 /// reporters) never trims a single value. The cartel knows the defense
 /// parameters (Kerckhoffs's principle) and stays strictly within them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StealthCartel {
+pub(crate) struct StealthCartel {
     /// Cartel members, ascending.
     pub members: Vec<NodeId>,
     /// Bias magnitude applied before folding back into the clamp window.
@@ -448,19 +448,9 @@ impl AdversaryAssignment {
         Ok(assignment)
     }
 
-    /// Role of one node.
-    pub fn role(&self, node: NodeId) -> Role {
-        self.roles[node.index()]
-    }
-
     /// Whether `node` runs any attack.
     pub fn is_adversary(&self, node: NodeId) -> bool {
         self.roles[node.index()] != Role::Honest
-    }
-
-    /// Total adversarial nodes.
-    pub fn adversary_count(&self) -> usize {
-        self.adversary_count
     }
 
     /// Whether the assignment contains no adversaries at all.
@@ -507,7 +497,7 @@ impl AdversaryAssignment {
 
     /// Distort one node's trust row in place (no-op, and no RNG
     /// consumption, for honest nodes).
-    pub fn distort_row(
+    pub(crate) fn distort_row(
         &self,
         node: NodeId,
         round: u64,
@@ -542,7 +532,7 @@ impl AdversaryAssignment {
     /// Rewrite service behaviours to match the roles: sybil identities
     /// and whitewashers are leeches, colluders keep their service
     /// quality but join a collusion group; slanderers serve honestly.
-    pub fn apply_to_population(&self, population: &mut Population) {
+    pub(crate) fn apply_to_population(&self, population: &mut Population) {
         for (i, &role) in self.roles.iter().enumerate() {
             let node = NodeId(i as u32);
             match role {
@@ -564,21 +554,6 @@ impl AdversaryAssignment {
             }
         }
     }
-
-    /// The sybil rings.
-    pub fn rings(&self) -> &[SybilRing] {
-        &self.rings
-    }
-
-    /// The collusion cliques.
-    pub fn cliques(&self) -> &[CollusionClique] {
-        &self.cliques
-    }
-
-    /// The stealth cartels.
-    pub fn cartels(&self) -> &[StealthCartel] {
-        &self.cartels
-    }
 }
 
 #[cfg(test)]
@@ -593,7 +568,7 @@ mod tests {
     fn none_assignment_is_all_honest() {
         let a = AdversaryAssignment::none(10);
         assert!(a.is_none());
-        assert_eq!(a.adversary_count(), 0);
+        assert_eq!(a.adversary_count, 0);
         assert!(a.adversaries().is_empty());
         assert!(a.participates(NodeId(3), 0));
         let mut row = vec![(NodeId(1), tv(0.5))];
@@ -613,12 +588,12 @@ mod tests {
         let a = AdversaryAssignment::assign(200, mix, 7).unwrap();
         let b = AdversaryAssignment::assign(200, mix, 7).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.adversary_count(), 100);
+        assert_eq!(a.adversary_count, 100);
         let sybils = (0..200u32)
-            .filter(|&i| matches!(a.role(NodeId(i)), Role::Sybil { .. }))
+            .filter(|&i| matches!(a.roles[i as usize], Role::Sybil { .. }))
             .count();
         assert_eq!(sybils, 40);
-        assert_eq!(a.rings().len(), 5); // 40 sybils in rings of 8
+        assert_eq!(a.rings.len(), 5); // 40 sybils in rings of 8
         let c = AdversaryAssignment::assign(200, mix, 8).unwrap();
         assert_ne!(a.adversaries(), c.adversaries());
     }
@@ -632,7 +607,7 @@ mod tests {
             ..AdversaryMix::none()
         };
         let a = AdversaryAssignment::assign(10, mix, 3).unwrap();
-        let ring = &a.rings()[0];
+        let ring = &a.rings[0];
         assert_eq!(ring.members.len(), 5);
         // With spawn rate 1 and jitter < 1, member k activates at round k.
         assert_eq!(ring.activation, vec![0, 1, 2, 3, 4]);
@@ -670,7 +645,7 @@ mod tests {
             ..AdversaryMix::none()
         };
         let a = AdversaryAssignment::assign(10, mix, 5).unwrap();
-        let clique = &a.cliques()[0];
+        let clique = &a.cliques[0];
         let member = clique.members[0];
         let outsider = NodeId((0..10).find(|&i| !a.is_adversary(NodeId(i))).unwrap());
         let mut row = vec![(outsider, tv(0.7))];
@@ -728,7 +703,7 @@ mod tests {
             ..AdversaryMix::none()
         };
         let a = AdversaryAssignment::assign(8, mix, 13).unwrap();
-        let cartel = &a.cartels()[0];
+        let cartel = &a.cartels[0];
         assert_eq!(cartel.members.len(), 4);
         let member = cartel.members[0];
         let mate = cartel.members[1];
@@ -770,7 +745,7 @@ mod tests {
         a.apply_to_population(&mut population);
         for i in 0..8u32 {
             let node = NodeId(i);
-            match a.role(node) {
+            match a.roles[node.index()] {
                 Role::Sybil { .. } | Role::Whitewasher => assert!(matches!(
                     population.behavior(node),
                     Behavior::FreeRider { serve_probability } if serve_probability == 0.0

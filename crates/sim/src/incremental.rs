@@ -93,7 +93,7 @@ use rayon::prelude::*;
 use std::sync::Arc;
 
 /// The production round engine (see the module docs).
-pub struct IncrementalRoundEngine {
+pub(crate) struct IncrementalRoundEngine {
     core: EngineCore,
     /// The delta round's cross-round state; `None` under full traffic,
     /// where every round is a rebuild round and keeps nothing.

@@ -9,7 +9,7 @@
 //! is a pure function of it — records / restore, ingest queueing,
 //! lookups, totals, the audit phase and the round epilogue. An engine
 //! ([`crate::rounds`]' sequential reference driver and the production
-//! [`crate::incremental::IncrementalRoundEngine`]) is a `run_round`
+//! `IncrementalRoundEngine` in [`crate::incremental`]) is a `run_round`
 //! strategy over an `EngineCore`: it chooses storage layout, parallel
 //! granularity and recompute strategy, but every observable number flows
 //! through the functions in this module. That is what makes the engines
@@ -92,7 +92,7 @@ pub struct TransactionRecord {
 
 /// Service counters produced by one requester's transact phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceDelta {
+pub(crate) struct ServiceDelta {
     /// Requests served to honest requesters.
     pub served_honest: u64,
     /// Requests refused to honest requesters.

@@ -63,10 +63,10 @@ pub mod serve;
 pub mod session;
 pub mod workload;
 
-pub use adversary::{AdversaryAssignment, Role, Strategy};
+pub use adversary::Strategy;
 pub use config::RunConfig;
 pub use rounds::build_engine;
 pub use scenario::Scenario;
 pub use serve::{IngestError, IngestReport, ServeSession};
 pub use session::{round_seed, CheckpointKind, RunSession, SessionError};
-pub use workload::{ActivityPlan, TrafficModel};
+pub use workload::TrafficModel;

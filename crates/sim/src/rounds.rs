@@ -22,7 +22,7 @@
 //!   one inline pass over nodes, the oracle every suite compares
 //!   against;
 //! * [`EngineKind::Incremental`] —
-//!   [`IncrementalRoundEngine`](crate::incremental::IncrementalRoundEngine),
+//!   `IncrementalRoundEngine` ([`crate::incremental`]),
 //!   the production engine. Under full traffic every round rebuilds:
 //!   nodes are partitioned into contiguous shards
 //!   ([`RunConfig::shard_count`](crate::RunConfig::shard_count)), each

@@ -121,7 +121,7 @@ impl ServeSession {
 
     /// Wrap an existing session (must be at round 0: the snapshot cell
     /// starts from the empty pre-first-round view).
-    pub fn from_session(session: RunSession) -> Result<Self, SessionError> {
+    pub(crate) fn from_session(session: RunSession) -> Result<Self, SessionError> {
         if session.round() != 0 {
             return Err(SessionError::Snapshot {
                 reason: format!(

@@ -12,7 +12,7 @@
 //!
 //! It also owns the round-loop *traffic shape*: [`TrafficModel`]
 //! describes which requesters are active in a round (uniform or
-//! Zipf-skewed activity, periodic flash crowds) and [`ActivityPlan`]
+//! Zipf-skewed activity, periodic flash crowds) and `ActivityPlan`
 //! compiles it into per-node activity draws that every engine consults
 //! through the shared transact kernel — so the skew is engine-independent
 //! by construction, and the default full-traffic model consumes no
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// Every node ends up with an opinion about each of its neighbours — the
 /// sparsity structure the paper assumes (trust only from direct
 /// interaction, interactions only along overlay edges).
-pub fn estimate_trust<R: Rng + ?Sized>(
+pub(crate) fn estimate_trust<R: Rng + ?Sized>(
     graph: &Graph,
     population: &Population,
     transactions_per_edge: u32,
@@ -61,7 +61,7 @@ pub fn estimate_trust<R: Rng + ?Sized>(
 /// matrix is denser than the adjacency; the paper's Section 5.2 analysis
 /// (sums over all `i ∈ N`) implicitly assumes such density. Existing
 /// opinions are never overwritten.
-pub fn add_far_interactions<R: Rng + ?Sized>(
+pub(crate) fn add_far_interactions<R: Rng + ?Sized>(
     graph: &Graph,
     qualities: &[f64],
     partners: usize,
@@ -235,7 +235,7 @@ fn activity_threshold(p: f64) -> u64 {
 /// chooses (thread count, shard count, evaluation order), which is what
 /// keeps all engines bit-identical under any traffic shape.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActivityPlan {
+pub(crate) struct ActivityPlan {
     /// `quiet[i]` — node `i`'s [`activity_threshold`] on an ordinary
     /// round; `None` for the full model (everyone always active).
     quiet: Option<Vec<u64>>,
@@ -291,7 +291,7 @@ impl ActivityPlan {
     }
 
     /// Whether this round is a flash-crowd round.
-    pub fn is_flash_round(&self, round: u64) -> bool {
+    pub(crate) fn is_flash_round(&self, round: u64) -> bool {
         self.model.flash_interval > 0 && (round + 1) % self.model.flash_interval as u64 == 0
     }
 
@@ -305,8 +305,9 @@ impl ActivityPlan {
 
     /// Whether `node` issues requests this round. Deterministic in
     /// `(node, round_seed)` alone; the full model answers `true` without
-    /// drawing.
-    pub fn is_active(&self, node: NodeId, round: u64, round_seed: u64) -> bool {
+    /// drawing. The one-by-one oracle the tests hold the range sweep to.
+    #[cfg(test)]
+    pub(crate) fn is_active(&self, node: NodeId, round: u64, round_seed: u64) -> bool {
         self.active_in(node.0..node.0 + 1, round, round_seed)
             .next()
             .is_some()
@@ -317,7 +318,7 @@ impl ActivityPlan {
     /// its draw (one SplitMix64 output of a dedicated salted stream, top
     /// 53 bits — no stream object needed for a single coin) is below its
     /// threshold.
-    pub fn active_in(
+    pub(crate) fn active_in(
         &self,
         range: std::ops::Range<u32>,
         round: u64,

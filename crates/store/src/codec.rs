@@ -350,7 +350,7 @@ impl ByteWriter {
     }
 
     /// Append an optional `u64` (presence byte + value).
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
+    pub(crate) fn put_opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(x) => {
                 self.put_u8(1);
@@ -434,7 +434,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read an optional `u64` (presence byte + value).
-    pub fn get_opt_u64(&mut self, what: &str) -> Result<Option<u64>, String> {
+    pub(crate) fn get_opt_u64(&mut self, what: &str) -> Result<Option<u64>, String> {
         match self.get_u8(what)? {
             0 => Ok(None),
             1 => Ok(Some(self.get_u64(what)?)),

@@ -64,4 +64,4 @@ pub use records::{
     changed, diff_changed, first_divergence, AuditEntryRecord, EstimatorRecord, NodeRecord,
     SnapshotHeader,
 };
-pub use store::{Cut, Head, Snapshot, Store};
+pub use store::{Cut, Snapshot, Store};

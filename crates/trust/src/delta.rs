@@ -2,7 +2,7 @@
 //!
 //! The closed-form aggregation phase needs, for every subject `j`, the
 //! robust `(Σᵢ t_ij, N_d)` pair over all observers (see
-//! [`TrustMatrix::robust_subject_sums_and_counts`]). The batched
+//! [`TrustMatrix::robust_subject_sums_and_counts`](crate::TrustMatrix::robust_subject_sums_and_counts)). The batched
 //! engines recompute that from scratch every round — `O(total nnz)`
 //! even when a round only touched a handful of rows. Under skewed
 //! traffic (1 % per-round activity at production scale) >99 % of that
@@ -23,14 +23,13 @@
 //! the new one" — that would drift from the from-scratch sweep within
 //! one round. Instead a dirty subject's aggregate is recomputed over
 //! its full postings list in ascending-observer order through the same
-//! [`RobustAggregation::subject_sum`] kernel the from-scratch sweep
+//! `RobustAggregation::subject_sum` kernel the from-scratch sweep
 //! uses. Recomputation is `O(column degree)` per dirty subject; clean
 //! subjects cost nothing. The proptest at the bottom pins
 //! delta-refreshed aggregates bit-for-bit against the from-scratch
 //! sweep on random op sequences, under both the plain and the defended
 //! robust policy.
 
-use crate::matrix::TrustMatrix;
 use crate::robust::RobustAggregation;
 use crate::value::TrustValue;
 use dg_graph::NodeId;
@@ -86,25 +85,6 @@ impl SubjectAggregateCache {
     /// Dimension `N`.
     pub fn node_count(&self) -> usize {
         self.postings.len()
-    }
-
-    /// Mirror a matrix wholesale (marks every populated subject dirty;
-    /// call [`refresh`](Self::refresh) afterwards). `O(nnz)`.
-    pub fn rebuild_from(&mut self, matrix: &TrustMatrix) {
-        let n = self.postings.len();
-        for postings in &mut self.postings {
-            postings.clear();
-        }
-        self.sums = vec![0.0; n];
-        self.counts = vec![0usize; n];
-        self.dirty = vec![false; n];
-        self.dirty_list.clear();
-        // `entries()` is row-major, so each column fills in ascending
-        // observer order without sorting.
-        for (i, j, t) in matrix.entries() {
-            self.postings[j.index()].push((i, t));
-            self.mark_dirty(j);
-        }
     }
 
     fn mark_dirty(&mut self, j: NodeId) {
@@ -176,10 +156,10 @@ impl SubjectAggregateCache {
     /// Re-aggregate every dirty subject under `policy` and return the
     /// sorted list of subjects that were refreshed. Each dirty subject
     /// is recomputed over its full postings list in ascending-observer
-    /// order through [`RobustAggregation::subject_sum`] — the exact
+    /// order through `RobustAggregation::subject_sum` — the exact
     /// computation the from-scratch sweep performs — so the cached
     /// `(sum, count)` pairs stay bit-identical to
-    /// [`TrustMatrix::robust_subject_sums_and_counts`] on the mirrored
+    /// [`TrustMatrix::robust_subject_sums_and_counts`](crate::TrustMatrix::robust_subject_sums_and_counts) on the mirrored
     /// matrix.
     pub fn refresh(&mut self, policy: &RobustAggregation) -> Vec<NodeId> {
         let mut refreshed = std::mem::take(&mut self.dirty_list);
@@ -221,6 +201,7 @@ impl SubjectAggregateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::TrustMatrix;
     use proptest::prelude::*;
 
     fn tv(v: f64) -> TrustValue {
@@ -271,22 +252,6 @@ mod tests {
         cache.apply_row_diff(NodeId(1), &run, &run);
         assert!(cache.pending_dirty().is_empty());
         assert!(cache.refresh(&RobustAggregation::none()).is_empty());
-    }
-
-    #[test]
-    fn rebuild_matches_from_scratch() {
-        let mut m = TrustMatrix::new(5);
-        m.set(NodeId(4), NodeId(0), tv(0.9)).unwrap();
-        m.set(NodeId(0), NodeId(4), tv(0.3)).unwrap();
-        m.set(NodeId(2), NodeId(4), tv(0.7)).unwrap();
-        for policy in [RobustAggregation::none(), RobustAggregation::defended()] {
-            let mut cache = SubjectAggregateCache::new(5);
-            cache.rebuild_from(&m);
-            cache.refresh(&policy);
-            let (sums, counts) = m.robust_subject_sums_and_counts(&policy);
-            assert_eq!(cache.sums(), &sums[..]);
-            assert_eq!(cache.counts(), &counts[..]);
-        }
     }
 
     proptest! {

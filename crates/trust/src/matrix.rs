@@ -97,7 +97,7 @@ impl ShardSpec {
     /// `(shard, local row)` of `node`, which must be `< N`, with one
     /// division.
     #[inline]
-    pub fn locate(&self, node: NodeId) -> (usize, usize) {
+    pub(crate) fn locate(&self, node: NodeId) -> (usize, usize) {
         let idx = node.index();
         let shard = idx / self.chunk;
         (shard, idx - shard * self.chunk)
@@ -469,7 +469,7 @@ impl TrustMatrix {
     /// are gathered row-major (so per subject in ascending observer
     /// order — the tiled sweep's stable counting sort preserves it; see
     /// `crate::tiled`) and handed to the shared per-subject kernel
-    /// [`RobustAggregation::subject_sum`](crate::RobustAggregation::subject_sum),
+    /// `RobustAggregation::subject_sum`,
     /// the same kernel the delta cache
     /// ([`SubjectAggregateCache`](crate::SubjectAggregateCache)) uses.
     pub fn robust_subject_sums_and_counts(

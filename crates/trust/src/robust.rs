@@ -102,7 +102,7 @@ impl RobustAggregation {
 
     /// How many reports to drop from each tail of a subject with
     /// `count` reports (never leaves a subject empty).
-    pub fn trim_per_tail(&self, count: usize) -> usize {
+    pub(crate) fn trim_per_tail(&self, count: usize) -> usize {
         let k = (self.trim_fraction * count as f64).floor() as usize;
         if 2 * k >= count {
             count.saturating_sub(1) / 2
@@ -127,7 +127,7 @@ impl RobustAggregation {
     /// are clamped, sorted by total order and trimmed per tail before
     /// summing in sorted order — again matching the from-scratch path.
     /// The buffer is scratch: the call may reorder and overwrite it.
-    pub fn subject_sum(&self, reports: &mut [f64]) -> (f64, usize) {
+    pub(crate) fn subject_sum(&self, reports: &mut [f64]) -> (f64, usize) {
         if reports.is_empty() {
             return (0.0, 0);
         }

@@ -165,11 +165,6 @@ impl ReputationSnapshot {
         self.round
     }
 
-    /// Number of scored subjects.
-    pub fn scored_count(&self) -> usize {
-        self.rank.len()
-    }
-
     /// The subject's network-wide mean reputation, `None` while no
     /// observer holds a view of it.
     pub fn reputation(&self, subject: NodeId) -> Option<f64> {
@@ -301,7 +296,7 @@ mod tests {
     fn cell_swaps_whole_snapshots() {
         let cell = SnapshotCell::new(4);
         assert_eq!(cell.load().round(), 0);
-        assert_eq!(cell.load().scored_count(), 0);
+        assert!(cell.load().rank.is_empty());
         let held = cell.load();
         cell.publish(ReputationSnapshot::build(1, reps(&[(2, 0.8)], 4)));
         // The pre-publish clone still reads its own round coherently.

@@ -22,8 +22,6 @@ impl TrustValue {
     pub const ZERO: TrustValue = TrustValue(0.0);
     /// Complete trust.
     pub const ONE: TrustValue = TrustValue(1.0);
-    /// Indifference point.
-    pub const HALF: TrustValue = TrustValue(0.5);
 
     /// Construct, rejecting non-finite or out-of-range values.
     pub fn new(v: f64) -> Result<Self, TrustError> {
@@ -55,7 +53,7 @@ impl TrustValue {
 
     /// Linear interpolation `self + rate·(target − self)`, the EWMA step
     /// used by the estimators. `rate` is clamped to `[0, 1]`.
-    pub fn blend_towards(self, target: TrustValue, rate: f64) -> TrustValue {
+    pub(crate) fn blend_towards(self, target: TrustValue, rate: f64) -> TrustValue {
         let rate = if rate.is_nan() {
             0.0
         } else {
@@ -126,8 +124,8 @@ mod tests {
 
     #[test]
     fn blend_with_nan_rate_is_identity() {
-        let t = TrustValue::HALF.blend_towards(TrustValue::ONE, f64::NAN);
-        assert_eq!(t, TrustValue::HALF);
+        let t = TrustValue(0.5).blend_towards(TrustValue::ONE, f64::NAN);
+        assert_eq!(t, TrustValue(0.5));
     }
 
     #[test]
