@@ -409,6 +409,72 @@ mod tests {
         }
     }
 
+    fn fnv(fold: u64, word: u64) -> u64 {
+        (fold ^ word).wrapping_mul(0x0100_0000_01b3)
+    }
+
+    /// `(steps, FNV fold of the message counts and every estimate's bits)`
+    /// of a single-subject run; an estimate of `None` folds as `u64::MAX`.
+    fn single_pin(out: &SingleOutcome) -> (usize, u64) {
+        let mut fold = fnv(0xcbf2_9ce4_8422_2325, out.total_messages);
+        fold = fnv(fold, out.messages_per_node_per_step.to_bits());
+        fold = fnv(fold, u64::from(out.converged));
+        for est in &out.estimates {
+            fold = fnv(fold, est.map_or(u64::MAX, f64::to_bits));
+        }
+        (out.steps, fold)
+    }
+
+    /// `(steps, entries_sent, FNV fold of the message rate and every
+    /// (node, subject, estimate bits))` of an all-subjects run.
+    fn full_pin(out: &FullOutcome) -> (usize, u64, u64) {
+        let mut fold = fnv(
+            0xcbf2_9ce4_8422_2325,
+            out.messages_per_node_per_step.to_bits(),
+        );
+        fold = fnv(fold, u64::from(out.converged));
+        for (i, row) in out.estimates.iter().enumerate() {
+            for (&j, est) in row {
+                fold = fnv(fold, (i as u64) << 32 | u64::from(j));
+                fold = fnv(fold, est.to_bits());
+            }
+        }
+        (out.steps, out.entries_sent, fold)
+    }
+
+    /// Whole alg1–alg4 outcomes on one seeded 200-node PA system whose
+    /// nodes rate their neighbours among the first 40 ids. alg3 and alg4
+    /// start each node on its own few ratings and end with all 40
+    /// subjects, so their runs grow step after step.
+    #[test]
+    fn whole_algorithm_runs_are_pinned() {
+        let g =
+            pa::preferential_attachment(pa::PaConfig { nodes: 200, m: 2 }, &mut rng(21)).unwrap();
+        let quality = |w: u32| 0.1 + 0.8 * (f64::from((w * 37) % 23) / 22.0);
+        let rows = g.nodes().map(|v| {
+            let rated = g.neighbours(v).iter().filter(|&&w| w < 40);
+            rated.map(|&w| (NodeId(w), TrustValue::new(quality(w)).unwrap()))
+        });
+        let m = TrustMatrix::from_rows(200, rows).unwrap();
+        let s = ReputationSystem::new(&g, m, WeightParams::new(2.0, 2.0).unwrap()).unwrap();
+        let plain = GossipConfig::differential(1e-6).unwrap();
+        let lossy = plain.with_loss(dg_gossip::loss::LossModel::new(0.2).unwrap());
+
+        let alg1 = single_pin(&alg1::run(&s, NodeId(7), plain, &mut rng(22)).unwrap());
+        let alg2 = single_pin(&alg2::run(&s, NodeId(7), plain, &mut rng(23)).unwrap());
+        let alg2_lossy = single_pin(&alg2::run(&s, NodeId(0), lossy, &mut rng(24)).unwrap());
+        let alg3 = full_pin(&alg3::run(&s, plain, &mut rng(25)).unwrap());
+        let alg4 = full_pin(&alg4::run(&s, plain, &mut rng(26)).unwrap());
+        let alg4_lossy = full_pin(&alg4::run(&s, lossy, &mut rng(27)).unwrap());
+
+        assert_eq!(alg1, (19, 0x1f49_9123_f14c_13c8));
+        assert_eq!(alg2, (119, 0x420a_e8ca_04bb_f0d1));
+        assert_eq!(alg2_lossy, (137, 0x8846_ed10_7290_af27));
+        assert_eq!(alg3, (26, 75_672, 0xa08d_1ba7_136d_1608));
+        assert_eq!(alg4, (165, 1_255_467, 0x7d61_3a0e_4bce_59b1));
+        assert_eq!(alg4_lossy, (224, 1_562_591, 0xd2de_1760_dad0_2664));
+    }
+
     #[test]
     fn outcome_metrics_are_populated() {
         let g = generators::complete(8);
