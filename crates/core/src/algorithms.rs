@@ -80,12 +80,11 @@ pub mod alg1 {
             initial[i.index()] = GossipPair::originator(t.get());
         }
         let out = VectorGossip::one_subject(system.graph(), config, initial)?.run(rng);
-        let estimates = out
-            .state
-            .iter()
-            .map(|vec| {
-                let pair = vec.get(&0).filter(|e| e.weight > 0.0);
-                pair.map(|e| e.ratio().clamp(0.0, 1.0))
+        let estimates = (0..n)
+            .map(|i| {
+                let mut run = out.vector(NodeId(i as u32));
+                let pair = run.find(|&(j, e)| j == 0 && e.weight > 0.0);
+                pair.map(|(_, e)| e.ratio().clamp(0.0, 1.0))
             })
             .collect();
         Ok(SingleOutcome {
@@ -185,13 +184,11 @@ pub mod alg3 {
             initial[i.index()].insert(j.0, VectorEntry::originator(t.get()));
         }
         let out = VectorGossip::new(system.graph(), config, initial)?.run(rng);
-        let estimates = out
-            .state
-            .iter()
-            .map(|vec| {
-                vec.iter()
+        let estimates = (0..n)
+            .map(|i| {
+                out.vector(NodeId(i as u32))
                     .filter(|(_, e)| e.weight > 0.0)
-                    .map(|(&j, e)| (j, e.ratio().clamp(0.0, 1.0)))
+                    .map(|(j, e)| (j, e.ratio().clamp(0.0, 1.0)))
                     .collect()
             })
             .collect();
@@ -243,10 +240,9 @@ pub mod alg4 {
                 let observer = NodeId(i as u32);
                 let weights = system.neighbour_excess_weights(observer);
                 let excess = weights.iter().sum();
-                out.state[i]
-                    .iter()
+                out.vector(observer)
                     .filter(|(_, e)| e.weight > 0.0)
-                    .map(|(&j, e)| {
+                    .map(|(j, e)| {
                         let count = e.count_estimate().unwrap_or(0.0);
                         let rep = system.gclr_from_parts_weighted(
                             observer,

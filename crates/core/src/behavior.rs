@@ -143,16 +143,6 @@ impl Population {
             .collect()
     }
 
-    /// Ids of all colluders.
-    pub fn colluders(&self) -> Vec<NodeId> {
-        self.behaviors
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_colluder())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
     /// Iterate over `(node, behaviour)`.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Behavior)> + '_ {
         self.behaviors
@@ -206,7 +196,10 @@ mod tests {
                 serve_probability: 0.1,
             },
         ]);
-        assert_eq!(pop.colluders(), vec![NodeId(1), NodeId(2)]);
+        let colluders: Vec<bool> = (0..4)
+            .map(|i| pop.behavior(NodeId(i)).is_colluder())
+            .collect();
+        assert_eq!(colluders, [false, true, true, false]);
         assert_eq!(pop.behavior(NodeId(1)).collusion_group(), Some(0));
         assert_eq!(pop.behavior(NodeId(0)).collusion_group(), None);
         assert!(!pop.is_empty());

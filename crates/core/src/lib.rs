@@ -38,11 +38,3 @@ pub mod reputation;
 
 pub use error::CoreError;
 pub use reputation::ReputationSystem;
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::algorithms::{alg1, alg2, alg3, alg4};
-    pub use crate::behavior::{Behavior, Population};
-    pub use crate::collusion::{CollusionScheme, GroupAssignment};
-    pub use crate::reputation::ReputationSystem;
-}

@@ -69,11 +69,6 @@ impl<'g> ReputationSystem<'g> {
         self.trust
     }
 
-    /// The weight law.
-    pub fn weights(&self) -> WeightParams {
-        self.weights
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()

@@ -66,14 +66,3 @@ pub use pair::GossipPair;
 pub use profile::NetworkProfile;
 pub use scalar::ScalarGossip;
 pub use vector::{VectorGossip, VectorOutcome};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::config::GossipConfig;
-    pub use crate::fanout::FanoutPolicy;
-    pub use crate::loss::LossModel;
-    pub use crate::metrics::MessageStats;
-    pub use crate::pair::GossipPair;
-    pub use crate::spread::{self, SpreadProtocol};
-    pub use crate::vector::{VectorGossip, VectorOutcome};
-}

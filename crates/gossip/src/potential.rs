@@ -16,9 +16,8 @@
 //! `N`.
 
 use crate::error::GossipError;
-use crate::fanout::FanoutPolicy;
+use crate::fanout::{FanoutPolicy, TargetDraw};
 use dg_graph::{Graph, NodeId};
-use rand::seq::index::sample;
 use rand::Rng;
 
 /// Tracks contribution vectors under push gossip.
@@ -96,6 +95,7 @@ impl<'g> PotentialTracker<'g> {
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let n = self.node_count();
         let mut inbox = vec![vec![0.0; n]; n];
+        let mut targets = TargetDraw::default();
         for j in 0..n {
             let row = &self.contrib[j];
             let neighbours = self.graph.neighbours(NodeId(j as u32));
@@ -110,7 +110,7 @@ impl<'g> PotentialTracker<'g> {
             for (slot, &c) in inbox[j].iter_mut().zip(row) {
                 *slot += c * f;
             }
-            for idx in sample(rng, neighbours.len(), k) {
+            for &idx in targets.draw(rng, neighbours.len(), k) {
                 let target = neighbours[idx] as usize;
                 for (slot, &c) in inbox[target].iter_mut().zip(row) {
                     *slot += c * f;

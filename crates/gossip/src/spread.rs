@@ -8,9 +8,8 @@
 //! verify the ordering empirically.
 
 use crate::error::GossipError;
-use crate::fanout::FanoutPolicy;
+use crate::fanout::{FanoutPolicy, TargetDraw};
 use dg_graph::{Graph, NodeId};
-use rand::seq::index::sample;
 use rand::Rng;
 
 /// Rumor-spreading protocol variants.
@@ -73,6 +72,7 @@ pub fn spread<R: Rng + ?Sized>(
         informed[source.index()] = true;
     }
     let mut informed_count = informed.iter().filter(|&&b| b).count();
+    let mut targets = TargetDraw::default();
     let mut trace = Vec::new();
     let mut steps = 0;
 
@@ -94,7 +94,7 @@ pub fn spread<R: Rng + ?Sized>(
                     continue;
                 }
                 let k = fanouts[i].min(ns.len());
-                for idx in sample(rng, ns.len(), k) {
+                for &idx in targets.draw(rng, ns.len(), k) {
                     next[ns[idx] as usize] = true;
                 }
             }

@@ -17,34 +17,43 @@
 //!
 //! ## State layout
 //!
-//! Callers build the initial state as one [`GossipVector`] map per node
-//! and [`VectorOutcome::state`] hands maps back, but the engine holds no
-//! map: every node's vector lives in one arena — the "sorted runs over
-//! one arena" layout of a freshly filled `dg_trust::RowSlab`. Node `i` owns the span
-//! `offsets[i]..offsets[i + 1]` of a `subjects` array (ascending ids)
-//! and of a parallel array of [`VectorEntry`]. Ids sit apart from the
-//! masses because a merge first walks ids alone to size its result; the
-//! masses stay array-of-structs because every pass reads the three of
-//! an entry together (`share`, `add`, `ratio`), so splitting them would
-//! buy no locality and would write that arithmetic a second time. A
-//! step reads the current arena and appends every node's new vector to
-//! a second one; the two swap. Beside them the engine keeps, per node,
-//! its announcement, how many of its neighbours have not announced, and
-//! its stopped flag, and two sets of one bit per node: the senders
-//! (nodes with a run, not stopped, with fan-out > 0), kept up to date
-//! across steps, and this step's receivers. All of it, with the per-step
-//! scratch (delivered pushes bucketed by receiver, each sender's kept
-//! shares, the nodes whose announcement flipped), is owned by the engine
-//! and reused, so a steady-state step allocates only what
-//! `rand::seq::index::sample` does.
+//! Callers build the initial state as one [`GossipVector`] map per node,
+//! but the engine holds no map, and neither does [`VectorOutcome`]: every
+//! node's vector is a sorted run in one slab, the `(start, len)` span
+//! layout of `dg_trust::RowSlab`. Node `i`'s span indexes a `subjects`
+//! array (ascending ids) and a parallel array of [`VectorEntry`]. Ids
+//! sit apart from the masses because a merge first walks ids alone to
+//! size its result; the masses stay array-of-structs because every pass
+//! reads the three of an entry together (`share`, `add`, `ratio`), so
+//! splitting them would buy no locality and would write that arithmetic
+//! a second time.
 //!
-//! A step's bookkeeping costs what it touches, not `N + E`: pass 1 walks
-//! the sender set, the bucketing and pass 2 visit only the nodes that
-//! pushed or heard, and stopped flags are re-derived only for a node
-//! whose announcement flipped and its neighbours, so
-//! [`VectorGossip::all_stopped`] reads a count. What still spans the
-//! network is the walk over the two sets' words (`N/64`) and the copy of
-//! the untouched stretches into the next arena, in bulk.
+//! A step builds the new runs of the nodes it touched — those that
+//! pushed or heard — into a scratch arena, reading only the slab, then
+//! commits each one in place: a run that kept its length is overwritten
+//! where it lies, the slab's last run grows where it is, and any other
+//! run that grew moves to the tail, leaving its old entries dead. The
+//! slab repacks, ascending by node, as soon as the dead entries
+//! outnumber the live ones, so it never holds more than twice its live
+//! entries; a finished run hands [`VectorOutcome`] the slab packed the
+//! same way.
+//!
+//! Beside the slab the engine keeps, per node, its announcement, how
+//! many of its neighbours have not announced, and its stopped flag, and
+//! two sets of one bit per node: the senders (nodes with a run, not
+//! stopped, with fan-out > 0), kept up to date across steps, and this
+//! step's receivers. Push targets come from a [`TargetDraw`]. All of it,
+//! with the per-step scratch (the rebuilt runs, delivered pushes bucketed
+//! by receiver, each sender's kept shares, the nodes whose announcement
+//! flipped), is owned by the engine and reused, so once its buffers have
+//! grown a step allocates nothing but a repack.
+//!
+//! A step costs what it touches, not `N + E`: pass 1 walks the sender
+//! set, the bucketing, pass 2 and the commit visit only the nodes that
+//! pushed or heard and copy only their runs, and stopped flags are
+//! re-derived only for a node whose announcement flipped and its
+//! neighbours, so [`VectorGossip::all_stopped`] reads a count. What still
+//! spans the network is the walk over the two sets' words (`N/64`).
 //!
 //! ## Accumulation order
 //!
@@ -52,24 +61,24 @@
 //! draws each one's targets and then its losses — the only RNG use — and
 //! buckets the delivered pushes by receiver; a counting sort over the
 //! receivers keeps a bucket's senders ascending. Pass 2 builds the new
-//! vector of each node that pushed or heard at the tail of the next
-//! arena by merging sorted runs into it, and floating-point addition
-//! does not reassociate, so the order is part of the result: senders
-//! below the node (ascending), then its own kept piece — its whole
-//! vector when it is stopped or has nobody to push to, otherwise its
-//! `1/(k+1)` share added once plus once per lost push — then senders
-//! above it, every subject starting from `0.0`. That is the order in
-//! which a per-cell `inbox[target][subject] += share` loop over
-//! ascending senders sums, so states are bit-identical to such a
-//! map-based engine (the test oracle is one; whole runs are pinned to
-//! the one this engine replaced). A stretch of nodes that nothing
-//! reached and that pushed nothing — most of the network, once it
-//! quiesces — is copied across in one piece, each mass as the `0.0 + e`
-//! a lone contribution sums to.
+//! vector of each node that pushed or heard by merging sorted runs into
+//! the scratch arena, and floating-point addition does not reassociate,
+//! so the order is part of the result: senders below the node
+//! (ascending), then its own kept piece — its whole vector when it is
+//! stopped or has nobody to push to, otherwise its `1/(k+1)` share added
+//! once plus once per lost push — then senders above it, every subject
+//! starting from `0.0`. That is the order in which a per-cell
+//! `inbox[target][subject] += share` loop over ascending senders sums, so
+//! states are bit-identical to such a map-based engine (the test oracle
+//! is one; whole runs are pinned to the one this engine replaced). Such
+//! an engine rebuilds every run each step, so a run nothing reached
+//! holds `0.0 + e` for each of its masses `e`; the slab stores every
+//! mass that way from the start (and again after churn rebuilds it), so
+//! a `-0.0` input reads as `0.0` before any step touches it.
 //!
 //! Eq. (7) needs last step's ratios, and those are `ratio()` of the
-//! current arena's entries: the new run is compared with the old one
-//! where it is built, and no ratio is kept between steps.
+//! slab's entries: the new run is compared with the old one where it is
+//! built, before the commit, and no ratio is kept between steps.
 //!
 //! ## One subject, and churn
 //!
@@ -85,14 +94,13 @@
 
 use crate::config::GossipConfig;
 use crate::error::GossipError;
+use crate::fanout::TargetDraw;
 use crate::metrics::MessageStats;
 use crate::pair::{GossipPair, RATIO_SENTINEL};
 use crate::protocol::Convergence;
 use dg_graph::{Graph, NodeId};
-use rand::seq::index::sample;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Per-subject gossip state at one node: value, weight and count masses.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -168,73 +176,104 @@ pub struct VectorOutcome {
     pub steps: usize,
     /// Whether every present node stopped within the step budget.
     pub converged: bool,
-    /// Final per-node vectors.
-    pub state: Vec<GossipVector>,
     /// Message accounting (vector messages, not entries).
     pub stats: MessageStats,
     /// Total entries shipped across the run (communication complexity).
     pub entries_sent: u64,
     /// Nodes still present at the end (false = departed by churn).
     pub present: Vec<bool>,
+    /// Final per-node vectors, packed ascending by node.
+    runs: Slab,
 }
 
 impl VectorOutcome {
+    /// `node`'s final vector as `(subject, masses)`, subjects ascending
+    /// (empty for a departed node).
+    pub fn vector(&self, node: NodeId) -> impl Iterator<Item = (u32, VectorEntry)> + '_ {
+        let (subjects, entries) = self.runs.run(node.index());
+        subjects.iter().copied().zip(entries.iter().copied())
+    }
+
     /// Ratio estimate of `subject` at `node`, `None` if the node holds no
     /// mass for that subject.
     pub fn estimate(&self, node: NodeId, subject: NodeId) -> Option<f64> {
-        self.state[node.index()]
-            .get(&subject.0)
+        self.runs
+            .get(node.index(), subject.0)
             .filter(|e| e.weight != 0.0)
             .map(VectorEntry::ratio)
     }
 
     /// Count estimate (`N_d`) of `subject` at `node`.
     pub fn count_estimate(&self, node: NodeId, subject: NodeId) -> Option<f64> {
-        self.state[node.index()]
-            .get(&subject.0)
+        self.runs
+            .get(node.index(), subject.0)
             .and_then(VectorEntry::count_estimate)
     }
 
     /// Maximum absolute deviation of present nodes' `subject` ratios from
     /// `reference` (the sentinel ratio where a node has no weight).
     pub fn max_error(&self, subject: u32, reference: f64) -> f64 {
-        self.state
-            .iter()
-            .zip(&self.present)
-            .filter(|(_, &p)| p)
-            .map(|(vec, _)| vec.get(&subject).map_or(RATIO_SENTINEL, VectorEntry::ratio))
+        (0..self.present.len())
+            .filter(|&i| self.present[i])
+            .map(|i| {
+                self.runs
+                    .get(i, subject)
+                    .map_or(RATIO_SENTINEL, VectorEntry::ratio)
+            })
             .map(|ratio| (ratio - reference).abs())
             .fold(0.0, f64::max)
     }
 }
 
-/// Every node's vector in one arena: node `i` owns the span
-/// `offsets[i]..offsets[i + 1]` of `subjects` (ascending) and `entries`.
-#[derive(Debug, Clone)]
-struct Arena {
-    offsets: Vec<usize>,
+/// Every node's vector in one slab: node `i`'s run is the span
+/// `spans[i] = (start, len)` of `subjects` (ascending) and `entries`; an
+/// empty run is `(0, 0)`. Entries no span covers are dead.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Slab {
+    spans: Vec<(u32, u32)>,
     subjects: Vec<u32>,
     entries: Vec<VectorEntry>,
+    /// Entries some span covers.
+    live: usize,
 }
 
-impl Arena {
+/// The span of a run of `len` entries at `start`.
+fn span(start: usize, len: usize) -> (u32, u32) {
+    if len == 0 {
+        return (0, 0);
+    }
+    let end = u32::try_from(start + len).expect("a vector slab holds at most u32::MAX entries");
+    (end - len as u32, len as u32)
+}
+
+impl Slab {
+    /// One run per node, ascending, each mass stored as the `0.0 + e` a
+    /// step that rebuilt the run alone would make of it.
     fn from_maps(maps: &[GossipVector]) -> Self {
-        let mut arena = Self {
-            offsets: Vec::with_capacity(maps.len() + 1),
-            subjects: Vec::new(),
-            entries: Vec::new(),
-        };
-        arena.offsets.push(0);
-        for map in maps {
-            arena.subjects.extend(map.keys());
-            arena.entries.extend(map.values());
-            arena.offsets.push(arena.subjects.len());
+        Self::from_runs(maps.iter().map(|map| map.iter().map(|(&j, &e)| (j, e))))
+    }
+
+    fn from_runs<I>(runs: impl IntoIterator<Item = I>) -> Self
+    where
+        I: IntoIterator<Item = (u32, VectorEntry)>,
+    {
+        let mut slab = Self::default();
+        for run in runs {
+            let start = slab.subjects.len();
+            for (j, e) in run {
+                let mut sum = VectorEntry::default();
+                sum.add(e);
+                slab.subjects.push(j);
+                slab.entries.push(sum);
+            }
+            slab.spans.push(span(start, slab.subjects.len() - start));
         }
-        arena
+        slab.live = slab.subjects.len();
+        slab
     }
 
     fn to_maps(&self) -> Vec<GossipVector> {
-        (0..self.offsets.len() - 1)
+        (0..self.spans.len())
             .map(|i| {
                 let (subjects, entries) = self.run(i);
                 subjects
@@ -246,9 +285,96 @@ impl Arena {
             .collect()
     }
 
+    #[inline]
     fn run(&self, node: usize) -> (&[u32], &[VectorEntry]) {
-        let span = self.offsets[node]..self.offsets[node + 1];
+        let (start, len) = self.spans[node];
+        let span = start as usize..(start + len) as usize;
         (&self.subjects[span.clone()], &self.entries[span])
+    }
+
+    #[inline]
+    fn len(&self, node: usize) -> usize {
+        self.spans[node].1 as usize
+    }
+
+    fn get(&self, node: usize, subject: u32) -> Option<&VectorEntry> {
+        let (subjects, entries) = self.run(node);
+        subjects.binary_search(&subject).ok().map(|at| &entries[at])
+    }
+
+    /// Every run, ascending by node.
+    fn runs(&self) -> impl Iterator<Item = (&[u32], &[VectorEntry])> {
+        (0..self.spans.len()).map(|i| self.run(i))
+    }
+
+    /// Make `node`'s run the given one: in place if it fits, at the tail
+    /// otherwise; repack once the dead entries outnumber the live ones.
+    fn commit(&mut self, node: usize, subjects: &[u32], entries: &[VectorEntry]) {
+        let (start, len) = self.spans[node];
+        let (mut start, len, new_len) = (start as usize, len as usize, subjects.len());
+        if start + len == self.subjects.len() {
+            // The tail run (or the first run of an empty slab).
+            self.subjects.truncate(start);
+            self.entries.truncate(start);
+            self.subjects.extend_from_slice(subjects);
+            self.entries.extend_from_slice(entries);
+        } else if new_len <= len {
+            self.subjects[start..start + new_len].copy_from_slice(subjects);
+            self.entries[start..start + new_len].copy_from_slice(entries);
+        } else {
+            start = self.subjects.len();
+            self.subjects.extend_from_slice(subjects);
+            self.entries.extend_from_slice(entries);
+        }
+        self.spans[node] = span(start, new_len);
+        self.live = self.live - len + new_len;
+        if self.subjects.len() - self.live > self.live {
+            self.repack();
+        }
+    }
+
+    /// Copy every run, ascending by node, into arrays with no dead entry.
+    fn repack(&mut self) {
+        let mut subjects = Vec::with_capacity(self.live);
+        let mut entries = Vec::with_capacity(self.live);
+        for s in &mut self.spans {
+            let run = s.0 as usize..(s.0 + s.1) as usize;
+            *s = span(subjects.len(), run.len());
+            subjects.extend_from_slice(&self.subjects[run.clone()]);
+            entries.extend_from_slice(&self.entries[run]);
+        }
+        self.subjects = subjects;
+        self.entries = entries;
+    }
+}
+
+/// The runs a step rebuilds, appended in the order it visits their
+/// nodes: run `k` is `offsets[k]..offsets[k + 1]` of `subjects`
+/// (ascending) and `entries`.
+#[derive(Debug, Clone)]
+struct Arena {
+    offsets: Vec<usize>,
+    subjects: Vec<u32>,
+    entries: Vec<VectorEntry>,
+}
+
+impl Arena {
+    fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            subjects: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    fn run(&self, k: usize) -> (&[u32], &[VectorEntry]) {
+        let span = self.offsets[k]..self.offsets[k + 1];
+        (&self.subjects[span.clone()], &self.entries[span])
+    }
+
+    /// The last closed run.
+    fn last(&self) -> (&[u32], &[VectorEntry]) {
+        self.run(self.offsets.len() - 2)
     }
 
     /// Forget every run, keeping the capacity.
@@ -321,27 +447,7 @@ impl Arena {
         }
     }
 
-    /// Append the runs of `nodes` as `from` holds them, each mass as the
-    /// `0.0 + e` that accumulating it alone would have made of it.
-    fn carry_over(&mut self, from: &Arena, nodes: Range<usize>) {
-        let span = from.offsets[nodes.start]..from.offsets[nodes.end];
-        // Runs only grow, so the copy never lands below where it came from.
-        let shift = self.subjects.len() - span.start;
-        self.offsets.extend(
-            from.offsets[nodes.start + 1..=nodes.end]
-                .iter()
-                .map(|end| end + shift),
-        );
-        self.subjects
-            .extend_from_slice(&from.subjects[span.clone()]);
-        self.entries.extend(from.entries[span].iter().map(|e| {
-            let mut sum = VectorEntry::default();
-            sum.add(*e);
-            sum
-        }));
-    }
-
-    /// Close the open run: it is the next node's.
+    /// Close the open run.
     fn close_run(&mut self) {
         self.offsets.push(self.subjects.len());
     }
@@ -403,11 +509,10 @@ pub struct VectorGossip<'g> {
     convergence: Convergence,
     /// Pushes per step, clamped to the degree (0 for an isolated node).
     fanouts: Vec<usize>,
-    state: Arena,
-    /// The arena the step under way appends to; swapped with `state`.
-    next: Arena,
-    /// The state a step in which some node departed started from.
-    prior: Arena,
+    state: Slab,
+    /// The runs the step under way rebuilt, committed to `state` at its end.
+    rebuilt: Arena,
+    targets: TargetDraw,
     /// Who pushes next step: a node with a run, not stopped, and with
     /// fan-out > 0. Re-derived for a node wherever one of the three can
     /// have changed.
@@ -452,12 +557,7 @@ impl<'g> VectorGossip<'g> {
         config: GossipConfig,
         initial: Vec<GossipVector>,
     ) -> Result<Self, GossipError> {
-        Self::build(
-            graph,
-            config,
-            Arena::from_maps(&initial),
-            graph.node_count(),
-        )
+        Self::build(graph, config, Slab::from_maps(&initial), graph.node_count())
     }
 
     /// Create a one-subject engine (Algorithm 1's diffusion core): node
@@ -467,18 +567,14 @@ impl<'g> VectorGossip<'g> {
         config: GossipConfig,
         initial: Vec<GossipPair>,
     ) -> Result<Self, GossipError> {
-        let state = Arena {
-            offsets: (0..=initial.len()).collect(),
-            subjects: vec![0; initial.len()],
-            entries: initial
-                .iter()
-                .map(|p| VectorEntry {
-                    value: p.value,
-                    weight: p.weight,
-                    count: 0.0,
-                })
-                .collect(),
-        };
+        let state = Slab::from_runs(initial.iter().map(|p| {
+            let entry = VectorEntry {
+                value: p.value,
+                weight: p.weight,
+                count: 0.0,
+            };
+            [(0, entry)]
+        }));
         Self::build(graph, config, state, 1)
     }
 
@@ -496,14 +592,14 @@ impl<'g> VectorGossip<'g> {
     fn build(
         graph: &'g Graph,
         config: GossipConfig,
-        state: Arena,
+        state: Slab,
         subjects: usize,
     ) -> Result<Self, GossipError> {
         let config = config.validated()?;
         let n = graph.node_count();
-        if state.offsets.len() != n + 1 {
+        if state.spans.len() != n {
             return Err(GossipError::StateSizeMismatch {
-                given: state.offsets.len() - 1,
+                given: state.spans.len(),
                 expected: n,
             });
         }
@@ -524,8 +620,8 @@ impl<'g> VectorGossip<'g> {
             convergence: Convergence::new(config.xi, config.sticky_announcements, subjects),
             fanouts,
             state,
-            next: Arena::from_maps(&[]),
-            prior: Arena::from_maps(&[]),
+            rebuilt: Arena::new(),
+            targets: TargetDraw::default(),
             senders: NodeSet::new(n),
             receivers: NodeSet::new(n),
             delivered: Vec::new(),
@@ -565,10 +661,9 @@ impl<'g> VectorGossip<'g> {
     pub fn ratios(&self, subject: u32) -> Vec<f64> {
         (0..self.graph.node_count())
             .map(|i| {
-                let (subjects, entries) = self.state.run(i);
-                subjects
-                    .binary_search(&subject)
-                    .map_or(RATIO_SENTINEL, |at| entries[at].ratio())
+                self.state
+                    .get(i, subject)
+                    .map_or(RATIO_SENTINEL, VectorEntry::ratio)
             })
             .collect()
     }
@@ -577,20 +672,22 @@ impl<'g> VectorGossip<'g> {
     /// steps.
     pub fn total_mass(&self) -> BTreeMap<u32, (f64, f64, f64)> {
         let mut totals: BTreeMap<u32, (f64, f64, f64)> = BTreeMap::new();
-        for (&j, e) in self.state.subjects.iter().zip(&self.state.entries) {
-            let t = totals.entry(j).or_insert((0.0, 0.0, 0.0));
-            t.0 += e.value;
-            t.1 += e.weight;
-            t.2 += e.count;
+        for (subjects, entries) in self.state.runs() {
+            for (&j, e) in subjects.iter().zip(entries) {
+                let t = totals.entry(j).or_insert((0.0, 0.0, 0.0));
+                t.0 += e.value;
+                t.1 += e.weight;
+                t.2 += e.count;
+            }
         }
         totals
     }
 
     /// This step's departures (see the module docs). If any node left,
-    /// `prior` takes the state the step started from and this is true.
+    /// the slab is rebuilt and the state the step started from returned.
     #[cold]
     #[inline(never)]
-    fn apply_churn<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+    fn apply_churn<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Slab> {
         let churn = self.config.churn;
         let n = self.graph.node_count();
         let mut maps = Vec::new();
@@ -625,14 +722,14 @@ impl<'g> VectorGossip<'g> {
             self.depart(&mut maps, i, self.lowest_survivor_but(i));
         }
         if maps.is_empty() {
-            return false;
+            return None;
         }
-        self.prior = std::mem::replace(&mut self.state, Arena::from_maps(&maps));
+        let prior = std::mem::replace(&mut self.state, Slab::from_maps(&maps));
         // Departed nodes' runs emptied and heirs' filled.
         for i in 0..n {
             self.refresh_sender(i);
         }
-        true
+        Some(prior)
     }
 
     fn lowest_survivor_but(&self, node: usize) -> usize {
@@ -642,7 +739,7 @@ impl<'g> VectorGossip<'g> {
     }
 
     /// `node` leaves, its vector summed into `heir`'s in `maps` — the
-    /// step's state as maps, taken from the arena at the first departure.
+    /// step's state as maps, taken from the slab at the first departure.
     fn depart(&mut self, maps: &mut Vec<GossipVector>, node: usize, heir: usize) {
         if maps.is_empty() {
             *maps = self.state.to_maps();
@@ -694,8 +791,7 @@ impl<'g> VectorGossip<'g> {
     }
 
     fn refresh_sender(&mut self, node: usize) {
-        let sends =
-            !self.stopped[node] && self.fanouts[node] > 0 && !self.state.run(node).0.is_empty();
+        let sends = !self.stopped[node] && self.fanouts[node] > 0 && self.state.len(node) > 0;
         self.senders.set(node, sends);
     }
 
@@ -707,10 +803,12 @@ impl<'g> VectorGossip<'g> {
         // At the cap nothing departs and draws nothing, and the last
         // churning step's repair left no node stranded: skip the walk.
         let churn = self.config.churn;
-        let churned = churn.departure_probability() != 0.0
-            && self.departures < churn.max_departures
-            && self.apply_churn(rng);
-        let n = self.graph.node_count();
+        let prior =
+            if churn.departure_probability() != 0.0 && self.departures < churn.max_departures {
+                self.apply_churn(rng)
+            } else {
+                None
+            };
         let mut messages = 0u64;
         let mut active = 0u64;
 
@@ -723,11 +821,10 @@ impl<'g> VectorGossip<'g> {
             // one message per target.
             let k = self.fanouts[i];
             let neighbours = self.graph.neighbours(NodeId(i as u32));
-            let targets = sample(rng, neighbours.len(), k);
             messages += k as u64;
-            self.entries_sent += (self.state.run(i).0.len() * k) as u64;
+            self.entries_sent += (self.state.len(i) * k) as u64;
             let mut kept = 1;
-            for idx in targets {
+            for &idx in self.targets.draw(rng, neighbours.len(), k) {
                 let target = neighbours[idx] as usize;
                 if !self.present[target] || self.config.loss.drops(rng) {
                     kept += 1;
@@ -761,18 +858,14 @@ impl<'g> VectorGossip<'g> {
 
         // Pass 2, the nodes that pushed or heard, ascending: merge what
         // each one heard with what it kept, in the order the module docs
-        // fix, and hand the convergence protocol Eq. (7)'s summed
-        // movement, measured from the state the step started from. The
-        // stretches between them — most of the network, once it
-        // quiesces — carry over in one piece.
-        self.next.clear();
-        let (mut built, mut bucket_start) = (0, 0);
+        // fix, into `rebuilt`, and hand the convergence protocol Eq. (7)'s
+        // summed movement, measured from the state the step started from.
+        // The slab is only read here, so every sender's run is still the
+        // one it pushed.
+        self.rebuilt.clear();
+        let mut bucket_start = 0;
         for at in 0..self.senders.words.len() {
             for r in members(at, self.senders.words[at] | self.receivers.words[at]) {
-                if built < r {
-                    self.next.carry_over(&self.state, built..r);
-                }
-                built = r + 1;
                 let mut bucket = 0..0;
                 if self.receivers.contains(r) {
                     bucket = bucket_start..std::mem::take(&mut self.inbox_ends[r]);
@@ -781,29 +874,31 @@ impl<'g> VectorGossip<'g> {
                 let senders = &self.inbox_senders[bucket];
                 let (own_subjects, own_entries) = self.state.run(r);
                 let above = senders.partition_point(|&s| (s as usize) < r);
-                let hear = |next: &mut Arena, heard: &[u32]| {
+                let hear = |rebuilt: &mut Arena, heard: &[u32]| {
                     for &s in heard {
                         let (subjects, entries) = self.state.run(s as usize);
-                        next.accumulate(subjects, entries, self.fanouts[s as usize] + 1, 1);
+                        rebuilt.accumulate(subjects, entries, self.fanouts[s as usize] + 1, 1);
                     }
                 };
-                hear(&mut self.next, &senders[..above]);
+                hear(&mut self.rebuilt, &senders[..above]);
                 match std::mem::take(&mut self.kept_shares[r]) {
-                    0 => self.next.accumulate(own_subjects, own_entries, 1, 1),
-                    kept => {
-                        self.next
-                            .accumulate(own_subjects, own_entries, self.fanouts[r] + 1, kept)
-                    }
+                    0 => self.rebuilt.accumulate(own_subjects, own_entries, 1, 1),
+                    kept => self.rebuilt.accumulate(
+                        own_subjects,
+                        own_entries,
+                        self.fanouts[r] + 1,
+                        kept,
+                    ),
                 }
-                hear(&mut self.next, &senders[above..]);
-                self.next.close_run();
+                hear(&mut self.rebuilt, &senders[above..]);
+                self.rebuilt.close_run();
 
                 if !senders.is_empty() {
                     // A node never lets go of a subject, so the old run is
                     // a subsequence of the new one.
-                    let before = if churned { &self.prior } else { &self.state };
+                    let before = prior.as_ref().unwrap_or(&self.state);
                     let (old_subjects, old_entries) = before.run(r);
-                    let (new_subjects, new_entries) = self.next.run(r);
+                    let (new_subjects, new_entries) = self.rebuilt.last();
                     let mut total_move = 0.0;
                     let mut old = 0;
                     for (&j, e) in new_subjects.iter().zip(new_entries) {
@@ -822,10 +917,16 @@ impl<'g> VectorGossip<'g> {
                 }
             }
         }
-        if built < n {
-            self.next.carry_over(&self.state, built..n);
+
+        // Commit the rebuilt runs, visiting the nodes in pass 2's order.
+        let mut built = 0;
+        for at in 0..self.senders.words.len() {
+            for r in members(at, self.senders.words[at] | self.receivers.words[at]) {
+                let (subjects, entries) = self.rebuilt.run(built);
+                self.state.commit(r, subjects, entries);
+                built += 1;
+            }
         }
-        std::mem::swap(&mut self.state, &mut self.next);
 
         // Quiescence, maintained: only a node whose announcement flipped
         // and its neighbours can have started or stopped, and a receiver
@@ -870,13 +971,14 @@ impl<'g> VectorGossip<'g> {
             self.step(rng);
         }
         let converged = self.all_stopped();
+        self.state.repack();
         VectorOutcome {
             steps: self.step,
             converged,
-            state: self.state.to_maps(),
             stats: self.stats,
             entries_sent: self.entries_sent,
             present: self.present,
+            runs: self.state,
         }
     }
 }
@@ -1209,7 +1311,7 @@ mod tests {
             .unwrap()
             .run(&mut rng(6));
         assert!(out.converged);
-        assert!(out.max_error(0, 0.6) < 1e-4, "state {:?}", out.state);
+        assert!(out.max_error(0, 0.6) < 1e-4, "outcome {out:?}");
     }
 
     #[test]
@@ -1325,9 +1427,15 @@ mod tests {
                 }
                 continue;
             }
-            let targets: Vec<usize> = sample(rng, neighbours.len(), k)
-                .into_iter()
-                .map(|idx| neighbours[idx] as usize)
+            // The textbook partial Fisher–Yates over a fresh `0..degree`.
+            let mut order: Vec<usize> = (0..neighbours.len()).collect();
+            for at in 0..k {
+                let swap = rng.random_range(at..neighbours.len());
+                order.swap(at, swap);
+            }
+            let targets: Vec<usize> = order[..k]
+                .iter()
+                .map(|&idx| neighbours[idx] as usize)
                 .collect();
             messages += k as u64;
             entries_sent += (current.len() * k) as u64;
@@ -1374,11 +1482,36 @@ mod tests {
             return Err(format!("all_stopped() {}", engine.all_stopped()));
         }
         let senders: Vec<usize> = (0..g.node_count())
-            .filter(|&i| !stopped[i] && engine.fanouts[i] > 0 && !engine.state.run(i).0.is_empty())
+            .filter(|&i| !stopped[i] && engine.fanouts[i] > 0 && engine.state.len(i) > 0)
             .collect();
         let maintained: Vec<usize> = engine.senders.iter().collect();
         if maintained != senders {
             return Err(format!("senders {maintained:?}, derived {senders:?}"));
+        }
+        Ok(())
+    }
+
+    /// The slab's bookkeeping: `live` counts what the spans cover, the
+    /// spans lie inside the arrays without overlapping, each run is
+    /// sorted, and dead entries never outnumber live ones. (That each
+    /// span reads back its node's run is the oracle comparison's part.)
+    fn slab_is_sound(slab: &Slab) -> Result<(), String> {
+        let live: usize = slab.spans.iter().map(|&(_, len)| len as usize).sum();
+        if slab.live != live || slab.subjects.len() != slab.entries.len() {
+            return Err(format!("live {} of {live}", slab.live));
+        }
+        if slab.subjects.len() > 2 * live {
+            return Err(format!("{} entries, {live} live", slab.subjects.len()));
+        }
+        let mut spans: Vec<(u32, u32)> = slab.spans.iter().copied().filter(|s| s.1 > 0).collect();
+        spans.sort_unstable();
+        let mut covered = 0;
+        for (start, len) in spans {
+            let run = &slab.subjects[start as usize..(start + len) as usize];
+            if (start as usize) < covered || run.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("span ({start}, {len}) overlaps or is unsorted"));
+            }
+            covered = (start + len) as usize;
         }
         Ok(())
     }
@@ -1413,6 +1546,7 @@ mod tests {
             push in 0usize..4,
             xi_exponent in 2i32..9,
             seed in 0u64..1000,
+            negative_zero in 0usize..120,
         ) {
             // A hub-and-leaf PA graph, or arbitrary edges that may leave
             // nodes isolated (they keep their vector whole).
@@ -1435,6 +1569,12 @@ mod tests {
                     VectorEntry::passive(value)
                 };
                 state[i % nodes].insert(j % subjects, entry);
+            }
+            // A mass of `-0.0`, which the map inbox turns into `0.0 + -0.0`
+            // on the first step whether or not anything reaches the node.
+            if negative_zero < 60 {
+                let zero = VectorEntry { value: -0.0, weight: -0.0, count: -0.0 };
+                state[negative_zero % nodes].insert(0, zero);
             }
             let loss = LossModel::new(if lossy == 1 { 0.3 } else { 0.0 }).unwrap();
             let fanout = match push {
@@ -1467,6 +1607,9 @@ mod tests {
                 prop_assert_eq!(&engine.present, &present, "present, step {}", step);
                 prop_assert_eq!(engine.entries_sent, entries_sent, "entries, step {}", step);
                 prop_assert_eq!(bits(&engine.state.to_maps()), bits(&state), "state, step {}", step);
+                if let Err(diff) = slab_is_sound(&engine.state) {
+                    prop_assert!(false, "step {}: slab {}", step, diff);
+                }
                 prop_assert_eq!(flat_rng.next_u64(), map_rng.next_u64(), "rng, step {}", step);
                 if let Err(diff) = stopping_rule_from_scratch(&engine) {
                     prop_assert!(false, "step {}: {}", step, diff);
@@ -1479,8 +1622,8 @@ mod tests {
     /// (node, subject, value / weight / count bits))` of a finished run.
     fn run_pin(out: &VectorOutcome) -> (usize, u64, u64, u64) {
         let mut fold = 0xcbf2_9ce4_8422_2325u64;
-        for (i, vec) in out.state.iter().enumerate() {
-            for (&j, e) in vec {
+        for i in 0..out.present.len() {
+            for (j, e) in out.vector(NodeId(i as u32)) {
                 for word in [
                     (i as u64) << 32 | u64::from(j),
                     e.value.to_bits(),

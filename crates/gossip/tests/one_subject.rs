@@ -7,7 +7,7 @@
 
 use dg_gossip::loss::{ChurnModel, LossModel};
 use dg_gossip::{FanoutPolicy, GossipConfig, GossipPair, VectorGossip, VectorOutcome};
-use dg_graph::{generators, pa, Graph, GraphBuilder};
+use dg_graph::{generators, pa, Graph, GraphBuilder, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -26,8 +26,12 @@ type Pin = (usize, bool, u64, u64, u64, usize);
 
 fn pin(out: &VectorOutcome) -> Pin {
     let mut fold = FNV_OFFSET;
-    for (vec, &present) in out.state.iter().zip(&out.present) {
-        let pair = vec.get(&0).copied().unwrap_or_default();
+    for (i, &present) in out.present.iter().enumerate() {
+        let mut vector = out.vector(NodeId(i as u32));
+        let pair = vector
+            .find(|&(j, _)| j == 0)
+            .map(|(_, e)| e)
+            .unwrap_or_default();
         for word in [
             pair.value.to_bits(),
             pair.weight.to_bits(),

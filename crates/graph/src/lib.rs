@@ -26,10 +26,3 @@ pub mod pa;
 
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};
-
-/// Convenience prelude re-exporting the items almost every consumer needs.
-pub mod prelude {
-    pub use crate::generators;
-    pub use crate::graph::{Graph, GraphBuilder, NodeId};
-    pub use crate::pa::{self, PaConfig};
-}

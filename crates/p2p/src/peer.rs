@@ -14,10 +14,10 @@
 //! and therefore the entire run — depend on the seed alone.
 
 use crate::transport::{Availability, Envelope, MassLedger, PeerLink, PeerMsg, SendOutcome};
+use dg_gossip::fanout::TargetDraw;
 use dg_gossip::pair::GossipPair;
 use dg_gossip::protocol::Convergence;
 use dg_graph::NodeId;
-use rand::seq::index::sample;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,6 +43,7 @@ pub(crate) struct Peer {
     links: Vec<PeerLink>,
     slot: HashMap<u32, usize>,
     fanout: usize,
+    targets: TargetDraw,
     convergence: Convergence,
     rng: ChaCha8Rng,
     /// Up/down schedule (always up without churn or partitions). A down
@@ -91,6 +92,7 @@ impl Peer {
             links,
             slot,
             fanout,
+            targets: TargetDraw::default(),
             // Announcements always revoke here, as in the engines' default.
             convergence: Convergence::new(xi, false, 1),
             rng,
@@ -127,7 +129,7 @@ impl Peer {
             share,
             converged: self.announced,
         };
-        for idx in sample(&mut self.rng, self.links.len(), k) {
+        for &idx in self.targets.draw(&mut self.rng, self.links.len(), k) {
             self.seq += 1;
             match self.links[idx].send(inboxes, self.id, self.seq, self.round, msg) {
                 SendOutcome::Delivered => {}

@@ -40,7 +40,8 @@ pub enum Request {
     },
     /// The `k` highest-reputation subjects, descending.
     TopK {
-        /// How many entries to return (clamped to the scored count).
+        /// How many entries to return (clamped to the scored count); a `k`
+        /// above 4,096 is answered with [`Response::Error`].
         k: u32,
     },
     /// Nearest-rank percentile over the scored subjects.

@@ -34,6 +34,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The largest `k` a `TopK` query may ask for: a larger one is answered
+/// with [`Response::Error`], so one small frame cannot buy an `N`-entry
+/// response (12 bytes per entry; this caps it at 48 KiB).
+pub(crate) const MAX_TOP_K: u32 = 4096;
+
 /// How the server listens and sheds.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -283,6 +288,11 @@ fn respond(
             }
         }
         Request::TopK { k } => {
+            if k > MAX_TOP_K {
+                return Response::Error {
+                    message: format!("top-k of {k} exceeds the cap of {MAX_TOP_K}"),
+                };
+            }
             let snap = cell.load();
             Response::TopK {
                 round: snap.round(),
@@ -332,5 +342,33 @@ fn respond(
                 },
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dg_trust::ReputationSnapshot;
+
+    fn top_k(cell: &SnapshotCell, k: u32) -> Response {
+        let (tx, _rx) = sync_channel(1);
+        respond(&Request::TopK { k }, cell, &tx, &AtomicU64::new(0), 8)
+    }
+
+    #[test]
+    fn top_k_above_the_cap_is_an_error_frame() {
+        let cell = SnapshotCell::new(8);
+        cell.publish(ReputationSnapshot::build(3, vec![Some(0.5); 8]));
+        match top_k(&cell, MAX_TOP_K) {
+            Response::TopK { round, entries } => assert_eq!((round, entries.len()), (3, 8)),
+            other => panic!("k at the cap: {other:?}"),
+        }
+        assert_eq!(
+            top_k(&cell, MAX_TOP_K + 1),
+            Response::Error {
+                message: format!("top-k of {} exceeds the cap of 4096", MAX_TOP_K + 1),
+            }
+        );
+        assert!(matches!(top_k(&cell, u32::MAX), Response::Error { .. }));
     }
 }

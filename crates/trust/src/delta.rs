@@ -191,11 +191,6 @@ impl SubjectAggregateCache {
     pub fn aggregate(&self, j: NodeId) -> (f64, usize) {
         (self.sums[j.index()], self.counts[j.index()])
     }
-
-    /// Subjects touched since the last refresh (unsorted).
-    pub fn pending_dirty(&self) -> &[NodeId] {
-        &self.dirty_list
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +245,7 @@ mod tests {
         cache.apply_row_diff(NodeId(1), &[], &run);
         cache.refresh(&RobustAggregation::none());
         cache.apply_row_diff(NodeId(1), &run, &run);
-        assert!(cache.pending_dirty().is_empty());
+        assert!(cache.dirty_list.is_empty());
         assert!(cache.refresh(&RobustAggregation::none()).is_empty());
     }
 

@@ -15,8 +15,8 @@
 //! a slab out exactly as CSR; shards fill independently, so a round
 //! engine fills them on a thread pool ([`TrustMatrix::from_slabs`]).
 //!
-//! Edits ([`TrustMatrix::set`], [`TrustMatrix::remove`],
-//! [`TrustMatrix::replace_rows`]) cost `O(row)`: a new run that fits its
+//! Edits ([`TrustMatrix::set`], [`TrustMatrix::replace_rows`]) cost
+//! `O(row)`: a new run that fits its
 //! old span is written in place, the arena's last row grows in place, and
 //! any other run moves to the end of the arena, leaving its old cells as
 //! garbage. A slab compacts itself with one ascending copy once its
@@ -348,8 +348,10 @@ impl TrustMatrix {
 
     /// Remove an entry (e.g. the feedback of a peer not heard from for a
     /// long time, which the paper says should be dropped). Returns the old
-    /// value if present.
-    pub fn remove(&mut self, i: NodeId, j: NodeId) -> Option<TrustValue> {
+    /// value if present. Nothing drops feedback yet; the tests use it to
+    /// shrink rows.
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, i: NodeId, j: NodeId) -> Option<TrustValue> {
         self.check(i).ok()?;
         let (slab, local) = self.slot(i);
         let run = slab.row(local);

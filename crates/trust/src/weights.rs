@@ -75,13 +75,6 @@ impl WeightParams {
         self.a.powf(self.b * t.get())
     }
 
-    /// `w(t) − 1`, the "excess" weight a neighbour carries over a stranger.
-    /// This is the quantity that enters `ŷ` and the denominator of Eq. (6).
-    #[inline]
-    pub fn excess(&self, t: TrustValue) -> f64 {
-        self.weight(t) - 1.0
-    }
-
     /// Maximum possible weight, `w(1) = a^b`.
     pub fn max_weight(&self) -> f64 {
         self.a.powf(self.b)
@@ -111,7 +104,6 @@ mod tests {
     fn zero_trust_gives_unit_weight() {
         let w = WeightParams::default();
         assert_eq!(w.weight(TrustValue::ZERO), 1.0);
-        assert_eq!(w.excess(TrustValue::ZERO), 0.0);
     }
 
     #[test]
@@ -147,7 +139,6 @@ mod tests {
         for (a, b) in [(1.0, 0.0), (1.0, 5.0), (10.0, 0.0), (1e6, 50.0)] {
             let w = WeightParams::new(a, b).unwrap();
             assert_eq!(w.weight(TrustValue::ZERO), 1.0, "a={a}, b={b}");
-            assert_eq!(w.excess(TrustValue::ZERO), 0.0, "a={a}, b={b}");
         }
     }
 
@@ -197,7 +188,6 @@ mod tests {
         ) {
             let w = WeightParams::new(a, b).unwrap();
             prop_assert!(w.weight(tv(t)) >= 1.0);
-            prop_assert!(w.excess(tv(t)) >= 0.0);
             prop_assert!(w.weight(tv(t)) <= w.max_weight() + 1e-12);
         }
     }
