@@ -30,3 +30,52 @@ pub enum CoreError {
     #[error("invalid collusion parameters: {0}")]
     InvalidCollusion(String),
 }
+
+#[cfg(test)]
+mod tests {
+    use super::CoreError;
+    use dg_gossip::GossipError;
+    use dg_graph::GraphError;
+    use dg_trust::TrustError;
+    use std::error::Error;
+
+    /// A bubbled-up error prints its inner message and is its own
+    /// `source()` (the inner error itself, not the inner's source).
+    #[test]
+    fn every_variant_prints_its_message_and_names_its_source() {
+        let cases = [
+            (
+                CoreError::from(GossipError::ZeroFanout),
+                "uniform fan-out must be at least 1",
+                Some("uniform fan-out must be at least 1"),
+            ),
+            (
+                CoreError::from(TrustError::OutOfRange(1.5)),
+                "trust value 1.5 outside [0, 1]",
+                Some("trust value 1.5 outside [0, 1]"),
+            ),
+            (
+                CoreError::from(GraphError::SelfLoop(3)),
+                "self loop on node 3 is not allowed",
+                Some("self loop on node 3 is not allowed"),
+            ),
+            (
+                CoreError::DimensionMismatch {
+                    matrix: 10,
+                    graph: 12,
+                },
+                "trust matrix is 10 nodes but graph has 12",
+                None,
+            ),
+            (
+                CoreError::InvalidCollusion("fraction above 1".into()),
+                "invalid collusion parameters: fraction above 1",
+                None,
+            ),
+        ];
+        for (e, msg, source) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert_eq!(e.source().map(|s| s.to_string()).as_deref(), source);
+        }
+    }
+}

@@ -42,3 +42,54 @@ pub enum GossipError {
     #[error("invalid adversary mix: {0}")]
     InvalidAdversaryMix(&'static str),
 }
+
+#[cfg(test)]
+mod tests {
+    use super::GossipError;
+    use std::error::Error;
+
+    #[test]
+    fn every_variant_prints_its_message_and_has_no_source() {
+        let cases = [
+            (
+                GossipError::InvalidTolerance(-0.5),
+                "error tolerance xi must be positive and finite, got -0.5",
+            ),
+            (
+                GossipError::InvalidLossProbability(1.0),
+                "loss probability 1 outside [0, 1)",
+            ),
+            (
+                GossipError::StateSizeMismatch {
+                    given: 3,
+                    expected: 4,
+                },
+                "initial state has 3 entries but the graph has 4 nodes",
+            ),
+            (
+                GossipError::ZeroFanout,
+                "uniform fan-out must be at least 1",
+            ),
+            (
+                GossipError::InvalidWeight(f64::INFINITY),
+                "gossip weights must be non-negative and finite, got inf",
+            ),
+            (
+                GossipError::InvalidDepartureProbability(2.5),
+                "departure probability 2.5 outside [0, 1)",
+            ),
+            (
+                GossipError::InvalidProfile("loss outside [0, 1)"),
+                "invalid network profile: loss outside [0, 1)",
+            ),
+            (
+                GossipError::InvalidAdversaryMix("fractions sum above 1"),
+                "invalid adversary mix: fractions sum above 1",
+            ),
+        ];
+        for (e, msg) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert!(e.source().is_none(), "{e:?}");
+        }
+    }
+}

@@ -22,3 +22,31 @@ pub enum GraphError {
     #[error("invalid generator parameters: {0}")]
     InvalidParameters(String),
 }
+
+#[cfg(test)]
+mod tests {
+    use super::GraphError;
+    use std::error::Error;
+
+    #[test]
+    fn every_variant_prints_its_message_and_has_no_source() {
+        let cases = [
+            (
+                GraphError::NodeOutOfRange { id: 7, n: 5 },
+                "node id 7 out of range for graph of 5 nodes",
+            ),
+            (
+                GraphError::SelfLoop(3),
+                "self loop on node 3 is not allowed",
+            ),
+            (
+                GraphError::InvalidParameters("m >= n".into()),
+                "invalid generator parameters: m >= n",
+            ),
+        ];
+        for (e, msg) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert!(e.source().is_none(), "{e:?}");
+        }
+    }
+}

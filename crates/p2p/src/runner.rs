@@ -548,4 +548,18 @@ mod tests {
             expected.weight
         );
     }
+
+    #[test]
+    fn error_prints_its_inner_message_and_names_it_as_source() {
+        use std::error::Error;
+        let e = DistributedError::from(GossipError::InvalidProfile("loss outside [0, 1)"));
+        assert_eq!(
+            e.to_string(),
+            "invalid network profile: loss outside [0, 1)"
+        );
+        assert_eq!(
+            e.source().map(|s| s.to_string()).as_deref(),
+            Some("invalid network profile: loss outside [0, 1)")
+        );
+    }
 }

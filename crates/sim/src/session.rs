@@ -791,4 +791,39 @@ mod tests {
         let changed = first_divergence(&good, &session.records());
         assert_eq!(changed, None, "changed by its own records");
     }
+
+    /// A bubbled-up error prints its inner message and is its own
+    /// `source()` (the inner error itself, not the inner's source).
+    #[test]
+    fn every_error_variant_prints_its_message_and_names_its_source() {
+        use std::error::Error;
+        let cases = [
+            (
+                SessionError::from(CoreError::InvalidCollusion("fraction above 1".into())),
+                "invalid collusion parameters: fraction above 1",
+                Some("invalid collusion parameters: fraction above 1"),
+            ),
+            (
+                SessionError::from(GossipError::ZeroFanout),
+                "uniform fan-out must be at least 1",
+                Some("uniform fan-out must be at least 1"),
+            ),
+            (
+                SessionError::from(StoreError::NoDelta { dir: "s".into() }),
+                "no delta to cut in s: HEAD.json names only the epoch",
+                Some("no delta to cut in s: HEAD.json names only the epoch"),
+            ),
+            (
+                SessionError::Snapshot {
+                    reason: "node count 3, engine 4".into(),
+                },
+                "snapshot is not usable: node count 3, engine 4",
+                None,
+            ),
+        ];
+        for (e, msg, source) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert_eq!(e.source().map(|s| s.to_string()).as_deref(), source);
+        }
+    }
 }

@@ -87,3 +87,84 @@ pub enum StoreError {
         dir: String,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    use super::StoreError;
+    use std::error::Error;
+
+    #[test]
+    fn every_variant_prints_its_message_and_only_io_has_a_source() {
+        let cases = [
+            (
+                StoreError::Io {
+                    path: "s/HEAD.json".into(),
+                    source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
+                },
+                "i/o on s/HEAD.json: gone",
+                Some("gone"),
+            ),
+            (
+                StoreError::Missing {
+                    path: "s/epoch-3.bin".into(),
+                },
+                "snapshot file s/epoch-3.bin is missing",
+                None,
+            ),
+            (
+                StoreError::NoSnapshot { dir: "s".into() },
+                "no snapshot committed in s (HEAD.json absent)",
+                None,
+            ),
+            (
+                StoreError::Corrupt {
+                    path: "s/delta-4.bin".into(),
+                    reason: "digest mismatch".into(),
+                },
+                "corrupt snapshot file s/delta-4.bin: digest mismatch",
+                None,
+            ),
+            (
+                StoreError::UnsupportedVersion {
+                    path: "s/HEAD.json".into(),
+                    found: 5,
+                    supported: 4,
+                },
+                "snapshot format v5 in s/HEAD.json is newer than supported v4",
+                None,
+            ),
+            (
+                StoreError::Invalid {
+                    reason: "unsorted records".into(),
+                },
+                "invalid snapshot input: unsorted records",
+                None,
+            ),
+            (
+                StoreError::BrokenChain {
+                    dir: "s".into(),
+                    reason: "base round 2, expected 3".into(),
+                },
+                "delta chain broken in s: base round 2, expected 3",
+                None,
+            ),
+            (
+                StoreError::Differs {
+                    path: "b/HEAD.json".into(),
+                    reason: "byte 7".into(),
+                },
+                "b/HEAD.json differs: byte 7",
+                None,
+            ),
+            (
+                StoreError::NoDelta { dir: "s".into() },
+                "no delta to cut in s: HEAD.json names only the epoch",
+                None,
+            ),
+        ];
+        for (e, msg, source) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert_eq!(e.source().map(|s| s.to_string()).as_deref(), source);
+        }
+    }
+}

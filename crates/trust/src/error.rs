@@ -43,3 +43,47 @@ pub enum TrustError {
         id: u32,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    use super::TrustError;
+    use std::error::Error;
+
+    #[test]
+    fn every_variant_prints_its_message_and_has_no_source() {
+        let cases = [
+            (
+                TrustError::OutOfRange(1.5),
+                "trust value 1.5 outside [0, 1]",
+            ),
+            (
+                TrustError::NotFinite(f64::NAN),
+                "trust value must be finite, got NaN",
+            ),
+            (
+                TrustError::InvalidWeightParams("beta < 0".into()),
+                "invalid weight parameters: beta < 0",
+            ),
+            (
+                TrustError::InvalidRobustPolicy("trim > 0.5".into()),
+                "invalid robust aggregation policy: trim > 0.5",
+            ),
+            (
+                TrustError::InvalidAuditPolicy("zero window".into()),
+                "invalid audit policy: zero window",
+            ),
+            (
+                TrustError::NodeOutOfRange { id: 9, n: 4 },
+                "node id 9 out of range for 4 nodes",
+            ),
+            (
+                TrustError::UnsortedRowReplacement { id: 2 },
+                "row replacement around node 2 is not sorted/deduplicated",
+            ),
+        ];
+        for (e, msg) in cases {
+            assert_eq!(e.to_string(), msg);
+            assert!(e.source().is_none(), "{e:?}");
+        }
+    }
+}
