@@ -1,24 +1,18 @@
 //! Error type for the aggregation layer.
 
-use thiserror::Error;
-
 /// Errors produced by the reputation aggregation algorithms.
-#[derive(Debug, Error)]
+#[derive(Debug)]
 pub enum CoreError {
     /// Bubbled up from the gossip engines.
-    #[error(transparent)]
-    Gossip(#[from] dg_gossip::GossipError),
+    Gossip(dg_gossip::GossipError),
 
     /// Bubbled up from the trust layer.
-    #[error(transparent)]
-    Trust(#[from] dg_trust::TrustError),
+    Trust(dg_trust::TrustError),
 
     /// Bubbled up from topology construction.
-    #[error(transparent)]
-    Graph(#[from] dg_graph::GraphError),
+    Graph(dg_graph::GraphError),
 
     /// The trust matrix dimension didn't match the graph.
-    #[error("trust matrix is {matrix} nodes but graph has {graph}")]
     DimensionMismatch {
         /// Trust matrix dimension.
         matrix: usize,
@@ -27,8 +21,51 @@ pub enum CoreError {
     },
 
     /// Collusion parameters were inconsistent.
-    #[error("invalid collusion parameters: {0}")]
     InvalidCollusion(String),
+}
+
+impl std::fmt::Display for CoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CoreError::Gossip(e) => std::fmt::Display::fmt(e, f),
+            CoreError::Trust(e) => std::fmt::Display::fmt(e, f),
+            CoreError::Graph(e) => std::fmt::Display::fmt(e, f),
+            CoreError::DimensionMismatch { matrix, graph } => {
+                write!(f, "trust matrix is {matrix} nodes but graph has {graph}")
+            }
+            CoreError::InvalidCollusion(why) => write!(f, "invalid collusion parameters: {why}"),
+        }
+    }
+}
+
+/// A bubbled-up error is its own `source()`.
+impl std::error::Error for CoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CoreError::Gossip(e) => Some(e),
+            CoreError::Trust(e) => Some(e),
+            CoreError::Graph(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<dg_gossip::GossipError> for CoreError {
+    fn from(e: dg_gossip::GossipError) -> Self {
+        CoreError::Gossip(e)
+    }
+}
+
+impl From<dg_trust::TrustError> for CoreError {
+    fn from(e: dg_trust::TrustError) -> Self {
+        CoreError::Trust(e)
+    }
+}
+
+impl From<dg_graph::GraphError> for CoreError {
+    fn from(e: dg_graph::GraphError) -> Self {
+        CoreError::Graph(e)
+    }
 }
 
 #[cfg(test)]

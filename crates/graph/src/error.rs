@@ -1,12 +1,9 @@
 //! Error type for graph construction and validation.
 
-use thiserror::Error;
-
 /// Errors produced while building or validating topologies.
-#[derive(Debug, Error, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum GraphError {
     /// A node id referenced an index outside `0..n`.
-    #[error("node id {id} out of range for graph of {n} nodes")]
     NodeOutOfRange {
         /// Offending id.
         id: u32,
@@ -15,13 +12,25 @@ pub enum GraphError {
     },
 
     /// Self loops are not meaningful for gossip overlays.
-    #[error("self loop on node {0} is not allowed")]
     SelfLoop(u32),
 
     /// Generator parameters were inconsistent (e.g. `m >= n`).
-    #[error("invalid generator parameters: {0}")]
     InvalidParameters(String),
 }
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::NodeOutOfRange { id, n } => {
+                write!(f, "node id {id} out of range for graph of {n} nodes")
+            }
+            GraphError::SelfLoop(id) => write!(f, "self loop on node {id} is not allowed"),
+            GraphError::InvalidParameters(why) => write!(f, "invalid generator parameters: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,6 @@ use dg_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use thiserror::Error;
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -98,11 +97,32 @@ impl DistributedOutcome {
 }
 
 /// Errors from the distributed runner.
-#[derive(Debug, Error)]
+#[derive(Debug)]
 pub enum DistributedError {
     /// Configuration / fan-out resolution failed.
-    #[error(transparent)]
-    Gossip(#[from] GossipError),
+    Gossip(GossipError),
+}
+
+impl std::fmt::Display for DistributedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DistributedError::Gossip(e) => std::fmt::Display::fmt(e, f),
+        }
+    }
+}
+
+impl std::error::Error for DistributedError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DistributedError::Gossip(e) => Some(e),
+        }
+    }
+}
+
+impl From<GossipError> for DistributedError {
+    fn from(e: GossipError) -> Self {
+        DistributedError::Gossip(e)
+    }
 }
 
 /// Run differential push gossip as one state machine per peer, over a

@@ -57,7 +57,6 @@ use dg_trust::prelude::EwmaEstimator;
 use dg_trust::{ShardSpec, TrustValue};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use thiserror::Error;
 
 /// Full-epoch cadence: after this many delta checkpoints the next
 /// checkpoint is written as a fresh full epoch, bounding both recovery
@@ -84,24 +83,61 @@ pub fn round_seed(run_seed: u64, round: u64) -> u64 {
 }
 
 /// Errors from the session lifecycle.
-#[derive(Debug, Error)]
+#[derive(Debug)]
 pub enum SessionError {
     /// Scenario construction or a round failed.
-    #[error(transparent)]
-    Core(#[from] CoreError),
+    Core(CoreError),
     /// The gossip-layer knobs are invalid.
-    #[error(transparent)]
-    Gossip(#[from] GossipError),
+    Gossip(GossipError),
     /// The durable store rejected or could not produce a checkpoint.
-    #[error(transparent)]
-    Store(#[from] StoreError),
+    Store(StoreError),
     /// A loaded snapshot is internally inconsistent or does not fit the
     /// engine it was offered to.
-    #[error("snapshot is not usable: {reason}")]
     Snapshot {
         /// What made the snapshot unusable.
         reason: String,
     },
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Core(e) => std::fmt::Display::fmt(e, f),
+            SessionError::Gossip(e) => std::fmt::Display::fmt(e, f),
+            SessionError::Store(e) => std::fmt::Display::fmt(e, f),
+            SessionError::Snapshot { reason } => write!(f, "snapshot is not usable: {reason}"),
+        }
+    }
+}
+
+/// A bubbled-up error is its own `source()`.
+impl std::error::Error for SessionError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SessionError::Core(e) => Some(e),
+            SessionError::Gossip(e) => Some(e),
+            SessionError::Store(e) => Some(e),
+            SessionError::Snapshot { .. } => None,
+        }
+    }
+}
+
+impl From<CoreError> for SessionError {
+    fn from(e: CoreError) -> Self {
+        SessionError::Core(e)
+    }
+}
+
+impl From<GossipError> for SessionError {
+    fn from(e: GossipError) -> Self {
+        SessionError::Gossip(e)
+    }
+}
+
+impl From<StoreError> for SessionError {
+    fn from(e: StoreError) -> Self {
+        SessionError::Store(e)
+    }
 }
 
 /// One node's cross-round state — its [`NodeState`], its aggregated

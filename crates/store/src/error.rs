@@ -6,29 +6,23 @@
 //! that names the offending file. Nothing in this crate panics on bad
 //! input.
 
-use thiserror::Error;
-
 /// Everything that can go wrong reading or writing a checkpoint.
-#[derive(Debug, Error)]
+#[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
-    #[error("i/o on {path}: {source}")]
     Io {
         /// The file or directory the operation touched.
         path: String,
         /// The OS-level error.
-        #[source]
         source: std::io::Error,
     },
     /// A file the committed `HEAD.json` promised does not exist (e.g. a
     /// shard file deleted after the epoch committed).
-    #[error("snapshot file {path} is missing")]
     Missing {
         /// The promised file.
         path: String,
     },
     /// The directory holds no committed checkpoint at all.
-    #[error("no snapshot committed in {dir} (HEAD.json absent)")]
     NoSnapshot {
         /// The checkpoint directory.
         dir: String,
@@ -36,7 +30,6 @@ pub enum StoreError {
     /// A file exists but its bytes are not a valid snapshot payload:
     /// truncated, wrong magic, length mismatch, checksum mismatch or an
     /// undecodable record.
-    #[error("corrupt snapshot file {path}: {reason}")]
     Corrupt {
         /// The damaged file.
         path: String,
@@ -46,7 +39,6 @@ pub enum StoreError {
     /// The file was written by a newer format than this build supports.
     /// (Older versions always load: fields added later default via
     /// `#[serde(default)]` / absent-section policy.)
-    #[error("snapshot format v{found} in {path} is newer than supported v{supported}")]
     UnsupportedVersion {
         /// The damaged-or-future file.
         path: String,
@@ -57,14 +49,12 @@ pub enum StoreError {
     },
     /// The caller handed the store inconsistent inputs (record count vs
     /// header, unsorted records, overlapping shard ranges, ...).
-    #[error("invalid snapshot input: {reason}")]
     Invalid {
         /// What was inconsistent.
         reason: String,
     },
     /// The delta chain under `HEAD.json` is inconsistent — a delta's
     /// base round does not match the checkpoint it claims to extend.
-    #[error("delta chain broken in {dir}: {reason}")]
     BrokenChain {
         /// The checkpoint directory.
         dir: String,
@@ -73,7 +63,6 @@ pub enum StoreError {
     },
     /// Two stores (or files) [`same`](crate::same) compared are not the
     /// same: the first file at which they disagree.
-    #[error("{path} differs: {reason}")]
     Differs {
         /// The second side's file (or the file only one side holds).
         path: String,
@@ -81,11 +70,53 @@ pub enum StoreError {
         reason: String,
     },
     /// [`Store::cut`](crate::Store::cut) found no delta to drop.
-    #[error("no delta to cut in {dir}: HEAD.json names only the epoch")]
     NoDelta {
         /// The checkpoint directory.
         dir: String,
     },
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Io { path, source } => write!(f, "i/o on {path}: {source}"),
+            StoreError::Missing { path } => write!(f, "snapshot file {path} is missing"),
+            StoreError::NoSnapshot { dir } => {
+                write!(f, "no snapshot committed in {dir} (HEAD.json absent)")
+            }
+            StoreError::Corrupt { path, reason } => {
+                write!(f, "corrupt snapshot file {path}: {reason}")
+            }
+            StoreError::UnsupportedVersion {
+                path,
+                found,
+                supported,
+            } => write!(
+                f,
+                "snapshot format v{found} in {path} is newer than supported v{supported}"
+            ),
+            StoreError::Invalid { reason } => write!(f, "invalid snapshot input: {reason}"),
+            StoreError::BrokenChain { dir, reason } => {
+                write!(f, "delta chain broken in {dir}: {reason}")
+            }
+            StoreError::Differs { path, reason } => write!(f, "{path} differs: {reason}"),
+            StoreError::NoDelta { dir } => {
+                write!(
+                    f,
+                    "no delta to cut in {dir}: HEAD.json names only the epoch"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for StoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StoreError::Io { source, .. } => Some(source),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
