@@ -28,7 +28,7 @@
 //!   `Σ final pairs ≈ L.expected_total(I)` to 1e-9, faulty transport
 //!   or not.
 
-use crate::runner::{run_segment, DistributedConfig, DistributedError, DistributedOutcome};
+use crate::runner::{run_segment, DistributedConfig, DistributedOutcome};
 use crate::transport::{FaultyNetwork, MassLedger};
 use dg_gossip::pair::GossipPair;
 use dg_gossip::GossipError;
@@ -189,7 +189,7 @@ pub fn resume_distributed(
     graph: &Graph,
     config: DistributedConfig,
     checkpoint: GossipCheckpoint,
-) -> Result<DistributedOutcome, DistributedError> {
+) -> Result<DistributedOutcome, GossipError> {
     let profile = config.profile.validated()?;
     config.adversary.validated()?;
     let n = graph.node_count();
@@ -197,8 +197,7 @@ pub fn resume_distributed(
         return Err(GossipError::StateSizeMismatch {
             given: checkpoint.pairs.len().min(checkpoint.active_rounds.len()),
             expected: n,
-        }
-        .into());
+        });
     }
     let stream_seed = continuation_seed(config.seed, checkpoint.rounds as u64);
     let transport = FaultyNetwork::new(n, profile, stream_seed, config.max_rounds as u64);
@@ -399,12 +398,7 @@ mod tests {
             ledger: MassLedger::default(),
         };
         let err = resume_distributed(&g, DistributedConfig::default(), ckpt);
-        assert!(matches!(
-            err,
-            Err(DistributedError::Gossip(
-                GossipError::StateSizeMismatch { .. }
-            ))
-        ));
+        assert!(matches!(err, Err(GossipError::StateSizeMismatch { .. })));
     }
 
     #[test]

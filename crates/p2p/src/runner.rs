@@ -96,35 +96,6 @@ impl DistributedOutcome {
     }
 }
 
-/// Errors from the distributed runner.
-#[derive(Debug)]
-pub enum DistributedError {
-    /// Configuration / fan-out resolution failed.
-    Gossip(GossipError),
-}
-
-impl std::fmt::Display for DistributedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistributedError::Gossip(e) => std::fmt::Display::fmt(e, f),
-        }
-    }
-}
-
-impl std::error::Error for DistributedError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DistributedError::Gossip(e) => Some(e),
-        }
-    }
-}
-
-impl From<GossipError> for DistributedError {
-    fn from(e: GossipError) -> Self {
-        DistributedError::Gossip(e)
-    }
-}
-
 /// Run differential push gossip as one state machine per peer, over a
 /// [`FaultyNetwork`] injecting `config.profile` with fault streams seeded
 /// from `config.seed`.
@@ -136,7 +107,7 @@ pub fn run_distributed(
     graph: &Graph,
     config: DistributedConfig,
     initial: Vec<GossipPair>,
-) -> Result<DistributedOutcome, DistributedError> {
+) -> Result<DistributedOutcome, GossipError> {
     let profile = config.profile.validated()?;
     let transport = FaultyNetwork::new(
         graph.node_count(),
@@ -157,14 +128,13 @@ pub fn run_with_transport(
     config: DistributedConfig,
     initial: Vec<GossipPair>,
     transport: FaultyNetwork,
-) -> Result<DistributedOutcome, DistributedError> {
+) -> Result<DistributedOutcome, GossipError> {
     let n = graph.node_count();
     if initial.len() != n {
         return Err(GossipError::StateSizeMismatch {
             given: initial.len(),
             expected: n,
-        }
-        .into());
+        });
     }
     config.adversary.validated()?;
     // Byzantine input falsification: an adversarial peer reports the
@@ -202,7 +172,7 @@ pub(crate) fn run_segment(
     mut transport: FaultyNetwork,
     stream_seed: u64,
     initial_total: GossipPair,
-) -> Result<DistributedOutcome, DistributedError> {
+) -> Result<DistributedOutcome, GossipError> {
     let n = graph.node_count();
     let fanouts = config.fanout.resolve(graph)?;
 
@@ -337,12 +307,7 @@ mod tests {
     fn wrong_initial_size_is_rejected() {
         let g = generators::complete(4);
         let err = run_distributed(&g, DistributedConfig::default(), vec![GossipPair::ZERO; 3]);
-        assert!(matches!(
-            err,
-            Err(DistributedError::Gossip(
-                GossipError::StateSizeMismatch { .. }
-            ))
-        ));
+        assert!(matches!(err, Err(GossipError::StateSizeMismatch { .. })));
     }
 
     #[test]
@@ -358,10 +323,7 @@ mod tests {
             },
             vec![GossipPair::originator(0.5); 4],
         );
-        assert!(matches!(
-            err,
-            Err(DistributedError::Gossip(GossipError::InvalidProfile(_)))
-        ));
+        assert!(matches!(err, Err(GossipError::InvalidProfile(_))));
     }
 
     #[test]
@@ -566,20 +528,6 @@ mod tests {
             "weight {} vs {}",
             actual.weight,
             expected.weight
-        );
-    }
-
-    #[test]
-    fn error_prints_its_inner_message_and_names_it_as_source() {
-        use std::error::Error;
-        let e = DistributedError::from(GossipError::InvalidProfile("loss outside [0, 1)"));
-        assert_eq!(
-            e.to_string(),
-            "invalid network profile: loss outside [0, 1)"
-        );
-        assert_eq!(
-            e.source().map(|s| s.to_string()).as_deref(),
-            Some("invalid network profile: loss outside [0, 1)")
         );
     }
 }
