@@ -29,7 +29,7 @@ use dg_sim::rounds::{DefensePolicy, RoundStats};
 use dg_sim::{build_engine, RunConfig, Scenario};
 use dg_trust::audit::AuditPolicy;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Network size of the lifecycle matrix runs.
@@ -48,7 +48,7 @@ pub const BYZANTINE_NODES: usize = 120;
 /// the *defended* run (the open run is reported for contrast), except
 /// the free-rider bound, which is the paper's baseline claim and must
 /// hold without any defense.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClaimThresholds {
     /// Honest requesters keep at least this service rate under every
     /// attack (defended run, last round).
@@ -141,7 +141,7 @@ impl ClaimThresholds {
 }
 
 /// One lifecycle run's headline metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LifecycleMetrics {
     /// Last-round honest service rate.
     pub honest_service_rate: f64,
@@ -238,7 +238,7 @@ impl LifecycleRun {
 
 /// The byzantine distributed check: the real peer runtime over the
 /// lossy transport with input-falsifying adversaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ByzantineCheck {
     /// Byzantine peer fraction (the mix's total adversary fraction).
     pub fraction: f64,
@@ -264,7 +264,7 @@ pub struct ByzantineCheck {
 /// The stealth arm's audit-countermeasure metrics: what the seeded
 /// stochastic audits ([`dg_trust::audit`]) achieved against a cartel
 /// that provably evades the clamp + trim defense.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StealthAudit {
     /// Stealth cartel members in the run.
     pub cartel_members: usize,
@@ -292,7 +292,7 @@ pub struct StealthAudit {
 }
 
 /// One violated bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Violation {
     /// Which bound.
     pub bound: String,
@@ -303,7 +303,7 @@ pub struct Violation {
 }
 
 /// The full `CLAIMS_<attack>.json` payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AttackReport {
     /// Attack label (`none` / `sybil` / `collusion` / `slander` /
     /// `whitewash` / `stealth`).

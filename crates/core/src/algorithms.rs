@@ -21,11 +21,10 @@ use dg_gossip::vector::{GossipVector, VectorEntry, VectorGossip};
 use dg_gossip::{GossipConfig, GossipPair};
 use dg_graph::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Outcome of a single-subject aggregation (Algorithms 1 and 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SingleOutcome {
     /// Per-node reputation estimate of the subject (clamped to `[0, 1]`;
     /// `None` where the node ended without gossip mass — only possible in
@@ -42,7 +41,7 @@ pub struct SingleOutcome {
 }
 
 /// Outcome of an all-subjects aggregation (Variations 3 and 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FullOutcome {
     /// `estimates[i]` maps subject id → reputation estimate at node `i`.
     pub estimates: Vec<BTreeMap<u32, f64>>,

@@ -10,10 +10,9 @@
 use dg_graph::NodeId;
 use dg_trust::prelude::TransactionOutcome;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Behaviour profile of a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Behavior {
     /// Serves requests with the given latent quality.
     Honest {
@@ -91,7 +90,7 @@ impl Behavior {
 }
 
 /// A population of peers with assigned behaviours.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     behaviors: Vec<Behavior>,
 }

@@ -35,10 +35,9 @@ use dg_graph::NodeId;
 use dg_trust::TrustMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Collusion scenario parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollusionScheme {
     /// Fraction of the population that colludes, in `[0, 1]`.
     pub colluder_fraction: f64,
@@ -66,7 +65,7 @@ impl CollusionScheme {
 }
 
 /// Which nodes collude and in which group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupAssignment {
     member_of: Vec<Option<u32>>,
     groups: Vec<Vec<NodeId>>,

@@ -86,7 +86,7 @@ pub fn node_stream_seed(base: u64, node: u32) -> u64 {
 }
 
 /// Configuration of a gossip run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Convergence tolerance `ξ` of the paper's algorithms.
     pub xi: f64,

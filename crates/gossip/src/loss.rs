@@ -17,11 +17,10 @@
 
 use crate::error::GossipError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Independent per-push loss with detection (failed shares return to the
 /// sender).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LossModel {
     probability: f64,
 }
@@ -58,7 +57,7 @@ impl LossModel {
 /// probability `departure_probability`. The engine transfers the
 /// departing node's pair to a present neighbour (or, if it has none, to
 /// the lowest-id present node) before removing it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChurnModel {
     departure_probability: f64,
     /// Upper bound on how many nodes may leave in total (keeps the graph

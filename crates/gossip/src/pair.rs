@@ -6,7 +6,6 @@
 //! ratio `u = 10` (an impossible value for trust ratios, which live in
 //! `[0, 1]`).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// The paper's sentinel ratio for nodes whose gossip weight is still zero.
@@ -32,7 +31,7 @@ pub(crate) const RATIO_SENTINEL: f64 = 10.0;
 /// // Zero-weight pairs report the paper's sentinel ratio u = 10.
 /// assert_eq!(GossipPair::passive(0.6).ratio(), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GossipPair {
     /// Gossip value `y` (starts as the local feedback `t_ij`, or 0).
     pub value: f64,

@@ -8,17 +8,13 @@
 //! [`Graph`].
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in a topology.
 ///
 /// A thin `u32` newtype: the paper simulates up to 50 000 nodes, and 32-bit
 /// ids keep the CSR arrays half the size of `usize` ones.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -44,19 +40,6 @@ impl From<usize> for NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// `NodeId` works as a JSON map key (serialised as its decimal id), so
-/// per-node tables can be keyed by `NodeId` end to end instead of
-/// leaking raw `u32` indices at serialisation boundaries.
-impl serde::__value::MapKey for NodeId {
-    fn to_key(&self) -> String {
-        self.0.to_string()
-    }
-
-    fn from_key(key: &str) -> Result<Self, serde::__value::DeError> {
-        <u32 as serde::__value::MapKey>::from_key(key).map(NodeId)
     }
 }
 

@@ -35,7 +35,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Salt for the role-assignment shuffle stream (decoupled from the
@@ -54,7 +53,7 @@ pub(crate) fn adversary_stream_seed(seed: u64, round: u64, node: u32) -> u64 {
 }
 
 /// The role a node plays in the adversarial population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Role {
     /// Follows the protocol.
     #[default]
@@ -128,7 +127,7 @@ impl Strategy for HonestStrategy {
 
 /// A sybil ring: leech identities that endorse every active ring-mate
 /// at 1, bad-mouth every rated outsider at 0, and spawn over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SybilRing {
     /// Ring members, ascending.
     pub members: Vec<NodeId>,
@@ -187,7 +186,7 @@ impl Strategy for SybilRing {
 /// A collusion clique: members serve honestly but report each other at 1
 /// (replacing any honest opinion and injecting endorsements they never
 /// earned), leaving reports about outsiders intact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CollusionClique {
     /// Clique members, ascending.
     pub members: Vec<NodeId>,
@@ -217,7 +216,7 @@ impl Strategy for CollusionClique {
 
 /// A slanderer: serves honestly but multiplies every report it gossips
 /// by `factor` (0 = full bad-mouthing).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Slanderer {
     /// Surviving fraction of the honest report.
     pub factor: f64,
@@ -246,7 +245,7 @@ impl Strategy for Slanderer {
 /// itself is an engine-side state purge; in the gossip channel the
 /// whitewasher reports honestly (its lie is identity churn, not
 /// slander).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Whitewasher {
     /// Personal wash threshold (jittered per washer at build time).
     pub threshold: f64,
@@ -273,7 +272,7 @@ impl Strategy for Whitewasher {
 /// to clamp and (for subjects with fewer than `1 / trim_fraction`
 /// reporters) never trims a single value. The cartel knows the defense
 /// parameters (Kerckhoffs's principle) and stays strictly within them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StealthCartel {
     /// Cartel members, ascending.
     pub members: Vec<NodeId>,
@@ -312,7 +311,7 @@ impl Strategy for StealthCartel {
 }
 
 /// The compiled per-node adversary assignment of one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryAssignment {
     roles: Vec<Role>,
     rings: Vec<SybilRing>,
@@ -321,7 +320,6 @@ pub struct AdversaryAssignment {
     washers: Vec<Whitewasher>,
     /// Whitewasher ids, ascending, aligned with `washers`.
     washer_ids: Vec<NodeId>,
-    #[serde(default)]
     cartels: Vec<StealthCartel>,
     adversary_count: usize,
 }

@@ -29,10 +29,10 @@ use dg_graph::{generators, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One measurement of a gossip run (Figs. 3/4, Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StepsRow {
     /// Network size `N`.
     pub nodes: usize,
@@ -134,7 +134,7 @@ pub fn loss_experiment(
 /// One convergence-degradation measurement: how the gossip layer's
 /// rounds-to-convergence and residual estimate error respond to a
 /// misbehaving network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradationRow {
     /// Network size `N`.
     pub nodes: usize,
@@ -227,7 +227,7 @@ pub fn profile_experiment(
 }
 
 /// One collusion measurement (Figs. 5/6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CollusionRow {
     /// Network size.
     pub nodes: usize,
@@ -346,7 +346,7 @@ fn collusion_row(
 
 /// Table 1: the 10-node worked example. Per-iteration ratio at each node
 /// of the paper's Fig. 2 topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExampleTrace {
     /// Node degrees (paper row "degree").
     pub degrees: Vec<usize>,
@@ -392,7 +392,7 @@ pub fn example_trace(iterations: usize, seed: u64) -> Result<ExampleTrace, CoreE
 }
 
 /// One rumor-spreading measurement (Theorem 5.1 ablation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpreadRow {
     /// Network size.
     pub nodes: usize,
@@ -455,7 +455,7 @@ pub fn potential_experiment(
 
 /// One weight-law ablation row: predicted vs measured collusion-error
 /// shrink (Eq. (17)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WeightAblationRow {
     /// Weight base `a`.
     pub a: f64,

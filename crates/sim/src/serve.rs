@@ -33,7 +33,6 @@ use crate::session::{RunConfig, RunSession, SessionError};
 use dg_graph::NodeId;
 use dg_trust::prelude::TransactionOutcome;
 use dg_trust::SnapshotCell;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One externally-submitted transaction report: requester `requester`
@@ -42,7 +41,7 @@ use std::sync::Arc;
 /// tag — the sort key that makes the fold order independent of arrival
 /// timing (a source submitting in `seq` order will see its reports
 /// fold in that order).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestReport {
     /// Ingest source (e.g. connection) id.
     pub from: u64,

@@ -182,7 +182,7 @@ impl AuditPolicy {
 /// One logged report: what the node gossiped about `subject` in
 /// `round`, alongside the estimate its recorded transaction outcomes
 /// implied at emit time (`None` = fabricated, no backing estimator).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportLogEntry {
     /// Subject the report was about.
     pub subject: NodeId,
@@ -205,7 +205,7 @@ pub struct ReportLogEntry {
 /// across engines — the batched engine re-emits every row every round
 /// while the incremental engine skips bitwise-unchanged rows, and the
 /// no-op property collapses both into the same log state.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportLog {
     /// Entries sorted by ascending subject (at most one per subject).
     entries: Vec<ReportLogEntry>,

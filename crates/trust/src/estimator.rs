@@ -12,11 +12,10 @@
 //! there is exactly one.
 
 use crate::value::TrustValue;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a single transaction (a chunk upload in the file-sharing
 /// model), as judged by the downloader.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransactionOutcome {
     /// The provider served the request; `quality ∈ [0, 1]` reflects QoS
     /// (bandwidth granted, chunk validity, ...).
@@ -46,7 +45,7 @@ impl TransactionOutcome {
 }
 
 /// Exponentially-weighted moving average of transaction quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaEstimator {
     value: TrustValue,
     rate: f64,

@@ -5,7 +5,7 @@
 //! 0 to blunt whitewashing (Section 4.1.2).
 
 use crate::error::TrustError;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fmt;
 
 /// A trust score in `[0, 1]`.
@@ -13,8 +13,8 @@ use std::fmt;
 /// The inner value is guaranteed finite and in range by every constructor,
 /// so downstream arithmetic (gossip mass, weight exponents) never sees NaN
 /// or out-of-range inputs.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Deserialize, Default)]
+#[serde(try_from = "f64")]
 pub struct TrustValue(f64);
 
 impl TrustValue {
@@ -67,12 +67,6 @@ impl TryFrom<f64> for TrustValue {
     type Error = TrustError;
     fn try_from(v: f64) -> Result<Self, Self::Error> {
         TrustValue::new(v)
-    }
-}
-
-impl From<TrustValue> for f64 {
-    fn from(v: TrustValue) -> f64 {
-        v.0
     }
 }
 

@@ -14,10 +14,9 @@
 
 use crate::error::TrustError;
 use crate::value::TrustValue;
-use serde::{Deserialize, Serialize};
 
 /// Parameters `(a, b)` of the weight law `w = a^(b·t)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightParams {
     a: f64,
     b: f64,
