@@ -38,7 +38,6 @@ impl std::fmt::Display for CoreError {
     }
 }
 
-/// A bubbled-up error is its own `source()`.
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

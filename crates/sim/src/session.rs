@@ -110,7 +110,6 @@ impl std::fmt::Display for SessionError {
     }
 }
 
-/// A bubbled-up error is its own `source()`.
 impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
