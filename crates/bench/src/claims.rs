@@ -17,9 +17,8 @@
 //! exits non-zero when any documented bound is violated — the CI gate.
 //!
 //! Everything is deterministic per seed, so the bounds are exact
-//! repro thresholds, not statistical hopes. The default thresholds are
-//! in [`ClaimThresholds::default`]; CI can override any of them with
-//! repeated `--bound key=value` flags (see [`ClaimThresholds::apply`]).
+//! repro thresholds, not statistical hopes. The thresholds are
+//! [`ClaimThresholds::default`]; no flag loosens them.
 
 use dg_core::behavior::Behavior;
 use dg_gossip::{AdversaryMix, GossipPair, NetworkProfile};
@@ -48,7 +47,7 @@ pub const BYZANTINE_NODES: usize = 120;
 /// the *defended* run (the open run is reported for contrast), except
 /// the free-rider bound, which is the paper's baseline claim and must
 /// hold without any defense.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClaimThresholds {
     /// Honest requesters keep at least this service rate under every
     /// attack (defended run, last round).
@@ -105,38 +104,6 @@ impl Default for ClaimThresholds {
             false_positive_max: 0.0,
             audit_overhead_max: 0.03,
         }
-    }
-}
-
-impl ClaimThresholds {
-    /// Apply one `key=value` override (the `--bound` flag).
-    pub fn apply(&mut self, spec: &str) -> Result<(), String> {
-        let (key, value) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("bound `{spec}` is not of the form key=value"))?;
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("bound `{spec}`: `{value}` is not a number"))?;
-        if !value.is_finite() || value < 0.0 {
-            return Err(format!("bound `{spec}`: must be finite and non-negative"));
-        }
-        let slot = match key.trim() {
-            "honest_service_min" => &mut self.honest_service_min,
-            "free_rider_service_max" => &mut self.free_rider_service_max,
-            "adversary_service_max" => &mut self.adversary_service_max,
-            "deviation_max" => &mut self.deviation_max,
-            "inflation_max" => &mut self.inflation_max,
-            "preferential_service_slack" => &mut self.preferential_service_slack,
-            "mass_tolerance" => &mut self.mass_tolerance,
-            "byzantine_bias_slack" => &mut self.byzantine_bias_slack,
-            "detection_min" => &mut self.detection_min,
-            "false_positive_max" => &mut self.false_positive_max,
-            "audit_overhead_max" => &mut self.audit_overhead_max,
-            other => return Err(format!("unknown bound `{other}`")),
-        };
-        *slot = value;
-        Ok(())
     }
 }
 
@@ -780,14 +747,12 @@ pub fn run_attack(
 }
 
 /// Run the whole matrix; returns every report (pass and fail alike).
-pub fn run_matrix(
-    seed: u64,
-    thresholds: &ClaimThresholds,
-) -> Result<Vec<AttackReport>, Box<dyn std::error::Error>> {
+pub fn run_matrix(seed: u64) -> Result<Vec<AttackReport>, Box<dyn std::error::Error>> {
     let reference = reference(seed)?;
+    let thresholds = ClaimThresholds::default();
     attack_matrix()
         .into_iter()
-        .map(|(attack, mix)| run_attack(attack, mix, seed, thresholds, &reference))
+        .map(|(attack, mix)| run_attack(attack, mix, seed, &thresholds, &reference))
         .collect()
 }
 
@@ -796,7 +761,6 @@ pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
     let mut seed = 42u64;
     let mut json = false;
     let mut out_dir = String::from(".");
-    let mut thresholds = ClaimThresholds::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -810,14 +774,10 @@ pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
             "--out-dir" => {
                 out_dir = args.next().ok_or("--out-dir needs a path")?;
             }
-            "--bound" => {
-                let spec = args.next().ok_or("--bound needs key=value")?;
-                thresholds.apply(&spec)?;
-            }
             other => {
                 return Err(format!(
                     "unknown flag {other}\nusage: claims [--seed <u64>] [--json] \
-                     [--out-dir <path>] [--bound <key>=<value>]..."
+                     [--out-dir <path>]"
                 )
                 .into())
             }
@@ -828,7 +788,7 @@ pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
         "claims: attack matrix at N={MATRIX_NODES}, {MATRIX_ROUNDS} rounds, seed {seed} \
          (byzantine check at N={BYZANTINE_NODES} over the lossy transport)"
     );
-    let reports = run_matrix(seed, &thresholds)?;
+    let reports = run_matrix(seed)?;
     let mut failed = false;
     eprintln!(
         "  {:<10} {:>8} {:>8} {:>8} {:>9} {:>7} {:>9}  bounds",
@@ -881,29 +841,6 @@ pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_overrides_parse() {
-        let mut t = ClaimThresholds::default();
-        t.apply("honest_service_min=0.5").unwrap();
-        assert_eq!(t.honest_service_min, 0.5);
-        t.apply(" deviation_max = 0.25 ").unwrap(); // whitespace is trimmed
-        assert_eq!(t.deviation_max, 0.25);
-        t.apply("mass_tolerance=1e-6").unwrap();
-        assert_eq!(t.mass_tolerance, 1e-6);
-    }
-
-    #[test]
-    fn threshold_parsing_rejects_garbage() {
-        let mut t = ClaimThresholds::default();
-        assert!(t.apply("no_equals_sign").is_err());
-        assert!(t.apply("unknown_bound=1.0").is_err());
-        assert!(t.apply("deviation_max=abc").is_err());
-        assert!(t.apply("deviation_max=-1.0").is_err());
-        assert!(t.apply("deviation_max=inf").is_err());
-        // Errors leave the thresholds untouched.
-        assert_eq!(t, ClaimThresholds::default());
-    }
 
     #[test]
     fn matrix_covers_every_preset_once() {

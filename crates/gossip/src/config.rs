@@ -11,15 +11,15 @@ use serde::{Deserialize, Serialize};
 /// The gossip *protocol* semantics are identical under every engine —
 /// per-node RNG streams derived with [`node_stream_seed`] make results
 /// bit-for-bit equal regardless of thread count and shard count.
-/// `Sequential` is the reference map-based driver every suite compares
-/// against; `Incremental` is the production engine, whose traffic model
-/// picks its round: a rebuild into per-shard row slabs under full
-/// traffic, a delta round that re-derives only the rows and aggregates
-/// the round touched under any gated traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// `Sequential` is the reference map-based driver the test suites
+/// compare against; `Incremental` is the production engine (the
+/// simulator's default), whose traffic model picks its round: a rebuild
+/// into per-shard row slabs under full traffic, a delta round that
+/// re-derives only the rows and aggregates the round touched under any
+/// gated traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Reference single-stream driver over map-based state.
-    #[default]
     Sequential,
     /// The production engine: sharded trust state (shard count: the
     /// simulator's `RunConfig::shard_count`), rebuilt every round under
@@ -33,9 +33,8 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Every engine, in the canonical reporting order. Bench suites and
-    /// trend trackers iterate this so a new engine shows up everywhere
-    /// by construction.
+    /// Every engine, oracle first. The bit-identity suites iterate
+    /// this, so each runs under both engines.
     pub const ALL: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Incremental];
 
     /// Compatibility name of the removed sharded engine: callers that
@@ -48,26 +47,6 @@ impl EngineKind {
     #[doc(hidden)]
     #[allow(non_upper_case_globals)]
     pub const Parallel: EngineKind = EngineKind::Incremental;
-
-    /// Stable label for CLI flags and JSON reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sequential => "sequential",
-            EngineKind::Incremental => "incremental",
-        }
-    }
-
-    /// Parse a CLI label (`sharded` / `shard` / `parallel` / `par` are
-    /// kept as spellings of the production engine).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sequential" | "seq" => Some(EngineKind::Sequential),
-            "incremental" | "inc" | "sharded" | "shard" | "parallel" | "par" => {
-                Some(EngineKind::Incremental)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Derive the RNG stream seed of one node from a base (round or run)
@@ -206,24 +185,6 @@ mod tests {
         assert!(GossipConfig::differential(-1.0).is_err());
         assert!(GossipConfig::differential(f64::NAN).is_err());
         assert!(GossipConfig::differential(1e-5).is_ok());
-    }
-
-    #[test]
-    fn engine_kind_labels_roundtrip() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(kind.label()), Some(kind));
-        }
-        for old in ["sharded", "shard", "parallel", "par", "inc"] {
-            assert_eq!(
-                EngineKind::parse(old),
-                Some(EngineKind::Incremental),
-                "{old}"
-            );
-        }
-        assert_eq!(EngineKind::Sharded, EngineKind::Incremental);
-        assert_eq!(EngineKind::Parallel, EngineKind::Incremental);
-        assert_eq!(EngineKind::parse("nope"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Sequential);
     }
 
     #[test]

@@ -1,24 +1,23 @@
 //! `dg_serve` — run the reputation service against a live simulation.
 //!
 //! ```text
-//! dg_serve [--nodes N] [--seed S] [--engine sequential|incremental]
-//!          [--rounds R] [--addr HOST:PORT] [--ingest-capacity C]
-//!          [--round-interval-ms MS] [--traffic uniform|skewed]
+//! dg_serve [--nodes N] [--seed S] [--rounds R] [--addr HOST:PORT]
+//!          [--ingest-capacity C] [--round-interval-ms MS]
+//!          [--traffic uniform|skewed]
 //! ```
 //!
 //! Binds the endpoint, then drives one round every interval (default
-//! 1000 ms), printing a stats line per round. `--rounds 0` (default)
-//! runs until killed; otherwise the server exits after R rounds.
+//! 1000 ms) on the production engine, printing a stats line per round.
+//! `--rounds 0` (default) runs until killed; otherwise the server exits
+//! after R rounds.
 
-use dg_gossip::EngineKind;
 use dg_serve::{ServeOptions, Server};
 use dg_sim::{RunConfig, TrafficModel};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dg_serve [--nodes N] [--seed S] [--engine KIND] [--rounds R] \
-         [--addr HOST:PORT] [--ingest-capacity C] [--round-interval-ms MS] \
-         [--traffic uniform|skewed]"
+        "usage: dg_serve [--nodes N] [--seed S] [--rounds R] [--addr HOST:PORT] \
+         [--ingest-capacity C] [--round-interval-ms MS] [--traffic uniform|skewed]"
     );
     std::process::exit(2);
 }
@@ -52,13 +51,6 @@ fn main() {
             "--addr" => opts.addr = parse("--addr", args.next()),
             "--ingest-capacity" => opts.ingest_capacity = parse("--ingest-capacity", args.next()),
             "--round-interval-ms" => interval_ms = parse("--round-interval-ms", args.next()),
-            "--engine" => {
-                config.engine = args
-                    .next()
-                    .as_deref()
-                    .and_then(EngineKind::parse)
-                    .unwrap_or_else(|| usage())
-            }
             "--traffic" => {
                 config.traffic = match args.next().as_deref() {
                     Some("uniform") => TrafficModel::full(),

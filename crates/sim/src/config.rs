@@ -49,9 +49,11 @@ pub struct RunConfig {
     /// [`Self::trust_source`], shapes only that static matrix.
     pub far_partners: usize,
     // --- execution knobs ---
-    /// Execution engine for the round loop (see [`EngineKind`]). Does
-    /// **not** affect the generated topology, population or trust
-    /// values.
+    /// Execution engine for the round loop (see [`EngineKind`]): the
+    /// production `Incremental` engine by default; tests name the
+    /// `Sequential` oracle to compare against it. Does **not** affect
+    /// the generated topology, population or trust values, nor any
+    /// result.
     pub engine: EngineKind,
     /// Shard count for [`EngineKind::Incremental`] (ignored by the
     /// sequential driver), capped at the node count. `0` — the
@@ -131,7 +133,7 @@ impl Default for RunConfig {
             trust_source: TrustSource::Exact,
             topology: Topology::Pa,
             far_partners: 0,
-            engine: EngineKind::Sequential,
+            engine: EngineKind::Incremental,
             shard_count: 0,
             profile: NetworkProfile::lossless(),
             adversary: AdversaryMix::none(),
@@ -284,7 +286,7 @@ mod tests {
         assert_eq!(c.trust_source, TrustSource::Exact);
         assert_eq!(c.topology, Topology::Pa);
         assert_eq!(c.far_partners, 0);
-        assert_eq!(c.engine, EngineKind::Sequential);
+        assert_eq!(c.engine, EngineKind::Incremental);
         assert_eq!(c.shard_count, 0);
         assert_eq!(c.profile, NetworkProfile::lossless());
         assert_eq!(c.adversary, AdversaryMix::none());

@@ -19,8 +19,9 @@
 //!   residual error vs loss rate / [`NetworkProfile`](dg_gossip::NetworkProfile) preset);
 //! * [`rounds`] — the full reputation lifecycle loop (transactions →
 //!   estimation → aggregation → admission control) behind the free-riding
-//!   examples, dispatching through one engine factory to the sequential
-//!   reference driver or the production engine;
+//!   examples, dispatching through one engine factory to the production
+//!   engine (the default) or the sequential reference driver tests
+//!   compare it against;
 //! * [`session`] — the front door: a [`RunSession`] that builds
 //!   scenario and engine from a [`RunConfig`], runs rounds on a
 //!   deterministic seed schedule and checkpoints / resumes through the

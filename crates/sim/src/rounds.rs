@@ -20,10 +20,10 @@
 //!
 //! * [`EngineKind::Sequential`] — the reference driver in this module:
 //!   one inline pass over nodes, the oracle every suite compares
-//!   against;
+//!   against; it runs only where a test or the benchmark names it;
 //! * [`EngineKind::Incremental`] —
 //!   `IncrementalRoundEngine` ([`crate::incremental`]),
-//!   the production engine. Under full traffic every round rebuilds:
+//!   the production engine and the default. Under full traffic every round rebuilds:
 //!   nodes are partitioned into contiguous shards
 //!   ([`RunConfig::shard_count`](crate::RunConfig::shard_count)), each
 //!   filling its own row slab, with a rayon fan-out over shards. Under

@@ -5,7 +5,6 @@
 //! 0 to blunt whitewashing (Section 4.1.2).
 
 use crate::error::TrustError;
-use serde::Deserialize;
 use std::fmt;
 
 /// A trust score in `[0, 1]`.
@@ -13,8 +12,7 @@ use std::fmt;
 /// The inner value is guaranteed finite and in range by every constructor,
 /// so downstream arithmetic (gossip mass, weight exponents) never sees NaN
 /// or out-of-range inputs.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Deserialize, Default)]
-#[serde(try_from = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TrustValue(f64);
 
 impl TrustValue {
@@ -60,13 +58,6 @@ impl TrustValue {
             rate.clamp(0.0, 1.0)
         };
         TrustValue(self.0 + rate * (target.0 - self.0))
-    }
-}
-
-impl TryFrom<f64> for TrustValue {
-    type Error = TrustError;
-    fn try_from(v: f64) -> Result<Self, Self::Error> {
-        TrustValue::new(v)
     }
 }
 
@@ -120,14 +111,6 @@ mod tests {
     fn blend_with_nan_rate_is_identity() {
         let t = TrustValue(0.5).blend_towards(TrustValue::ONE, f64::NAN);
         assert_eq!(t, TrustValue(0.5));
-    }
-
-    #[test]
-    fn serde_rejects_out_of_range() {
-        let ok: Result<TrustValue, _> = serde_json::from_str("0.75");
-        assert_eq!(ok.unwrap().get(), 0.75);
-        let bad: Result<TrustValue, _> = serde_json::from_str("1.5");
-        assert!(bad.is_err());
     }
 
     proptest! {

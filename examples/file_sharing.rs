@@ -12,7 +12,6 @@
 //! cargo run --release --example file_sharing
 //! ```
 
-use differential_gossip::gossip::EngineKind;
 use differential_gossip::sim::{build_engine, RunConfig, Scenario};
 use rand::RngCore;
 use std::sync::Arc;
@@ -23,10 +22,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         free_rider_fraction: 0.25,
         quality_range: (0.4, 1.0),
         seed: 7,
-        // The production engine: identical results to the sequential
-        // reference driver; under this full traffic every round
-        // rebuilds per-shard CSR state with a shard fan-out.
-        engine: EngineKind::Incremental,
         rounds: 10,
         ..RunConfig::default()
     };
@@ -43,8 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.graph.edge_count()
     );
 
+    // The default, production engine: under this full traffic every
+    // round rebuilds per-shard CSR state with a shard fan-out.
     let mut engine = build_engine(Arc::clone(&scenario));
-    println!("engine: {}\n", config.engine.label());
+    println!("engine: incremental\n");
     let mut rng = scenario.gossip_rng(1);
 
     println!(

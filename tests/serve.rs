@@ -42,9 +42,11 @@ fn config(nodes: usize, rounds: usize, seed: u64) -> RunConfig {
 
 /// The per-round reference views of a config: `reference[r]` is the
 /// snapshot a correct server must answer round-`r` queries from,
-/// computed from scratch by an independent [`RunSession`] replay.
+/// computed from scratch by an independent [`RunSession`] replay on the
+/// sequential oracle (the server runs the default, production engine).
 fn reference_snapshots(config: RunConfig, rounds: usize) -> Vec<ReputationSnapshot> {
-    let mut session = RunSession::new(config).expect("reference session builds");
+    let oracle = config.with_engine(EngineKind::Sequential);
+    let mut session = RunSession::new(oracle).expect("reference session builds");
     let mut reference = vec![ReputationSnapshot::empty(config.nodes)];
     for r in 1..=rounds {
         session.run_to(r).expect("reference rounds run");
