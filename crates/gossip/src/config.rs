@@ -188,6 +188,12 @@ mod tests {
     }
 
     #[test]
+    fn compat_consts_are_the_production_engine() {
+        assert_eq!(EngineKind::Sharded, EngineKind::Incremental);
+        assert_eq!(EngineKind::Parallel, EngineKind::Incremental);
+    }
+
+    #[test]
     fn node_stream_seeds_are_distinct_and_stable() {
         let a = node_stream_seed(42, 0);
         let b = node_stream_seed(42, 1);

@@ -164,7 +164,7 @@ fn a_store_written_in_format_v2_resumes_bit_identically() {
     // under audit with two convictions already in, `run_to(3)` + full
     // epoch, `run_to(4)` + delta. Every record carries the
     // reputation-table section format 3 dropped.
-    resumes_bit_identically("store-v2", 2);
+    resumes_bit_identically("store-v2", 2, EngineKind::Incremental);
 }
 
 #[test]
@@ -177,15 +177,29 @@ fn a_store_written_in_format_v3_resumes_bit_identically() {
     //     let mut s = RunSession::new(*RunSession::resume(&v2)?.config())?;
     //     s.run_to(3)?; s.checkpoint(out)?; s.run_to(4)?; s.checkpoint(out)?;
     // Its frames carry format 3's FNV-1a digest.
-    resumes_bit_identically("store-v3", 3);
+    resumes_bit_identically("store-v3", 3, EngineKind::Incremental);
+}
+
+#[test]
+fn a_store_written_by_the_oracle_resumes_on_the_oracle_bit_identically() {
+    // `fixtures/store-v4-sequential` was written by the last commit whose
+    // default engine was the sequential oracle (b8e143a), from
+    // `store-v3`'s config with the oracle named, by `store-v3`'s recipe:
+    //     let v3 = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v3");
+    //     let config = RunSession::resume(&v3)?.config().with_engine(EngineKind::Sequential);
+    //     let mut s = RunSession::new(config)?;
+    //     s.run_to(3)?; s.checkpoint(out)?; s.run_to(4)?; s.checkpoint(out)?;
+    // Resume honours the engine its header names.
+    resumes_bit_identically("store-v4-sequential", 4, EngineKind::Sequential);
 }
 
 /// Copy `fixtures/<fixture>` (an epoch at round 3 plus a delta at round
-/// 4, written in format `version`), resume it, and require the finished
-/// run to be bit-equal to a straight one; then append one checkpoint —
-/// a current-format delta on the older chain (frames carry their own
-/// version) — and require that mixed chain to load the same state.
-fn resumes_bit_identically(fixture: &str, version: u32) {
+/// 4, written in format `version` by `engine`), resume it on `engine`,
+/// and require the finished run to be bit-equal to a straight one; then
+/// append one checkpoint — a current-format delta on the older chain
+/// (frames carry their own version) — and require that mixed chain to
+/// load the same state.
+fn resumes_bit_identically(fixture: &str, version: u32, engine: EngineKind) {
     let source = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(fixture);
@@ -212,7 +226,7 @@ fn resumes_bit_identically(fixture: &str, version: u32) {
 
     let mut resumed = RunSession::resume(&dir).unwrap();
     assert_eq!(resumed.round(), 4);
-    assert_eq!(resumed.config().engine, EngineKind::Incremental);
+    assert_eq!(resumed.config().engine, engine);
     assert_eq!(resumed.convicted().len(), 2);
     resumed.run().unwrap();
     let mut straight = RunSession::new(*resumed.config()).unwrap();
