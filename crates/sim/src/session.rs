@@ -524,10 +524,13 @@ impl RunSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::TransactionRecord;
     use crate::rounds::AggregationScope;
     use crate::workload::TrafficModel;
-    use dg_gossip::EngineKind;
+    use dg_gossip::{AdversaryMix, EngineKind};
     use dg_store::first_divergence;
+    use dg_trust::audit::AuditPolicy;
+    use dg_trust::prelude::TransactionOutcome;
 
     fn small_config() -> RunConfig {
         RunConfig::with_nodes(80)
@@ -825,6 +828,178 @@ mod tests {
         session.engine.restore(2, good.clone()).unwrap();
         let changed = first_divergence(&good, &session.records());
         assert_eq!(changed, None, "changed by its own records");
+    }
+
+    /// FNV-1a fold of every bit of every record: ids, counts, and each
+    /// `f64` by `to_bits` (an absent value folds as a marker word).
+    fn records_digest(records: &[NodeRecord]) -> u64 {
+        fn fold(hash: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *hash = (*hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let opt = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for r in records {
+            fold(&mut hash, r.node as u64);
+            fold(&mut hash, r.estimators.len() as u64);
+            for e in &r.estimators {
+                for word in [e.peer as u64, e.rate.to_bits(), e.value.to_bits(), e.count] {
+                    fold(&mut hash, word);
+                }
+            }
+            fold(&mut hash, r.run.len() as u64);
+            for &(subject, rep) in &r.run {
+                fold(&mut hash, subject as u64);
+                fold(&mut hash, rep.to_bits());
+            }
+            fold(&mut hash, opt(r.mean));
+            fold(&mut hash, r.audit_log.len() as u64);
+            for e in &r.audit_log {
+                for word in [
+                    e.subject as u64,
+                    e.round,
+                    e.reported.to_bits(),
+                    opt(e.implied),
+                ] {
+                    fold(&mut hash, word);
+                }
+            }
+            fold(&mut hash, r.strikes as u64);
+            fold(&mut hash, r.convicted_at.unwrap_or(u64::MAX));
+        }
+        hash
+    }
+
+    /// Runs `config` for six rounds on both engines (calling `before`
+    /// ahead of each round), checks both against the pinned digest of
+    /// every record and the last round's stats as JSON, and returns the
+    /// production engine's session.
+    fn assert_pinned(
+        config: RunConfig,
+        before: impl Fn(&mut RunSession, usize),
+        digest: u64,
+        last_stats: &str,
+    ) -> RunSession {
+        let mut sessions = [EngineKind::Sequential, EngineKind::Incremental].map(|engine| {
+            let mut session = RunSession::new(config.with_engine(engine)).unwrap();
+            for round in 0..6 {
+                before(&mut session, round);
+                session.run_to(round + 1).unwrap();
+            }
+            let stats = serde_json::to_string(session.stats().last().unwrap()).unwrap();
+            let got = records_digest(&session.records());
+            assert_eq!(
+                (got, stats.as_str()),
+                (digest, last_stats),
+                "{engine:?}: got {got:#018x}"
+            );
+            Some(session)
+        });
+        sessions[1].take().unwrap()
+    }
+
+    /// Full traffic: every requester's estimators are created in its
+    /// adjacency order in round 0 and only updated after.
+    #[test]
+    fn dense_rounds_are_pinned() {
+        let stats = r#"{"round":5,"served_honest":1190,"refused_honest":5,"served_free_riders":0,"refused_free_riders":375,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37058598060790826,"mean_rep_free_riders":0.01715940799823838,"mean_rep_adversaries":0,"washes":0,"active_nodes":80,"dirty_fraction":0.725,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":314,"ingested_reports":0,"ingest_shed":0}"#;
+        assert_pinned(
+            small_config().with_rounds(6),
+            |_, _| {},
+            0x9670_abdf_f82b_d7ea,
+            stats,
+        );
+    }
+
+    /// Skewed traffic plus ingest that names providers outside the
+    /// requester's adjacency, between its lowest and highest rated
+    /// peers: the new estimator lands in the middle of the node's view.
+    #[test]
+    fn skewed_rounds_with_off_graph_ingest_are_pinned() {
+        let config = small_config()
+            .with_rounds(6)
+            .with_traffic(TrafficModel::full().with_activity(0.3).with_zipf(0.8));
+        let ingest = |session: &mut RunSession, round: usize| {
+            if round < 2 {
+                return;
+            }
+            let graph = &session.engine.core().scenario.graph;
+            let records = session.records();
+            let mut batches = Vec::new();
+            for r in records.iter().filter(|r| r.estimators.len() >= 2) {
+                let (lo, hi) = (r.estimators[0].peer, r.estimators.last().unwrap().peer);
+                let neighbours = graph.neighbours(NodeId(r.node));
+                let stranger = (lo + 1..hi).find(|&p| {
+                    p != r.node
+                        && !neighbours.contains(&p)
+                        && r.estimators.binary_search_by_key(&p, |e| e.peer).is_err()
+                });
+                if let Some(p) = stranger {
+                    let quality = (r.node % 5) as f64 / 4.0;
+                    let outcome = if r.node % 3 == 0 {
+                        TransactionOutcome::Refused
+                    } else {
+                        TransactionOutcome::Served { quality }
+                    };
+                    let record = TransactionRecord {
+                        provider: NodeId(p),
+                        outcome,
+                    };
+                    batches.push((NodeId(r.node), vec![record; 1 + round % 2]));
+                }
+                if batches.len() == 3 {
+                    break;
+                }
+            }
+            assert_eq!(batches.len(), 3, "round {round}: three mid-run strangers");
+            session.queue_reports(batches);
+        };
+        let stats = r#"{"round":5,"served_honest":150,"refused_honest":0,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37152675141756064,"mean_rep_free_riders":0.02341084641040902,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":198,"ingested_reports":0,"ingest_shed":0}"#;
+        let session = assert_pinned(config, ingest, 0xab6f_012f_7302_c72b, stats);
+        let graph = &session.engine.core().scenario.graph;
+        let strangers_inside = session.records().iter().any(|r| {
+            let n = r.estimators.len();
+            n >= 3
+                && r.estimators[1..n - 1]
+                    .iter()
+                    .any(|e| !graph.neighbours(NodeId(r.node)).contains(&e.peer))
+        });
+        assert!(strangers_inside, "no stranger between two rated peers");
+    }
+
+    /// Whitewashers wash and audits convict: `forget` drops the purged
+    /// peers from every view, `reset_identity` empties the purged
+    /// nodes', and the audit log reads each emitted report's estimator.
+    #[test]
+    fn whitewash_and_audit_rounds_are_pinned() {
+        let mix = AdversaryMix {
+            whitewash_fraction: 0.1,
+            stealth_fraction: 0.15,
+            stealth_clique: 4,
+            stealth_bias: 1.0,
+            ..AdversaryMix::none()
+        };
+        let audit = AuditPolicy {
+            audit_rate: 0.3,
+            log_capacity: 6,
+            ..AuditPolicy::standard()
+        };
+        let config = small_config()
+            .with_rounds(6)
+            .with_adversary(mix)
+            .with_audit(audit);
+        let stats = r#"{"round":5,"served_honest":765,"refused_honest":0,"served_free_riders":40,"refused_free_riders":250,"served_adversaries":350,"refused_adversaries":5,"mean_rep_honest":0.39955307714207866,"mean_rep_free_riders":0.016808839561554767,"mean_rep_adversaries":0.14050490478426403,"washes":8,"active_nodes":75,"dirty_fraction":0.8125,"audits":22,"audit_strikes":3,"convictions":3,"audit_entries":44,"report_entries":282,"ingested_reports":0,"ingest_shed":0}"#;
+        let session = assert_pinned(config, |_, _| {}, 0xa409_e801_3e90_22b1, stats);
+        let stats = session.stats();
+        assert!(
+            stats.iter().map(|s| s.washes).sum::<u64>() > 0,
+            "no whitewash"
+        );
+        assert!(
+            stats.iter().map(|s| s.convictions).sum::<u64>() > 0,
+            "no conviction"
+        );
     }
 
     /// A bubbled-up error prints its inner message and is its own
