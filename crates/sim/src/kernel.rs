@@ -75,7 +75,6 @@ use dg_trust::prelude::{EwmaEstimator, TransactionOutcome};
 use dg_trust::TrustValue;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One transaction as a requester reports it through ingest
@@ -431,8 +430,9 @@ pub(crate) fn merge_pending(
 #[derive(Default)]
 pub(crate) struct NodeState {
     /// Per-provider estimators (the requester's view of each provider:
-    /// local trust `t_ij` and the first-hand transaction count).
-    pub(crate) estimators: BTreeMap<NodeId, EwmaEstimator>,
+    /// local trust `t_ij` and the first-hand transaction count), one
+    /// run strictly ascending by provider.
+    pub(crate) estimators: Vec<(NodeId, EwmaEstimator)>,
     /// Recorded report evidence for audit re-verification (empty while
     /// auditing is off — zero-rate runs carry no extra state).
     pub(crate) log: ReportLog,
@@ -445,12 +445,33 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
+    /// This node's estimator of `provider`, if it has one.
+    pub(crate) fn estimator(&self, provider: NodeId) -> Option<&EwmaEstimator> {
+        let i = self.estimators.binary_search_by_key(&provider, |&(j, _)| j);
+        i.ok().map(|i| &self.estimators[i].1)
+    }
+
+    /// This node's estimator of `provider`; a provider it never rated
+    /// gets a fresh one at `ewma_rate`, inserted where the run keeps
+    /// its order.
+    pub(crate) fn estimator_mut(&mut self, provider: NodeId, ewma_rate: f64) -> &mut EwmaEstimator {
+        let i = match self.estimators.binary_search_by_key(&provider, |&(j, _)| j) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = (provider, EwmaEstimator::new(ewma_rate));
+                self.estimators.insert(i, fresh);
+                i
+            }
+        };
+        &mut self.estimators[i].1
+    }
+
     /// Drop every trace of the purged identities from this node's view
     /// (their subjects were washed or convicted); whether any went.
     pub(crate) fn forget(&mut self, purged: &[NodeId]) -> bool {
         let before = self.estimators.len();
         self.estimators
-            .retain(|j, _| purged.binary_search(j).is_err());
+            .retain(|(j, _)| purged.binary_search(j).is_err());
         self.estimators.len() != before
     }
 
@@ -468,7 +489,7 @@ impl NodeState {
     /// estimate-phase kernel for generated traffic, shared by every
     /// engine's transact phase and the `TrustSource::Workload` scenario
     /// bootstrap so their math and stream consumption are identical by
-    /// construction. One map entry per edge, no record per request; zero
+    /// construction. One estimator per edge, no record per request; zero
     /// requests create no estimator.
     pub(crate) fn observe<R: Rng + ?Sized>(
         &mut self,
@@ -481,10 +502,7 @@ impl NodeState {
         if requests == 0 {
             return;
         }
-        let estimator = self
-            .estimators
-            .entry(provider)
-            .or_insert_with(|| EwmaEstimator::new(ewma_rate));
+        let estimator = self.estimator_mut(provider, ewma_rate);
         for _ in 0..requests {
             estimator.record(behavior.sample_outcome(rng));
         }
@@ -496,9 +514,7 @@ impl NodeState {
     /// is non-empty.
     pub(crate) fn fold_records(&mut self, records: &[TransactionRecord], ewma_rate: f64) {
         for rec in records {
-            self.estimators
-                .entry(rec.provider)
-                .or_insert_with(|| EwmaEstimator::new(ewma_rate))
+            self.estimator_mut(rec.provider, ewma_rate)
                 .record(rec.outcome);
         }
     }
@@ -507,7 +523,7 @@ impl NodeState {
     pub(crate) fn trust_row(&self) -> Vec<(NodeId, TrustValue)> {
         self.estimators
             .iter()
-            .map(|(&j, est)| (j, est.estimate()))
+            .map(|&(j, est)| (j, est.estimate()))
             .collect()
     }
 }
@@ -1067,10 +1083,7 @@ impl EngineCore {
             .distort_row(node, round, self.scenario.config.seed, &mut row);
         if config.audit.enabled() {
             for &(subject, reported) in &row {
-                let implied = state
-                    .estimators
-                    .get(&subject)
-                    .map(|est| est.estimate().get());
+                let implied = state.estimator(subject).map(|est| est.estimate().get());
                 changed |= state.log.record(
                     subject,
                     round,
@@ -1393,7 +1406,7 @@ mod tests {
         state
             .estimators
             .iter()
-            .map(|(&j, est)| (j, est.estimate().get().to_bits(), est.transactions()))
+            .map(|&(j, est)| (j, est.estimate().get().to_bits(), est.transactions()))
             .collect()
     }
 
@@ -1459,6 +1472,92 @@ mod tests {
                 prop_assert_eq!(delta, oracle_delta, "requester {}", requester);
                 prop_assert_eq!(estimator_bits(&fused), estimator_bits(&oracle));
                 prop_assert_eq!(stream.next_u64(), oracle_stream.next_u64());
+            }
+        }
+
+        /// The sorted run of estimators against a map of them, over
+        /// random interleavings of `observe`, `fold_records`, `forget`
+        /// and `reset_identity`: after every operation the run is
+        /// strictly ascending and equals the map entry by entry — rate,
+        /// value bits and count — and `estimator` finds exactly the
+        /// map's entries.
+        #[test]
+        fn the_estimator_run_matches_a_map_oracle(
+            ops in proptest::collection::vec((0u8..8, 0u32..40, 0u32..6, 0.0..1.0f64), 1..120),
+            ewma_rate in 0.01..1.0f64,
+            seed in 0u64..1_000_000,
+        ) {
+            use std::collections::BTreeMap;
+            let mut state = NodeState::default();
+            let mut oracle: BTreeMap<NodeId, EwmaEstimator> = BTreeMap::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            for (step, &(kind, id, count, quality)) in ops.iter().enumerate() {
+                let provider = NodeId(id);
+                match kind {
+                    0..=2 => {
+                        let behavior = if quality < 0.2 {
+                            Behavior::FreeRider { serve_probability: quality }
+                        } else {
+                            Behavior::Honest { quality }
+                        };
+                        state.observe(provider, behavior, count, ewma_rate, &mut rng);
+                        if count > 0 {
+                            let est = oracle
+                                .entry(provider)
+                                .or_insert_with(|| EwmaEstimator::new(ewma_rate));
+                            for _ in 0..count {
+                                est.record(behavior.sample_outcome(&mut oracle_rng));
+                            }
+                        }
+                    }
+                    3..=5 => {
+                        let records: Vec<TransactionRecord> = (0..count)
+                            .map(|i| TransactionRecord {
+                                provider: NodeId((id + 7 * i) % 40),
+                                outcome: if i % 3 == 2 {
+                                    TransactionOutcome::Refused
+                                } else {
+                                    TransactionOutcome::Served { quality }
+                                },
+                            })
+                            .collect();
+                        state.fold_records(&records, ewma_rate);
+                        for rec in &records {
+                            oracle
+                                .entry(rec.provider)
+                                .or_insert_with(|| EwmaEstimator::new(ewma_rate))
+                                .record(rec.outcome);
+                        }
+                    }
+                    6 => {
+                        let purged: Vec<NodeId> =
+                            (id % 5..40).step_by(count as usize + 2).map(NodeId).collect();
+                        let before = oracle.len();
+                        oracle.retain(|j, _| purged.binary_search(j).is_err());
+                        prop_assert_eq!(state.forget(&purged), oracle.len() != before);
+                    }
+                    _ => {
+                        state.reset_identity();
+                        oracle.clear();
+                    }
+                }
+                let bits = |j: NodeId, est: &EwmaEstimator| {
+                    let value = est.estimate().get().to_bits();
+                    (j, est.rate().to_bits(), value, est.transactions())
+                };
+                let run: Vec<_> = state.estimators.iter().map(|&(j, est)| bits(j, &est)).collect();
+                let map: Vec<_> = oracle.iter().map(|(&j, est)| bits(j, est)).collect();
+                prop_assert!(
+                    state.estimators.windows(2).all(|w| w[0].0 < w[1].0),
+                    "step {}: run not strictly ascending",
+                    step
+                );
+                prop_assert_eq!(run, map, "step {}", step);
+                for j in (0..40).map(NodeId) {
+                    let found = state.estimator(j).map(|est| bits(j, est));
+                    prop_assert_eq!(found, oracle.get(&j).map(|est| bits(j, est)));
+                }
             }
         }
     }
@@ -1787,7 +1886,7 @@ mod tests {
                 let mut window = MarkWindow::commit(engine.as_mut(), &what);
                 let core = engine.core();
                 let (graph, n) = (&core.scenario.graph, core.nodes.len());
-                let rated = |t: NodeId| core.nodes.iter().any(|s| s.estimators.contains_key(&t));
+                let rated = |t: NodeId| core.nodes.iter().any(|s| s.estimator(t).is_some());
                 let liar = audit_targets(config.seed, round, n, strict.audit_rate)
                     .into_iter()
                     .find(|&t| {
