@@ -781,6 +781,34 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A header or head nested past the JSON parser's depth limit is
+    /// `Corrupt`, not a stack overflow.
+    #[test]
+    fn a_deeply_nested_json_file_is_corrupt() {
+        let root = temp_root("nested");
+        let store = Store::open(&root);
+        store
+            .write_epoch(&header(1, 2, vec![(0, 2)]), &records(2, 0.5))
+            .unwrap();
+        for path in [store.epoch_dir(1).join("header.json"), store.head_path()] {
+            let pristine = std::fs::read(&path).unwrap();
+            std::fs::write(&path, "[".repeat(100_000)).unwrap();
+            match store.load_latest().unwrap_err() {
+                StoreError::Corrupt {
+                    path: named,
+                    reason,
+                } => {
+                    assert_eq!(named, path.display().to_string());
+                    assert!(reason.contains("nesting deeper than"), "{reason}");
+                }
+                other => panic!("expected Corrupt, got {other}"),
+            }
+            std::fs::write(&path, &pristine).unwrap();
+        }
+        store.load_latest().unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn future_format_version_is_rejected_with_the_typed_error() {
         let root = temp_root("future");
