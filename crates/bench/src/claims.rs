@@ -14,12 +14,14 @@
 //! ([`dg_trust::audit`]) on detection rate, false positives and audit
 //! bandwidth.
 //! Each attack emits a `CLAIMS_<attack>.json` report, and the binary
-//! exits non-zero when any documented bound is violated — the CI gate.
+//! exits 1 when any documented bound is violated — the CI gate — and 2
+//! on a usage error.
 //!
 //! Everything is deterministic per seed, so the bounds are exact
 //! repro thresholds, not statistical hopes. The thresholds are
 //! [`ClaimThresholds::default`]; no flag loosens them.
 
+use crate::{or_exit, value};
 use dg_core::behavior::Behavior;
 use dg_gossip::{AdversaryMix, GossipPair, NetworkProfile};
 use dg_graph::NodeId;
@@ -756,34 +758,54 @@ pub fn run_matrix(seed: u64) -> Result<Vec<AttackReport>, Box<dyn std::error::Er
         .collect()
 }
 
-/// The `claims` binary's entry point.
-pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut out_dir = String::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs a u64 value")?;
-            }
-            "--json" => json = true,
-            "--out-dir" => {
-                out_dir = args.next().ok_or("--out-dir needs a path")?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other}\nusage: claims [--seed <u64>] [--json] \
-                     [--out-dir <path>]"
-                )
-                .into())
+/// Parsed `claims` options.
+#[derive(Debug, PartialEq)]
+struct ClaimsCli {
+    /// Scenario seed.
+    seed: u64,
+    /// Also print each report as a JSON line on stdout.
+    json: bool,
+    /// Where the `CLAIMS_<attack>.json` reports are written.
+    out_dir: String,
+}
+
+const USAGE: &str = "usage: claims [--seed <u64>] [--json] [--out-dir <path>]";
+
+impl ClaimsCli {
+    /// Parse the options; `Err` is the message to print above the usage
+    /// line.
+    fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut cli = ClaimsCli {
+            seed: 42,
+            json: false,
+            out_dir: String::from("."),
+        };
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--seed" => {
+                    cli.seed = value(&mut args, |s| s.parse().ok(), "--seed needs a u64 value")?
+                }
+                "--json" => cli.json = true,
+                "--out-dir" => {
+                    cli.out_dir =
+                        value(&mut args, |s| Some(s.to_owned()), "--out-dir needs a path")?
+                }
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
+        Ok(cli)
     }
+}
 
+/// The `claims` binary's entry point. A usage error exits 2; a violated
+/// bound is an `Err` (the binary exits 1).
+pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
+    let ClaimsCli {
+        seed,
+        json,
+        out_dir,
+    } = or_exit(ClaimsCli::parse_args(std::env::args().skip(1)), USAGE);
     eprintln!(
         "claims: attack matrix at N={MATRIX_NODES}, {MATRIX_ROUNDS} rounds, seed {seed} \
          (byzantine check at N={BYZANTINE_NODES} over the lossy transport)"
@@ -841,6 +863,42 @@ pub fn claims_main() -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<ClaimsCli, String> {
+        ClaimsCli::parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn claims_flags_parse_into_their_fields() {
+        let cli = parse(&["--seed", "7", "--json", "--out-dir", "reports"]).unwrap();
+        let expect = ClaimsCli {
+            seed: 7,
+            json: true,
+            out_dir: "reports".into(),
+        };
+        assert_eq!(cli, expect);
+        let defaults = ClaimsCli {
+            seed: 42,
+            json: false,
+            out_dir: ".".into(),
+        };
+        assert_eq!(parse(&[]).unwrap(), defaults);
+        assert!(parse(&["--seed", "x"]).unwrap_err().contains("--seed"));
+        assert!(parse(&["--out-dir"]).unwrap_err().contains("--out-dir"));
+    }
+
+    /// `claims` reads only `--seed`, `--json` and `--out-dir`: the
+    /// deleted `--bound` and the other binaries' flags are usage errors
+    /// (exit 2), not a violated bound (exit 1).
+    #[test]
+    fn claims_refuses_other_binaries_flags() {
+        for flag in ["--bound", "--full", "--engine", "--nodes"] {
+            assert_eq!(
+                parse(&[flag, "x"]).unwrap_err(),
+                format!("unknown flag {flag}")
+            );
+        }
+    }
 
     #[test]
     fn matrix_covers_every_preset_once() {
