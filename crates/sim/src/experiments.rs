@@ -632,6 +632,24 @@ mod tests {
         }
     }
 
+    /// One Fig. 5 row (G = 5) and one Fig. 6 row (G = 1), bit for bit:
+    /// the closed-form Eq. (6) sweep under collusion must not move.
+    #[test]
+    fn collusion_rows_are_pinned() {
+        let rows = collusion_experiment(120, &[0.3], &[1, 5], 17).unwrap();
+        let bits: Vec<(usize, u64, u64)> = rows
+            .iter()
+            .map(|r| (r.group_size, r.rms_gclr.to_bits(), r.rms_global.to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                (1, 0x3fe2_2c72_edaa_6204, 0x3fe5_657c_77c2_8576),
+                (5, 0x3fda_1105_7725_914f, 0x3fdd_8448_f233_38a3),
+            ]
+        );
+    }
+
     #[test]
     fn example_trace_contracts_to_average() {
         let trace = example_trace(8, 2024).unwrap();

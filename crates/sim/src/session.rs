@@ -1002,6 +1002,39 @@ mod tests {
         );
     }
 
+    /// The sybil, collusion, slander and stealth presets: every attack's
+    /// report distortion (and the sybils' dormancy) feeds the pinned
+    /// records and stats.
+    #[test]
+    fn attack_preset_rounds_are_pinned() {
+        let presets = [
+            (
+                AdversaryMix::sybil(),
+                0x8ff2_ce2c_9540_002d,
+                r#"{"round":5,"served_honest":790,"refused_honest":55,"served_free_riders":0,"refused_free_riders":325,"served_adversaries":400,"refused_adversaries":0,"mean_rep_honest":0.3138702714444866,"mean_rep_free_riders":0.012172679512742693,"mean_rep_adversaries":0.5990112180105233,"washes":0,"active_nodes":80,"dirty_fraction":0.7125,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":413,"ingested_reports":0,"ingest_shed":0}"#,
+            ),
+            (
+                AdversaryMix::collusion(),
+                0xa6a0_37e9_2417_1951,
+                r#"{"round":5,"served_honest":810,"refused_honest":35,"served_free_riders":0,"refused_free_riders":325,"served_adversaries":400,"refused_adversaries":0,"mean_rep_honest":0.3748044568989372,"mean_rep_free_riders":0.013453072075786741,"mean_rep_adversaries":0.5342868670738121,"washes":0,"active_nodes":80,"dirty_fraction":0.7625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":358,"ingested_reports":0,"ingest_shed":0}"#,
+            ),
+            (
+                AdversaryMix::slander(),
+                0x142c_4cb7_6b43_cfcd,
+                r#"{"round":5,"served_honest":835,"refused_honest":10,"served_free_riders":0,"refused_free_riders":325,"served_adversaries":355,"refused_adversaries":45,"mean_rep_honest":0.2965834694328295,"mean_rep_free_riders":0.0137720263797783,"mean_rep_adversaries":0.24943989977205608,"washes":0,"active_nodes":80,"dirty_fraction":0.725,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":314,"ingested_reports":0,"ingest_shed":0}"#,
+            ),
+            (
+                AdversaryMix::stealth(),
+                0x2246_3976_ecb1_916a,
+                r#"{"round":5,"served_honest":660,"refused_honest":45,"served_free_riders":0,"refused_free_riders":165,"served_adversaries":540,"refused_adversaries":160,"mean_rep_honest":0.26807330818383807,"mean_rep_free_riders":0.04025558554960425,"mean_rep_adversaries":0.23862872304303975,"washes":0,"active_nodes":80,"dirty_fraction":0.7375,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":314,"ingested_reports":0,"ingest_shed":0}"#,
+            ),
+        ];
+        for (mix, digest, stats) in presets {
+            let config = small_config().with_rounds(6).with_adversary(mix);
+            assert_pinned(config, |_, _| {}, digest, stats);
+        }
+    }
+
     /// A bubbled-up error prints its inner message and is its own
     /// `source()` (the inner error itself, not the inner's source).
     #[test]
