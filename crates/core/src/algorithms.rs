@@ -149,10 +149,9 @@ pub mod alg2 {
                 // direct reports per Eq. (6) / Algorithm 2's output line,
                 // `Rep_Ij = (ŷ_Ij + Y) / (Σ(w−1) + Count)`; the observer's
                 // trust row is read once, for `ŷ` and the excess alike.
-                let weights = system.neighbour_excess_weights(observer);
-                let excess = weights.iter().sum();
-                let rep = system
-                    .gclr_from_parts_weighted(observer, &weights, subject, sum, count, excess);
+                let weights: Vec<f64> = system.excess_weights(observer).collect();
+                let y_hat = system.y_hat_from_weights(observer, &weights, subject);
+                let rep = system.gclr_from_y_hat(y_hat, sum, count, weights.iter().sum());
                 Some(rep.unwrap_or(0.0))
             })
             .collect();
@@ -237,20 +236,14 @@ pub mod alg4 {
                 // Eq. (6) as in `alg2`; the observer's excess weights
                 // do not depend on the subject.
                 let observer = NodeId(i as u32);
-                let weights = system.neighbour_excess_weights(observer);
+                let weights: Vec<f64> = system.excess_weights(observer).collect();
                 let excess = weights.iter().sum();
                 out.vector(observer)
                     .filter(|(_, e)| e.weight > 0.0)
                     .map(|(j, e)| {
+                        let y_hat = system.y_hat_from_weights(observer, &weights, NodeId(j));
                         let count = e.count_estimate().unwrap_or(0.0);
-                        let rep = system.gclr_from_parts_weighted(
-                            observer,
-                            &weights,
-                            NodeId(j),
-                            e.ratio(),
-                            count,
-                            excess,
-                        );
+                        let rep = system.gclr_from_y_hat(y_hat, e.ratio(), count, excess);
                         (j, rep.unwrap_or(0.0))
                     })
                     .collect()

@@ -265,24 +265,13 @@ impl<'a> ColludedAggregates<'a> {
     ) -> Option<f64> {
         let excess = system.neighbour_excess_sum(observer);
         let (sum, count) = self.colluded_aggregate(j);
-        let denom = excess + count;
-        if denom <= 0.0 {
-            return None;
+        if !neighbours_lie {
+            return system.gclr_from_parts(observer, j, sum, count, excess);
         }
-        let y_hat = if neighbours_lie {
-            system
-                .graph()
-                .neighbours(observer)
-                .iter()
-                .map(|&k| {
-                    let k = NodeId(k);
-                    (system.weight_of(observer, k) - 1.0) * self.gossip_report(k, j).unwrap_or(0.0)
-                })
-                .sum()
-        } else {
-            system.y_hat(observer, j)
-        };
-        Some(((y_hat + sum) / denom).clamp(0.0, 1.0))
+        let y_hat = system.weighted_reports(observer, system.excess_weights(observer), |k| {
+            self.gossip_report(k, j).unwrap_or(0.0)
+        });
+        system.gclr_from_y_hat(y_hat, sum, count, excess)
     }
 
     /// GCLR reference without distortion — exactly the honest system's

@@ -88,9 +88,12 @@ impl<'g> ReputationSystem<'g> {
 
     /// The excess weights `(w_Ik − 1)` of `observer`, one per neighbour
     /// in adjacency order — the single definition behind
-    /// [`neighbour_excess_sum`](Self::neighbour_excess_sum) and
-    /// [`neighbour_excess_weights`](Self::neighbour_excess_weights), for
-    /// callers that write them into storage of their own.
+    /// [`neighbour_excess_sum`](Self::neighbour_excess_sum) and every
+    /// `ŷ`. Batch callers collect them once per observer (instead of
+    /// re-reading the observer's trust row for every subject) and pass
+    /// them to [`y_hat_from_weights`](Self::y_hat_from_weights) or
+    /// [`y_hat_row`](Self::y_hat_row); summing them reproduces
+    /// `neighbour_excess_sum` bit for bit.
     pub fn excess_weights(&self, observer: NodeId) -> impl Iterator<Item = f64> + '_ {
         self.graph
             .neighbours(observer)
@@ -98,31 +101,32 @@ impl<'g> ReputationSystem<'g> {
             .map(move |&k| self.weight_of(observer, NodeId(k)) - 1.0)
     }
 
-    /// The per-neighbour excess weights `(w_Ik − 1)` of `observer`, in
-    /// neighbour order — the amortisable half of every [`y_hat`](Self::y_hat)
-    /// evaluation. Batch aggregation computes this once per observer
-    /// (instead of re-reading the observer's trust row for every
-    /// (subject, neighbour) pair) and feeds it to
-    /// [`gclr_from_parts_weighted`](Self::gclr_from_parts_weighted);
-    /// summing the returned vector reproduces
-    /// [`neighbour_excess_sum`](Self::neighbour_excess_sum) bit-for-bit
-    /// (same iteration order, same additions).
-    pub fn neighbour_excess_weights(&self, observer: NodeId) -> Vec<f64> {
-        self.excess_weights(observer).collect()
+    /// `Σ_{k ∈ NS_I} (w_Ik − 1) · report(k)` over `observer`'s
+    /// neighbours in adjacency order, `weights` being its excess weights
+    /// in the same order — the one home of the `ŷ` sum. Every `ŷ`
+    /// evaluation that adds its terms one subject at a time goes through
+    /// here, so equal weights and reports give equal bits.
+    pub(crate) fn weighted_reports(
+        &self,
+        observer: NodeId,
+        weights: impl IntoIterator<Item = f64>,
+        report: impl Fn(NodeId) -> f64,
+    ) -> f64 {
+        self.graph
+            .neighbours(observer)
+            .iter()
+            .zip(weights)
+            .map(|(&k, w1)| w1 * report(NodeId(k)))
+            .sum()
     }
 
     /// `ŷ_Ij = Σ_{k ∈ NS_I} (w_Ik − 1) · t_kj` — the weighted excess of
     /// the neighbours' direct reports about `j` (Algorithm 2). Neighbours
     /// without an opinion report the anti-whitewash default 0.
     pub fn y_hat(&self, observer: NodeId, subject: NodeId) -> f64 {
-        self.graph
-            .neighbours(observer)
-            .iter()
-            .map(|&k| {
-                let k = NodeId(k);
-                (self.weight_of(observer, k) - 1.0) * self.trust.get_or_zero(k, subject).get()
-            })
-            .sum()
+        self.weighted_reports(observer, self.excess_weights(observer), |k| {
+            self.trust.get_or_zero(k, subject).get()
+        })
     }
 
     /// Closed form of Algorithm 1's limit: the mean direct opinion about
@@ -148,28 +152,10 @@ impl<'g> ReputationSystem<'g> {
         )
     }
 
-    /// The Eq. (6) tail shared by every entry point: `(ŷ + Σt) /
-    /// (excess + N_d)`, clamped into the trust range, `None` on a
-    /// non-positive denominator. The **single home of the formula** —
-    /// [`gclr_from_parts`](Self::gclr_from_parts) and
-    /// [`gclr_from_parts_weighted`](Self::gclr_from_parts_weighted)
-    /// differ only in how they evaluate `ŷ` and both delegate here, so
-    /// they cannot drift apart.
-    fn eq6(y_hat: f64, opinion_sum: f64, opinion_count: f64, excess: f64) -> Option<f64> {
-        let denom = excess + opinion_count;
-        if denom <= 0.0 {
-            return None;
-        }
-        Some(((y_hat + opinion_sum) / denom).clamp(0.0, 1.0))
-    }
-
     /// Eq. (6) from precomputed pieces: the caller supplies the
     /// subject's opinion sum `Σᵢ t_ij` and count `N_d` plus the
-    /// observer's neighbourhood excess `Σ (w − 1)`.
-    /// [`gclr`](Self::gclr), [`gclr_matrix`](Self::gclr_matrix) and the
-    /// round engines' aggregation phase all evaluate the formula through
-    /// the shared `eq6` tail, so they cannot drift apart. Batch callers
-    /// amortise the inputs over a whole sweep (see
+    /// observer's neighbourhood excess `Σ (w − 1)`; `ŷ` is summed here.
+    /// Batch callers amortise the inputs over a whole sweep (see
     /// [`TrustMatrix::subject_sums_and_counts`]).
     pub fn gclr_from_parts(
         &self,
@@ -179,54 +165,18 @@ impl<'g> ReputationSystem<'g> {
         opinion_count: f64,
         excess: f64,
     ) -> Option<f64> {
-        if excess + opinion_count <= 0.0 {
-            return None;
-        }
-        Self::eq6(
-            self.y_hat(observer, subject),
-            opinion_sum,
-            opinion_count,
-            excess,
-        )
+        let y_hat = self.y_hat(observer, subject);
+        self.gclr_from_y_hat(y_hat, opinion_sum, opinion_count, excess)
     }
 
-    /// [`gclr_from_parts`](Self::gclr_from_parts) with the observer's
-    /// excess weights precomputed
-    /// ([`neighbour_excess_weights`](Self::neighbour_excess_weights)).
-    /// Bit-identical to the plain form — the `ŷ` sum runs over the
-    /// same neighbours in the same order with the same factors — while
-    /// skipping the redundant observer-row lookups, which halves the
-    /// point-lookup count of a full aggregation sweep.
-    pub fn gclr_from_parts_weighted(
-        &self,
-        observer: NodeId,
-        excess_weights: &[f64],
-        subject: NodeId,
-        opinion_sum: f64,
-        opinion_count: f64,
-        excess: f64,
-    ) -> Option<f64> {
-        if excess + opinion_count <= 0.0 {
-            return None;
-        }
-        Self::eq6(
-            self.y_hat_from_weights(observer, excess_weights, subject),
-            opinion_sum,
-            opinion_count,
-            excess,
-        )
-    }
-
-    /// The weighted `ŷ` partial sum of Eq. (6) alone: `Σ_k (w_k − 1) ·
-    /// t_kj` over the observer's neighbours in adjacency order —
-    /// exactly the sum
-    /// [`gclr_from_parts_weighted`](Self::gclr_from_parts_weighted)
-    /// evaluates internally. Exposed so delta engines can cache it per
-    /// `(observer, subject)` pair and re-enter the formula through
-    /// [`gclr_from_y_hat`](Self::gclr_from_y_hat): `ŷ` depends only on
-    /// the observer's weights and its neighbours' reports about the
-    /// subject, so while those are bitwise unchanged the cached value
-    /// is bitwise equal to a resum.
+    /// [`y_hat`](Self::y_hat) with the observer's excess weights
+    /// precomputed ([`excess_weights`](Self::excess_weights)): the same
+    /// sum, bit for bit, without re-reading the observer's trust row.
+    /// Delta engines cache it per `(observer, subject)` pair and
+    /// re-enter Eq. (6) through [`gclr_from_y_hat`](Self::gclr_from_y_hat):
+    /// `ŷ` depends only on the observer's weights and its neighbours'
+    /// reports about the subject, so while those are bitwise unchanged
+    /// the cached value is bitwise equal to a resum.
     pub fn y_hat_from_weights(
         &self,
         observer: NodeId,
@@ -236,14 +186,11 @@ impl<'g> ReputationSystem<'g> {
         debug_assert_eq!(
             excess_weights.len(),
             self.graph.neighbours(observer).len(),
-            "excess_weights must be neighbour_excess_weights({observer})"
+            "excess_weights must be excess_weights({observer})"
         );
-        self.graph
-            .neighbours(observer)
-            .iter()
-            .zip(excess_weights)
-            .map(|(&k, &w1)| w1 * self.trust.get_or_zero(NodeId(k), subject).get())
-            .sum()
+        self.weighted_reports(observer, excess_weights.iter().copied(), |k| {
+            self.trust.get_or_zero(k, subject).get()
+        })
     }
 
     /// [`y_hat_from_weights`](Self::y_hat_from_weights) for every subject
@@ -296,10 +243,12 @@ impl<'g> ReputationSystem<'g> {
         }
     }
 
-    /// Eq. (6) from an externally supplied `ŷ` (cached, or just
-    /// resummed via [`y_hat_from_weights`](Self::y_hat_from_weights)):
-    /// the same shared `eq6` tail as every other entry point, so a
-    /// bitwise-equal `ŷ` yields a bitwise-equal reputation.
+    /// Eq. (6) from its four pieces: `(ŷ + Σt) / (excess + N_d)`,
+    /// clamped into the trust range, `None` on a non-positive
+    /// denominator. The **single home of the formula**: every closed
+    /// form, gossip blend and round engine ends here, whether `ŷ` was
+    /// just summed or cached, so a bitwise-equal `ŷ` yields a
+    /// bitwise-equal reputation.
     pub fn gclr_from_y_hat(
         &self,
         y_hat: f64,
@@ -307,43 +256,11 @@ impl<'g> ReputationSystem<'g> {
         opinion_count: f64,
         excess: f64,
     ) -> Option<f64> {
-        Self::eq6(y_hat, opinion_sum, opinion_count, excess)
-    }
-
-    /// Full GCLR matrix by closed form: `result[I]` maps subject → Rep_Ij
-    /// for every subject anyone has an opinion about.
-    pub fn gclr_matrix(&self) -> Vec<Vec<(NodeId, f64)>> {
-        let n = self.node_count();
-        // Per-subject sums and counts in one O(nnz) row-major pass
-        // (row-major accumulation visits observers in ascending order per
-        // subject, the same f64 addition order as a column scan).
-        let (all_sums, all_counts) = self.trust.subject_sums_and_counts();
-        let subjects: Vec<NodeId> = all_counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(j, _)| NodeId(j as u32))
-            .collect();
-
-        (0..n)
-            .map(|i| {
-                let observer = NodeId(i as u32);
-                let excess = self.neighbour_excess_sum(observer);
-                subjects
-                    .iter()
-                    .filter_map(|&j| {
-                        self.gclr_from_parts(
-                            observer,
-                            j,
-                            all_sums[j.index()],
-                            all_counts[j.index()] as f64,
-                            excess,
-                        )
-                        .map(|rep| (j, rep))
-                    })
-                    .collect()
-            })
-            .collect()
+        let denom = excess + opinion_count;
+        if denom <= 0.0 {
+            return None;
+        }
+        Some(((y_hat + opinion_sum) / denom).clamp(0.0, 1.0))
     }
 
     /// With the neutral weight law (`w ≡ 1`), Eq. (5) degenerates to
@@ -480,7 +397,7 @@ mod tests {
             ] {
                 let s = ReputationSystem::new(&g, trust.clone(), weights).unwrap();
                 for observer in g.nodes() {
-                    let w = s.neighbour_excess_weights(observer);
+                    let w: Vec<f64> = s.excess_weights(observer).collect();
                     let mut row = vec![f64::NAN; w.len()];
                     s.y_hat_row(observer, &w, &mut row);
                     for (&j, y) in g.neighbours(observer).iter().zip(&row) {
@@ -508,6 +425,56 @@ mod tests {
         assert_eq!(s.gclr(NodeId(1), NodeId(4)), None);
         let rep_unknown = s.gclr(NodeId(0), NodeId(4)).unwrap();
         assert_eq!(rep_unknown, 0.0);
+
+        // Every entry point to Eq. (6) gives `gclr`'s bits, here and on
+        // a complete graph under the default weight law.
+        let k6 = generators::complete(6);
+        let mut m = TrustMatrix::new(6);
+        m.set(NodeId(0), NodeId(1), tv(0.9)).unwrap();
+        m.set(NodeId(2), NodeId(1), tv(0.5)).unwrap();
+        m.set(NodeId(3), NodeId(4), tv(0.7)).unwrap();
+        m.set(NodeId(1), NodeId(2), tv(0.6)).unwrap();
+        let complete = ReputationSystem::new(&k6, m, WeightParams::default()).unwrap();
+        for s in [s, complete] {
+            assert_eq6_entry_points_agree(&s);
+        }
+    }
+
+    /// `gclr_from_parts` (with the sweep's batched sums), the cached-`ŷ`
+    /// tail over `y_hat_from_weights` and over `y_hat_row`, and
+    /// `gclr_colluded` over an assignment with no colluders all equal
+    /// `gclr` bit for bit, at every (observer, subject) pair.
+    fn assert_eq6_entry_points_agree(s: &ReputationSystem<'_>) {
+        use crate::collusion::{ColludedAggregates, GroupAssignment};
+        let n = s.node_count();
+        let (sums, counts) = s.trust().subject_sums_and_counts();
+        let no_colluders = GroupAssignment::none(n);
+        let view = ColludedAggregates::new(s.trust(), &no_colluders);
+        let bits = |rep: Option<f64>| rep.map(f64::to_bits);
+        for observer in s.graph().nodes() {
+            let weights: Vec<f64> = s.excess_weights(observer).collect();
+            let excess = s.neighbour_excess_sum(observer);
+            let mut y_row = vec![f64::NAN; weights.len()];
+            s.y_hat_row(observer, &weights, &mut y_row);
+            for subject in s.graph().nodes() {
+                let want = bits(s.gclr(observer, subject));
+                let (sum, count) = (sums[subject.index()], counts[subject.index()] as f64);
+                let y_hat = s.y_hat_from_weights(observer, &weights, subject);
+                let got = [
+                    s.gclr_from_parts(observer, subject, sum, count, excess),
+                    s.gclr_from_y_hat(y_hat, sum, count, excess),
+                    view.gclr_colluded(s, observer, subject, false),
+                    view.gclr_colluded(s, observer, subject, true),
+                ];
+                for (entry, rep) in got.into_iter().enumerate() {
+                    assert_eq!(bits(rep), want, "entry {entry} at ({observer}, {subject})");
+                }
+                if let Ok(slot) = s.graph().neighbours(observer).binary_search(&subject.0) {
+                    let rep = s.gclr_from_y_hat(y_row[slot], sum, count, excess);
+                    assert_eq!(bits(rep), want, "ŷ row at ({observer}, {subject})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -523,26 +490,6 @@ mod tests {
             let rep = s.gclr(observer, NodeId(3)).unwrap();
             assert!((rep - 0.6).abs() < 1e-12, "observer {observer}: {rep}");
         }
-    }
-
-    #[test]
-    fn gclr_matrix_agrees_with_pointwise() {
-        let g = generators::complete(6);
-        let mut m = TrustMatrix::new(6);
-        m.set(NodeId(0), NodeId(1), tv(0.9)).unwrap();
-        m.set(NodeId(2), NodeId(1), tv(0.5)).unwrap();
-        m.set(NodeId(3), NodeId(4), tv(0.7)).unwrap();
-        m.set(NodeId(1), NodeId(2), tv(0.6)).unwrap();
-        let s = ReputationSystem::new(&g, m, WeightParams::default()).unwrap();
-        let matrix = s.gclr_matrix();
-        for (i, row) in matrix.iter().enumerate() {
-            for &(j, rep) in row {
-                let direct = s.gclr(NodeId(i as u32), j).unwrap();
-                assert!((rep - direct).abs() < 1e-12, "({i}, {j})");
-            }
-        }
-        // Subjects 1, 2, 4 have opinions; rows should cover exactly those.
-        assert_eq!(matrix[5].len(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * `RunConfig::adversary` (dg-sim) compiles the mix into per-node
 //!   roles and the round engines apply each role's gossip-channel
-//!   distortion (the `Strategy` trait lives there);
+//!   distortion (`dg_sim::adversary`);
 //! * `DistributedConfig::adversary` (dg-p2p) maps the *total* adversary
 //!   fraction onto byzantine peers that falsify their gossip inputs over
 //!   the real transports, reliable or faulty.

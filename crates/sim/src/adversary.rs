@@ -1,31 +1,32 @@
-//! Adversarial strategies and their per-node assignment.
+//! Adversarial roles and their per-node assignment.
 //!
 //! [`AdversaryMix`] says *how much* of the
 //! population attacks; this module says *what each attacker does*. At
 //! [`Scenario::build`](crate::Scenario::build) time the mix is compiled
-//! into an [`AdversaryAssignment`]: a per-node `Role` plus the
-//! concrete [`Strategy`] instances (sybil rings with their spawn
-//! schedules, collusion cliques, the slander and whitewash parameters).
-//! The round engines then consult the assignment at three points:
+//! into an [`AdversaryAssignment`]: a per-node `Role` plus the tables
+//! the attacks read (sybil rings with their spawn schedules, collusion
+//! cliques, stealth cartels, the slander factor and the whitewashers'
+//! thresholds). The round engines then consult the assignment at three
+//! points:
 //!
 //! 1. **transact** — dormant sybil identities neither request nor serve
 //!    ([`AdversaryAssignment::participates`]); adversarial requesters are
 //!    counted in their own service-statistics class;
-//! 2. **report** — each node's estimated trust row passes through its
-//!    strategy's [`Strategy::distort_row`] before entering the gossip
-//!    channel (`AdversaryAssignment::distort_row`);
+//! 2. **report** — each node's estimated trust row passes through
+//!    `AdversaryAssignment::distort_row`, one `match` on the node's
+//!    role, before entering the gossip channel;
 //! 3. **wash** — after aggregation, whitewashers whose network-wide mean
 //!    reputation fell below their personal threshold discard their
 //!    identity ([`AdversaryAssignment::washes`]); the engines then purge
 //!    every estimator and aggregated opinion involving the old identity.
 //!
 //! Determinism: every stochastic attack parameter (sybil activation
-//! rounds, personal wash thresholds) is drawn from a *per-adversary*
-//! ChaCha8 stream derived from the scenario seed with
-//! `adversary_stream_seed` / [`node_stream_seed`], and runtime
-//! distortion gets a per-adversary per-round stream. Honest nodes
-//! consume no adversary randomness at all, so a zero-fraction mix is
-//! bit-identical to an honest run (pinned by `tests/adversaries.rs`).
+//! rounds, personal wash thresholds) is drawn at build time from a
+//! *per-adversary* ChaCha8 stream derived from the scenario seed with
+//! [`node_stream_seed`]; the attacks themselves draw nothing at run
+//! time. Honest nodes consume no adversary randomness at all, so a
+//! zero-fraction mix is bit-identical to an honest run (pinned by
+//! `tests/adversaries.rs`).
 
 use dg_core::behavior::{Behavior, Population};
 use dg_gossip::{node_stream_seed, AdversaryMix, GossipError};
@@ -42,15 +43,6 @@ use std::collections::BTreeMap;
 const ASSIGN_SALT: u64 = 0xAD5E_11AE_5EED_0001;
 /// Salt for per-adversary build-time parameter streams.
 const PARAM_SALT: u64 = 0xAD5E_11AE_5EED_0002;
-/// Salt for per-adversary per-round runtime streams.
-const ROUND_SALT: u64 = 0xAD5E_11AE_5EED_0003;
-
-/// The per-adversary ChaCha8 stream seed for runtime decisions in
-/// `round` — distinct per (seed, round, node), so adversary randomness
-/// never perturbs honest streams and attack runs replay bit-for-bit.
-pub(crate) fn adversary_stream_seed(seed: u64, round: u64, node: u32) -> u64 {
-    node_stream_seed(seed ^ ROUND_SALT.wrapping_mul(round.wrapping_add(1)), node)
-}
 
 /// The role a node plays in the adversarial population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,75 +50,43 @@ pub(crate) enum Role {
     /// Follows the protocol.
     #[default]
     Honest,
-    /// Identity in the sybil ring with this index.
+    /// Leech identity in the sybil ring with this index: endorses every
+    /// active ring-mate at 1, bad-mouths every rated outsider at 0, and
+    /// does not exist before its activation round.
     Sybil {
         /// Ring index into the assignment.
         ring: u32,
     },
-    /// Member of the collusion clique with this index.
+    /// Member of the collusion clique with this index: serves honestly
+    /// but reports every mate at 1 (replacing any honest opinion and
+    /// injecting endorsements it never earned), leaving reports about
+    /// outsiders intact.
     Colluder {
         /// Clique index into the assignment.
         clique: u32,
     },
-    /// Deflates every report it gossips about others.
+    /// Serves honestly but multiplies every report it gossips by the
+    /// slander factor (0 = full bad-mouthing).
     Slanderer,
-    /// Discards its identity whenever its reputation collapses.
+    /// Leeches, and discards its identity whenever its reputation falls
+    /// below its personal threshold. The wash is an engine-side state
+    /// purge; in the gossip channel it reports honestly.
     Whitewasher,
-    /// Member of the stealth cartel with this index: biases reports
-    /// within the defended clamp bounds, invisible to clamp + trim.
+    /// Member of the stealth cartel with this index: serves honestly but
+    /// shifts every report by the stealth bias *inside* the defended
+    /// clamp window — outsiders down, cartel mates up — so
+    /// `RobustAggregation::defended()` never sees an outlier to clamp
+    /// and (for subjects with fewer than `1 / trim_fraction` reporters)
+    /// never trims a single value. The cartel knows the defense
+    /// parameters (Kerckhoffs's principle) and stays strictly within
+    /// them.
     Stealth {
         /// Cartel index into the assignment.
         cartel: u32,
     },
 }
 
-/// One adversarial strategy: how a node lies in the gossip channel and
-/// when it participates. Implementations carry their own parameters;
-/// the assignment dispatches per node.
-pub trait Strategy {
-    /// Stable label for reports and tables.
-    fn label(&self) -> &'static str;
-
-    /// Whether the node transacts and reports in `round` (dormant sybil
-    /// identities do neither).
-    fn participates(&self, node: NodeId, round: u64) -> bool {
-        let _ = (node, round);
-        true
-    }
-
-    /// Distort the node's honest trust row (ascending by subject) into
-    /// what it reports into the gossip channel. `rng` is the node's
-    /// private per-round ChaCha8 stream.
-    fn distort_row(
-        &self,
-        node: NodeId,
-        round: u64,
-        row: &mut Vec<(NodeId, TrustValue)>,
-        rng: &mut ChaCha8Rng,
-    );
-}
-
-/// The honest "strategy": report exactly what was estimated.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct HonestStrategy;
-
-impl Strategy for HonestStrategy {
-    fn label(&self) -> &'static str {
-        "honest"
-    }
-
-    fn distort_row(
-        &self,
-        _node: NodeId,
-        _round: u64,
-        _row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-    }
-}
-
-/// A sybil ring: leech identities that endorse every active ring-mate
-/// at 1, bad-mouth every rated outsider at 0, and spawn over time.
+/// A sybil ring: its members and the round each one activates.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SybilRing {
     /// Ring members, ascending.
@@ -136,148 +96,12 @@ pub(crate) struct SybilRing {
 }
 
 impl SybilRing {
-    fn member_index(&self, node: NodeId) -> Option<usize> {
-        self.members.binary_search(&node).ok()
-    }
-
     /// Whether `node` has activated by `round`.
-    pub fn active(&self, node: NodeId, round: u64) -> bool {
-        self.member_index(node)
-            .map(|i| self.activation[i] <= round)
-            .unwrap_or(false)
+    fn active(&self, node: NodeId, round: u64) -> bool {
+        self.members
+            .binary_search(&node)
+            .is_ok_and(|i| self.activation[i] <= round)
     }
-}
-
-impl Strategy for SybilRing {
-    fn label(&self) -> &'static str {
-        "sybil"
-    }
-
-    fn participates(&self, node: NodeId, round: u64) -> bool {
-        self.active(node, round)
-    }
-
-    fn distort_row(
-        &self,
-        node: NodeId,
-        round: u64,
-        row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-        if !self.active(node, round) {
-            // A dormant identity does not exist yet: it reports nothing.
-            row.clear();
-            return;
-        }
-        // Bad-mouth every rated outsider, endorse every active mate.
-        let mut reports: BTreeMap<NodeId, TrustValue> = row
-            .drain(..)
-            .map(|(subject, _)| (subject, TrustValue::ZERO))
-            .collect();
-        for (idx, &mate) in self.members.iter().enumerate() {
-            if mate != node && self.activation[idx] <= round {
-                reports.insert(mate, TrustValue::ONE);
-            }
-        }
-        row.extend(reports);
-    }
-}
-
-/// A collusion clique: members serve honestly but report each other at 1
-/// (replacing any honest opinion and injecting endorsements they never
-/// earned), leaving reports about outsiders intact.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CollusionClique {
-    /// Clique members, ascending.
-    pub members: Vec<NodeId>,
-}
-
-impl Strategy for CollusionClique {
-    fn label(&self) -> &'static str {
-        "collusion"
-    }
-
-    fn distort_row(
-        &self,
-        node: NodeId,
-        _round: u64,
-        row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-        let mut reports: BTreeMap<NodeId, TrustValue> = row.drain(..).collect();
-        for &mate in &self.members {
-            if mate != node {
-                reports.insert(mate, TrustValue::ONE);
-            }
-        }
-        row.extend(reports);
-    }
-}
-
-/// A slanderer: serves honestly but multiplies every report it gossips
-/// by `factor` (0 = full bad-mouthing).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Slanderer {
-    /// Surviving fraction of the honest report.
-    pub factor: f64,
-}
-
-impl Strategy for Slanderer {
-    fn label(&self) -> &'static str {
-        "slander"
-    }
-
-    fn distort_row(
-        &self,
-        _node: NodeId,
-        _round: u64,
-        row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-        for (_, report) in row.iter_mut() {
-            *report = TrustValue::saturating(report.get() * self.factor);
-        }
-    }
-}
-
-/// A whitewasher: leeches, and discards its identity when its mean
-/// network-wide reputation falls below its personal threshold. The wash
-/// itself is an engine-side state purge; in the gossip channel the
-/// whitewasher reports honestly (its lie is identity churn, not
-/// slander).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Whitewasher {
-    /// Personal wash threshold (jittered per washer at build time).
-    pub threshold: f64,
-}
-
-impl Strategy for Whitewasher {
-    fn label(&self) -> &'static str {
-        "whitewash"
-    }
-
-    fn distort_row(
-        &self,
-        _node: NodeId,
-        _round: u64,
-        _row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-    }
-}
-
-/// A stealth cartel: members serve honestly but shift every report by
-/// `bias` *inside* the defended clamp window — outsiders down, clique
-/// mates up — so `RobustAggregation::defended()` never sees an outlier
-/// to clamp and (for subjects with fewer than `1 / trim_fraction`
-/// reporters) never trims a single value. The cartel knows the defense
-/// parameters (Kerckhoffs's principle) and stays strictly within them.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StealthCartel {
-    /// Cartel members, ascending.
-    pub members: Vec<NodeId>,
-    /// Bias magnitude applied before folding back into the clamp window.
-    pub bias: f64,
 }
 
 /// The defended clamp window of `RobustAggregation::defended()` — the
@@ -285,29 +109,13 @@ pub(crate) struct StealthCartel {
 /// untouched.
 const STEALTH_CLAMP: (f64, f64) = (0.1, 0.9);
 
-impl Strategy for StealthCartel {
-    fn label(&self) -> &'static str {
-        "stealth"
-    }
-
-    fn distort_row(
-        &self,
-        node: NodeId,
-        _round: u64,
-        row: &mut Vec<(NodeId, TrustValue)>,
-        _rng: &mut ChaCha8Rng,
-    ) {
-        let (lo, hi) = STEALTH_CLAMP;
-        for (subject, report) in row.iter_mut() {
-            let honest = report.get();
-            let biased = if *subject != node && self.members.binary_search(subject).is_ok() {
-                (honest + self.bias).min(hi)
-            } else {
-                (honest - self.bias).max(lo)
-            };
-            *report = TrustValue::saturating(biased);
-        }
-    }
+/// Report every one of `mates` at 1 — replacing an opinion the row
+/// holds or injecting one it never earned — keeping the row ascending
+/// by subject.
+fn endorse(row: &mut Vec<(NodeId, TrustValue)>, mates: impl Iterator<Item = NodeId>) {
+    let mut reports: BTreeMap<NodeId, TrustValue> = row.drain(..).collect();
+    reports.extend(mates.map(|mate| (mate, TrustValue::ONE)));
+    row.extend(reports);
 }
 
 /// The compiled per-node adversary assignment of one scenario.
@@ -315,12 +123,16 @@ impl Strategy for StealthCartel {
 pub struct AdversaryAssignment {
     roles: Vec<Role>,
     rings: Vec<SybilRing>,
-    cliques: Vec<CollusionClique>,
-    slander: Slanderer,
-    washers: Vec<Whitewasher>,
-    /// Whitewasher ids, ascending, aligned with `washers`.
+    /// Collusion cliques, each ascending.
+    cliques: Vec<Vec<NodeId>>,
+    slander_factor: f64,
+    /// Whitewasher ids, ascending.
     washer_ids: Vec<NodeId>,
-    cartels: Vec<StealthCartel>,
+    /// Personal wash thresholds, aligned with `washer_ids`.
+    wash_thresholds: Vec<f64>,
+    /// Stealth cartels, each ascending.
+    cartels: Vec<Vec<NodeId>>,
+    stealth_bias: f64,
     adversary_count: usize,
 }
 
@@ -331,10 +143,11 @@ impl AdversaryAssignment {
             roles: vec![Role::Honest; n],
             rings: Vec::new(),
             cliques: Vec::new(),
-            slander: Slanderer { factor: 0.0 },
-            washers: Vec::new(),
+            slander_factor: 0.0,
             washer_ids: Vec::new(),
+            wash_thresholds: Vec::new(),
             cartels: Vec::new(),
+            stealth_bias: 0.0,
             adversary_count: 0,
         }
     }
@@ -399,12 +212,10 @@ impl AdversaryAssignment {
             for &m in &members {
                 assignment.roles[m.index()] = Role::Colluder { clique };
             }
-            assignment.cliques.push(CollusionClique { members });
+            assignment.cliques.push(members);
         }
 
-        assignment.slander = Slanderer {
-            factor: mix.slander_factor,
-        };
+        assignment.slander_factor = mix.slander_factor;
         for id in take(mix.slander_fraction) {
             assignment.roles[id as usize] = Role::Slanderer;
         }
@@ -419,9 +230,9 @@ impl AdversaryAssignment {
             // Personal threshold jittered ±20 % from the washer's own
             // stream, so washes don't synchronise network-wide.
             let jitter: f64 = param_stream(w.0).random();
-            assignment.washers.push(Whitewasher {
-                threshold: (mix.wash_threshold * (0.8 + 0.4 * jitter)).clamp(0.0, 1.0),
-            });
+            assignment
+                .wash_thresholds
+                .push((mix.wash_threshold * (0.8 + 0.4 * jitter)).clamp(0.0, 1.0));
         }
         assignment.washer_ids = washer_ids;
 
@@ -436,11 +247,9 @@ impl AdversaryAssignment {
             for &m in &members {
                 assignment.roles[m.index()] = Role::Stealth { cartel };
             }
-            assignment.cartels.push(StealthCartel {
-                members,
-                bias: mix.stealth_bias,
-            });
+            assignment.cartels.push(members);
         }
+        assignment.stealth_bias = mix.stealth_bias;
 
         assignment.adversary_count = cursor;
         Ok(assignment)
@@ -466,47 +275,61 @@ impl AdversaryAssignment {
             .collect()
     }
 
-    /// The strategy instance driving one node.
-    pub fn strategy(&self, node: NodeId) -> &dyn Strategy {
-        const HONEST: HonestStrategy = HonestStrategy;
-        match self.roles[node.index()] {
-            Role::Honest => &HONEST,
-            Role::Sybil { ring } => &self.rings[ring as usize],
-            Role::Colluder { clique } => &self.cliques[clique as usize],
-            Role::Slanderer => &self.slander,
-            Role::Whitewasher => {
-                let idx = self
-                    .washer_ids
-                    .binary_search(&node)
-                    .expect("whitewasher role implies washer entry");
-                &self.washers[idx]
-            }
-            Role::Stealth { cartel } => &self.cartels[cartel as usize],
-        }
-    }
-
-    /// Whether `node` transacts and reports in `round`.
+    /// Whether `node` transacts and reports in `round` (dormant sybil
+    /// identities do neither).
     pub fn participates(&self, node: NodeId, round: u64) -> bool {
         match self.roles[node.index()] {
-            Role::Honest => true,
-            _ => self.strategy(node).participates(node, round),
+            Role::Sybil { ring } => self.rings[ring as usize].active(node, round),
+            _ => true,
         }
     }
 
-    /// Distort one node's trust row in place (no-op, and no RNG
-    /// consumption, for honest nodes).
+    /// Distort one node's honest trust row (ascending by subject) in
+    /// place into what it reports into the gossip channel.
     pub(crate) fn distort_row(
         &self,
         node: NodeId,
         round: u64,
-        seed: u64,
         row: &mut Vec<(NodeId, TrustValue)>,
     ) {
-        if self.roles[node.index()] == Role::Honest {
-            return;
+        match self.roles[node.index()] {
+            Role::Honest | Role::Whitewasher => {}
+            Role::Sybil { ring } => {
+                let ring = &self.rings[ring as usize];
+                if !ring.active(node, round) {
+                    // A dormant identity does not exist yet: it reports nothing.
+                    row.clear();
+                    return;
+                }
+                for (_, report) in row.iter_mut() {
+                    *report = TrustValue::ZERO;
+                }
+                let active = ring.members.iter().zip(&ring.activation);
+                let mates = active.filter(|&(&mate, &at)| mate != node && at <= round);
+                endorse(row, mates.map(|(&mate, _)| mate));
+            }
+            Role::Colluder { clique } => {
+                let mates = self.cliques[clique as usize].iter().copied();
+                endorse(row, mates.filter(|&mate| mate != node));
+            }
+            Role::Slanderer => {
+                for (_, report) in row.iter_mut() {
+                    *report = TrustValue::saturating(report.get() * self.slander_factor);
+                }
+            }
+            Role::Stealth { cartel } => {
+                let (mates, (lo, hi)) = (&self.cartels[cartel as usize], STEALTH_CLAMP);
+                for (subject, report) in row.iter_mut() {
+                    let honest = report.get();
+                    let biased = if *subject != node && mates.binary_search(subject).is_ok() {
+                        (honest + self.stealth_bias).min(hi)
+                    } else {
+                        (honest - self.stealth_bias).max(lo)
+                    };
+                    *report = TrustValue::saturating(biased);
+                }
+            }
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(adversary_stream_seed(seed, round, node.0));
-        self.strategy(node).distort_row(node, round, row, &mut rng);
     }
 
     /// Every whitewasher, ascending — the identities a round's wash can
@@ -521,8 +344,8 @@ impl AdversaryAssignment {
     pub fn washes(&self, subject_mean: impl Fn(NodeId) -> Option<f64>) -> Vec<NodeId> {
         self.washer_ids
             .iter()
-            .zip(&self.washers)
-            .filter(|(&w, washer)| subject_mean(w).is_some_and(|mean| mean < washer.threshold))
+            .zip(&self.wash_thresholds)
+            .filter(|(&w, &threshold)| subject_mean(w).is_some_and(|mean| mean < threshold))
             .map(|(&w, _)| w)
             .collect()
     }
@@ -570,7 +393,7 @@ mod tests {
         assert!(a.adversaries().is_empty());
         assert!(a.participates(NodeId(3), 0));
         let mut row = vec![(NodeId(1), tv(0.5))];
-        a.distort_row(NodeId(0), 0, 42, &mut row);
+        a.distort_row(NodeId(0), 0, &mut row);
         assert_eq!(row, vec![(NodeId(1), tv(0.5))]);
     }
 
@@ -618,7 +441,7 @@ mod tests {
         // Distortion: outsider ratings zeroed, active mates endorsed.
         let outsider = NodeId((0..10).find(|&i| !a.is_adversary(NodeId(i))).unwrap());
         let mut row = vec![(outsider, tv(0.9))];
-        a.distort_row(first, 4, 3, &mut row);
+        a.distort_row(first, 4, &mut row);
         let expect: Vec<(NodeId, TrustValue)> = {
             let mut m: BTreeMap<NodeId, TrustValue> = ring.members[1..]
                 .iter()
@@ -631,7 +454,7 @@ mod tests {
 
         // Dormant member reports nothing.
         let mut row = vec![(outsider, tv(0.9))];
-        a.distort_row(last, 0, 3, &mut row);
+        a.distort_row(last, 0, &mut row);
         assert!(row.is_empty());
     }
 
@@ -644,12 +467,12 @@ mod tests {
         };
         let a = AdversaryAssignment::assign(10, mix, 5).unwrap();
         let clique = &a.cliques[0];
-        let member = clique.members[0];
+        let member = clique[0];
         let outsider = NodeId((0..10).find(|&i| !a.is_adversary(NodeId(i))).unwrap());
         let mut row = vec![(outsider, tv(0.7))];
-        a.distort_row(member, 0, 5, &mut row);
+        a.distort_row(member, 0, &mut row);
         assert!(row.contains(&(outsider, tv(0.7))), "outsider report kept");
-        for &mate in &clique.members[1..] {
+        for &mate in &clique[1..] {
             assert!(row.contains(&(mate, TrustValue::ONE)), "mate endorsed");
         }
     }
@@ -664,7 +487,7 @@ mod tests {
         let a = AdversaryAssignment::assign(4, mix, 1).unwrap();
         let s = NodeId((0..4).find(|&i| a.is_adversary(NodeId(i))).unwrap());
         let mut row = vec![(NodeId(0), tv(0.8)), (NodeId(1), tv(0.4))];
-        a.distort_row(s, 2, 1, &mut row);
+        a.distort_row(s, 2, &mut row);
         assert!((row[0].1.get() - 0.2).abs() < 1e-12);
         assert!((row[1].1.get() - 0.1).abs() < 1e-12);
     }
@@ -702,14 +525,14 @@ mod tests {
         };
         let a = AdversaryAssignment::assign(8, mix, 13).unwrap();
         let cartel = &a.cartels[0];
-        assert_eq!(cartel.members.len(), 4);
-        let member = cartel.members[0];
-        let mate = cartel.members[1];
+        assert_eq!(cartel.len(), 4);
+        let member = cartel[0];
+        let mate = cartel[1];
         let outsider = NodeId((0..8).find(|&i| !a.is_adversary(NodeId(i))).unwrap());
 
         let mut row = vec![(outsider, tv(0.8)), (mate, tv(0.3))];
         row.sort_by_key(|&(s, _)| s);
-        a.distort_row(member, 0, 13, &mut row);
+        a.distort_row(member, 0, &mut row);
         for &(subject, report) in &row {
             // Every report stays strictly inside the defended clamp
             // window — nothing for the clamp to reject.

@@ -314,13 +314,11 @@ fn collusion_row(
         &subjects,
         |i, j| {
             let (sum, count) = colluded[j.index()];
-            let denom = excess[i.index()] + count;
-            (denom > 0.0).then(|| ((system.y_hat(i, j) + sum) / denom).clamp(0.0, 1.0))
+            system.gclr_from_parts(i, j, sum, count, excess[i.index()])
         },
         |i, j| {
             let (sum, count) = honest[j.index()];
-            let denom = excess[i.index()] + count;
-            (denom > 0.0).then(|| ((system.y_hat(i, j) + sum) / denom).clamp(0.0, 1.0))
+            system.gclr_from_parts(i, j, sum, count, excess[i.index()])
         },
     );
     let rms_global = average_rms_error(

@@ -195,10 +195,10 @@ pub(crate) fn closed_form_row(
 ) -> Vec<(NodeId, f64)> {
     // The observer's excess weights are the same for every subject:
     // compute them once (their sum IS `neighbour_excess_sum`, same
-    // addition order) and use the weighted Eq. (6) form, halving the
+    // addition order) and sum each `ŷ` from them, halving the
     // trust-matrix lookups of the sweep. Bit-identical to the plain
     // per-subject evaluation.
-    let weights = system.neighbour_excess_weights(observer);
+    let weights: Vec<f64> = system.excess_weights(observer).collect();
     let excess: f64 = weights.iter().sum();
     match scope {
         // Only rated subjects are listed; the formula lives in dg-core.
@@ -206,10 +206,10 @@ pub(crate) fn closed_form_row(
             .subjects
             .iter()
             .filter_map(|&j| {
+                let y_hat = system.y_hat_from_weights(observer, &weights, j);
                 let (sum, count) = (agg.sums[j.index()], agg.counts[j.index()] as f64);
-                system
-                    .gclr_from_parts_weighted(observer, &weights, j, sum, count, excess)
-                    .map(|rep| (j, rep))
+                let rep = system.gclr_from_y_hat(y_hat, sum, count, excess)?;
+                Some((j, rep))
             })
             .collect(),
         AggregationScope::Neighbourhood => {
@@ -666,6 +666,8 @@ impl ChangeMarks {
 struct RoundOpening {
     audit_targets: Vec<NodeId>,
     unmarked_exposed: Vec<(NodeId, NodeRecord)>,
+    /// The queued ingest records this round folds.
+    ingested_reports: u64,
 }
 
 /// What a round engine is: the cross-round state of a run plus
@@ -930,9 +932,11 @@ impl EngineCore {
             .filter(|&o| !self.marks.is_marked(o))
             .map(|o| (o, self.record(o)))
             .collect();
+        let ingested = self.pending_ingest.iter().map(|(_, records)| records.len());
         self.opening = Some(RoundOpening {
             audit_targets,
             unmarked_exposed,
+            ingested_reports: ingested.sum::<usize>() as u64,
         });
     }
 
@@ -1078,9 +1082,7 @@ impl EngineCore {
         state.fold_records(ingest, config.ewma_rate);
         let mut changed = !ingest.is_empty();
         let mut row = state.trust_row();
-        self.scenario
-            .adversaries
-            .distort_row(node, round, self.scenario.config.seed, &mut row);
+        self.scenario.adversaries.distort_row(node, round, &mut row);
         if config.audit.enabled() {
             for &(subject, reported) in &row {
                 let implied = state.estimator(subject).map(|est| est.estimate().get());
@@ -1317,9 +1319,8 @@ impl EngineCore {
             convictions: audit.convicted.len() as u64,
             audit_entries: audit.entries,
             report_entries,
-            // Stamped by the serve layer (`ServeSession`) after the round;
-            // the engines themselves only fold the ingested records.
-            ingested_reports: 0,
+            ingested_reports: opening.ingested_reports,
+            // Stamped by the serve layer (`ServeSession`) after the round.
             ingest_shed: 0,
         }
     }

@@ -38,8 +38,9 @@
 //!   matrix, dirty-row replacement, delta-maintained subject aggregates
 //!   and patched Eq. (6) rows — bit-identical to the sequential oracle
 //!   at any shard count, thread count and activity fraction;
-//! * [`adversary`] — the attack layer: per-node adversarial strategies
-//!   (sybil rings, collusion cliques, slanderers, whitewashers) compiled
+//! * [`adversary`] — the attack layer: per-node adversarial roles
+//!   (sybil rings, collusion cliques, slanderers, whitewashers, stealth
+//!   cartels) compiled
 //!   from an [`AdversaryMix`](dg_gossip::AdversaryMix) and applied by
 //!   the round engines where reports enter the gossip channel;
 //! * [`report`] — fixed-width table rendering and JSON-lines output for
@@ -64,7 +65,6 @@ pub mod serve;
 pub mod session;
 pub mod workload;
 
-pub use adversary::Strategy;
 pub use config::RunConfig;
 pub use rounds::build_engine;
 pub use scenario::Scenario;

@@ -23,9 +23,12 @@
 //!   answer every query from one round's coherent state — at worst one
 //!   round stale, never torn.
 //!
-//! The ingest counters land in the round's [`RoundStats`]
-//! (`ingested_reports`, `ingest_shed`) so a served run's history also
-//! records what the service absorbed and what backpressure shed.
+//! The ingest counters land in the round's [`RoundStats`] so a served
+//! run's history also records what the service absorbed and what
+//! backpressure shed: the engine core counts the queued records it folds
+//! (`ingested_reports`, for every session that queues reports), and
+//! [`ServeSession`] stamps what it shed since the previous round
+//! (`ingest_shed`), which only it sees.
 
 use crate::kernel::TransactionRecord;
 use crate::rounds::RoundStats;
@@ -171,10 +174,9 @@ impl ServeSession {
     }
 
     /// Run one round: sort and fold the buffered reports, advance the
-    /// engine, stamp the ingest counters, publish the round's snapshot.
+    /// engine, stamp the shed counter, publish the round's snapshot.
     pub fn run_round(&mut self) -> Result<&RoundStats, SessionError> {
         let mut pending = std::mem::take(&mut self.pending);
-        let ingested = pending.len() as u64;
         pending.sort_unstable_by_key(ingest_key);
         // Group per requester: a stable sort keeps each requester's
         // reports in the total order above.
@@ -196,13 +198,11 @@ impl ServeSession {
         let target = self.session.round() + 1;
         self.session.run_to(target)?;
         let shed = std::mem::take(&mut self.shed);
-        let stats = self
-            .session
-            .stats_mut()
+        let stats = self.session.stats_mut();
+        stats
             .last_mut()
-            .expect("a round just completed");
-        stats.ingested_reports = ingested;
-        stats.ingest_shed = shed;
+            .expect("a round just completed")
+            .ingest_shed = shed;
         // Publish the completed round: one incremental index rebuild,
         // one pointer swap. Readers holding the previous snapshot keep
         // it; new loads see this round, whole.

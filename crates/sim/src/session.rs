@@ -385,7 +385,7 @@ impl RunSession {
     }
 
     /// Mutable stats access for the serve layer (same crate): it stamps
-    /// the ingest counters onto the round it just drove.
+    /// the shed counter onto the round it just drove.
     pub(crate) fn stats_mut(&mut self) -> &mut [RoundStats] {
         &mut self.stats
     }
@@ -955,7 +955,7 @@ mod tests {
             assert_eq!(batches.len(), 3, "round {round}: three mid-run strangers");
             session.queue_reports(batches);
         };
-        let stats = r#"{"round":5,"served_honest":150,"refused_honest":0,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37152675141756064,"mean_rep_free_riders":0.02341084641040902,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":198,"ingested_reports":0,"ingest_shed":0}"#;
+        let stats = r#"{"round":5,"served_honest":150,"refused_honest":0,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37152675141756064,"mean_rep_free_riders":0.02341084641040902,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":198,"ingested_reports":6,"ingest_shed":0}"#;
         let session = assert_pinned(config, ingest, 0xab6f_012f_7302_c72b, stats);
         let graph = &session.engine.core().scenario.graph;
         let strangers_inside = session.records().iter().any(|r| {

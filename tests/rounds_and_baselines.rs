@@ -108,8 +108,6 @@ fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
     .expect("scenario builds");
     let system = s.system().expect("system");
 
-    // Differential gossip trust (closed form = the gossip limit).
-    let gclr = system.gclr_matrix();
     // EigenTrust over the same local trust, pre-trusting the two
     // highest-quality peers.
     let qualities = s.population.latent_qualities();
@@ -126,11 +124,9 @@ fn eigentrust_and_differential_gossip_agree_on_who_is_bad() {
     let mut honest_dg = (0.0, 0usize);
     let mut rider_dg = (0.0, 0usize);
     for (node, behavior) in s.population.iter() {
-        let dg_rep = gclr[0]
-            .iter()
-            .find(|(j, _)| *j == node)
-            .map(|&(_, r)| r)
-            .unwrap_or(0.0);
+        // Differential gossip trust at observer 0 (closed form = the
+        // gossip limit).
+        let dg_rep = system.gclr(NodeId(0), node).unwrap_or(0.0);
         let et_rep = et.scores[node.index()];
         if matches!(behavior, Behavior::FreeRider { .. }) {
             rider_et = (rider_et.0 + et_rep, rider_et.1 + 1);
