@@ -718,12 +718,12 @@ impl DeltaState {
         // Phase 2: estimate — only dirty rows. A row is dirty when its
         // owner folded generated outcomes or has ingested records
         // (folded after them, the order every engine reproduces), is an
-        // adversary (distortions are round-keyed, and colluders re-praise
-        // washed clique mates), is pending from last round's whitewash
-        // purge or a restore, or — with auditing on — its report log is
-        // full: re-recording an unchanged row into a full log re-inserts
-        // evicted subjects under this round, exactly as the
-        // rebuild-everything rounds do.
+        // adversary (a sybil's row follows its ring's activations, and
+        // colluders re-praise washed clique mates), is pending from last
+        // round's whitewash purge or a restore, or — with auditing on —
+        // its report log is full: re-recording an unchanged row into a
+        // full log re-inserts evicted subjects under this round, exactly
+        // as the rebuild-everything rounds do.
         let ingest = std::mem::take(&mut core.pending_ingest);
         let mut nodes = std::mem::take(&mut core.nodes);
         dirty.extend(ingest.iter().map(|&(i, _)| i));

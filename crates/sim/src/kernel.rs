@@ -666,7 +666,7 @@ impl ChangeMarks {
 struct RoundOpening {
     audit_targets: Vec<NodeId>,
     unmarked_exposed: Vec<(NodeId, NodeRecord)>,
-    /// The queued ingest records this round folds.
+    /// The ingest records queued when the round opened.
     ingested_reports: u64,
 }
 
@@ -932,11 +932,14 @@ impl EngineCore {
             .filter(|&o| !self.marks.is_marked(o))
             .map(|o| (o, self.record(o)))
             .collect();
-        let ingested = self.pending_ingest.iter().map(|(_, records)| records.len());
+        let ingested = self
+            .pending_ingest
+            .iter()
+            .map(|(_, records)| records.len() as u64);
         self.opening = Some(RoundOpening {
             audit_targets,
             unmarked_exposed,
-            ingested_reports: ingested.sum::<usize>() as u64,
+            ingested_reports: ingested.sum(),
         });
     }
 

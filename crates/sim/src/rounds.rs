@@ -192,11 +192,12 @@ pub struct RoundStats {
     /// phase) — the denominator of the audit-overhead claim.
     #[serde(default)]
     pub report_entries: u64,
-    /// Externally-ingested reports folded into this round: the records
-    /// queued (`RunSession::queue_reports`, which the serve layer
-    /// drives) when the round opened. Absent — zero — in reports
-    /// written before the serve layer existed, like the shed counter
-    /// below.
+    /// Externally-ingested reports interleaved into this round: the
+    /// records queued (`RunSession::queue_reports`, which the serve
+    /// layer drives) when the round opened, a convicted requester's
+    /// included although its emit drops them. Absent — zero — in
+    /// reports written before the serve layer existed, like the shed
+    /// counter below.
     #[serde(default)]
     pub ingested_reports: u64,
     /// Ingest submissions shed with a typed `Busy` reply since the

@@ -25,10 +25,10 @@
 //!
 //! The ingest counters land in the round's [`RoundStats`] so a served
 //! run's history also records what the service absorbed and what
-//! backpressure shed: the engine core counts the queued records it folds
-//! (`ingested_reports`, for every session that queues reports), and
-//! [`ServeSession`] stamps what it shed since the previous round
-//! (`ingest_shed`), which only it sees.
+//! backpressure shed: the engine core counts the records queued when a
+//! round opens (`ingested_reports`, for every session that queues
+//! reports), and [`ServeSession`] stamps what it shed since the
+//! previous round (`ingest_shed`), which only it sees.
 
 use crate::kernel::TransactionRecord;
 use crate::rounds::RoundStats;
@@ -197,12 +197,12 @@ impl ServeSession {
         }
         let target = self.session.round() + 1;
         self.session.run_to(target)?;
-        let shed = std::mem::take(&mut self.shed);
-        let stats = self.session.stats_mut();
-        stats
+        let last = self
+            .session
+            .stats_mut()
             .last_mut()
-            .expect("a round just completed")
-            .ingest_shed = shed;
+            .expect("a round just completed");
+        last.ingest_shed = std::mem::take(&mut self.shed);
         // Publish the completed round: one incremental index rebuild,
         // one pointer swap. Readers holding the previous snapshot keep
         // it; new loads see this round, whole.
