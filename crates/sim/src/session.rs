@@ -525,7 +525,7 @@ impl RunSession {
 mod tests {
     use super::*;
     use crate::kernel::TransactionRecord;
-    use crate::rounds::AggregationScope;
+    use crate::rounds::{AggregationMode, AggregationScope};
     use crate::workload::TrafficModel;
     use dg_gossip::{AdversaryMix, EngineKind};
     use dg_store::first_divergence;
@@ -912,6 +912,57 @@ mod tests {
         );
     }
 
+    /// From round 2 on, queues three ingest batches that name providers
+    /// outside the requester's adjacency, between its lowest and highest
+    /// rated peers.
+    fn off_graph_ingest(session: &mut RunSession, round: usize) {
+        if round < 2 {
+            return;
+        }
+        let graph = &session.engine.core().scenario.graph;
+        let records = session.records();
+        let mut batches = Vec::new();
+        for r in records.iter().filter(|r| r.estimators.len() >= 2) {
+            let (lo, hi) = (r.estimators[0].peer, r.estimators.last().unwrap().peer);
+            let neighbours = graph.neighbours(NodeId(r.node));
+            let stranger = (lo + 1..hi).find(|&p| {
+                p != r.node
+                    && !neighbours.contains(&p)
+                    && r.estimators.binary_search_by_key(&p, |e| e.peer).is_err()
+            });
+            if let Some(p) = stranger {
+                let quality = (r.node % 5) as f64 / 4.0;
+                let outcome = if r.node % 3 == 0 {
+                    TransactionOutcome::Refused
+                } else {
+                    TransactionOutcome::Served { quality }
+                };
+                let record = TransactionRecord {
+                    provider: NodeId(p),
+                    outcome,
+                };
+                batches.push((NodeId(r.node), vec![record; 1 + round % 2]));
+            }
+            if batches.len() == 3 {
+                break;
+            }
+        }
+        assert_eq!(batches.len(), 3, "round {round}: three mid-run strangers");
+        session.queue_reports(batches);
+    }
+
+    /// Whether some node's view holds a stranger between two rated peers.
+    fn has_stranger_inside(session: &RunSession) -> bool {
+        let graph = &session.engine.core().scenario.graph;
+        session.records().iter().any(|r| {
+            let n = r.estimators.len();
+            n >= 3
+                && r.estimators[1..n - 1]
+                    .iter()
+                    .any(|e| !graph.neighbours(NodeId(r.node)).contains(&e.peer))
+        })
+    }
+
     /// Skewed traffic plus ingest that names providers outside the
     /// requester's adjacency, between its lowest and highest rated
     /// peers: the new estimator lands in the middle of the node's view.
@@ -920,52 +971,40 @@ mod tests {
         let config = small_config()
             .with_rounds(6)
             .with_traffic(TrafficModel::full().with_activity(0.3).with_zipf(0.8));
-        let ingest = |session: &mut RunSession, round: usize| {
-            if round < 2 {
-                return;
-            }
-            let graph = &session.engine.core().scenario.graph;
-            let records = session.records();
-            let mut batches = Vec::new();
-            for r in records.iter().filter(|r| r.estimators.len() >= 2) {
-                let (lo, hi) = (r.estimators[0].peer, r.estimators.last().unwrap().peer);
-                let neighbours = graph.neighbours(NodeId(r.node));
-                let stranger = (lo + 1..hi).find(|&p| {
-                    p != r.node
-                        && !neighbours.contains(&p)
-                        && r.estimators.binary_search_by_key(&p, |e| e.peer).is_err()
-                });
-                if let Some(p) = stranger {
-                    let quality = (r.node % 5) as f64 / 4.0;
-                    let outcome = if r.node % 3 == 0 {
-                        TransactionOutcome::Refused
-                    } else {
-                        TransactionOutcome::Served { quality }
-                    };
-                    let record = TransactionRecord {
-                        provider: NodeId(p),
-                        outcome,
-                    };
-                    batches.push((NodeId(r.node), vec![record; 1 + round % 2]));
-                }
-                if batches.len() == 3 {
-                    break;
-                }
-            }
-            assert_eq!(batches.len(), 3, "round {round}: three mid-run strangers");
-            session.queue_reports(batches);
-        };
         let stats = r#"{"round":5,"served_honest":150,"refused_honest":0,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37152675141756064,"mean_rep_free_riders":0.02341084641040902,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":198,"ingested_reports":6,"ingest_shed":0}"#;
-        let session = assert_pinned(config, ingest, 0xab6f_012f_7302_c72b, stats);
-        let graph = &session.engine.core().scenario.graph;
-        let strangers_inside = session.records().iter().any(|r| {
-            let n = r.estimators.len();
-            n >= 3
-                && r.estimators[1..n - 1]
-                    .iter()
-                    .any(|e| !graph.neighbours(NodeId(r.node)).contains(&e.peer))
-        });
-        assert!(strangers_inside, "no stranger between two rated peers");
+        let session = assert_pinned(config, off_graph_ingest, 0xab6f_012f_7302_c72b, stats);
+        assert!(
+            has_stranger_inside(&session),
+            "no stranger between two rated peers"
+        );
+    }
+
+    /// The closed-form neighbourhood twin of the skewed pin: the same
+    /// traffic and off-graph ingest, aggregated over each observer's
+    /// neighbours only.
+    #[test]
+    fn skewed_neighbourhood_rounds_with_off_graph_ingest_are_pinned() {
+        let config = small_config()
+            .with_rounds(6)
+            .with_scope(AggregationScope::Neighbourhood)
+            .with_traffic(TrafficModel::full().with_activity(0.3).with_zipf(0.8));
+        let stats = r#"{"round":5,"served_honest":145,"refused_honest":5,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.35082361914708776,"mean_rep_free_riders":0.030170218559330414,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":200,"ingested_reports":6,"ingest_shed":0}"#;
+        let session = assert_pinned(config, off_graph_ingest, 0xed8f_c973_8c84_b39f, stats);
+        assert!(
+            has_stranger_inside(&session),
+            "no stranger between two rated peers"
+        );
+    }
+
+    /// Gated traffic aggregated by real Variation-4 gossip.
+    #[test]
+    fn skewed_gossip_rounds_are_pinned() {
+        let config = small_config()
+            .with_rounds(6)
+            .with_aggregation(AggregationMode::Gossip)
+            .with_traffic(TrafficModel::full().with_activity(0.3).with_zipf(0.8));
+        let stats = r#"{"round":5,"served_honest":150,"refused_honest":0,"served_free_riders":10,"refused_free_riders":45,"served_adversaries":0,"refused_adversaries":0,"mean_rep_honest":0.37845178248848177,"mean_rep_free_riders":0.016365112374901365,"mean_rep_adversaries":0,"washes":0,"active_nodes":16,"dirty_fraction":0.1625,"audits":0,"audit_strikes":0,"convictions":0,"audit_entries":0,"report_entries":186,"ingested_reports":0,"ingest_shed":0}"#;
+        assert_pinned(config, |_, _| {}, 0xada7_0886_d1e1_bf36, stats);
     }
 
     /// Whitewashers wash and audits convict: `forget` drops the purged
