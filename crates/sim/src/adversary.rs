@@ -133,7 +133,8 @@ pub struct AdversaryAssignment {
     /// Stealth cartels, each ascending.
     cartels: Vec<Vec<NodeId>>,
     stealth_bias: f64,
-    adversary_count: usize,
+    /// Every adversary's id, ascending.
+    adversary_ids: Vec<NodeId>,
 }
 
 impl AdversaryAssignment {
@@ -148,7 +149,7 @@ impl AdversaryAssignment {
             wash_thresholds: Vec::new(),
             cartels: Vec::new(),
             stealth_bias: 0.0,
-            adversary_count: 0,
+            adversary_ids: Vec::new(),
         }
     }
 
@@ -251,7 +252,9 @@ impl AdversaryAssignment {
         }
         assignment.stealth_bias = mix.stealth_bias;
 
-        assignment.adversary_count = cursor;
+        let mut adversary_ids: Vec<NodeId> = ids[..cursor].iter().map(|&i| NodeId(i)).collect();
+        adversary_ids.sort_unstable();
+        assignment.adversary_ids = adversary_ids;
         Ok(assignment)
     }
 
@@ -262,17 +265,12 @@ impl AdversaryAssignment {
 
     /// Whether the assignment contains no adversaries at all.
     pub fn is_none(&self) -> bool {
-        self.adversary_count == 0
+        self.adversary_ids.is_empty()
     }
 
     /// All adversarial node ids, ascending.
-    pub fn adversaries(&self) -> Vec<NodeId> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r != Role::Honest)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+    pub fn adversaries(&self) -> &[NodeId] {
+        &self.adversary_ids
     }
 
     /// Whether `node` transacts and reports in `round` (dormant sybil
@@ -389,7 +387,6 @@ mod tests {
     fn none_assignment_is_all_honest() {
         let a = AdversaryAssignment::none(10);
         assert!(a.is_none());
-        assert_eq!(a.adversary_count, 0);
         assert!(a.adversaries().is_empty());
         assert!(a.participates(NodeId(3), 0));
         let mut row = vec![(NodeId(1), tv(0.5))];
@@ -409,7 +406,9 @@ mod tests {
         let a = AdversaryAssignment::assign(200, mix, 7).unwrap();
         let b = AdversaryAssignment::assign(200, mix, 7).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.adversary_count, 100);
+        assert_eq!(a.adversaries().len(), 100);
+        let attacking = (0..200u32).filter(|&i| a.is_adversary(NodeId(i)));
+        assert!(attacking.map(NodeId).eq(a.adversaries().iter().copied()));
         let sybils = (0..200u32)
             .filter(|&i| matches!(a.roles[i as usize], Role::Sybil { .. }))
             .count();
@@ -507,7 +506,7 @@ mod tests {
         // Collapsed reputation: every washer washes (thresholds are in
         // [0.32, 0.48], all above 0.01).
         let mut means = [Some(0.9); 8];
-        for &w in &washers {
+        for &w in washers {
             means[w.index()] = Some(0.01);
         }
         assert_eq!(a.washes(|w| means[w.index()]), washers);

@@ -247,6 +247,13 @@ impl RunConfig {
         self
     }
 
+    /// Whether phase 3 is Eq. (6) in closed form over each observer's
+    /// neighbours only, so a report reaches only its subject's neighbours.
+    pub(crate) fn is_closed_form_neighbourhood(&self) -> bool {
+        self.aggregation == AggregationMode::ClosedForm
+            && self.scope == AggregationScope::Neighbourhood
+    }
+
     // Kept only because the frozen benchmark package calls
     // `Scenario::build(config.scenario_config())`; goes with that call.
     #[doc(hidden)]

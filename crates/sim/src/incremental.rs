@@ -1,16 +1,16 @@
-//! The production round engine: a **rebuild round** under full traffic
-//! and a **delta round** under any gated traffic shape, chosen from
-//! [`TrafficModel::is_full`](crate::workload::TrafficModel::is_full)
-//! when the engine is built.
+//! The production round engine: a **delta round** under gated traffic
+//! in closed-form neighbourhood scope, a **rebuild round** under every
+//! other configuration, chosen when the engine is built.
 //!
 //! Both rounds open with the same transact phase (a fan-out over index
-//! blocks of the node states). Under full traffic — the paper's workload
-//! — every row changes every round, so the rebuild round keeps nothing:
-//! it pushes every row onto one [`RowSlab`] per [`ShardSpec`] shard, in
+//! blocks of the node states). The rebuild round keeps nothing: it
+//! pushes every row onto one [`RowSlab`] per [`ShardSpec`] shard, in
 //! parallel over shards, assembles the slabs without a copy into a
-//! [`TrustMatrix`] and runs the oracle's `closed_form_row` sweep (or
-//! the gossip) over it. It never allocates the persistent matrix, the
-//! column postings or the arenas below.
+//! [`TrustMatrix`] and runs the oracle's `closed_form_row` sweep over
+//! it, in parallel over observers (or the gossip). Under full traffic —
+//! the paper's workload — every row changes every round, so there is
+//! nothing to keep; a full-scope row lists every rated subject and the
+//! gossip runs whole, so neither has a frontier to follow.
 //!
 //! Under realistic skewed traffic most rows don't change: a node that
 //! issued no requests folds no records, so its estimators, its trust
@@ -20,27 +20,27 @@
 //!
 //! * the trust matrix persists; [`TrustMatrix::replace_rows`] rewrites
 //!   only the **dirty rows**, `O(row)` each — an observer that folded
-//!   fresh records, an adversary (their distortions are round-keyed),
-//!   or a node touched by last round's whitewash purge;
+//!   fresh records, an adversary (a sybil's row follows its ring's
+//!   activations), or a node touched by last round's whitewash purge;
 //! * a [`SubjectAggregateCache`] mirrors the matrix column-wise and
 //!   delta-maintains the per-subject `(Σ t_ij, N_d)` aggregates: dirty
 //!   subjects recompute through the *same* robust kernel as the
 //!   from-scratch sweep (bit-identical by `dg-trust`'s delta
-//!   proptests), clean subjects are free;
-//! * in neighbourhood scope each observer's excess weights (a function
-//!   of its own trust row alone) are cached and a clean observer's
-//!   Eq. (6) row is **patched** — only the subjects whose aggregate or
-//!   incoming reports changed are re-evaluated, through the same Eq. (6)
-//!   tail the full sweep uses. The update set is *inverted* through the
+//!   proptests), clean subjects are free. One merge walk per emitted
+//!   row updates the postings and lists the `(subject, reporter)`
+//!   reports that moved bitwise; a row whose walk moved nothing is not
+//!   replaced;
+//! * each observer's excess weights (a function of its own trust row
+//!   alone) are cached and a clean observer's Eq. (6) row is
+//!   **patched** — only the subjects whose aggregate or incoming
+//!   reports changed are re-evaluated, through the same Eq. (6) tail
+//!   the full sweep uses. The update set is *inverted* through the
 //!   undirected adjacency (subject → observers holding it in scope) into
 //!   **one flat frontier**: a sorted list of `(observer, update index)`
 //!   items over a small per-round update table, cut into contiguous
 //!   pieces for the pool. The affected runs are surgically edited in
 //!   place, so rows the frontier never reaches are not even visited, and
-//!   nothing of length `N` is allocated, scanned or cleared. A
-//!   full-scope run lists every rated subject and has no such frontier:
-//!   there phase 3 is the oracle's `closed_form_row` sweep, over the
-//!   delta-maintained aggregates;
+//!   nothing of length `N` is allocated, scanned or cleared;
 //! * the per-observer caches behind the patch — excess weights, their
 //!   sum, the Eq. (6) `ŷ` of every adjacency slot — live in **arenas**:
 //!   flat arrays aligned to the graph's CSR offsets
@@ -57,9 +57,9 @@
 //! `t_kj`) — and every such `j` is in the cache's refreshed set,
 //! because the row diffs that changed the column marked it dirty. Dirty
 //! observers (replaced rows ⇒ changed weights) are rebuilt through the
-//! full kernel row. So in a steady-state neighbourhood-scope round the
-//! only loops of length `N` left are the activity sweep and the class
-//! means; everything else costs `O(frontier)` — and the result stays
+//! full kernel row. So in a steady-state delta round the only loops of
+//! length `N` left are the activity sweep and the class means;
+//! everything else costs `O(frontier)` — and the result stays
 //! **bit-for-bit identical to the sequential oracle at any thread count,
 //! shard count, activity fraction and adversary mix**, in either round
 //! shape, pinned by `tests/engine_equivalence.rs`.
@@ -71,18 +71,12 @@
 //! purges (whitewash, conviction) scrubs every run anyway and rebuilds
 //! totals and means in that same pass; the purged identities are forced
 //! updates and forced rebuilds of the next round's frontier.
-//!
-//! [`AggregationMode::Gossip`] works in both rounds: the delta round
-//! still maintains the trust matrix incrementally, but the Variation-4
-//! gossip itself runs whole — gossip epidemics have no per-subject
-//! sparsity to exploit. The skewed-traffic configuration is closed
-//! form, like the million-node one (see `docs/SCALING.md`).
 
 use crate::kernel::{
-    closed_form_neighbourhood_row_cached, closed_form_row, runs_bits_eq, Changed, EngineCore,
-    NodeState, ServiceDelta, SubjectAggregates,
+    closed_form_neighbourhood_row_cached, runs_bits_eq, Changed, EngineCore, NodeState,
+    ServiceDelta, SubjectAggregates,
 };
-use crate::rounds::{AggregationMode, AggregationScope, RoundEngine, RoundStats};
+use crate::rounds::{AggregationScope, RoundEngine, RoundStats};
 use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
@@ -95,8 +89,9 @@ use std::sync::Arc;
 /// The production round engine (see the module docs).
 pub(crate) struct IncrementalRoundEngine {
     core: EngineCore,
-    /// The delta round's cross-round state; `None` under full traffic,
-    /// where every round is a rebuild round and keeps nothing.
+    /// The delta round's cross-round state; `None` unless traffic is
+    /// gated and phase 3 is closed form in neighbourhood scope. Without
+    /// it every round is a rebuild round and keeps nothing.
     delta: Option<DeltaState>,
 }
 
@@ -109,9 +104,8 @@ struct DeltaState {
     /// Column-postings mirror of `trust` with delta-maintained
     /// per-subject report aggregates.
     cache: SubjectAggregateCache,
-    /// The per-observer caches of the neighbourhood patch path
-    /// (`None` in full scope and under gossip aggregation).
-    arenas: Option<Arenas>,
+    /// The per-observer caches behind the patch.
+    arenas: Arenas,
     /// Whether `arenas` and the aggregated runs are a patch baseline.
     /// `false` after construction and after a restore — the next round
     /// then rebuilds every observer (one arena fill) instead of patching.
@@ -147,60 +141,6 @@ struct Arenas {
     /// both invalidation sources are visible here: changed weights mean
     /// a replaced row, changed reports are in the round's row diffs.
     y_hat: Vec<f64>,
-}
-
-/// Bitwise row equality — the only comparison that may skip a
-/// replacement without risking drift from the rebuild-everything
-/// engines.
-fn rows_identical(old: &[(NodeId, TrustValue)], new: &[(NodeId, TrustValue)]) -> bool {
-    old.len() == new.len()
-        && old
-            .iter()
-            .zip(new)
-            .all(|(a, b)| a.0 == b.0 && a.1.get().to_bits() == b.1.get().to_bits())
-}
-
-/// Append `(subject, reporter)` for every entry of `reporter`'s row
-/// that moved bitwise (added, removed, or different bits) — exactly
-/// the set of Eq. (6) `ŷ` terms this replacement can change, and so
-/// the complete invalidation source for the per-pair `ŷ` cache (the
-/// whitewash purge defers its matrix edits to next round's re-folds,
-/// so every persistent-matrix mutation passes through a row diff).
-fn diff_changed_entries(
-    reporter: NodeId,
-    old: &[(NodeId, TrustValue)],
-    new: &[(NodeId, TrustValue)],
-    out: &mut Vec<(NodeId, NodeId)>,
-) {
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < old.len() || b < new.len() {
-        match (old.get(a), new.get(b)) {
-            (Some(&(j, _)), Some(&(u, _))) if j < u => {
-                out.push((j, reporter));
-                a += 1;
-            }
-            (Some(&(j, _)), Some(&(u, _))) if j > u => {
-                out.push((u, reporter));
-                b += 1;
-            }
-            (Some(&(j, x)), Some(&(_, y))) => {
-                if x.get().to_bits() != y.get().to_bits() {
-                    out.push((j, reporter));
-                }
-                a += 1;
-                b += 1;
-            }
-            (Some(&(j, _)), None) => {
-                out.push((j, reporter));
-                a += 1;
-            }
-            (None, Some(&(u, _))) => {
-                out.push((u, reporter));
-                b += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
 }
 
 /// One subject the frontier re-evaluates: its current aggregate (read
@@ -391,10 +331,12 @@ fn patch_run(
 const PIECE_ITEMS: usize = 4096;
 
 impl IncrementalRoundEngine {
-    /// Engine over fresh core state: rebuild rounds under full traffic,
-    /// delta rounds under any other traffic model.
+    /// Engine over fresh core state: delta rounds under gated traffic in
+    /// closed-form neighbourhood scope, rebuild rounds otherwise.
     pub(crate) fn new(core: EngineCore) -> Self {
-        let delta = (!core.scenario.config.traffic.is_full()).then(|| DeltaState::new(&core));
+        let config = &core.scenario.config;
+        let patches = !config.traffic.is_full() && config.is_closed_form_neighbourhood();
+        let delta = patches.then(|| DeltaState::new(&core));
         Self { core, delta }
     }
 }
@@ -442,7 +384,8 @@ fn transact_blocks(core: &mut EngineCore, round_seed: u64) -> (ServiceDelta, Vec
 
 /// The rebuild round after [`transact_blocks`]: every row is pushed
 /// onto its shard's [`RowSlab`], in parallel over shards, and phase 3
-/// runs whole over the assembled matrix, which the round then drops.
+/// runs whole over the assembled matrix, in parallel over observers;
+/// the round then drops the matrix.
 fn rebuild_round(
     core: &mut EngineCore,
     delta: ServiceDelta,
@@ -492,28 +435,8 @@ fn rebuild_round(
     let report_entries = trust.entry_count() as u64;
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
-    // Phase 3: aggregate — the oracle's sweep, fanned out over the same
-    // shards, one `ŷ` scratch row per shard.
-    match core.scenario.config.aggregation {
-        AggregationMode::ClosedForm => {
-            let scope = core.scenario.config.scope;
-            let (sums, counts) = system
-                .trust()
-                .robust_subject_sums_and_counts(&core.scenario.config.defense.robust);
-            let agg = SubjectAggregates::new(&sums, &counts, scope);
-            let runs: Vec<Vec<Vec<(NodeId, f64)>>> = (0..spec.shard_count())
-                .into_par_iter()
-                .map(|s| {
-                    let mut y_hat = Vec::new();
-                    let rows = spec.range(s).map(NodeId);
-                    rows.map(|i| closed_form_row(&system, i, scope, &agg, &mut y_hat))
-                        .collect()
-                })
-                .collect();
-            core.set_runs(runs.into_iter().flatten());
-        }
-        AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
-    }
+    // Phase 3: aggregate, fanned out over observers.
+    core.aggregate(&system, round_seed)?;
 
     // Audit phase + shared round epilogue: summary, whitewash +
     // conviction purge, admission scales, stats. Nothing derived
@@ -531,23 +454,18 @@ impl DeltaState {
         let (scenario, config) = (&core.scenario, &core.scenario.config);
         let n = scenario.graph.node_count();
         let trust = TrustMatrix::with_spec(ShardSpec::configured(n, config.shard_count));
-        let patches = matches!(config.aggregation, AggregationMode::ClosedForm)
-            && matches!(config.scope, AggregationScope::Neighbourhood);
         // Contents are irrelevant until the first (unprimed) round has
         // written every slot, so the arenas start as untouched zero
         // pages.
-        let arenas = patches.then(|| {
-            let slots = 2 * scenario.graph.edge_count();
-            Arenas {
-                weights: vec![0.0; slots],
-                excess: vec![0.0; n],
-                y_hat: vec![0.0; slots],
-            }
-        });
+        let slots = 2 * scenario.graph.edge_count();
         Self {
             trust,
             cache: SubjectAggregateCache::new(n),
-            arenas,
+            arenas: Arenas {
+                weights: vec![0.0; slots],
+                excess: vec![0.0; n],
+                y_hat: vec![0.0; slots],
+            },
             primed: false,
             pending_dirty: (0u32..)
                 .zip(&core.nodes)
@@ -558,9 +476,8 @@ impl DeltaState {
         }
     }
 
-    /// Phase 3 in closed-form neighbourhood scope: rebuild or patch
-    /// exactly the observers the round's frontier reaches, and report
-    /// what that edited.
+    /// Phase 3: rebuild or patch exactly the observers the round's
+    /// frontier reaches, and report what that edited.
     ///
     /// `refreshed` are the subjects whose report column moved, `replaced`
     /// the observers whose own trust row did, `changed` the sorted
@@ -577,10 +494,7 @@ impl DeltaState {
     ) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
         let graph = system.graph();
         let n = graph.node_count();
-        let arenas = self
-            .arenas
-            .as_mut()
-            .expect("arenas exist in closed-form neighbourhood scope");
+        let arenas = &mut self.arenas;
         let agg = SubjectAggregates::new(
             self.cache.sums(),
             self.cache.counts(),
@@ -710,10 +624,8 @@ impl DeltaState {
         core: &mut EngineCore,
         delta: ServiceDelta,
         mut dirty: Vec<NodeId>,
-        round_seed: u64,
     ) -> Result<RoundStats, CoreError> {
         let scenario = Arc::clone(&core.scenario);
-        let n = scenario.graph.node_count();
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
         // owner folded generated outcomes or has ingested records
@@ -727,7 +639,7 @@ impl DeltaState {
         let ingest = std::mem::take(&mut core.pending_ingest);
         let mut nodes = std::mem::take(&mut core.nodes);
         dirty.extend(ingest.iter().map(|&(i, _)| i));
-        dirty.extend(scenario.adversaries.adversaries());
+        dirty.extend_from_slice(scenario.adversaries.adversaries());
         dirty.append(&mut self.pending_dirty);
         let audit = core.scenario.config.audit;
         if audit.enabled() {
@@ -740,7 +652,9 @@ impl DeltaState {
 
         let mut replacements: Vec<(NodeId, Vec<(NodeId, TrustValue)>)> = Vec::new();
         // Every `(subject, reporter)` report that moved bitwise this
-        // round — the `ŷ`-cache invalidation set.
+        // round — the complete `ŷ`-cache invalidation set: the whitewash
+        // purge defers its matrix edits to next round's re-folds, so
+        // every edit of the persistent matrix passes through this walk.
         let mut changed_pairs: Vec<(NodeId, NodeId)> = Vec::new();
         // `dirty` is a sorted superset of the ingest owners, so one
         // merge walk hands each batch to its row fold.
@@ -760,13 +674,15 @@ impl DeltaState {
             if emitted {
                 core.marks.mark(i);
             }
-            let old = self.trust.row(i);
-            if rows_identical(old, &row) {
-                continue;
+            // One merge walk mirrors the row into the column postings
+            // and lists the reports it moved; a row that moved nothing
+            // is not replaced.
+            let moved = changed_pairs.len();
+            self.cache
+                .apply_row_diff(i, self.trust.row(i), &row, &mut changed_pairs);
+            if changed_pairs.len() > moved {
+                replacements.push((i, row));
             }
-            diff_changed_entries(i, old, &row, &mut changed_pairs);
-            self.cache.apply_row_diff(i, old, &row);
-            replacements.push((i, row));
         }
         core.nodes = nodes;
         self.trust
@@ -783,30 +699,7 @@ impl DeltaState {
         let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
         // Phase 3: aggregate.
-        let (aggregation, scope) = (core.scenario.config.aggregation, core.scenario.config.scope);
-        let frontier = match (aggregation, scope) {
-            (AggregationMode::ClosedForm, AggregationScope::Neighbourhood) => {
-                self.patch_frontier(core, &system, &refreshed, &replaced, &changed_pairs)
-            }
-            // A full-scope run lists every rated subject, so it has no
-            // frontier to patch along: the oracle's sweep, over the
-            // delta-maintained aggregates.
-            (AggregationMode::ClosedForm, AggregationScope::Full) => {
-                let agg = SubjectAggregates::new(self.cache.sums(), self.cache.counts(), scope);
-                let runs: Vec<_> = (0..n as u32)
-                    .into_par_iter()
-                    .map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut Vec::new()))
-                    .collect();
-                core.set_runs(runs);
-                None
-            }
-            // The trust matrix is still maintained incrementally; the
-            // gossip itself runs whole.
-            (AggregationMode::Gossip, _) => {
-                core.aggregate_by_gossip(&system, round_seed)?;
-                None
-            }
-        };
+        let frontier = self.patch_frontier(core, &system, &refreshed, &replaced, &changed_pairs);
         self.trust = system.into_trust();
         let report_entries = self.trust.entry_count() as u64;
         let changed = match &frontier {
@@ -860,7 +753,7 @@ impl RoundEngine for IncrementalRoundEngine {
         let (delta, folded) = transact_blocks(core, round_seed);
         match &mut self.delta {
             None => rebuild_round(core, delta, round_seed),
-            Some(state) => state.run_round(core, delta, folded, round_seed),
+            Some(state) => state.run_round(core, delta, folded),
         }
     }
 }
@@ -870,6 +763,7 @@ mod tests {
     use super::*;
     use crate::config::RunConfig;
     use crate::kernel::TransactionRecord;
+    use crate::rounds::{build_engine, AggregationMode};
     use crate::scenario::Scenario;
     use crate::session::round_seed;
     use crate::workload::TrafficModel;
@@ -887,46 +781,65 @@ mod tests {
     /// Full traffic takes the rebuild round and keeps no derived state —
     /// no persistent matrix, column postings or arenas, before or after
     /// a restore. A gated model under which every node still requests
-    /// takes the delta round, and the two agree on every round's stats
-    /// and records.
+    /// takes the delta round in closed-form neighbourhood scope, and the
+    /// rebuild round in full scope and under gossip. Each agrees with
+    /// the oracle on every round's stats and records.
     #[test]
     fn full_traffic_rebuilds_and_gated_traffic_takes_the_delta_round() {
         let full = RunConfig::with_nodes(90)
             .with_seed(5)
-            .with_engine(EngineKind::Incremental)
             .with_scope(AggregationScope::Neighbourhood)
             .with_free_riders(0.2)
             .with_quality_range(0.4, 1.0);
         // Gated, but its one (thinning) flash round is far away.
         let gated = full.with_traffic(TrafficModel::full().with_flash(1_000, 0.5));
         assert!(full.traffic.is_full() && !gated.traffic.is_full());
-        let engine = |config: RunConfig| {
-            let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            IncrementalRoundEngine::new(EngineCore::new(scenario))
-        };
-        let (mut rebuild, mut patch) = (engine(full), engine(gated));
-        for round in 0..4 {
-            if round == 2 {
-                let records = rebuild.core.records();
-                rebuild
-                    .restore(round, records.clone())
-                    .expect("own records restore");
-                patch.restore(round, records).expect("same records restore");
-                assert!(!delta(&patch).primed && !delta(&patch).pending_dirty.is_empty());
+        let configs = [
+            (full, false),
+            (gated, true),
+            (gated.with_scope(AggregationScope::Full), false),
+            (gated.with_aggregation(AggregationMode::Gossip), false),
+        ];
+        for (config, patches) in configs {
+            let scenario = |engine| {
+                let config = config.with_engine(engine);
+                Arc::new(Scenario::build(config).expect("scenario builds"))
+            };
+            let mut oracle = build_engine(scenario(EngineKind::Sequential));
+            let core = EngineCore::new(scenario(EngineKind::Incremental));
+            let mut engine = IncrementalRoundEngine::new(core);
+            for round in 0..4 {
+                let at = format!(
+                    "{:?} / {:?}, round {round}",
+                    config.scope, config.aggregation
+                );
+                if round == 2 {
+                    let records = oracle.core().records();
+                    oracle
+                        .restore(round, records.clone())
+                        .expect("own records restore");
+                    engine
+                        .restore(round, records)
+                        .expect("same records restore");
+                    if let Some(state) = &engine.delta {
+                        assert!(!state.primed && !state.pending_dirty.is_empty(), "{at}");
+                    }
+                }
+                let seed = round_seed(config.seed, round as u64);
+                let stats = oracle.run_round(seed).expect("round runs");
+                assert_eq!(stats.active_nodes, 90, "{at}");
+                assert_eq!(engine.run_round(seed).expect("round runs"), stats, "{at}");
+                assert_eq!(engine.delta.is_some(), patches, "{at}");
+                if let Some(state) = &engine.delta {
+                    assert!(state.primed, "{at}");
+                    assert_eq!(state.trust.entry_count() as u64, stats.report_entries);
+                }
+                assert_eq!(
+                    dg_store::first_divergence(&oracle.core().records(), &engine.core.records()),
+                    None,
+                    "{at}"
+                );
             }
-            let seed = round_seed(full.seed, round as u64);
-            let stats = rebuild.run_round(seed).expect("round runs");
-            assert_eq!(stats.active_nodes, 90, "round {round}");
-            assert_eq!(patch.run_round(seed).expect("round runs"), stats);
-            assert!(rebuild.delta.is_none(), "round {round} kept delta state");
-            let state = delta(&patch);
-            assert!(state.primed && state.arenas.is_some(), "round {round}");
-            assert_eq!(state.trust.entry_count() as u64, stats.report_entries);
-            assert_eq!(
-                dg_store::first_divergence(&rebuild.core.records(), &patch.core.records()),
-                None,
-                "round {round}"
-            );
         }
     }
 

@@ -27,10 +27,10 @@
 //! * `NodeState::fold_records` + `NodeState::trust_row` — the rest of
 //!   phase 2 for one node: fold the round's *ingested* records after the
 //!   generated outcomes, emit the node's (sorted) trust row;
-//! * `SubjectAggregates` + `closed_form_row` — phase 3 in closed
-//!   form: per-subject report sums under the robust policy and the
-//!   weighted Eq. (6) row of one observer;
-//!   `EngineCore::aggregate_by_gossip` is phase 3 by real gossip;
+//! * `EngineCore::aggregate` — phase 3 over the whole matrix, in closed
+//!   form (`SubjectAggregates`: per-subject report sums under the
+//!   robust policy; `closed_form_row`: the weighted Eq. (6) row of one
+//!   observer) or by real gossip;
 //! * `EngineCore::emit_row` — the report phase for one node: fold, the
 //!   adversary strategy's distortion, and (under auditing) the
 //!   [`ReportLog`] evidence record — one implementation so the engines'
@@ -75,6 +75,7 @@ use dg_trust::prelude::{EwmaEstimator, TransactionOutcome};
 use dg_trust::TrustValue;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// One transaction as a requester reports it through ingest
@@ -183,10 +184,9 @@ impl<'a> SubjectAggregates<'a> {
 
 /// Closed-form aggregated-reputation row of one observer (Eq. (6) with
 /// the gossiped count), over the scope's subject set in ascending
-/// order. Shared by every engine. `y_hat` is the sweep's scratch for
-/// the neighbourhood arm's `ŷ` row — one buffer per shard or sweep,
-/// reused across its observers (full scope never touches it).
-pub(crate) fn closed_form_row(
+/// order. `y_hat` is the neighbourhood arm's scratch `ŷ` row, reused
+/// across a block of observers (full scope never touches it).
+fn closed_form_row(
     system: &ReputationSystem<'_>,
     observer: NodeId,
     scope: AggregationScope,
@@ -900,11 +900,9 @@ impl EngineCore {
         candidates.extend(convictable);
         candidates.sort_unstable();
         candidates.dedup();
-        let neighbourhood = self.scenario.config.aggregation == AggregationMode::ClosedForm
-            && self.scenario.config.scope == AggregationScope::Neighbourhood;
         let exposed: Vec<NodeId> = if candidates.is_empty() {
             Vec::new()
-        } else if neighbourhood {
+        } else if self.scenario.config.is_closed_form_neighbourhood() {
             let graph = &self.scenario.graph;
             let mut exposed = candidates.clone();
             for &w in &candidates {
@@ -1101,48 +1099,65 @@ impl EngineCore {
         (row, changed)
     }
 
-    /// Phase 3 by real Variation-4 gossip over this round's trust
-    /// matrix (whole, on every engine — gossip epidemics have no
-    /// per-subject sparsity to exploit).
-    pub(crate) fn aggregate_by_gossip(
+    /// Phase 3 over this round's whole trust matrix — the oracle's and
+    /// the rebuild round's. In closed form: the per-subject sums under
+    /// the robust policy, then every observer's `closed_form_row`,
+    /// fanned out over contiguous blocks of observers on the ambient
+    /// pool, each block reusing one `ŷ` scratch row. By gossip: a real
+    /// Variation-4 run, whole — gossip epidemics have no per-subject
+    /// sparsity to exploit. Every observer whose run moves bitwise is
+    /// marked.
+    pub(crate) fn aggregate(
         &mut self,
         system: &ReputationSystem<'_>,
         round_seed: u64,
     ) -> Result<(), CoreError> {
-        // Round-loop membership is the population: departures in rounds
-        // are parked, so the gossip runs over the full membership and
-        // the profile's churn is cleared here.
-        let gossip = self
-            .scenario
-            .config
-            .gossip_config()
-            .with_churn(ChurnModel::none());
-        let out = alg4::run(
-            system,
-            gossip.validated()?,
-            &mut aggregation_rng(round_seed),
-        )?;
-        self.set_runs(
-            out.estimates
-                .into_iter()
-                .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect()),
-        );
-        Ok(())
-    }
-
-    /// A whole-pass aggregation's result: `runs` (one per observer, in
-    /// observer order) replace the aggregated runs, and every observer
-    /// whose run differs bitwise from the one it replaces is marked.
-    pub(crate) fn set_runs(&mut self, runs: impl IntoIterator<Item = Vec<(NodeId, f64)>>) {
-        let mut replaced = 0;
+        let config = &self.scenario.config;
+        let n = self.aggregated.len() as u32;
+        let blocks: Vec<Vec<Vec<(NodeId, f64)>>> = match config.aggregation {
+            AggregationMode::ClosedForm => {
+                let robust = &config.defense.robust;
+                let (sums, counts) = system.trust().robust_subject_sums_and_counts(robust);
+                let agg = SubjectAggregates::new(&sums, &counts, config.scope);
+                // Eight blocks per worker: enough to balance a
+                // thousand-node network over the pool, few enough that
+                // the blocks' scratch rows and run lists cost nothing.
+                let len = n.div_ceil(8 * rayon::current_num_threads() as u32).max(1);
+                (0..n)
+                    .step_by(len as usize)
+                    .into_par_iter()
+                    .map(|first| {
+                        let mut y_hat = Vec::new();
+                        let block = first..n.min(first + len);
+                        let row =
+                            |i| closed_form_row(system, NodeId(i), config.scope, &agg, &mut y_hat);
+                        block.map(row).collect()
+                    })
+                    .collect()
+            }
+            AggregationMode::Gossip => {
+                // Round-loop membership is the population: departures in
+                // rounds are parked, so the gossip runs over the full
+                // membership and the profile's churn is cleared here.
+                let gossip = config.gossip_config().with_churn(ChurnModel::none());
+                let rng = &mut aggregation_rng(round_seed);
+                let out = alg4::run(system, gossip.validated()?, rng)?;
+                let runs = out.estimates.into_iter();
+                vec![runs
+                    .map(|row| row.into_iter().map(|(j, r)| (NodeId(j), r)).collect())
+                    .collect()]
+            }
+        };
+        let total: usize = blocks.iter().map(Vec::len).sum();
+        debug_assert_eq!(total, n as usize, "one run per observer");
+        let runs = blocks.into_iter().flatten();
         for ((i, run), new) in (0u32..).zip(&mut self.aggregated).zip(runs) {
             if !runs_bits_eq(run, &new) {
                 self.marks.mark(NodeId(i));
             }
             *run = new;
-            replaced += 1;
         }
-        debug_assert_eq!(replaced, self.aggregated.len(), "one run per observer");
+        Ok(())
     }
 
     /// The audit phase and the shared round epilogue of every engine:

@@ -23,14 +23,15 @@
 //!   against; it runs only where a test or the benchmark names it;
 //! * [`EngineKind::Incremental`] —
 //!   `IncrementalRoundEngine` ([`crate::incremental`]),
-//!   the production engine and the default. Under full traffic every round rebuilds:
-//!   nodes are partitioned into contiguous shards
+//!   the production engine and the default. Under gated traffic
+//!   ([`RunConfig::traffic`](crate::RunConfig::traffic)) in closed-form
+//!   neighbourhood scope it keeps the trust matrix, dirty-row tracking
+//!   and delta-maintained aggregates across rounds, so a round costs
+//!   `O(dirty)` instead of `O(N)`. Otherwise every round rebuilds: nodes
+//!   are partitioned into contiguous shards
 //!   ([`RunConfig::shard_count`](crate::RunConfig::shard_count)), each
-//!   filling its own row slab, with a rayon fan-out over shards. Under
-//!   gated traffic ([`RunConfig::traffic`](crate::RunConfig::traffic))
-//!   it keeps the trust matrix, dirty-row tracking and delta-maintained
-//!   aggregates across rounds, so a round costs `O(dirty)` instead of
-//!   `O(N)`. The traffic model chooses; there is no option.
+//!   filling its own row slab, with a rayon fan-out over shards, then a
+//!   fan-out over observers aggregates. There is no option.
 //!
 //! Every node consumes a private ChaCha8 stream derived from the round
 //! seed, so **both engines produce bit-for-bit identical results at any
@@ -41,13 +42,12 @@
 //! per [`RoundEngine::run_round`]; [`RunSession`](crate::session::RunSession)
 //! is the driver that adds the resumable seed schedule and checkpoints.
 
-use crate::kernel::{closed_form_row, Changed, EngineCore, ServiceDelta, SubjectAggregates};
+use crate::kernel::{Changed, EngineCore, ServiceDelta};
 use crate::scenario::Scenario;
 use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
 use dg_gossip::EngineKind;
-use dg_graph::NodeId;
 use dg_store::NodeRecord;
 use dg_trust::{RobustAggregation, TrustMatrix};
 use serde::{Deserialize, Serialize};
@@ -361,21 +361,8 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     let report_entries = trust.entry_count() as u64;
     let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
 
-    // Phase 3: aggregate.
-    match core.scenario.config.aggregation {
-        AggregationMode::ClosedForm => {
-            let (sums, counts) = system
-                .trust()
-                .robust_subject_sums_and_counts(&core.scenario.config.defense.robust);
-            let scope = core.scenario.config.scope;
-            let agg = SubjectAggregates::new(&sums, &counts, scope);
-            let mut y_hat = Vec::new();
-            core.set_runs(
-                (0..n as u32).map(|i| closed_form_row(&system, NodeId(i), scope, &agg, &mut y_hat)),
-            );
-        }
-        AggregationMode::Gossip => core.aggregate_by_gossip(&system, round_seed)?,
-    }
+    // Phase 3: aggregate (on this driver's one-worker pool).
+    core.aggregate(&system, round_seed)?;
 
     // Audit phase + shared round epilogue: summary, whitewash +
     // conviction purge, admission scales, stats.
@@ -403,6 +390,7 @@ mod tests {
     use super::*;
     use crate::config::RunConfig;
     use crate::workload::TrafficModel;
+    use dg_graph::NodeId;
     use rand::RngCore;
 
     /// Build the scenario and engine for `config` and run all its

@@ -107,8 +107,8 @@ fn configs_naming_removed_engines_mean_incremental() {
         assert!(legacy.contains(engine), "{legacy}");
         legacy
     }
-    // Full traffic (the rebuild round) and the checked-in literal's
-    // skewed traffic (the delta round).
+    // Full traffic and the checked-in literal's skewed traffic, both in
+    // full scope (so both take the rebuild round).
     let full = RunConfig::with_nodes(48)
         .with_seed(5)
         .with_rounds(4)

@@ -14,7 +14,7 @@
 //! the row-major sweep would visit for that subject, in the same
 //! order. When an observer's row is replaced, a merge-walk of the old
 //! and new runs updates only the postings of subjects whose value
-//! actually changed and marks those subjects dirty;
+//! moved bitwise, marks those subjects dirty and lists them;
 //! [`refresh`](SubjectAggregateCache::refresh) then re-aggregates the
 //! dirty subjects only.
 //!
@@ -49,7 +49,9 @@ use dg_graph::NodeId;
 ///     (NodeId(1), TrustValue::new(0.8)?),
 ///     (NodeId(2), TrustValue::new(0.4)?),
 /// ];
-/// cache.apply_row_diff(NodeId(0), &[], &row);
+/// let mut moved = Vec::new();
+/// cache.apply_row_diff(NodeId(0), &[], &row, &mut moved);
+/// assert_eq!(moved, vec![(NodeId(1), NodeId(0)), (NodeId(2), NodeId(0))]);
 /// m.replace_rows(&[(NodeId(0), row)])?;
 ///
 /// let dirty = cache.refresh(&RobustAggregation::none());
@@ -97,40 +99,40 @@ impl SubjectAggregateCache {
     /// Record that `observer`'s row changed from `old_run` to
     /// `new_run` (both sorted by subject, the order every matrix
     /// backend stores rows in). A merge-walk touches only the subjects
-    /// present in either run; subjects whose value is bit-equal in
-    /// both are skipped entirely. The caller applies the same
-    /// replacement to the matrix itself (the cache never writes the
-    /// matrix).
+    /// present in either run and skips those whose value keeps its
+    /// bits; every other subject `j` has its posting updated and
+    /// `(j, observer)` appended to `moved`, ascending. The caller
+    /// applies the same replacement to the matrix itself (the cache
+    /// never writes the matrix).
     pub fn apply_row_diff(
         &mut self,
         observer: NodeId,
         old_run: &[(NodeId, TrustValue)],
         new_run: &[(NodeId, TrustValue)],
+        moved: &mut Vec<(NodeId, NodeId)>,
     ) {
         let (mut a, mut b) = (0usize, 0usize);
         while a < old_run.len() || b < new_run.len() {
-            match (old_run.get(a), new_run.get(b)) {
+            let (j, value) = match (old_run.get(a), new_run.get(b)) {
                 (Some(&(oj, ot)), Some(&(nj, nt))) if oj == nj => {
-                    if ot != nt {
-                        self.update_posting(oj, observer, Some(nt));
+                    (a, b) = (a + 1, b + 1);
+                    if ot.get().to_bits() == nt.get().to_bits() {
+                        continue;
                     }
-                    a += 1;
-                    b += 1;
+                    (nj, Some(nt))
                 }
-                (Some(&(oj, _)), Some(&(nj, nt))) if nj < oj => {
-                    self.update_posting(nj, observer, Some(nt));
+                (old, Some(&(nj, nt))) if old.map_or(true, |&(oj, _)| nj < oj) => {
                     b += 1;
+                    (nj, Some(nt))
                 }
                 (Some(&(oj, _)), _) => {
-                    self.update_posting(oj, observer, None);
                     a += 1;
+                    (oj, None)
                 }
-                (None, Some(&(nj, nt))) => {
-                    self.update_posting(nj, observer, Some(nt));
-                    b += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
+                (None, _) => unreachable!("the loop condition or the arm above"),
+            };
+            self.update_posting(j, observer, value);
+            moved.push((j, observer));
         }
     }
 
@@ -198,6 +200,7 @@ mod tests {
     use super::*;
     use crate::matrix::TrustMatrix;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tv(v: f64) -> TrustValue {
         TrustValue::saturating(v)
@@ -207,6 +210,26 @@ mod tests {
         m.row(i).to_vec()
     }
 
+    /// `(subject, observer)` for every subject whose value has other
+    /// bits in `new` than in `old` (absent counts as a value),
+    /// ascending — what `apply_row_diff` must report.
+    fn bitwise_diff(
+        observer: NodeId,
+        old: &[(NodeId, TrustValue)],
+        new: &[(NodeId, TrustValue)],
+    ) -> Vec<(NodeId, NodeId)> {
+        let bits = |run: &[(NodeId, TrustValue)]| -> BTreeMap<NodeId, u64> {
+            run.iter().map(|&(j, t)| (j, t.get().to_bits())).collect()
+        };
+        let (old, new) = (bits(old), bits(new));
+        let subjects: BTreeSet<NodeId> = old.keys().chain(new.keys()).copied().collect();
+        subjects
+            .into_iter()
+            .filter(|j| old.get(j) != new.get(j))
+            .map(|j| (j, observer))
+            .collect()
+    }
+
     #[test]
     fn diff_then_refresh_tracks_inserts_overwrites_and_removes() {
         let policy = RobustAggregation::none();
@@ -214,8 +237,9 @@ mod tests {
         let mut m = TrustMatrix::new(n);
         let mut cache = SubjectAggregateCache::new(n);
 
+        let mut moved = Vec::new();
         let r0 = vec![(NodeId(1), tv(0.5)), (NodeId(3), tv(0.2))];
-        cache.apply_row_diff(NodeId(0), &row_of(&m, NodeId(0)), &r0);
+        cache.apply_row_diff(NodeId(0), &row_of(&m, NodeId(0)), &r0, &mut moved);
         m.replace_rows(&[(NodeId(0), r0)]).unwrap();
         assert_eq!(
             cache.refresh(&policy),
@@ -225,7 +249,7 @@ mod tests {
 
         // Overwrite one subject, drop the other, add a third.
         let r0b = vec![(NodeId(1), tv(0.9)), (NodeId(2), tv(0.4))];
-        cache.apply_row_diff(NodeId(0), &row_of(&m, NodeId(0)), &r0b);
+        cache.apply_row_diff(NodeId(0), &row_of(&m, NodeId(0)), &r0b, &mut moved);
         m.replace_rows(&[(NodeId(0), r0b)]).unwrap();
         assert_eq!(
             cache.refresh(&policy),
@@ -236,15 +260,24 @@ mod tests {
         assert_eq!(cache.sums(), &sums[..]);
         assert_eq!(cache.counts(), &counts[..]);
         assert_eq!(cache.aggregate(NodeId(3)), (0.0, 0));
+        let observer = |js: &[u32]| {
+            js.iter()
+                .map(|&j| (NodeId(j), NodeId(0)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(moved, observer(&[1, 3, 1, 2, 3]));
     }
 
     #[test]
     fn identical_replacement_marks_nothing_dirty() {
         let mut cache = SubjectAggregateCache::new(3);
         let run = vec![(NodeId(0), tv(0.3)), (NodeId(2), tv(0.7))];
-        cache.apply_row_diff(NodeId(1), &[], &run);
+        let mut moved = Vec::new();
+        cache.apply_row_diff(NodeId(1), &[], &run, &mut moved);
         cache.refresh(&RobustAggregation::none());
-        cache.apply_row_diff(NodeId(1), &run, &run);
+        moved.clear();
+        cache.apply_row_diff(NodeId(1), &run, &run, &mut moved);
+        assert!(moved.is_empty());
         assert!(cache.dirty_list.is_empty());
         assert!(cache.refresh(&RobustAggregation::none()).is_empty());
     }
@@ -253,8 +286,11 @@ mod tests {
         /// Delta-applied aggregates equal from-scratch aggregates —
         /// **bit-for-bit** — on random row-replacement sequences with
         /// interleaved refreshes, under both the plain and the
-        /// defended robust policy. This is the contract that lets the
-        /// incremental engine skip clean subjects entirely.
+        /// defended robust policy, and every replacement reports
+        /// exactly the bitwise diff of its old and new rows. This is
+        /// the contract that lets the incremental engine skip clean
+        /// subjects entirely. Coarse cases round values to quarters, so
+        /// a replacement often repeats a subject's bits.
         #[test]
         fn delta_aggregates_match_scratch_bitwise(
             steps in proptest::collection::vec(
@@ -262,6 +298,7 @@ mod tests {
                 1..40,
             ),
             defended in 0u8..2,
+            coarse in 0u8..2,
         ) {
             let n = 6;
             let policy = if defended == 1 {
@@ -279,13 +316,16 @@ mod tests {
                 let mut sorted = raw_run;
                 sorted.sort_by_key(|&(j, _)| j);
                 for (j, v) in sorted {
+                    let v = if coarse == 1 { (v * 4.0).round() / 4.0 } else { v };
                     match run.last_mut() {
                         Some(last) if last.0 == NodeId(j) => last.1 = tv(v),
                         _ => run.push((NodeId(j), tv(v))),
                     }
                 }
                 let old = m.row(observer).to_vec();
-                cache.apply_row_diff(observer, &old, &run);
+                let mut moved = Vec::new();
+                cache.apply_row_diff(observer, &old, &run, &mut moved);
+                prop_assert_eq!(moved, bitwise_diff(observer, &old, &run));
                 m.replace_rows(&[(observer, run)]).unwrap();
                 if refresh_now == 1 {
                     cache.refresh(&policy);

@@ -117,27 +117,30 @@ fn resume_as_another_engine_then_ingest_and_crash_again() {
     // No fixed grid covered this: a resume that switches engine and shard
     // count, ingest on the switched engine, then a second crash — which
     // loses the ingest queued after the last checkpoint — and a resume
-    // back to the first engine. Every ordered engine pair, at 10%
-    // activity so the ingest lands on idle requesters too.
+    // back to the first engine. Every ordered engine pair, in both
+    // scopes, at 10% activity so the ingest lands on idle requesters
+    // too.
     let traffic = TrafficModel::full().with_activity(0.1);
-    for from in EngineKind::ALL {
-        for to in EngineKind::ALL.into_iter().filter(|&to| to != from) {
-            let cfg = config(from, "whitewash", "lossless", 5).with_traffic(traffic);
-            let (there, back) = ((to, 16), (from, 64));
-            let ops = [
-                Run(2),
-                Checkpoint,
-                Crash { resume_as: there },
-                Ingest(vec![(1, 2, Some(0.9)), (40, 3, None), (1, 7, Some(0.25))]),
-                Run(1),
-                Checkpoint,
-                Ingest(vec![(9, 8, Some(0.5))]),
-                Crash { resume_as: back },
-                Ingest(vec![(63, 0, Some(1.0))]),
-                Run(2),
-                Checkpoint,
-            ];
-            check(cfg, &ops);
+    for scope in [AggregationScope::Full, AggregationScope::Neighbourhood] {
+        for from in EngineKind::ALL {
+            for to in EngineKind::ALL.into_iter().filter(|&to| to != from) {
+                let cfg = config(from, "whitewash", "lossless", 5).with_scope(scope);
+                let (there, back) = ((to, 16), (from, 64));
+                let ops = [
+                    Run(2),
+                    Checkpoint,
+                    Crash { resume_as: there },
+                    Ingest(vec![(1, 2, Some(0.9)), (40, 3, None), (1, 7, Some(0.25))]),
+                    Run(1),
+                    Checkpoint,
+                    Ingest(vec![(9, 8, Some(0.5))]),
+                    Crash { resume_as: back },
+                    Ingest(vec![(63, 0, Some(1.0))]),
+                    Run(2),
+                    Checkpoint,
+                ];
+                check(cfg.with_traffic(traffic), &ops);
+            }
         }
     }
 }

@@ -1,11 +1,14 @@
 //! The incremental engine is a pure optimisation: for the same pinned
-//! seeds both its rebuild round (full traffic) and its delta round
-//! (gated traffic) must produce **exactly** the sequential oracle's
-//! results — same service counters, same reputation means, same
-//! per-node records (aggregated runs included) — at every thread count,
-//! every shard count, every traffic activity fraction, with and without
-//! an adversarial mix. Each row is a fixed sequence of the session
-//! model (`tests/model/mod.rs`).
+//! seeds both its rebuild round and its delta round (gated traffic in
+//! closed-form neighbourhood scope) must produce **exactly** the
+//! sequential oracle's results — same service counters, same reputation
+//! means, same per-node records (aggregated runs included) — at every
+//! thread count, every shard count, every traffic activity fraction,
+//! with and without an adversarial mix. Each row is a fixed sequence of
+//! the session model (`tests/model/mod.rs`). A row about what the delta
+//! round keeps runs in neighbourhood scope; where it is also the only
+//! check of gated traffic in full scope (the rebuild round), it runs in
+//! both scopes.
 
 mod model;
 
@@ -55,7 +58,7 @@ fn engines_match_bitwise_under_real_gossip_aggregation() {
     let mut config = base(13).with_aggregation(AggregationMode::Gossip);
     (config.nodes, config.xi) = (40, 1e-5);
     check_each(config, &ACCELERATED, &rotating_threads(3));
-    // The delta round's gossip arm.
+    // Gated traffic under gossip takes the rebuild round too.
     let gated = config.with_traffic(everyone_gated());
     check_each(gated, &[(Incremental, AUTO)], &rotating_threads(3));
 }
@@ -71,17 +74,19 @@ fn engines_match_bitwise_under_skewed_traffic_and_adversaries() {
     // The incremental engine's reason to exist: most rows clean, hubs
     // hot, periodic flash crowds, adversaries distorting round-keyed —
     // and still bit-equal to the oracle at 100%, 10% and 1% mean
-    // activity, at every thread and shard count.
-    for fraction in [1.0, 0.1, 0.01] {
-        let traffic = TrafficModel::full()
-            .with_activity(fraction)
-            .with_zipf(0.8)
-            .with_flash(3, 4.0);
-        check_each(
-            attacked(23).with_traffic(traffic),
-            &ACCELERATED,
-            &rotating_threads(6),
-        );
+    // activity, at every thread and shard count, in both scopes.
+    for scope in [AggregationScope::Full, AggregationScope::Neighbourhood] {
+        for fraction in [1.0, 0.1, 0.01] {
+            let traffic = TrafficModel::full()
+                .with_activity(fraction)
+                .with_zipf(0.8)
+                .with_flash(3, 4.0);
+            check_each(
+                attacked(23).with_scope(scope).with_traffic(traffic),
+                &ACCELERATED,
+                &rotating_threads(6),
+            );
+        }
     }
 }
 
@@ -89,17 +94,24 @@ fn engines_match_bitwise_under_skewed_traffic_and_adversaries() {
 fn engines_match_bitwise_with_audits_convicting() {
     // The audit phase live end to end: a stealth cartel striking on
     // every spot-check, a hot audit rate so convictions (and the purge
-    // they trigger) land inside the run, at full and 1% activity.
+    // they trigger) land inside the run, at full and 1% activity, in
+    // both scopes.
     let audit = AuditPolicy {
         audit_rate: 0.2,
         ..AuditPolicy::standard()
     };
-    for fraction in [1.0, 0.01] {
+    for (scope, fraction) in [
+        (AggregationScope::Full, 1.0),
+        (AggregationScope::Full, 0.01),
+        (AggregationScope::Neighbourhood, 1.0),
+        (AggregationScope::Neighbourhood, 0.01),
+    ] {
         let config = RunConfig {
             free_rider_fraction: 0.15,
             adversary: AdversaryMix::stealth().validated().expect("mix is valid"),
             audit,
             traffic: TrafficModel::full().with_activity(fraction),
+            scope,
             ..base(31)
         };
         let oracle = check_each(config, &ACCELERATED, &rotating_threads(8));
@@ -120,11 +132,14 @@ fn engines_match_bitwise_when_audit_logs_fill() {
     // Found by `kill_resume_property`: in the delta round, refused free
     // riders leave rows clean while their full report logs still change
     // when re-recorded (evicted subjects come back under the new round).
-    // Gated traffic under which everyone requests keeps it the delta
-    // round.
+    // Gated traffic under which everyone requests, in neighbourhood
+    // scope, keeps it the delta round.
     let mut audit = AuditPolicy::standard();
     audit.audit_rate = 0.2;
-    let config = base(3).with_audit(audit).with_traffic(everyone_gated());
+    let config = base(3)
+        .with_scope(AggregationScope::Neighbourhood)
+        .with_audit(audit)
+        .with_traffic(everyone_gated());
     check(config.with_engine(Incremental), &[Run(3)]);
 }
 
@@ -134,10 +149,14 @@ fn engines_match_bitwise_with_one_hot_shard() {
     // activity fraction concentrates almost all traffic on the lowest
     // node ids — with 16 shards that is ONE hot shard while the rest
     // idle. Work stealing between the pool's workers must not change a
-    // bit.
+    // bit, in either scope.
     let traffic = TrafficModel::full().with_activity(0.1).with_zipf(1.5);
-    let config = base(61).with_traffic(traffic.with_flash(3, 4.0));
-    check_each(config, &ACCELERATED, &rotating_threads(6));
+    for scope in [AggregationScope::Full, AggregationScope::Neighbourhood] {
+        let config = base(61)
+            .with_scope(scope)
+            .with_traffic(traffic.with_flash(3, 4.0));
+        check_each(config, &ACCELERATED, &rotating_threads(6));
+    }
 }
 
 #[test]
@@ -147,9 +166,14 @@ fn incremental_engine_matches_under_whitewash_purges() {
     // owners stay inactive, or the incremental engine drifts.
     let mut mix = AdversaryMix::none();
     mix.whitewash_fraction = 0.12;
-    let mut config = base(53).with_free_riders(0.1).with_adversary(mix);
+    let mut config = base(53)
+        .with_scope(AggregationScope::Neighbourhood)
+        .with_free_riders(0.1)
+        .with_adversary(mix);
     (config.nodes, config.traffic) = (70, TrafficModel::full().with_activity(0.15));
-    check(config.with_engine(Incremental), &[Threads(4), Run(8)]);
+    let oracle = check(config.with_engine(Incremental), &[Threads(4), Run(8)]);
+    let washes: u64 = oracle.stats().iter().map(|s| s.washes).sum();
+    assert!(washes > 0, "the mix should purge mid-run");
 }
 
 #[test]
@@ -157,8 +181,11 @@ fn sharded_engine_is_reproducible_across_repeat_runs() {
     // Two runs of the rebuild round, then two of the delta round, every
     // one equal to the deterministic oracle.
     let twice = [(Incremental, 4); 2];
-    for traffic in [TrafficModel::full(), everyone_gated()] {
-        check_each(base(77).with_traffic(traffic), &twice, &[Run(4)]);
+    let gated = base(77)
+        .with_scope(AggregationScope::Neighbourhood)
+        .with_traffic(everyone_gated());
+    for config in [base(77), gated] {
+        check_each(config, &twice, &[Run(4)]);
     }
 }
 
@@ -166,15 +193,19 @@ fn sharded_engine_is_reproducible_across_repeat_runs() {
 fn ingest_only_requesters_fold_under_skew() {
     // At 10% activity most requesters generate no records in a round;
     // their ingested reports must still fold — and dirty their rows — on
-    // every engine, whether queued in one call or in several.
-    let config = base(71).with_traffic(TrafficModel::full().with_activity(0.1));
+    // every engine, in either scope, whether queued in one call or in
+    // several.
     let ingest = |salt: u32| {
         let reports = (0..90).step_by(7).map(|r| (r, (r + salt) % 90, Some(0.8)));
         Ingest(reports.collect())
     };
-    for engine in EngineKind::ALL {
-        let ops = [ingest(1), Run(1), ingest(2), ingest(3), Run(2)];
-        check(config.with_engine(engine), &ops);
+    for scope in [AggregationScope::Full, AggregationScope::Neighbourhood] {
+        let traffic = TrafficModel::full().with_activity(0.1);
+        let config = base(71).with_scope(scope).with_traffic(traffic);
+        for engine in EngineKind::ALL {
+            let ops = [ingest(1), Run(1), ingest(2), ingest(3), Run(2)];
+            check(config.with_engine(engine), &ops);
+        }
     }
 }
 
@@ -191,7 +222,7 @@ mod steal_order {
         /// Any steal order at threads {1, 2, 8} × shards {1, 16, 64}
         /// stays bit-identical to the oracle, over randomized seeds,
         /// activity fractions and traffic skews (including past the Zipf
-        /// s = 1 hot-shard knee).
+        /// s = 1 hot-shard knee), in both scopes.
         #[test]
         fn any_steal_order_is_bit_identical(
             seed in 0u64..1000,
@@ -199,9 +230,11 @@ mod steal_order {
             zipf in 0.0f64..1.6,
         ) {
             let traffic = TrafficModel::full().with_activity(activity).with_zipf(zipf);
-            let config = RunConfig { nodes: 48, ..base(seed) }.with_traffic(traffic);
-            for threads in [1, 2, 8] {
-                check_each(config, &ACCELERATED[1..], &[Threads(threads), Run(3)]);
+            for scope in [AggregationScope::Full, AggregationScope::Neighbourhood] {
+                let config = RunConfig { nodes: 48, scope, ..base(seed) }.with_traffic(traffic);
+                for threads in [1, 2, 8] {
+                    check_each(config, &ACCELERATED[1..], &[Threads(threads), Run(3)]);
+                }
             }
         }
     }
@@ -216,8 +249,10 @@ fn sharded_engine_handles_shard_count_above_node_count() {
         nodes: 40,
         ..base(19)
     };
-    for traffic in [TrafficModel::full(), everyone_gated()] {
-        let config = config.with_traffic(traffic);
+    let gated = config
+        .with_scope(AggregationScope::Neighbourhood)
+        .with_traffic(everyone_gated());
+    for config in [config, gated] {
         check_each(config, &[(Incremental, 64)], &[Threads(2), Run(3)]);
     }
 }

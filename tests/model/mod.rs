@@ -51,8 +51,9 @@ pub const ACCELERATED: [(EngineKind, usize); 4] = [
 
 /// A gated traffic model under which every node still requests every
 /// round (its one flash round, which thins, is a million rounds away):
-/// it sends the incremental engine down its delta round on a row that
-/// full traffic would send down the rebuild round.
+/// in closed-form neighbourhood scope it sends the incremental engine
+/// down its delta round on a row that full traffic would send down the
+/// rebuild round.
 pub fn everyone_gated() -> TrafficModel {
     TrafficModel::full().with_flash(1_000_000, 0.5)
 }
