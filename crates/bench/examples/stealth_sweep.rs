@@ -12,7 +12,7 @@ use dg_core::behavior::Behavior;
 use dg_gossip::AdversaryMix;
 use dg_graph::NodeId;
 use dg_sim::rounds::DefensePolicy;
-use dg_sim::{build_engine, RunConfig, Scenario};
+use dg_sim::{RoundEngine, RunConfig, Scenario};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn run(m: usize, mix: AdversaryMix, rounds: usize) -> Run {
     .with_adversary(mix)
     .with_defense(DefensePolicy::defended());
     let scenario = Arc::new(Scenario::build(config).unwrap());
-    let mut engine = build_engine(Arc::clone(&scenario));
+    let mut engine = RoundEngine::new(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     for _ in 0..rounds {
         engine.run_round(rng.next_u64()).unwrap();

@@ -27,7 +27,7 @@ use dg_gossip::{AdversaryMix, GossipPair, NetworkProfile};
 use dg_graph::NodeId;
 use dg_p2p::{run_distributed, DistributedConfig};
 use dg_sim::rounds::{DefensePolicy, RoundStats};
-use dg_sim::{build_engine, RunConfig, Scenario};
+use dg_sim::{RoundEngine, RunConfig, Scenario};
 use dg_trust::audit::AuditPolicy;
 use rand::RngCore;
 use serde::Serialize;
@@ -320,7 +320,7 @@ fn matrix_config(seed: u64, mix: AdversaryMix) -> RunConfig {
 
 fn run_lifecycle(config: RunConfig) -> Result<LifecycleRun, Box<dyn std::error::Error>> {
     let scenario = Arc::new(Scenario::build(config)?);
-    let mut engine = build_engine(Arc::clone(&scenario));
+    let mut engine = RoundEngine::new(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     let stats = (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()))

@@ -1,16 +1,26 @@
-//! The production round engine: a **delta round** under gated traffic
-//! in closed-form neighbourhood scope, a **rebuild round** under every
-//! other configuration, chosen when the engine is built.
+//! The round engine: one [`RoundEngine`] value over one [`EngineCore`],
+//! with the round strategy its scenario's config selects, chosen once in
+//! [`RoundEngine::new`]:
 //!
-//! Both rounds open with the same transact phase (a fan-out over index
-//! blocks of the node states). The rebuild round keeps nothing: it
-//! pushes every row onto one [`RowSlab`] per [`ShardSpec`] shard, in
-//! parallel over shards, assembles the slabs without a copy into a
-//! [`TrustMatrix`] and runs the oracle's `closed_form_row` sweep over
-//! it, in parallel over observers (or the gossip). Under full traffic —
-//! the paper's workload — every row changes every round, so there is
-//! nothing to keep; a full-scope row lists every rated subject and the
-//! gossip runs whole, so neither has a frontier to follow.
+//! * the **oracle round** ([`EngineKind::Sequential`]) — one inline pass
+//!   over nodes per phase on a one-worker pool, rows pushed in order onto
+//!   a fresh matrix: the simplest composition of the kernel phases, the
+//!   yardstick every suite compares against; it runs only where a test
+//!   or the benchmark names it;
+//! * the **rebuild round** ([`EngineKind::Incremental`], the default,
+//!   under full traffic, full scope or gossip aggregation);
+//! * the **delta round** (`Incremental` under gated traffic in
+//!   closed-form neighbourhood scope).
+//!
+//! The rebuild and delta rounds open with the same transact phase (a
+//! fan-out over index blocks of the node states). The rebuild round keeps
+//! nothing: it pushes every row onto one [`RowSlab`] per [`ShardSpec`]
+//! shard, in parallel over shards, assembles the slabs without a copy
+//! into a [`TrustMatrix`] and runs the oracle's `closed_form_row` sweep
+//! over it, in parallel over observers (or the gossip). Under full
+//! traffic — the paper's workload — every row changes every round, so
+//! there is nothing to keep; a full-scope row lists every rated subject
+//! and the gossip runs whole, so neither has a frontier to follow.
 //!
 //! Under realistic skewed traffic most rows don't change: a node that
 //! issued no requests folds no records, so its estimators, its trust
@@ -76,23 +86,54 @@ use crate::kernel::{
     closed_form_neighbourhood_row_cached, runs_bits_eq, Changed, EngineCore, NodeState,
     ServiceDelta, SubjectAggregates,
 };
-use crate::rounds::{AggregationScope, RoundEngine, RoundStats};
+use crate::rounds::{AggregationScope, RoundStats};
+use crate::scenario::Scenario;
 use crate::session::SessionError;
 use dg_core::reputation::ReputationSystem;
 use dg_core::CoreError;
+use dg_gossip::EngineKind;
 use dg_graph::NodeId;
 use dg_store::NodeRecord;
 use dg_trust::{RowSlab, ShardSpec, SubjectAggregateCache, TrustMatrix, TrustValue};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// The production round engine (see the module docs).
-pub(crate) struct IncrementalRoundEngine {
-    core: EngineCore,
-    /// The delta round's cross-round state; `None` unless traffic is
-    /// gated and phase 3 is closed form in neighbourhood scope. Without
-    /// it every round is a rebuild round and keeps nothing.
-    delta: Option<DeltaState>,
+/// A round engine: one [`EngineCore`] and the round strategy its
+/// scenario's config selects (see the module docs).
+///
+/// The core holds the cross-round state (estimators, audit state,
+/// aggregated runs, observer means, queued ingest, round index) and
+/// everything that is a pure function of it — [`EngineCore::records`],
+/// lookups, totals — so [`RunSession`](crate::session::RunSession) and
+/// engine-level callers read those straight off [`core`](Self::core).
+/// Each [`run_round`](Self::run_round) takes one caller-chosen seed;
+/// prefer `RunSession` unless you need to hold the scenario or choose
+/// the round seeds yourself (the session adds the resumable seed
+/// schedule, checkpoints and resume).
+///
+/// The checkpoint is the store's [`NodeRecord`] list itself. The delta
+/// round's state — trust matrix, aggregate caches, cached weights — is
+/// deliberately *not* part of it: it is deterministically
+/// reconstructible, so any strategy can restore any strategy's records
+/// and the resumed trajectory stays bit-identical (pinned by
+/// `tests/crash_recovery.rs`).
+pub struct RoundEngine {
+    pub(crate) core: EngineCore,
+    strategy: Strategy,
+}
+
+/// How [`RoundEngine::run_round`] runs a round.
+enum Strategy {
+    /// The sequential oracle. The tiled subject-sum sweep inside
+    /// dg-trust fans out on the ambient pool; this one-worker pool pins
+    /// the round so "sequential" stays an honest single-thread yardstick
+    /// in every benchmark (results are bit-identical either way).
+    Oracle(rayon::ThreadPool),
+    /// Every row re-emitted, nothing kept across rounds.
+    Rebuild,
+    /// The delta round's cross-round state (boxed: it dwarfs the other
+    /// variants).
+    Delta(Box<DeltaState>),
 }
 
 /// What the delta round keeps alive across rounds — all of it derived
@@ -330,18 +371,124 @@ fn patch_run(
 /// has blocks to steal, large enough that cutting them costs nothing.
 const PIECE_ITEMS: usize = 4096;
 
-impl IncrementalRoundEngine {
-    /// Engine over fresh core state: delta rounds under gated traffic in
-    /// closed-form neighbourhood scope, rebuild rounds otherwise.
-    pub(crate) fn new(core: EngineCore) -> Self {
+impl RoundEngine {
+    /// The engine the scenario's own config selects, over that (shared)
+    /// scenario, at round 0: the oracle round for
+    /// [`EngineKind::Sequential`]; for [`EngineKind::Incremental`], delta
+    /// rounds under gated traffic in closed-form neighbourhood scope and
+    /// rebuild rounds otherwise. The one place a round strategy is
+    /// chosen.
+    pub fn new(scenario: Arc<Scenario>) -> Self {
+        let core = EngineCore::new(scenario);
         let config = &core.scenario.config;
-        let patches = !config.traffic.is_full() && config.is_closed_form_neighbourhood();
-        let delta = patches.then(|| DeltaState::new(&core));
-        Self { core, delta }
+        let strategy = match config.engine {
+            EngineKind::Sequential => Strategy::Oracle(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(1)
+                    .build()
+                    .expect("single-thread pool"),
+            ),
+            EngineKind::Incremental
+                if !config.traffic.is_full() && config.is_closed_form_neighbourhood() =>
+            {
+                Strategy::Delta(Box::new(DeltaState::new(&core)))
+            }
+            EngineKind::Incremental => Strategy::Rebuild,
+        };
+        Self { core, strategy }
+    }
+
+    /// The shared cross-round state.
+    pub fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    /// Run one full round from the given seed.
+    pub fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
+        let core = &mut self.core;
+        match &mut self.strategy {
+            Strategy::Oracle(single) => single.install(|| run_sequential_round(core, round_seed)),
+            Strategy::Rebuild => rebuild_round(core, round_seed),
+            Strategy::Delta(state) => state.run_round(core, round_seed),
+        }
+    }
+
+    /// Replace the engine's cross-round state with `records` (written
+    /// under any strategy), about to run `round`. Fails with
+    /// [`SessionError::Snapshot`], leaving the engine untouched, if the
+    /// records do not fit the scenario. The restore is in place, into
+    /// the engine's own [`EngineCore`]: it checks every record, copies
+    /// each into the core and frees the records, so it holds the records
+    /// and one engine. Only then is the delta round's state, which the
+    /// records omit, dropped and started over, unprimed (see
+    /// `DeltaState::new`).
+    pub fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
+        self.core.restore(round, records)?;
+        if matches!(self.strategy, Strategy::Delta(_)) {
+            // Drop the stale state before its replacement is built.
+            self.strategy = Strategy::Rebuild;
+            self.strategy = Strategy::Delta(Box::new(DeltaState::new(&self.core)));
+        }
+        Ok(())
     }
 }
 
-/// Phase 1 of both rounds: the per-requester kernel every engine uses
+/// The oracle round: one inline pass over nodes per phase, rows pushed
+/// in order onto a fresh matrix — deliberately the simplest possible
+/// composition of the kernel phases, the yardstick the rebuild and
+/// delta rounds are pinned against.
+fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundStats, CoreError> {
+    let scenario = Arc::clone(&core.scenario);
+    let n = scenario.graph.node_count();
+    core.begin_round();
+
+    // Phases 1 + 2: transact (drawing outcomes straight into the
+    // requester's estimators), then fold ingest and emit the row —
+    // inline, one node at a time, but on the same per-node streams and
+    // kernel phases as the production engine. Rows are pushed in
+    // ascending order onto the matrix's slabs.
+    let mut delta = ServiceDelta::default();
+    let mut nodes = std::mem::take(&mut core.nodes);
+    let mut marks = std::mem::take(&mut core.marks);
+    let mut pending = std::mem::take(&mut core.pending_ingest)
+        .into_iter()
+        .peekable();
+    let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
+    let rows = scenario.graph.nodes().map(|requester| {
+        let state = &mut nodes[requester.index()];
+        let mut touched = false;
+        if requesters.next_if_eq(&requester).is_some() {
+            let d = core.transact(state, requester, round_seed);
+            touched = d.dirty_rows > 0;
+            delta.merge(d);
+        }
+        let ingest = pending
+            .next_if(|(r, _)| *r == requester)
+            .map(|(_, records)| records)
+            .unwrap_or_default();
+        let (row, emitted) = core.emit_row(state, requester, &ingest);
+        if touched || emitted {
+            marks.mark(requester);
+        }
+        row
+    });
+    let trust = TrustMatrix::from_rows(n, rows).expect("estimator keys are in range");
+    drop(requesters); // ends its borrow of `core`
+    core.nodes = nodes;
+    core.marks = marks;
+    let report_entries = trust.entry_count() as u64;
+    let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
+
+    // Phase 3: aggregate (on this driver's one-worker pool).
+    core.aggregate(&system, round_seed)?;
+
+    // Audit phase + shared round epilogue: summary, whitewash +
+    // conviction purge, admission scales, stats.
+    Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
+}
+
+/// Phase 1 of the rebuild and delta rounds: the per-requester kernel
+/// the oracle round uses too
 /// (identical RNG streams), fanned out over index blocks that each draw
 /// into their own slice of the node states — under skewed traffic, one
 /// activity sweep and a handful of requesters per block. Marks and
@@ -382,15 +529,13 @@ fn transact_blocks(core: &mut EngineCore, round_seed: u64) -> (ServiceDelta, Vec
     (delta, folded)
 }
 
-/// The rebuild round after [`transact_blocks`]: every row is pushed
+/// The rebuild round: after [`transact_blocks`], every row is pushed
 /// onto its shard's [`RowSlab`], in parallel over shards, and phase 3
 /// runs whole over the assembled matrix, in parallel over observers;
 /// the round then drops the matrix.
-fn rebuild_round(
-    core: &mut EngineCore,
-    delta: ServiceDelta,
-    round_seed: u64,
-) -> Result<RoundStats, CoreError> {
+fn rebuild_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundStats, CoreError> {
+    core.begin_round();
+    let (delta, _) = transact_blocks(core, round_seed);
     let scenario = Arc::clone(&core.scenario);
     let n = scenario.graph.node_count();
     let spec = ShardSpec::configured(n, core.scenario.config.shard_count);
@@ -617,14 +762,16 @@ impl DeltaState {
         Some((rows, columns))
     }
 
-    /// The delta round after [`transact_blocks`]; `dirty` starts as the
-    /// requesters that folded an outcome.
+    /// The delta round: [`transact_blocks`], then the phases below over
+    /// the dirty rows, which start as the requesters that folded an
+    /// outcome.
     fn run_round(
         &mut self,
         core: &mut EngineCore,
-        delta: ServiceDelta,
-        mut dirty: Vec<NodeId>,
+        round_seed: u64,
     ) -> Result<RoundStats, CoreError> {
+        core.begin_round();
+        let (delta, mut dirty) = transact_blocks(core, round_seed);
         let scenario = Arc::clone(&core.scenario);
 
         // Phase 2: estimate — only dirty rows. A row is dirty when its
@@ -725,57 +872,28 @@ impl DeltaState {
     }
 }
 
-impl RoundEngine for IncrementalRoundEngine {
-    fn core(&self) -> &EngineCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut EngineCore {
-        &mut self.core
-    }
-
-    fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
-        // The core refuses before it changes anything, so the delta
-        // state is touched only once the records are accepted. It is
-        // derived, so the records omit it: the stale one is dropped
-        // first, then it starts over, unprimed (see `DeltaState::new`).
-        self.core.restore(round, records)?;
-        if let Some(stale) = self.delta.take() {
-            drop(stale);
-            self.delta = Some(DeltaState::new(&self.core));
-        }
-        Ok(())
-    }
-
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let core = &mut self.core;
-        core.begin_round();
-        let (delta, folded) = transact_blocks(core, round_seed);
-        match &mut self.delta {
-            None => rebuild_round(core, delta, round_seed),
-            Some(state) => state.run_round(core, delta, folded),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RunConfig;
     use crate::kernel::TransactionRecord;
-    use crate::rounds::{build_engine, AggregationMode};
-    use crate::scenario::Scenario;
+    use crate::rounds::AggregationMode;
     use crate::session::round_seed;
     use crate::workload::TrafficModel;
-    use dg_gossip::{AdversaryMix, EngineKind};
+    use dg_gossip::AdversaryMix;
     use dg_trust::audit::AuditPolicy;
     use dg_trust::prelude::TransactionOutcome;
 
-    fn delta(engine: &IncrementalRoundEngine) -> &DeltaState {
-        engine
-            .delta
-            .as_ref()
-            .expect("gated traffic keeps delta state")
+    /// The delta round's state, if the engine takes the delta round.
+    fn delta_state(engine: &RoundEngine) -> Option<&DeltaState> {
+        match &engine.strategy {
+            Strategy::Delta(state) => Some(state),
+            Strategy::Oracle(_) | Strategy::Rebuild => None,
+        }
+    }
+
+    fn delta(engine: &RoundEngine) -> &DeltaState {
+        delta_state(engine).expect("gated traffic keeps delta state")
     }
 
     /// Full traffic takes the rebuild round and keeps no derived state —
@@ -805,9 +923,8 @@ mod tests {
                 let config = config.with_engine(engine);
                 Arc::new(Scenario::build(config).expect("scenario builds"))
             };
-            let mut oracle = build_engine(scenario(EngineKind::Sequential));
-            let core = EngineCore::new(scenario(EngineKind::Incremental));
-            let mut engine = IncrementalRoundEngine::new(core);
+            let mut oracle = RoundEngine::new(scenario(EngineKind::Sequential));
+            let mut engine = RoundEngine::new(scenario(EngineKind::Incremental));
             for round in 0..4 {
                 let at = format!(
                     "{:?} / {:?}, round {round}",
@@ -821,7 +938,7 @@ mod tests {
                     engine
                         .restore(round, records)
                         .expect("same records restore");
-                    if let Some(state) = &engine.delta {
+                    if let Some(state) = delta_state(&engine) {
                         assert!(!state.primed && !state.pending_dirty.is_empty(), "{at}");
                     }
                 }
@@ -829,8 +946,8 @@ mod tests {
                 let stats = oracle.run_round(seed).expect("round runs");
                 assert_eq!(stats.active_nodes, 90, "{at}");
                 assert_eq!(engine.run_round(seed).expect("round runs"), stats, "{at}");
-                assert_eq!(engine.delta.is_some(), patches, "{at}");
-                if let Some(state) = &engine.delta {
+                assert_eq!(delta_state(&engine).is_some(), patches, "{at}");
+                if let Some(state) = delta_state(&engine) {
                     assert!(state.primed, "{at}");
                     assert_eq!(state.trust.entry_count() as u64, stats.report_entries);
                 }
@@ -882,7 +999,7 @@ mod tests {
                     .with_flash(6, 6.0),
             );
         let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-        let mut engine = IncrementalRoundEngine::new(EngineCore::new(scenario));
+        let mut engine = RoundEngine::new(scenario);
         // A round seed under which nobody requests.
         let idle_seed = |core: &EngineCore| {
             (0u64..)

@@ -7,14 +7,15 @@
 //! config, per-node estimators and audit state, aggregated runs, admission
 //! scales, queued ingest, round counter) together with everything that
 //! is a pure function of it — records / restore, ingest queueing,
-//! lookups, totals, the audit phase and the round epilogue. An engine
-//! ([`crate::rounds`]' sequential reference driver and the production
-//! `IncrementalRoundEngine` in [`crate::incremental`]) is a `run_round`
-//! strategy over an `EngineCore`: it chooses storage layout, parallel
+//! lookups, totals, the audit phase and the round epilogue. Each round
+//! strategy of [`RoundEngine`](crate::engine::RoundEngine) — the
+//! sequential oracle, the rebuild round, the delta round — is a
+//! `run_round` over an `EngineCore`: it chooses storage layout, parallel
 //! granularity and recompute strategy, but every observable number flows
-//! through the functions in this module. That is what makes the engines
-//! **bit-for-bit identical by construction** at any thread count, shard
-//! count, and traffic shape (pinned by `tests/engine_equivalence.rs`):
+//! through the functions in this module. That is what makes the
+//! strategies **bit-for-bit identical by construction** at any thread
+//! count, shard count, and traffic shape (pinned by
+//! `tests/engine_equivalence.rs`):
 //!
 //! * `EngineCore::requesters` + `EngineCore::transact` — phase 1 and
 //!   the generated half of phase 2: one sweep of the traffic plan's
@@ -671,10 +672,10 @@ struct RoundOpening {
 }
 
 /// What a round engine is: the cross-round state of a run plus
-/// everything that is a pure function of it. An engine
-/// ([`RoundEngine`](crate::rounds::RoundEngine)) owns one `EngineCore`
-/// and adds only its `run_round` strategy (and whatever acceleration
-/// state that strategy derives — never anything a checkpoint needs).
+/// everything that is a pure function of it. The engine
+/// ([`RoundEngine`](crate::engine::RoundEngine)) owns one `EngineCore`
+/// and adds only its round strategy (and whatever acceleration state
+/// that strategy derives — never anything a checkpoint needs).
 pub struct EngineCore {
     pub(crate) scenario: Arc<Scenario>,
     pub(crate) plan: ActivityPlan,
@@ -839,9 +840,9 @@ impl EngineCore {
     /// resume ran about 20% slower.)
     /// Queued ingest batches survive; the change marks clear — the
     /// restored records are the baseline the next delta is taken
-    /// against. Engines with derived state go through
-    /// [`RoundEngine::restore`](crate::rounds::RoundEngine::restore),
-    /// which also resets it.
+    /// against. The engine goes through
+    /// [`RoundEngine::restore`](crate::engine::RoundEngine::restore),
+    /// which also resets the delta round's derived state.
     pub(crate) fn restore(
         &mut self,
         round: usize,
@@ -1365,7 +1366,7 @@ impl EngineCore {
 mod tests {
     use super::*;
     use crate::config::RunConfig;
-    use crate::rounds::build_engine;
+    use crate::engine::RoundEngine;
     use crate::session::round_seed;
     use dg_gossip::AdversaryMix;
     use proptest::prelude::*;
@@ -1464,14 +1465,14 @@ mod tests {
                 config.defense.newcomer = NewcomerPolicy::ZeroPrior;
             }
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario);
+            let mut engine = RoundEngine::new(scenario);
             for round in 0..primed_rounds as u64 {
                 engine.run_round(round_seed(seed, round)).expect("round runs");
             }
             // Providers expelled by a conviction: skipped, and (as
             // requesters) gone from the round.
             if ban_every > 0 {
-                for banned in engine.core_mut().banned.iter_mut().step_by(ban_every as usize + 2) {
+                for banned in engine.core.banned.iter_mut().step_by(ban_every as usize + 2) {
                     *banned = true;
                 }
             }
@@ -1592,7 +1593,7 @@ mod tests {
     impl MarkWindow {
         /// A window starting at `engine`'s current state, which must
         /// carry no marks.
-        fn open(engine: &dyn crate::rounds::RoundEngine, what: &str) -> Self {
+        fn open(engine: &RoundEngine, what: &str) -> Self {
             let core = engine.core();
             assert_eq!(
                 core.marks.iter().next(),
@@ -1607,8 +1608,8 @@ mod tests {
 
         /// Commit `engine`'s marks, as a successful checkpoint does, and
         /// open the next window.
-        fn commit(engine: &mut dyn crate::rounds::RoundEngine, what: &str) -> Self {
-            engine.core_mut().commit_marks();
+        fn commit(engine: &mut RoundEngine, what: &str) -> Self {
+            engine.core.commit_marks();
             Self::open(engine, what)
         }
 
@@ -1619,7 +1620,7 @@ mod tests {
         /// after it.
         fn round(
             &mut self,
-            engine: &mut dyn crate::rounds::RoundEngine,
+            engine: &mut RoundEngine,
             seed: u64,
             what: &str,
         ) -> (RoundStats, Vec<NodeRecord>) {
@@ -1722,9 +1723,9 @@ mod tests {
             for every in [1, 3] {
                 let label = format!("{label}, commit every {every}");
                 let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-                let mut engine = build_engine(scenario);
+                let mut engine = RoundEngine::new(scenario);
                 let (mut washes, mut convictions, mut full_logs) = (0, 0, false);
-                let mut window = MarkWindow::open(engine.as_ref(), &label);
+                let mut window = MarkWindow::open(&engine, &label);
                 for round in 0..30usize {
                     let mut seed = round_seed(config.seed, round as u64);
                     let what = format!("{label}: round {round}");
@@ -1735,9 +1736,9 @@ mod tests {
                         assert!(engine.core().marks.iter().next().is_some());
                         let records = engine.core().records();
                         engine.restore(round, records).expect("own records restore");
-                        window = MarkWindow::open(engine.as_ref(), &what);
+                        window = MarkWindow::open(&engine, &what);
                     } else if round % every == 0 {
-                        window = MarkWindow::commit(engine.as_mut(), &what);
+                        window = MarkWindow::commit(&mut engine, &what);
                     }
                     match round {
                         // An ingest-only row: nobody requests, one
@@ -1755,7 +1756,7 @@ mod tests {
                                 .expect("an unconvicted node that has not requested yet");
                             let provider = NodeId(core.scenario.graph.neighbours(reporter)[0]);
                             let outcome = TransactionOutcome::Served { quality: 0.25 };
-                            engine.core_mut().queue_reports(vec![(
+                            engine.core.queue_reports(vec![(
                                 reporter,
                                 vec![TransactionRecord { provider, outcome }],
                             )]);
@@ -1763,7 +1764,7 @@ mod tests {
                         16 if !full => seed = idle_seed(engine.core()),
                         _ => {}
                     }
-                    let (stats, after) = window.round(engine.as_mut(), seed, &what);
+                    let (stats, after) = window.round(&mut engine, seed, &what);
                     washes += stats.washes;
                     convictions += stats.convictions;
                     full_logs |= after
@@ -1784,10 +1785,10 @@ mod tests {
             // reporter's neighbourhood (so neither its trust weights nor
             // its run move), then an idle round.
             let scenario = Arc::new(Scenario::build(honest).expect("scenario builds"));
-            let mut engine = build_engine(scenario);
+            let mut engine = RoundEngine::new(scenario);
             for round in 0..5u64 {
                 let what = format!("{label}: honest round {round}");
-                let mut window = MarkWindow::commit(engine.as_mut(), &what);
+                let mut window = MarkWindow::commit(&mut engine, &what);
                 let mut seed = round_seed(honest.seed, round);
                 if round >= 3 && !full {
                     seed = idle_seed(engine.core());
@@ -1800,13 +1801,13 @@ mod tests {
                         .find(|&p| p != reporter && !graph.neighbours(reporter).contains(&p.0))
                         .expect("a non-neighbour");
                     let outcome = TransactionOutcome::Served { quality: 0.25 };
-                    engine.core_mut().queue_reports(vec![(
+                    engine.core.queue_reports(vec![(
                         reporter,
                         vec![TransactionRecord { provider, outcome }],
                     )]);
                 }
                 let before = engine.core().records();
-                let (_, after) = window.round(engine.as_mut(), seed, &what);
+                let (_, after) = window.round(&mut engine, seed, &what);
                 if round == 4 && !full {
                     assert_eq!(dg_store::first_divergence(&before, &after), None, "{what}");
                 }
@@ -1824,7 +1825,7 @@ mod tests {
             };
             let config = honest.with_adversary(washers);
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario);
+            let mut engine = RoundEngine::new(scenario);
             let core = engine.core();
             let (graph, washers) = (&core.scenario.graph, core.scenario.adversaries.washers());
             let far: Vec<NodeId> = (0..graph.node_count() as u32)
@@ -1848,11 +1849,11 @@ mod tests {
             // estimator, the neighbours' run entries — so the records
             // end as blank as they began and nothing may stay marked.
             let what = format!("{label}: washed by ingest");
-            let mut window = MarkWindow::open(engine.as_ref(), &what);
+            let mut window = MarkWindow::open(&engine, &what);
             engine
-                .core_mut()
+                .core
                 .queue_reports(vec![(far[0], vec![report(None); 20])]);
-            let (stats, after) = window.round(engine.as_mut(), seed, &what);
+            let (stats, after) = window.round(&mut engine, seed, &what);
             assert_eq!(stats.washes, 1, "{what}");
             assert_eq!(dg_store::first_divergence(&blank, &after), None, "{what}");
             // One far node rates the washer well and keeps the estimator
@@ -1861,20 +1862,20 @@ mod tests {
             // estimator although that node is idle and far from the
             // washer, and its mark must say so.
             let what = format!("{label}: rated, committed, washed");
-            let mut window = MarkWindow::commit(engine.as_mut(), &what);
+            let mut window = MarkWindow::commit(&mut engine, &what);
             engine
-                .core_mut()
+                .core
                 .queue_reports(vec![(far[1], vec![report(Some(0.9)); 20])]);
-            let (stats, _) = window.round(engine.as_mut(), seed, &what);
+            let (stats, _) = window.round(&mut engine, seed, &what);
             assert_eq!(stats.washes, 0, "{what}");
-            let mut window = MarkWindow::commit(engine.as_mut(), &what);
-            engine.core_mut().queue_reports(
+            let mut window = MarkWindow::commit(&mut engine, &what);
+            engine.core.queue_reports(
                 far[2..]
                     .iter()
                     .map(|&r| (r, vec![report(None); 20]))
                     .collect(),
             );
-            let (stats, after) = window.round(engine.as_mut(), seed, &what);
+            let (stats, after) = window.round(&mut engine, seed, &what);
             assert_eq!(stats.washes, 1, "{what}");
             assert!(engine.core().marks.is_marked(far[1]), "{what}");
             assert!(after[far[1].index()].estimators.is_empty(), "{what}");
@@ -1899,10 +1900,10 @@ mod tests {
             };
             let config = honest.with_adversary(liars).with_audit(strict);
             let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-            let mut engine = build_engine(scenario);
+            let mut engine = RoundEngine::new(scenario);
             let convicted_unrated = (0..20u64).any(|round| {
                 let what = format!("{label}: liar convicted, round {round}");
-                let mut window = MarkWindow::commit(engine.as_mut(), &what);
+                let mut window = MarkWindow::commit(&mut engine, &what);
                 let core = engine.core();
                 let (graph, n) = (&core.scenario.graph, core.nodes.len());
                 let rated = |t: NodeId| core.nodes.iter().any(|s| s.estimator(t).is_some());
@@ -1932,11 +1933,9 @@ mod tests {
                         outcome: TransactionOutcome::Served { quality: 0.9 },
                     };
                     seed = idle_seed(core);
-                    engine
-                        .core_mut()
-                        .queue_reports(vec![(reporter, vec![rating])]);
+                    engine.core.queue_reports(vec![(reporter, vec![rating])]);
                 }
-                window.round(engine.as_mut(), seed, &what);
+                window.round(&mut engine, seed, &what);
                 liar.is_some_and(|t| engine.core().nodes[t.index()].convicted_at.is_some())
             });
             assert!(convicted_unrated, "{label}: no unrated liar convicted");

@@ -17,27 +17,27 @@
 //!   Tables 1 and 2, the convergence/weight ablations, and the
 //!   network-fault degradation sweeps (rounds-to-convergence and
 //!   residual error vs loss rate / [`NetworkProfile`](dg_gossip::NetworkProfile) preset);
-//! * [`rounds`] — the full reputation lifecycle loop (transactions →
-//!   estimation → aggregation → admission control) behind the free-riding
-//!   examples, dispatching through one engine factory to the production
-//!   engine (the default) or the sequential reference driver tests
-//!   compare it against;
+//! * [`rounds`] — the full reputation lifecycle loop's types
+//!   (transactions → estimation → aggregation → admission control: the
+//!   aggregation knobs, the defences, per-round statistics);
+//! * [`engine`] — the one [`RoundEngine`] behind the free-riding
+//!   examples: its config picks, once, the sequential oracle round tests
+//!   compare against, or the production rounds (the default) — under
+//!   full traffic a rebuild round whose rows go straight into per-shard
+//!   row slabs, under gated traffic a delta round over a persistent
+//!   trust matrix, dirty-row replacement, delta-maintained subject
+//!   aggregates and patched Eq. (6) rows — bit-identical to the oracle
+//!   at any shard count, thread count and activity fraction;
 //! * [`session`] — the front door: a [`RunSession`] that builds
 //!   scenario and engine from a [`RunConfig`], runs rounds on a
 //!   deterministic seed schedule and checkpoints / resumes through the
 //!   `dg-store` durability layer, bit-for-bit;
 //! * [`kernel`] — the shared phase kernel and the one `EngineCore`
-//!   every engine is a `run_round` strategy over: the cross-round state
-//!   plus the transact → estimate → aggregate → wash contracts, so all
+//!   every round strategy runs over: the cross-round state plus the
+//!   transact → estimate → aggregate → wash contracts, so all
 //!   observable math (per-node RNG streams, robust subject sums, Eq. (6)
 //!   rows, the round epilogue) and all bookkeeping (records, restore,
 //!   ingest queueing) has exactly one implementation;
-//! * [`incremental`] — the production engine: under full traffic a
-//!   rebuild round whose rows go straight into per-shard row slabs;
-//!   under gated traffic a delta round over a persistent trust
-//!   matrix, dirty-row replacement, delta-maintained subject aggregates
-//!   and patched Eq. (6) rows — bit-identical to the sequential oracle
-//!   at any shard count, thread count and activity fraction;
 //! * [`adversary`] — the attack layer: per-node adversarial roles
 //!   (sybil rings, collusion cliques, slanderers, whitewashers, stealth
 //!   cartels) compiled
@@ -55,8 +55,8 @@
 
 pub mod adversary;
 pub mod config;
+pub mod engine;
 pub mod experiments;
-pub mod incremental;
 pub mod kernel;
 pub mod report;
 pub mod rounds;
@@ -66,7 +66,7 @@ pub mod session;
 pub mod workload;
 
 pub use config::RunConfig;
-pub use rounds::build_engine;
+pub use engine::RoundEngine;
 pub use scenario::Scenario;
 pub use serve::{IngestError, IngestReport, ServeSession};
 pub use session::{round_seed, CheckpointKind, RunSession, SessionError};

@@ -1,12 +1,12 @@
-//! Multi-round reputation lifecycle driver.
+//! The multi-round reputation lifecycle and its types.
 //!
 //! The paper's system model is a *loop*: peers transact, estimate trust
 //! from outcomes, periodically aggregate reputations by gossip, and gate
 //! service on the result ("every node is facilitated from the network as
 //! per its contribution ... consequently free riding is discouraged").
 //! "After the end of a round, next round of gossip will start after some
-//! time" — this module drives that loop with a constant inter-round gap,
-//! as the paper assumes for simplicity.
+//! time" — the round engine drives that loop with a constant inter-round
+//! gap, as the paper assumes for simplicity.
 //!
 //! Each round runs the phases of the shared kernel ([`crate::kernel`]):
 //! **transact** (traffic-gated, admission-controlled chunk requests
@@ -14,44 +14,21 @@
 //! node's first-hand estimators) and **aggregate** (Variation-4
 //! differential gossip, in closed form or by real gossip).
 //!
-//! Two execution engines are available through
-//! [`RunConfig::engine`](crate::RunConfig::engine), each a `run_round`
-//! strategy over one shared [`EngineCore`]:
-//!
-//! * [`EngineKind::Sequential`] — the reference driver in this module:
-//!   one inline pass over nodes, the oracle every suite compares
-//!   against; it runs only where a test or the benchmark names it;
-//! * [`EngineKind::Incremental`] —
-//!   `IncrementalRoundEngine` ([`crate::incremental`]),
-//!   the production engine and the default. Under gated traffic
-//!   ([`RunConfig::traffic`](crate::RunConfig::traffic)) in closed-form
-//!   neighbourhood scope it keeps the trust matrix, dirty-row tracking
-//!   and delta-maintained aggregates across rounds, so a round costs
-//!   `O(dirty)` instead of `O(N)`. Otherwise every round rebuilds: nodes
-//!   are partitioned into contiguous shards
-//!   ([`RunConfig::shard_count`](crate::RunConfig::shard_count)), each
-//!   filling its own row slab, with a rayon fan-out over shards, then a
-//!   fan-out over observers aggregates. There is no option.
-//!
-//! Every node consumes a private ChaCha8 stream derived from the round
-//! seed, so **both engines produce bit-for-bit identical results at any
-//! thread count, any shard count, and any traffic shape** (pinned by
-//! `tests/engine_equivalence.rs`).
-//!
-//! Engines are built by [`build_engine`] and take one caller-chosen seed
-//! per [`RoundEngine::run_round`]; [`RunSession`](crate::session::RunSession)
+//! This module holds the round's types: how phase 3 aggregates
+//! ([`AggregationMode`], [`AggregationScope`]), the defences
+//! ([`DefensePolicy`]) and each round's [`RoundStats`]. The loop itself
+//! is [`RoundEngine`](crate::engine::RoundEngine), one value over one
+//! shared [`EngineCore`](crate::kernel::EngineCore) whose round strategy
+//! — the sequential oracle, the rebuild round or the delta round — its
+//! config selects once, when it is built. Every node consumes a private
+//! ChaCha8 stream derived from the round seed, so **every strategy
+//! produces bit-for-bit identical results at any thread count, any shard
+//! count, and any traffic shape** (pinned by
+//! `tests/engine_equivalence.rs`). [`RunSession`](crate::session::RunSession)
 //! is the driver that adds the resumable seed schedule and checkpoints.
 
-use crate::kernel::{Changed, EngineCore, ServiceDelta};
-use crate::scenario::Scenario;
-use crate::session::SessionError;
-use dg_core::reputation::ReputationSystem;
-use dg_core::CoreError;
-use dg_gossip::EngineKind;
-use dg_store::NodeRecord;
-use dg_trust::{RobustAggregation, TrustMatrix};
+use dg_trust::RobustAggregation;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How reputations are refreshed each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,164 +218,23 @@ fn rate(served: u64, refused: u64) -> f64 {
     served as f64 / total as f64
 }
 
-/// A round engine: a `run_round` strategy over one [`EngineCore`].
-///
-/// The core holds the cross-round state every engine shares
-/// (estimators, audit state, aggregated runs, observer means, queued
-/// ingest, round index) and everything that is a pure function of it —
-/// [`EngineCore::records`], [`EngineCore::queue_reports`], lookups,
-/// totals — so [`RunSession`](crate::session::RunSession) and
-/// engine-level callers read those straight off [`core`](Self::core).
-/// Adding an engine is one `impl` (the two accessors plus `run_round`)
-/// and one arm in [`build_engine`] — the single dispatch point every
-/// layer (session, bench CLI, perf suite) routes through.
-///
-/// The checkpoint is the store's [`NodeRecord`] list itself.
-/// Engine-internal acceleration state — trust matrices, aggregate caches,
-/// cached weights — is deliberately *not* part of it: it is
-/// deterministically reconstructible, so any engine can restore any
-/// engine's records and the resumed trajectory stays bit-identical
-/// (pinned by `tests/crash_recovery.rs`).
-pub trait RoundEngine {
-    /// The shared cross-round state.
-    fn core(&self) -> &EngineCore;
-    /// Mutable access to the shared cross-round state.
-    fn core_mut(&mut self) -> &mut EngineCore;
-    /// Run one full round from the given seed.
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError>;
-    /// Replace the engine's cross-round state with `records` (written
-    /// by this engine or any other), about to run `round`. Fails with
-    /// [`SessionError::Snapshot`], leaving the engine untouched, if the
-    /// records do not fit the scenario. The restore is in place, into
-    /// the engine's own [`EngineCore`]: it checks every record, copies
-    /// each into the core and frees the records, so it holds the records
-    /// and one engine. Engines that keep derived state across
-    /// rounds override this to rebuild it once the records are
-    /// accepted.
-    fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
-        self.core_mut().restore(round, records)
-    }
-}
-
-/// The single engine factory: build the round engine the scenario's
-/// own config selects over that (shared) scenario, at round 0. Prefer
-/// [`RunSession`](crate::session::RunSession) unless you need to hold
-/// the scenario or choose the round seeds yourself (the session builds
-/// scenario *and* engine and adds checkpoint / resume).
-pub fn build_engine(scenario: Arc<Scenario>) -> Box<dyn RoundEngine> {
-    let engine = scenario.config.engine;
-    let core = EngineCore::new(scenario);
-    match engine {
-        EngineKind::Sequential => Box::new(SequentialRounds::new(core)),
-        EngineKind::Incremental => Box::new(crate::incremental::IncrementalRoundEngine::new(core)),
-    }
-}
-
-/// The sequential reference driver: one inline pass over nodes per
-/// phase, rows pushed in order onto a fresh matrix each round —
-/// deliberately the simplest possible composition of the kernel
-/// phases, the yardstick the production engine is pinned against.
-struct SequentialRounds {
-    core: EngineCore,
-    /// The tiled subject-sum sweep inside dg-trust fans out on the
-    /// ambient pool; this one-worker pool pins the driver so
-    /// "sequential" stays an honest single-thread yardstick in every
-    /// benchmark (results are bit-identical either way).
-    single: rayon::ThreadPool,
-}
-
-impl SequentialRounds {
-    fn new(core: EngineCore) -> Self {
-        Self {
-            core,
-            single: rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("single-thread pool"),
-        }
-    }
-}
-
-fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundStats, CoreError> {
-    let scenario = Arc::clone(&core.scenario);
-    let n = scenario.graph.node_count();
-    core.begin_round();
-
-    // Phases 1 + 2: transact (drawing outcomes straight into the
-    // requester's estimators), then fold ingest and emit the row —
-    // inline, one node at a time, but on the same per-node streams and
-    // kernel phases as the production engine. Rows are pushed in
-    // ascending order onto the matrix's slabs.
-    let mut delta = ServiceDelta::default();
-    let mut nodes = std::mem::take(&mut core.nodes);
-    let mut marks = std::mem::take(&mut core.marks);
-    let mut pending = std::mem::take(&mut core.pending_ingest)
-        .into_iter()
-        .peekable();
-    let mut requesters = core.requesters(0..n as u32, round_seed).peekable();
-    let rows = scenario.graph.nodes().map(|requester| {
-        let state = &mut nodes[requester.index()];
-        let mut touched = false;
-        if requesters.next_if_eq(&requester).is_some() {
-            let d = core.transact(state, requester, round_seed);
-            touched = d.dirty_rows > 0;
-            delta.merge(d);
-        }
-        let ingest = pending
-            .next_if(|(r, _)| *r == requester)
-            .map(|(_, records)| records)
-            .unwrap_or_default();
-        let (row, emitted) = core.emit_row(state, requester, &ingest);
-        if touched || emitted {
-            marks.mark(requester);
-        }
-        row
-    });
-    let trust = TrustMatrix::from_rows(n, rows).expect("estimator keys are in range");
-    drop(requesters); // ends its borrow of `core`
-    core.nodes = nodes;
-    core.marks = marks;
-    let report_entries = trust.entry_count() as u64;
-    let system = ReputationSystem::new(&scenario.graph, trust, scenario.weights)?;
-
-    // Phase 3: aggregate (on this driver's one-worker pool).
-    core.aggregate(&system, round_seed)?;
-
-    // Audit phase + shared round epilogue: summary, whitewash +
-    // conviction purge, admission scales, stats.
-    Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
-}
-
-impl RoundEngine for SequentialRounds {
-    fn core(&self) -> &EngineCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut EngineCore {
-        &mut self.core
-    }
-
-    fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let core = &mut self.core;
-        self.single
-            .install(|| run_sequential_round(core, round_seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RunConfig;
+    use crate::engine::RoundEngine;
+    use crate::scenario::Scenario;
     use crate::workload::TrafficModel;
     use dg_graph::NodeId;
     use rand::RngCore;
+    use std::sync::Arc;
 
     /// Build the scenario and engine for `config` and run all its
     /// rounds on seeds drawn from gossip stream `stream`.
     fn run(config: RunConfig, stream: u64) -> Vec<RoundStats> {
         let scenario = Arc::new(Scenario::build(config).unwrap());
         let mut rng = scenario.gossip_rng(stream);
-        let mut engine = build_engine(scenario);
+        let mut engine = RoundEngine::new(scenario);
         (0..config.rounds)
             .map(|_| engine.run_round(rng.next_u64()).unwrap())
             .collect()
@@ -470,7 +306,7 @@ mod tests {
     fn aggregated_lookup_works() {
         let config = RunConfig::with_nodes(30).with_seed(5);
         let scenario = Arc::new(Scenario::build(config).unwrap());
-        let mut engine = build_engine(Arc::clone(&scenario));
+        let mut engine = RoundEngine::new(Arc::clone(&scenario));
         assert_eq!(engine.core().aggregated(NodeId(0), NodeId(1)), None);
         engine.run_round(scenario.gossip_rng(4).next_u64()).unwrap();
         // Node 1 is a neighbour of someone, so it has been rated and

@@ -38,13 +38,14 @@
 //! store is outside input.
 //!
 //! Underneath, [`Scenario::build`] builds what the rounds read (never
-//! [`Scenario::trust`]) and [`build_engine`] the engine its config
+//! [`Scenario::trust`]) and [`RoundEngine::new`] the engine its config
 //! selects; callers that hold the scenario themselves or choose their
 //! own round seeds use those directly and give up resumability.
 
 pub use crate::config::RunConfig;
+use crate::engine::RoundEngine;
 use crate::kernel::{row_mean, NodeState};
-use crate::rounds::{build_engine, RoundEngine, RoundStats};
+use crate::rounds::RoundStats;
 use crate::scenario::Scenario;
 use dg_core::CoreError;
 use dg_gossip::GossipError;
@@ -69,7 +70,7 @@ pub const FULL_EPOCH_INTERVAL: usize = 8;
 /// — a pure function of `(run_seed, r)`, **not** a draw from shared RNG
 /// state — so a resumed session continues the exact seed sequence the
 /// original would have produced. (Engine-level callers of
-/// [`build_engine`] choose their own seeds; such runs are reproducible
+/// [`RoundEngine::new`] choose their own seeds; such runs are reproducible
 /// against themselves but not resumable. The bit-identity guarantee is
 /// session-vs-session.) SplitMix64 finalisation, like
 /// [`dg_gossip::node_stream_seed`].
@@ -299,7 +300,7 @@ pub enum CheckpointKind {
 /// state through a [`dg_store::Store`]. See the module docs for the
 /// lifecycle and the bit-identity contract.
 pub struct RunSession {
-    engine: Box<dyn RoundEngine>,
+    engine: RoundEngine,
     stats: Vec<RoundStats>,
     /// Store root and round of the last checkpoint *we* wrote or
     /// resumed from (deltas only extend a chain this session owns
@@ -318,7 +319,7 @@ impl RunSession {
         config.adversary.validated()?;
         let scenario = Arc::new(Scenario::build(config)?);
         Ok(Self {
-            engine: build_engine(scenario),
+            engine: RoundEngine::new(scenario),
             stats: Vec::new(),
             last_checkpoint: None,
         })
@@ -374,7 +375,7 @@ impl RunSession {
     /// [`ServeSession`](crate::serve::ServeSession) normalises raw
     /// submissions into this shape.
     pub fn queue_reports(&mut self, batches: Vec<(NodeId, Vec<crate::kernel::TransactionRecord>)>) {
-        self.engine.core_mut().queue_reports(batches);
+        self.engine.core.queue_reports(batches);
     }
 
     /// Per-subject network-wide mean aggregated reputation (`None`
@@ -478,7 +479,7 @@ impl RunSession {
         };
         // Committed: the marks restart from this state. A failed write
         // returned above with them intact, so a retry loses nothing.
-        self.engine.core_mut().commit_marks();
+        self.engine.core.commit_marks();
         self.last_checkpoint = Some((dir.to_path_buf(), round));
         Ok(kind)
     }
@@ -580,13 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_build_engine_path() {
+    fn session_matches_the_engine_driven_by_hand() {
         let config = small_config();
         let mut session = RunSession::new(config).unwrap();
         session.run().unwrap();
 
         let scenario = Arc::new(Scenario::build(config).unwrap());
-        let mut engine = build_engine(scenario);
+        let mut engine = RoundEngine::new(scenario);
         for r in 0..config.rounds {
             engine.run_round(round_seed(config.seed, r as u64)).unwrap();
         }

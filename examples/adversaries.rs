@@ -13,7 +13,7 @@
 
 use differential_gossip::gossip::AdversaryMix;
 use differential_gossip::sim::rounds::DefensePolicy;
-use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use differential_gossip::sim::{RoundEngine, RunConfig, Scenario};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ fn run(mix: AdversaryMix, defense: DefensePolicy) -> (f64, f64, f64, u64, Option
     .with_adversary(mix)
     .with_defense(defense);
     let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut engine = build_engine(Arc::clone(&scenario));
+    let mut engine = RoundEngine::new(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     let stats: Vec<_> = (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()).expect("round runs"))

@@ -12,7 +12,7 @@
 //! cargo run --release --example file_sharing
 //! ```
 
-use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use differential_gossip::sim::{RoundEngine, RunConfig, Scenario};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The default, production engine: under this full traffic every
     // round rebuilds per-shard CSR state with a shard fan-out.
-    let mut engine = build_engine(Arc::clone(&scenario));
+    let mut engine = RoundEngine::new(Arc::clone(&scenario));
     println!("engine: incremental\n");
     let mut rng = scenario.gossip_rng(1);
 

@@ -25,8 +25,8 @@ use differential_gossip::core::behavior::Behavior;
 use differential_gossip::gossip::{AdversaryMix, EngineKind};
 use differential_gossip::graph::NodeId;
 use differential_gossip::sim::kernel::EngineCore;
-use differential_gossip::sim::rounds::{DefensePolicy, RoundEngine, RoundStats};
-use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use differential_gossip::sim::rounds::{DefensePolicy, RoundStats};
+use differential_gossip::sim::{RoundEngine, RunConfig, Scenario};
 use differential_gossip::trust::audit::AuditPolicy;
 use model::Op::Run;
 use proptest::prelude::*;
@@ -46,9 +46,9 @@ fn scenario_config(seed: u64, mix: AdversaryMix) -> RunConfig {
 
 /// Build `config`'s scenario and engine and run all its rounds on seeds
 /// drawn from gossip stream 2.
-fn drive(config: RunConfig) -> (Arc<Scenario>, Box<dyn RoundEngine>, Vec<RoundStats>) {
+fn drive(config: RunConfig) -> (Arc<Scenario>, RoundEngine, Vec<RoundStats>) {
     let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut engine = build_engine(Arc::clone(&scenario));
+    let mut engine = RoundEngine::new(Arc::clone(&scenario));
     let mut rng = scenario.gossip_rng(2);
     let stats = (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()).expect("round runs"))

@@ -11,7 +11,7 @@ use differential_gossip::core::behavior::Behavior;
 use differential_gossip::graph::{generators, NodeId};
 use differential_gossip::sim::rounds::{AggregationMode, RoundStats};
 use differential_gossip::sim::scenario::TrustSource;
-use differential_gossip::sim::{build_engine, RunConfig, Scenario};
+use differential_gossip::sim::{RoundEngine, RunConfig, Scenario};
 use differential_gossip::trust::{TrustMatrix, TrustValue};
 use rand::RngCore;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// drawn from gossip stream `stream`.
 fn run_rounds(config: RunConfig, stream: u64) -> Vec<RoundStats> {
     let s = Arc::new(Scenario::build(config).expect("scenario builds"));
-    let mut engine = build_engine(Arc::clone(&s));
+    let mut engine = RoundEngine::new(Arc::clone(&s));
     let mut rng = s.gossip_rng(stream);
     (0..config.rounds)
         .map(|_| engine.run_round(rng.next_u64()).expect("round"))
