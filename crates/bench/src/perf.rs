@@ -3,7 +3,7 @@
 //!
 //! `perf_suite` picks a preset (smoke by default, `--full`, `--skewed`,
 //! `--scale`), applies the config flags on top, runs the session to its
-//! configured `rounds` on the [`round_seed`](dg_sim::round_seed)
+//! configured `rounds` on the session's deterministic round-seed
 //! schedule and prints one summary line: rounds, wall time,
 //! node-rounds/s, final free-rider service rate, peak RSS.
 //! `--checkpoint-every <n>` persists the run into a `dg-store` directory

@@ -46,7 +46,7 @@ impl LossModel {
 
     /// Sample whether a single push is lost.
     #[inline]
-    pub fn drops<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn drops<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.probability > 0.0 && rng.random::<f64>() < self.probability
     }
 }

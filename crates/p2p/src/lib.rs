@@ -45,7 +45,7 @@
 
 pub mod checkpoint;
 mod peer;
-pub mod runner;
+mod runner;
 pub mod transport;
 
 pub use checkpoint::{resume_distributed, GossipCheckpoint};

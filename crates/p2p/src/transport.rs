@@ -187,7 +187,7 @@ impl Availability {
     /// profile's churn knobs. Each node's crash rolls come from a private
     /// ChaCha8 stream (`node_stream_seed(seed ^ CHURN_SALT, node)`), so
     /// the schedule is reproducible and placement-independent.
-    pub fn generate(n: usize, horizon: u64, profile: &NetworkProfile, seed: u64) -> Self {
+    pub(crate) fn generate(n: usize, horizon: u64, profile: &NetworkProfile, seed: u64) -> Self {
         let churn = profile.churn;
         let mut down = vec![Vec::new(); n];
         if churn.is_enabled() {

@@ -182,7 +182,7 @@ impl Server {
     /// Stop accepting connections and join the acceptor. Open
     /// connections finish on their own threads when their clients
     /// disconnect.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();

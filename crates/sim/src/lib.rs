@@ -69,5 +69,5 @@ pub use config::RunConfig;
 pub use engine::RoundEngine;
 pub use scenario::Scenario;
 pub use serve::{IngestError, IngestReport, ServeSession};
-pub use session::{round_seed, CheckpointKind, RunSession, SessionError};
+pub use session::{CheckpointKind, RunSession, SessionError};
 pub use workload::TrafficModel;

@@ -19,7 +19,7 @@
 //!
 //! The resumed run is **bit-for-bit identical** to one that never
 //! stopped: engines draw round seeds from the deterministic
-//! [`round_seed`] schedule (not from shared RNG state, which a restart
+//! `round_seed` schedule (not from shared RNG state, which a restart
 //! could not reproduce), and the checkpoint is the store's own
 //! [`NodeRecord`] list ([`RunSession::records`]): one record per node
 //! carrying exactly the cross-round state — estimators, audit state,
@@ -62,7 +62,7 @@ use std::sync::Arc;
 /// Full-epoch cadence: after this many delta checkpoints the next
 /// checkpoint is written as a fresh full epoch, bounding both recovery
 /// replay length and the window a corrupt delta file can poison.
-pub const FULL_EPOCH_INTERVAL: usize = 8;
+pub(crate) const FULL_EPOCH_INTERVAL: usize = 8;
 
 /// The deterministic round-seed schedule sessions run on.
 ///
@@ -74,7 +74,7 @@ pub const FULL_EPOCH_INTERVAL: usize = 8;
 /// against themselves but not resumable. The bit-identity guarantee is
 /// session-vs-session.) SplitMix64 finalisation, like
 /// [`dg_gossip::node_stream_seed`].
-pub fn round_seed(run_seed: u64, round: u64) -> u64 {
+pub(crate) fn round_seed(run_seed: u64, round: u64) -> u64 {
     let mut z = run_seed
         ^ 0xA076_1D64_78BD_642F_u64
         ^ round.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -296,7 +296,7 @@ pub enum CheckpointKind {
 /// A running simulation that can be checkpointed and resumed.
 ///
 /// Owns the engine (which owns the scenario), runs rounds on the
-/// deterministic [`round_seed`] schedule, and persists / recovers its
+/// deterministic `round_seed` schedule, and persists / recovers its
 /// state through a [`dg_store::Store`]. See the module docs for the
 /// lifecycle and the bit-identity contract.
 pub struct RunSession {
@@ -410,7 +410,7 @@ impl RunSession {
     /// Persist the current state into the store at `dir`.
     ///
     /// Writes a full epoch the first time (and every
-    /// [`FULL_EPOCH_INTERVAL`]-th time, and whenever the chain in `dir`
+    /// `FULL_EPOCH_INTERVAL`-th time, and whenever the chain in `dir`
     /// is not the one this session last wrote or resumed); in between,
     /// consecutive checkpoints persist only the node records that
     /// changed since the last one, as a delta on the chain: the nodes

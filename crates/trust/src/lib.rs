@@ -60,7 +60,7 @@ pub use delta::SubjectAggregateCache;
 pub use error::TrustError;
 pub use matrix::{RowSlab, ShardSpec, TrustMatrix};
 pub use robust::RobustAggregation;
-pub use snapshot::{RankIndex, ReputationSnapshot, SnapshotCell};
+pub use snapshot::{ReputationSnapshot, SnapshotCell};
 pub use value::TrustValue;
 pub use weights::WeightParams;
 

@@ -53,7 +53,7 @@ impl ShardSpec {
     /// Row-chunk target of [`ShardSpec::auto`]: small enough that a
     /// shard's arena stays cache- and allocator-friendly, large enough
     /// that per-shard fixed costs amortise.
-    pub const AUTO_CHUNK: usize = 32_768;
+    pub(crate) const AUTO_CHUNK: usize = 32_768;
 
     /// Partition `n` rows into `shard_count` contiguous chunks, with
     /// `shard_count` clamped to `1..=max(n, 1)`.
@@ -67,7 +67,7 @@ impl ShardSpec {
     }
 
     /// Deterministic default for `n` rows: one shard per
-    /// [`AUTO_CHUNK`](Self::AUTO_CHUNK) rows. A pure function of `n` —
+    /// `AUTO_CHUNK` rows. A pure function of `n` —
     /// never of the machine — and results do not depend on it anyway.
     pub fn auto(n: usize) -> Self {
         Self::new(n, n.div_ceil(Self::AUTO_CHUNK))

@@ -9,7 +9,7 @@
 //! point lookups ([`reputation`](ReputationSnapshot::reputation)) are
 //! `O(1)`, and ranked queries ([`top_k`](ReputationSnapshot::top_k),
 //! [`percentile`](ReputationSnapshot::percentile)) go through a
-//! [`RankIndex`] — the scored subjects sorted by `(reputation bits,
+//! `RankIndex` — the scored subjects sorted by `(reputation bits,
 //! subject)`. Between consecutive rounds only the subjects whose mean
 //! moved re-sort: [`ReputationSnapshot::next_round`] diffs bitwise
 //! against the previous snapshot and rebuilds the index with one merge
@@ -51,7 +51,7 @@ fn rank_cmp(a: &(u64, u32), b: &(u64, u32)) -> std::cmp::Ordering {
 /// Deterministic: the order compares raw bits, so it is identical on
 /// every build of the same round.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankIndex {
+pub(crate) struct RankIndex {
     /// `(orderable reputation bits, subject)` in [`rank_cmp`] order.
     keys: Vec<(u64, u32)>,
 }
