@@ -1421,6 +1421,39 @@ mod tests {
         (records, delta)
     }
 
+    /// A requester whose aggregated reputation at every provider is
+    /// exactly `admission_threshold × mean` (0.25 = 0.5 × 0.5, exact in
+    /// binary) is served on every edge; one a step below is refused on
+    /// every edge.
+    #[test]
+    fn admission_serves_a_requester_exactly_at_the_threshold() {
+        let mut config = RunConfig::with_nodes(30)
+            .with_seed(3)
+            .with_free_riders(0.0)
+            .with_quality_range(0.4, 1.0);
+        config.admission_threshold = 0.5;
+        let scenario = Arc::new(Scenario::build(config).expect("scenario builds"));
+        let mut core = EngineCore::new(scenario);
+        let requester = NodeId(0);
+        let providers = core.scenario.graph.neighbours(requester).to_vec();
+        let requests = providers.len() as u64 * u64::from(config.requests_per_edge);
+        assert!(requests > 0);
+        let below = f64::from_bits(0.25f64.to_bits() - 1);
+        for (value, served) in [(0.25, true), (below, false)] {
+            for &p in &providers {
+                core.aggregated[p as usize] = vec![(requester, value)];
+                core.observer_mean[p as usize] = Some(0.5);
+            }
+            let delta = core.transact(&mut NodeState::default(), requester, 1);
+            let expected = if served { (requests, 0) } else { (0, requests) };
+            assert_eq!(
+                (delta.served_honest, delta.refused_honest),
+                expected,
+                "run value {value}"
+            );
+        }
+    }
+
     /// Every estimator's value bits and transaction count.
     fn estimator_bits(state: &NodeState) -> Vec<(NodeId, u64, u64)> {
         state

@@ -42,7 +42,7 @@
 //!   (sybil rings, collusion cliques, slanderers, whitewashers, stealth
 //!   cartels) compiled
 //!   from an [`AdversaryMix`](dg_gossip::AdversaryMix) and applied by
-//!   the round engines where reports enter the gossip channel;
+//!   the round engine where reports enter the gossip channel;
 //! * [`report`] — fixed-width table rendering and JSON-lines output for
 //!   the harness binaries;
 //! * [`serve`] — the serve layer's session: deterministic interleaving

@@ -15,6 +15,9 @@
 //!    moves past the deviation bound the defense is supposed to hold),
 //!    while the seeded audit layer convicts deterministically, never
 //!    touches an honest node, and vanishes bitwise at rate zero.
+//! 6. **The honest residual** — recomputed from the per-subject means a
+//!    reader of the run sees, it equals the session's bit for bit, with
+//!    every adversary left out (slanderers serve honestly).
 //!
 //! Properties 1–3 and the audit determinism checks run as sequences of
 //! the session model (`tests/model/mod.rs`).
@@ -26,7 +29,7 @@ use differential_gossip::gossip::{AdversaryMix, EngineKind};
 use differential_gossip::graph::NodeId;
 use differential_gossip::sim::kernel::EngineCore;
 use differential_gossip::sim::rounds::{DefensePolicy, RoundStats};
-use differential_gossip::sim::{RoundEngine, RunConfig, Scenario};
+use differential_gossip::sim::{RoundEngine, RunConfig, RunSession, Scenario};
 use differential_gossip::trust::audit::AuditPolicy;
 use model::Op::Run;
 use proptest::prelude::*;
@@ -285,6 +288,45 @@ fn slander_residual_shrinks_under_robust_aggregation() {
     assert!(
         defended < open,
         "robust aggregation should shrink the slander residual: open {open} vs defended {defended}"
+    );
+}
+
+/// The session's honest residual recomputed from what a reader of the
+/// run sees: the per-subject mean reputations, the latent qualities, and
+/// who is an honest non-adversary. Slanderers serve honestly — their
+/// behaviour is `Honest` — so only the adversary test keeps them out.
+#[test]
+fn honest_residual_is_recomputed_from_subject_means() {
+    let mix = AdversaryMix {
+        slander_fraction: 0.3,
+        ..AdversaryMix::slander()
+    };
+    let config = scenario_config(7, mix).with_rounds(4);
+    let mut session = RunSession::new(config).expect("session builds");
+    session.run().expect("rounds run");
+    let scenario = Scenario::build(config).expect("scenario builds");
+    let qualities = scenario.population.latent_qualities();
+    let means = session.subject_mean_reputations();
+
+    let (mut err, mut count, mut slandered) = (0.0, 0usize, 0usize);
+    for (j, mean) in means.iter().enumerate() {
+        let node = NodeId(j as u32);
+        let Some(mean) = mean else { continue };
+        let honest = matches!(scenario.population.behavior(node), Behavior::Honest { .. });
+        if scenario.adversaries.is_adversary(node) {
+            slandered += usize::from(honest);
+            continue;
+        }
+        if honest {
+            err += (mean - qualities[j]).abs();
+            count += 1;
+        }
+    }
+    assert!(slandered > 0, "no scored slanderer with honest behaviour");
+    let expected = (count > 0).then(|| err / count as f64);
+    assert_eq!(
+        session.honest_residual().map(f64::to_bits),
+        expected.map(f64::to_bits)
     );
 }
 
