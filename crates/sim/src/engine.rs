@@ -136,68 +136,6 @@ enum Strategy {
     Delta(Box<DeltaState>),
 }
 
-impl RoundEngine {
-    /// The engine the scenario's own config selects, over that (shared)
-    /// scenario, at round 0: the oracle round for
-    /// [`EngineKind::Sequential`]; for [`EngineKind::Incremental`], delta
-    /// rounds under gated traffic in closed-form neighbourhood scope and
-    /// rebuild rounds otherwise. The one place a round strategy is
-    /// chosen.
-    pub fn new(scenario: Arc<Scenario>) -> Self {
-        let core = EngineCore::new(scenario);
-        let config = &core.scenario.config;
-        let strategy = match config.engine {
-            EngineKind::Sequential => Strategy::Oracle(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(1)
-                    .build()
-                    .expect("single-thread pool"),
-            ),
-            EngineKind::Incremental
-                if !config.traffic.is_full() && config.is_closed_form_neighbourhood() =>
-            {
-                Strategy::Delta(Box::new(DeltaState::new(&core)))
-            }
-            EngineKind::Incremental => Strategy::Rebuild,
-        };
-        Self { core, strategy }
-    }
-
-    /// The shared cross-round state.
-    pub fn core(&self) -> &EngineCore {
-        &self.core
-    }
-
-    /// Run one full round from the given seed.
-    pub fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
-        let core = &mut self.core;
-        match &mut self.strategy {
-            Strategy::Oracle(single) => single.install(|| run_sequential_round(core, round_seed)),
-            Strategy::Rebuild => rebuild_round(core, round_seed),
-            Strategy::Delta(state) => state.run_round(core, round_seed),
-        }
-    }
-
-    /// Replace the engine's cross-round state with `records` (written
-    /// under any strategy), about to run `round`. Fails with
-    /// [`SessionError::Snapshot`], leaving the engine untouched, if the
-    /// records do not fit the scenario. The restore is in place, into
-    /// the engine's own [`EngineCore`]: it checks every record, copies
-    /// each into the core and frees the records, so it holds the records
-    /// and one engine. Only then is the delta round's state, which the
-    /// records omit, dropped and started over, unprimed (see
-    /// `DeltaState::new`).
-    pub fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
-        self.core.restore(round, records)?;
-        if matches!(self.strategy, Strategy::Delta(_)) {
-            // Drop the stale state before its replacement is built.
-            self.strategy = Strategy::Rebuild;
-            self.strategy = Strategy::Delta(Box::new(DeltaState::new(&self.core)));
-        }
-        Ok(())
-    }
-}
-
 /// What the delta round keeps alive across rounds — all of it derived
 /// from the core's records, none of it in a checkpoint.
 struct DeltaState {
@@ -432,6 +370,68 @@ fn patch_run(
 /// Frontier items per [`Piece`]: small enough that a multi-thread pool
 /// has blocks to steal, large enough that cutting them costs nothing.
 const PIECE_ITEMS: usize = 4096;
+
+impl RoundEngine {
+    /// The engine the scenario's own config selects, over that (shared)
+    /// scenario, at round 0: the oracle round for
+    /// [`EngineKind::Sequential`]; for [`EngineKind::Incremental`], delta
+    /// rounds under gated traffic in closed-form neighbourhood scope and
+    /// rebuild rounds otherwise. The one place a round strategy is
+    /// chosen.
+    pub fn new(scenario: Arc<Scenario>) -> Self {
+        let core = EngineCore::new(scenario);
+        let config = &core.scenario.config;
+        let strategy = match config.engine {
+            EngineKind::Sequential => Strategy::Oracle(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(1)
+                    .build()
+                    .expect("single-thread pool"),
+            ),
+            EngineKind::Incremental
+                if !config.traffic.is_full() && config.is_closed_form_neighbourhood() =>
+            {
+                Strategy::Delta(Box::new(DeltaState::new(&core)))
+            }
+            EngineKind::Incremental => Strategy::Rebuild,
+        };
+        Self { core, strategy }
+    }
+
+    /// The shared cross-round state.
+    pub fn core(&self) -> &EngineCore {
+        &self.core
+    }
+
+    /// Run one full round from the given seed.
+    pub fn run_round(&mut self, round_seed: u64) -> Result<RoundStats, CoreError> {
+        let core = &mut self.core;
+        match &mut self.strategy {
+            Strategy::Oracle(single) => single.install(|| run_sequential_round(core, round_seed)),
+            Strategy::Rebuild => rebuild_round(core, round_seed),
+            Strategy::Delta(state) => state.run_round(core, round_seed),
+        }
+    }
+
+    /// Replace the engine's cross-round state with `records` (written
+    /// under any strategy), about to run `round`. Fails with
+    /// [`SessionError::Snapshot`], leaving the engine untouched, if the
+    /// records do not fit the scenario. The restore is in place, into
+    /// the engine's own [`EngineCore`]: it checks every record, copies
+    /// each into the core and frees the records, so it holds the records
+    /// and one engine. Only then is the delta round's state, which the
+    /// records omit, dropped and started over, unprimed (see
+    /// `DeltaState::new`).
+    pub fn restore(&mut self, round: usize, records: Vec<NodeRecord>) -> Result<(), SessionError> {
+        self.core.restore(round, records)?;
+        if matches!(self.strategy, Strategy::Delta(_)) {
+            // Drop the stale state before its replacement is built.
+            self.strategy = Strategy::Rebuild;
+            self.strategy = Strategy::Delta(Box::new(DeltaState::new(&self.core)));
+        }
+        Ok(())
+    }
+}
 
 /// The oracle round: one inline pass over nodes per phase, rows pushed
 /// in order onto a fresh matrix — deliberately the simplest possible
