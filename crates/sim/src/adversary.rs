@@ -6,11 +6,11 @@
 //! into an [`AdversaryAssignment`]: a per-node `Role` plus the tables
 //! the attacks read (sybil rings with their spawn schedules, collusion
 //! cliques, stealth cartels, the slander factor and the whitewashers'
-//! thresholds). The round engines then consult the assignment at three
+//! thresholds). Every round strategy then consults the assignment at three
 //! points:
 //!
 //! 1. **transact** — dormant sybil identities neither request nor serve
-//!    ([`AdversaryAssignment::participates`]); adversarial requesters are
+//!    (`AdversaryAssignment::participates`); adversarial requesters are
 //!    counted in their own service-statistics class;
 //! 2. **report** — each node's estimated trust row passes through
 //!    `AdversaryAssignment::distort_row`, one `match` on the node's
@@ -275,7 +275,7 @@ impl AdversaryAssignment {
 
     /// Whether `node` transacts and reports in `round` (dormant sybil
     /// identities do neither).
-    pub fn participates(&self, node: NodeId, round: u64) -> bool {
+    pub(crate) fn participates(&self, node: NodeId, round: u64) -> bool {
         match self.roles[node.index()] {
             Role::Sybil { ring } => self.rings[ring as usize].active(node, round),
             _ => true,
