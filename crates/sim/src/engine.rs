@@ -487,12 +487,12 @@ fn run_sequential_round(core: &mut EngineCore, round_seed: u64) -> Result<RoundS
     Ok(core.finish_round(delta, report_entries, Changed::All, |_, _| {}))
 }
 
-/// Phase 1 of the rebuild and delta rounds: the per-requester kernel
-/// the oracle round uses too
-/// (identical RNG streams), fanned out over index blocks that each draw
-/// into their own slice of the node states — under skewed traffic, one
-/// activity sweep and a handful of requesters per block. Marks and
-/// returns the requesters that folded an outcome, ascending.
+/// Phase 1 of the rebuild and delta rounds: the per-requester kernel the
+/// oracle round uses too (identical RNG streams), fanned out over index
+/// blocks that each draw into their own slice of the node states — under
+/// skewed traffic, one activity sweep and a handful of requesters per
+/// block. Marks and returns the requesters that folded an outcome,
+/// ascending.
 fn transact_blocks(core: &mut EngineCore, round_seed: u64) -> (ServiceDelta, Vec<NodeId>) {
     const BLOCK: usize = 4096;
     let mut nodes = std::mem::take(&mut core.nodes);
