@@ -61,7 +61,7 @@
 
 use crate::rounds::{AggregationMode, AggregationScope, NewcomerPolicy, RoundStats};
 use crate::scenario::Scenario;
-use crate::session::{check_record, node_from_record, node_record, SessionError};
+use crate::session::{check_record, node_from_record, LiveRecord, SessionError};
 use crate::workload::ActivityPlan;
 use dg_core::algorithms::alg4;
 use dg_core::behavior::Behavior;
@@ -632,7 +632,7 @@ impl ChangeMarks {
     }
 
     /// The marked nodes, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
             std::iter::from_fn(move || {
@@ -807,19 +807,24 @@ impl EngineCore {
 
     /// One node's entry of [`Self::records`].
     pub(crate) fn record(&self, node: NodeId) -> NodeRecord {
+        NodeRecord::from_view(&self.live_record(node))
+    }
+
+    /// One node's record read in place, for a checkpoint to encode.
+    pub(crate) fn live_record(&self, node: NodeId) -> LiveRecord<'_> {
         let i = node.index();
-        node_record(
-            i,
-            &self.nodes[i],
-            &self.aggregated[i],
-            self.observer_mean[i],
-        )
+        LiveRecord {
+            node: node.0,
+            state: &self.nodes[i],
+            run: &self.aggregated[i],
+            mean: self.observer_mean[i],
+        }
     }
 
     /// The records of the nodes marked since the last commit,
-    /// ascending, built one at a time — a delta checkpoint's content.
-    pub(crate) fn marked_records(&self) -> impl Iterator<Item = NodeRecord> + '_ {
-        self.marks.iter().map(|node| self.record(node))
+    /// ascending, read in place — a delta checkpoint's content.
+    pub(crate) fn marked_records(&self) -> impl Iterator<Item = LiveRecord<'_>> + Clone + '_ {
+        self.marks.iter().map(|node| self.live_record(node))
     }
 
     /// The state is committed: nothing has changed since.

@@ -51,7 +51,8 @@ use dg_core::CoreError;
 use dg_gossip::GossipError;
 use dg_graph::NodeId;
 use dg_store::{
-    AuditEntryRecord, EstimatorRecord, NodeRecord, Snapshot, SnapshotHeader, Store, StoreError,
+    AuditEntryRecord, EstimatorRecord, NodeRecord, RecordView, Snapshot, SnapshotHeader, Store,
+    StoreError,
 };
 use dg_trust::audit::{ReportLog, ReportLogEntry};
 use dg_trust::prelude::EwmaEstimator;
@@ -141,16 +142,22 @@ impl From<StoreError> for SessionError {
 }
 
 /// One node's cross-round state — its [`NodeState`], its aggregated
-/// `run` and its observer `mean` — written down as the store's record.
-pub(crate) fn node_record(
-    node: usize,
-    state: &NodeState,
-    run: &[(NodeId, f64)],
-    mean: Option<f64>,
-) -> NodeRecord {
-    NodeRecord {
-        node: node as u32,
-        estimators: state
+/// `run` and its observer `mean` — read as the store's record where it
+/// lies: what a checkpoint encodes, and what [`NodeRecord::from_view`]
+/// copies out.
+pub(crate) struct LiveRecord<'a> {
+    pub(crate) node: u32,
+    pub(crate) state: &'a NodeState,
+    pub(crate) run: &'a [(NodeId, f64)],
+    pub(crate) mean: Option<f64>,
+}
+
+impl RecordView for LiveRecord<'_> {
+    fn node(&self) -> u32 {
+        self.node
+    }
+    fn estimators(&self) -> impl ExactSizeIterator<Item = EstimatorRecord> {
+        self.state
             .estimators
             .iter()
             .map(|(peer, est)| EstimatorRecord {
@@ -159,22 +166,26 @@ pub(crate) fn node_record(
                 value: est.estimate().get(),
                 count: est.transactions(),
             })
-            .collect(),
-        run: run.iter().map(|&(subject, rep)| (subject.0, rep)).collect(),
-        mean,
-        audit_log: state
-            .log
-            .entries()
-            .iter()
-            .map(|e| AuditEntryRecord {
-                subject: e.subject.0,
-                round: e.round,
-                reported: e.reported,
-                implied: e.implied,
-            })
-            .collect(),
-        strikes: state.strikes,
-        convicted_at: state.convicted_at,
+    }
+    fn run(&self) -> impl ExactSizeIterator<Item = (u32, f64)> {
+        self.run.iter().map(|&(subject, rep)| (subject.0, rep))
+    }
+    fn mean(&self) -> Option<f64> {
+        self.mean
+    }
+    fn audit_log(&self) -> impl ExactSizeIterator<Item = AuditEntryRecord> {
+        self.state.log.entries().iter().map(|e| AuditEntryRecord {
+            subject: e.subject.0,
+            round: e.round,
+            reported: e.reported,
+            implied: e.implied,
+        })
+    }
+    fn strikes(&self) -> u32 {
+        self.state.strikes
+    }
+    fn convicted_at(&self) -> Option<u64> {
+        self.state.convicted_at
     }
 }
 
@@ -241,7 +252,7 @@ pub(crate) fn check_record(
     Ok(())
 }
 
-/// The inverse of [`node_record`], for a record [`check_record`]
+/// The inverse of [`LiveRecord`], for a record [`check_record`]
 /// accepted: copied into fresh allocations (the record's own buffers
 /// are not adopted), bit for bit.
 pub(crate) fn node_from_record(record: &NodeRecord) -> NodeParts {
@@ -474,7 +485,7 @@ impl RunSession {
             store.write_delta(&header, core.marked_records())?;
             CheckpointKind::Delta
         } else {
-            store.write_epoch_with(&header, |node| core.record(NodeId(node)))?;
+            store.write_epoch_with(&header, |node| core.live_record(NodeId(node)))?;
             CheckpointKind::Full
         };
         // Committed: the marks restart from this state. A failed write
@@ -747,6 +758,46 @@ mod tests {
         }
     }
 
+    /// Checkpointing every round of the whitewash + audit pin's run,
+    /// past a second full epoch: each delta the session streams from
+    /// live state is the file `Store::write_delta` writes for the
+    /// `dg_store::changed` records, and each epoch the files
+    /// `write_epoch` writes for `records()` — `dg_store::same` compares
+    /// every file byte for byte.
+    #[test]
+    fn streamed_checkpoints_write_the_bytes_of_the_record_writers() {
+        let (streamed, written) = (temp_dir("live_frames"), temp_dir("record_frames"));
+        let reference = Store::open(&written);
+        let mut session = RunSession::new(whitewash_and_audit_config()).unwrap();
+        let mut committed: Vec<NodeRecord> = Vec::new();
+        let mut kinds = Vec::new();
+        for round in 1..=FULL_EPOCH_INTERVAL + 3 {
+            session.run_to(round).unwrap();
+            let kind = session.checkpoint(&streamed).unwrap();
+            let header = Store::open(&streamed).load_latest().unwrap().header;
+            let records = session.records();
+            match kind {
+                CheckpointKind::Full => reference.write_epoch(&header, &records),
+                CheckpointKind::Delta => {
+                    reference.write_delta(&header, dg_store::changed(&committed, &records))
+                }
+            }
+            .unwrap();
+            let ours = dg_store::FORMAT_VERSION;
+            let versions = dg_store::same(&written, &streamed).unwrap();
+            assert_eq!(versions, Some((ours, ours)), "round {round} ({kind:?})");
+            committed = records;
+            kinds.push(kind);
+        }
+        let fulls = kinds.iter().filter(|&&k| k == CheckpointKind::Full).count();
+        assert_eq!((fulls, kinds.len()), (2, FULL_EPOCH_INTERVAL + 3));
+        let stats = session.stats();
+        assert!(stats.iter().any(|s| s.washes > 0) && stats.iter().any(|s| s.convictions > 0));
+        for dir in [streamed, written] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
     #[test]
     fn restore_rejects_records_the_round_loop_cannot_run_on() {
         // Gated traffic in neighbourhood scope takes the delta round,
@@ -1008,11 +1059,8 @@ mod tests {
         assert_pinned(config, |_, _| {}, 0xada7_0886_d1e1_bf36, stats);
     }
 
-    /// Whitewashers wash and audits convict: `forget` drops the purged
-    /// peers from every view, `reset_identity` empties the purged
-    /// nodes', and the audit log reads each emitted report's estimator.
-    #[test]
-    fn whitewash_and_audit_rounds_are_pinned() {
+    /// Whitewashers that wash and audits that convict, over six rounds.
+    fn whitewash_and_audit_config() -> RunConfig {
         let mix = AdversaryMix {
             whitewash_fraction: 0.1,
             stealth_fraction: 0.15,
@@ -1025,10 +1073,18 @@ mod tests {
             log_capacity: 6,
             ..AuditPolicy::standard()
         };
-        let config = small_config()
+        small_config()
             .with_rounds(6)
             .with_adversary(mix)
-            .with_audit(audit);
+            .with_audit(audit)
+    }
+
+    /// Whitewashers wash and audits convict: `forget` drops the purged
+    /// peers from every view, `reset_identity` empties the purged
+    /// nodes', and the audit log reads each emitted report's estimator.
+    #[test]
+    fn whitewash_and_audit_rounds_are_pinned() {
+        let config = whitewash_and_audit_config();
         let stats = r#"{"round":5,"served_honest":765,"refused_honest":0,"served_free_riders":40,"refused_free_riders":250,"served_adversaries":350,"refused_adversaries":5,"mean_rep_honest":0.39955307714207866,"mean_rep_free_riders":0.016808839561554767,"mean_rep_adversaries":0.14050490478426403,"washes":8,"active_nodes":75,"dirty_fraction":0.8125,"audits":22,"audit_strikes":3,"convictions":3,"audit_entries":44,"report_entries":282,"ingested_reports":0,"ingest_shed":0}"#;
         let session = assert_pinned(config, |_, _| {}, 0xa409_e801_3e90_22b1, stats);
         let stats = session.stats();

@@ -7,7 +7,12 @@
 //! format 1–3 frames older builds wrote. The frame makes the three
 //! corruption modes the store must survive cheap to detect: truncation
 //! (length check), garbling (digest check) and cross-wiring a file into
-//! the wrong slot (kind tag). Payload decoding on top of the frame goes
+//! the wrong slot (kind tag). Every framed file is written by one writer
+//! ([`write_frame_with`]): the prelude with the payload length a sizing
+//! pass found, then the payload through one fixed-size chunk that is
+//! hashed by the streaming [`Xxh64`] and written each time it fills,
+//! then the digest trailer — via a `.tmp` sibling that is renamed into
+//! place, or removed on any error. Payload decoding on top of the frame goes
 //! through [`ByteReader`], whose every read is bounds-checked and
 //! returns a reason string the caller wraps into
 //! [`StoreError::Corrupt`](crate::StoreError::Corrupt).
@@ -15,7 +20,7 @@
 use crate::wire::{read_versioned_frame, WireError};
 use crate::StoreError;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Current snapshot format version, stamped into every frame and
 /// header. Readers accept any version `<= FORMAT_VERSION`; newer files
@@ -109,61 +114,119 @@ fn xxh64_merge(hash: u64, acc: u64) -> u64 {
         .wrapping_add(XXH_PRIME64_4)
 }
 
-/// XXH64 of `bytes` under `seed` — the published algorithm (four
-/// independent lanes over 8-byte words, then the 8/4/1-byte tail and the
-/// avalanche), the digest of format-4 frames. Like FNV-1a it is an
-/// integrity check against torn writes and bit rot, not an adversarial
-/// MAC; unlike it, the lanes do not wait on each other.
+/// One 32-byte stripe into the four lanes.
+fn xxh64_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+        *lane = xxh64_round(*lane, read_u64(word));
+    }
+}
+
+/// XXH64 of `bytes` under `seed`: the streaming [`Xxh64`] fed one
+/// slice.
 pub(crate) fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let stripes = bytes.chunks_exact(32);
-    let mut tail = stripes.remainder();
-    let mut hash = if bytes.len() >= 32 {
-        let mut acc = [
-            seed.wrapping_add(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_2),
-            seed.wrapping_add(XXH_PRIME64_2),
+    let mut hasher = Xxh64::new(seed);
+    hasher.update(bytes);
+    hasher.finish()
+}
+
+/// XXH64 — the published algorithm (four independent lanes over 8-byte
+/// words, then the 8/4/1-byte tail and the avalanche), the digest of
+/// format-4 frames — fed in pieces: the digest of the pieces laid end
+/// to end, wherever they are split. Like FNV-1a it is an integrity
+/// check against torn writes and bit rot, not an adversarial MAC;
+/// unlike it, the lanes do not wait on each other.
+#[derive(Debug, Clone)]
+pub(crate) struct Xxh64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// The bytes of a stripe not yet complete.
+    pending: [u8; 32],
+    pending_len: usize,
+    total: u64,
+}
+
+impl Xxh64 {
+    pub(crate) fn new(seed: u64) -> Self {
+        Self {
             seed,
-            seed.wrapping_sub(XXH_PRIME64_1),
-        ];
-        for stripe in stripes {
-            for (lane, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = xxh64_round(*lane, read_u64(word));
-            }
+            lanes: [
+                seed.wrapping_add(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_2),
+                seed.wrapping_add(XXH_PRIME64_2),
+                seed,
+                seed.wrapping_sub(XXH_PRIME64_1),
+            ],
+            pending: [0; 32],
+            pending_len: 0,
+            total: 0,
         }
-        let hash = acc[0]
-            .rotate_left(1)
-            .wrapping_add(acc[1].rotate_left(7))
-            .wrapping_add(acc[2].rotate_left(12))
-            .wrapping_add(acc[3].rotate_left(18));
-        acc.iter().fold(hash, |hash, &lane| xxh64_merge(hash, lane))
-    } else {
-        seed.wrapping_add(XXH_PRIME64_5)
-    };
-    hash = hash.wrapping_add(bytes.len() as u64);
-    while tail.len() >= 8 {
-        hash = (hash ^ xxh64_round(0, read_u64(tail)))
-            .rotate_left(27)
-            .wrapping_mul(XXH_PRIME64_1)
-            .wrapping_add(XXH_PRIME64_4);
-        tail = &tail[8..];
     }
-    if tail.len() >= 4 {
-        let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-        hash = (hash ^ u64::from(word).wrapping_mul(XXH_PRIME64_1))
-            .rotate_left(23)
-            .wrapping_mul(XXH_PRIME64_2)
-            .wrapping_add(XXH_PRIME64_3);
-        tail = &tail[4..];
+
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = bytes.len().min(32 - self.pending_len);
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            xxh64_stripe(&mut self.lanes, &self.pending);
+            self.pending_len = 0;
+        }
+        let stripes = bytes.chunks_exact(32);
+        let rest = stripes.remainder();
+        let mut lanes = self.lanes;
+        for stripe in stripes {
+            xxh64_stripe(&mut lanes, stripe);
+        }
+        self.lanes = lanes;
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
-    for &byte in tail {
-        hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME64_5))
-            .rotate_left(11)
-            .wrapping_mul(XXH_PRIME64_1);
+
+    pub(crate) fn finish(&self) -> u64 {
+        let mut hash = if self.total >= 32 {
+            let [a, b, c, d] = self.lanes;
+            let hash = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.lanes
+                .iter()
+                .fold(hash, |hash, &lane| xxh64_merge(hash, lane))
+        } else {
+            self.seed.wrapping_add(XXH_PRIME64_5)
+        };
+        hash = hash.wrapping_add(self.total);
+        let mut tail = &self.pending[..self.pending_len];
+        while tail.len() >= 8 {
+            hash = (hash ^ xxh64_round(0, read_u64(tail)))
+                .rotate_left(27)
+                .wrapping_mul(XXH_PRIME64_1)
+                .wrapping_add(XXH_PRIME64_4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+            hash = (hash ^ u64::from(word).wrapping_mul(XXH_PRIME64_1))
+                .rotate_left(23)
+                .wrapping_mul(XXH_PRIME64_2)
+                .wrapping_add(XXH_PRIME64_3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME64_5))
+                .rotate_left(11)
+                .wrapping_mul(XXH_PRIME64_1);
+        }
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(XXH_PRIME64_2);
+        hash ^= hash >> 29;
+        hash = hash.wrapping_mul(XXH_PRIME64_3);
+        hash ^ (hash >> 32)
     }
-    hash ^= hash >> 33;
-    hash = hash.wrapping_mul(XXH_PRIME64_2);
-    hash ^= hash >> 29;
-    hash = hash.wrapping_mul(XXH_PRIME64_3);
-    hash ^ (hash >> 32)
 }
 
 /// The format version a frame's prelude declares.
@@ -171,30 +234,51 @@ pub(crate) fn prelude_version(prelude: &[u8; PRELUDE_LEN]) -> u32 {
     u32::from_le_bytes([prelude[9], prelude[10], prelude[11], prelude[12]])
 }
 
+/// The prelude of a frame of `kind` around `payload_len` payload bytes,
+/// stamped with the current [`FORMAT_VERSION`].
+fn prelude(kind: u8, payload_len: u64) -> [u8; PRELUDE_LEN] {
+    let mut prelude = [0u8; PRELUDE_LEN];
+    prelude[..8].copy_from_slice(&MAGIC);
+    prelude[8] = kind;
+    prelude[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    prelude[13..].copy_from_slice(&payload_len.to_le_bytes());
+    prelude
+}
+
+/// The payload hasher of a format-4-on frame: XXH64 seeded with the
+/// XXH64 of the prelude.
+fn payload_hasher(prelude: &[u8; PRELUDE_LEN]) -> Xxh64 {
+    Xxh64::new(xxh64(prelude, 0))
+}
+
 /// The digest a frame carries after its payload, chosen by the frame's
 /// own version — never the reader's, so a store whose chain mixes
 /// formats verifies frame by frame. Format 4 on: XXH64 of the payload,
 /// seeded with the XXH64 of the prelude. Formats 1–3: FNV-1a-64 over
 /// the prelude and the payload laid end to end. Each piece is hashed
-/// where it lies. The only place a digest is chosen.
+/// where it lies. The only place a digest is chosen; the file writer,
+/// which only writes the current format, streams the same
+/// `payload_hasher`.
 pub(crate) fn frame_digest(prelude: &[u8; PRELUDE_LEN], payload: &[u8]) -> u64 {
     if prelude_version(prelude) >= XXH64_SINCE {
-        xxh64(payload, xxh64(prelude, 0))
+        let mut hasher = payload_hasher(prelude);
+        hasher.update(payload);
+        hasher.finish()
     } else {
         fnv1a64_more(fnv1a64(prelude), payload)
     }
 }
 
-/// The two pieces a frame puts around `payload` — the prelude and the
-/// little-endian digest trailer. The one encoder of the layout, for
-/// files ([`write_frame`]) and streams ([`crate::wire::write_wire_frame`]);
-/// it always writes the current [`FORMAT_VERSION`].
+// The file writer streams XXH64 without asking `frame_digest`.
+const _: () = assert!(FORMAT_VERSION >= XXH64_SINCE);
+
+/// The two pieces a frame puts around `payload` in a stream — the
+/// prelude and the little-endian digest trailer — for
+/// [`crate::wire::write_wire_frame`]; files go through
+/// [`write_frame_with`]. It always writes the current
+/// [`FORMAT_VERSION`].
 pub(crate) fn seal(kind: u8, payload: &[u8]) -> ([u8; PRELUDE_LEN], [u8; 8]) {
-    let mut prelude = [0u8; PRELUDE_LEN];
-    prelude[..8].copy_from_slice(&MAGIC);
-    prelude[8] = kind;
-    prelude[9..13].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    prelude[13..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let prelude = prelude(kind, payload.len() as u64);
     let digest = frame_digest(&prelude, payload);
     (prelude, digest.to_le_bytes())
 }
@@ -213,33 +297,177 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
     }
 }
 
-/// Write `payload` as a framed file at `path`, crash-safely: the bytes
-/// land in a `.tmp` sibling first and are renamed into place, so a kill
-/// mid-write leaves either the old file or no file — never a torn one.
-/// The payload is hashed and written where it lies, not copied into a
-/// frame buffer first (a delta payload is tens of megabytes).
-pub(crate) fn write_frame(path: &Path, kind: FrameKind, payload: &[u8]) -> Result<(), StoreError> {
-    let (prelude, trailer) = seal(kind as u8, payload);
-    write_atomic(path, &[&prelude, payload, &trailer])
+/// Where encoded bytes go: a [`ByteWriter`]'s growing buffer, or a
+/// [`FrameWriter`]'s fixed chunk.
+pub(crate) trait Put {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
 }
 
-/// Write `parts`, end to end, to `path` via a temporary sibling + rename.
-pub(crate) fn write_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), StoreError> {
-    let tmp = match path.file_name().and_then(|n| n.to_str()) {
-        Some(name) => path.with_file_name(format!("{name}.tmp")),
-        None => {
-            return Err(StoreError::Invalid {
-                reason: format!("{} has no file name", path.display()),
-            })
-        }
-    };
-    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    for part in parts {
-        file.write_all(part).map_err(|e| io_err(&tmp, e))?;
+/// A file written at a `.tmp` sibling of its path and renamed into
+/// place by [`Staged::commit`], so a kill mid-write leaves either the
+/// old file or no file — never a torn one. Dropped before the commit
+/// (any error on the way), it removes the `.tmp` file.
+struct Staged {
+    /// `None` once closed for the rename.
+    file: Option<std::fs::File>,
+    tmp: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl Staged {
+    fn create(path: &Path) -> Result<Self, StoreError> {
+        let tmp = match path.file_name().and_then(|n| n.to_str()) {
+            Some(name) => path.with_file_name(format!("{name}.tmp")),
+            None => {
+                return Err(StoreError::Invalid {
+                    reason: format!("{} has no file name", path.display()),
+                })
+            }
+        };
+        // Nothing to clean up until the tmp file is ours.
+        let file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+        Ok(Self {
+            file: Some(file),
+            tmp,
+            path: path.to_path_buf(),
+            committed: false,
+        })
     }
-    // Closed before the rename, as `fs::write` left it.
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        match &mut self.file {
+            Some(file) => file.write_all(bytes),
+            None => Ok(()),
+        }
+    }
+
+    fn commit(mut self) -> Result<(), StoreError> {
+        // Closed before the rename, as `fs::write` left it.
+        drop(self.file.take());
+        std::fs::rename(&self.tmp, &self.path).map_err(|e| io_err(&self.path, e))?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        if !self.committed {
+            drop(self.file.take());
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Write `bytes` to `path` via a temporary sibling + rename.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut staged = Staged::create(path)?;
+    staged.write(bytes).map_err(|e| io_err(&staged.tmp, e))?;
+    staged.commit()
+}
+
+/// Bytes a [`FrameWriter`] gathers before it hashes and writes them:
+/// its one buffer, whatever the size of the payload.
+const CHUNK: usize = 256 * 1024;
+
+/// The payload of one framed file on its way to disk (see
+/// [`write_frame_with`]): what is [`put`](Put::put) gathers in one
+/// fixed chunk, which is hashed and written each time it fills.
+pub(crate) struct FrameWriter {
+    staged: Staged,
+    chunk: Vec<u8>,
+    /// Where the payload starts in `chunk`: past the prelude in the
+    /// first chunk, at 0 after.
+    payload_from: usize,
+    hasher: Xxh64,
+    /// Payload bytes put so far.
+    put: u64,
+    /// The first write that failed; the chunks after it are only hashed.
+    failed: Option<std::io::Error>,
+}
+
+impl FrameWriter {
+    fn flush(&mut self) {
+        self.hasher.update(&self.chunk[self.payload_from..]);
+        if self.failed.is_none() {
+            self.failed = self.staged.write(&self.chunk).err();
+        }
+        self.chunk.clear();
+        self.payload_from = 0;
+    }
+}
+
+impl Put for FrameWriter {
+    fn put(&mut self, mut bytes: &[u8]) {
+        self.put += bytes.len() as u64;
+        while self.chunk.len() + bytes.len() > CHUNK {
+            let (head, rest) = bytes.split_at(CHUNK - self.chunk.len());
+            self.chunk.extend_from_slice(head);
+            self.flush();
+            bytes = rest;
+        }
+        self.chunk.extend_from_slice(bytes);
+    }
+}
+
+/// Write a framed file of `kind` at `path` whose payload is the
+/// `payload_len` bytes `fill` puts — the one writer of framed files.
+/// The prelude, the payload and the digest trailer go out through one
+/// fixed-size chunk, each piece hashed and written where it lies: no
+/// buffer grows with the payload (a delta payload is tens of
+/// megabytes). Crash-safe: the bytes land in a `.tmp` sibling that is
+/// renamed into place. A payload whose length is not the declared one
+/// is refused with [`StoreError::Invalid`] before the rename, and every
+/// error removes the `.tmp` file.
+pub(crate) fn write_frame_with(
+    path: &Path,
+    kind: FrameKind,
+    payload_len: u64,
+    fill: impl FnOnce(&mut FrameWriter),
+) -> Result<(), StoreError> {
+    let prelude = prelude(kind as u8, payload_len);
+    let mut chunk =
+        Vec::with_capacity((PRELUDE_LEN as u64 + payload_len).min(CHUNK as u64) as usize);
+    chunk.extend_from_slice(&prelude);
+    let mut writer = FrameWriter {
+        staged: Staged::create(path)?,
+        chunk,
+        payload_from: PRELUDE_LEN,
+        hasher: payload_hasher(&prelude),
+        put: 0,
+        failed: None,
+    };
+    fill(&mut writer);
+    writer.flush();
+    let FrameWriter {
+        mut staged,
+        hasher,
+        put,
+        failed,
+        ..
+    } = writer;
+    if let Some(e) = failed {
+        return Err(io_err(&staged.tmp, e));
+    }
+    if put != payload_len {
+        return Err(StoreError::Invalid {
+            reason: format!(
+                "{}: {put} payload bytes written where the frame declares {payload_len}",
+                path.display()
+            ),
+        });
+    }
+    let trailer = hasher.finish().to_le_bytes();
+    staged.write(&trailer).map_err(|e| io_err(&staged.tmp, e))?;
+    staged.commit()
+}
+
+/// Write `payload` as a framed file at `path` (see
+/// [`write_frame_with`]).
+pub(crate) fn write_frame(path: &Path, kind: FrameKind, payload: &[u8]) -> Result<(), StoreError> {
+    write_frame_with(path, kind, payload.len() as u64, |w| w.put(payload))
 }
 
 /// Read and verify a framed file, returning its format version and
@@ -289,8 +517,10 @@ pub(crate) fn read_frame(path: &Path, kind: FrameKind) -> Result<(u32, Vec<u8>),
     Ok((version, payload))
 }
 
-/// Little-endian payload writer (the encode half of the record codec,
-/// shared with wire-protocol payloads — see [`crate::wire`]).
+/// Little-endian payload writer that grows in memory: wire-protocol
+/// payloads (see [`crate::wire`]) and gossip checkpoints are built in
+/// one before they are framed. Node records skip it on their way to a
+/// file — the record encoder writes into the file's fixed chunk.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -305,17 +535,6 @@ impl ByteWriter {
     /// The encoded payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Overwrite the `u32` written at byte offset `at` — the back-patch
-    /// of a count prefix written before its items.
-    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Append one byte.
@@ -348,16 +567,11 @@ impl ByteWriter {
             None => self.put_u8(0),
         }
     }
+}
 
-    /// Append an optional `u64` (presence byte + value).
-    pub(crate) fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-            None => self.put_u8(0),
-        }
+impl Put for ByteWriter {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -492,6 +706,52 @@ mod tests {
             0xfbce_a83c_8a37_8bf1
         );
         assert_eq!(xxh64(b"xxhash", 20_141_025), 0xb559_b98d_844e_0635);
+    }
+
+    #[test]
+    fn streamed_xxh64_is_the_one_shot_digest_wherever_it_is_split() {
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 193 + 11) as u8).collect();
+        for n in 0..=100 {
+            let whole = xxh64(&bytes[..n], 7);
+            for cut in 0..=n {
+                let mut hasher = Xxh64::new(7);
+                hasher.update(&bytes[..cut]);
+                hasher.update(&bytes[cut..n]);
+                assert_eq!(hasher.finish(), whole, "{n} bytes split at {cut}");
+            }
+            for (a, b) in [(1, 33), (5, 40), (31, 64), (32, 65), (n / 3, 2 * n / 3)] {
+                let (a, b) = (a.min(n), b.min(n));
+                let mut hasher = Xxh64::new(7);
+                for piece in [&bytes[..a], &bytes[a..b], &bytes[b..n]] {
+                    hasher.update(piece);
+                }
+                assert_eq!(hasher.finish(), whole, "{n} bytes split at {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_its_chunk_is_the_sealed_frame() {
+        let dir = std::env::temp_dir().join(format!("dg_codec_chunks_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.bin");
+        let payload: Vec<u8> = (0..3 * CHUNK as u32 + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        // Fed in uneven pieces, some larger than a chunk.
+        write_frame_with(&path, FrameKind::Gossip, payload.len() as u64, |w| {
+            for piece in payload.chunks(CHUNK + 4099) {
+                let (a, b) = piece.split_at(piece.len() / 3);
+                w.put(a);
+                w.put(b);
+            }
+        })
+        .unwrap();
+        let (prelude, trailer) = seal(FrameKind::Gossip as u8, &payload);
+        let framed = [&prelude[..], &payload, &trailer].concat();
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        assert_eq!(read_frame(&path, FrameKind::Gossip).unwrap().1, payload);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

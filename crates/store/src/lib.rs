@@ -62,6 +62,6 @@ pub use error::StoreError;
 pub use gossip::{read_gossip, write_gossip};
 pub use records::{
     changed, diff_changed, first_divergence, AuditEntryRecord, EstimatorRecord, NodeRecord,
-    SnapshotHeader,
+    RecordView, SnapshotHeader,
 };
 pub use store::{Cut, Snapshot, Store};

@@ -6,9 +6,8 @@
 //! node records are a fixed little-endian binary layout because they
 //! are bulk data whose `f64`s must round-trip bit for bit.
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{ByteReader, Put};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 
 /// The JSON header written next to every checkpoint (full epoch or
 /// delta).
@@ -132,31 +131,17 @@ impl NodeRecord {
                 .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
     }
 
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.node);
-        w.put_u32(self.estimators.len() as u32);
-        for e in &self.estimators {
-            w.put_u32(e.peer);
-            w.put_f64(e.rate);
-            w.put_f64(e.value);
-            w.put_u64(e.count);
+    /// The record `view` reads, copied out.
+    pub fn from_view(view: &impl RecordView) -> Self {
+        NodeRecord {
+            node: view.node(),
+            estimators: view.estimators().collect(),
+            run: view.run().collect(),
+            mean: view.mean(),
+            audit_log: view.audit_log().collect(),
+            strikes: view.strikes(),
+            convicted_at: view.convicted_at(),
         }
-        w.put_u32(self.run.len() as u32);
-        for &(subject, value) in &self.run {
-            w.put_u32(subject);
-            w.put_f64(value);
-        }
-        w.put_opt_f64(self.mean);
-        // v2 trailer: audit state.
-        w.put_u32(self.audit_log.len() as u32);
-        for e in &self.audit_log {
-            w.put_u32(e.subject);
-            w.put_u64(e.round);
-            w.put_f64(e.reported);
-            w.put_opt_f64(e.implied);
-        }
-        w.put_u32(self.strikes);
-        w.put_opt_u64(self.convicted_at);
     }
 
     pub(crate) fn decode(r: &mut ByteReader<'_>, version: u32) -> Result<NodeRecord, String> {
@@ -222,6 +207,152 @@ impl NodeRecord {
     }
 }
 
+/// One node's record read where it lies — a [`NodeRecord`], or a
+/// writer's live state — field by field, in the record's order. The
+/// store encodes every record it writes through this view
+/// (`encode_record`), so the layout has one writer, and a writer whose
+/// state is not laid out as a `NodeRecord` need not build one.
+pub trait RecordView {
+    /// The node's id.
+    fn node(&self) -> u32;
+    /// First-hand estimators, ascending by peer.
+    fn estimators(&self) -> impl ExactSizeIterator<Item = EstimatorRecord>;
+    /// The aggregated run `(subject, value)`, ascending by subject.
+    fn run(&self) -> impl ExactSizeIterator<Item = (u32, f64)>;
+    /// The observer-mean cache entry.
+    fn mean(&self) -> Option<f64>;
+    /// The audit report log, ascending by subject.
+    fn audit_log(&self) -> impl ExactSizeIterator<Item = AuditEntryRecord>;
+    /// Accumulated audit strikes.
+    fn strikes(&self) -> u32;
+    /// Round the node was convicted, if it was.
+    fn convicted_at(&self) -> Option<u64>;
+
+    /// Bytes `encode_record` writes for this record, exactly: the sizing
+    /// pass that lets a frame declare its length before its first byte.
+    fn encoded_len(&self) -> usize {
+        let opt = |present: bool| if present { 9 } else { 1 };
+        let audit: usize = self
+            .audit_log()
+            .map(|e| 20 + opt(e.implied.is_some()))
+            .sum();
+        4 + 4
+            + 28 * self.estimators().len()
+            + 4
+            + 12 * self.run().len()
+            + opt(self.mean().is_some())
+            + 4
+            + audit
+            + 4
+            + opt(self.convicted_at().is_some())
+    }
+}
+
+impl RecordView for NodeRecord {
+    fn node(&self) -> u32 {
+        self.node
+    }
+    fn estimators(&self) -> impl ExactSizeIterator<Item = EstimatorRecord> {
+        self.estimators.iter().copied()
+    }
+    fn run(&self) -> impl ExactSizeIterator<Item = (u32, f64)> {
+        self.run.iter().copied()
+    }
+    fn mean(&self) -> Option<f64> {
+        self.mean
+    }
+    fn audit_log(&self) -> impl ExactSizeIterator<Item = AuditEntryRecord> {
+        self.audit_log.iter().copied()
+    }
+    fn strikes(&self) -> u32 {
+        self.strikes
+    }
+    fn convicted_at(&self) -> Option<u64> {
+        self.convicted_at
+    }
+}
+
+impl<T: RecordView> RecordView for &T {
+    fn node(&self) -> u32 {
+        (**self).node()
+    }
+    fn estimators(&self) -> impl ExactSizeIterator<Item = EstimatorRecord> {
+        (**self).estimators()
+    }
+    fn run(&self) -> impl ExactSizeIterator<Item = (u32, f64)> {
+        (**self).run()
+    }
+    fn mean(&self) -> Option<f64> {
+        (**self).mean()
+    }
+    fn audit_log(&self) -> impl ExactSizeIterator<Item = AuditEntryRecord> {
+        (**self).audit_log()
+    }
+    fn strikes(&self) -> u32 {
+        (**self).strikes()
+    }
+    fn convicted_at(&self) -> Option<u64> {
+        (**self).convicted_at()
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+/// An optional value as a presence byte, then (when present) its 8
+/// bytes.
+fn put_opt(out: &mut impl Put, value: Option<u64>) {
+    match value {
+        Some(v) => {
+            let mut bytes = [1u8; 9];
+            bytes[1..].copy_from_slice(&v.to_le_bytes());
+            out.put(&bytes);
+        }
+        None => out.put(&[0]),
+    }
+}
+
+/// The one encoder of the record layout (format 3 on; see
+/// [`crate::FORMAT_VERSION`]): `node ‖ estimators ‖ run ‖ mean ‖ audit
+/// log ‖ strikes ‖ conviction`, each list behind a `u32` count, `f64`s
+/// as raw bits, little endian. Writes exactly
+/// [`RecordView::encoded_len`] bytes.
+pub(crate) fn encode_record(view: &impl RecordView, out: &mut impl Put) {
+    out.put(&view.node().to_le_bytes());
+    let estimators = view.estimators();
+    out.put(&(estimators.len() as u32).to_le_bytes());
+    for e in estimators {
+        let mut item = [0u8; 28];
+        item[..4].copy_from_slice(&e.peer.to_le_bytes());
+        item[4..12].copy_from_slice(&e.rate.to_bits().to_le_bytes());
+        item[12..20].copy_from_slice(&e.value.to_bits().to_le_bytes());
+        item[20..].copy_from_slice(&e.count.to_le_bytes());
+        out.put(&item);
+    }
+    let run = view.run();
+    out.put(&(run.len() as u32).to_le_bytes());
+    for (subject, value) in run {
+        let mut item = [0u8; 12];
+        item[..4].copy_from_slice(&subject.to_le_bytes());
+        item[4..].copy_from_slice(&value.to_bits().to_le_bytes());
+        out.put(&item);
+    }
+    put_opt(out, view.mean().map(f64::to_bits));
+    // v2 trailer: audit state.
+    let audit_log = view.audit_log();
+    out.put(&(audit_log.len() as u32).to_le_bytes());
+    for e in audit_log {
+        let mut item = [0u8; 20];
+        item[..4].copy_from_slice(&e.subject.to_le_bytes());
+        item[4..12].copy_from_slice(&e.round.to_le_bytes());
+        item[12..].copy_from_slice(&e.reported.to_bits().to_le_bytes());
+        out.put(&item);
+        put_opt(out, e.implied.map(f64::to_bits));
+    }
+    out.put(&view.strikes().to_le_bytes());
+    put_opt(out, view.convicted_at());
+}
+
 /// Where two record lists stop being bit-identical: the index of the
 /// first pair that fails [`NodeRecord::bits_eq`], or the shorter list's
 /// length when one is a prefix of the other; `None` when they match.
@@ -262,23 +393,6 @@ pub fn diff_changed(prev: &[NodeRecord], next: &[NodeRecord]) -> Vec<NodeRecord>
     changed(prev, next).cloned().collect()
 }
 
-/// Encode records, owned or borrowed, behind a count prefix (shard and
-/// delta payload body) — one at a time as the iterator yields them, the
-/// prefix back-patched once the count is known.
-pub(crate) fn encode_records(
-    w: &mut ByteWriter,
-    records: impl IntoIterator<Item = impl Borrow<NodeRecord>>,
-) {
-    let prefix = w.len();
-    w.put_u32(0);
-    let mut count = 0u32;
-    for record in records {
-        record.borrow().encode(w);
-        count += 1;
-    }
-    w.patch_u32(prefix, count);
-}
-
 /// Decode a count-prefixed record list laid out in format `version`.
 pub(crate) fn decode_records(
     r: &mut ByteReader<'_>,
@@ -296,6 +410,7 @@ pub(crate) fn decode_records(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
 
     pub(crate) fn sample_record(node: u32) -> NodeRecord {
         NodeRecord {
@@ -327,7 +442,7 @@ mod tests {
         record.run.push((9, -0.0));
         record.estimators[0].value = f64::MIN_POSITIVE / 2.0;
         let mut w = ByteWriter::new();
-        record.encode(&mut w);
+        encode_record(&record, &mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         let back = NodeRecord::decode(&mut r, crate::FORMAT_VERSION).unwrap();
@@ -335,12 +450,51 @@ mod tests {
         assert!(record.bits_eq(&back));
     }
 
+    #[test]
+    fn encoded_len_is_the_bytes_written_for_every_optional_field_both_ways() {
+        let mut cases = Vec::new();
+        for bits in 0..8u32 {
+            let mut record = sample_record(bits);
+            record.mean = (bits & 1 != 0).then_some(0.25);
+            record.audit_log[0].implied = (bits & 2 != 0).then_some(-0.0);
+            record.convicted_at = (bits & 4 != 0).then_some(9);
+            cases.push(record);
+        }
+        let mut empty = sample_record(8);
+        empty.estimators.clear();
+        empty.run.clear();
+        empty.audit_log.clear();
+        empty.mean = None;
+        cases.push(empty);
+        let mut long = sample_record(9);
+        long.audit_log.push(AuditEntryRecord {
+            implied: None,
+            ..long.audit_log[0]
+        });
+        long.run.extend([(20, 0.5), (21, 1.0)]);
+        cases.push(long);
+        for record in &cases {
+            let mut w = ByteWriter::new();
+            encode_record(record, &mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(record.encoded_len(), bytes.len(), "{record:?}");
+            // The borrowed view sizes and writes the same bytes.
+            let mut w = ByteWriter::new();
+            encode_record(&record, &mut w);
+            assert_eq!(w.into_bytes(), bytes);
+            assert_eq!((&record).encoded_len(), bytes.len());
+            let back = NodeRecord::decode(&mut ByteReader::new(&bytes), crate::FORMAT_VERSION);
+            assert!(back.unwrap().bits_eq(record));
+            assert!(NodeRecord::from_view(&record).bits_eq(record));
+        }
+    }
+
     /// `record` as a version-2 writer laid it out: the v3 bytes with a
     /// reputation-table section (one row with, one without an
     /// aggregated value) spliced in after the estimator list.
     fn encode_v2(record: &NodeRecord) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        record.encode(&mut w);
+        encode_record(&record, &mut w);
         let v3 = w.into_bytes();
         let mut table = ByteWriter::new();
         table.put_u32(2);
@@ -453,7 +607,7 @@ mod tests {
     fn truncated_record_is_a_decode_error_not_a_panic() {
         let record = sample_record(5);
         let mut w = ByteWriter::new();
-        record.encode(&mut w);
+        encode_record(&record, &mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut]);

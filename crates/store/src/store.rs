@@ -1,14 +1,16 @@
 //! The checkpoint directory: epoch + delta layout, atomic commit via
-//! `HEAD.json`, parallel shard i/o and chain-validated loading.
+//! `HEAD.json`, parallel shard i/o and chain-validated loading. Shards
+//! and deltas are written from [`RecordView`]s: a sizing pass, then each
+//! record encoded straight into the frame writer's fixed chunk — no
+//! record list and no payload buffer on the write path.
 
-use crate::codec::{corrupt_at, io_err, json_text, read_frame, write_atomic, write_frame};
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{corrupt_at, io_err, json_text, read_frame, write_atomic, write_frame_with};
+use crate::codec::{ByteReader, Put};
 use crate::codec::{FrameKind, FORMAT_VERSION};
-use crate::records::{decode_records, encode_records, NodeRecord, SnapshotHeader};
+use crate::records::{decode_records, encode_record, NodeRecord, RecordView, SnapshotHeader};
 use crate::StoreError;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 
 /// The commit point of a checkpoint directory: which epoch is current
@@ -71,12 +73,42 @@ fn not_dense() -> StoreError {
     }
 }
 
+/// Write `records` as one framed file: `head`, a `u32` count, then each
+/// record. A sizing pass first — which refuses the records with
+/// `misfit` as soon as `fits` rejects a node id, before any file is
+/// created — then one encoding pass, each record straight into the
+/// frame writer's chunk: no record list and no payload buffer is built.
+fn write_records<V: RecordView>(
+    path: &Path,
+    kind: FrameKind,
+    head: &[u8],
+    records: impl Iterator<Item = V> + Clone,
+    mut fits: impl FnMut(u32) -> bool,
+    misfit: impl FnOnce() -> StoreError,
+) -> Result<(), StoreError> {
+    let (mut count, mut len) = (0u32, (head.len() + 4) as u64);
+    for record in records.clone() {
+        if !fits(record.node()) {
+            return Err(misfit());
+        }
+        count += 1;
+        len += record.encoded_len() as u64;
+    }
+    write_frame_with(path, kind, len, |w| {
+        w.put(head);
+        w.put(&count.to_le_bytes());
+        for record in records {
+            encode_record(&record, w);
+        }
+    })
+}
+
 /// Write `value` as pretty JSON at `path`, atomically.
 fn write_json<T: Serialize>(path: &Path, what: &str, value: &T) -> Result<(), StoreError> {
     let json = serde_json::to_string_pretty(value).map_err(|e| StoreError::Invalid {
         reason: format!("{what} serialization failed: {e}"),
     })?;
-    write_atomic(path, &[json.as_bytes()])
+    write_atomic(path, json.as_bytes())
 }
 
 /// A fully resolved checkpoint: the latest header and one record per
@@ -217,17 +249,18 @@ impl Store {
         self.write_epoch_with(header, |node| &records[node as usize])
     }
 
-    /// [`write_epoch`](Self::write_epoch) from records built one at a
-    /// time: `record(i)` is node `i`'s record, called once per node in
-    /// node order within each shard (shards run in parallel) and
-    /// encoded as it arrives, so no list of records is ever held. The
-    /// files are byte-identical to `write_epoch` of the same records; a
-    /// record that names another node fails with
-    /// [`StoreError::Invalid`] before `HEAD.json` moves.
-    pub fn write_epoch_with<R: Borrow<NodeRecord>>(
+    /// [`write_epoch`](Self::write_epoch) from each node's
+    /// [`RecordView`]: `record(i)` is node `i`'s, called twice per node
+    /// in node order within each shard (shards run in parallel) — once
+    /// to size the shard, once to encode it — so no list of records is
+    /// ever held. The files are byte-identical to `write_epoch` of the
+    /// same records; a record that names another node fails with
+    /// [`StoreError::Invalid`] before that shard's file is created, and
+    /// `HEAD.json` does not move.
+    pub fn write_epoch_with<V: RecordView>(
         &self,
         header: &SnapshotHeader,
-        record: impl Fn(u32) -> R + Sync,
+        record: impl Fn(u32) -> V + Sync,
     ) -> Result<(), StoreError> {
         Self::validate_shards(header)?;
         let dir = self.epoch_dir(header.round);
@@ -240,21 +273,18 @@ impl Store {
         let written: Vec<Result<(), StoreError>> = indexed
             .into_par_iter()
             .map(|(i, (start, end))| {
-                let mut w = ByteWriter::new();
-                let mut dense = true;
-                let shard = (start as u32..end as u32).map(|node| {
-                    let r = record(node);
-                    dense &= r.borrow().node == node;
-                    r
-                });
-                encode_records(&mut w, shard);
-                if !dense {
-                    return Err(not_dense());
-                }
-                write_frame(
+                let mut next = start as u32;
+                write_records(
                     &dir.join(format!("shard-{i}.bin")),
                     FrameKind::Shard,
-                    &w.into_bytes(),
+                    &[],
+                    (start as u32..end as u32).map(&record),
+                    |node| {
+                        let dense = node == next;
+                        next += 1;
+                        dense
+                    },
+                    not_dense,
                 )
             })
             .collect();
@@ -271,16 +301,18 @@ impl Store {
     }
 
     /// Write a delta checkpoint holding only `changed` records, on top
-    /// of the currently committed chain. The records may be owned or
-    /// borrowed (a slice, [`changed`](crate::changed) itself, or records
-    /// built one at a time); each is encoded as it arrives, so no list
-    /// of them is ever held. `header.base_round` must name the committed
-    /// latest round; the commit appends `header.round` to the chain.
-    pub fn write_delta(
-        &self,
-        header: &SnapshotHeader,
-        changed: impl IntoIterator<Item = impl Borrow<NodeRecord>>,
-    ) -> Result<(), StoreError> {
+    /// of the currently committed chain. The records may be owned,
+    /// borrowed (a slice, [`changed`](crate::changed) itself) or any
+    /// other [`RecordView`], from an iterator that can be walked twice —
+    /// once to size the file, once to encode it — so no list of them is
+    /// ever held. `header.base_round` must name the committed latest
+    /// round; the commit appends `header.round` to the chain.
+    pub fn write_delta<I>(&self, header: &SnapshotHeader, changed: I) -> Result<(), StoreError>
+    where
+        I: IntoIterator,
+        I::Item: RecordView,
+        I::IntoIter: Clone,
+    {
         let mut head = self.head()?.ok_or_else(|| StoreError::NoSnapshot {
             dir: self.root.display().to_string(),
         })?;
@@ -301,23 +333,18 @@ impl Store {
                 ),
             });
         }
-        let mut w = ByteWriter::new();
-        w.put_u64(latest);
-        w.put_u64(header.round);
-        let mut stray = false;
-        let checked = changed.into_iter().inspect(|r| {
-            stray |= u64::from(r.borrow().node) >= header.nodes;
-        });
-        encode_records(&mut w, checked);
-        if stray {
-            return Err(StoreError::Invalid {
-                reason: "changed record names a node outside the snapshot".into(),
-            });
-        }
-        write_frame(
+        let mut rounds = [0u8; 16];
+        rounds[..8].copy_from_slice(&latest.to_le_bytes());
+        rounds[8..].copy_from_slice(&header.round.to_le_bytes());
+        write_records(
             &self.delta_bin_path(header.round),
             FrameKind::Delta,
-            &w.into_bytes(),
+            &rounds,
+            changed.into_iter(),
+            |node| u64::from(node) < header.nodes,
+            || StoreError::Invalid {
+                reason: "changed record names a node outside the snapshot".into(),
+            },
         )?;
         write_json(&self.delta_header_path(header.round), "header", header)?;
         // The commit is this build's, whatever format the chain began
@@ -688,7 +715,7 @@ mod tests {
             .unwrap();
         let mut h = header(5, 3, vec![(0, 3)]);
         h.base_round = Some(4); // nothing at round 4 is committed
-        let err = store.write_delta(&h, &[]).unwrap_err();
+        let err = store.write_delta(&h, &[] as &[NodeRecord]).unwrap_err();
         assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
         // So is a record outside the snapshot, before anything is written.
         h.base_round = Some(2);
@@ -698,6 +725,93 @@ mod tests {
         assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
         assert!(!store.delta_bin_path(5).exists());
         assert_eq!(store.head().unwrap().unwrap().latest_round(), 2);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A record that declares one byte more (or less) than it encodes.
+    #[derive(Clone)]
+    struct Lying(NodeRecord, bool);
+
+    impl RecordView for Lying {
+        fn node(&self) -> u32 {
+            self.0.node
+        }
+        fn estimators(&self) -> impl ExactSizeIterator<Item = EstimatorRecord> {
+            self.0.estimators()
+        }
+        fn run(&self) -> impl ExactSizeIterator<Item = (u32, f64)> {
+            self.0.run()
+        }
+        fn mean(&self) -> Option<f64> {
+            self.0.mean
+        }
+        fn audit_log(&self) -> impl ExactSizeIterator<Item = crate::AuditEntryRecord> {
+            self.0.audit_log()
+        }
+        fn strikes(&self) -> u32 {
+            self.0.strikes
+        }
+        fn convicted_at(&self) -> Option<u64> {
+            self.0.convicted_at
+        }
+        fn encoded_len(&self) -> usize {
+            let len = self.0.encoded_len();
+            if self.1 {
+                len + 1
+            } else {
+                len - 1
+            }
+        }
+    }
+
+    /// Every `.tmp` file under `root`, one directory deep.
+    fn tmp_files(root: &Path) -> Vec<PathBuf> {
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                for inner in std::fs::read_dir(&path).unwrap() {
+                    found.push(inner.unwrap().path());
+                }
+            }
+            found.push(path);
+        }
+        found.retain(|p| p.extension().is_some_and(|e| e == "tmp"));
+        found
+    }
+
+    #[test]
+    fn a_failed_frame_write_leaves_no_tmp_file_and_no_commit() {
+        let root = temp_root("lying");
+        let store = Store::open(&root);
+        let ranges = vec![(0, 3)];
+        store
+            .write_epoch(&header(2, 3, ranges.clone()), &records(3, 0.5))
+            .unwrap();
+        let committed = store.head().unwrap().unwrap();
+        let mut h = header(4, 3, ranges.clone());
+        h.base_round = Some(2);
+        for over in [true, false] {
+            let err = store
+                .write_delta(&h, [Lying(record(1, 9.0), over)])
+                .unwrap_err();
+            assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+            let err = store
+                .write_epoch_with(&header(5, 3, ranges.clone()), |node| {
+                    Lying(record(node, 0.5), over)
+                })
+                .unwrap_err();
+            assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+            assert!(!store.delta_bin_path(4).exists());
+            assert!(!store.epoch_dir(5).join("shard-0.bin").exists());
+        }
+        // A rename that fails: a non-empty directory where the delta goes.
+        std::fs::create_dir_all(store.delta_bin_path(4).join("occupied")).unwrap();
+        let err = store.write_delta(&h, [record(1, 9.0)]).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert_eq!(tmp_files(&root), Vec::<PathBuf>::new());
+        assert_eq!(store.head().unwrap().unwrap(), committed);
+        assert_eq!(store.load_latest().unwrap().records, records(3, 0.5));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
