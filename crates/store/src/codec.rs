@@ -17,6 +17,7 @@
 //! returns a reason string the caller wraps into
 //! [`StoreError::Corrupt`](crate::StoreError::Corrupt).
 
+use crate::records::{encode_record, RecordView};
 use crate::wire::{read_versioned_frame, WireError};
 use crate::StoreError;
 use std::io::Write;
@@ -384,11 +385,39 @@ pub(crate) struct FrameWriter {
     hasher: Xxh64,
     /// Payload bytes put so far.
     put: u64,
+    /// A record wrote other than its declared length.
+    astray: bool,
     /// The first write that failed; the chunks after it are only hashed.
     failed: Option<std::io::Error>,
 }
 
 impl FrameWriter {
+    /// Encode `record` into the payload: straight into `len` bytes
+    /// reserved at the end of the chunk (after a flush if the chunk
+    /// lacks the room), or item by item through [`Put::put`] when the
+    /// record is longer than a chunk. A record that writes other than
+    /// its [`RecordView::encoded_len`] breaks the frame's length.
+    pub(crate) fn put_record(&mut self, record: &impl RecordView) {
+        let len = record.encoded_len();
+        if len > CHUNK {
+            return encode_record(record, self);
+        }
+        if self.chunk.len() + len > CHUNK {
+            self.flush();
+        }
+        let at = self.chunk.len();
+        self.chunk.resize(at + len, 0);
+        let mut room = Room {
+            bytes: &mut self.chunk[at..],
+            filled: 0,
+        };
+        encode_record(record, &mut room);
+        // Counted as written, so a record that lied about its length
+        // fails the frame's length check.
+        self.put += room.filled as u64;
+        self.astray |= room.filled != len;
+    }
+
     fn flush(&mut self) {
         self.hasher.update(&self.chunk[self.payload_from..]);
         if self.failed.is_none() {
@@ -396,6 +425,24 @@ impl FrameWriter {
         }
         self.chunk.clear();
         self.payload_from = 0;
+    }
+}
+
+/// The bytes a [`FrameWriter`] reserved for one record, filled front to
+/// back; a put past the end is dropped (and counted, so the frame is
+/// refused).
+struct Room<'a> {
+    bytes: &'a mut [u8],
+    filled: usize,
+}
+
+impl Put for Room<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.filled + bytes.len();
+        if let Some(to) = self.bytes.get_mut(self.filled..end) {
+            to.copy_from_slice(bytes);
+        }
+        self.filled = end;
     }
 }
 
@@ -437,6 +484,7 @@ pub(crate) fn write_frame_with(
         payload_from: PRELUDE_LEN,
         hasher: payload_hasher(&prelude),
         put: 0,
+        astray: false,
         failed: None,
     };
     fill(&mut writer);
@@ -445,13 +493,14 @@ pub(crate) fn write_frame_with(
         mut staged,
         hasher,
         put,
+        astray,
         failed,
         ..
     } = writer;
     if let Some(e) = failed {
         return Err(io_err(&staged.tmp, e));
     }
-    if put != payload_len {
+    if put != payload_len || astray {
         return Err(StoreError::Invalid {
             reason: format!(
                 "{}: {put} payload bytes written where the frame declares {payload_len}",

@@ -7,7 +7,7 @@
 use crate::codec::{corrupt_at, io_err, json_text, read_frame, write_atomic, write_frame_with};
 use crate::codec::{ByteReader, Put};
 use crate::codec::{FrameKind, FORMAT_VERSION};
-use crate::records::{decode_records, encode_record, NodeRecord, RecordView, SnapshotHeader};
+use crate::records::{decode_records, NodeRecord, RecordView, SnapshotHeader};
 use crate::StoreError;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -98,7 +98,7 @@ fn write_records<V: RecordView>(
         w.put(head);
         w.put(&count.to_le_bytes());
         for record in records {
-            encode_record(&record, w);
+            w.put_record(&record);
         }
     })
 }
@@ -639,6 +639,27 @@ mod tests {
         assert_eq!(owned, borrowed, "delta files differ");
         assert_eq!(from_owned, from_borrowed);
         assert!(from_owned.records[4].bits_eq(&record(4, -0.0)));
+    }
+
+    #[test]
+    fn a_record_longer_than_a_chunk_streams_between_short_ones() {
+        let root = temp_root("long_record");
+        let store = Store::open(&root);
+        store
+            .write_epoch(&header(2, 6, vec![(0, 6)]), &records(6, 0.5))
+            .unwrap();
+        let mut long = record(2, 7.0);
+        long.run = (0..30_000).map(|s| (s, f64::from(s) / 8.0)).collect();
+        assert!(long.encoded_len() > 256 * 1024);
+        let changed = [record(1, 9.0), long, record(4, 9.5)];
+        let mut h = header(3, 6, vec![(0, 6)]);
+        h.base_round = Some(2);
+        store.write_delta(&h, &changed).unwrap();
+        let loaded = store.load_latest().unwrap().records;
+        for record in &changed {
+            assert!(loaded[record.node as usize].bits_eq(record));
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
