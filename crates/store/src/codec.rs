@@ -374,8 +374,8 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
 const CHUNK: usize = 256 * 1024;
 
 /// The payload of one framed file on its way to disk (see
-/// [`write_frame_with`]): what is [`put`](Put::put) gathers in one
-/// fixed chunk, which is hashed and written each time it fills.
+/// [`write_frame_with`]): the bytes [`put`](Put::put) into it gather in
+/// one fixed chunk, which is hashed and written each time it fills.
 pub(crate) struct FrameWriter {
     staged: Staged,
     chunk: Vec<u8>,
@@ -385,37 +385,15 @@ pub(crate) struct FrameWriter {
     hasher: Xxh64,
     /// Payload bytes put so far.
     put: u64,
-    /// A record wrote other than its declared length.
-    astray: bool,
     /// The first write that failed; the chunks after it are only hashed.
     failed: Option<std::io::Error>,
 }
 
 impl FrameWriter {
-    /// Encode `record` into the payload: straight into `len` bytes
-    /// reserved at the end of the chunk (after a flush if the chunk
-    /// lacks the room), or item by item through [`Put::put`] when the
-    /// record is longer than a chunk. A record that writes other than
-    /// its [`RecordView::encoded_len`] breaks the frame's length.
+    /// Encode `record` into the payload. A record that writes other
+    /// than its [`RecordView::encoded_len`] breaks the frame's length.
     pub(crate) fn put_record(&mut self, record: &impl RecordView) {
-        let len = record.encoded_len();
-        if len > CHUNK {
-            return encode_record(record, self);
-        }
-        if self.chunk.len() + len > CHUNK {
-            self.flush();
-        }
-        let at = self.chunk.len();
-        self.chunk.resize(at + len, 0);
-        let mut room = Room {
-            bytes: &mut self.chunk[at..],
-            filled: 0,
-        };
-        encode_record(record, &mut room);
-        // Counted as written, so a record that lied about its length
-        // fails the frame's length check.
-        self.put += room.filled as u64;
-        self.astray |= room.filled != len;
+        encode_record(record, self);
     }
 
     fn flush(&mut self) {
@@ -426,29 +404,11 @@ impl FrameWriter {
         self.chunk.clear();
         self.payload_from = 0;
     }
-}
 
-/// The bytes a [`FrameWriter`] reserved for one record, filled front to
-/// back; a put past the end is dropped (and counted, so the frame is
-/// refused).
-struct Room<'a> {
-    bytes: &'a mut [u8],
-    filled: usize,
-}
-
-impl Put for Room<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        let end = self.filled + bytes.len();
-        if let Some(to) = self.bytes.get_mut(self.filled..end) {
-            to.copy_from_slice(bytes);
-        }
-        self.filled = end;
-    }
-}
-
-impl Put for FrameWriter {
-    fn put(&mut self, mut bytes: &[u8]) {
-        self.put += bytes.len() as u64;
+    /// The slow side of [`Put::put`]: `bytes` does not fit in the chunk.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, mut bytes: &[u8]) {
         while self.chunk.len() + bytes.len() > CHUNK {
             let (head, rest) = bytes.split_at(CHUNK - self.chunk.len());
             self.chunk.extend_from_slice(head);
@@ -459,11 +419,25 @@ impl Put for FrameWriter {
     }
 }
 
+impl Put for FrameWriter {
+    /// Inlined into the record encoder, so that an item's put is a
+    /// length test and a copy.
+    #[inline(always)]
+    fn put(&mut self, bytes: &[u8]) {
+        self.put += bytes.len() as u64;
+        if self.chunk.len() + bytes.len() <= CHUNK {
+            self.chunk.extend_from_slice(bytes);
+        } else {
+            self.spill(bytes);
+        }
+    }
+}
+
 /// Write a framed file of `kind` at `path` whose payload is the
 /// `payload_len` bytes `fill` puts — the one writer of framed files.
-/// The prelude, the payload and the digest trailer go out through one
-/// fixed-size chunk, each piece hashed and written where it lies: no
-/// buffer grows with the payload (a delta payload is tens of
+/// The prelude and the payload are copied into one fixed-size chunk
+/// that is hashed and written each time it fills, then the digest
+/// trailer follows: no buffer grows with the payload (a delta payload is tens of
 /// megabytes). Crash-safe: the bytes land in a `.tmp` sibling that is
 /// renamed into place. A payload whose length is not the declared one
 /// is refused with [`StoreError::Invalid`] before the rename, and every
@@ -484,7 +458,6 @@ pub(crate) fn write_frame_with(
         payload_from: PRELUDE_LEN,
         hasher: payload_hasher(&prelude),
         put: 0,
-        astray: false,
         failed: None,
     };
     fill(&mut writer);
@@ -493,14 +466,13 @@ pub(crate) fn write_frame_with(
         mut staged,
         hasher,
         put,
-        astray,
         failed,
         ..
     } = writer;
     if let Some(e) = failed {
         return Err(io_err(&staged.tmp, e));
     }
-    if put != payload_len || astray {
+    if put != payload_len {
         return Err(StoreError::Invalid {
             reason: format!(
                 "{}: {put} payload bytes written where the frame declares {payload_len}",

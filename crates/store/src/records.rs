@@ -301,6 +301,7 @@ impl<T: RecordView> RecordView for &T {
 
 /// An optional value as a presence byte, then (when present) its 8
 /// bytes.
+#[inline(always)]
 fn put_opt(out: &mut impl Put, value: Option<u64>) {
     match value {
         Some(v) => {
@@ -316,7 +317,9 @@ fn put_opt(out: &mut impl Put, value: Option<u64>) {
 /// [`crate::FORMAT_VERSION`]): `node ‖ estimators ‖ run ‖ mean ‖ audit
 /// log ‖ strikes ‖ conviction`, each list behind a `u32` count, `f64`s
 /// as raw bits, little endian. Writes exactly
-/// [`RecordView::encoded_len`] bytes.
+/// [`RecordView::encoded_len`] bytes. Inlined, with the puts it makes,
+/// into each writer, so that an item's put is a length test and a copy.
+#[inline(always)]
 pub(crate) fn encode_record(view: &impl RecordView, out: &mut impl Put) {
     out.put(&view.node().to_le_bytes());
     let estimators = view.estimators();

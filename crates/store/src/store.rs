@@ -253,10 +253,11 @@ impl Store {
     /// [`RecordView`]: `record(i)` is node `i`'s, called twice per node
     /// in node order within each shard (shards run in parallel) — once
     /// to size the shard, once to encode it — so no list of records is
-    /// ever held. The files are byte-identical to `write_epoch` of the
-    /// same records; a record that names another node fails with
-    /// [`StoreError::Invalid`] before that shard's file is created, and
-    /// `HEAD.json` does not move.
+    /// ever held. Being called twice, it should be cheap: a view of
+    /// state where it lies, not a record built per call. The files are
+    /// byte-identical to `write_epoch` of the same records; a record
+    /// that names another node fails with [`StoreError::Invalid`] before
+    /// that shard's file is created, and `HEAD.json` does not move.
     pub fn write_epoch_with<V: RecordView>(
         &self,
         header: &SnapshotHeader,
@@ -305,8 +306,10 @@ impl Store {
     /// borrowed (a slice, [`changed`](crate::changed) itself) or any
     /// other [`RecordView`], from an iterator that can be walked twice —
     /// once to size the file, once to encode it — so no list of them is
-    /// ever held. `header.base_round` must name the committed latest
-    /// round; the commit appends `header.round` to the chain.
+    /// ever held. Being walked twice, it should be cheap: an iterator
+    /// that builds a record per item builds each one twice.
+    /// `header.base_round` must name the committed latest round; the
+    /// commit appends `header.round` to the chain.
     pub fn write_delta<I>(&self, header: &SnapshotHeader, changed: I) -> Result<(), StoreError>
     where
         I: IntoIterator,
