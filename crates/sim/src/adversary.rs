@@ -3,7 +3,7 @@
 //! [`AdversaryMix`] says *how much* of the
 //! population attacks; this module says *what each attacker does*. At
 //! [`Scenario::build`](crate::Scenario::build) time the mix is compiled
-//! into an [`AdversaryAssignment`]: a per-node `Role` plus the tables
+//! into an [`AdversaryAssignment`]: each adversary's `Role` plus the tables
 //! the attacks read (sybil rings with their spawn schedules, collusion
 //! cliques, stealth cartels, the slander factor and the whitewashers'
 //! thresholds). Every round strategy then consults the assignment at three
@@ -45,10 +45,9 @@ const ASSIGN_SALT: u64 = 0xAD5E_11AE_5EED_0001;
 const PARAM_SALT: u64 = 0xAD5E_11AE_5EED_0002;
 
 /// The role a node plays in the adversarial population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
     /// Follows the protocol.
-    #[default]
     Honest,
     /// Leech identity in the sybil ring with this index: endorses every
     /// active ring-mate at 1, bad-mouths every rated outsider at 0, and
@@ -118,10 +117,35 @@ fn endorse(row: &mut Vec<(NodeId, TrustValue)>, mates: impl Iterator<Item = Node
     row.extend(reports);
 }
 
+/// Who plays what: one role per adversary, aligned with the ascending
+/// adversary ids. Indexed by node index, it finds a node's role by
+/// binary search; a node not listed is [`Role::Honest`].
+#[derive(Debug, Clone, PartialEq)]
+struct Roles {
+    /// The scenario's node count: a node outside it has no role.
+    nodes: usize,
+    /// Every adversary's id, ascending.
+    ids: Vec<NodeId>,
+    /// Each adversary's role, aligned with `ids`.
+    roles: Vec<Role>,
+}
+
+impl std::ops::Index<usize> for Roles {
+    type Output = Role;
+
+    fn index(&self, node: usize) -> &Role {
+        assert!(node < self.nodes, "node {node} of {}", self.nodes);
+        match self.ids.binary_search(&NodeId(node as u32)) {
+            Ok(at) => &self.roles[at],
+            Err(_) => &Role::Honest,
+        }
+    }
+}
+
 /// The compiled per-node adversary assignment of one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryAssignment {
-    roles: Vec<Role>,
+    roles: Roles,
     rings: Vec<SybilRing>,
     /// Collusion cliques, each ascending.
     cliques: Vec<Vec<NodeId>>,
@@ -133,15 +157,17 @@ pub struct AdversaryAssignment {
     /// Stealth cartels, each ascending.
     cartels: Vec<Vec<NodeId>>,
     stealth_bias: f64,
-    /// Every adversary's id, ascending.
-    adversary_ids: Vec<NodeId>,
 }
 
 impl AdversaryAssignment {
     /// No adversaries (every node honest); consumes no randomness.
     pub fn none(n: usize) -> Self {
         Self {
-            roles: vec![Role::Honest; n],
+            roles: Roles {
+                nodes: n,
+                ids: Vec::new(),
+                roles: Vec::new(),
+            },
             rings: Vec::new(),
             cliques: Vec::new(),
             slander_factor: 0.0,
@@ -149,11 +175,10 @@ impl AdversaryAssignment {
             wash_thresholds: Vec::new(),
             cartels: Vec::new(),
             stealth_bias: 0.0,
-            adversary_ids: Vec::new(),
         }
     }
 
-    /// Compile a mix into per-node roles, drawn from a dedicated ChaCha8
+    /// Compile a mix into the adversaries' roles, drawn from a dedicated ChaCha8
     /// stream of `seed` so the honest substrate (topology, population,
     /// workload) is untouched by the choice of mix. Class sizes use
     /// cumulative rounding — class `k` gets
@@ -180,6 +205,8 @@ impl AdversaryAssignment {
         };
 
         let mut assignment = Self::none(n);
+        // Each adversary's role, in the order the classes take them.
+        let mut roles: Vec<(NodeId, Role)> = Vec::new();
         let param_stream =
             |node: u32| ChaCha8Rng::seed_from_u64(node_stream_seed(seed ^ PARAM_SALT, node));
 
@@ -197,9 +224,7 @@ impl AdversaryAssignment {
                     ((k as f64 + jitter) / mix.sybil_spawn_rate).floor() as u64
                 })
                 .collect();
-            for &m in &members {
-                assignment.roles[m.index()] = Role::Sybil { ring };
-            }
+            roles.extend(members.iter().map(|&m| (m, Role::Sybil { ring })));
             assignment.rings.push(SybilRing {
                 members,
                 activation,
@@ -210,16 +235,13 @@ impl AdversaryAssignment {
             let clique = assignment.cliques.len() as u32;
             let mut members: Vec<NodeId> = chunk.iter().map(|&i| NodeId(i)).collect();
             members.sort_unstable();
-            for &m in &members {
-                assignment.roles[m.index()] = Role::Colluder { clique };
-            }
+            roles.extend(members.iter().map(|&m| (m, Role::Colluder { clique })));
             assignment.cliques.push(members);
         }
 
         assignment.slander_factor = mix.slander_factor;
-        for id in take(mix.slander_fraction) {
-            assignment.roles[id as usize] = Role::Slanderer;
-        }
+        let slanderers = take(mix.slander_fraction);
+        roles.extend(slanderers.iter().map(|&i| (NodeId(i), Role::Slanderer)));
 
         let mut washer_ids: Vec<NodeId> = take(mix.whitewash_fraction)
             .iter()
@@ -227,7 +249,7 @@ impl AdversaryAssignment {
             .collect();
         washer_ids.sort_unstable();
         for &w in &washer_ids {
-            assignment.roles[w.index()] = Role::Whitewasher;
+            roles.push((w, Role::Whitewasher));
             // Personal threshold jittered ±20 % from the washer's own
             // stream, so washes don't synchronise network-wide.
             let jitter: f64 = param_stream(w.0).random();
@@ -245,16 +267,13 @@ impl AdversaryAssignment {
             let cartel = assignment.cartels.len() as u32;
             let mut members: Vec<NodeId> = chunk.iter().map(|&i| NodeId(i)).collect();
             members.sort_unstable();
-            for &m in &members {
-                assignment.roles[m.index()] = Role::Stealth { cartel };
-            }
+            roles.extend(members.iter().map(|&m| (m, Role::Stealth { cartel })));
             assignment.cartels.push(members);
         }
         assignment.stealth_bias = mix.stealth_bias;
 
-        let mut adversary_ids: Vec<NodeId> = ids[..cursor].iter().map(|&i| NodeId(i)).collect();
-        adversary_ids.sort_unstable();
-        assignment.adversary_ids = adversary_ids;
+        roles.sort_unstable_by_key(|&(id, _)| id);
+        (assignment.roles.ids, assignment.roles.roles) = roles.into_iter().unzip();
         Ok(assignment)
     }
 
@@ -265,12 +284,12 @@ impl AdversaryAssignment {
 
     /// Whether the assignment contains no adversaries at all.
     pub fn is_none(&self) -> bool {
-        self.adversary_ids.is_empty()
+        self.roles.ids.is_empty()
     }
 
     /// All adversarial node ids, ascending.
     pub fn adversaries(&self) -> &[NodeId] {
-        &self.adversary_ids
+        &self.roles.ids
     }
 
     /// Whether `node` transacts and reports in `round` (dormant sybil
@@ -352,8 +371,7 @@ impl AdversaryAssignment {
     /// and whitewashers are leeches, colluders keep their service
     /// quality but join a collusion group; slanderers serve honestly.
     pub(crate) fn apply_to_population(&self, population: &mut Population) {
-        for (i, &role) in self.roles.iter().enumerate() {
-            let node = NodeId(i as u32);
+        for (&node, &role) in self.roles.ids.iter().zip(&self.roles.roles) {
             match role {
                 // Stealth members serve honestly — their lie is the bias
                 // in the gossip channel, never the service itself.
