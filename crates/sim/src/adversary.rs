@@ -133,11 +133,14 @@ struct Roles {
 impl std::ops::Index<usize> for Roles {
     type Output = Role;
 
+    #[inline]
     fn index(&self, node: usize) -> &Role {
-        assert!(node < self.nodes, "node {node} of {}", self.nodes);
         match self.ids.binary_search(&NodeId(node as u32)) {
             Ok(at) => &self.roles[at],
-            Err(_) => &Role::Honest,
+            Err(_) => {
+                assert!(node < self.nodes, "node {node} of {}", self.nodes);
+                &Role::Honest
+            }
         }
     }
 }
