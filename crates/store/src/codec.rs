@@ -115,6 +115,16 @@ fn xxh64_merge(hash: u64, acc: u64) -> u64 {
         .wrapping_add(XXH_PRIME64_4)
 }
 
+/// The four lanes' starting values under `seed`.
+fn xxh64_lanes(seed: u64) -> [u64; 4] {
+    [
+        seed.wrapping_add(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_2),
+        seed.wrapping_add(XXH_PRIME64_2),
+        seed,
+        seed.wrapping_sub(XXH_PRIME64_1),
+    ]
+}
+
 /// One 32-byte stripe into the four lanes.
 fn xxh64_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
     for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
@@ -122,20 +132,71 @@ fn xxh64_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
     }
 }
 
-/// XXH64 of `bytes` under `seed`: the streaming [`Xxh64`] fed one
-/// slice.
-pub(crate) fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let mut hasher = Xxh64::new(seed);
-    hasher.update(bytes);
-    hasher.finish()
+/// The digest of `total` bytes under `seed`, whose whole stripes went
+/// into `lanes` and whose last `tail` (under 32 bytes) did not: the
+/// lane merge (when there was a stripe), the 8/4/1-byte tail and the
+/// avalanche.
+fn xxh64_finish(lanes: &[u64; 4], seed: u64, total: u64, mut tail: &[u8]) -> u64 {
+    let mut hash = if total >= 32 {
+        let [a, b, c, d] = *lanes;
+        let hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes
+            .iter()
+            .fold(hash, |hash, &lane| xxh64_merge(hash, lane))
+    } else {
+        seed.wrapping_add(XXH_PRIME64_5)
+    };
+    hash = hash.wrapping_add(total);
+    while tail.len() >= 8 {
+        hash = (hash ^ xxh64_round(0, read_u64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME64_1)
+            .wrapping_add(XXH_PRIME64_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        hash = (hash ^ u64::from(word).wrapping_mul(XXH_PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME64_2)
+            .wrapping_add(XXH_PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME64_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_PRIME64_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_PRIME64_3);
+    hash ^ (hash >> 32)
 }
 
-/// XXH64 — the published algorithm (four independent lanes over 8-byte
-/// words, then the 8/4/1-byte tail and the avalanche), the digest of
-/// format-4 frames — fed in pieces: the digest of the pieces laid end
-/// to end, wherever they are split. Like FNV-1a it is an integrity
-/// check against torn writes and bit rot, not an adversarial MAC;
-/// unlike it, the lanes do not wait on each other.
+/// XXH64 of `bytes` under `seed` — the published algorithm (four
+/// independent lanes over 8-byte words, then the 8/4/1-byte tail and
+/// the avalanche), the digest of format-4 frames. The stripes and the
+/// finish of [`Xxh64`], over one slice: a frame's prelude and a wire
+/// message are a few dozen bytes, hashed with no buffer to fill. Like
+/// FNV-1a it is an integrity check against torn writes and bit rot, not
+/// an adversarial MAC; unlike it, the lanes do not wait on each other.
+pub(crate) fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let mut lanes = xxh64_lanes(seed);
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    for stripe in stripes {
+        xxh64_stripe(&mut lanes, stripe);
+    }
+    xxh64_finish(&lanes, seed, bytes.len() as u64, tail)
+}
+
+/// [`xxh64`] fed in pieces: the digest of the pieces laid end to end,
+/// wherever they are split.
 #[derive(Debug, Clone)]
 pub(crate) struct Xxh64 {
     seed: u64,
@@ -150,12 +211,7 @@ impl Xxh64 {
     pub(crate) fn new(seed: u64) -> Self {
         Self {
             seed,
-            lanes: [
-                seed.wrapping_add(XXH_PRIME64_1).wrapping_add(XXH_PRIME64_2),
-                seed.wrapping_add(XXH_PRIME64_2),
-                seed,
-                seed.wrapping_sub(XXH_PRIME64_1),
-            ],
+            lanes: xxh64_lanes(seed),
             pending: [0; 32],
             pending_len: 0,
             total: 0,
@@ -187,46 +243,8 @@ impl Xxh64 {
     }
 
     pub(crate) fn finish(&self) -> u64 {
-        let mut hash = if self.total >= 32 {
-            let [a, b, c, d] = self.lanes;
-            let hash = a
-                .rotate_left(1)
-                .wrapping_add(b.rotate_left(7))
-                .wrapping_add(c.rotate_left(12))
-                .wrapping_add(d.rotate_left(18));
-            self.lanes
-                .iter()
-                .fold(hash, |hash, &lane| xxh64_merge(hash, lane))
-        } else {
-            self.seed.wrapping_add(XXH_PRIME64_5)
-        };
-        hash = hash.wrapping_add(self.total);
-        let mut tail = &self.pending[..self.pending_len];
-        while tail.len() >= 8 {
-            hash = (hash ^ xxh64_round(0, read_u64(tail)))
-                .rotate_left(27)
-                .wrapping_mul(XXH_PRIME64_1)
-                .wrapping_add(XXH_PRIME64_4);
-            tail = &tail[8..];
-        }
-        if tail.len() >= 4 {
-            let word = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-            hash = (hash ^ u64::from(word).wrapping_mul(XXH_PRIME64_1))
-                .rotate_left(23)
-                .wrapping_mul(XXH_PRIME64_2)
-                .wrapping_add(XXH_PRIME64_3);
-            tail = &tail[4..];
-        }
-        for &byte in tail {
-            hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME64_5))
-                .rotate_left(11)
-                .wrapping_mul(XXH_PRIME64_1);
-        }
-        hash ^= hash >> 33;
-        hash = hash.wrapping_mul(XXH_PRIME64_2);
-        hash ^= hash >> 29;
-        hash = hash.wrapping_mul(XXH_PRIME64_3);
-        hash ^ (hash >> 32)
+        let tail = &self.pending[..self.pending_len];
+        xxh64_finish(&self.lanes, self.seed, self.total, tail)
     }
 }
 
@@ -246,25 +264,17 @@ fn prelude(kind: u8, payload_len: u64) -> [u8; PRELUDE_LEN] {
     prelude
 }
 
-/// The payload hasher of a format-4-on frame: XXH64 seeded with the
-/// XXH64 of the prelude.
-fn payload_hasher(prelude: &[u8; PRELUDE_LEN]) -> Xxh64 {
-    Xxh64::new(xxh64(prelude, 0))
-}
-
 /// The digest a frame carries after its payload, chosen by the frame's
 /// own version — never the reader's, so a store whose chain mixes
 /// formats verifies frame by frame. Format 4 on: XXH64 of the payload,
 /// seeded with the XXH64 of the prelude. Formats 1–3: FNV-1a-64 over
 /// the prelude and the payload laid end to end. Each piece is hashed
 /// where it lies. The only place a digest is chosen; the file writer,
-/// which only writes the current format, streams the same
-/// `payload_hasher`.
+/// which only writes the current format, streams the same XXH64 (an
+/// [`Xxh64`] seeded with the prelude's).
 pub(crate) fn frame_digest(prelude: &[u8; PRELUDE_LEN], payload: &[u8]) -> u64 {
     if prelude_version(prelude) >= XXH64_SINCE {
-        let mut hasher = payload_hasher(prelude);
-        hasher.update(payload);
-        hasher.finish()
+        xxh64(payload, xxh64(prelude, 0))
     } else {
         fnv1a64_more(fnv1a64(prelude), payload)
     }
@@ -456,7 +466,7 @@ pub(crate) fn write_frame_with(
         staged: Staged::create(path)?,
         chunk,
         payload_from: PRELUDE_LEN,
-        hasher: payload_hasher(&prelude),
+        hasher: Xxh64::new(xxh64(&prelude, 0)),
         put: 0,
         failed: None,
     };
