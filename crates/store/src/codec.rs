@@ -447,8 +447,8 @@ impl Put for FrameWriter {
 /// `payload_len` bytes `fill` puts — the one writer of framed files.
 /// The prelude and the payload are copied into one fixed-size chunk
 /// that is hashed and written each time it fills, then the digest
-/// trailer follows: no buffer grows with the payload (a delta payload is tens of
-/// megabytes). Crash-safe: the bytes land in a `.tmp` sibling that is
+/// trailer follows: no buffer grows with the payload (a delta payload
+/// is tens of megabytes). Crash-safe: the bytes land in a `.tmp` sibling that is
 /// renamed into place. A payload whose length is not the declared one
 /// is refused with [`StoreError::Invalid`] before the rename, and every
 /// error removes the `.tmp` file.
